@@ -108,8 +108,9 @@ class QuadSpace:
             raise ValueError("ambient inner product is not Hermitian")
         _, pivots = scalar.rref()
         reps = list(pivots)
-        sub = scalar.submatrix(reps, reps)
-        express = sub.inverse() @ scalar.take_rows(reps)
+        q_gram_scalar = scalar.submatrix(reps, reps)
+        q_gram_scalar_inv = q_gram_scalar.inverse()
+        express = q_gram_scalar_inv @ scalar.take_rows(reps)
         include = ExactMatrix.zeros(ambient_dim, len(reps))
         for q, r in enumerate(reps):
             include = include.set_block(r, q, ExactMatrix.identity(1))
@@ -133,7 +134,6 @@ class QuadSpace:
         def q_ops(ops):
             return [express @ op @ include for op in ops]
 
-        q_gram_scalar = scalar.submatrix(reps, reps)
         return cls(
             ambient_dim=ambient_dim,
             reps=reps,
@@ -143,7 +143,7 @@ class QuadSpace:
             gram_B1=gram_B1.restrict(reps) if gram_B1 is not None else None,
             gram_B2=gram_B2.restrict(reps) if gram_B2 is not None else None,
             gram_scalar=q_gram_scalar,
-            gram_scalar_inv=q_gram_scalar.inverse(),
+            gram_scalar_inv=q_gram_scalar_inv,
             left_B1=q_ops(left_B1),
             left_B2=q_ops(left_B2),
             right_A=q_ops(right_A),

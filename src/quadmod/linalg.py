@@ -1,11 +1,22 @@
 """Exact complex-rational linear algebra.
 
 An ExactMatrix stores Gaussian-rational entries as two integer numerator
-arrays (real and imaginary parts) over a single positive denominator. The
-fast path keeps the arrays in int64 and every operation that could overflow
-is bound-checked first; when a bound would be exceeded the arrays are
-promoted to Python big integers (numpy object dtype), so results are always
-exact.
+arrays (real and imaginary parts) over a single positive denominator. Every
+operation that could overflow is bound-checked before it runs, and the bound
+picks one of three arithmetic paths:
+
+* int64, when every value the operation forms stays at most 2^62 in
+  magnitude;
+* Python big integers (numpy object dtype) otherwise, so results are always
+  exact;
+* for matrix products of int64 operands, one float64 GEMM when every partial
+  sum is provably at most 2^53 and the product is large enough for BLAS to
+  beat numpy's int64 loop. A dot product of k integer terms, each at most
+  a*b in magnitude, has every partial sum at most k*a*b in magnitude,
+  whatever order the terms are added in and whether or not they are fused
+  multiply-adds. Every integer of magnitude at most 2^53 is a float64, so
+  each product, each partial sum and the result are exact. Floats carry
+  only such integers, never approximations.
 
 The module also provides deterministic reduced row echelon form, kernel and
 solve built on it, and Gram-form utilities: exact positive-semidefiniteness
@@ -26,6 +37,16 @@ from .scalars import GaussianRational
 # checked against this before they happen.
 _INT64_SAFE = 1 << 62
 
+# Largest partial sum a float64 matrix product may form: every integer up
+# to 2^53 in magnitude is exactly representable.
+_FLOAT_EXACT = 1 << 53
+
+# Smallest m*k*n sent to the float64 product. Below it the stacking copies
+# can cost more than numpy's int64 matmul loop saves: on a 2-CPU x86-64 host
+# with OpenBLAS 0.3.31 the float path won on every shape measured from 2048
+# up, and lost on some between 1000 and 2048 (6x36x6, 1x36x36).
+_FLOAT_MIN_WORK = 2048
+
 
 class NotHermitian(ValueError):
     """Raised when an operation requires a Hermitian matrix."""
@@ -35,25 +56,14 @@ class SingularGram(ValueError):
     """Raised when a Gram matrix that must be invertible is not."""
 
 
+# _gcd_reduce and _max_abs work on int64 and on object (Python int) arrays
+# alike.
 def _gcd_reduce(arr) -> int:
-    if arr.size == 0:
-        return 0
-    if arr.dtype == object:
-        g = 0
-        for v in arr.flat:
-            g = math.gcd(g, abs(int(v)))
-            if g == 1:
-                return 1
-        return g
-    return int(np.gcd.reduce(np.abs(arr), axis=None))
+    return int(np.gcd.reduce(np.abs(arr), axis=None)) if arr.size else 0
 
 
 def _max_abs(arr) -> int:
-    if arr.size == 0:
-        return 0
-    if arr.dtype == object:
-        return max((abs(int(v)) for v in arr.flat), default=0)
-    return int(np.abs(arr).max())
+    return int(np.abs(arr).max()) if arr.size else 0
 
 
 def _demote(arr):
@@ -67,16 +77,34 @@ def _to_object(arr):
     return arr if arr.dtype == object else arr.astype(object)
 
 
-def _cmul(are, aim, bre, bim, bound_hint=None):
-    """(are + i aim) @ (bre + i bim), promoting on overflow risk."""
-    k = are.shape[1]
-    if are.dtype != object and bre.dtype != object:
-        bound = 2 * max(k, 1) * _max_abs(are) * max(_max_abs(bre), _max_abs(bim))
-        bound = max(bound, 2 * max(k, 1) * _max_abs(aim) * max(_max_abs(bre), _max_abs(bim)))
-        if bound <= _INT64_SAFE:
-            return are @ bre - aim @ bim, are @ bim + aim @ bre
-    are, aim = _to_object(are), _to_object(aim)
-    bre, bim = _to_object(bre), _to_object(bim)
+def _common(bound: int, *arrays):
+    """The arrays unchanged when all are int64 and bound is at most
+    _INT64_SAFE; otherwise all of them as object arrays."""
+    if bound <= _INT64_SAFE and all(a.dtype != object for a in arrays):
+        return arrays
+    return tuple(_to_object(a) for a in arrays)
+
+
+def _cmul(are, aim, bre, bim):
+    """(are + i aim) @ (bre + i bim), exact on every path."""
+    m, k = are.shape
+    n = bre.shape[1]
+    bound = 2 * k * max(_max_abs(are), _max_abs(aim)) * max(_max_abs(bre), _max_abs(bim))
+    ints = all(a.dtype != object for a in (are, aim, bre, bim))
+    if ints and bound <= _FLOAT_EXACT and m * k * n >= _FLOAT_MIN_WORK:
+        # [[Are, -Aim], [Aim, Are]] @ [Bre; Bim] = [Re; Im]: one GEMM with
+        # inner dimension 2k, so bound covers every partial sum.
+        a = np.empty((2 * m, 2 * k))
+        a[:m, :k] = are
+        a[m:, k:] = are
+        a[m:, :k] = aim
+        np.negative(aim, out=a[:m, k:], casting="unsafe")
+        b = np.empty((2 * k, n))
+        b[:k] = bre
+        b[k:] = bim
+        c = (a @ b).astype(np.int64)
+        return c[:m], c[m:]
+    are, aim, bre, bim = _common(bound, are, aim, bre, bim)
     return are @ bre - aim @ bim, are @ bim + aim @ bre
 
 
@@ -105,8 +133,9 @@ class ExactMatrix:
     def _normalize(self):
         g = math.gcd(math.gcd(_gcd_reduce(self._re), _gcd_reduce(self._im)), self._den)
         if g > 1:
-            self._re = self._re // g
-            self._im = self._im // g
+            re, im = _common(g, self._re, self._im)
+            self._re = re // g
+            self._im = im // g
             self._den //= g
         self._re = _demote(self._re)
         self._im = _demote(self._im)
@@ -206,9 +235,11 @@ class ExactMatrix:
         f = den // self._den
         if f == 1:
             return self._re, self._im
-        if self._re.dtype != object and _max_abs(self._re) * f <= _INT64_SAFE and _max_abs(self._im) * f <= _INT64_SAFE:
-            return self._re * f, self._im * f
-        return _to_object(self._re) * f, _to_object(self._im) * f
+        # f itself must fit too: an int64 array times a bigint raises even
+        # when the array is zero.
+        bound = f * max(_max_abs(self._re), _max_abs(self._im), 1)
+        re, im = _common(bound, self._re, self._im)
+        return re * f, im * f
 
     def __add__(self, other):
         if not isinstance(other, ExactMatrix):
@@ -218,13 +249,8 @@ class ExactMatrix:
         den = self._den * other._den // math.gcd(self._den, other._den)
         are, aim = self._scaled_to(den)
         bre, bim = other._scaled_to(den)
-        if are.dtype != object and bre.dtype != object:
-            if _max_abs(are) + _max_abs(bre) > _INT64_SAFE or _max_abs(aim) + _max_abs(bim) > _INT64_SAFE:
-                are, aim = _to_object(are), _to_object(aim)
-                bre, bim = _to_object(bre), _to_object(bim)
-        elif are.dtype != bre.dtype:
-            are, aim = _to_object(are), _to_object(aim)
-            bre, bim = _to_object(bre), _to_object(bim)
+        bound = max(_max_abs(are) + _max_abs(bre), _max_abs(aim) + _max_abs(bim))
+        are, aim, bre, bim = _common(bound, are, aim, bre, bim)
         return ExactMatrix(are + bre, aim + bim, den)
 
     def __sub__(self, other):
@@ -247,12 +273,9 @@ class ExactMatrix:
         c = GaussianRational.from_value(c)
         q = math.lcm(c.re.denominator, c.im.denominator)
         cre, cim = int(c.re * q), int(c.im * q)
-        re, im = self._re, self._im
-        if re.dtype != object:
-            bound = 2 * _max_abs(re) * max(abs(cre), abs(cim))
-            bound = max(bound, 2 * _max_abs(im) * max(abs(cre), abs(cim)))
-            if bound > _INT64_SAFE:
-                re, im = _to_object(re), _to_object(im)
+        # The factor must fit as well as the products (see _scaled_to).
+        bound = 2 * max(_max_abs(self._re), _max_abs(self._im), 1) * max(abs(cre), abs(cim))
+        re, im = _common(bound, self._re, self._im)
         return ExactMatrix(cre * re - cim * im, cre * im + cim * re, self._den * q)
 
     def conj(self) -> "ExactMatrix":
@@ -292,30 +315,19 @@ class ExactMatrix:
         )
 
     @staticmethod
-    def hstack(mats) -> "ExactMatrix":
+    def _joined(mats, join) -> "ExactMatrix":
         mats = list(mats)
-        den = 1
-        for m in mats:
-            den = den * m._den // math.gcd(den, m._den)
-        parts = [m._scaled_to(den) for m in mats]
-        if any(p[0].dtype == object for p in parts):
-            parts = [(_to_object(a), _to_object(b)) for a, b in parts]
-        return ExactMatrix(
-            np.hstack([p[0] for p in parts]), np.hstack([p[1] for p in parts]), den
-        )
+        den = math.lcm(*(m._den for m in mats))
+        parts = _common(0, *(a for m in mats for a in m._scaled_to(den)))
+        return ExactMatrix(join(parts[0::2]), join(parts[1::2]), den)
+
+    @staticmethod
+    def hstack(mats) -> "ExactMatrix":
+        return ExactMatrix._joined(mats, np.hstack)
 
     @staticmethod
     def vstack(mats) -> "ExactMatrix":
-        mats = list(mats)
-        den = 1
-        for m in mats:
-            den = den * m._den // math.gcd(den, m._den)
-        parts = [m._scaled_to(den) for m in mats]
-        if any(p[0].dtype == object for p in parts):
-            parts = [(_to_object(a), _to_object(b)) for a, b in parts]
-        return ExactMatrix(
-            np.vstack([p[0] for p in parts]), np.vstack([p[1] for p in parts]), den
-        )
+        return ExactMatrix._joined(mats, np.vstack)
 
     @staticmethod
     def block_diag(mats) -> "ExactMatrix":
@@ -332,27 +344,18 @@ class ExactMatrix:
 
     def set_block(self, i: int, j: int, block: "ExactMatrix") -> "ExactMatrix":
         """Return a copy with the block written at row i, column j."""
-        den = self._den * block._den // math.gcd(self._den, block._den)
-        are, aim = self._scaled_to(den)
-        bre, bim = block._scaled_to(den)
-        are = _to_object(are).copy() if (are.dtype == object or bre.dtype == object) else are.copy()
-        aim = _to_object(aim).copy() if (aim.dtype == object or bim.dtype == object) else aim.copy()
+        den = math.lcm(self._den, block._den)
+        are, aim, bre, bim = _common(0, *self._scaled_to(den), *block._scaled_to(den))
+        are, aim = are.copy(), aim.copy()
         are[i : i + block.nrows, j : j + block.ncols] = bre
         aim[i : i + block.nrows, j : j + block.ncols] = bim
         return ExactMatrix(are, aim, den)
 
     def kron(self, other: "ExactMatrix") -> "ExactMatrix":
-        a_re, a_im = self._re, self._im
-        b_re, b_im = other._re, other._im
-        if a_re.dtype != object and b_re.dtype != object:
-            bound = 2 * _max_abs(a_re) * max(_max_abs(b_re), _max_abs(b_im))
-            bound = max(bound, 2 * _max_abs(a_im) * max(_max_abs(b_re), _max_abs(b_im)))
-            if bound > _INT64_SAFE:
-                a_re, a_im = _to_object(a_re), _to_object(a_im)
-                b_re, b_im = _to_object(b_re), _to_object(b_im)
-        elif a_re.dtype != b_re.dtype:
-            a_re, a_im = _to_object(a_re), _to_object(a_im)
-            b_re, b_im = _to_object(b_re), _to_object(b_im)
+        bound = 2 * max(_max_abs(self._re), _max_abs(self._im)) * max(
+            _max_abs(other._re), _max_abs(other._im)
+        )
+        a_re, a_im, b_re, b_im = _common(bound, self._re, self._im, other._re, other._im)
         re = np.kron(a_re, b_re) - np.kron(a_im, b_im)
         im = np.kron(a_re, b_im) + np.kron(a_im, b_re)
         return ExactMatrix(re, im, self._den * other._den)
@@ -365,11 +368,12 @@ class ExactMatrix:
         Returns (R, pivots) where R is an ExactMatrix with unit pivots and
         pivots is a tuple of pivot column indices. Pivot choice is
         deterministic: scan columns left to right, take the nonzero entry
-        with the smallest row index.
+        with the smallest row index. Elimination is fraction-free and rows
+        stay integer; only the final scaling introduces the one shared
+        denominator.
         """
         m, n = self.shape
-        wre = self._re.copy()
-        wim = self._im.copy()
+        wre, wim = (a.copy() for a in _common(0, self._re, self._im))
         pivots = []
         r = 0
         for c in range(n):
@@ -396,60 +400,49 @@ class ExactMatrix:
                 vim = wim[touched, c]
                 prow_re = wre[r, :]
                 prow_im = wim[r, :]
-                if wre.dtype != object:
-                    mp = max(abs(int(pre)), abs(int(pim)))
-                    msub = max(_max_abs(sub_re), _max_abs(sub_im))
-                    mv = max(_max_abs(vre), _max_abs(vim))
-                    mprow = max(_max_abs(prow_re), _max_abs(prow_im))
-                    if 2 * mp * msub + 2 * mv * mprow > _INT64_SAFE:
-                        wre, wim = _to_object(wre), _to_object(wim)
-                        sub_re, sub_im = _to_object(sub_re), _to_object(sub_im)
-                        vre, vim = _to_object(vre), _to_object(vim)
-                        prow_re, prow_im = _to_object(prow_re), _to_object(prow_im)
-                        pre, pim = wre[r, c], wim[r, c]
+                mp = max(abs(int(pre)), abs(int(pim)))
+                msub = max(_max_abs(sub_re), _max_abs(sub_im))
+                mv = max(_max_abs(vre), _max_abs(vim))
+                mprow = max(_max_abs(prow_re), _max_abs(prow_im))
+                if 2 * mp * msub + 2 * mv * mprow > _INT64_SAFE and wre.dtype != object:
+                    wre, wim = _to_object(wre), _to_object(wim)
+                    sub_re, sub_im = _to_object(sub_re), _to_object(sub_im)
+                    vre, vim = _to_object(vre), _to_object(vim)
+                    prow_re, prow_im = _to_object(prow_re), _to_object(prow_im)
+                    pre, pim = wre[r, c], wim[r, c]
                 new_re = pre * sub_re - pim * sub_im - (np.outer(vre, prow_re) - np.outer(vim, prow_im))
                 new_im = pre * sub_im + pim * sub_re - (np.outer(vre, prow_im) + np.outer(vim, prow_re))
-                if new_re.dtype != object:
-                    g = np.gcd(
-                        np.gcd.reduce(np.abs(new_re), axis=1),
-                        np.gcd.reduce(np.abs(new_im), axis=1),
-                    )
-                    g[g == 0] = 1
-                    new_re //= g[:, None]
-                    new_im //= g[:, None]
-                else:
-                    for i in range(new_re.shape[0]):
-                        g = 0
-                        for v in new_re[i, :]:
-                            g = math.gcd(g, abs(int(v)))
-                            if g == 1:
-                                break
-                        if g != 1:
-                            for v in new_im[i, :]:
-                                g = math.gcd(g, abs(int(v)))
-                                if g == 1:
-                                    break
-                        if g > 1:
-                            new_re[i, :] = new_re[i, :] // g
-                            new_im[i, :] = new_im[i, :] // g
+                g = np.gcd(
+                    np.gcd.reduce(np.abs(new_re), axis=1),
+                    np.gcd.reduce(np.abs(new_im), axis=1),
+                )
+                g[g == 0] = 1
+                new_re //= g[:, None]
+                new_im //= g[:, None]
                 wre[touched] = new_re
                 wim[touched] = new_im
             pivots.append(c)
             r += 1
-        # scale pivot rows so each pivot is exactly 1
-        rows = []
-        for i, c in enumerate(pivots):
-            p = GaussianRational(Fraction(int(wre[i, c])), Fraction(int(wim[i, c])))
-            row = [
-                GaussianRational(Fraction(int(wre[i, j])), Fraction(int(wim[i, j]))) / p
-                for j in range(n)
-            ]
-            rows.append(row)
-        for _ in range(m - len(pivots)):
-            rows.append([GaussianRational()] * n)
-        if not rows:
-            return ExactMatrix.zeros(0, n), tuple(pivots)
-        return ExactMatrix.from_rows(rows), tuple(pivots)
+        # Divide pivot row i by its pivot p_i = row * conj(p_i) / |p_i|^2,
+        # over the shared denominator D = lcm |p_i|^2.
+        k = len(pivots)
+        piv_re = [int(wre[i, c]) for i, c in enumerate(pivots)]
+        piv_im = [int(wim[i, c]) for i, c in enumerate(pivots)]
+        norms = [a * a + b * b for a, b in zip(piv_re, piv_im)]
+        den = math.lcm(*norms)
+        f = [den // q for q in norms]
+        # The pivot is in its row, so row i's products are at most 2 peak^2 f_i.
+        peak = np.maximum(
+            np.abs(wre[:k]).max(axis=1, initial=0), np.abs(wim[:k]).max(axis=1, initial=0)
+        )
+        bound = max((2 * int(p) ** 2 * g for p, g in zip(peak, f)), default=0)
+        wre, wim = _common(bound, wre, wim)
+        cre = np.array([a * g for a, g in zip(piv_re, f)], dtype=wre.dtype).reshape(k, 1)
+        cim = np.array([-b * g for b, g in zip(piv_im, f)], dtype=wre.dtype).reshape(k, 1)
+        re, im = np.zeros_like(wre), np.zeros_like(wim)
+        re[:k] = cre * wre[:k] - cim * wim[:k]
+        im[:k] = cre * wim[:k] + cim * wre[:k]
+        return ExactMatrix(re, im, den), tuple(pivots)
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -461,14 +454,15 @@ class ExactMatrix:
         free = [j for j in range(n) if j not in pivots]
         if not free:
             return ExactMatrix.zeros(n, 0)
-        cols = []
-        for f in free:
-            vec = [GaussianRational()] * n
-            vec[f] = GaussianRational(1)
-            for i, p in enumerate(pivots):
-                vec[p] = -R[i, f]
-            cols.append(vec)
-        return ExactMatrix.from_rows([[cols[k][i] for k in range(len(cols))] for i in range(n)])
+        # Column k is e_free[k] minus, at each pivot, row i's entry in free[k].
+        shape = (n, len(free))
+        kre, kim, rre, rim = _common(
+            R._den, np.zeros(shape, np.int64), np.zeros(shape, np.int64), R._re, R._im
+        )
+        kre[free, range(len(free))] = R._den
+        kre[list(pivots)] = -rre[: len(pivots)][:, free]
+        kim[list(pivots)] = -rim[: len(pivots)][:, free]
+        return ExactMatrix(kre, kim, R._den)
 
     def solve(self, rhs: "ExactMatrix") -> "ExactMatrix":
         """Solve self @ X = rhs, free variables set to zero.
@@ -482,13 +476,10 @@ class ExactMatrix:
         R, pivots = aug.rref()
         if any(p >= n for p in pivots):
             raise SingularGram("inconsistent linear system")
-        X = [[GaussianRational() for _ in range(k)] for _ in range(n)]
-        for i, p in enumerate(pivots):
-            for j in range(k):
-                X[p][j] = R[i, n + j]
-        if n == 0:
-            return ExactMatrix.zeros(0, k)
-        return ExactMatrix.from_rows(X)
+        xre, xim = np.zeros((n, k), R._re.dtype), np.zeros((n, k), R._im.dtype)
+        xre[list(pivots)] = R._re[: len(pivots), n:]
+        xim[list(pivots)] = R._im[: len(pivots), n:]
+        return ExactMatrix(xre, xim, R._den)
 
     def inverse(self) -> "ExactMatrix":
         if self.nrows != self.ncols:

@@ -1,8 +1,13 @@
+import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from quadmod import linalg
 from quadmod.linalg import (
     ExactMatrix,
     GramForm,
@@ -280,3 +285,185 @@ def test_gram_form_wrapper():
     assert g.adjoint_of(t, g) == ExactMatrix.from_rows([[0, 0], [F(1, 2), 0]])
     with pytest.raises(NotHermitian):
         GramForm(ExactMatrix.from_rows([[0, 1], [0, 0]]))
+
+
+# -- bigint factors on int64 arrays --------------------------------------
+
+TINY = Fraction(1, 2**63 + 1)
+
+
+@pytest.mark.parametrize(
+    "build, entry, value",
+    [
+        (lambda t: ExactMatrix.zeros(1, 1) + t, (0, 0), TINY),
+        (lambda t: ExactMatrix.zeros(1, 1).scale(Fraction(2**64)), (0, 0), 0),
+        (lambda t: ExactMatrix.zeros(2, 2).set_block(1, 1, t), (1, 1), TINY),
+        (lambda t: ExactMatrix.hstack([ExactMatrix.zeros(1, 1), t]), (0, 1), TINY),
+        # a zero matrix over a bigint denominator reduces to denominator 1
+        (lambda t: ExactMatrix.zeros(1, 1).scale(Fraction(1, 2**64)), (0, 0), 0),
+    ],
+    ids=["add", "scale", "set_block", "hstack", "normalize"],
+)
+def test_bigint_factors_promote_instead_of_overflowing(build, entry, value):
+    assert build(ExactMatrix.diagonal([TINY]))[entry] == GR(value)
+
+
+def test_rref_with_bigint_real_and_int64_imaginary_parts():
+    a = ExactMatrix.from_rows([[GR(2**70, 1), 1], [GR(0, 2**40), 1]])
+    r, pivots = a.rref()
+    assert pivots == (0, 1)
+    assert r == ExactMatrix.identity(2)
+    assert a @ a.inverse() == ExactMatrix.identity(2)
+
+
+# -- matmul against an object-dtype reference ----------------------------
+
+
+def _object_product(are, aim, bre, bim):
+    are, aim, bre, bim = (x.astype(object) for x in (are, aim, bre, bim))
+    return are @ bre - aim @ bim, are @ bim + aim @ bre
+
+
+@st.composite
+def gated_operands(draw):
+    """Integer operands whose product bound 2*k*max|A|*max|B| is 2^53, just
+    above it, or 2^56, with shapes on both sides of the float size cutoff."""
+    j = draw(st.integers(0, 5))
+    k = 2**j
+    m = draw(st.integers(1, 24))
+    n = draw(st.integers(1, 24))
+    p = (52 - j) // 2
+    b = 2 ** (52 - j - p)
+    # 2^p puts the bound at 2^53; the others take the int64 path, and the
+    # last makes odd partial sums above 2^53 that a float64 would round
+    a = draw(st.sampled_from([2**p, 2**p + 1, 2 ** (p + 3) - 1]))
+    # entries near the maximum with aligned signs make large, odd partial sums
+    aligned = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def part(shape, top, sign):
+        return sign * rng.integers(top // 2 if aligned else -top, top, shape, endpoint=True)
+
+    are, aim = part((m, k), a, 1), part((m, k), a, 1)
+    bre, bim = part((k, n), b, 1), part((k, n), b, -1)
+    are[0, 0], bre[0, 0] = a, b  # pin the maxima, so the bound is as stated
+    return are, aim, bre, bim
+
+
+@settings(max_examples=150, deadline=None)
+@given(gated_operands())
+def test_matmul_matches_object_reference_at_the_float_gate(ops):
+    are, aim, bre, bim = ops
+    got = ExactMatrix(are, aim) @ ExactMatrix(bre, bim)
+    assert got == ExactMatrix(*_object_product(are, aim, bre, bim))
+
+
+def test_matmul_worst_case_partial_sums_stay_exact():
+    # every product is (2^24 - 1)(2^24 + 1) = 2^48 - 1 and all 2k = 32 terms
+    # add up with the same sign: the largest sum the float gate admits
+    m, k, n = 16, 16, 16
+    assert m * k * n >= linalg._FLOAT_MIN_WORK
+    a, b = 2**24 - 1, 2**24 + 1
+    assert 2 * k * a * b <= linalg._FLOAT_EXACT
+    are = np.full((m, k), a)
+    aim = np.full((m, k), a)
+    bre = np.full((k, n), b)
+    bim = np.full((k, n), -b)
+    got = ExactMatrix(are, aim) @ ExactMatrix(bre, bim)
+    assert got[0, 0] == GR(2 * k * a * b, 0)
+    assert got == ExactMatrix(*_object_product(are, aim, bre, bim))
+
+
+# -- rref and inverse against a Fraction Gauss-Jordan reference ----------
+
+
+def _reference_rref(rows):
+    """Gauss-Jordan over GaussianRational (Fraction) entries."""
+    rows = [[GR.from_value(v) for v in row] for row in rows]
+    m, n = len(rows), len(rows[0])
+    pivots = []
+    r = 0
+    for c in range(n):
+        pr = next((i for i in range(r, m) if not rows[i][c].is_zero), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        p = rows[r][c]
+        rows[r] = [v / p for v in rows[r]]
+        for i in range(m):
+            if i != r and not rows[i][c].is_zero:
+                f = rows[i][c]
+                rows[i] = [v - f * w for v, w in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == m:
+            break
+    return rows, tuple(pivots)
+
+
+gaussian_entries = st.builds(
+    lambda re, im, den: GR(Fraction(re, den), Fraction(im, den)),
+    st.one_of(st.integers(-4, 4), st.integers(-(2**40), 2**40)),
+    st.one_of(st.just(0), st.integers(-4, 4), st.integers(-(2**40), 2**40)),
+    st.sampled_from([1, 1, 2, 3, 7]),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda m: st.integers(1, 6).flatmap(
+            lambda n: st.lists(
+                st.lists(gaussian_entries, min_size=n, max_size=n), min_size=m, max_size=m
+            )
+        )
+    )
+)
+def test_rref_matches_fraction_reference(rows):
+    r, pivots = ExactMatrix.from_rows(rows).rref()
+    ref, ref_pivots = _reference_rref(rows)
+    assert pivots == ref_pivots
+    assert r == ExactMatrix.from_rows(ref)
+
+
+# Gaussian integers with norms of 2^62 to 2^63: on a diagonal, elimination leaves
+# them alone and the shared pivot denominator, the lcm of their norms, is
+# above 2^62, which forces the object path.
+BIG_GAUSSIAN_PIVOTS = st.tuples(st.integers(2**31, 2**31 + 2**20), st.integers(2**15, 2**31)).map(
+    lambda t: GR(*t)
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.tuples(
+            st.lists(BIG_GAUSSIAN_PIVOTS, min_size=n, max_size=n, unique=True),
+            st.lists(st.lists(gaussian_entries, min_size=n, max_size=n), min_size=n, max_size=n),
+            st.booleans(),
+        )
+    )
+)
+def test_inverse_matches_fraction_reference(case):
+    diag, rows, diagonal = case
+    n = len(diag)
+    if diagonal:
+        rows = [[diag[i] if i == j else 0 for j in range(n)] for i in range(n)]
+    a = ExactMatrix.from_rows(rows)
+    aug = [list(row) + [GR(int(i == j)) for j in range(n)] for i, row in enumerate(rows)]
+    ref, pivots = _reference_rref(aug)
+    assert ExactMatrix.from_rows(aug).rref() == (ExactMatrix.from_rows(ref), pivots)
+    if pivots != tuple(range(n)):
+        with pytest.raises(SingularGram):
+            a.inverse()
+        return
+    inv = a.inverse()
+    assert inv == ExactMatrix.from_rows([row[n:] for row in ref])
+    assert a @ inv == ExactMatrix.identity(n)
+
+
+def test_inverse_with_pivot_norm_lcm_above_int64():
+    p1, p2 = GR(2**31 + 11, 2**31 - 1), GR(2**31 - 19, 2**30 + 3)
+    assert math.lcm(int(p1.abs2()), int(p2.abs2())) > 2**62
+    inv = ExactMatrix.diagonal([p1, p2]).inverse()
+    assert inv == ExactMatrix.diagonal([GR(1) / p1, GR(1) / p2])
