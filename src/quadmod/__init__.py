@@ -2,12 +2,14 @@
 Cuntz-Pimsner representations of Hilbert bimodules over commutative
 C*-algebras.
 
-Everything is computed over the Gaussian rationals; no floating point
-enters any verification path.
+Everything is computed over the Gaussian rationals. Floats carry only
+integers under a proven bound, never approximations: a matrix product runs
+as a float64 GEMM only when every partial sum is an integer of magnitude at
+most 2^53, which float64 represents exactly.
 """
 
 from .scalars import GaussianRational
-from .linalg import ExactMatrix, GramForm, GramStack, NotHermitian, SingularGram
+from .linalg import ExactMatrix, GramStack, NotHermitian, SingularGram
 from .quadmodule import (
     InvalidParameter,
     LambdaNotFaithful,
@@ -36,7 +38,6 @@ from .ktheory import (
 __all__ = [
     "GaussianRational",
     "ExactMatrix",
-    "GramForm",
     "GramStack",
     "NotHermitian",
     "SingularGram",

@@ -9,7 +9,6 @@ multiplicativity, *-preservation and injectivity.
 from __future__ import annotations
 
 from .linalg import ExactMatrix, SingularGram
-from .scalars import GaussianRational
 
 
 class CommAlgebra:
@@ -39,10 +38,6 @@ class CommAlgebra:
         if x.shape != (self.dim, 1):
             raise ValueError("element shape mismatch")
         return ExactMatrix.diagonal([x[i, 0] for i in range(self.dim)])
-
-    def trace(self, x: ExactMatrix) -> GaussianRational:
-        """The canonical faithful trace: sum of coordinates."""
-        return sum((x[i, 0] for i in range(self.dim)), GaussianRational())
 
     def is_positive(self, x: ExactMatrix) -> bool:
         return all(x[i, 0].is_real and x[i, 0].re >= 0 for i in range(self.dim))

@@ -15,8 +15,6 @@ from dataclasses import dataclass
 
 from .algebras import AlgebraHom
 from .fock import FockSpace
-from .linalg import ExactMatrix
-from .opalgebra import DiagonalOperatorModel, build_left_action_model
 from .relations import GeneratorFamily, _family_report, window_report
 
 
@@ -38,7 +36,6 @@ class CKState:
 @dataclass
 class CKBundle:
     space: FockSpace
-    model: DiagonalOperatorModel
     gens: GeneratorFamily
     states: list
     matrix: list
@@ -50,23 +47,19 @@ class CKBundle:
         ]
 
 
-def build_ck_generators(gens: GeneratorFamily, model: DiagonalOperatorModel | None = None) -> CKBundle:
+def build_ck_generators(gens: GeneratorFamily) -> CKBundle:
     """Slice the generating family by the model's minimal idempotents and
     read off the relation matrix from the resulting supports."""
     space = gens.space
-    h = space.summand((1, ()))
-    if model is None:
-        model = build_left_action_model(h.left_B1, h.left_B2)
-    lifts = [space.lift(e) for e in model.idempotents]
     states = []
     for family, members in ((1, gens.S), (2, gens.T)):
-        for cl, lifted in enumerate(lifts):
+        for cl, lifted in enumerate(gens.lifts):
             for g, x in enumerate(members):
                 op = lifted @ x
                 if op.is_zero():
                     continue
                 candidate = (op.adjoint() @ op).block((1, ()), (1, ()))
-                pattern = model.projection_coords(candidate)
+                pattern = gens.model.projection_coords(candidate)
                 if pattern is None:
                     raise CKStructureError(
                         f"state (family {family}, class {cl}, generator {g}) "
@@ -74,21 +67,21 @@ def build_ck_generators(gens: GeneratorFamily, model: DiagonalOperatorModel | No
                     )
                 states.append(CKState(family, cl, g, op, pattern))
     matrix = [[st.support[other.class_index] for other in states] for st in states]
-    return CKBundle(space, model, gens, states, matrix)
+    return CKBundle(space, gens, states, matrix)
 
 
 def verify_ck_relations(bundle: CKBundle) -> list:
     """The relation-matrix identities satisfied by the sliced generators."""
     space = bundle.space
-    model = bundle.model
+    gens = bundle.gens
     K = space.depth
     states = bundle.states
+    supports = [gens.lift_projection(st.support) for st in states]
     reports = []
 
     def support_diffs():
         for idx, st in enumerate(states):
-            expected = space.lift(model.element(ExactMatrix.column(st.support)))
-            yield (f"state {idx}", st.op.adjoint() @ st.op - expected)
+            yield (f"state {idx}", st.op.adjoint() @ st.op - supports[idx])
 
     reports.append(_family_report(
         "ck-state-support",
@@ -123,12 +116,12 @@ def verify_ck_relations(bundle: CKBundle) -> list:
     ))
 
     def class_range_diffs():
-        for cl, e in enumerate(model.idempotents):
+        for cl, lifted in enumerate(gens.lifts):
             acc = space.zero()
             for st in states:
                 if st.class_index == cl:
                     acc = acc + st.op @ st.op.adjoint()
-            yield (f"class {cl}", space.lift(e) - acc)
+            yield (f"class {cl}", lifted - acc)
 
     reports.append(_family_report(
         "ck-class-range",
@@ -146,7 +139,7 @@ def verify_ck_relations(bundle: CKBundle) -> list:
     ))
 
     def split_diffs():
-        for family, members in ((1, bundle.gens.S), (2, bundle.gens.T)):
+        for family, members in ((1, gens.S), (2, gens.T)):
             for g, x in enumerate(members):
                 acc = space.zero()
                 for st in states:
@@ -161,12 +154,11 @@ def verify_ck_relations(bundle: CKBundle) -> list:
     ))
 
     def shift_diffs():
-        members = {1: bundle.gens.S, 2: bundle.gens.T}
+        members = {1: gens.S, 2: gens.T}
         for idx, st in enumerate(states):
-            shifted = space.lift(model.element(ExactMatrix.column(st.support)))
             yield (
                 f"state {idx}",
-                st.op - members[st.family][st.generator_index] @ shifted,
+                st.op - members[st.family][st.generator_index] @ supports[idx],
             )
 
     reports.append(_family_report(

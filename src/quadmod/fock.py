@@ -278,15 +278,6 @@ class FockOperator:
         levels = sorted(src[0] for (_, src) in self.blocks)
         return levels[0] if levels else None
 
-    def apply(self, vec: dict) -> dict:
-        """Apply to a vector given as {summand_key: column}."""
-        out = {}
-        for (d, s), m in self.blocks.items():
-            if s in vec:
-                piece = m @ vec[s]
-                out[d] = out[d] + piece if d in out else piece
-        return {k: v for k, v in out.items() if not v.is_zero()}
-
     def __eq__(self, other):
         if not isinstance(other, FockOperator) or self.space is not other.space:
             return NotImplemented

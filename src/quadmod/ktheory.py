@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .linalg import weighted_sum
-from .opalgebra import DiagonalOperatorModel, build_left_action_model
 from .relations import GeneratorFamily, _family_report
 
 
@@ -248,7 +247,7 @@ class KTheoryResult:
     reports: list
 
 
-def class_action_matrix(gens: GeneratorFamily, model: DiagonalOperatorModel | None = None) -> tuple:
+def class_action_matrix(gens: GeneratorFamily) -> tuple:
     """The integer matrix of the summed generator compressions on model
     classes, together with the assumption reports that legitimise it.
 
@@ -260,9 +259,8 @@ def class_action_matrix(gens: GeneratorFamily, model: DiagonalOperatorModel | No
     spec = space.spec
     K = space.depth
     h = space.summand((1, ()))
-    if model is None:
-        model = build_left_action_model(h.left_B1, h.left_B2)
-    lifts = [space.lift(e) for e in model.idempotents]
+    model = gens.model
+    lifts = gens.lifts
     reports = []
 
     def iso_diffs():
@@ -320,7 +318,7 @@ def class_action_matrix(gens: GeneratorFamily, model: DiagonalOperatorModel | No
                     matrix[r][cl] += pattern[r]
                 route_diffs.append((
                     f"family {family} generator {g} class {cl}",
-                    x.adjoint() @ lifts[cl] @ x - space.lift(y_q),
+                    x.adjoint() @ lifts[cl] @ x - gens.lift_projection(pattern),
                 ))
 
     route = _family_report(
@@ -346,7 +344,7 @@ def k_groups_of_matrix(matrix: list) -> tuple:
     return cokernel(delta), FGAbelianGroup(kernel_rank(delta), [])
 
 
-def k_groups(gens: GeneratorFamily, model: DiagonalOperatorModel | None = None) -> KTheoryResult:
-    matrix, reports = class_action_matrix(gens, model)
+def k_groups(gens: GeneratorFamily) -> KTheoryResult:
+    matrix, reports = class_action_matrix(gens)
     k0, k1 = k_groups_of_matrix(matrix)
     return KTheoryResult(k0, k1, matrix, reports)

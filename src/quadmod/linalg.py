@@ -120,10 +120,12 @@ class ExactMatrix:
             raise ValueError("real and imaginary parts must be equal-shape 2d arrays")
         if den <= 0:
             raise ValueError("denominator must be positive")
+        # Stored arrays are never written in place, so an int64 array is
+        # kept as handed over rather than copied.
         if re.dtype != object:
-            re = re.astype(np.int64)
+            re = re.astype(np.int64, copy=False)
         if im.dtype != object:
-            im = im.astype(np.int64)
+            im = im.astype(np.int64, copy=False)
         self._re = re
         self._im = im
         self._den = int(den)
@@ -288,12 +290,6 @@ class ExactMatrix:
     @property
     def H(self) -> "ExactMatrix":
         return ExactMatrix(self._re.T.copy(), -self._im.T.copy(), self._den, _normalize=False)
-
-    def trace(self) -> GaussianRational:
-        return GaussianRational(
-            Fraction(int(self._re.trace()), self._den),
-            Fraction(int(self._im.trace()), self._den),
-        )
 
     def is_hermitian(self) -> bool:
         return self == self.H
@@ -656,30 +652,3 @@ class GramStack:
         if not isinstance(other, GramStack):
             return NotImplemented
         return self.coords == other.coords
-
-
-class GramForm:
-    """An inner product <x|y> = x^H G y given by a Hermitian Gram matrix."""
-
-    __slots__ = ("matrix",)
-
-    def __init__(self, matrix: ExactMatrix):
-        if matrix.nrows != matrix.ncols:
-            raise ValueError("Gram matrix must be square")
-        if not matrix.is_hermitian():
-            raise NotHermitian("Gram matrix must be Hermitian")
-        self.matrix = matrix
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.nrows
-
-    def pairing(self, x: ExactMatrix, y: ExactMatrix) -> ExactMatrix:
-        return x.H @ self.matrix @ y
-
-    def psd_witness(self):
-        ok, w = psd_check(self.matrix)
-        return None if ok else w
-
-    def adjoint_of(self, t: ExactMatrix, cod: "GramForm") -> ExactMatrix:
-        return gram_adjoint(t, self.matrix, cod.matrix)

@@ -97,8 +97,3 @@ class DiagonalOperatorModel:
             else:
                 return None
         return pattern
-
-
-def build_left_action_model(left_B1, left_B2) -> DiagonalOperatorModel:
-    """The model generated by both left action families."""
-    return DiagonalOperatorModel(list(left_B1) + list(left_B2))

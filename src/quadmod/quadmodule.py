@@ -133,21 +133,6 @@ class QuadModuleSpec:
 
     # -- small helpers ----------------------------------------------------
 
-    def act_right_B1(self, x: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-        return weighted_sum(self.right_B1, b) @ x
-
-    def act_right_B2(self, x: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-        return weighted_sum(self.right_B2, b) @ x
-
-    def act_left_B1(self, b: ExactMatrix, x: ExactMatrix) -> ExactMatrix:
-        return weighted_sum(self.left_B1, b) @ x
-
-    def act_left_B2(self, b: ExactMatrix, x: ExactMatrix) -> ExactMatrix:
-        return weighted_sum(self.left_B2, b) @ x
-
-    def act_right_A(self, x: ExactMatrix, a: ExactMatrix) -> ExactMatrix:
-        return weighted_sum(self.right_A, a) @ x
-
     def left_A(self, a: ExactMatrix) -> ExactMatrix:
         """The common left action of A, via the first embedding."""
         return weighted_sum(self.left_B1, self.left_embed_1(a))

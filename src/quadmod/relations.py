@@ -16,10 +16,11 @@ decides them because each slot enters linearly or antilinearly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .fock import FockOperator, FockSpace
 from .linalg import ExactMatrix, gram_adjoint, weighted_sum
-from .opalgebra import build_left_action_model
+from .opalgebra import DiagonalOperatorModel, NotDiagonalModel
 from .report import CheckResult, IdentityReport
 from .scalars import GaussianRational
 
@@ -28,7 +29,13 @@ _I = GaussianRational(0, 1)
 
 @dataclass
 class GeneratorFamily:
-    """Creation operators attached to the two generating families."""
+    """Creation operators attached to the two generating families, with
+    the left-action operator model and its lifts to the tower.
+
+    The model and the lifts are built on first use, so a module whose left
+    actions are not diagonal raises NotDiagonalModel only where a stage
+    reads them.
+    """
 
     space: FockSpace
     S: list
@@ -37,6 +44,26 @@ class GeneratorFamily:
     @property
     def depth(self) -> int:
         return self.space.depth
+
+    @cached_property
+    def model(self) -> DiagonalOperatorModel:
+        """The algebra generated by both left actions on the module."""
+        h = self.space.summand((1, ()))
+        return DiagonalOperatorModel(h.left_B1 + h.left_B2)
+
+    @cached_property
+    def lifts(self) -> list:
+        """The lifts of the model's minimal idempotents, in class order."""
+        return [self.space.lift(e) for e in self.model.idempotents]
+
+    def lift_projection(self, pattern) -> FockOperator:
+        """The lift of the model projection with a 0/1 class pattern: lift
+        is linear, so this is the sum of the selected class lifts."""
+        out = self.space.zero()
+        for bit, lifted in zip(pattern, self.lifts):
+            if bit:
+                out = out + lifted
+        return out
 
 
 def make_generators(space: FockSpace) -> GeneratorFamily:
@@ -137,20 +164,31 @@ def verify_creation_relations(gens: GeneratorFamily) -> list:
     K = space.depth
     d = spec.dim
     basis = _basis_columns(d)
+    # Every identity below reuses these: the creations and annihilations of
+    # the basis vectors, the right actions of the base algebra basis and the
+    # two lifted samples.
+    created = {fam: [space.creation(fam, xi) for xi in basis] for fam in (1, 2)}
+    annihilated = {fam: [s.adjoint() for s in ops] for fam, ops in created.items()}
+    right = [
+        space.right_action(spec.algebra_A.basis_element(a))
+        for a in range(spec.algebra_A.dim)
+    ]
+    samples = [
+        (label, space.lift(L), _to_ambient(space, L)) for label, L in _lift_samples(space)
+    ]
+    if d >= 2:
+        extra = basis[0] + basis[1].scale(_I)
+    else:
+        extra = basis[0].scale(GaussianRational(1, 1))
     reports = []
 
     for family, fam_name in ((1, "1"), (2, "2")):
-        ann_samples = list(basis)
-        if d >= 2:
-            ann_samples.append(basis[0] + basis[1].scale(_I))
-        else:
-            ann_samples.append(basis[0].scale(GaussianRational(1, 1)))
+        alg = spec.algebra_B1 if family == 1 else spec.algebra_B2
+        side = [space.left_action(family, alg.basis_element(c)) for c in range(alg.dim)]
 
         def module_map_diffs(fam=family):
-            for p, xi in enumerate(basis):
-                s = space.creation(fam, xi)
-                for a in range(spec.algebra_A.dim):
-                    r = space.right_action(spec.algebra_A.basis_element(a))
+            for p, s in enumerate(created[fam]):
+                for a, r in enumerate(right):
                     yield (f"vector {p}, coefficient {a}", s @ r - r @ s)
 
         reports.append(_family_report(
@@ -159,10 +197,10 @@ def verify_creation_relations(gens: GeneratorFamily) -> list:
             module_map_diffs(), 0, K,
         ))
 
-        def annihilation_diffs(fam=family, samples=ann_samples):
-            for p, xi in enumerate(samples):
-                s = space.creation(fam, xi)
-                yield (f"vector {p}", s.adjoint() - _annihilation_expected(space, fam, xi))
+        def annihilation_diffs(fam=family):
+            lowered = annihilated[fam] + [space.creation(fam, extra).adjoint()]
+            for p, (xi, s_adj) in enumerate(zip(basis + [extra], lowered)):
+                yield (f"vector {p}", s_adj - _annihilation_expected(space, fam, xi))
 
         reports.append(_family_report(
             f"annihilation-formula-{fam_name}",
@@ -171,14 +209,13 @@ def verify_creation_relations(gens: GeneratorFamily) -> list:
         ))
 
         def linearity_diffs(fam=family):
+            ops = created[fam]
             for p in range(d):
                 for q in range(p + 1, d):
                     combo = space.creation(fam, basis[p] + basis[q].scale(_I))
-                    split = space.creation(fam, basis[p]) + space.creation(fam, basis[q]).scale(_I)
-                    yield (f"pair ({p}, {q})", combo - split)
+                    yield (f"pair ({p}, {q})", combo - (ops[p] + ops[q].scale(_I)))
             scaled = space.creation(fam, basis[0].scale(GaussianRational(1, 1)))
-            plain = space.creation(fam, basis[0]).scale(GaussianRational(1, 1))
-            yield ("complex rescaling", scaled - plain)
+            yield ("complex rescaling", scaled - ops[0].scale(GaussianRational(1, 1)))
 
         reports.append(_family_report(
             f"creation-linear-{fam_name}",
@@ -186,21 +223,18 @@ def verify_creation_relations(gens: GeneratorFamily) -> list:
             linearity_diffs(), 0, K - 1,
         ))
 
-        side_dim = spec.algebra_B1.dim if family == 1 else spec.algebra_B2.dim
         right_ops = spec.right_B1 if family == 1 else spec.right_B2
 
-        def intertwine_diffs(fam=family, sd=side_dim, rops=right_ops):
-            alg = spec.algebra_B1 if fam == 1 else spec.algebra_B2
-            for label, L in _lift_samples(space):
-                lifted = space.lift(L)
-                L_amb = _to_ambient(space, L)
+        def intertwine_diffs(fam=family, side=side, rops=right_ops):
+            for label, lifted, L_amb in samples:
                 for p, xi in enumerate(basis):
-                    s_xi = space.creation(fam, xi)
-                    for c in range(sd):
-                        vec = rops[c] @ (L_amb @ xi)
-                        lhs = space.creation(fam, vec)
-                        rhs = lifted @ s_xi @ space.left_action(fam, alg.basis_element(c))
-                        yield (f"{label}, vector {p}, side element {c}", lhs - rhs)
+                    s_xi = created[fam][p]
+                    for c, act in enumerate(side):
+                        lhs = space.creation(fam, rops[c] @ (L_amb @ xi))
+                        yield (
+                            f"{label}, vector {p}, side element {c}",
+                            lhs - lifted @ s_xi @ act,
+                        )
 
         reports.append(_family_report(
             f"creation-lift-intertwine-{fam_name}",
@@ -212,15 +246,11 @@ def verify_creation_relations(gens: GeneratorFamily) -> list:
         inner = spec.inner_B1 if family == 1 else spec.inner_B2
 
         def compression_diffs(fam=family, stack=inner):
-            for label, L in _lift_samples(space):
-                lifted = space.lift(L)
-                L_amb = _to_ambient(space, L)
+            for label, lifted, L_amb in samples:
                 for p, zeta in enumerate(basis):
-                    s_zeta = space.creation(fam, zeta)
                     for q, xi in enumerate(basis):
-                        s_xi = space.creation(fam, xi)
                         val = stack.pair(zeta, L_amb @ xi)
-                        lhs = s_zeta.adjoint() @ lifted @ s_xi
+                        lhs = annihilated[fam][p] @ lifted @ created[fam][q]
                         yield (
                             f"{label}, vectors ({p}, {q})",
                             lhs - space.left_action(fam, val),
@@ -234,12 +264,13 @@ def verify_creation_relations(gens: GeneratorFamily) -> list:
         ))
 
     def cross_diffs(order):
-        for p, xi in enumerate(basis):
-            for q, eta in enumerate(basis):
-                s = space.creation(1, xi)
-                t = space.creation(2, eta)
-                first, second = (s, t) if order == 1 else (t, s)
-                yield (f"vectors ({p}, {q})", first.adjoint() @ second)
+        for p in range(d):
+            for q in range(d):
+                if order == 1:
+                    diff = annihilated[1][p] @ created[2][q]
+                else:
+                    diff = annihilated[2][q] @ created[1][p]
+                yield (f"vectors ({p}, {q})", diff)
 
     reports.append(_family_report(
         "cross-family-orthogonal-1",
@@ -287,7 +318,7 @@ def verify_creation_relations(gens: GeneratorFamily) -> list:
                 rhs = rhs + (gens.S if family == 1 else gens.T)[i] @ space.left_action(
                     family, stack.pair(u, xi)
                 )
-            yield (f"vector {p}", space.creation(family, xi) - rhs)
+            yield (f"vector {p}", created[family][p] - rhs)
 
     reports.append(_family_report(
         "creation-expansion-1",
@@ -486,14 +517,20 @@ def verify_reconstruction_identities(gens: GeneratorFamily) -> list:
     return reports
 
 
-def verify_module_map_representation(gens: GeneratorFamily, model=None) -> list:
+def verify_module_map_representation(gens: GeneratorFamily) -> list:
     """The coefficient representation of the left-action operator model."""
     space = gens.space
     spec = space.spec
     K = space.depth
-    h = space.summand((1, ()))
-    if model is None:
-        model = build_left_action_model(h.left_B1, h.left_B2)
+    try:
+        model = gens.model
+    except NotDiagonalModel as exc:
+        return [CheckResult(
+            "module-map-model",
+            "the two left actions are simultaneously diagonal in the module basis",
+            False,
+            str(exc),
+        )]
     reports = []
 
     def compression_diffs():
@@ -564,23 +601,19 @@ def _span_rank(ops) -> int:
     return ExactMatrix.vstack(rows).rank()
 
 
-def core_filtration_dims(gens: GeneratorFamily, max_length: int, model=None) -> list[int]:
+def core_filtration_dims(gens: GeneratorFamily, max_length: int) -> list[int]:
     """Dimensions of the degree-zero corners spanned by two-sided words of
     each length, conjugating the operator model, at this truncation depth."""
     space = gens.space
     if max_length >= space.depth:
         raise ValueError("word length must stay below the truncation depth")
-    h = space.summand((1, ()))
-    if model is None:
-        model = build_left_action_model(h.left_B1, h.left_B2)
-    lifts = [space.lift(E) for E in model.idempotents]
     alphabet = list(gens.S) + list(gens.T)
     dims = []
     words = [space.identity()]
     for n in range(max_length + 1):
         if n > 0:
             words = [g @ wrd for g in alphabet for wrd in words]
-        ops = [w1 @ e @ w2.adjoint() for w1 in words for e in lifts for w2 in words]
+        ops = [w1 @ e @ w2.adjoint() for w1 in words for e in gens.lifts for w2 in words]
         dims.append(_span_rank([space.degree_zero_part(op) for op in ops]))
     return dims
 

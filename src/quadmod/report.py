@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass
@@ -46,11 +46,3 @@ class IdentityReport:
             "passed": self.passed,
             "witness": self.witness,
         }
-
-
-def all_passed(results) -> bool:
-    return all(r.passed for r in results)
-
-
-def failures(results) -> list:
-    return [r for r in results if not r.passed]

@@ -12,7 +12,6 @@ def test_pointwise_algebra_basics():
     assert alg.mul(x, y) == ExactMatrix.column([2, GaussianRational(0, 2), -3])
     assert alg.mul(alg.unit(), x) == x
     assert alg.star(x) == ExactMatrix.column([1, GaussianRational(0, -2), -3])
-    assert alg.trace(y) == GaussianRational(4)
     assert alg.is_positive(ExactMatrix.column([0, 1, 2]))
     assert not alg.is_positive(x)
 

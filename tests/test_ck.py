@@ -89,8 +89,9 @@ def test_coarse_models_break_the_state_structure():
     gens = make_generators(space)
     coarse = DiagonalOperatorModel([ExactMatrix.diagonal([1, 0, 0, 0])])
     assert coarse.classes == [[0], [1, 2, 3]]
+    gens.model = coarse
     with pytest.raises(CKStructureError, match="support"):
-        build_ck_generators(gens, coarse)
+        build_ck_generators(gens)
 
 
 def test_column_amalgamation_of_the_bipartite_matrix():

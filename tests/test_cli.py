@@ -6,13 +6,48 @@ import pytest
 
 from quadmod import serialize
 from quadmod.cli import CLIError, main, parse_cycles
-from quadmod.quadmodule import build_example_alpha_beta
+from quadmod.linalg import ExactMatrix, GramStack
+from quadmod.opalgebra import DiagonalOperatorModel
+from quadmod.quadmodule import QuadModuleSpec, build_example_MN, build_example_alpha_beta
+from quadmod.scalars import GaussianRational
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def report_schema():
+    return json.loads(
+        resources.files("quadmod").joinpath("report_schema.json").read_text())
+
+
+def rotated_bipartite():
+    """mn:2,2 with every action, Gram and generator conjugated by a rational
+    unitary that mixes the first two coordinates: a valid module whose left
+    actions are not diagonal in its basis."""
+    spec = build_example_MN(2, 2)
+    c, s = GaussianRational("3/5"), GaussianRational(0, "4/5")
+    u = ExactMatrix.block_diag(
+        [ExactMatrix.from_rows([[c, s], [s, c]]), ExactMatrix.identity(2)])
+
+    def op(m):
+        return u @ m @ u.H
+
+    def stack(gram):
+        return GramStack([op(g) for g in gram.coords])
+
+    return QuadModuleSpec(
+        spec.algebra_A, spec.algebra_B1, spec.algebra_B2, spec.dim,
+        [op(m) for m in spec.right_B1], [op(m) for m in spec.right_B2],
+        [op(m) for m in spec.left_B1], [op(m) for m in spec.left_B2],
+        stack(spec.inner_A), stack(spec.inner_B1), stack(spec.inner_B2),
+        spec.left_embed_1, spec.left_embed_2,
+        spec.right_embed_1, spec.right_embed_2,
+        [u @ v for v in spec.basis_U], [u @ v for v in spec.basis_V],
+        name=spec.name,
+    )
 
 
 def test_validate_passes_on_the_bipartite_builtin(capsys):
@@ -43,9 +78,7 @@ def test_full_json_report_matches_the_schema(capsys):
         "--seed", "5")
     assert code == 0
     report = json.loads(out)
-    schema = json.loads(
-        resources.files("quadmod").joinpath("report_schema.json").read_text())
-    jsonschema.validate(report, schema)
+    jsonschema.validate(report, report_schema())
     assert report["format"] == "quadmod-report-v1"
     assert report["passed"] is True
     titles = [s["title"] for s in report["sections"]]
@@ -171,3 +204,36 @@ def test_depth_falls_back_when_the_budget_is_tight(monkeypatch, capsys):
     code, _, err = run_cli(capsys, "fock", "--builtin", "mn:2,3")
     assert code == 2
     assert "too large" in err
+
+
+@pytest.mark.parametrize("command, failed", [
+    ("fock", {"module-map-model"}),
+    ("ck", {"ck-structure"}),
+    ("ktheory", {"ktheory-assumptions"}),
+    ("full", {"module-map-model", "ck-structure", "ktheory-assumptions"}),
+])
+def test_non_diagonal_left_actions_fail_a_check(tmp_path, capsys, command, failed):
+    path = tmp_path / "rotated.json"
+    serialize.save(rotated_bipartite(), path)
+    code, out, err = run_cli(capsys, command, "--input", str(path),
+                             "--depth", "2", "--format", "json")
+    assert code == 1
+    assert err == ""
+    report = json.loads(out)
+    jsonschema.validate(report, report_schema())
+    assert {c["id"] for sec in report["sections"] for c in sec["checks"]
+            if not c["passed"]} == failed
+
+
+def test_one_full_run_builds_the_operator_model_once(monkeypatch, capsys):
+    built = []
+    init = DiagonalOperatorModel.__init__
+
+    def counted(self, generators):
+        built.append(len(generators))
+        init(self, generators)
+
+    monkeypatch.setattr(DiagonalOperatorModel, "__init__", counted)
+    code, _, _ = run_cli(capsys, "full", "--builtin", "mn:2,2", "--depth", "2")
+    assert code == 0
+    assert built == [4]

@@ -153,12 +153,12 @@ def test_lift_of_left_action_matches_tower_action():
 def test_apply_moves_vectors_up_one_level():
     space = bipartite_space()
     s = space.creation(1, space.spec.basis_U[0])
-    base = space.summand((0, ()))
-    vec = {(0, ()): ExactMatrix.identity(base.dim).take_cols([0])}
-    image = s.apply(vec)
-    assert set(image) == {(1, ())}
-    back = s.adjoint().apply(image)
-    assert set(back) == {(0, ())}
+    # every block of a creation maps a level-n summand into level n + 1,
+    # and its adjoint maps back down
+    assert s.blocks
+    assert all(dest[0] == src[0] + 1 for dest, src in s.blocks)
+    assert ((1, ()), (0, ())) in s.blocks
+    assert {(src, dest) for dest, src in s.blocks} == set(s.adjoint().blocks)
 
 
 def test_level_projections_resolve_identity():

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from quadmod import linalg
 from quadmod.linalg import (
     ExactMatrix,
-    GramForm,
     NotHermitian,
     SingularGram,
     gram_adjoint,
@@ -73,11 +72,10 @@ def test_big_integer_promotion_stays_exact():
     assert cube[1, 1] == GR(4 * big**3)
 
 
-def test_hermitian_and_trace():
+def test_hermitian_check():
     h = ExactMatrix.from_rows([[2, GR(0, 1)], [GR(0, -1), 3]])
     assert h.is_hermitian()
     assert not ExactMatrix.from_rows([[0, 1], [0, 0]]).is_hermitian()
-    assert h.trace() == GR(5)
 
 
 def test_rref_frozen_example():
@@ -273,18 +271,6 @@ def test_psd_check_random_diagonal_congruence():
 def test_psd_check_rejects_non_hermitian():
     with pytest.raises(NotHermitian):
         psd_check(ExactMatrix.from_rows([[0, 1], [0, 0]]))
-
-
-def test_gram_form_wrapper():
-    g = GramForm(ExactMatrix.diagonal([1, 2]))
-    x = ExactMatrix.from_rows([[1], [1]])
-    y = ExactMatrix.from_rows([[1], [GR(0, 1)]])
-    assert g.pairing(x, y)[0, 0] == GR(1, 2)
-    assert g.psd_witness() is None
-    t = ExactMatrix.from_rows([[0, 1], [0, 0]])
-    assert g.adjoint_of(t, g) == ExactMatrix.from_rows([[0, 0], [F(1, 2), 0]])
-    with pytest.raises(NotHermitian):
-        GramForm(ExactMatrix.from_rows([[0, 1], [0, 0]]))
 
 
 # -- bigint factors on int64 arrays --------------------------------------

@@ -2,12 +2,9 @@ import pytest
 
 from quadmod.fock import build_fock
 from quadmod.linalg import ExactMatrix
-from quadmod.opalgebra import (
-    DiagonalOperatorModel,
-    NotDiagonalModel,
-    build_left_action_model,
-)
+from quadmod.opalgebra import DiagonalOperatorModel, NotDiagonalModel
 from quadmod.quadmodule import build_example_MN
+from quadmod.relations import make_generators
 from quadmod.scalars import GaussianRational
 
 
@@ -74,9 +71,7 @@ def test_element_shape_check():
 
 
 def test_left_action_model_of_the_bipartite_module():
-    space = build_fock(build_example_MN(2, 2), 2)
-    h = space.summand((1, ()))
-    model = build_left_action_model(h.left_B1, h.left_B2)
+    model = make_generators(build_fock(build_example_MN(2, 2), 2)).model
     # (i, k) pairs in row-major order: the two families cut the four
     # coordinates into four separate classes
     assert model.rank == 4

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from quadmod.fock import build_fock
@@ -157,3 +159,13 @@ def test_generator_counts_follow_the_bases(bipartite, twisted):
     assert len(gens.S) == 2 and len(gens.T) == 2
     gens = make_generators(twisted)
     assert len(gens.S) == 1 and len(gens.T) == 1
+
+
+@pytest.mark.parametrize("tower", ["bipartite", "twisted"])
+def test_lift_projection_is_the_lift_of_the_model_projection(tower, request):
+    space = request.getfixturevalue(tower)
+    gens = make_generators(space)
+    model = gens.model
+    for pattern in itertools.product((0, 1), repeat=model.rank):
+        expected = space.lift(model.element(ExactMatrix.column(list(pattern))))
+        assert gens.lift_projection(pattern) == expected, pattern
