@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebras import AlgebraHom
-from .fock import FockSpace
 from .relations import GeneratorFamily, _family_report, window_report
 
 
@@ -24,18 +23,18 @@ class CKStructureError(ValueError):
 
 @dataclass
 class CKState:
-    """One sliced generator: an idempotent class composed with a creation."""
+    """One sliced generator, a class composed with a creation, and its adjoint."""
 
     family: int
     class_index: int
     generator_index: int
     op: object
+    adjoint: object
     support: list
 
 
 @dataclass
 class CKBundle:
-    space: FockSpace
     gens: GeneratorFamily
     states: list
     matrix: list
@@ -50,7 +49,6 @@ class CKBundle:
 def build_ck_generators(gens: GeneratorFamily) -> CKBundle:
     """Slice the generating family by the model's minimal idempotents and
     read off the relation matrix from the resulting supports."""
-    space = gens.space
     states = []
     for family, members in ((1, gens.S), (2, gens.T)):
         for cl, lifted in enumerate(gens.lifts):
@@ -58,30 +56,32 @@ def build_ck_generators(gens: GeneratorFamily) -> CKBundle:
                 op = lifted @ x
                 if op.is_zero():
                     continue
-                candidate = (op.adjoint() @ op).block((1, ()), (1, ()))
+                adjoint = op.adjoint()
+                candidate = (adjoint @ op).block((1, ()), (1, ()))
                 pattern = gens.model.projection_coords(candidate)
                 if pattern is None:
                     raise CKStructureError(
                         f"state (family {family}, class {cl}, generator {g}) "
                         "has a support that is not a model projection"
                     )
-                states.append(CKState(family, cl, g, op, pattern))
+                states.append(CKState(family, cl, g, op, adjoint, pattern))
     matrix = [[st.support[other.class_index] for other in states] for st in states]
-    return CKBundle(space, gens, states, matrix)
+    return CKBundle(gens, states, matrix)
 
 
 def verify_ck_relations(bundle: CKBundle) -> list:
     """The relation-matrix identities satisfied by the sliced generators."""
-    space = bundle.space
     gens = bundle.gens
+    space = gens.space
     K = space.depth
     states = bundle.states
     supports = [gens.lift_projection(st.support) for st in states]
+    ranges = [st.op @ st.adjoint for st in states]
     reports = []
 
     def support_diffs():
         for idx, st in enumerate(states):
-            yield (f"state {idx}", st.op.adjoint() @ st.op - supports[idx])
+            yield (f"state {idx}", st.adjoint @ st.op - supports[idx])
 
     reports.append(_family_report(
         "ck-state-support",
@@ -91,7 +91,7 @@ def verify_ck_relations(bundle: CKBundle) -> list:
 
     def iso_diffs():
         for idx, st in enumerate(states):
-            yield (f"state {idx}", st.op @ st.op.adjoint() @ st.op - st.op)
+            yield (f"state {idx}", ranges[idx] @ st.op - st.op)
 
     reports.append(_family_report(
         "ck-partial-isometry",
@@ -100,12 +100,9 @@ def verify_ck_relations(bundle: CKBundle) -> list:
     ))
 
     def relation_diffs():
-        for idx, st in enumerate(states):
-            rhs = space.zero()
-            for jdx, other in enumerate(states):
-                if bundle.matrix[idx][jdx]:
-                    rhs = rhs + other.op @ other.op.adjoint()
-            yield (f"state {idx}", st.op.adjoint() @ st.op - rhs)
+        for idx, (st, row) in enumerate(zip(states, bundle.matrix)):
+            rhs = sum((r for r, bit in zip(ranges, row) if bit), space.zero())
+            yield (f"state {idx}", st.adjoint @ st.op - rhs)
 
     # The top level has no range projections to split into, so the main
     # relation stops one level short of the truncation.
@@ -117,10 +114,8 @@ def verify_ck_relations(bundle: CKBundle) -> list:
 
     def class_range_diffs():
         for cl, lifted in enumerate(gens.lifts):
-            acc = space.zero()
-            for st in states:
-                if st.class_index == cl:
-                    acc = acc + st.op @ st.op.adjoint()
+            acc = sum((r for r, st in zip(ranges, states) if st.class_index == cl),
+                      space.zero())
             yield (f"class {cl}", lifted - acc)
 
     reports.append(_family_report(
@@ -129,22 +124,18 @@ def verify_ck_relations(bundle: CKBundle) -> list:
         class_range_diffs(), 2, K,
     ))
 
-    total = space.zero()
-    for st in states:
-        total = total + st.op @ st.op.adjoint()
     reports.append(window_report(
         "ck-total-range",
         "the ranges of all states add to the identity",
-        total - space.identity(), 2, K,
+        sum(ranges, space.zero()) - space.identity(), 2, K,
     ))
 
     def split_diffs():
-        for family, members in ((1, gens.S), (2, gens.T)):
-            for g, x in enumerate(members):
-                acc = space.zero()
-                for st in states:
-                    if st.family == family and st.generator_index == g:
-                        acc = acc + st.op
+        for family in (1, 2):
+            for g, x in enumerate(gens.family(family)):
+                acc = sum((st.op for st in states
+                           if st.family == family and st.generator_index == g),
+                          space.zero())
                 yield (f"family {family} generator {g}", x - acc)
 
     reports.append(_family_report(
@@ -154,11 +145,10 @@ def verify_ck_relations(bundle: CKBundle) -> list:
     ))
 
     def shift_diffs():
-        members = {1: gens.S, 2: gens.T}
         for idx, st in enumerate(states):
             yield (
                 f"state {idx}",
-                st.op - members[st.family][st.generator_index] @ supports[idx],
+                st.op - gens.family(st.family)[st.generator_index] @ supports[idx],
             )
 
     reports.append(_family_report(
@@ -230,40 +220,39 @@ def is_aperiodic(matrix: list) -> tuple:
     return False, None
 
 
-def verify_two_isometry_relations(space: FockSpace, first_twist: AlgebraHom,
-                                  second_twist: AlgebraHom,
-                                  cross_checks: bool = True) -> list:
+def verify_two_isometry_relations(gens: GeneratorFamily, first_twist: AlgebraHom,
+                                  second_twist: AlgebraHom) -> list:
     """The isometry pair generated by a singly generated module, and which
     of the two twists each one implements by conjugation.
 
     Conjugating by the first generator recovers the second twist and vice
-    versa.  With cross_checks the mismatched attributions are emitted too,
-    so the caller can read off the full passing pattern; those two only
-    pass when the twists agree.
+    versa.  Swapping the two twist arguments checks the mismatched
+    attributions, which only pass when the twists agree.
     """
-    spec = space.spec
-    if len(spec.basis_U) != 1 or len(spec.basis_V) != 1:
+    if len(gens.S) != 1 or len(gens.T) != 1:
         raise ValueError("both generating families must be singletons")
+    space = gens.space
+    spec = space.spec
     K = space.depth
-    u = space.creation(1, spec.basis_U[0])
-    v = space.creation(2, spec.basis_V[0])
-    d = spec.algebra_A.dim
-    base_elems = [spec.algebra_A.basis_element(c) for c in range(d)]
+    u, v = gens.S[0], gens.T[0]
+    (u_adj,), (v_adj,) = gens.adjoints[1], gens.adjoints[2]
+    (u_range,), (v_range,) = gens.ranges[1], gens.ranges[2]
+    base_elems = [spec.algebra_A.basis_element(c) for c in range(spec.algebra_A.dim)]
     reports = [
         window_report(
             "two-isometry-complete",
             "the two range projections add to the identity",
-            u @ u.adjoint() + v @ v.adjoint() - space.identity(), 2, K,
+            u_range + v_range - space.identity(), 2, K,
         ),
         window_report(
             "two-isometry-u",
             "the first generator is an isometry",
-            u.adjoint() @ u - space.identity(), 1, K - 1,
+            u_adj @ u - space.identity(), 1, K - 1,
         ),
         window_report(
             "two-isometry-v",
             "the second generator is an isometry",
-            v.adjoint() @ v - space.identity(), 1, K - 1,
+            v_adj @ v - space.identity(), 1, K - 1,
         ),
     ]
 
@@ -273,41 +262,34 @@ def verify_two_isometry_relations(space: FockSpace, first_twist: AlgebraHom,
     def act2(x):
         return space.left_action(2, spec.left_embed_2(x))
 
-    def commute_diffs(gen):
-        proj = gen @ gen.adjoint()
+    def commute_diffs(proj):
         for c, x in enumerate(base_elems):
-            yield (f"element {c}", proj @ act1(x) - act1(x) @ proj)
+            act = act1(x)
+            yield (f"element {c}", proj @ act - act @ proj)
 
     reports.append(_family_report(
         "two-isometry-range-commute-u",
         "the first range projection commutes with the base action",
-        commute_diffs(u), 1, K,
+        commute_diffs(u_range), 1, K,
     ))
     reports.append(_family_report(
         "two-isometry-range-commute-v",
         "the second range projection commutes with the base action",
-        commute_diffs(v), 1, K,
+        commute_diffs(v_range), 1, K,
     ))
 
     # Conjugating by a generator lands in that family's coefficient
     # component, so each case compares against the matching side action.
     cases = [
-        ("two-isometry-hom-u-second-twist", u, act1, second_twist,
+        ("two-isometry-hom-u-second-twist", u, u_adj, act1, second_twist,
          "conjugation by the first generator implements the second twist"),
-        ("two-isometry-hom-v-first-twist", v, act2, first_twist,
+        ("two-isometry-hom-v-first-twist", v, v_adj, act2, first_twist,
          "conjugation by the second generator implements the first twist"),
     ]
-    if cross_checks:
-        cases += [
-            ("two-isometry-hom-u-first-twist", u, act1, first_twist,
-             "conjugation by the first generator implements the first twist"),
-            ("two-isometry-hom-v-second-twist", v, act2, second_twist,
-             "conjugation by the second generator implements the second twist"),
-        ]
-    for check_id, gen, act, twist, statement in cases:
-        def hom_diffs(gen=gen, act=act, twist=twist):
+    for check_id, gen, gen_adj, act, twist, statement in cases:
+        def hom_diffs(gen=gen, gen_adj=gen_adj, act=act, twist=twist):
             for c, x in enumerate(base_elems):
-                yield (f"element {c}", gen.adjoint() @ act(x) @ gen - act(twist(x)))
+                yield (f"element {c}", gen_adj @ act(x) @ gen - act(twist(x)))
 
         reports.append(_family_report(check_id, statement, hom_diffs(), 0, K - 1))
     return reports

@@ -214,8 +214,8 @@ def tower_section(space: FockSpace) -> dict:
     )
 
 
-def identity_section(space: FockSpace, gens: GeneratorFamily) -> dict:
-    return _section("operator identities", full_identity_suite(space, gens))
+def identity_section(gens: GeneratorFamily) -> dict:
+    return _section("operator identities", full_identity_suite(gens))
 
 
 def ck_section(gens: GeneratorFamily) -> dict:
@@ -244,7 +244,8 @@ def ck_section(gens: GeneratorFamily) -> dict:
     )
 
 
-def _derive_twists(spec: QuadModuleSpec, perms) -> tuple | None:
+def _derive_twists(space: FockSpace, perms) -> tuple | None:
+    spec = space.spec
     alg = spec.algebra_A
     if perms is not None:
         sigma, tau = perms
@@ -252,38 +253,38 @@ def _derive_twists(spec: QuadModuleSpec, perms) -> tuple | None:
                 AlgebraHom.permutation(alg, tau))
     if not (alg.dim == spec.algebra_B1.dim == spec.algebra_B2.dim):
         return None
-    try:
-        maps = spec.derive_lambda()
-        first = AlgebraHom(alg, alg, maps.lam1)
-        second = AlgebraHom(alg, alg, maps.lam2)
-    except (LambdaNotFaithful, ValueError):
-        return None
+    # the tower was built from these index maps, and the dims agree above
+    first = AlgebraHom(alg, alg, space.lam1)
+    second = AlgebraHom(alg, alg, space.lam2)
     if first.validate() or second.validate():
         return None
     return first, second
 
 
-def two_isometry_section(space: FockSpace, spec: QuadModuleSpec, perms) -> dict | None:
+def two_isometry_section(gens: GeneratorFamily, perms) -> dict | None:
     """Checks for the singleton-generator case, when the two coefficient
     actions come from automorphisms we can recover."""
-    if len(spec.basis_U) != 1 or len(spec.basis_V) != 1:
+    if len(gens.S) != 1 or len(gens.T) != 1:
         return None
-    twists = _derive_twists(spec, perms)
+    twists = _derive_twists(gens.space, perms)
     if twists is None:
         return None
     return _section(
         "two-isometry checks",
-        verify_two_isometry_relations(space, twists[0], twists[1],
-                                      cross_checks=False),
+        verify_two_isometry_relations(gens, twists[0], twists[1]),
     )
 
 
-def smith_self_check(seed: int, trials: int = 25) -> CheckResult:
+# Random matrices the seeded Smith-form self check factors.
+SMITH_TRIALS = 25
+
+
+def smith_self_check(seed: int) -> CheckResult:
     """Randomized invariants of the integer normal form, frozen by seed."""
     statement = ("random integer matrices factor as U D V with unimodular "
                  "U, V and a positive dividing diagonal")
     rng = random.Random(seed)
-    for trial in range(trials):
+    for trial in range(SMITH_TRIALS):
         rows = rng.randrange(1, 7)
         cols = rng.randrange(1, 7)
         matrix = [[rng.randrange(-9, 10) for _ in range(cols)]
@@ -464,17 +465,28 @@ def run(args) -> dict:
     spec, perms = load_spec(args)
     if args.command == "validate":
         return assemble_report(spec, None, [validate_section(spec)])
-    space = build_space(spec, args.depth)
-    gens = make_generators(space)
     sections = []
     if args.command == "full":
         sections.append(validate_section(spec))
+    try:
+        space = build_space(spec, args.depth)
+    except ValueError as exc:
+        # a tower that cannot be built fails one check and ends the report
+        failed = CheckResult(
+            "tower-construction",
+            "the truncated tensor tower can be built over the module",
+            False,
+            str(exc),
+        )
+        sections.append(_section("tower construction", [failed]))
+        return assemble_report(spec, args.depth, sections)
+    gens = make_generators(space)
     sections.append(tower_section(space))
     if args.command in ("fock", "full"):
-        sections.append(identity_section(space, gens))
+        sections.append(identity_section(gens))
     if args.command in ("ck", "full"):
         sections.append(ck_section(gens))
-        extra = two_isometry_section(space, spec, perms)
+        extra = two_isometry_section(gens, perms)
         if extra is not None:
             sections.append(extra)
     if args.command in ("ktheory", "full"):

@@ -264,9 +264,9 @@ def class_action_matrix(gens: GeneratorFamily) -> tuple:
     reports = []
 
     def iso_diffs():
-        for family, ops in ((1, gens.S), (2, gens.T)):
-            for g, x in enumerate(ops):
-                yield (f"family {family} generator {g}", x @ x.adjoint() @ x - x)
+        for family in (1, 2):
+            for g, (x, proj) in enumerate(zip(gens.family(family), gens.ranges[family])):
+                yield (f"family {family} generator {g}", proj @ x - x)
 
     reports.append(_family_report(
         "ktheory-partial-isometry",
@@ -275,9 +275,8 @@ def class_action_matrix(gens: GeneratorFamily) -> tuple:
     ))
 
     def commute_diffs():
-        for family, ops in ((1, gens.S), (2, gens.T)):
-            for g, x in enumerate(ops):
-                proj = x @ x.adjoint()
+        for family in (1, 2):
+            for g, proj in enumerate(gens.ranges[family]):
                 for cl, lifted in enumerate(lifts):
                     yield (
                         f"family {family} generator {g} class {cl}",
@@ -298,14 +297,15 @@ def class_action_matrix(gens: GeneratorFamily) -> tuple:
     rank = model.rank
     matrix = [[0] * rank for _ in range(rank)]
     route_diffs = []
+    class_ambients = [h.include @ e @ h.express for e in model.idempotents]
     sides = (
-        (1, gens.S, spec.basis_U, spec.inner_B1, spec.left_B1),
-        (2, gens.T, spec.basis_V, spec.inner_B2, spec.left_B2),
+        (1, spec.basis_U, spec.inner_B1, spec.left_B1),
+        (2, spec.basis_V, spec.inner_B2, spec.left_B2),
     )
-    for family, ops, members, stack, side_ops in sides:
-        for g, x in enumerate(ops):
-            for cl, e in enumerate(model.idempotents):
-                e_amb = h.include @ e @ h.express
+    for family, members, stack, side_ops in sides:
+        ops = zip(gens.family(family), gens.adjoints[family])
+        for g, (x, x_adj) in enumerate(ops):
+            for cl, e_amb in enumerate(class_ambients):
                 val = stack.pair(members[g], e_amb @ members[g])
                 y_q = h.express @ weighted_sum(side_ops, val) @ h.include
                 pattern = model.projection_coords(y_q)
@@ -318,7 +318,7 @@ def class_action_matrix(gens: GeneratorFamily) -> tuple:
                     matrix[r][cl] += pattern[r]
                 route_diffs.append((
                     f"family {family} generator {g} class {cl}",
-                    x.adjoint() @ lifts[cl] @ x - gens.lift_projection(pattern),
+                    x_adj @ lifts[cl] @ x - gens.lift_projection(pattern),
                 ))
 
     route = _family_report(

@@ -30,11 +30,12 @@ _I = GaussianRational(0, 1)
 @dataclass
 class GeneratorFamily:
     """Creation operators attached to the two generating families, with
+    everything derived from them: their adjoints and range projections,
     the left-action operator model and its lifts to the tower.
 
-    The model and the lifts are built on first use, so a module whose left
+    Derived operators are built on first use, so a module whose left
     actions are not diagonal raises NotDiagonalModel only where a stage
-    reads them.
+    reads the model.
     """
 
     space: FockSpace
@@ -44,6 +45,33 @@ class GeneratorFamily:
     @property
     def depth(self) -> int:
         return self.space.depth
+
+    def family(self, family: int) -> list:
+        """The generating creation operators of one family (1 or 2)."""
+        return self.S if family == 1 else self.T
+
+    @cached_property
+    def adjoints(self) -> dict:
+        """The annihilation operators of each family, in generator order."""
+        return {1: [s.adjoint() for s in self.S], 2: [t.adjoint() for t in self.T]}
+
+    @cached_property
+    def ranges(self) -> dict:
+        """The range projections x x* of each family, in generator order."""
+        return {fam: [x @ x_adj for x, x_adj in zip(self.family(fam), adjoints)]
+                for fam, adjoints in self.adjoints.items()}
+
+    def expand(self, family: int, xi: ExactMatrix) -> FockOperator:
+        """The creation operator of the module vector xi rebuilt from the
+        generating family: the sum over members m_i of their creation
+        followed by the side action of the inner product <m_i, xi>."""
+        spec = self.space.spec
+        members = spec.basis_U if family == 1 else spec.basis_V
+        stack = spec.inner_B1 if family == 1 else spec.inner_B2
+        out = self.space.zero()
+        for op, m in zip(self.family(family), members):
+            out = out + op @ self.space.left_action(family, stack.pair(m, xi))
+        return out
 
     @cached_property
     def model(self) -> DiagonalOperatorModel:
@@ -283,12 +311,8 @@ def verify_creation_relations(gens: GeneratorFamily) -> list:
         cross_diffs(2), 1, K,
     ))
 
-    sum_s = space.zero()
-    for s in gens.S:
-        sum_s = sum_s + s @ s.adjoint()
-    sum_t = space.zero()
-    for t in gens.T:
-        sum_t = sum_t + t @ t.adjoint()
+    sum_s = sum(gens.ranges[1], space.zero())
+    sum_t = sum(gens.ranges[2], space.zero())
     p0 = space.level_projection(0)
     p1 = space.level_projection(1)
 
@@ -311,26 +335,21 @@ def verify_creation_relations(gens: GeneratorFamily) -> list:
         sum_s + sum_t + p0 - (space.identity() + p1), 0, K,
     ))
 
-    def expansion_diffs(family, members, stack):
+    def expansion_diffs(family):
         for p, xi in enumerate(basis):
-            rhs = space.zero()
-            for i, u in enumerate(members):
-                rhs = rhs + (gens.S if family == 1 else gens.T)[i] @ space.left_action(
-                    family, stack.pair(u, xi)
-                )
-            yield (f"vector {p}", created[family][p] - rhs)
+            yield (f"vector {p}", created[family][p] - gens.expand(family, xi))
 
     reports.append(_family_report(
         "creation-expansion-1",
         "every first-family creation expands over the generating family with "
         "inner-product coefficients",
-        expansion_diffs(1, spec.basis_U, spec.inner_B1), 0, K - 1,
+        expansion_diffs(1), 0, K - 1,
     ))
     reports.append(_family_report(
         "creation-expansion-2",
         "every second-family creation expands over the generating family with "
         "inner-product coefficients",
-        expansion_diffs(2, spec.basis_V, spec.inner_B2), 0, K - 1,
+        expansion_diffs(2), 0, K - 1,
     ))
     return reports
 
@@ -340,14 +359,9 @@ def verify_defining_relations(gens: GeneratorFamily) -> list:
     space = gens.space
     spec = space.spec
     K = space.depth
-    S, T = gens.S, gens.T
-    d1 = spec.algebra_B1.dim
-    d2 = spec.algebra_B2.dim
     reports = []
 
-    total = space.zero()
-    for x in S + T:
-        total = total + x @ x.adjoint()
+    total = sum(gens.ranges[1] + gens.ranges[2], space.zero())
     reports.append(window_report(
         "defining-relation-1",
         "the two generating range sums add to the identity",
@@ -357,46 +371,37 @@ def verify_defining_relations(gens: GeneratorFamily) -> list:
     reports.append(_family_report(
         "defining-relation-2",
         "generators of the two families have orthogonal ranges",
-        ((f"pair ({j}, {l})", S[j].adjoint() @ T[l])
-         for j in range(len(S)) for l in range(len(T))),
+        ((f"pair ({j}, {l})", s_adj @ t)
+         for j, s_adj in enumerate(gens.adjoints[1]) for l, t in enumerate(gens.T)),
         1, K,
     ))
 
-    def gram_diffs(members, ops, side, stack):
-        for i in range(len(ops)):
-            for j in range(len(ops)):
+    def gram_diffs(members, side, stack):
+        for i, x_adj in enumerate(gens.adjoints[side]):
+            for j, y in enumerate(gens.family(side)):
                 val = stack.pair(members[i], members[j])
-                yield (
-                    f"pair ({i}, {j})",
-                    ops[i].adjoint() @ ops[j] - space.left_action(side, val),
-                )
+                yield (f"pair ({i}, {j})", x_adj @ y - space.left_action(side, val))
 
     reports.append(_family_report(
         "defining-relation-3",
         "first-family compressions recover the first-side inner products",
-        gram_diffs(spec.basis_U, S, 1, spec.inner_B1), 0, K - 1,
+        gram_diffs(spec.basis_U, 1, spec.inner_B1), 0, K - 1,
     ))
     reports.append(_family_report(
         "defining-relation-4",
         "second-family compressions recover the second-side inner products",
-        gram_diffs(spec.basis_V, T, 2, spec.inner_B2), 0, K - 1,
+        gram_diffs(spec.basis_V, 2, spec.inner_B2), 0, K - 1,
     ))
 
     def intertwine_diffs(side, family):
-        side_dim = d1 if side == 1 else d2
         amb_ops = spec.left_B1 if side == 1 else spec.left_B2
         members = spec.basis_U if family == 1 else spec.basis_V
-        ops = S if family == 1 else T
-        stack = spec.inner_B1 if family == 1 else spec.inner_B2
         alg = spec.algebra_B1 if side == 1 else spec.algebra_B2
-        for c in range(side_dim):
+        for c in range(alg.dim):
             act = space.left_action(side, alg.basis_element(c))
-            for j in range(len(ops)):
-                rhs = space.zero()
-                for i in range(len(ops)):
-                    val = stack.pair(members[i], amb_ops[c] @ members[j])
-                    rhs = rhs + ops[i] @ space.left_action(family, val)
-                yield (f"element {c}, generator {j}", act @ ops[j] - rhs)
+            for j, (x, m) in enumerate(zip(gens.family(family), members)):
+                rhs = gens.expand(family, amb_ops[c] @ m)
+                yield (f"element {c}, generator {j}", act @ x - rhs)
 
     statements = {
         (1, 1): "the first side action shifts across first-family generators",
@@ -416,17 +421,11 @@ def verify_defining_relations(gens: GeneratorFamily) -> list:
 def represent_module_map(gens: GeneratorFamily, L_amb: ExactMatrix) -> FockOperator:
     """The tower operator assembled from a module map's matrix coefficients
     against the two generating families."""
-    space = gens.space
-    spec = space.spec
-    out = space.zero()
-    for i, u in enumerate(spec.basis_U):
-        for j, uj in enumerate(spec.basis_U):
-            val = spec.inner_B1.pair(u, L_amb @ uj)
-            out = out + gens.S[i] @ space.left_action(1, val) @ gens.S[j].adjoint()
-    for k, v in enumerate(spec.basis_V):
-        for l, vl in enumerate(spec.basis_V):
-            val = spec.inner_B2.pair(v, L_amb @ vl)
-            out = out + gens.T[k] @ space.left_action(2, val) @ gens.T[l].adjoint()
+    spec = gens.space.spec
+    out = gens.space.zero()
+    for family, members in ((1, spec.basis_U), (2, spec.basis_V)):
+        for m, m_adj in zip(members, gens.adjoints[family]):
+            out = out + gens.expand(family, L_amb @ m) @ m_adj
     return out
 
 
@@ -449,7 +448,7 @@ def verify_reconstruction_identities(gens: GeneratorFamily) -> list:
     reports = []
 
     def scalar_compression_diffs(family):
-        ops = gens.S if family == 1 else gens.T
+        ops = gens.family(family)
         other = 2 if family == 1 else 1
         stack = spec.inner_B2 if family == 1 else spec.inner_B1
         embed = spec.left_embed_1 if family == 1 else spec.left_embed_2
@@ -457,8 +456,8 @@ def verify_reconstruction_identities(gens: GeneratorFamily) -> list:
             for q, eta in enumerate(basis):
                 mid = space.left_action(other, stack.pair(xi, eta))
                 lhs = space.zero()
-                for op in ops:
-                    lhs = lhs + op.adjoint() @ mid @ op
+                for op, op_adj in zip(ops, gens.adjoints[family]):
+                    lhs = lhs + op_adj @ mid @ op
                 rhs = space.left_action(family, embed(spec.inner_A.pair(xi, eta)))
                 yield (f"vectors ({p}, {q})", lhs - rhs)
 
@@ -501,17 +500,19 @@ def verify_reconstruction_identities(gens: GeneratorFamily) -> list:
          "the reversed product of the side actions is rebuilt from its coefficients",
          phi2w @ phi1z, space.left_action(2, w) @ space.left_action(1, z)),
     ]
+    rebuilt = {}
     for check_id, statement, amb, expected in cases:
+        rebuilt[check_id] = represent_module_map(gens, amb)
         reports.append(window_report(
-            check_id, statement, represent_module_map(gens, amb) - expected, 2, K,
+            check_id, statement, rebuilt[check_id] - expected, 2, K,
         ))
 
     reports.append(window_report(
         "product-reconstruction",
         "rebuilding a product of side actions agrees with the product of the "
         "rebuilt operators",
-        represent_module_map(gens, phi1z @ phi2w)
-        - represent_module_map(gens, phi1z) @ represent_module_map(gens, phi2w),
+        rebuilt["algebra-reconstruction-zw"]
+        - rebuilt["algebra-reconstruction-z"] @ rebuilt["algebra-reconstruction-w"],
         2, K,
     ))
     return reports
@@ -532,15 +533,15 @@ def verify_module_map_representation(gens: GeneratorFamily) -> list:
             str(exc),
         )]
     reports = []
+    ambients = [_to_ambient(space, E) for E in model.idempotents]
+    represented = [represent_module_map(gens, L_amb) for L_amb in ambients]
 
     def compression_diffs():
-        for cl, E in enumerate(model.idempotents):
-            L_amb = _to_ambient(space, E)
-            rep = represent_module_map(gens, L_amb)
-            for a in range(len(gens.S)):
-                for b in range(len(gens.S)):
+        for cl, (L_amb, rep) in enumerate(zip(ambients, represented)):
+            for a, s_adj in enumerate(gens.adjoints[1]):
+                for b, s in enumerate(gens.S):
                     val = spec.inner_B1.pair(spec.basis_U[a], L_amb @ spec.basis_U[b])
-                    diff = gens.S[a].adjoint() @ rep @ gens.S[b] - space.left_action(1, val)
+                    diff = s_adj @ rep @ s - space.left_action(1, val)
                     yield (f"class {cl}, generators ({a}, {b})", diff)
 
     # The represented operator doubles on the module level, where both
@@ -553,19 +554,16 @@ def verify_module_map_representation(gens: GeneratorFamily) -> list:
         compression_diffs(), 1, K - 1,
     ))
 
-    first = _to_ambient(space, model.idempotents[0])
-    last = _to_ambient(space, model.idempotents[-1])
     reports.append(window_report(
         "module-map-multiplicative",
         "representation turns operator products into operator products",
-        represent_module_map(gens, first @ last)
-        - represent_module_map(gens, first) @ represent_module_map(gens, last),
+        represent_module_map(gens, ambients[0] @ ambients[-1])
+        - represented[0] @ represented[-1],
         2, K,
     ))
 
     rows = []
-    for E in model.idempotents:
-        L_amb = _to_ambient(space, E)
+    for L_amb in ambients:
         entries = []
         for u in spec.basis_U:
             for uj in spec.basis_U:
@@ -613,15 +611,14 @@ def core_filtration_dims(gens: GeneratorFamily, max_length: int) -> list[int]:
     for n in range(max_length + 1):
         if n > 0:
             words = [g @ wrd for g in alphabet for wrd in words]
-        ops = [w1 @ e @ w2.adjoint() for w1 in words for e in gens.lifts for w2 in words]
+        adjoints = [wrd.adjoint() for wrd in words]
+        ops = [w1 @ e @ w2 for w1 in words for e in gens.lifts for w2 in adjoints]
         dims.append(_span_rank([space.degree_zero_part(op) for op in ops]))
     return dims
 
 
-def full_identity_suite(space: FockSpace, gens: GeneratorFamily | None = None) -> list:
+def full_identity_suite(gens: GeneratorFamily) -> list:
     """Every identity verifier, in declaration order."""
-    if gens is None:
-        gens = make_generators(space)
     reports = []
     reports.extend(verify_creation_relations(gens))
     reports.extend(verify_defining_relations(gens))

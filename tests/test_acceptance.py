@@ -66,20 +66,26 @@ def test_amalgamating_the_relation_matrix_recovers_the_block_sum():
 
 
 def test_identity_suite_holds_on_the_bipartite_towers():
-    assert_all_pass(full_identity_suite(build_fock(build_example_MN(2, 2), 4)))
-    assert_all_pass(full_identity_suite(build_fock(build_example_MN(2, 3), 3)))
+    for M, N, depth in ((2, 2, 4), (2, 3, 3)):
+        gens = make_generators(build_fock(build_example_MN(M, N), depth))
+        assert_all_pass(full_identity_suite(gens))
 
 
 def test_identity_suite_and_isometry_pair_on_the_twisted_tower():
     spec = build_example_alpha_beta(3, [1, 2, 0], [2, 0, 1])
-    space = build_fock(spec, 3)
-    assert_all_pass(full_identity_suite(space))
+    gens = make_generators(build_fock(spec, 3))
+    assert_all_pass(full_identity_suite(gens))
 
     alg = spec.algebra_A
     alpha = AlgebraHom.permutation(alg, [1, 2, 0])
     beta = AlgebraHom.permutation(alg, [2, 0, 1])
-    reports = verify_two_isometry_relations(space, alpha, beta)
-    outcome = {r.check_id: r.passed for r in reports}
+    outcome = {r.check_id: r.passed
+               for r in verify_two_isometry_relations(gens, alpha, beta)}
+    # swapping the twists attributes each one to the other generator
+    swapped = {r.check_id: r.passed
+               for r in verify_two_isometry_relations(gens, beta, alpha)}
+    outcome["two-isometry-hom-u-first-twist"] = swapped["two-isometry-hom-u-second-twist"]
+    outcome["two-isometry-hom-v-second-twist"] = swapped["two-isometry-hom-v-first-twist"]
     # conjugation swaps the attributions: the first generator carries the
     # second twist and the second generator the first
     assert outcome == {

@@ -68,3 +68,70 @@ def test_every_defined_name_is_referenced():
             ):
                 unused.append(f"{home.name}:{node.lineno} {name}")
     assert not unused, "defined but never referenced: " + ", ".join(unused)
+
+
+def _defaulted_parameters(path, node, call_name, shift):
+    """(where, call name, parameter, position) for each defaulted parameter
+    of one function; position counts the positional arguments of a call,
+    after any bound self or cls, and is None for keyword-only parameters."""
+    args = node.args
+    positional = args.posonlyargs + args.args
+    first_default = len(positional) - len(args.defaults)
+    where = f"{path.name}:{node.lineno} {node.name}"
+    for index, arg in enumerate(positional):
+        if index >= first_default:
+            yield where, call_name, arg.arg, index - shift
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield where, call_name, arg.arg, None
+
+
+def _package_defaults():
+    """Defaulted parameters of the package's top-level functions and methods.
+    Nested functions are left out: they bind loop variables as defaults."""
+    for path, tree in _parsed("src"):
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                yield from _defaulted_parameters(path, node, node.name, 0)
+            elif isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if not isinstance(item, ast.FunctionDef):
+                        continue
+                    static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                                 for d in item.decorator_list)
+                    # calling the class runs its __init__
+                    called = node.name if item.name == "__init__" else item.name
+                    yield from _defaulted_parameters(path, item, called, 0 if static else 1)
+
+
+def _call_sites():
+    """Per called name: (positional count, star, keywords, double star)."""
+    calls = {}
+    for top in SEARCHED:
+        for _, tree in _parsed(top):
+            for node in ast.walk(tree):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name is None:
+                    continue
+                starred = any(isinstance(a, ast.Starred) for a in node.args)
+                keywords = {k.arg for k in node.keywords}
+                calls.setdefault(name, []).append(
+                    (len(node.args), starred, keywords, None in keywords))
+    return calls
+
+
+def test_every_default_is_overridden_somewhere():
+    # a default that no call overrides is a constant in disguise
+    calls = _call_sites()
+    unused = []
+    for where, name, param, position in _package_defaults():
+        if not any(
+            param in keywords or double_star
+            or (position is not None and (count > position or starred))
+            for count, starred, keywords, double_star in calls.get(name, ())
+        ):
+            unused.append(f"{where}({param})")
+    assert not unused, "defaults never overridden: " + ", ".join(unused)

@@ -135,50 +135,49 @@ def test_aperiodicity_validates_input():
 
 def test_two_isometries_with_equal_twists_match_both_attributions():
     gens = twisted_generators([1, 2, 0], [1, 2, 0])
-    space = gens.space
-    alg = space.spec.algebra_A
+    alg = gens.space.spec.algebra_A
     alpha = AlgebraHom.permutation(alg, [1, 2, 0])
-    reports = verify_two_isometry_relations(space, alpha, alpha)
-    assert [r.check_id for r in reports if not r.passed] == []
-    assert len(reports) == 9
-
-
-def test_two_isometry_conjugation_swaps_the_twists():
-    # conjugating by the first generator implements the second twist, and
-    # conversely; with distinct twists the cross attributions must fail
-    gens = twisted_generators([1, 2, 0], [2, 0, 1])
-    space = gens.space
-    alg = space.spec.algebra_A
-    alpha = AlgebraHom.permutation(alg, [1, 2, 0])
-    beta = AlgebraHom.permutation(alg, [2, 0, 1])
-    reports = verify_two_isometry_relations(space, alpha, beta)
-    outcome = {r.check_id: r.passed for r in reports}
-    assert outcome["two-isometry-complete"]
-    assert outcome["two-isometry-u"]
-    assert outcome["two-isometry-v"]
-    assert outcome["two-isometry-range-commute-u"]
-    assert outcome["two-isometry-range-commute-v"]
-    assert outcome["two-isometry-hom-u-second-twist"]
-    assert outcome["two-isometry-hom-v-first-twist"]
-    assert not outcome["two-isometry-hom-u-first-twist"]
-    assert not outcome["two-isometry-hom-v-second-twist"]
-
-
-def test_two_isometry_cross_checks_can_be_suppressed():
-    gens = twisted_generators([1, 2, 0], [2, 0, 1])
-    space = gens.space
-    alg = space.spec.algebra_A
-    alpha = AlgebraHom.permutation(alg, [1, 2, 0])
-    beta = AlgebraHom.permutation(alg, [2, 0, 1])
-    reports = verify_two_isometry_relations(space, alpha, beta,
-                                            cross_checks=False)
+    reports = verify_two_isometry_relations(gens, alpha, alpha)
     assert [r.check_id for r in reports if not r.passed] == []
     assert len(reports) == 7
 
 
+def test_two_isometry_conjugation_swaps_the_twists():
+    # conjugating by the first generator implements the second twist, and
+    # conversely; with distinct twists the swapped attributions must fail
+    gens = twisted_generators([1, 2, 0], [2, 0, 1])
+    alg = gens.space.spec.algebra_A
+    alpha = AlgebraHom.permutation(alg, [1, 2, 0])
+    beta = AlgebraHom.permutation(alg, [2, 0, 1])
+    outcome = {r.check_id: r.passed
+               for r in verify_two_isometry_relations(gens, alpha, beta)}
+    assert all(outcome.values())
+    swapped = {r.check_id: r.passed
+               for r in verify_two_isometry_relations(gens, beta, alpha)}
+    assert [cid for cid, ok in swapped.items() if not ok] == [
+        "two-isometry-hom-u-second-twist", "two-isometry-hom-v-first-twist"]
+
+
+def test_two_isometry_report_holds_only_the_matching_attributions():
+    gens = twisted_generators([1, 2, 0], [2, 0, 1])
+    alg = gens.space.spec.algebra_A
+    alpha = AlgebraHom.permutation(alg, [1, 2, 0])
+    beta = AlgebraHom.permutation(alg, [2, 0, 1])
+    reports = verify_two_isometry_relations(gens, alpha, beta)
+    assert [r.check_id for r in reports] == [
+        "two-isometry-complete",
+        "two-isometry-u",
+        "two-isometry-v",
+        "two-isometry-range-commute-u",
+        "two-isometry-range-commute-v",
+        "two-isometry-hom-u-second-twist",
+        "two-isometry-hom-v-first-twist",
+    ]
+
+
 def test_two_isometry_needs_singleton_families():
-    space = build_fock(build_example_MN(2, 2), 2)
-    alg = space.spec.algebra_A
+    gens = make_generators(build_fock(build_example_MN(2, 2), 2))
+    alg = gens.space.spec.algebra_A
     ident = AlgebraHom.identity(alg)
     with pytest.raises(ValueError, match="singleton"):
-        verify_two_isometry_relations(space, ident, ident)
+        verify_two_isometry_relations(gens, ident, ident)

@@ -1,4 +1,6 @@
+import copy
 import json
+from collections import Counter
 from importlib import resources
 
 import jsonschema
@@ -6,10 +8,13 @@ import pytest
 
 from quadmod import serialize
 from quadmod.cli import CLIError, main, parse_cycles
+from quadmod.fock import FockOperator
 from quadmod.linalg import ExactMatrix, GramStack
 from quadmod.opalgebra import DiagonalOperatorModel
 from quadmod.quadmodule import QuadModuleSpec, build_example_MN, build_example_alpha_beta
 from quadmod.scalars import GaussianRational
+
+from test_mutations import CATALOG
 
 
 def run_cli(capsys, *argv):
@@ -237,3 +242,63 @@ def test_one_full_run_builds_the_operator_model_once(monkeypatch, capsys):
     code, _, _ = run_cli(capsys, "full", "--builtin", "mn:2,2", "--depth", "2")
     assert code == 0
     assert built == [4]
+
+
+def corrupted_spec_file(tmp_path, path, value):
+    """The bipartite module with one stored entry overwritten, as a file."""
+    data = copy.deepcopy(serialize.spec_to_dict(build_example_MN(2, 2)))
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    target = tmp_path / "corrupted.json"
+    target.write_text(json.dumps(data))
+    return target
+
+
+def failed_report_checks(capsys, *argv):
+    code, out, err = run_cli(capsys, *argv, "--format", "json")
+    assert code == 1
+    assert err == ""
+    report = json.loads(out)
+    jsonschema.validate(report, report_schema())
+    return {c["id"] for sec in report["sections"] for c in sec["checks"]
+            if not c["passed"]}
+
+
+@pytest.mark.parametrize(
+    "path,value,expected", [row[1:] for row in CATALOG],
+    ids=[row[0] for row in CATALOG])
+def test_a_tower_that_cannot_be_built_gets_a_report(tmp_path, capsys, path,
+                                                    value, expected):
+    spec_file = corrupted_spec_file(tmp_path, path, value)
+    failed = failed_report_checks(
+        capsys, "full", "--input", str(spec_file), "--depth", "2")
+    assert {expected, "tower-construction"} <= failed
+
+
+def test_fock_reports_a_tower_that_cannot_be_built(tmp_path, capsys):
+    _, path, value, _ = CATALOG[0]
+    spec_file = corrupted_spec_file(tmp_path, path, value)
+    failed = failed_report_checks(
+        capsys, "fock", "--input", str(spec_file), "--depth", "2")
+    assert failed == {"tower-construction"}
+
+
+@pytest.mark.parametrize("argv", [
+    ("--builtin", "mn:2,2", "--depth", "2"),
+    ("--builtin", "perm:3,(0 1 2),(0 2 1)"),
+])
+def test_one_full_run_adjoints_each_operator_once(monkeypatch, capsys, argv):
+    # every operator passed in stays referenced, so no id is reused
+    seen = []
+    adjoint = FockOperator.adjoint
+
+    def counted(self):
+        seen.append(self)
+        return adjoint(self)
+
+    monkeypatch.setattr(FockOperator, "adjoint", counted)
+    code, _, _ = run_cli(capsys, "full", *argv)
+    assert code == 0
+    assert max(Counter(id(op) for op in seen).values()) == 1

@@ -105,6 +105,9 @@ def test_truncated_strong_family_fails():
     short = [spec.algebra_B1.basis_element(0)]
     results = spec.verify_strongly_finite_type(basis_1=short)
     assert failing_ids(results) == ["strong-basis-b1"]
+    short = [spec.algebra_B2.basis_element(0)]
+    results = spec.verify_strongly_finite_type(basis_2=short)
+    assert failing_ids(results) == ["strong-basis-b2"]
 
 
 def test_lambda_not_faithful_when_family_degenerates():

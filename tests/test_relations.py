@@ -55,7 +55,7 @@ WINDOWS = {
 
 
 def run_suite(space):
-    reports = full_identity_suite(space)
+    reports = full_identity_suite(make_generators(space))
     failed = [r.check_id for r in reports if not r.passed]
     assert failed == []
     return reports
