@@ -18,6 +18,14 @@ picks one of three arithmetic paths:
   each product, each partial sum and the result are exact. Floats carry
   only such integers, never approximations.
 
+Most matrices the checks form are real, and an ExactMatrix records whether
+its imaginary part is zero. Real operands take real arithmetic: one integer
+product instead of four, one outer product per kron. The one product kernel
+multiplies integer arrays: a product of real matrices with inner dimension
+k is one such product under the bound k*max|A|*max|B|, and a complex product
+is the one stacked real product [[Are, -Aim], [Aim, Are]] @ [Bre; Bim],
+whose inner dimension 2k gives the bound 2k*max|A|*max|B|.
+
 The module also provides deterministic reduced row echelon form, kernel and
 solve built on it, and Gram-form utilities: exact positive-semidefiniteness
 with a rational negativity witness, and adjoints of linear maps with respect
@@ -85,33 +93,35 @@ def _common(bound: int, *arrays):
     return tuple(_to_object(a) for a in arrays)
 
 
+def _rmul(a, b):
+    """a @ b for integer arrays, exact on every path."""
+    m, k = a.shape
+    n = b.shape[1]
+    bound = k * _max_abs(a) * _max_abs(b)
+    if (a.dtype != object and b.dtype != object
+            and bound <= _FLOAT_EXACT and m * k * n >= _FLOAT_MIN_WORK):
+        return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
+    a, b = _common(bound, a, b)
+    return a @ b
+
+
 def _cmul(are, aim, bre, bim):
-    """(are + i aim) @ (bre + i bim), exact on every path."""
-    m, k = are.shape
-    n = bre.shape[1]
-    bound = 2 * k * max(_max_abs(are), _max_abs(aim)) * max(_max_abs(bre), _max_abs(bim))
-    ints = all(a.dtype != object for a in (are, aim, bre, bim))
-    if ints and bound <= _FLOAT_EXACT and m * k * n >= _FLOAT_MIN_WORK:
-        # [[Are, -Aim], [Aim, Are]] @ [Bre; Bim] = [Re; Im]: one GEMM with
-        # inner dimension 2k, so bound covers every partial sum.
-        a = np.empty((2 * m, 2 * k))
-        a[:m, :k] = are
-        a[m:, k:] = are
-        a[m:, :k] = aim
-        np.negative(aim, out=a[:m, k:], casting="unsafe")
-        b = np.empty((2 * k, n))
-        b[:k] = bre
-        b[k:] = bim
-        c = (a @ b).astype(np.int64)
-        return c[:m], c[m:]
-    are, aim, bre, bim = _common(bound, are, aim, bre, bim)
-    return are @ bre - aim @ bim, are @ bim + aim @ bre
+    """(are + i aim) @ (bre + i bim) as the one real product
+    [[Are, -Aim], [Aim, Are]] @ [Bre; Bim] = [Re; Im], whose inner dimension
+    is 2k."""
+    a = np.vstack([np.hstack([are, -aim]), np.hstack([aim, are])])
+    c = _rmul(a, np.vstack([bre, bim]))
+    m = are.shape[0]
+    return c[:m], c[m:]
 
 
 class ExactMatrix:
-    """Matrix over the Gaussian rationals with a shared denominator."""
+    """Matrix over the Gaussian rationals with a shared denominator.
 
-    __slots__ = ("_re", "_im", "_den")
+    _real is true when the imaginary part is zero; the imaginary part is
+    then an int64 zero array."""
+
+    __slots__ = ("_re", "_im", "_den", "_real")
 
     def __init__(self, re, im, den: int = 1, _normalize: bool = True):
         re = np.asarray(re)
@@ -126,6 +136,7 @@ class ExactMatrix:
             re = re.astype(np.int64, copy=False)
         if im.dtype != object:
             im = im.astype(np.int64, copy=False)
+        self._real = not im.any()
         self._re = re
         self._im = im
         self._den = int(den)
@@ -133,7 +144,13 @@ class ExactMatrix:
             self._normalize()
 
     def _normalize(self):
-        g = math.gcd(math.gcd(_gcd_reduce(self._re), _gcd_reduce(self._im)), self._den)
+        # Stop as soon as the gcd reaches 1; a real matrix has no imaginary
+        # part to take it from.
+        g = self._den
+        if g > 1:
+            g = math.gcd(g, _gcd_reduce(self._re))
+        if g > 1 and not self._real:
+            g = math.gcd(g, _gcd_reduce(self._im))
         if g > 1:
             re, im = _common(g, self._re, self._im)
             self._re = re // g
@@ -178,10 +195,8 @@ class ExactMatrix:
 
     @classmethod
     def diagonal(cls, values) -> "ExactMatrix":
-        vals = [GaussianRational.from_value(v) for v in values]
-        return cls.from_rows(
-            [[vals[i] if i == j else 0 for j in range(len(vals))] for i in range(len(vals))]
-        )
+        col = cls.column(values)
+        return cls(np.diagflat(col._re), np.diagflat(col._im), col._den)
 
     @classmethod
     def column(cls, values) -> "ExactMatrix":
@@ -212,7 +227,7 @@ class ExactMatrix:
         return [[self[i, j] for j in range(self.ncols)] for i in range(self.nrows)]
 
     def is_zero(self) -> bool:
-        return not self._re.any() and not self._im.any()
+        return self._real and not self._re.any()
 
     def __eq__(self, other):
         if not isinstance(other, ExactMatrix):
@@ -239,6 +254,9 @@ class ExactMatrix:
             return self._re, self._im
         # f itself must fit too: an int64 array times a bigint raises even
         # when the array is zero.
+        if self._real:
+            re, = _common(f * max(_max_abs(self._re), 1), self._re)
+            return re * f, self._im
         bound = f * max(_max_abs(self._re), _max_abs(self._im), 1)
         re, im = _common(bound, self._re, self._im)
         return re * f, im * f
@@ -251,6 +269,9 @@ class ExactMatrix:
         den = self._den * other._den // math.gcd(self._den, other._den)
         are, aim = self._scaled_to(den)
         bre, bim = other._scaled_to(den)
+        if self._real and other._real:
+            are, bre = _common(_max_abs(are) + _max_abs(bre), are, bre)
+            return ExactMatrix(are + bre, aim, den)
         bound = max(_max_abs(are) + _max_abs(bre), _max_abs(aim) + _max_abs(bim))
         are, aim, bre, bim = _common(bound, are, aim, bre, bim)
         return ExactMatrix(are + bre, aim + bim, den)
@@ -268,13 +289,20 @@ class ExactMatrix:
             raise ValueError("inner dimension mismatch")
         if self.ncols == 0:
             return ExactMatrix.zeros(self.nrows, other.ncols)
-        re, im = _cmul(self._re, self._im, other._re, other._im)
+        if self._real and other._real:
+            re = _rmul(self._re, other._re)
+            im = np.zeros(re.shape, np.int64)
+        else:
+            re, im = _cmul(self._re, self._im, other._re, other._im)
         return ExactMatrix(re, im, self._den * other._den)
 
     def scale(self, c) -> "ExactMatrix":
         c = GaussianRational.from_value(c)
         q = math.lcm(c.re.denominator, c.im.denominator)
         cre, cim = int(c.re * q), int(c.im * q)
+        if self._real and not cim:
+            re, = _common(max(_max_abs(self._re), 1) * abs(cre), self._re)
+            return ExactMatrix(cre * re, self._im, self._den * q)
         # The factor must fit as well as the products (see _scaled_to).
         bound = 2 * max(_max_abs(self._re), _max_abs(self._im), 1) * max(abs(cre), abs(cim))
         re, im = _common(bound, self._re, self._im)
@@ -348,6 +376,11 @@ class ExactMatrix:
         return ExactMatrix(are, aim, den)
 
     def kron(self, other: "ExactMatrix") -> "ExactMatrix":
+        if self._real and other._real:
+            a, b = _common(_max_abs(self._re) * _max_abs(other._re), self._re, other._re)
+            (m, n), (p, q) = a.shape, b.shape
+            re = (a[:, None, :, None] * b[None, :, None, :]).reshape(m * p, n * q)
+            return ExactMatrix(re, np.zeros(re.shape, np.int64), self._den * other._den)
         bound = 2 * max(_max_abs(self._re), _max_abs(self._im)) * max(
             _max_abs(other._re), _max_abs(other._im)
         )
@@ -492,10 +525,8 @@ def weighted_sum(mats, coeffs: ExactMatrix) -> ExactMatrix:
     if coeffs.shape != (len(mats), 1):
         raise ValueError("coefficient column does not match matrix list")
     out = ExactMatrix.zeros(*mats[0].shape)
-    for c, m in enumerate(mats):
-        w = coeffs[c, 0]
-        if not w.is_zero:
-            out = out + m.scale(w)
+    for c in np.flatnonzero((coeffs._re[:, 0] != 0) | (coeffs._im[:, 0] != 0)):
+        out = out + mats[c].scale(coeffs[c, 0])
     return out
 
 
@@ -612,7 +643,7 @@ class GramStack:
 
     def pair(self, x: ExactMatrix, y: ExactMatrix) -> ExactMatrix:
         """Algebra element <x|y>, as a column vector."""
-        return ExactMatrix.from_rows([[(x.H @ g @ y)[0, 0]] for g in self.coords])
+        return ExactMatrix.vstack([x.H @ g @ y for g in self.coords])
 
     def value(self, p: int, q: int) -> ExactMatrix:
         return ExactMatrix.from_rows([[g[p, q]] for g in self.coords])

@@ -135,3 +135,17 @@ def test_every_default_is_overridden_somewhere():
         ):
             unused.append(f"{where}({param})")
     assert not unused, "defaults never overridden: " + ", ".join(unused)
+
+
+def test_numerator_arrays_stay_private_to_linalg():
+    # an array reaches an ExactMatrix only through its constructor, which
+    # is what keeps the _real flag true to the imaginary part
+    private = {"_re", "_im", "_den", "_real"}
+    reads = [
+        f"{path.name}:{node.lineno} .{node.attr}"
+        for path, tree in _parsed("src")
+        if path.name != "linalg.py"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in private
+    ]
+    assert not reads, "ExactMatrix internals read outside linalg: " + ", ".join(reads)

@@ -6,7 +6,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from quadmod import serialize
+from quadmod import linalg, serialize
 from quadmod.cli import CLIError, main, parse_cycles
 from quadmod.fock import FockOperator
 from quadmod.linalg import ExactMatrix, GramStack
@@ -302,3 +302,22 @@ def test_one_full_run_adjoints_each_operator_once(monkeypatch, capsys, argv):
     code, _, _ = run_cli(capsys, "full", *argv)
     assert code == 0
     assert max(Counter(id(op) for op in seen).values()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("--builtin", "mn:2,2", "--depth", "2"),
+    ("--builtin", "perm:3,(0 1 2),(0 2 1)"),
+])
+def test_real_products_skip_the_complex_kernel(monkeypatch, capsys, argv):
+    # one flag per complex product: are both imaginary parts zero?
+    real = []
+    cmul = linalg._cmul
+
+    def counted(are, aim, bre, bim):
+        real.append(not aim.any() and not bim.any())
+        return cmul(are, aim, bre, bim)
+
+    monkeypatch.setattr(linalg, "_cmul", counted)
+    code, _, _ = run_cli(capsys, "full", *argv)
+    assert code == 0
+    assert real and not any(real)

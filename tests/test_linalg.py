@@ -453,3 +453,182 @@ def test_inverse_with_pivot_norm_lcm_above_int64():
     assert math.lcm(int(p1.abs2()), int(p2.abs2())) > 2**62
     inv = ExactMatrix.diagonal([p1, p2]).inverse()
     assert inv == ExactMatrix.diagonal([GR(1) / p1, GR(1) / p2])
+
+
+# -- real operands take the real path ------------------------------------
+
+
+def _real_matrix(arr):
+    return ExactMatrix(arr, np.zeros(arr.shape, np.int64))
+
+
+def _real_product(a, b):
+    """The product of the real matrices a and b, with the path it took:
+    "float" when it never reaches the int64/object promotion rule, else the
+    dtype that rule chose."""
+    x, y = _real_matrix(a), _real_matrix(b)
+    chosen = []
+    common = linalg._common
+
+    def spy(bound, *arrays):
+        out = common(bound, *arrays)
+        chosen.append("object" if out[0].dtype == object else "int64")
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "_common", spy)
+        got = x @ y
+    return got, chosen[0] if chosen else "float"
+
+
+@st.composite
+def real_gated_operands(draw):
+    """Real integer operands whose product bound k*max|A|*max|B| is 2^53,
+    just above it, or 2^56, with m*k*n on both sides of the float size
+    cutoff."""
+    j = draw(st.integers(0, 7))
+    k = 2**j
+    m = draw(st.integers(1, 24))
+    n = draw(st.integers(1, 24))
+    p = (53 - j) // 2
+    b = 2 ** (53 - j - p)
+    a = draw(st.sampled_from([2**p, 2**p + 1, 2 ** (p + 3) - 1]))
+    aligned = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def part(shape, top):
+        return rng.integers(top // 2 if aligned else -top, top, shape, endpoint=True)
+
+    x, y = part((m, k), a), part((k, n), b)
+    x[0, 0], y[0, 0] = a, b  # pin the maxima, so the bound is as stated
+    return x, y
+
+
+@settings(max_examples=150, deadline=None)
+@given(real_gated_operands())
+def test_real_matmul_matches_object_reference_at_the_float_gate(ops):
+    a, b = ops
+    got, path = _real_product(a, b)
+    assert got == _real_matrix(a.astype(object) @ b.astype(object))
+    m, k = a.shape
+    bound = k * int(np.abs(a).max()) * int(np.abs(b).max())
+    small = m * k * b.shape[1] < linalg._FLOAT_MIN_WORK
+    assert path == ("int64" if small or bound > linalg._FLOAT_EXACT else "float")
+
+
+def test_real_matmul_worst_case_at_the_float_gate_stays_exact():
+    # k = 2048 products of 2^42 * 1 with one sign per row: every partial sum
+    # reaches 2^53, the largest the float gate admits
+    k = linalg._FLOAT_MIN_WORK
+    a = np.full((2, k), 2**42)
+    a[1] *= -1
+    b = np.ones((k, 1), np.int64)
+    assert k * 2**42 == linalg._FLOAT_EXACT
+    got, path = _real_product(a, b)
+    assert path == "float"
+    assert got == _real_matrix(np.array([[2**53], [-(2**53)]]))
+
+
+def test_real_matmul_just_above_the_float_gate_takes_int64():
+    # the bound is 2^53 + 2^11 and the row sums to the odd 2^53 + 2047,
+    # which no float64 holds
+    k = linalg._FLOAT_MIN_WORK
+    a = np.full((1, k), 2**42 + 1)
+    a[0, -1] = 2**42
+    b = np.ones((k, 1), np.int64)
+    got, path = _real_product(a, b)
+    assert path == "int64"
+    assert got[0, 0] == GR(2**53 + 2047)
+
+
+@st.composite
+def real_pair_near_int64_bound(draw, op):
+    """Two real integer matrices whose largest entry product (kron) or
+    largest sum of magnitudes (+) is 2^62, just above it, or at least 2^63,
+    where int64 would wrap."""
+    m, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    p, q = (m, n) if op == "add" else (draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    if op == "add":
+        tops = [(2**61, 2**61), (2**61 + 1, 2**61), (2**62, 2**62)]
+    else:
+        tops = [(2**31, 2**31), (2**31 + 1, 2**31), (2**33, 2**31)]
+    top_a, top_b = draw(st.sampled_from(tops))
+    aligned = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def part(shape, top):
+        arr = rng.integers(top // 2 if aligned else -top, top, shape, endpoint=True)
+        arr.flat[0] = top
+        return arr
+
+    return part((m, n), top_a), part((p, q), top_b)
+
+
+@settings(max_examples=80, deadline=None)
+@given(real_pair_near_int64_bound("kron"))
+def test_real_kron_matches_object_reference(ops):
+    a, b = ops
+    ref = np.kron(a.astype(object), b.astype(object))
+    assert _real_matrix(a).kron(_real_matrix(b)) == _real_matrix(ref)
+
+
+@settings(max_examples=80, deadline=None)
+@given(real_pair_near_int64_bound("add"), st.integers(1, 3), st.integers(1, 3))
+def test_real_add_matches_object_reference(ops, da, db):
+    a, b = ops
+    den = math.lcm(da, db)
+    ref = a.astype(object) * (den // da) + b.astype(object) * (den // db)
+    got = ExactMatrix(a, np.zeros_like(a), da) + ExactMatrix(b, np.zeros_like(b), db)
+    assert got == ExactMatrix(ref, np.zeros(ref.shape, np.int64), den)
+
+
+def _assert_real_flag(x):
+    assert x._real == (not x._im.any())
+    if x._real:
+        assert x._im.dtype == np.int64
+
+
+small_or_big = st.one_of(st.integers(-3, 3), st.sampled_from([2**70, -(2**65) + 1]))
+
+
+@st.composite
+def maybe_real_square(draw, n):
+    entries = st.lists(st.lists(small_or_big, min_size=n, max_size=n), min_size=n, max_size=n)
+    re = np.array(draw(entries), dtype=object)
+    im = np.array(draw(entries), dtype=object) if draw(st.booleans()) else np.zeros((n, n), int)
+    return ExactMatrix(re, im, draw(st.integers(1, 4)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(maybe_real_square(n), maybe_real_square(n))))
+def test_every_operation_knows_when_its_result_is_real(pair):
+    a, b = pair
+    n = a.nrows
+    results = [
+        -a, a.conj(), a.T, a.H, a.take_rows([0]), a.set_block(0, 0, b.take_rows([0])),
+        ExactMatrix.hstack([a, b]), a.rref()[0], a.kron(b), a.scale(GR(0, 1)),
+        a.scale(F(-1, 3)), a - a.conj(), a + a.conj(), a @ b, a - b,
+    ]
+    if a.rank() == n:
+        results.append(a.inverse())
+    for x in [a, b] + results:
+        _assert_real_flag(x)
+
+
+def test_real_flag_on_mixed_operands():
+    r = ExactMatrix.from_rows([[1, 2], [3, 4]])
+    c = ExactMatrix.from_rows([[GR(1, 2), 0], [0, GR(0, -1)]])
+    assert r._real and not c._real
+    # a complex difference that cancels to a real matrix
+    cancelled = c - ExactMatrix.from_rows([[GR(3, 2), 0], [0, GR(5, -1)]])
+    assert cancelled == ExactMatrix.from_rows([[-2, 0], [0, -5]])
+    for x, real in [
+        (r @ c, False),  # real times complex
+        (c @ r, False),
+        (r.scale(GR(0, 1)), False),  # a real matrix scaled by i
+        (cancelled, True),
+        (c @ c.conj(), True),
+        (r.kron(c), False),
+    ]:
+        _assert_real_flag(x)
+        assert x._real == real
