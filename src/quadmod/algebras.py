@@ -8,6 +8,8 @@ multiplicativity, *-preservation and injectivity.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .linalg import ExactMatrix, SingularGram
 
 
@@ -22,10 +24,11 @@ class CommAlgebra:
         self.dim = dim
 
     def unit(self) -> ExactMatrix:
-        return ExactMatrix.from_rows([[1]] * self.dim)
+        ones = np.ones((self.dim, 1), np.int64)
+        return ExactMatrix(ones, np.zeros_like(ones))
 
     def basis_element(self, c: int) -> ExactMatrix:
-        return ExactMatrix.from_rows([[1 if i == c else 0] for i in range(self.dim)])
+        return ExactMatrix.identity(self.dim).take_cols([c])
 
     def mul(self, x: ExactMatrix, y: ExactMatrix) -> ExactMatrix:
         return self.mult_matrix(x) @ y
@@ -37,7 +40,7 @@ class CommAlgebra:
         """Multiplication by x as a diagonal matrix."""
         if x.shape != (self.dim, 1):
             raise ValueError("element shape mismatch")
-        return ExactMatrix.diagonal([x[i, 0] for i in range(self.dim)])
+        return x.to_diagonal()
 
     def is_positive(self, x: ExactMatrix) -> bool:
         return all(x[i, 0].is_real and x[i, 0].re >= 0 for i in range(self.dim))

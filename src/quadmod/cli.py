@@ -23,7 +23,7 @@ from .ck import (
     verify_ck_relations,
     verify_two_isometry_relations,
 )
-from .fock import DepthTooSmall, FockSpace, TooLarge, build_fock
+from .fock import DepthTooSmall, FockSpace, TooLarge, TowerDefect, build_fock
 from .ktheory import (
     AssumptionsViolated,
     FGAbelianGroup,
@@ -470,6 +470,10 @@ def run(args) -> dict:
         sections.append(validate_section(spec))
     try:
         space = build_space(spec, args.depth)
+    except TowerDefect as exc:
+        # the checks made so far, the failed cross-check last, end the report
+        sections.append(_section("tower construction", exc.checks))
+        return assemble_report(spec, args.depth, sections)
     except ValueError as exc:
         # a tower that cannot be built fails one check and ends the report
         failed = CheckResult(

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import os
 
-from .linalg import ExactMatrix, GramStack, weighted_sum
+from .linalg import ExactMatrix, GramStack, MatrixFamily
 from .quadmodule import QuadModuleSpec
 from .report import CheckResult
 from .scalars import GaussianRational
@@ -36,6 +36,15 @@ class DepthTooSmall(ValueError):
 
 class TooLarge(ValueError):
     """The requested tower exceeds the configured dimension budget."""
+
+
+class TowerDefect(ValueError):
+    """A construction cross-check failed. checks holds every check made
+    before the tower was abandoned, the failed one last."""
+
+    def __init__(self, checks: list):
+        super().__init__(checks[-1].witness)
+        self.checks = checks
 
 
 def dimension_budget() -> int:
@@ -295,6 +304,9 @@ class FockSpace:
         self.lam2 = lam2
         self.build_checks = checks
         self.keys = sorted(summands.keys())
+        # per QuadSpace operator list ("left_B1", "left_B2", "right_A"): the
+        # family whose member c holds the summand blocks of operator c
+        self._side_families = {}
 
     def summand(self, key) -> QuadSpace:
         return self.summands[key]
@@ -372,6 +384,18 @@ class FockSpace:
             blocks[(dest, key)] = dsp.express @ xi_q.kron(ExactMatrix.identity(src.dim))
         return FockOperator(self, blocks)
 
+    def _side_family(self, ops: str) -> MatrixFamily:
+        """The family of one operator list of the summands, built once: its
+        member c holds every summand's operator c, in key order."""
+        if ops not in self._side_families:
+            per_summand = [getattr(self.summands[key], ops) for key in self.keys]
+            self._side_families[ops] = MatrixFamily(zip(*per_summand))
+        return self._side_families[ops]
+
+    def _diagonal_operator(self, ops: str, coeffs: ExactMatrix) -> FockOperator:
+        blocks = self._side_family(ops).combine(coeffs)[0]
+        return FockOperator(self, {(key, key): b for key, b in zip(self.keys, blocks)})
+
     def left_action(self, side: int, b: ExactMatrix) -> FockOperator:
         """The degree-preserving action of a side algebra element, acting on
         the leftmost tensor factor and by one-sided multiplication on the
@@ -381,22 +405,13 @@ class FockSpace:
         alg = self.spec.algebra_B1 if side == 1 else self.spec.algebra_B2
         if b.shape != (alg.dim, 1):
             raise ValueError("algebra element shape mismatch")
-        blocks = {}
-        for key in self.keys:
-            sp = self.summands[key]
-            ops = sp.left_B1 if side == 1 else sp.left_B2
-            blocks[(key, key)] = weighted_sum(ops, b)
-        return FockOperator(self, blocks)
+        return self._diagonal_operator("left_B1" if side == 1 else "left_B2", b)
 
     def right_action(self, a: ExactMatrix) -> FockOperator:
         """The right action of a base algebra element (degree zero)."""
         if a.shape != (self.spec.algebra_A.dim, 1):
             raise ValueError("base algebra element shape mismatch")
-        blocks = {}
-        for key in self.keys:
-            sp = self.summands[key]
-            blocks[(key, key)] = weighted_sum(sp.right_A, a)
-        return FockOperator(self, blocks)
+        return self._diagonal_operator("right_A", a)
 
     def lift(self, L: ExactMatrix) -> FockOperator:
         """Extend an operator on the module to the tower by acting on the
@@ -440,14 +455,39 @@ class FockSpace:
         )
 
 
+_BALANCED = "balanced-tensor defects vanish in every summand"
+_ROUTED = "both index-map routes give the A-valued inner product on every summand"
+
+
+def _construction_defect(n: int, word: tuple, space: QuadSpace, defects, lam1, lam2):
+    """The failed check of a new tower summand, or None when its balancing
+    defects vanish and both index-map routes give its A-valued form."""
+    for c, defect in enumerate(defects):
+        if not defect.is_zero():
+            return CheckResult(
+                "tensor-balanced", _BALANCED, False,
+                f"balancing defect at level {n}, word {word}, basis {c}",
+            )
+    for route, (stack, lam) in enumerate(((space.gram_B1, lam1), (space.gram_B2, lam2)), 1):
+        got = stack.transform(lam).coords
+        for c, (g, want) in enumerate(zip(got, space.gram_A.coords)):
+            if g != want:
+                return CheckResult(
+                    "index-route-consistent", _ROUTED, False,
+                    f"index-map route {route} differs at level {n}, word {word}, coordinate {c}",
+                )
+    return None
+
+
 def build_fock(spec: QuadModuleSpec, depth: int) -> FockSpace:
     """Construct levels 0..depth of the tower, with all construction-time
     cross-checks enforced.
 
     Raises DepthTooSmall for depth < 2, TooLarge when the accumulated
-    quotient dimension would exceed the QUADMOD_MAX_DIM budget, and
+    quotient dimension would exceed the QUADMOD_MAX_DIM budget,
     LambdaNotFaithful (from the index-map derivation) when level 0 cannot
-    carry a definite inner product.
+    carry a definite inner product, and TowerDefect when a new summand fails
+    its balancing or index-map route check.
     """
     if depth < 2:
         raise DepthTooSmall("the tower needs depth at least 2")
@@ -534,36 +574,16 @@ def build_fock(spec: QuadModuleSpec, depth: int) -> FockSpace:
                     )
                 space, defects = relative_tensor(h, family, tail)
                 word = (family,) + tail_key[1]
-                for c, defect in enumerate(defects):
-                    if not defect.is_zero():
-                        raise ValueError(
-                            f"balancing defect at level {n}, word {word}, basis {c}"
-                        )
-                # both index-map routes must reproduce the A-valued form
-                route1 = space.gram_B1.transform(lam1)
-                route2 = space.gram_B2.transform(lam2)
-                if route1 != space.gram_A or route2 != space.gram_A:
-                    raise ValueError(
-                        f"index-map route mismatch at level {n}, word {word}"
-                    )
+                failed = _construction_defect(n, word, space, defects, lam1, lam2)
+                if failed is not None:
+                    raise TowerDefect(checks + [failed])
                 degenerate_tensor = degenerate_tensor or space.degenerate
                 summands[(n, word)] = space
                 total += space.dim
 
-    checks.append(
-        CheckResult(
-            "tensor-balanced",
-            "balanced-tensor defects vanish in every summand",
-            True,
-        )
-    )
-    checks.append(
-        CheckResult(
-            "index-route-consistent",
-            "both index-map routes give the A-valued inner product on every summand",
-            True,
-        )
-    )
+    # every summand passed both cross-checks of _construction_defect
+    checks.append(CheckResult("tensor-balanced", _BALANCED, True))
+    checks.append(CheckResult("index-route-consistent", _ROUTED, True))
     checks.append(
         CheckResult(
             "tensor-quotient",

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import weighted_sum
+from .linalg import ExactMatrix, MatrixFamily
 from .relations import GeneratorFamily, _family_report
 
 
@@ -303,11 +303,12 @@ def class_action_matrix(gens: GeneratorFamily) -> tuple:
         (2, spec.basis_V, spec.inner_B2, spec.left_B2),
     )
     for family, members, stack, side_ops in sides:
+        side = MatrixFamily([op] for op in side_ops)
         ops = zip(gens.family(family), gens.adjoints[family])
         for g, (x, x_adj) in enumerate(ops):
-            for cl, e_amb in enumerate(class_ambients):
-                val = stack.pair(members[g], e_amb @ members[g])
-                y_q = h.express @ weighted_sum(side_ops, val) @ h.include
+            vals = [stack.pair(members[g], e_amb @ members[g]) for e_amb in class_ambients]
+            for cl, (y,) in enumerate(side.combine(ExactMatrix.hstack(vals))):
+                y_q = h.express @ y @ h.include
                 pattern = model.projection_coords(y_q)
                 if pattern is None:
                     raise AssumptionsViolated(

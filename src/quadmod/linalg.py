@@ -26,6 +26,15 @@ k is one such product under the bound k*max|A|*max|B|, and a complex product
 is the one stacked real product [[Are, -Aim], [Aim, Are]] @ [Bre; Bim],
 whose inner dimension 2k gives the bound 2k*max|A|*max|B|.
 
+A linear combination sum_k c_k M_k over a fixed family of matrices is one
+such product too. MatrixFamily flattens the numerators of the family, once,
+into one integer matrix F over one denominator, one row per member; the
+combination is then the coefficient row times F, reshaped back into the
+members' blocks. Its inner dimension is the number r of members, so it
+takes the float64 product under the bound r*max|c|*max|F| (doubled for
+complex operands, as above), int64 under 2^62 and big integers otherwise.
+Several combinations, one per coefficient column, share the product.
+
 The module also provides deterministic reduced row echelon form, kernel and
 solve built on it, and Gram-form utilities: exact positive-semidefiniteness
 with a rational negativity witness, and adjoints of linear maps with respect
@@ -105,6 +114,13 @@ def _rmul(a, b):
     return a @ b
 
 
+def _int_array(values, shape):
+    """Python ints as an int64 array when every value is at most _INT64_SAFE
+    in magnitude, otherwise as an object array."""
+    fits = max(map(abs, values), default=0) <= _INT64_SAFE
+    return np.array(values, dtype=np.int64 if fits else object).reshape(shape)
+
+
 def _cmul(are, aim, bre, bim):
     """(are + i aim) @ (bre + i bim) as the one real product
     [[Are, -Aim], [Aim, Are]] @ [Bre; Bim] = [Re; Im], whose inner dimension
@@ -113,6 +129,14 @@ def _cmul(are, aim, bre, bim):
     c = _rmul(a, np.vstack([bre, bim]))
     m = are.shape[0]
     return c[:m], c[m:]
+
+
+def _product(a: "ExactMatrix", b: "ExactMatrix"):
+    """Numerator arrays of a @ b, over the denominator a._den * b._den."""
+    if a._real and b._real:
+        re = _rmul(a._re, b._re)
+        return re, np.zeros(re.shape, np.int64)
+    return _cmul(a._re, a._im, b._re, b._im)
 
 
 class ExactMatrix:
@@ -164,26 +188,32 @@ class ExactMatrix:
     @classmethod
     def from_rows(cls, rows) -> "ExactMatrix":
         """Build from nested lists of ints, Fractions or GaussianRationals."""
-        vals = [[GaussianRational.from_value(v) for v in row] for row in rows]
-        m = len(vals)
-        n = len(vals[0]) if m else 0
-        if any(len(row) != n for row in vals):
+        parts = []
+        for row in rows:
+            vals = [GaussianRational.from_value(v) for v in row]
+            parts.append([(v.re.numerator, v.re.denominator, v.im.numerator, v.im.denominator)
+                          for v in vals])
+        return cls.from_entries(parts)
+
+    @classmethod
+    def from_entries(cls, rows) -> "ExactMatrix":
+        """Build from rows of (reNum, reDen, imNum, imDen) integer entries.
+
+        Denominators must be nonzero; they may be negative or share factors
+        with their numerators. Each numerator is rescaled to the lcm of the
+        denominators and the result is reduced once, as a whole matrix.
+        """
+        m = len(rows)
+        n = len(rows[0]) if m else 0
+        if any(len(row) != n for row in rows):
             raise ValueError("ragged rows")
-        den = 1
-        for row in vals:
-            for v in row:
-                den = den * v.re.denominator // math.gcd(den, v.re.denominator)
-                den = den * v.im.denominator // math.gcd(den, v.im.denominator)
-        re = np.empty((m, n), dtype=object)
-        im = np.empty((m, n), dtype=object)
-        for i, row in enumerate(vals):
-            for j, v in enumerate(row):
-                re[i, j] = int(v.re * den)
-                im[i, j] = int(v.im * den)
         if m == 0 or n == 0:
-            re = np.zeros((m, n), dtype=np.int64)
-            im = np.zeros((m, n), dtype=np.int64)
-        return cls(re, im, den)
+            return cls.zeros(m, n)
+        re_num, re_den, im_num, im_den = zip(*(e for row in rows for e in row))
+        den = math.lcm(*re_den, *im_den)
+        re = [a * (den // b) for a, b in zip(re_num, re_den)]
+        im = [a * (den // b) for a, b in zip(im_num, im_den)]
+        return cls(_int_array(re, (m, n)), _int_array(im, (m, n)), den)
 
     @classmethod
     def zeros(cls, m: int, n: int) -> "ExactMatrix":
@@ -195,12 +225,27 @@ class ExactMatrix:
 
     @classmethod
     def diagonal(cls, values) -> "ExactMatrix":
-        col = cls.column(values)
-        return cls(np.diagflat(col._re), np.diagflat(col._im), col._den)
+        return cls.column(values).to_diagonal()
 
     @classmethod
     def column(cls, values) -> "ExactMatrix":
         return cls.from_rows([[v] for v in values])
+
+    def to_diagonal(self) -> "ExactMatrix":
+        """The square diagonal matrix whose diagonal is this column."""
+        if self.ncols != 1:
+            raise ValueError("only a column has a diagonal matrix")
+        return ExactMatrix(np.diagflat(self._re), np.diagflat(self._im), self._den, _normalize=False)
+
+    def diagonal_column(self) -> "ExactMatrix":
+        """The diagonal of a square matrix, as a column."""
+        if self.nrows != self.ncols:
+            raise ValueError("only a square matrix has a diagonal")
+        return ExactMatrix(np.diag(self._re)[:, None], np.diag(self._im)[:, None], self._den)
+
+    def is_diagonal(self) -> bool:
+        off = ~np.eye(*self.shape, dtype=bool)
+        return not (self._re[off].any() or self._im[off].any())
 
     # -- basics ----------------------------------------------------------
 
@@ -225,6 +270,13 @@ class ExactMatrix:
 
     def to_rows(self):
         return [[self[i, j] for j in range(self.ncols)] for i in range(self.nrows)]
+
+    def integer_rows(self):
+        """The entries as nested lists of ints, or None when some entry is
+        not an integer."""
+        if self._den != 1 or not self._real:
+            return None
+        return self._re.tolist()
 
     def is_zero(self) -> bool:
         return self._real and not self._re.any()
@@ -289,12 +341,7 @@ class ExactMatrix:
             raise ValueError("inner dimension mismatch")
         if self.ncols == 0:
             return ExactMatrix.zeros(self.nrows, other.ncols)
-        if self._real and other._real:
-            re = _rmul(self._re, other._re)
-            im = np.zeros(re.shape, np.int64)
-        else:
-            re, im = _cmul(self._re, self._im, other._re, other._im)
-        return ExactMatrix(re, im, self._den * other._den)
+        return ExactMatrix(*_product(self, other), self._den * other._den)
 
     def scale(self, c) -> "ExactMatrix":
         c = GaussianRational.from_value(c)
@@ -519,15 +566,58 @@ class ExactMatrix:
         return R.take_cols(range(self.nrows, 2 * self.nrows))
 
 
+class MatrixFamily:
+    """A fixed family of members M_0, ..., M_{r-1}, each a list of blocks
+    with the same shapes in every member, ready for linear combinations.
+
+    The numerators of all members are flattened once into one r x L integer
+    matrix over one denominator, L being the total size of a member's
+    blocks; combine then costs one exact product (see the module docstring).
+    """
+
+    __slots__ = ("_flat", "_shapes")
+
+    def __init__(self, members):
+        members = [list(m) for m in members]
+        if not members or not members[0]:
+            raise ValueError("need at least one member with at least one block")
+        shapes = [b.shape for b in members[0]]
+        if any([b.shape for b in m] != shapes for m in members):
+            raise ValueError("members must have blocks of the same shapes")
+        den = math.lcm(*(b._den for m in members for b in m))
+        scaled = [[b._scaled_to(den) for b in m] for m in members]
+        re = [np.concatenate([s[0].ravel() for s in m]) for m in scaled]
+        im = [np.concatenate([s[1].ravel() for s in m]) for m in scaled]
+        parts = _common(0, *re, *im)
+        r = len(members)
+        self._flat = ExactMatrix(np.stack(parts[:r]), np.stack(parts[r:]), den)
+        self._shapes = shapes
+
+    def combine(self, coeffs: ExactMatrix) -> list:
+        """sum_k coeffs[k, j] * M_k for each column j of coeffs, each as the
+        list of its blocks."""
+        if coeffs.nrows != self._flat.nrows:
+            raise ValueError("coefficient rows do not match the family")
+        re, im = _product(coeffs.T, self._flat)
+        den = coeffs._den * self._flat._den
+        out = []
+        for j in range(coeffs.ncols):
+            blocks = []
+            at = 0
+            for p, q in self._shapes:
+                cut = slice(at, at + p * q)
+                blocks.append(ExactMatrix(re[j, cut].reshape(p, q), im[j, cut].reshape(p, q), den))
+                at += p * q
+            out.append(blocks)
+        return out
+
+
 def weighted_sum(mats, coeffs: ExactMatrix) -> ExactMatrix:
     """sum_c coeffs[c, 0] * mats[c], for a column vector of coefficients."""
     mats = list(mats)
     if coeffs.shape != (len(mats), 1):
         raise ValueError("coefficient column does not match matrix list")
-    out = ExactMatrix.zeros(*mats[0].shape)
-    for c in np.flatnonzero((coeffs._re[:, 0] != 0) | (coeffs._im[:, 0] != 0)):
-        out = out + mats[c].scale(coeffs[c, 0])
-    return out
+    return MatrixFamily([m] for m in mats).combine(coeffs)[0][0]
 
 
 def gram_adjoint(t: ExactMatrix, gram_dom: ExactMatrix, gram_cod: ExactMatrix) -> ExactMatrix:
@@ -669,15 +759,8 @@ class GramStack:
         """
         if matrix.ncols != self.num_coords:
             raise ValueError("coordinate count mismatch")
-        out = []
-        for c in range(matrix.nrows):
-            acc = ExactMatrix.zeros(self.dim, self.dim)
-            for k in range(self.num_coords):
-                w = matrix[c, k]
-                if not w.is_zero:
-                    acc = acc + self.coords[k].scale(w)
-            out.append(acc)
-        return GramStack(out)
+        combos = MatrixFamily([g] for g in self.coords).combine(matrix.T)
+        return GramStack(blocks[0] for blocks in combos)
 
     def __eq__(self, other):
         if not isinstance(other, GramStack):

@@ -13,7 +13,6 @@ rejected rather than silently approximated.
 from __future__ import annotations
 
 from .linalg import ExactMatrix
-from .scalars import GaussianRational
 
 
 class NotDiagonalModel(ValueError):
@@ -21,9 +20,13 @@ class NotDiagonalModel(ValueError):
 
 
 class DiagonalOperatorModel:
-    """The unital algebra generated by a family of diagonal operators."""
+    """The unital algebra generated by a family of diagonal operators.
 
-    __slots__ = ("dim", "classes", "idempotents")
+    membership is the 0/1 matrix whose column c marks the coordinates of
+    class c, so the operator with coordinate column x has diagonal
+    membership @ x."""
+
+    __slots__ = ("dim", "classes", "membership", "idempotents")
 
     def __init__(self, generators: list[ExactMatrix]):
         if not generators:
@@ -32,23 +35,26 @@ class DiagonalOperatorModel:
         for g in generators:
             if g.shape != (dim, dim):
                 raise ValueError("generator shape mismatch")
-            for i in range(dim):
-                for j in range(dim):
-                    if i != j and not g[i, j].is_zero:
-                        raise NotDiagonalModel(
-                            "left action operators are not simultaneously diagonal "
-                            "in the module basis; this model only covers the "
-                            "diagonal case"
-                        )
+            if not g.is_diagonal():
+                raise NotDiagonalModel(
+                    "left action operators are not simultaneously diagonal "
+                    "in the module basis; this model only covers the "
+                    "diagonal case"
+                )
+        diagonals = ExactMatrix.hstack([g.diagonal_column() for g in generators])
         signature = {}
-        for j in range(dim):
-            key = tuple(g[j, j] for g in generators)
-            signature.setdefault(key, []).append(j)
+        for j, key in enumerate(diagonals.to_rows()):
+            signature.setdefault(tuple(key), []).append(j)
         self.dim = dim
         self.classes = sorted(signature.values(), key=lambda cls: cls[0])
+        # row j of membership is the unit row of the class of j
+        class_of = [0] * dim
+        for c, cls in enumerate(self.classes):
+            for j in cls:
+                class_of[j] = c
+        self.membership = ExactMatrix.identity(self.rank).take_rows(class_of)
         self.idempotents = [
-            ExactMatrix.diagonal([1 if j in cls else 0 for j in range(dim)])
-            for cls in self.classes
+            self.membership.take_cols([c]).to_diagonal() for c in range(self.rank)
         ]
 
     @property
@@ -60,14 +66,10 @@ class DiagonalOperatorModel:
         the operator lies outside it."""
         if op.shape != (self.dim, self.dim):
             return None
-        values = []
-        for cls in self.classes:
-            v = op[cls[0], cls[0]]
-            values.append(v)
-        candidate = self.element(ExactMatrix.column(values))
-        if candidate != op:
+        values = op.diagonal_column().take_rows([cls[0] for cls in self.classes])
+        if self.element(values) != op:
             return None
-        return ExactMatrix.column(values)
+        return values
 
     def contains(self, op: ExactMatrix) -> bool:
         return self.coords(op) is not None
@@ -76,24 +78,13 @@ class DiagonalOperatorModel:
         """The operator with the given coordinate column."""
         if coeffs.shape != (self.rank, 1):
             raise ValueError("coordinate column shape mismatch")
-        out = ExactMatrix.zeros(self.dim, self.dim)
-        for c, e in enumerate(self.idempotents):
-            out = out + e.scale(coeffs[c, 0])
-        return out
+        return (self.membership @ coeffs).to_diagonal()
 
     def projection_coords(self, op: ExactMatrix) -> list[int] | None:
         """For a projection in the model, its 0/1 class pattern; None when
         the operator is not a model projection."""
         coords = self.coords(op)
-        if coords is None:
+        rows = None if coords is None else coords.integer_rows()
+        if rows is None or any(v not in (0, 1) for v, in rows):
             return None
-        pattern = []
-        for c in range(self.rank):
-            v = coords[c, 0]
-            if v == GaussianRational(0):
-                pattern.append(0)
-            elif v == GaussianRational(1):
-                pattern.append(1)
-            else:
-                return None
-        return pattern
+        return [v for v, in rows]

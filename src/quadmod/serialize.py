@@ -37,7 +37,9 @@ def scalar_to_entry(value: GaussianRational) -> list[int]:
     ]
 
 
-def entry_to_scalar(entry) -> GaussianRational:
+def _checked_entry(entry):
+    """A stored scalar entry, once it is four integers with nonzero
+    denominators."""
     if (
         not isinstance(entry, (list, tuple))
         or len(entry) != 4
@@ -46,6 +48,11 @@ def entry_to_scalar(entry) -> GaussianRational:
         raise SpecFormatError(f"scalar entry must be four integers, got {entry!r}")
     if entry[1] == 0 or entry[3] == 0:
         raise SpecFormatError("scalar entry has a zero denominator")
+    return entry
+
+
+def entry_to_scalar(entry) -> GaussianRational:
+    entry = _checked_entry(entry)
     return GaussianRational(Fraction(entry[0], entry[1]), Fraction(entry[2], entry[3]))
 
 
@@ -62,8 +69,8 @@ def matrix_from_json(data, nrows: int, ncols: int, where: str) -> ExactMatrix:
     for r, row in enumerate(data):
         if not isinstance(row, list) or len(row) != ncols:
             raise SpecFormatError(f"{where}: row {r} must have {ncols} entries")
-        rows.append([entry_to_scalar(e) for e in row])
-    return ExactMatrix.from_rows(rows)
+        rows.append([_checked_entry(e) for e in row])
+    return ExactMatrix.from_entries(rows)
 
 
 def vector_to_json(v: ExactMatrix) -> list:
@@ -73,7 +80,7 @@ def vector_to_json(v: ExactMatrix) -> list:
 def vector_from_json(data, dim: int, where: str) -> ExactMatrix:
     if not isinstance(data, list) or len(data) != dim:
         raise SpecFormatError(f"{where}: expected {dim} entries")
-    return ExactMatrix.column([entry_to_scalar(e) for e in data])
+    return ExactMatrix.from_entries([[_checked_entry(e)] for e in data])
 
 
 def spec_to_dict(spec: QuadModuleSpec) -> dict:

@@ -6,9 +6,10 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from quadmod import linalg, serialize
+from quadmod import fock, linalg, serialize
+from quadmod.algebras import CommAlgebra
 from quadmod.cli import CLIError, main, parse_cycles
-from quadmod.fock import FockOperator
+from quadmod.fock import FockOperator, FockSpace
 from quadmod.linalg import ExactMatrix, GramStack
 from quadmod.opalgebra import DiagonalOperatorModel
 from quadmod.quadmodule import QuadModuleSpec, build_example_MN, build_example_alpha_beta
@@ -244,6 +245,68 @@ def test_one_full_run_builds_the_operator_model_once(monkeypatch, capsys):
     assert built == [4]
 
 
+# Linear combinations and diagonals that are one array operation each.
+ARRAY_ONLY = [
+    (FockSpace, "left_action"),
+    (GramStack, "transform"),
+    (DiagonalOperatorModel, "element"),
+    (DiagonalOperatorModel, "coords"),
+    (CommAlgebra, "mult_matrix"),
+    (serialize, "matrix_from_json"),
+]
+
+
+@pytest.mark.parametrize("sizes, argv", [
+    ((2, 2), ("full", "--depth", "3")),
+    ((2, 6), ("ktheory", "--depth", "2")),
+])
+def test_linear_combinations_read_no_entries(tmp_path, monkeypatch, capsys, sizes, argv):
+    inside, calls, reads = [], Counter(), Counter()
+    for owner, name in ARRAY_ONLY:
+        def spied(*args, _call=getattr(owner, name), _name=name):
+            calls[_name] += 1
+            inside.append(_name)
+            try:
+                return _call(*args)
+            finally:
+                inside.pop()
+        monkeypatch.setattr(owner, name, spied)
+    getitem = ExactMatrix.__getitem__
+
+    def counted(self, key):
+        reads.update(set(inside))
+        return getitem(self, key)
+
+    monkeypatch.setattr(ExactMatrix, "__getitem__", counted)
+    # each tower builds one family per operator list it combines
+    built, families = [], {}
+    real_family, side_family = fock.MatrixFamily, FockSpace._side_family
+
+    def building(members):
+        built.append(1)
+        return real_family(members)
+
+    def recorded(self, ops):
+        family = side_family(self, ops)
+        families.setdefault((id(self), ops), set()).add(id(family))
+        return family
+
+    monkeypatch.setattr(fock, "MatrixFamily", building)
+    monkeypatch.setattr(FockSpace, "_side_family", recorded)
+    # the builtin, read back from a file so that the loader runs too
+    path = tmp_path / "module.json"
+    serialize.save(build_example_MN(*sizes), path)
+    code, _, _ = run_cli(capsys, argv[0], "--input", str(path), *argv[1:])
+    assert code == 0
+    expected = {name for _, name in ARRAY_ONLY}
+    if argv[0] == "ktheory":
+        expected.discard("left_action")
+    assert expected <= set(calls)
+    assert not reads, f"entries read one by one: {dict(reads)}"
+    assert len(built) == len(families)
+    assert all(len(ids) == 1 for ids in families.values())
+
+
 def corrupted_spec_file(tmp_path, path, value):
     """The bipartite module with one stored entry overwritten, as a file."""
     data = copy.deepcopy(serialize.spec_to_dict(build_example_MN(2, 2)))
@@ -266,23 +329,40 @@ def failed_report_checks(capsys, *argv):
             if not c["passed"]}
 
 
+# Rows whose corrupted right action breaks the balancing relations of the
+# first tensor level; the others stop the tower before it is built.
+UNBALANCED = {"right-action-not-multiplicative", "right-action-loses-unit"}
+
+
 @pytest.mark.parametrize(
-    "path,value,expected", [row[1:] for row in CATALOG],
+    "path,value,expected,tower_check",
+    [row[1:] + ("tensor-balanced" if row[0] in UNBALANCED else "tower-construction",)
+     for row in CATALOG],
     ids=[row[0] for row in CATALOG])
 def test_a_tower_that_cannot_be_built_gets_a_report(tmp_path, capsys, path,
-                                                    value, expected):
+                                                    value, expected, tower_check):
     spec_file = corrupted_spec_file(tmp_path, path, value)
     failed = failed_report_checks(
         capsys, "full", "--input", str(spec_file), "--depth", "2")
-    assert {expected, "tower-construction"} <= failed
+    assert {expected, tower_check} <= failed
 
 
 def test_fock_reports_a_tower_that_cannot_be_built(tmp_path, capsys):
-    _, path, value, _ = CATALOG[0]
+    name, path, value, _ = CATALOG[0]
+    assert name in UNBALANCED
     spec_file = corrupted_spec_file(tmp_path, path, value)
-    failed = failed_report_checks(
-        capsys, "fock", "--input", str(spec_file), "--depth", "2")
-    assert failed == {"tower-construction"}
+    code, out, err = run_cli(capsys, "fock", "--input", str(spec_file),
+                             "--depth", "2", "--format", "json")
+    assert (code, err) == (1, "")
+    report = json.loads(out)
+    jsonschema.validate(report, report_schema())
+    # the failed check ends the report: no identity suite runs
+    [tower] = report["sections"]
+    assert tower["title"] == "tower construction"
+    failed = [c for c in tower["checks"] if not c["passed"]]
+    assert [c["id"] for c in failed] == ["tensor-balanced"]
+    assert failed[0]["witness"] == "balancing defect at level 2, word (1,), basis 0"
+    assert tower["checks"][-1] == failed[0]
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,7 +1,10 @@
+import json
+
 import pytest
 
-from quadmod.fock import DepthTooSmall, TooLarge, build_fock
-from quadmod.linalg import ExactMatrix
+from quadmod import cli, fock
+from quadmod.fock import DepthTooSmall, TooLarge, TowerDefect, build_fock
+from quadmod.linalg import ExactMatrix, GramStack
 from quadmod.quadmodule import build_example_MN, build_example_alpha_beta
 from quadmod.scalars import GaussianRational
 
@@ -40,6 +43,37 @@ def test_construction_checks_all_pass():
     assert "index-route-consistent" in ids
     assert "tensor-quotient" in ids
     assert "tensor-associative" in ids
+
+
+def misrouted(monkeypatch, family):
+    """Double the B1-valued form of the level 2 summand of one family, so
+    that the first index-map route misses its A-valued form there."""
+    tensor = fock.relative_tensor
+
+    def perturbed(h, tensor_type, w):
+        space, defects = tensor(h, tensor_type, w)
+        if w is h and tensor_type == family:
+            space.gram_B1 = GramStack(g.scale(2) for g in space.gram_B1.coords)
+        return space, defects
+
+    monkeypatch.setattr(fock, "relative_tensor", perturbed)
+
+
+def test_an_index_route_mismatch_fails_its_check(monkeypatch, capsys):
+    misrouted(monkeypatch, 2)
+    with pytest.raises(TowerDefect) as err:
+        build_fock(build_example_MN(2, 2), 3)
+    failed = err.value.checks[-1]
+    assert (failed.check_id, failed.passed) == ("index-route-consistent", False)
+    assert failed.witness == "index-map route 1 differs at level 2, word (2,), coordinate 0"
+    assert all(c.passed for c in err.value.checks[:-1])
+
+    code = cli.main(["full", "--builtin", "mn:2,2", "--depth", "3", "--format", "json"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 1
+    # validation, then the tower section that the failed check ends
+    assert [sec["title"] for sec in report["sections"]] == ["module validation", "tower construction"]
+    assert report["sections"][1]["checks"][-1]["witness"] == failed.witness
 
 
 def test_summand_keys_are_words():

@@ -8,13 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadmod import linalg
+from quadmod.fock import build_fock
 from quadmod.linalg import (
     ExactMatrix,
+    MatrixFamily,
     NotHermitian,
     SingularGram,
     gram_adjoint,
     psd_check,
 )
+from quadmod.quadmodule import build_example_MN, build_example_alpha_beta
 from quadmod.scalars import GaussianRational as GR
 
 
@@ -632,3 +635,170 @@ def test_real_flag_on_mixed_operands():
     ]:
         _assert_real_flag(x)
         assert x._real == real
+
+
+# -- linear combinations over a fixed family -----------------------------
+
+
+def _object_combination(members, cre, cim, j):
+    """sum_k (cre + i cim)[k, j] * members[k], block by block, on object
+    arrays: a list of (re, im) pairs."""
+    out = []
+    for b in range(len(members[0])):
+        re = sum(int(cre[k, j]) * members[k][b].astype(object) for k in range(len(members)))
+        im = sum(int(cim[k, j]) * members[k][b].astype(object) for k in range(len(members)))
+        out.append((re, im))
+    return out
+
+
+@st.composite
+def gated_combinations(draw):
+    """A real family of r = 2^j members, each one to three blocks of any
+    shapes, and coefficient columns, such that the product bound
+    r*max|c|*max|F| (doubled for complex coefficients) is 2^53, just above
+    it, 2^62 or just above that."""
+    j = draw(st.integers(0, 4))
+    r = 2**j
+    complex_coeffs = draw(st.booleans())
+    gate = draw(st.sampled_from([53, 62])) - (1 if complex_coeffs else 0)
+    p = (gate - j) // 2
+    ftop = 2 ** (gate - j - p)
+    ctop = 2**p + draw(st.sampled_from([0, 1]))
+    # sizes on both sides of the float cutoff r*L*columns >= 2048
+    size = st.sampled_from([1, 3, 8, 24])
+    shapes = draw(st.lists(st.tuples(size, size), min_size=1, max_size=3))
+    s = draw(st.integers(1, 3))
+    aligned = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def part(shape, top):
+        return rng.integers(top // 2 if aligned else -top, top, shape, endpoint=True)
+
+    members = [[part(shape, ftop) for shape in shapes] for _ in range(r)]
+    cre = part((r, s), ctop)
+    cim = part((r, s), ctop) if complex_coeffs else np.zeros((r, s), np.int64)
+    members[0][0].flat[0], cre[0, 0] = ftop, ctop  # pin the maxima
+    if complex_coeffs:
+        cim[0, 0] = ctop
+    return members, cre, cim
+
+
+@settings(max_examples=150, deadline=None)
+@given(gated_combinations())
+def test_combination_matches_object_reference_at_the_gates(case):
+    members, cre, cim = case
+    family = MatrixFamily([[_real_matrix(b) for b in m] for m in members])
+    got = family.combine(ExactMatrix(cre, cim))
+    assert len(got) == cre.shape[1]
+    for j, blocks in enumerate(got):
+        want = _object_combination(members, cre, cim, j)
+        assert blocks == [ExactMatrix(re, im) for re, im in want]
+
+
+def _fraction_combination(members, coeffs, j):
+    """The same sum entry by entry over GaussianRational."""
+    out = []
+    for b in range(len(members[0])):
+        rows = [[GR()] * members[0][b].ncols for _ in range(members[0][b].nrows)]
+        for k, m in enumerate(members):
+            c = coeffs[k, j]
+            for x, row in enumerate(m[b].to_rows()):
+                for y, v in enumerate(row):
+                    rows[x][y] = rows[x][y] + c * v
+        out.append(ExactMatrix.from_rows(rows))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda r: st.tuples(
+            st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)), min_size=1, max_size=3),
+            st.lists(gaussian_entries, min_size=r * 27, max_size=r * 27),
+            st.lists(gaussian_entries, min_size=2 * r, max_size=2 * r),
+            st.booleans(),
+        )
+    )
+)
+def test_combination_matches_fraction_reference(case):
+    shapes, entries, coeffs, zero_column = case
+    r = len(coeffs) // 2
+    pool = iter(entries)
+    members = [
+        [ExactMatrix.from_rows([[next(pool) for _ in range(q)] for _ in range(p)])
+         for p, q in shapes]
+        for _ in range(r)
+    ]
+    # mixed denominators and complex values throughout; optionally one
+    # column of zero coefficients
+    column = [[coeffs[2 * k], GR() if zero_column else coeffs[2 * k + 1]] for k in range(r)]
+    c = ExactMatrix.from_rows(column)
+    got = MatrixFamily(members).combine(c)
+    for j in range(2):
+        assert got[j] == _fraction_combination(members, c, j)
+    if zero_column:
+        assert all(b == ExactMatrix.zeros(*b.shape) for b in got[1])
+
+
+def test_combination_of_blocks_with_different_shapes():
+    a = [ExactMatrix.from_rows([[1, F(1, 2)]]), ExactMatrix.from_rows([[GR(0, 1)], [3], [0]])]
+    b = [ExactMatrix.from_rows([[F(1, 3), 0]]), ExactMatrix.from_rows([[1], [F(-1, 6)], [2]])]
+    family = MatrixFamily([a, b])
+    [blocks] = family.combine(ExactMatrix.column([2, GR(0, 3)]))
+    assert [x.shape for x in blocks] == [(1, 2), (3, 1)]
+    assert blocks[0] == a[0].scale(2) + b[0].scale(GR(0, 3))
+    assert blocks[1] == a[1].scale(2) + b[1].scale(GR(0, 3))
+    [zero] = family.combine(ExactMatrix.zeros(2, 1))
+    assert zero == [ExactMatrix.zeros(1, 2), ExactMatrix.zeros(3, 1)]
+    with pytest.raises(ValueError):
+        family.combine(ExactMatrix.zeros(3, 1))
+    with pytest.raises(ValueError):
+        MatrixFamily([a, b[:1]])
+
+
+def _loop_weighted_sum(mats, coeffs):
+    """The per-coefficient loop side actions used before MatrixFamily: one
+    scale and one addition per nonzero coefficient."""
+    out = ExactMatrix.zeros(*mats[0].shape)
+    for c in range(coeffs.nrows):
+        w = coeffs[c, 0]
+        if not w.is_zero:
+            out = out + mats[c].scale(w)
+    return out
+
+
+@pytest.mark.parametrize("space", [
+    build_fock(build_example_MN(2, 2), 3),
+    build_fock(build_example_alpha_beta(3, [1, 2, 0], [2, 0, 1]), 3),
+], ids=["mn:2,2", "perm:3"])
+def test_side_actions_match_the_per_summand_loop(space):
+    spec = space.spec
+
+    def samples(dim):
+        yield ExactMatrix.zeros(dim, 1)
+        for c in range(dim):
+            yield ExactMatrix.identity(dim).take_cols([c])
+        yield ExactMatrix.column([GR(F(k + 1, 3), F(1 - k, 2)) for k in range(dim)])
+
+    def loop(ops_of, coeffs):
+        blocks = {(k, k): _loop_weighted_sum(ops_of(space.summand(k)), coeffs) for k in space.keys}
+        return {k: v for k, v in blocks.items() if not v.is_zero()}
+
+    for side, alg, ops_of in ((1, spec.algebra_B1, lambda sp: sp.left_B1),
+                              (2, spec.algebra_B2, lambda sp: sp.left_B2)):
+        for b in samples(alg.dim):
+            assert space.left_action(side, b).blocks == loop(ops_of, b)
+    for a in samples(spec.algebra_A.dim):
+        assert space.right_action(a).blocks == loop(lambda sp: sp.right_A, a)
+
+
+def test_diagonal_helpers():
+    col = ExactMatrix.column([F(1, 2), GR(0, 3), 0])
+    d = col.to_diagonal()
+    assert d == ExactMatrix.diagonal([F(1, 2), GR(0, 3), 0])
+    assert d.is_diagonal() and d.diagonal_column() == col
+    assert not ExactMatrix.from_rows([[1, GR(0, 1)], [0, 1]]).is_diagonal()
+    assert ExactMatrix.from_rows([[1, 0], [0, 2]]).diagonal_column().integer_rows() == [[1], [2]]
+    assert col.integer_rows() is None
+    assert ExactMatrix.column([GR(1, 1)]).integer_rows() is None
+    assert ExactMatrix.column([2**70]).integer_rows() == [[2**70]]

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -124,3 +125,43 @@ def test_matrix_round_trip_helpers():
     assert serialize.matrix_from_json(data, 2, 2, "here") == m
     with pytest.raises(SpecFormatError, match="here"):
         serialize.matrix_from_json(data, 3, 2, "here")
+
+
+def scalar(entry):
+    re_num, re_den, im_num, im_den = entry
+    return GaussianRational(Fraction(re_num, re_den), Fraction(im_num, im_den))
+
+
+@pytest.mark.parametrize("rows", [
+    # negative and unreduced denominators
+    [[[1, -2, 0, 1], [6, 4, -3, -9]], [[-5, -10, 2, 6], [0, 7, 0, -3]]],
+    # numerators and denominators above 2^63
+    [[[2**70 + 1, 1, 0, 1], [1, 2**64, -(2**65), 3]], [[3, 1, 0, 1], [-(2**80), 2**80 + 2, 0, 1]]],
+    # numerators above 2^63 that reduce to small values
+    [[[2**64, 2**63, 0, 1], [3 * 2**66, -(2**66), 2**70, 2**70]]],
+    # all zero, over denominators that vanish in the reduction
+    [[[0, 5, 0, -7], [0, 1, 0, 2**70]], [[0, -1, 0, 1], [0, 3, 0, 3]]],
+])
+def test_loader_matches_from_rows(rows):
+    got = serialize.matrix_from_json(rows, len(rows), len(rows[0]), "here")
+    assert got == ExactMatrix.from_rows([[scalar(e) for e in row] for row in rows])
+    column = [row[0] for row in rows]
+    assert serialize.vector_from_json(column, len(column), "here") == \
+        ExactMatrix.column([scalar(e) for e in column])
+
+
+@pytest.mark.parametrize("entry, message", [
+    ([1, 2, 3], "scalar entry must be four integers, got [1, 2, 3]"),
+    ([1, 2, 3, "x"], "scalar entry must be four integers, got [1, 2, 3, 'x']"),
+    ([1, True, 0, 1], "scalar entry must be four integers, got [1, True, 0, 1]"),
+    ("1/2", "scalar entry must be four integers, got '1/2'"),
+    ([1, 0, 0, 1], "scalar entry has a zero denominator"),
+    ([1, 1, 0, 0], "scalar entry has a zero denominator"),
+])
+def test_loader_keeps_the_malformed_entry_messages(entry, message):
+    for load in (lambda: serialize.matrix_from_json([[[0, 1, 0, 1], entry]], 1, 2, "here"),
+                 lambda: serialize.vector_from_json([entry], 1, "here"),
+                 lambda: serialize.entry_to_scalar(entry)):
+        with pytest.raises(SpecFormatError) as err:
+            load()
+        assert str(err.value) == message
