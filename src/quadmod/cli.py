@@ -279,16 +279,21 @@ def two_isometry_section(gens: GeneratorFamily, perms) -> dict | None:
 SMITH_TRIALS = 25
 
 
+def smith_trial_matrices(seed: int):
+    """The random integer matrices, at most 6 x 6, that the Smith-form self
+    check factors, frozen by seed."""
+    rng = random.Random(seed)
+    for _ in range(SMITH_TRIALS):
+        rows = rng.randrange(1, 7)
+        cols = rng.randrange(1, 7)
+        yield [[rng.randrange(-9, 10) for _ in range(cols)] for _ in range(rows)]
+
+
 def smith_self_check(seed: int) -> CheckResult:
     """Randomized invariants of the integer normal form, frozen by seed."""
     statement = ("random integer matrices factor as U D V with unimodular "
                  "U, V and a positive dividing diagonal")
-    rng = random.Random(seed)
-    for trial in range(SMITH_TRIALS):
-        rows = rng.randrange(1, 7)
-        cols = rng.randrange(1, 7)
-        matrix = [[rng.randrange(-9, 10) for _ in range(cols)]
-                  for _ in range(rows)]
+    for trial, matrix in enumerate(smith_trial_matrices(seed)):
         form = smith_normal_form(matrix)
         ok = int_matmul(int_matmul(form.left, matrix), form.right) == form.diagonal
         ok = ok and abs(determinant(form.left)) == 1

@@ -19,7 +19,14 @@ from __future__ import annotations
 
 import os
 
-from .linalg import ExactMatrix, GramStack, MatrixFamily
+from .linalg import (
+    ExactMatrix,
+    GramStack,
+    MatrixFamily,
+    identity_kron_times,
+    kron_sum,
+    times_kron_identity,
+)
 from .quadmodule import QuadModuleSpec
 from .report import CheckResult
 from .scalars import GaussianRational
@@ -168,22 +175,17 @@ def _tensor_stacks(inner_left: GramStack, target_stacks, left_ops):
     inner_left is the left factor's inner product valued in the balancing
     algebra; left_ops is that algebra's left action on the right factor;
     each entry of target_stacks is the right factor's Gram stack for one
-    target algebra (or None, which passes through).
+    target algebra (or None, which passes through). Coordinate W of a
+    target stack becomes sum_c inner_left.coords[c] (x) (W @ left_ops[c]).
     """
-    out = []
-    for stack in target_stacks:
-        if stack is None:
-            out.append(None)
-            continue
-        coords = []
-        for c in range(stack.num_coords):
-            dim = inner_left.dim * stack.dim
-            acc = ExactMatrix.zeros(dim, dim)
-            for c2 in range(inner_left.num_coords):
-                acc = acc + inner_left.coords[c2].kron(stack.coords[c] @ left_ops[c2])
-            coords.append(acc)
-        out.append(GramStack(coords))
-    return out
+    # (I (x) W) @ sum_c G_c (x) L_c = sum_c G_c (x) (W @ L_c), by the
+    # mixed-product rule: the sum is formed once for every coordinate W
+    total = kron_sum(inner_left.coords, left_ops)
+    return [
+        None if stack is None
+        else GramStack(identity_kron_times(inner_left.dim, w, total) for w in stack.coords)
+        for stack in target_stacks
+    ]
 
 
 def relative_tensor(h: QuadSpace, tensor_type: int, w: QuadSpace) -> tuple[QuadSpace, list[ExactMatrix]]:
@@ -243,10 +245,10 @@ class FockOperator:
         return FockOperator(self.space, blocks)
 
     def __sub__(self, other):
-        return self + other.scale(-1)
+        return self + (-other)
 
     def __neg__(self):
-        return self.scale(-1)
+        return FockOperator(self.space, {k: -v for k, v in self.blocks.items()})
 
     def scale(self, c) -> "FockOperator":
         c = GaussianRational.from_value(c)
@@ -381,7 +383,7 @@ class FockSpace:
             dest = (n + 1, (family,) + word)
             dsp = self.summands[dest]
             src = self.summands[key]
-            blocks[(dest, key)] = dsp.express @ xi_q.kron(ExactMatrix.identity(src.dim))
+            blocks[(dest, key)] = times_kron_identity(dsp.express, xi_q, src.dim)
         return FockOperator(self, blocks)
 
     def _side_family(self, ops: str) -> MatrixFamily:
@@ -429,8 +431,7 @@ class FockSpace:
                 continue
             tail = self.summands[(n - 1, word[1:])]
             sp = self.summands[key]
-            amb = L.kron(ExactMatrix.identity(tail.dim))
-            lifted = sp.express @ amb
+            lifted = times_kron_identity(sp.express, L, tail.dim)
             null_proj = ExactMatrix.identity(sp.ambient_dim) - sp.include @ sp.express
             if not (lifted @ null_proj).is_zero():
                 raise ValueError(

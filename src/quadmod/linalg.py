@@ -35,6 +35,33 @@ takes the float64 product under the bound r*max|c|*max|F| (doubled for
 complex operands, as above), int64 under 2^62 and big integers otherwise.
 Several combinations, one per coefficient column, share the product.
 
+Kronecker-structured products are one such product each as well; no
+Kronecker product is formed only to be summed or multiplied:
+
+* kron_sum(lefts, rights) = sum_k A_k (x) B_k over r pairs, with the A_k
+  m x n and the B_k p x q. Flattened as MatrixFamily flattens a family, the
+  A_k make an r x mn integer matrix A and the B_k an r x pq one B, each over
+  its lcm denominator. Entry ((i, j), (k, l)) of A^T B is the sum's entry
+  ((i, k), (j, l)), so regrouping the axes (m, n, p, q) of A^T B into
+  (m, p, n, q) gives the mp x nq result. Its inner dimension is r, so its
+  bound is r*max|A|*max|B|.
+* times_kron_identity(mat, x, s) = mat @ (x (x) I_s), with x h x q. The
+  r x (h s) matrix mat is regrouped into an (r s) x h one, multiplied by x
+  once, and the (r s) x q product is regrouped back into r x (q s). Its
+  inner dimension is h, not h*s, so its bound h*max|mat|*max|x| is s times
+  smaller than that of the product with x (x) I_s, which is never formed.
+* identity_kron_times(s, x, mat) = (I_s (x) x) @ mat, with x a x h, is the
+  mirror image: the (s h) x n matrix mat is regrouped into h x (s n), x
+  times it is regrouped back into (s a) x n, and the bound is
+  h*max|x|*max|mat|.
+
+The bounds double for complex operands, and every product goes through
+ExactMatrix @, so each takes the float64, int64 or big-integer path as
+above. Regrouping only moves entries, so each kernel normalises once, in
+its product. GramStack.pair reads an algebra-valued inner product the same
+way: <x|y> = (x^H G_c y)_c is the coordinate Grams, stacked once into one
+(d n) x n matrix, times y, read as a d x n matrix, times conj(x).
+
 The module also provides deterministic reduced row echelon form, kernel and
 solve built on it, and Gram-form utilities: exact positive-semidefiniteness
 with a rational negativity witness, and adjoints of linear maps with respect
@@ -566,6 +593,26 @@ class ExactMatrix:
         return R.take_cols(range(self.nrows, 2 * self.nrows))
 
 
+def _flatten(members):
+    """The numerators of members M_0, ..., M_{r-1}, each a list of blocks
+    with the same shapes in every member, as one r x L ExactMatrix over one
+    denominator (row k holds the entries of M_k's blocks, row-major, block
+    after block), together with the block shapes."""
+    members = [list(m) for m in members]
+    if not members or not members[0]:
+        raise ValueError("need at least one member with at least one block")
+    shapes = [b.shape for b in members[0]]
+    if any([b.shape for b in m] != shapes for m in members):
+        raise ValueError("members must have blocks of the same shapes")
+    den = math.lcm(*(b._den for m in members for b in m))
+    scaled = [[b._scaled_to(den) for b in m] for m in members]
+    re = [np.concatenate([s[0].ravel() for s in m]) for m in scaled]
+    im = [np.concatenate([s[1].ravel() for s in m]) for m in scaled]
+    parts = _common(0, *re, *im)
+    r = len(members)
+    return ExactMatrix(np.stack(parts[:r]), np.stack(parts[r:]), den), shapes
+
+
 class MatrixFamily:
     """A fixed family of members M_0, ..., M_{r-1}, each a list of blocks
     with the same shapes in every member, ready for linear combinations.
@@ -578,20 +625,7 @@ class MatrixFamily:
     __slots__ = ("_flat", "_shapes")
 
     def __init__(self, members):
-        members = [list(m) for m in members]
-        if not members or not members[0]:
-            raise ValueError("need at least one member with at least one block")
-        shapes = [b.shape for b in members[0]]
-        if any([b.shape for b in m] != shapes for m in members):
-            raise ValueError("members must have blocks of the same shapes")
-        den = math.lcm(*(b._den for m in members for b in m))
-        scaled = [[b._scaled_to(den) for b in m] for m in members]
-        re = [np.concatenate([s[0].ravel() for s in m]) for m in scaled]
-        im = [np.concatenate([s[1].ravel() for s in m]) for m in scaled]
-        parts = _common(0, *re, *im)
-        r = len(members)
-        self._flat = ExactMatrix(np.stack(parts[:r]), np.stack(parts[r:]), den)
-        self._shapes = shapes
+        self._flat, self._shapes = _flatten(members)
 
     def combine(self, coeffs: ExactMatrix) -> list:
         """sum_k coeffs[k, j] * M_k for each column j of coeffs, each as the
@@ -618,6 +652,55 @@ def weighted_sum(mats, coeffs: ExactMatrix) -> ExactMatrix:
     if coeffs.shape != (len(mats), 1):
         raise ValueError("coefficient column does not match matrix list")
     return MatrixFamily([m] for m in mats).combine(coeffs)[0][0]
+
+
+def _permuted(x: ExactMatrix, shape, axes, rows: int, cols: int) -> ExactMatrix:
+    """The entries of x read row-major as an array of the given shape, its
+    axes permuted, as a rows x cols matrix. Moving entries keeps x's
+    normalisation, so the result is not normalised again."""
+    re = x._re.reshape(shape).transpose(axes).reshape(rows, cols)
+    if x._real:
+        return ExactMatrix(re, np.zeros(re.shape, np.int64), x._den, _normalize=False)
+    im = x._im.reshape(shape).transpose(axes).reshape(rows, cols)
+    return ExactMatrix(re, im, x._den, _normalize=False)
+
+
+def kron_sum(lefts, rights) -> ExactMatrix:
+    """sum_k lefts[k] (x) rights[k] as one exact product (see the module
+    docstring); the lefts share one shape, and so do the rights."""
+    lefts, rights = list(lefts), list(rights)
+    if len(lefts) != len(rights):
+        raise ValueError("need as many right factors as left factors")
+    a, [(m, n)] = _flatten([x] for x in lefts)
+    b, [(p, q)] = _flatten([x] for x in rights)
+    # entry ((i, j), (k, l)) of a^T b is sum_t lefts[t][i, j] * rights[t][k, l]
+    return _permuted(a.T @ b, (m, n, p, q), (0, 2, 1, 3), m * p, n * q)
+
+
+def times_kron_identity(mat: ExactMatrix, x: ExactMatrix, s: int) -> ExactMatrix:
+    """mat @ (x (x) I_s) as one exact product with inner dimension x.nrows,
+    without forming the Kronecker product (see the module docstring)."""
+    h, q = x.shape
+    r = mat.nrows
+    if mat.ncols != h * s:
+        raise ValueError("matrix columns do not match the Kronecker product")
+    # column (t, v) of row i moves to column t of row (i, v) ...
+    folded = _permuted(mat, (r, h, s), (0, 2, 1), r * s, h)
+    # ... and column j of row (i, v) of the product back to column (j, v) of row i
+    return _permuted(folded @ x, (r, s, q), (0, 2, 1), r, q * s)
+
+
+def identity_kron_times(s: int, x: ExactMatrix, mat: ExactMatrix) -> ExactMatrix:
+    """(I_s (x) x) @ mat as one exact product with inner dimension x.ncols,
+    without forming the Kronecker product (see the module docstring)."""
+    a, p = x.shape
+    n = mat.ncols
+    if mat.nrows != s * p:
+        raise ValueError("matrix rows do not match the Kronecker product")
+    # row (i, t) of mat moves to row t of column block i ...
+    folded = _permuted(mat, (s, p, n), (1, 0, 2), p, s * n)
+    # ... and row k of column block i of the product back to row (i, k)
+    return _permuted(x @ folded, (a, s, n), (1, 0, 2), s * a, n)
 
 
 def gram_adjoint(t: ExactMatrix, gram_dom: ExactMatrix, gram_cod: ExactMatrix) -> ExactMatrix:
@@ -711,7 +794,7 @@ class GramStack:
     target algebra: <x|y> has c-th coordinate x^H coords[c] y.
     """
 
-    __slots__ = ("coords",)
+    __slots__ = ("coords", "_stacked")
 
     def __init__(self, coords):
         coords = list(coords)
@@ -722,6 +805,9 @@ class GramStack:
             if g.shape != (dim, dim):
                 raise ValueError("coordinate Gram matrices must be square and equal-size")
         self.coords = coords
+        # the coordinate Grams stacked in one column, built by the first
+        # pair; valid for good, as nothing reassigns coords or writes arrays
+        self._stacked = None
 
     @property
     def dim(self) -> int:
@@ -732,8 +818,17 @@ class GramStack:
         return len(self.coords)
 
     def pair(self, x: ExactMatrix, y: ExactMatrix) -> ExactMatrix:
-        """Algebra element <x|y>, as a column vector."""
-        return ExactMatrix.vstack([x.H @ g @ y for g in self.coords])
+        """Algebra element <x|y> of two column vectors, as a column vector.
+
+        Two exact products: the stacked Grams times y, whose row block c is
+        coords[c] @ y, read as the rows of a num_coords x dim matrix, times
+        conj(x)."""
+        if x.shape != (self.dim, 1) or y.shape != (self.dim, 1):
+            raise ValueError("pair takes two column vectors of the form's dimension")
+        if self._stacked is None:
+            self._stacked = ExactMatrix.vstack(self.coords)
+        d, n = self.num_coords, self.dim
+        return _permuted(self._stacked @ y, (d, n), (0, 1), d, n) @ x.conj()
 
     def value(self, p: int, q: int) -> ExactMatrix:
         return ExactMatrix.from_rows([[g[p, q]] for g in self.coords])

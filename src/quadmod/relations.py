@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .fock import FockOperator, FockSpace
-from .linalg import ExactMatrix, gram_adjoint, weighted_sum
+from .linalg import ExactMatrix, gram_adjoint, kron_sum, weighted_sum
 from .opalgebra import DiagonalOperatorModel, NotDiagonalModel
 from .report import CheckResult, IdentityReport
 from .scalars import GaussianRational
@@ -156,11 +156,7 @@ def _annihilation_expected(space: FockSpace, family: int, xi: ExactMatrix) -> Fo
         src = space.summand(src_key)
         tail = space.summand(key)
         ops = tail.left_B1 if family == 1 else tail.left_B2
-        m_amb = None
-        for c, g in enumerate(gram.coords):
-            piece = (xi_q.H @ g).kron(ops[c])
-            m_amb = piece if m_amb is None else m_amb + piece
-        blocks[(key, src_key)] = m_amb @ src.include
+        blocks[(key, src_key)] = kron_sum(rows, ops) @ src.include
     return FockOperator(space, blocks)
 
 

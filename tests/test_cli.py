@@ -6,7 +6,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from quadmod import fock, linalg, serialize
+from quadmod import fock, linalg, relations, serialize
 from quadmod.algebras import CommAlgebra
 from quadmod.cli import CLIError, main, parse_cycles
 from quadmod.fock import FockOperator, FockSpace
@@ -305,6 +305,72 @@ def test_linear_combinations_read_no_entries(tmp_path, monkeypatch, capsys, size
     assert not reads, f"entries read one by one: {dict(reads)}"
     assert len(built) == len(families)
     assert all(len(ids) == 1 for ids in families.values())
+
+
+# Kronecker-structured work that runs through linalg's Kronecker kernels.
+KRON_FREE = [
+    (fock, "_tensor_stacks"),
+    (FockSpace, "creation"),
+    (FockSpace, "lift"),
+    (relations, "_annihilation_expected"),
+]
+
+
+@pytest.mark.parametrize("builtin, options", [
+    ("mn:2,2", ("--depth", "3")),
+    ("perm:5,(0 1 2 3 4),(0 2 4 1 3)", ()),
+])
+def test_kronecker_products_form_no_krons(monkeypatch, capsys, builtin, options):
+    inside, calls, krons = [], Counter(), Counter()
+    for owner, name in KRON_FREE:
+        def spied(*args, _call=getattr(owner, name), _name=name):
+            calls[_name] += 1
+            inside.append(_name)
+            try:
+                return _call(*args)
+            finally:
+                inside.pop()
+        monkeypatch.setattr(owner, name, spied)
+    kron = ExactMatrix.kron
+
+    def counted_kron(self, other):
+        krons.update(set(inside))
+        return kron(self, other)
+
+    monkeypatch.setattr(ExactMatrix, "kron", counted_kron)
+    # products per pair call, and stacked Gram builds per stack (the
+    # stacks are kept alive, so that no id is reused)
+    pairing, products, stacked, stacks = [], [], Counter(), []
+    pair, matmul, vstack = GramStack.pair, ExactMatrix.__matmul__, ExactMatrix.vstack
+
+    def counted_pair(self, x, y):
+        pairing.append(self)
+        products.append(0)
+        try:
+            return pair(self, x, y)
+        finally:
+            pairing.pop()
+
+    def counted_matmul(self, other):
+        if pairing:
+            products[-1] += 1
+        return matmul(self, other)
+
+    def counted_vstack(mats):
+        if pairing:
+            stacked[id(pairing[-1])] += 1
+            stacks.append(pairing[-1])
+        return vstack(mats)
+
+    monkeypatch.setattr(GramStack, "pair", counted_pair)
+    monkeypatch.setattr(ExactMatrix, "__matmul__", counted_matmul)
+    monkeypatch.setattr(ExactMatrix, "vstack", staticmethod(counted_vstack))
+    code, _, _ = run_cli(capsys, "full", "--builtin", builtin, *options)
+    assert code == 0
+    assert set(calls) == {name for _, name in KRON_FREE}
+    assert not krons, f"krons formed: {dict(krons)}"
+    assert products and max(products) <= 2
+    assert stacked and max(stacked.values()) == 1
 
 
 def corrupted_spec_file(tmp_path, path, value):

@@ -1,8 +1,11 @@
+import math
 import random
+from itertools import combinations
 
 import pytest
 
 from quadmod.ck import bipartite_relation_matrices
+from quadmod.cli import smith_trial_matrices
 from quadmod.fock import build_fock
 from quadmod.ktheory import (
     AssumptionsViolated,
@@ -78,6 +81,62 @@ def test_smith_random_invariants_stay_exact():
             for x in d:
                 product *= x
             assert abs(determinant(matrix)) == product
+
+
+def _invariant_factors_from_minors(matrix):
+    """The nonzero invariant factors of an integer matrix with no
+    elimination at all: d_k / d_(k-1), d_k being the gcd of the k x k minors
+    and d_0 = 1, until every k x k minor vanishes (k is then one past the
+    rank)."""
+    m, n = len(matrix), len(matrix[0])
+    factors, previous = [], 1
+    for k in range(1, min(m, n) + 1):
+        d = 0
+        for rows in combinations(range(m), k):
+            for cols in combinations(range(n), k):
+                d = math.gcd(d, determinant([[matrix[i][j] for j in cols] for i in rows]))
+        if d == 0:
+            break
+        factors.append(d // previous)
+        previous = d
+    return factors
+
+
+def _assert_smith_matches_minors(matrix):
+    form = smith_normal_form(matrix)
+    factors = _invariant_factors_from_minors(matrix)
+    assert form.rank == len(factors)
+    assert form.diag[:form.rank] == factors
+    assert not any(form.diag[form.rank:])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_smith_self_check_matrices_match_determinantal_divisors(seed):
+    matrices = list(smith_trial_matrices(seed))
+    assert max(max(len(m), len(m[0])) for m in matrices) <= 6
+    for matrix in matrices:
+        _assert_smith_matches_minors(matrix)
+
+
+@pytest.mark.parametrize("spec", [
+    build_example_MN(2, 2),
+    build_example_MN(2, 3),
+    build_example_alpha_beta(4, [1, 0, 3, 2], [2, 3, 0, 1]),
+], ids=["mn:2,2", "mn:2,3", "perm:4"])
+def test_class_matrices_match_determinantal_divisors(spec):
+    a = k_groups(make_generators(build_fock(spec, 2))).class_matrix
+    n = len(a)
+    # K0 and K1 are the cokernel and kernel of I - A
+    delta = [[int(i == j) - a[i][j] for j in range(n)] for i in range(n)]
+    for matrix in (a, delta):
+        _assert_smith_matches_minors(matrix)
+
+
+def test_determinantal_divisors_of_known_forms():
+    assert _invariant_factors_from_minors([[2, 0], [0, 3]]) == [1, 6]
+    assert _invariant_factors_from_minors([[4, 0], [0, 6]]) == [2, 12]
+    assert _invariant_factors_from_minors([[0, 0], [0, 0]]) == []
+    assert _invariant_factors_from_minors([[2, 4, 6]]) == [2]
 
 
 def test_determinant_basics():

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadmod import linalg
+from quadmod import fock, linalg
 from quadmod.fock import build_fock
 from quadmod.linalg import (
     ExactMatrix,
+    GramStack,
     MatrixFamily,
     NotHermitian,
     SingularGram,
@@ -465,23 +466,29 @@ def _real_matrix(arr):
     return ExactMatrix(arr, np.zeros(arr.shape, np.int64))
 
 
-def _real_product(a, b):
-    """The product of the real matrices a and b, with the path it took:
-    "float" when it never reaches the int64/object promotion rule, else the
-    dtype that rule chose."""
-    x, y = _real_matrix(a), _real_matrix(b)
+def _gate_path(call):
+    """call() and the path of its one product: "float" when no nonzero bound
+    reaches the int64/object promotion rule, else the dtype that rule chose
+    (stacking passes the bound 0 and is not counted)."""
     chosen = []
     common = linalg._common
 
     def spy(bound, *arrays):
         out = common(bound, *arrays)
-        chosen.append("object" if out[0].dtype == object else "int64")
+        if bound:
+            chosen.append("object" if out[0].dtype == object else "int64")
         return out
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(linalg, "_common", spy)
-        got = x @ y
+        got = call()
     return got, chosen[0] if chosen else "float"
+
+
+def _real_product(a, b):
+    """The product of the nonzero real matrices a and b, with the path it
+    took (see _gate_path)."""
+    return _gate_path(lambda: _real_matrix(a) @ _real_matrix(b))
 
 
 @st.composite
@@ -802,3 +809,280 @@ def test_diagonal_helpers():
     assert col.integer_rows() is None
     assert ExactMatrix.column([GR(1, 1)]).integer_rows() is None
     assert ExactMatrix.column([2**70]).integer_rows() == [[2**70]]
+
+
+# -- Kronecker-structured products ----------------------------------------
+#
+# Each kernel is one exact product; the loops below are the code the kernels
+# replaced, kept as references beside an object-dtype one.
+
+
+def _loop_kron_sum(lefts, rights):
+    """One kron and one addition per term."""
+    out = lefts[0].kron(rights[0])
+    for a, b in zip(lefts[1:], rights[1:]):
+        out = out + a.kron(b)
+    return out
+
+
+def _loop_times_kron_identity(mat, x, s):
+    return mat @ x.kron(ExactMatrix.identity(s))
+
+
+def _loop_identity_kron_times(s, x, mat):
+    return ExactMatrix.identity(s).kron(x) @ mat
+
+
+def _loop_pair(stack, x, y):
+    """Two products per coordinate and a vstack of the 1 x 1 results."""
+    return ExactMatrix.vstack([x.H @ g @ y for g in stack.coords])
+
+
+def _loop_tensor_stacks(inner_left, target_stacks, left_ops):
+    out = []
+    for stack in target_stacks:
+        if stack is None:
+            out.append(None)
+            continue
+        coords = []
+        for w in stack.coords:
+            dim = inner_left.dim * stack.dim
+            acc = ExactMatrix.zeros(dim, dim)
+            for g, op in zip(inner_left.coords, left_ops):
+                acc = acc + g.kron(w @ op)
+            coords.append(acc)
+        out.append(GramStack(coords))
+    return out
+
+
+def _object_kron(are, aim, bre, bim):
+    are, aim, bre, bim = (x.astype(object) for x in (are, aim, bre, bim))
+    return (np.kron(are, bre) - np.kron(aim, bim), np.kron(are, bim) + np.kron(aim, bre))
+
+
+def _object_matrix(terms):
+    """sum of (re, im, den) object-array terms as one ExactMatrix, each term
+    rescaled to the lcm of the denominators."""
+    den = math.lcm(*(d for _, _, d in terms))
+    re = sum(r * (den // d) for r, _, d in terms)
+    im = sum(i * (den // d) for _, i, d in terms)
+    return ExactMatrix(re, im, den)
+
+
+@st.composite
+def gated_tops(draw, k):
+    """Entry bounds (ta, tb) and a complex flag such that the product bound
+    k*ta*tb, doubled for complex entries, is 2^53, just above it, 2^62, just
+    above that, or 2^64, past the int64 range; k is a power of two. Neither
+    bound is a multiple of 3, the denominator entries may carry."""
+    j = k.bit_length() - 1
+    complex_entries = draw(st.booleans())
+    e = draw(st.sampled_from([53, 62, 64])) - j - (1 if complex_entries else 0)
+    pa = e // 2
+    ta = 2**pa + draw(st.sampled_from([0, 3]))
+    return ta, 2 ** (e - pa), complex_entries
+
+
+def _raw_operand(draw, rng, shape, top, complex_entries, pinned):
+    """Integer numerators (re, im) over a denominator of 1 or 3: numerators
+    over 3 are at most top in magnitude and those over 1 at most top // 3,
+    so that rescaled to the denominator 3 every numerator stays at most
+    top. A pinned operand has its first entry at top over 3, which keeps
+    the denominator 3 through normalisation."""
+    den = 3 if pinned else draw(st.sampled_from([1, 3]))
+    bound = top if den == 3 else top // 3
+    aligned = draw(st.booleans())
+
+    def part():
+        return rng.integers(bound // 2 if aligned else -bound, bound, shape, endpoint=True)
+
+    re = part()
+    im = part() if complex_entries else np.zeros(shape, np.int64)
+    if pinned:
+        re.flat[0] = top
+    return re, im, den
+
+
+@st.composite
+def kron_sum_cases(draw):
+    """r = 2^j pairs of factors (A_k, B_k) of shapes m x n and p x q at the
+    gates of gated_tops, with mixed denominators."""
+    r = 2 ** draw(st.integers(0, 3))
+    ta, tb, complex_entries = draw(gated_tops(r))
+    # sizes on both sides of the float cutoff m*n*r*p*q >= 2048
+    dims = st.sampled_from([1, 3, 8])
+    (m, n), (p, q) = (draw(st.tuples(dims, dims)) for _ in range(2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lefts = [_raw_operand(draw, rng, (m, n), ta, complex_entries, k == 0) for k in range(r)]
+    rights = [_raw_operand(draw, rng, (p, q), tb, complex_entries, k == 0) for k in range(r)]
+    return lefts, rights
+
+
+@settings(max_examples=150, deadline=None)
+@given(kron_sum_cases())
+def test_kron_sum_matches_the_loop_and_an_object_reference(case):
+    lefts, rights = case
+    a = [ExactMatrix(*x) for x in lefts]
+    b = [ExactMatrix(*x) for x in rights]
+    got = linalg.kron_sum(a, b)
+    want = _object_matrix([
+        (*_object_kron(ar, ai, br, bi), da * db)
+        for (ar, ai, da), (br, bi, db) in zip(lefts, rights)
+    ])
+    assert got == want
+    assert got == _loop_kron_sum(a, b)
+    _assert_real_flag(got)
+
+
+@st.composite
+def kron_identity_cases(draw):
+    """An identity factor I_s and two matrices x and mat, at the gates of
+    gated_tops with the inner dimension h = 2^j, and denominators of 1 or
+    3: x is h x q and mat r x (h s) for mat @ (x (x) I_s) ("right"), or x
+    is q x h and mat (s h) x r for (I_s (x) x) @ mat ("left")."""
+    side = draw(st.sampled_from(["right", "left"]))
+    h = 2 ** draw(st.integers(0, 4))
+    ta, tb, complex_entries = draw(gated_tops(h))
+    # sizes on both sides of the float cutoff r*s*h*q >= 2048
+    r, q = (draw(st.sampled_from([1, 3, 16, 40])) for _ in range(2))
+    s = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mat_shape, x_shape = ((r, h * s), (h, q)) if side == "right" else ((h * s, r), (q, h))
+    mat = _raw_operand(draw, rng, mat_shape, ta, complex_entries, True)
+    x = _raw_operand(draw, rng, x_shape, tb, complex_entries, True)
+    if draw(st.booleans()):
+        mat = (mat[0], mat[1], 1)
+    if draw(st.booleans()):
+        x = (x[0], x[1], 1)
+    return side, mat, x, s
+
+
+@settings(max_examples=200, deadline=None)
+@given(kron_identity_cases())
+def test_kron_identity_products_match_the_loop_and_an_object_reference(case):
+    side, (mre, mim, md), (xre, xim, xd), s = case
+    mat, x = ExactMatrix(mre, mim, md), ExactMatrix(xre, xim, xd)
+    eye = np.eye(s, dtype=np.int64)
+    if side == "right":
+        got = linalg.times_kron_identity(mat, x, s)
+        kre, kim = _object_kron(xre, xim, eye, np.zeros_like(eye))
+        want = _object_product(mre, mim, kre, kim)
+        assert got == _loop_times_kron_identity(mat, x, s)
+    else:
+        got = linalg.identity_kron_times(s, x, mat)
+        kre, kim = _object_kron(eye, np.zeros_like(eye), xre, xim)
+        want = _object_product(kre, kim, mre, mim)
+        assert got == _loop_identity_kron_times(s, x, mat)
+    assert got == _object_matrix([(*want, md * xd)])
+    _assert_real_flag(got)
+
+
+@st.composite
+def pair_cases(draw):
+    """A Gram stack of d coordinates on C^n, n = 2^j, and two columns x, y,
+    with coords @ y at the gates of gated_tops and denominators of 1 or 3."""
+    n = 2 ** draw(st.integers(0, 5))
+    ta, tb, complex_entries = draw(gated_tops(n))
+    d = draw(st.sampled_from([1, 2, 5]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    coords = [_raw_operand(draw, rng, (n, n), ta, complex_entries, c == 0) for c in range(d)]
+    x = _raw_operand(draw, rng, (n, 1), tb, complex_entries, draw(st.booleans()))
+    y = _raw_operand(draw, rng, (n, 1), tb, complex_entries, True)
+    return coords, x, y
+
+
+@settings(max_examples=150, deadline=None)
+@given(pair_cases())
+def test_pair_matches_the_loop_and_an_object_reference(case):
+    coords, (xre, xim, xd), (yre, yim, yd) = case
+    stack = GramStack(ExactMatrix(*g) for g in coords)
+    x, y = ExactMatrix(xre, xim, xd), ExactMatrix(yre, yim, yd)
+    got = stack.pair(x, y)
+    # x^H G y = conj(x)^T (G y), one row per coordinate
+    rows = []
+    for gre, gim, gd in coords:
+        gy = _object_product(gre, gim, yre, yim)
+        val = _object_product(xre.T, -xim.T, *gy)
+        rows.append(ExactMatrix(*val, gd * xd * yd))
+    assert got == ExactMatrix.vstack(rows)
+    assert got == _loop_pair(stack, x, y)
+    # the stacked Grams are built once and reused
+    assert stack.pair(y, x) == _loop_pair(stack, y, x)
+    _assert_real_flag(got)
+
+
+def _full(shape, value):
+    return _real_matrix(np.full(shape, value, np.int64))
+
+
+@pytest.mark.parametrize("above", [False, True], ids=["at", "above"])
+@pytest.mark.parametrize("kernel", ["kron_sum", "times_kron_identity", "identity_kron_times"])
+def test_kronecker_kernels_at_the_float_gate(kernel, above):
+    # inner dimension 8 and factors 2^25: every entry is 8 * 2^50 = 2^53,
+    # the largest sum the float gate admits; above it, 2^25 + 1 and one
+    # factor 2^25 - 1 make the odd 2^53 + 7 * 2^25 - 1, which no float64 holds
+    a = 2**25 + 1 if above else 2**25
+    last = 2**25 - 1 if above else 2**25
+    want = (8 * 2**25 - 2**25 + last) * a
+    if kernel == "kron_sum":
+        lefts = [_full((8, 8), a) for _ in range(8)]
+        rights = [_full((8, 8), 2**25) for _ in range(7)] + [_full((8, 8), last)]
+        got, path = _gate_path(lambda: linalg.kron_sum(lefts, rights))
+        shape = (64, 64)
+    elif kernel == "times_kron_identity":
+        x = ExactMatrix.vstack([_full((7, 16), 2**25), _full((1, 16), last)])
+        got, path = _gate_path(lambda: linalg.times_kron_identity(_full((16, 16), a), x, 2))
+        shape = (16, 32)
+    else:
+        block = [_full((7, 16), 2**25), _full((1, 16), last)]
+        mat = ExactMatrix.vstack(block + block)
+        got, path = _gate_path(lambda: linalg.identity_kron_times(2, _full((16, 8), a), mat))
+        shape = (32, 16)
+    assert path == ("int64" if above else "float")
+    assert got == _full(shape, want)
+    assert want == (2**53 + 7 * 2**25 - 1 if above else 2**53)
+
+
+def test_kronecker_kernels_on_fractions_and_degenerate_shapes():
+    a = ExactMatrix.from_rows([[F(1, 2), GR(0, F(2, 3))], [3, F(-5, 7)]])
+    b = ExactMatrix.from_rows([[F(4, 9)], [GR(1, -1)]])
+    c = ExactMatrix.from_rows([[F(1, 6), 2]])
+    d = ExactMatrix.from_rows([[GR(F(1, 4), 1)], [F(2, 5)]])
+    assert linalg.kron_sum([a], [b]) == a.kron(b)
+    assert linalg.kron_sum([b, d], [c, c]) == b.kron(c) + d.kron(c)
+    with pytest.raises(ValueError):
+        linalg.kron_sum([a, a], [b])
+    with pytest.raises(ValueError):
+        linalg.kron_sum([a, b], [c, c])
+    mat = ExactMatrix.from_rows([[F(1, 3), 0, GR(0, 2), 1, F(-1, 2), 4]])
+    assert linalg.times_kron_identity(mat, b, 3) == _loop_times_kron_identity(mat, b, 3)
+    tall = ExactMatrix.vstack([b, d, b])
+    assert linalg.times_kron_identity(mat, tall, 1) == mat @ tall
+    with pytest.raises(ValueError):
+        linalg.times_kron_identity(mat, b, 2)
+    assert linalg.identity_kron_times(3, c, mat.T) == _loop_identity_kron_times(3, c, mat.T)
+    assert linalg.identity_kron_times(1, tall.T, mat.T) == tall.T @ mat.T
+    with pytest.raises(ValueError):
+        linalg.identity_kron_times(2, c, mat.T)
+    stack = GramStack([a, a.H])
+    assert stack.pair(b, d) == _loop_pair(stack, b, d)
+    with pytest.raises(ValueError):
+        stack.pair(a, b)
+
+
+@pytest.mark.parametrize("spec", [
+    build_example_MN(2, 2),
+    build_example_alpha_beta(3, [1, 2, 0], [2, 0, 1]),
+], ids=["mn:2,2", "perm:3"])
+def test_tensor_stacks_match_the_per_coordinate_loop(spec):
+    h = build_fock(spec, 2).summand((1, ()))
+    grams = [h.gram_A, h.gram_B1, h.gram_B2]
+    pair_ops = [op.kron(ExactMatrix.identity(h.dim)) for op in h.left_B1]
+    pair = fock._tensor_stacks(h.gram_B2, grams, h.left_B2)
+    for inner, stacks, ops in [
+        (h.gram_B1, grams, h.left_B1),
+        (h.gram_B2, [h.gram_A, None, h.gram_B2], h.left_B2),
+        (h.gram_B1, pair, pair_ops),
+        (pair[2], grams, h.left_B2),
+    ]:
+        assert fock._tensor_stacks(inner, stacks, ops) == _loop_tensor_stacks(inner, stacks, ops)
