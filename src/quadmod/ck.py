@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebras import AlgebraHom
-from .relations import GeneratorFamily, _family_report, window_report
+from .relations import GeneratorFamily, _sequence_report, window_report
 
 
 class CKStructureError(ValueError):
@@ -83,7 +83,7 @@ def verify_ck_relations(bundle: CKBundle) -> list:
         for idx, st in enumerate(states):
             yield (f"state {idx}", st.adjoint @ st.op - supports[idx])
 
-    reports.append(_family_report(
+    reports.append(_sequence_report(
         "ck-state-support",
         "each state's absolute square is the lift of its support projection",
         support_diffs(), 1, K - 1,
@@ -93,7 +93,7 @@ def verify_ck_relations(bundle: CKBundle) -> list:
         for idx, st in enumerate(states):
             yield (f"state {idx}", ranges[idx] @ st.op - st.op)
 
-    reports.append(_family_report(
+    reports.append(_sequence_report(
         "ck-partial-isometry",
         "every state is a partial isometry",
         iso_diffs(), 0, K - 1,
@@ -106,7 +106,7 @@ def verify_ck_relations(bundle: CKBundle) -> list:
 
     # The top level has no range projections to split into, so the main
     # relation stops one level short of the truncation.
-    reports.append(_family_report(
+    reports.append(_sequence_report(
         "ck-relation",
         "each state's support splits into the ranges its matrix row selects",
         relation_diffs(), 2, K - 1,
@@ -118,7 +118,7 @@ def verify_ck_relations(bundle: CKBundle) -> list:
                       space.zero())
             yield (f"class {cl}", lifted - acc)
 
-    reports.append(_family_report(
+    reports.append(_sequence_report(
         "ck-class-range",
         "each idempotent class is the sum of the ranges of its states",
         class_range_diffs(), 2, K,
@@ -138,7 +138,7 @@ def verify_ck_relations(bundle: CKBundle) -> list:
                           space.zero())
                 yield (f"family {family} generator {g}", x - acc)
 
-    reports.append(_family_report(
+    reports.append(_sequence_report(
         "ck-generator-split",
         "every generator is the sum of its states",
         split_diffs(), 0, K - 1,
@@ -151,7 +151,7 @@ def verify_ck_relations(bundle: CKBundle) -> list:
                 st.op - gens.family(st.family)[st.generator_index] @ supports[idx],
             )
 
-    reports.append(_family_report(
+    reports.append(_sequence_report(
         "ck-left-shift",
         "slicing a generator from the left equals shifting by its support "
         "from the right",
@@ -267,12 +267,12 @@ def verify_two_isometry_relations(gens: GeneratorFamily, first_twist: AlgebraHom
             act = act1(x)
             yield (f"element {c}", proj @ act - act @ proj)
 
-    reports.append(_family_report(
+    reports.append(_sequence_report(
         "two-isometry-range-commute-u",
         "the first range projection commutes with the base action",
         commute_diffs(u_range), 1, K,
     ))
-    reports.append(_family_report(
+    reports.append(_sequence_report(
         "two-isometry-range-commute-v",
         "the second range projection commutes with the base action",
         commute_diffs(v_range), 1, K,
@@ -291,5 +291,5 @@ def verify_two_isometry_relations(gens: GeneratorFamily, first_twist: AlgebraHom
             for c, x in enumerate(base_elems):
                 yield (f"element {c}", gen_adj @ act(x) @ gen - act(twist(x)))
 
-        reports.append(_family_report(check_id, statement, hom_diffs(), 0, K - 1))
+        reports.append(_sequence_report(check_id, statement, hom_diffs(), 0, K - 1))
     return reports

@@ -12,19 +12,41 @@ reduced row echelon form of the scalarized Gram matrix, operators are
 transported by the express/include maps, and every construction step is
 cross-checked (balancing relations, the two index-map routes to the
 A-valued inner product, and the bracketing independence of triple
-tensors).
+tensors). The ambient side operators of a balanced tensor, x (x) I and
+I (x) x, are applied by the Kronecker kernels of linalg and never formed.
+
+Operators on the tower are block matrices over the summands (FockOperator).
+A FockFamily holds many of them at once, each block a MatrixStack over all
+members, so a family product or sum is one exact product or sum per pair
+of blocks, under the per-entry bound of linalg whatever the number of
+members. creations, left_actions and right_actions build whole families:
+the creations of every column of a matrix of module vectors, or the side
+actions of every column of a coefficient matrix, in one product per block;
+creation, left_action and right_action are their one-member cases.
+
+Window pruning: an identity is checked on the blocks whose source level
+lies in a window [lo, hi]. The source summands of a product are those of
+its rightmost factor, and those of a sum are those of its terms, so
+restricting every rightmost factor, and every batched creation or action,
+to source levels in [lo, hi] leaves each block inside the window unchanged
+and drops only blocks the check ignores.
 """
 
 from __future__ import annotations
 
+import bisect
 import os
+
+import numpy as np
 
 from .linalg import (
     ExactMatrix,
     GramStack,
     MatrixFamily,
+    MatrixStack,
     identity_kron_times,
     kron_sum,
+    times_identity_kron,
     times_kron_identity,
 )
 from .quadmodule import QuadModuleSpec
@@ -112,12 +134,15 @@ class QuadSpace:
         gram_A: GramStack,
         gram_B1: GramStack | None,
         gram_B2: GramStack | None,
-        left_B1: list[ExactMatrix],
-        left_B2: list[ExactMatrix],
-        right_A: list[ExactMatrix],
+        left_B1: list,
+        left_B2: list,
+        right_A: list,
         right_B1: list[ExactMatrix] | None = None,
         right_B2: list[ExactMatrix] | None = None,
     ) -> "QuadSpace":
+        """The quotient of an ambient space by the null space of its
+        scalarized Gram. The ambient operators are only ever multiplied from
+        the left, so each is an ExactMatrix or a _KronIdentity."""
         ambient_dim = gram_A.dim
         scalar = gram_A.scalarized()
         if not scalar.is_hermitian():
@@ -205,20 +230,87 @@ def relative_tensor(h: QuadSpace, tensor_type: int, w: QuadSpace) -> tuple[QuadS
     gram_A, gram_B1, gram_B2 = _tensor_stacks(
         inner_left, [w.gram_A, w.gram_B1, w.gram_B2], w_left
     )
-    id_h = ExactMatrix.identity(h.dim)
-    id_w = ExactMatrix.identity(w.dim)
-    left_B1 = [op.kron(id_w) for op in h.left_B1]
-    left_B2 = [op.kron(id_w) for op in h.left_B2]
-    right_A = [id_h.kron(op) for op in w.right_A]
+    left_B1 = [_KronIdentity(op, w.dim, True) for op in h.left_B1]
+    left_B2 = [_KronIdentity(op, w.dim, True) for op in h.left_B2]
+    right_A = [_KronIdentity(op, h.dim, False) for op in w.right_A]
 
     space = QuadSpace.from_ambient(gram_A, gram_B1, gram_B2, left_B1, left_B2, right_A)
 
     defects = []
     if h_right is not None:
         for c in range(len(w_left)):
-            balancer = h_right[c].kron(id_w) - id_h.kron(w_left[c])
-            defects.append(space.express @ balancer)
+            # express @ (h_right[c] (x) I_w - I_h (x) w_left[c])
+            defects.append(times_kron_identity(space.express, h_right[c], w.dim)
+                           - times_identity_kron(space.express, h.dim, w_left[c]))
     return space, defects
+
+
+class _KronIdentity:
+    """An ambient side operator of a balanced tensor: x (x) I_s when left
+    is true, I_s (x) x otherwise. The quotient only multiplies it from the
+    left, so the Kronecker kernels apply it and it is never formed."""
+
+    __slots__ = ("x", "s", "left")
+
+    def __init__(self, x: ExactMatrix, s: int, left: bool):
+        self.x = x
+        self.s = s
+        self.left = left
+
+    def __rmatmul__(self, mat: ExactMatrix) -> ExactMatrix:
+        if self.left:
+            return times_kron_identity(mat, self.x, self.s)
+        return times_identity_kron(mat, self.s, self.x)
+
+
+def _sum_blocks(a: dict, b: dict) -> dict:
+    """The blocks of a sum of two block operators or families."""
+    blocks = dict(a)
+    for k, v in b.items():
+        blocks[k] = blocks[k] + v if k in blocks else v
+    return blocks
+
+
+def _difference_blocks(a: dict, b: dict) -> dict:
+    """The blocks of a difference of two block operators or families, each
+    block shared by both one subtraction."""
+    blocks = dict(a)
+    for k, v in b.items():
+        blocks[k] = blocks[k] - v if k in blocks else -v
+    return blocks
+
+
+def _product_blocks(a: dict, b: dict) -> dict:
+    """The blocks of a product of two block operators or families: each
+    block (d, s) of a meets every block (s, t) of b, and products landing on
+    the same (d, t) add up. Blocks are ExactMatrix or MatrixStack, so one
+    loop serves operators and families alike."""
+    by_src = {}
+    for (d2, s2), m2 in b.items():
+        by_src.setdefault(d2, []).append((s2, m2))
+    blocks = {}
+    for (d1, s1), m1 in a.items():
+        for s2, m2 in by_src.get(s1, ()):
+            k = (d1, s2)
+            prod = m1 @ m2
+            blocks[k] = blocks[k] + prod if k in blocks else prod
+    return blocks
+
+
+def _adjoint_blocks(space: "FockSpace", blocks: dict) -> dict:
+    """The blocks of the adjoint for the tower's scalar inner products."""
+    out = {}
+    for (d, s), m in blocks.items():
+        sd = space.summand(d)
+        ss = space.summand(s)
+        adj = ss.gram_scalar_inv @ m.H @ sd.gram_scalar
+        k = (s, d)
+        out[k] = out[k] + adj if k in out else adj
+    return out
+
+
+def _in_window(blocks: dict, lo: int, hi: int) -> dict:
+    return {k: v for k, v in blocks.items() if lo <= k[1][0] <= hi}
 
 
 class FockOperator:
@@ -237,15 +329,18 @@ class FockOperator:
         return ExactMatrix.zeros(self.space.summand(dest).dim, self.space.summand(src).dim)
 
     def __add__(self, other):
+        if not isinstance(other, FockOperator):
+            return NotImplemented
         if self.space is not other.space:
             raise ValueError("operators live on different towers")
-        blocks = dict(self.blocks)
-        for k, v in other.blocks.items():
-            blocks[k] = blocks[k] + v if k in blocks else v
-        return FockOperator(self.space, blocks)
+        return FockOperator(self.space, _sum_blocks(self.blocks, other.blocks))
 
     def __sub__(self, other):
-        return self + (-other)
+        if not isinstance(other, FockOperator):
+            return NotImplemented
+        if self.space is not other.space:
+            raise ValueError("operators live on different towers")
+        return FockOperator(self.space, _difference_blocks(self.blocks, other.blocks))
 
     def __neg__(self):
         return FockOperator(self.space, {k: -v for k, v in self.blocks.items()})
@@ -255,28 +350,18 @@ class FockOperator:
         return FockOperator(self.space, {k: v.scale(c) for k, v in self.blocks.items()})
 
     def __matmul__(self, other):
+        if not isinstance(other, FockOperator):
+            return NotImplemented
         if self.space is not other.space:
             raise ValueError("operators live on different towers")
-        by_src = {}
-        for (d2, s2), m2 in other.blocks.items():
-            by_src.setdefault(d2, []).append((s2, m2))
-        blocks = {}
-        for (d1, s1), m1 in self.blocks.items():
-            for s2, m2 in by_src.get(s1, ()):
-                k = (d1, s2)
-                prod = m1 @ m2
-                blocks[k] = blocks[k] + prod if k in blocks else prod
-        return FockOperator(self.space, blocks)
+        return FockOperator(self.space, _product_blocks(self.blocks, other.blocks))
 
     def adjoint(self) -> "FockOperator":
-        blocks = {}
-        for (d, s), m in self.blocks.items():
-            sd = self.space.summand(d)
-            ss = self.space.summand(s)
-            adj = ss.gram_scalar_inv @ m.H @ sd.gram_scalar
-            k = (s, d)
-            blocks[k] = blocks[k] + adj if k in blocks else adj
-        return FockOperator(self.space, blocks)
+        return FockOperator(self.space, _adjoint_blocks(self.space, self.blocks))
+
+    def window(self, lo: int, hi: int) -> "FockOperator":
+        """The blocks whose source level lies in [lo, hi]."""
+        return FockOperator(self.space, _in_window(self.blocks, lo, hi))
 
     def is_zero(self) -> bool:
         return not self.blocks
@@ -295,6 +380,111 @@ class FockOperator:
         return (self - other).is_zero()
 
 
+class FockFamily:
+    """Tower operators indexed by a batch shape, each block one MatrixStack
+    over all members at once (see linalg), so a product or sum of families
+    is one exact product or sum per block pair rather than one per member.
+
+    A block's stack may have size-1 batch axes where the family has more:
+    such a block is the same for every index along them, and numpy
+    broadcasting spreads it without copying. A FockOperator operand counts
+    as a family without batch axes. Blocks that vanish for every member are
+    dropped, as FockOperator drops zero blocks. window restricts a family to
+    a source-level window (see the module docstring on pruning).
+    """
+
+    __slots__ = ("space", "shape", "blocks")
+
+    def __init__(self, space: "FockSpace", shape, blocks: dict):
+        self.space = space
+        self.shape = tuple(shape)
+        self.blocks = {k: v for k, v in blocks.items() if not v.is_zero()}
+
+    @classmethod
+    def stack(cls, ops, shape) -> "FockFamily":
+        """The operators ops, in C order over the batch shape shape."""
+        ops = list(ops)
+        keys = sorted({k for op in ops for k in op.blocks})
+        return cls(ops[0].space, shape,
+                   {k: MatrixStack.stack([op.block(*k) for op in ops], shape) for k in keys})
+
+    def _with(self, other, blocks_of, swap: bool = False):
+        """blocks_of applied to this family's blocks and those of a family
+        or operator operand (in the other order when swap is set), over the
+        broadcast batch shape; NotImplemented for any other operand."""
+        if not isinstance(other, (FockFamily, FockOperator)):
+            return NotImplemented
+        if self.space is not other.space:
+            raise ValueError("operators live on different towers")
+        shape = other.shape if isinstance(other, FockFamily) else ()
+        pair = (other.blocks, self.blocks) if swap else (self.blocks, other.blocks)
+        return FockFamily(self.space, np.broadcast_shapes(self.shape, shape), blocks_of(*pair))
+
+    def __matmul__(self, other):
+        return self._with(other, _product_blocks)
+
+    def __rmatmul__(self, other):
+        return self._with(other, _product_blocks, swap=True)
+
+    def __add__(self, other):
+        return self._with(other, _sum_blocks)
+
+    def __sub__(self, other):
+        return self._with(other, _difference_blocks)
+
+    def __neg__(self):
+        return FockFamily(self.space, self.shape, {k: -v for k, v in self.blocks.items()})
+
+    def __getitem__(self, index) -> "FockFamily":
+        """The family indexed on its batch axes as a numpy array of its
+        shape would be (slices and new axes keep blocks as views)."""
+        shape = np.empty(self.shape, np.int8)[index].shape
+        return FockFamily(self.space, shape,
+                          {k: v.take(self.shape, index) for k, v in self.blocks.items()})
+
+    def reshape(self, shape) -> "FockFamily":
+        """The same members, in the same C order, over the batch shape shape."""
+        shape = np.empty(self.shape, np.int8).reshape(shape).shape
+        return FockFamily(self.space, shape,
+                          {k: v.reshaped(self.shape, shape) for k, v in self.blocks.items()})
+
+    def adjoint(self) -> "FockFamily":
+        return FockFamily(self.space, self.shape, _adjoint_blocks(self.space, self.blocks))
+
+    def combine(self, coeffs: ExactMatrix) -> "FockFamily":
+        """For a family with one batch axis: member j of the result is
+        sum_k coeffs[k, j] * member k, one exact product per block."""
+        if self.shape != (coeffs.nrows,):
+            raise ValueError("coefficient rows do not match the family")
+        return FockFamily(self.space, (coeffs.ncols,),
+                          {k: v.combine(coeffs) for k, v in self.blocks.items()})
+
+    def window(self, lo: int, hi: int) -> "FockFamily":
+        """The blocks whose source level lies in [lo, hi]."""
+        return FockFamily(self.space, self.shape, _in_window(self.blocks, lo, hi))
+
+    def member(self, index) -> FockOperator:
+        """The member at index, one integer per batch axis."""
+        return FockOperator(self.space, {k: v.member(self.shape, index)
+                                         for k, v in self.blocks.items()})
+
+    def first_failure(self, lo: int, hi: int):
+        """The first member, in C order over the batch shape, with a nonzero
+        block whose source level lies in [lo, hi], with that member's first
+        such block (dest, src) in sorted order; None when every member
+        vanishes on the window."""
+        keys = sorted(_in_window(self.blocks, lo, hi))
+        masks = [np.broadcast_to(self.blocks[k].nonzero(), self.shape) for k in keys]
+        if not masks:
+            return None
+        bad = np.logical_or.reduce(masks)
+        if not bad.any():
+            return None
+        index = np.unravel_index(int(np.argmax(bad)), self.shape)
+        key = next(k for k, mask in zip(keys, masks) if mask[index])
+        return tuple(int(i) for i in index), key
+
+
 class FockSpace:
     """Levels 0..K of the tower over a module specification."""
 
@@ -309,6 +499,8 @@ class FockSpace:
         # per QuadSpace operator list ("left_B1", "left_B2", "right_A"): the
         # family whose member c holds the summand blocks of operator c
         self._side_families = {}
+        # per creation family: the stacked coefficient-level operator
+        self._coefficient_stacks = {}
 
     def summand(self, key) -> QuadSpace:
         return self.summands[key]
@@ -347,44 +539,70 @@ class FockSpace:
         )
 
     def creation(self, family: int, xi: ExactMatrix) -> FockOperator:
-        """The degree-raising operator attached to a module vector.
+        """The degree-raising operator attached to a module vector: the one
+        member of creations on the whole tower."""
+        if xi.shape != (self.spec.dim, 1):
+            raise ValueError("module vector shape mismatch")
+        return self.creations(family, xi, (0, self.depth)).member((0,))
+
+    def creations(self, family: int, xs: ExactMatrix, window) -> FockFamily:
+        """The creation operators of the module vectors in the columns of xs,
+        as a family over the columns, with the blocks whose source level
+        lies in window = (lo, hi) only.
 
         family 1 prepends through the first balanced tensor, family 2
-        through the second. xi is given in ambient module coordinates.
+        through the second. The vectors are given in ambient module
+        coordinates. On the coefficient level a creation acts on the
+        matching side summand: its block's column c is express @ right[c] @ x
+        for that side's right action right, one stacked product for every
+        column c and vector x at once. From level n >= 1 it prepends the
+        tensor factor: the block express @ (x (x) I) of every vector is one
+        times_kron_identity with all the vectors as columns.
         """
         if family not in (1, 2):
             raise ValueError("family must be 1 or 2")
-        if xi.shape != (self.spec.dim, 1):
+        if xs.nrows != self.spec.dim:
             raise ValueError("module vector shape mismatch")
+        lo, hi = window
         h = self.summands[(1, ())]
-        xi_q = h.express @ xi
+        c = xs.ncols
         blocks = {}
-        # from the coefficient level: act on the matching side summand
-        base = self.summands[(0, ())]
-        d1 = self.spec.algebra_B1.dim
-        d2 = self.spec.algebra_B2.dim
-        cols = []
-        if family == 1:
-            for c in range(d1):
-                cols.append(h.express @ (self.spec.right_B1[c] @ xi))
-            cols.extend([ExactMatrix.zeros(h.dim, 1)] * d2)
-        else:
-            cols.extend([ExactMatrix.zeros(h.dim, 1)] * d1)
-            for c in range(d2):
-                cols.append(h.express @ (self.spec.right_B2[c] @ xi))
-        blocks[((1, ()), (0, ()))] = ExactMatrix.hstack(cols)
-        if base.dim != d1 + d2:
-            raise AssertionError("internal error: coefficient level was cut")
-        # from level n >= 1: prepend the tensor factor
+        if lo <= 0 <= hi:
+            coeff = self._coefficient_stack(family) @ xs
+            # row (t, i) of coeff, column j, is entry (i, t) of member j's block
+            width = coeff.nrows // h.dim
+            blocks[((1, ()), (0, ()))] = MatrixStack.regrouped(coeff, (width, h.dim, c), (2, 1, 0))
+        xs_q = h.express @ xs
         for key in self.keys:
             n, word = key
-            if n == 0 or n == self.depth:
+            if n == 0 or n == self.depth or not lo <= n <= hi:
                 continue
             dest = (n + 1, (family,) + word)
             dsp = self.summands[dest]
-            src = self.summands[key]
-            blocks[(dest, key)] = times_kron_identity(dsp.express, xi_q, src.dim)
-        return FockOperator(self, blocks)
+            s = self.summands[key].dim
+            # column (j, v) of the product is column v of member j's block
+            prod = times_kron_identity(dsp.express, xs_q, s)
+            blocks[(dest, key)] = MatrixStack.regrouped(prod, (dsp.dim, c, s), (1, 0, 2))
+        return FockFamily(self, (c,), blocks)
+
+    def _coefficient_stack(self, family: int) -> ExactMatrix:
+        """express @ right[t] for every coefficient-level column t, stacked in
+        one column of blocks, built once per family: right is the family's
+        side right action, and the other side's columns are zero."""
+        if family not in self._coefficient_stacks:
+            h = self.summands[(1, ())]
+            spec = self.spec
+            d1, d2 = spec.algebra_B1.dim, spec.algebra_B2.dim
+            if self.summands[(0, ())].dim != d1 + d2:
+                raise AssertionError("internal error: coefficient level was cut")
+            zero = ExactMatrix.zeros(spec.dim, spec.dim)
+            if family == 1:
+                rights = list(spec.right_B1) + [zero] * d2
+            else:
+                rights = [zero] * d1 + list(spec.right_B2)
+            stacked = ExactMatrix.vstack(rights)
+            self._coefficient_stacks[family] = identity_kron_times(d1 + d2, h.express, stacked)
+        return self._coefficient_stacks[family]
 
     def _side_family(self, ops: str) -> MatrixFamily:
         """The family of one operator list of the summands, built once: its
@@ -394,26 +612,50 @@ class FockSpace:
             self._side_families[ops] = MatrixFamily(zip(*per_summand))
         return self._side_families[ops]
 
-    def _diagonal_operator(self, ops: str, coeffs: ExactMatrix) -> FockOperator:
-        blocks = self._side_family(ops).combine(coeffs)[0]
-        return FockOperator(self, {(key, key): b for key, b in zip(self.keys, blocks)})
+    def _diagonal_family(self, ops: str, coeffs: ExactMatrix, window) -> FockFamily:
+        """The block-diagonal operators sum_c coeffs[c, j] * ops[c], one per
+        column j, on the summands whose level lies in window = (lo, hi):
+        keys are sorted by level, so those summands are one run of blocks
+        and their combinations one MatrixFamily product."""
+        lo, hi = window
+        levels = [key[0] for key in self.keys]
+        start, stop = bisect.bisect_left(levels, lo), bisect.bisect_right(levels, hi)
+        stacks = self._side_family(ops).stacks(coeffs, start, stop)
+        return FockFamily(self, (coeffs.ncols,),
+                          {(key, key): b for key, b in zip(self.keys[start:stop], stacks)})
 
     def left_action(self, side: int, b: ExactMatrix) -> FockOperator:
-        """The degree-preserving action of a side algebra element, acting on
-        the leftmost tensor factor and by one-sided multiplication on the
-        coefficient level."""
+        """The degree-preserving action of a side algebra element: the one
+        member of left_actions on the whole tower."""
+        if b.ncols != 1:
+            raise ValueError("algebra element shape mismatch")
+        return self.left_actions(side, b, (0, self.depth)).member((0,))
+
+    def left_actions(self, side: int, coeffs: ExactMatrix, window) -> FockFamily:
+        """The actions of the side algebra elements in the columns of coeffs,
+        acting on the leftmost tensor factor and by one-sided multiplication
+        on the coefficient level, as a family over the columns, on the
+        summands whose level lies in window = (lo, hi)."""
         if side not in (1, 2):
             raise ValueError("side must be 1 or 2")
         alg = self.spec.algebra_B1 if side == 1 else self.spec.algebra_B2
-        if b.shape != (alg.dim, 1):
+        if coeffs.nrows != alg.dim:
             raise ValueError("algebra element shape mismatch")
-        return self._diagonal_operator("left_B1" if side == 1 else "left_B2", b)
+        return self._diagonal_family("left_B1" if side == 1 else "left_B2", coeffs, window)
 
     def right_action(self, a: ExactMatrix) -> FockOperator:
         """The right action of a base algebra element (degree zero)."""
-        if a.shape != (self.spec.algebra_A.dim, 1):
+        if a.ncols != 1:
             raise ValueError("base algebra element shape mismatch")
-        return self._diagonal_operator("right_A", a)
+        return self.right_actions(a, (0, self.depth)).member((0,))
+
+    def right_actions(self, coeffs: ExactMatrix, window) -> FockFamily:
+        """The right actions of the base algebra elements in the columns of
+        coeffs, as a family over the columns, on the summands whose level
+        lies in window = (lo, hi)."""
+        if coeffs.nrows != self.spec.algebra_A.dim:
+            raise ValueError("base algebra element shape mismatch")
+        return self._diagonal_family("right_A", coeffs, window)
 
     def lift(self, L: ExactMatrix) -> FockOperator:
         """Extend an operator on the module to the tower by acting on the

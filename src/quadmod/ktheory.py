@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .linalg import ExactMatrix, MatrixFamily
-from .relations import GeneratorFamily, _family_report
+from .relations import GeneratorFamily, _sequence_report
 
 
 class AssumptionsViolated(ValueError):
@@ -268,7 +268,7 @@ def class_action_matrix(gens: GeneratorFamily) -> tuple:
             for g, (x, proj) in enumerate(zip(gens.family(family), gens.ranges[family])):
                 yield (f"family {family} generator {g}", proj @ x - x)
 
-    reports.append(_family_report(
+    reports.append(_sequence_report(
         "ktheory-partial-isometry",
         "every generator is a partial isometry",
         iso_diffs(), 1, K - 1,
@@ -283,7 +283,7 @@ def class_action_matrix(gens: GeneratorFamily) -> tuple:
                         proj @ lifted - lifted @ proj,
                     )
 
-    reports.append(_family_report(
+    reports.append(_sequence_report(
         "ktheory-range-commute",
         "every range projection commutes with the lifted model",
         commute_diffs(), 1, K,
@@ -322,7 +322,7 @@ def class_action_matrix(gens: GeneratorFamily) -> tuple:
                     x_adj @ lifts[cl] @ x - gens.lift_projection(pattern),
                 ))
 
-    route = _family_report(
+    route = _sequence_report(
         "ktheory-compression-route",
         "compressing a lifted class projection through a generator recovers "
         "its induced model element on the tower",

@@ -19,12 +19,30 @@ picks one of three arithmetic paths:
   only such integers, never approximations.
 
 Most matrices the checks form are real, and an ExactMatrix records whether
-its imaginary part is zero. Real operands take real arithmetic: one integer
-product instead of four, one outer product per kron. The one product kernel
-multiplies integer arrays: a product of real matrices with inner dimension
-k is one such product under the bound k*max|A|*max|B|, and a complex product
-is the one stacked real product [[Are, -Aim], [Aim, Are]] @ [Bre; Bim],
-whose inner dimension 2k gives the bound 2k*max|A|*max|B|.
+its imaginary part is zero; a real matrix's imaginary part is a shared,
+read-only zero view that takes no memory. Real operands take real
+arithmetic: one integer product instead of four, one outer product per
+kron. The one product kernel multiplies integer arrays: a product of real
+matrices with inner dimension k is one such product under the bound
+k*max|A|*max|B|; with one real factor it is one product of the stacked
+parts, [Are; Aim] @ B or A @ [Bre, Bim], under the same bound; and a product
+of two complex matrices is the one stacked real product
+[[Are, -Aim], [Aim, Are]] @ [Bre; Bim], whose inner dimension 2k gives the
+bound 2k*max|A|*max|B|. Each matrix stores a bound on max|numerator|, filled
+by one scan on first use and carried through negation, conjugation,
+transposition, scaling and kron, so no bound is scanned twice.
+
+A MatrixStack holds many matrices of one shape over one denominator: its
+numerator arrays have leading batch axes, which broadcast as numpy
+broadcasts them, and an ExactMatrix operand counts as a stack without batch
+axes. A product of stacks is one batched product through the same kernel.
+Each entry of each member is still one dot product of k terms, so the
+bound k*max|A|*max|B| (doubled for two complex operands), taken over the
+whole stacks, decides the path exactly as for one product, whatever the
+batch size; only the float cutoff reads the total work m*k*n times the
+number of members. Sums, negation and conjugate transposes act on whole
+stacks too, so a family of operator identities costs a few such products
+per block instead of one product per member.
 
 A linear combination sum_k c_k M_k over a fixed family of matrices is one
 such product too. MatrixFamily flattens the numerators of the family, once,
@@ -55,12 +73,17 @@ Kronecker product is formed only to be summed or multiplied:
   times it is regrouped back into (s a) x n, and the bound is
   h*max|x|*max|mat|.
 
-The bounds double for complex operands, and every product goes through
-ExactMatrix @, so each takes the float64, int64 or big-integer path as
-above. Regrouping only moves entries, so each kernel normalises once, in
-its product. GramStack.pair reads an algebra-valued inner product the same
-way: <x|y> = (x^H G_c y)_c is the coordinate Grams, stacked once into one
-(d n) x n matrix, times y, read as a d x n matrix, times conj(x).
+* times_identity_kron(mat, s, x) = mat @ (I_s (x) x), with x h x q: mat
+  read row-major as an (r s) x h matrix, times x, read back as r x (s q);
+  the bound is h*max|mat|*max|x|.
+
+The bounds double for two complex operands, and every product goes
+through ExactMatrix @, so each takes the float64, int64 or big-integer path
+as above. Regrouping only moves entries, so each kernel normalises once, in
+its product. GramStack.pairs reads algebra-valued inner products the same
+way: for y with m columns, <x_i|y_j> = (x_i^H G_c y_j)_c is the coordinate
+Grams, stacked once into one (d n) x n matrix, times y, regrouped into an
+n x (d m) matrix, times x^H, for every pair of columns at once.
 
 The module also provides deterministic reduced row echelon form, kernel and
 solve built on it, and Gram-form utilities: exact positive-semidefiniteness
@@ -70,6 +93,8 @@ to possibly non-standard inner products.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from fractions import Fraction
 
@@ -117,6 +142,15 @@ def _demote(arr):
     return arr
 
 
+@functools.lru_cache(maxsize=4096)
+def _zero(shape):
+    """A read-only int64 zero array of the given shape that takes no
+    memory: the imaginary part of a matrix known to be real. Stored arrays
+    are never written in place, so every real result of one shape shares
+    one."""
+    return np.broadcast_to(np.int64(0), shape)
+
+
 def _to_object(arr):
     return arr if arr.dtype == object else arr.astype(object)
 
@@ -129,14 +163,18 @@ def _common(bound: int, *arrays):
     return tuple(_to_object(a) for a in arrays)
 
 
-def _rmul(a, b):
-    """a @ b for integer arrays, exact on every path."""
-    m, k = a.shape
-    n = b.shape[1]
-    bound = k * _max_abs(a) * _max_abs(b)
-    if (a.dtype != object and b.dtype != object
-            and bound <= _FLOAT_EXACT and m * k * n >= _FLOAT_MIN_WORK):
-        return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
+def _rmul(a, b, a_peak: int, b_peak: int):
+    """a @ b for integer arrays, exact on every path. The last two axes of
+    each array are its matrices; leading batch axes broadcast. a_peak and
+    b_peak bound max|a| and max|b|."""
+    k = a.shape[-1]
+    bound = k * a_peak * b_peak
+    if a.dtype != object and b.dtype != object and bound <= _FLOAT_EXACT:
+        work = a.shape[-2] * k * b.shape[-1]
+        if a.ndim > 2 or b.ndim > 2:
+            work *= math.prod(np.broadcast_shapes(a.shape[:-2], b.shape[:-2]))
+        if work >= _FLOAT_MIN_WORK:
+            return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
     a, b = _common(bound, a, b)
     return a @ b
 
@@ -151,30 +189,116 @@ def _int_array(values, shape):
 def _cmul(are, aim, bre, bim):
     """(are + i aim) @ (bre + i bim) as the one real product
     [[Are, -Aim], [Aim, Are]] @ [Bre; Bim] = [Re; Im], whose inner dimension
-    is 2k."""
-    a = np.vstack([np.hstack([are, -aim]), np.hstack([aim, are])])
-    c = _rmul(a, np.vstack([bre, bim]))
-    m = are.shape[0]
-    return c[:m], c[m:]
+    is 2k; leading batch axes broadcast as in _rmul."""
+    a = np.concatenate([np.concatenate([are, -aim], -1), np.concatenate([aim, are], -1)], -2)
+    b = np.concatenate([bre, bim], -2)
+    c = _rmul(a, b, max(_max_abs(are), _max_abs(aim)), max(_max_abs(bre), _max_abs(bim)))
+    m = are.shape[-2]
+    return c[..., :m, :], c[..., m:, :]
 
 
-def _product(a: "ExactMatrix", b: "ExactMatrix"):
-    """Numerator arrays of a @ b, over the denominator a._den * b._den."""
+def _product(a, b):
+    """Numerator arrays of a @ b, over the denominator a._den * b._den, for
+    ExactMatrix and MatrixStack operands alike."""
+    peaks = a._peak_abs(), b._peak_abs()
     if a._real and b._real:
-        re = _rmul(a._re, b._re)
-        return re, np.zeros(re.shape, np.int64)
+        re = _rmul(a._re, b._re, *peaks)
+        return re, _zero(re.shape)
+    # one real factor: (Are + i Aim) B is [Are; Aim] @ B, and A (Bre + i Bim)
+    # is A @ [Bre, Bim], each one real product with inner dimension k
+    if b._real:
+        c = _rmul(np.concatenate([a._re, a._im], -2), b._re, *peaks)
+        m = a._re.shape[-2]
+        return c[..., :m, :], c[..., m:, :]
+    if a._real:
+        c = _rmul(a._re, np.concatenate([b._re, b._im], -1), *peaks)
+        n = b._re.shape[-1]
+        return c[..., :n], c[..., n:]
     return _cmul(a._re, a._im, b._re, b._im)
 
 
-class ExactMatrix:
-    """Matrix over the Gaussian rationals with a shared denominator.
+def _normalized(re, im, den: int, real: bool):
+    """(re, im, den, g): the numerators and the denominator divided by their
+    common factor g, object arrays dropped back to int64 when they fit. The
+    gcd scan stops as soon as it reaches 1, and a real matrix has no
+    imaginary part to take it from."""
+    g = den
+    if g > 1:
+        g = math.gcd(g, _gcd_reduce(re))
+    if g > 1 and not real:
+        g = math.gcd(g, _gcd_reduce(im))
+    if g > 1:
+        if real:
+            re, = _common(g, re)
+            re = re // g
+        else:
+            re, im = _common(g, re, im)
+            re, im = re // g, im // g
+        den //= g
+    return _demote(re), _demote(im), den, g
+
+
+def _sum(a, b, op):
+    """(re, im, den, real) of op(a, b), op being np.add or np.subtract, for
+    ExactMatrix and MatrixStack operands alike; batch axes broadcast. The
+    bound of each part of the result is read from the operands' peaks,
+    rescaled to the common denominator."""
+    den = a._den * b._den // math.gcd(a._den, b._den)
+    are, aim = a._scaled_to(den)
+    bre, bim = b._scaled_to(den)
+    bound = a._peak_abs() * (den // a._den) + b._peak_abs() * (den // b._den)
+    if a._real and b._real:
+        are, bre = _common(bound, are, bre)
+        re = op(are, bre)
+        return re, _zero(re.shape), den, True
+    are, aim, bre, bim = _common(bound, are, aim, bre, bim)
+    return op(are, bre), op(aim, bim), den, False
+
+
+class _Numerators:
+    """Integer numerator arrays _re and _im over one positive denominator
+    _den, the parts shared by ExactMatrix and MatrixStack.
 
     _real is true when the imaginary part is zero; the imaginary part is
-    then an int64 zero array."""
+    then an int64 zero array, for results known to be real the shared
+    read-only view of _zero. _peak bounds max |numerator| over both parts:
+    filled by a scan on first use by _peak_abs, and carried over, as an
+    exact value or an upper bound, by the operations that know it. Stored
+    arrays are never written in place, so it stays true for the object's
+    lifetime."""
 
-    __slots__ = ("_re", "_im", "_den", "_real")
+    __slots__ = ("_re", "_im", "_den", "_real", "_peak")
 
-    def __init__(self, re, im, den: int = 1, _normalize: bool = True):
+    def _peak_abs(self) -> int:
+        """A bound on max |numerator| over both parts, scanned once."""
+        if self._peak is None:
+            peak = _max_abs(self._re)
+            self._peak = peak if self._real else max(peak, _max_abs(self._im))
+        return self._peak
+
+    def _scaled_to(self, den: int):
+        """Numerator arrays rescaled to the given common denominator."""
+        f = den // self._den
+        if f == 1:
+            return self._re, self._im
+        # f itself must fit too: an int64 array times a bigint raises even
+        # when the array is zero.
+        bound = f * max(self._peak_abs(), 1)
+        if self._real:
+            re, = _common(bound, self._re)
+            return re * f, self._im
+        re, im = _common(bound, self._re, self._im)
+        return re * f, im * f
+
+
+class ExactMatrix(_Numerators):
+    """Matrix over the Gaussian rationals with a shared denominator (see
+    _Numerators for the flags it keeps)."""
+
+    __slots__ = ()
+
+    def __init__(self, re, im, den: int = 1, _normalize: bool = True,
+                 _real: bool | None = None, _peak: int | None = None):
         re = np.asarray(re)
         im = np.asarray(im)
         if re.shape != im.shape or re.ndim != 2:
@@ -187,28 +311,20 @@ class ExactMatrix:
             re = re.astype(np.int64, copy=False)
         if im.dtype != object:
             im = im.astype(np.int64, copy=False)
-        self._real = not im.any()
+        # a caller that knows the imaginary part is zero says so, and the
+        # scan is skipped
+        self._real = not im.any() if _real is None else _real
         self._re = re
         self._im = im
         self._den = int(den)
+        self._peak = _peak
         if _normalize:
             self._normalize()
 
     def _normalize(self):
-        # Stop as soon as the gcd reaches 1; a real matrix has no imaginary
-        # part to take it from.
-        g = self._den
-        if g > 1:
-            g = math.gcd(g, _gcd_reduce(self._re))
-        if g > 1 and not self._real:
-            g = math.gcd(g, _gcd_reduce(self._im))
-        if g > 1:
-            re, im = _common(g, self._re, self._im)
-            self._re = re // g
-            self._im = im // g
-            self._den //= g
-        self._re = _demote(self._re)
-        self._im = _demote(self._im)
+        self._re, self._im, self._den, g = _normalized(self._re, self._im, self._den, self._real)
+        if g > 1 and self._peak is not None:
+            self._peak //= g
 
     # -- construction ---------------------------------------------------
 
@@ -244,11 +360,13 @@ class ExactMatrix:
 
     @classmethod
     def zeros(cls, m: int, n: int) -> "ExactMatrix":
-        return cls(np.zeros((m, n), dtype=np.int64), np.zeros((m, n), dtype=np.int64), 1, _normalize=False)
+        return cls(np.zeros((m, n), dtype=np.int64), _zero((m, n)), 1,
+                   _normalize=False, _real=True, _peak=0)
 
     @classmethod
     def identity(cls, n: int) -> "ExactMatrix":
-        return cls(np.eye(n, dtype=np.int64), np.zeros((n, n), dtype=np.int64), 1, _normalize=False)
+        return cls(np.eye(n, dtype=np.int64), _zero((n, n)), 1,
+                   _normalize=False, _real=True, _peak=min(n, 1))
 
     @classmethod
     def diagonal(cls, values) -> "ExactMatrix":
@@ -326,40 +444,23 @@ class ExactMatrix:
 
     # -- arithmetic ------------------------------------------------------
 
-    def _scaled_to(self, den: int):
-        """Numerator arrays rescaled to the given common denominator."""
-        f = den // self._den
-        if f == 1:
-            return self._re, self._im
-        # f itself must fit too: an int64 array times a bigint raises even
-        # when the array is zero.
-        if self._real:
-            re, = _common(f * max(_max_abs(self._re), 1), self._re)
-            return re * f, self._im
-        bound = f * max(_max_abs(self._re), _max_abs(self._im), 1)
-        re, im = _common(bound, self._re, self._im)
-        return re * f, im * f
-
     def __add__(self, other):
+        return self._summed(other, np.add)
+
+    def __sub__(self, other):
+        return self._summed(other, np.subtract)
+
+    def _summed(self, other, op):
         if not isinstance(other, ExactMatrix):
             return NotImplemented
         if self.shape != other.shape:
             raise ValueError("shape mismatch")
-        den = self._den * other._den // math.gcd(self._den, other._den)
-        are, aim = self._scaled_to(den)
-        bre, bim = other._scaled_to(den)
-        if self._real and other._real:
-            are, bre = _common(_max_abs(are) + _max_abs(bre), are, bre)
-            return ExactMatrix(are + bre, aim, den)
-        bound = max(_max_abs(are) + _max_abs(bre), _max_abs(aim) + _max_abs(bim))
-        are, aim, bre, bim = _common(bound, are, aim, bre, bim)
-        return ExactMatrix(are + bre, aim + bim, den)
-
-    def __sub__(self, other):
-        return self + (-other)
+        re, im, den, real = _sum(self, other, op)
+        return ExactMatrix(re, im, den, _real=real or None)
 
     def __neg__(self):
-        return ExactMatrix(-self._re, -self._im, self._den, _normalize=False)
+        return ExactMatrix(-self._re, self._im if self._real else -self._im, self._den,
+                           _normalize=False, _real=self._real, _peak=self._peak)
 
     def __matmul__(self, other):
         if not isinstance(other, ExactMatrix):
@@ -368,49 +469,62 @@ class ExactMatrix:
             raise ValueError("inner dimension mismatch")
         if self.ncols == 0:
             return ExactMatrix.zeros(self.nrows, other.ncols)
-        return ExactMatrix(*_product(self, other), self._den * other._den)
+        real = self._real and other._real
+        return ExactMatrix(*_product(self, other), self._den * other._den, _real=real or None)
 
     def scale(self, c) -> "ExactMatrix":
         c = GaussianRational.from_value(c)
         q = math.lcm(c.re.denominator, c.im.denominator)
         cre, cim = int(c.re * q), int(c.im * q)
+        peak = self._peak_abs()
         if self._real and not cim:
-            re, = _common(max(_max_abs(self._re), 1) * abs(cre), self._re)
-            return ExactMatrix(cre * re, self._im, self._den * q)
+            re, = _common(max(peak, 1) * abs(cre), self._re)
+            return ExactMatrix(cre * re, self._im, self._den * q, _real=True,
+                               _peak=peak * abs(cre))
         # The factor must fit as well as the products (see _scaled_to).
-        bound = 2 * max(_max_abs(self._re), _max_abs(self._im), 1) * max(abs(cre), abs(cim))
+        bound = 2 * max(peak, 1) * max(abs(cre), abs(cim))
         re, im = _common(bound, self._re, self._im)
         return ExactMatrix(cre * re - cim * im, cre * im + cim * re, self._den * q)
 
     def conj(self) -> "ExactMatrix":
-        return ExactMatrix(self._re, -self._im, self._den, _normalize=False)
+        if self._real:
+            return self
+        return ExactMatrix(self._re, -self._im, self._den, _normalize=False,
+                           _real=False, _peak=self._peak)
 
     @property
     def T(self) -> "ExactMatrix":
-        return ExactMatrix(self._re.T.copy(), self._im.T.copy(), self._den, _normalize=False)
+        return ExactMatrix(self._re.T.copy(), self._transposed_im(), self._den, _normalize=False,
+                           _real=self._real, _peak=self._peak)
 
     @property
     def H(self) -> "ExactMatrix":
-        return ExactMatrix(self._re.T.copy(), -self._im.T.copy(), self._den, _normalize=False)
+        im = self._transposed_im()
+        return ExactMatrix(self._re.T.copy(), im if self._real else -im, self._den,
+                           _normalize=False, _real=self._real, _peak=self._peak)
+
+    def _transposed_im(self):
+        return _zero(self._im.shape[::-1]) if self._real else self._im.T.copy()
 
     def is_hermitian(self) -> bool:
         return self == self.H
 
     # -- shaping ---------------------------------------------------------
 
+    def _selected(self, key) -> "ExactMatrix":
+        re = self._re[key]
+        if self._real:
+            return ExactMatrix(re, _zero(re.shape), self._den, _real=True)
+        return ExactMatrix(re, self._im[key], self._den)
+
     def take_rows(self, idx) -> "ExactMatrix":
-        idx = list(idx)
-        return ExactMatrix(self._re[idx, :], self._im[idx, :], self._den)
+        return self._selected((list(idx), slice(None)))
 
     def take_cols(self, idx) -> "ExactMatrix":
-        idx = list(idx)
-        return ExactMatrix(self._re[:, idx], self._im[:, idx], self._den)
+        return self._selected((slice(None), list(idx)))
 
     def submatrix(self, rows, cols) -> "ExactMatrix":
-        rows, cols = list(rows), list(cols)
-        return ExactMatrix(
-            self._re[np.ix_(rows, cols)], self._im[np.ix_(rows, cols)], self._den
-        )
+        return self._selected(np.ix_(list(rows), list(cols)))
 
     @staticmethod
     def _joined(mats, join) -> "ExactMatrix":
@@ -450,14 +564,14 @@ class ExactMatrix:
         return ExactMatrix(are, aim, den)
 
     def kron(self, other: "ExactMatrix") -> "ExactMatrix":
+        peak = self._peak_abs() * other._peak_abs()
         if self._real and other._real:
-            a, b = _common(_max_abs(self._re) * _max_abs(other._re), self._re, other._re)
+            a, b = _common(peak, self._re, other._re)
             (m, n), (p, q) = a.shape, b.shape
             re = (a[:, None, :, None] * b[None, :, None, :]).reshape(m * p, n * q)
-            return ExactMatrix(re, np.zeros(re.shape, np.int64), self._den * other._den)
-        bound = 2 * max(_max_abs(self._re), _max_abs(self._im)) * max(
-            _max_abs(other._re), _max_abs(other._im)
-        )
+            return ExactMatrix(re, _zero(re.shape), self._den * other._den,
+                               _real=True, _peak=peak)
+        bound = 2 * peak
         a_re, a_im, b_re, b_im = _common(bound, self._re, self._im, other._re, other._im)
         re = np.kron(a_re, b_re) - np.kron(a_im, b_im)
         im = np.kron(a_re, b_im) + np.kron(a_im, b_re)
@@ -593,6 +707,149 @@ class ExactMatrix:
         return R.take_cols(range(self.nrows, 2 * self.nrows))
 
 
+def _any_entry(arr):
+    """Per matrix of arr, whether it has a nonzero entry (the last two axes
+    are the matrices)."""
+    return (arr != 0 if arr.dtype == object else arr).any(axis=(-2, -1))
+
+
+def _stacked_product(a, b) -> "MatrixStack":
+    """a @ b for MatrixStack or ExactMatrix operands, one of them a stack:
+    one exact product over the broadcast batch axes."""
+    if a._re.shape[-1] != b._re.shape[-2]:
+        raise ValueError("inner dimension mismatch")
+    real = a._real and b._real
+    return MatrixStack(*_product(a, b), a._den * b._den, _real=real or None)
+
+
+class MatrixStack(_Numerators):
+    """Equal-shape matrices over the Gaussian rationals with one shared
+    denominator: numerator arrays whose last two axes are the matrices and
+    whose leading axes are batch axes. Batch axes broadcast as numpy
+    broadcasts them, and an ExactMatrix operand counts as a stack without
+    batch axes. Every product, sum and combination is one exact product or
+    sum of whole arrays (see the module docstring)."""
+
+    __slots__ = ()
+
+    def __init__(self, re, im, den: int, _real: bool | None = None, _normalize: bool = True,
+                 _peak: int | None = None):
+        self._real = not im.any() if _real is None else _real
+        self._re, self._im, self._den, self._peak = re, im, int(den), _peak
+        if _normalize:
+            self._re, self._im, self._den, g = _normalized(re, im, self._den, self._real)
+            if g > 1 and _peak is not None:
+                self._peak //= g
+
+    @classmethod
+    def stack(cls, mats, shape) -> "MatrixStack":
+        """The equal-shape matrices mats, in C order over the batch shape
+        shape, as one stack over their lcm denominator."""
+        mats = list(mats)
+        den = math.lcm(*(m._den for m in mats))
+        parts = _common(0, *(a for m in mats for a in m._scaled_to(den)))
+        full = tuple(shape) + mats[0].shape
+        re = np.stack(parts[0::2]).reshape(full)
+        im = np.stack(parts[1::2]).reshape(full)
+        return cls(re, im, den, _real=all(m._real for m in mats))
+
+    @classmethod
+    def regrouped(cls, x: ExactMatrix, shape, axes) -> "MatrixStack":
+        """The entries of x read row-major as an array of the given shape,
+        its axes permuted; the last two permuted axes are the matrices.
+        Moving entries keeps x's normalisation and peak."""
+        re = x._re.reshape(shape).transpose(axes)
+        im = x._im.reshape(shape).transpose(axes)
+        return cls(re, im, x._den, _real=x._real, _normalize=False, _peak=x._peak)
+
+    @property
+    def batch_shape(self) -> tuple:
+        return self._re.shape[:-2]
+
+    def take(self, shape, index) -> "MatrixStack":
+        """The stack broadcast to the batch shape shape, then indexed by
+        index on its batch axes; a view, normalised as this stack is."""
+        full = tuple(shape) + self._re.shape[-2:]
+        re = np.broadcast_to(self._re, full)[index]
+        im = np.broadcast_to(self._im, full)[index]
+        # a part of a complex stack may be real
+        return MatrixStack(re, im, self._den, _real=self._real or None, _normalize=False,
+                           _peak=self._peak)
+
+    def reshaped(self, shape, new_shape) -> "MatrixStack":
+        """The stack broadcast to the batch shape shape, its batch axes then
+        reshaped to new_shape (row-major, as numpy reshapes)."""
+        mat = self._re.shape[-2:]
+        full = tuple(shape) + mat
+        re = np.broadcast_to(self._re, full).reshape(tuple(new_shape) + mat)
+        im = np.broadcast_to(self._im, full).reshape(tuple(new_shape) + mat)
+        return MatrixStack(re, im, self._den, _real=self._real, _normalize=False,
+                           _peak=self._peak)
+
+    def member(self, shape, index) -> ExactMatrix:
+        """Member index (one integer per batch axis) of the stack broadcast
+        to the batch shape shape."""
+        one = self.take(shape, index)
+        return ExactMatrix(one._re, one._im, one._den, _real=self._real or None)
+
+    def nonzero(self):
+        """Per member, whether it has a nonzero entry: a boolean array of
+        the batch shape."""
+        bad = _any_entry(self._re)
+        return bad if self._real else bad | _any_entry(self._im)
+
+    def is_zero(self) -> bool:
+        return not self._re.any() and (self._real or not self._im.any())
+
+    def combine(self, coeffs: ExactMatrix) -> "MatrixStack":
+        """For members M_0, ..., M_{r-1} along one batch axis: the stack, over
+        the columns j of coeffs, of sum_k coeffs[k, j] * M_k. The members'
+        numerators read as one r x (m n) matrix, so this is one exact
+        product, as in MatrixFamily.combine."""
+        r = coeffs.nrows
+        m, n = self._re.shape[-2:]
+        full = self.take((r,), ...)
+        flat = ExactMatrix(full._re.reshape(r, m * n), full._im.reshape(r, m * n), self._den,
+                           _normalize=False, _real=self._real, _peak=self._peak)
+        return MatrixStack.regrouped(coeffs.T @ flat, (coeffs.ncols, m, n), (0, 1, 2))
+
+    def __matmul__(self, other):
+        if not isinstance(other, (MatrixStack, ExactMatrix)):
+            return NotImplemented
+        return _stacked_product(self, other)
+
+    def __rmatmul__(self, other):
+        if not isinstance(other, ExactMatrix):
+            return NotImplemented
+        return _stacked_product(other, self)
+
+    def __add__(self, other):
+        return self._summed(other, np.add)
+
+    def __sub__(self, other):
+        return self._summed(other, np.subtract)
+
+    def _summed(self, other, op):
+        if not isinstance(other, (MatrixStack, ExactMatrix)):
+            return NotImplemented
+        if self._re.shape[-2:] != other._re.shape[-2:]:
+            raise ValueError("shape mismatch")
+        re, im, den, real = _sum(self, other, op)
+        return MatrixStack(re, im, den, _real=real or None)
+
+    def __neg__(self):
+        im = self._im if self._real else -self._im
+        return MatrixStack(-self._re, im, self._den, _real=self._real, _normalize=False,
+                           _peak=self._peak)
+
+    @property
+    def H(self) -> "MatrixStack":
+        """Every member's conjugate transpose."""
+        im = np.swapaxes(self._im, -1, -2)
+        return MatrixStack(np.swapaxes(self._re, -1, -2), im if self._real else -im,
+                           self._den, _real=self._real, _normalize=False, _peak=self._peak)
+
+
 def _flatten(members):
     """The numerators of members M_0, ..., M_{r-1}, each a list of blocks
     with the same shapes in every member, as one r x L ExactMatrix over one
@@ -622,28 +879,44 @@ class MatrixFamily:
     blocks; combine then costs one exact product (see the module docstring).
     """
 
-    __slots__ = ("_flat", "_shapes")
+    __slots__ = ("_flat", "_shapes", "_offsets")
 
     def __init__(self, members):
         self._flat, self._shapes = _flatten(members)
+        self._offsets = [0, *itertools.accumulate(p * q for p, q in self._shapes)]
+
+    def _combined(self, coeffs: ExactMatrix, start: int, stop: int):
+        """Blocks start..stop-1 of sum_k coeffs[k, j] * M_k for every column
+        j of coeffs, as (re, im, den, real) with arrays of shape
+        (columns, p, q): one exact product with the flattened family's
+        columns of those blocks."""
+        if coeffs.nrows != self._flat.nrows:
+            raise ValueError("coefficient rows do not match the family")
+        flat = self._flat
+        lo, hi = self._offsets[start], self._offsets[stop]
+        # the columns of the window, bounded by the whole family's peak
+        window = ExactMatrix(flat._re[:, lo:hi], flat._im[:, lo:hi], flat._den, _normalize=False,
+                             _real=flat._real, _peak=flat._peak_abs())
+        re, im = _product(coeffs.T, window)
+        den = coeffs._den * flat._den
+        real = coeffs._real and flat._real
+        c = coeffs.ncols
+        for (p, q), at in zip(self._shapes[start:stop], self._offsets[start:stop]):
+            cut = slice(at - lo, at - lo + p * q)
+            yield re[:, cut].reshape(c, p, q), im[:, cut].reshape(c, p, q), den, real
 
     def combine(self, coeffs: ExactMatrix) -> list:
         """sum_k coeffs[k, j] * M_k for each column j of coeffs, each as the
         list of its blocks."""
-        if coeffs.nrows != self._flat.nrows:
-            raise ValueError("coefficient rows do not match the family")
-        re, im = _product(coeffs.T, self._flat)
-        den = coeffs._den * self._flat._den
-        out = []
-        for j in range(coeffs.ncols):
-            blocks = []
-            at = 0
-            for p, q in self._shapes:
-                cut = slice(at, at + p * q)
-                blocks.append(ExactMatrix(re[j, cut].reshape(p, q), im[j, cut].reshape(p, q), den))
-                at += p * q
-            out.append(blocks)
-        return out
+        blocks = list(self._combined(coeffs, 0, len(self._shapes)))
+        return [[ExactMatrix(re[j], im[j], den, _real=real or None) for re, im, den, real in blocks]
+                for j in range(coeffs.ncols)]
+
+    def stacks(self, coeffs: ExactMatrix, start: int, stop: int) -> list:
+        """Blocks start..stop-1 of the combinations of combine, each block as
+        one MatrixStack over the columns of coeffs."""
+        return [MatrixStack(re, im, den, _real=real or None)
+                for re, im, den, real in self._combined(coeffs, start, stop)]
 
 
 def weighted_sum(mats, coeffs: ExactMatrix) -> ExactMatrix:
@@ -660,9 +933,10 @@ def _permuted(x: ExactMatrix, shape, axes, rows: int, cols: int) -> ExactMatrix:
     normalisation, so the result is not normalised again."""
     re = x._re.reshape(shape).transpose(axes).reshape(rows, cols)
     if x._real:
-        return ExactMatrix(re, np.zeros(re.shape, np.int64), x._den, _normalize=False)
+        return ExactMatrix(re, _zero(re.shape), x._den, _normalize=False,
+                           _real=True, _peak=x._peak)
     im = x._im.reshape(shape).transpose(axes).reshape(rows, cols)
-    return ExactMatrix(re, im, x._den, _normalize=False)
+    return ExactMatrix(re, im, x._den, _normalize=False, _real=False, _peak=x._peak)
 
 
 def kron_sum(lefts, rights) -> ExactMatrix:
@@ -701,6 +975,20 @@ def identity_kron_times(s: int, x: ExactMatrix, mat: ExactMatrix) -> ExactMatrix
     folded = _permuted(mat, (s, p, n), (1, 0, 2), p, s * n)
     # ... and row k of column block i of the product back to row (i, k)
     return _permuted(x @ folded, (a, s, n), (1, 0, 2), s * a, n)
+
+
+def times_identity_kron(mat: ExactMatrix, s: int, x: ExactMatrix) -> ExactMatrix:
+    """mat @ (I_s (x) x) as one exact product with inner dimension x.nrows,
+    without forming the Kronecker product: with x h x q, column block t of
+    each row of mat meets x alone, so mat read row-major as an (r s) x h
+    matrix, times x, read back as r x (s q) is the result. Both regroups
+    keep the row-major order, and its bound is h*max|mat|*max|x|."""
+    h, q = x.shape
+    r = mat.nrows
+    if mat.ncols != s * h:
+        raise ValueError("matrix columns do not match the Kronecker product")
+    folded = _permuted(mat, (r, s, h), (0, 1, 2), r * s, h)
+    return _permuted(folded @ x, (r, s, q), (0, 1, 2), r, s * q)
 
 
 def gram_adjoint(t: ExactMatrix, gram_dom: ExactMatrix, gram_cod: ExactMatrix) -> ExactMatrix:
@@ -818,17 +1106,26 @@ class GramStack:
         return len(self.coords)
 
     def pair(self, x: ExactMatrix, y: ExactMatrix) -> ExactMatrix:
-        """Algebra element <x|y> of two column vectors, as a column vector.
-
-        Two exact products: the stacked Grams times y, whose row block c is
-        coords[c] @ y, read as the rows of a num_coords x dim matrix, times
-        conj(x)."""
+        """Algebra element <x|y> of two column vectors, as a column vector."""
         if x.shape != (self.dim, 1) or y.shape != (self.dim, 1):
             raise ValueError("pair takes two column vectors of the form's dimension")
+        return self.pairs(x, y)
+
+    def pairs(self, x: ExactMatrix, y: ExactMatrix) -> ExactMatrix:
+        """The algebra elements <x_i|y_j> for every column x_i of x and y_j
+        of y, as the columns (i, j), i slowest, of a num_coords x
+        (x.ncols * y.ncols) matrix.
+
+        Two exact products: the stacked Grams times y, whose row (c, k) is
+        row k of coords[c] @ y, regrouped into a dim x (num_coords * y.ncols)
+        matrix; x^H times that, regrouped into the result."""
+        if x.nrows != self.dim or y.nrows != self.dim:
+            raise ValueError("pairs takes vectors of the form's dimension")
         if self._stacked is None:
             self._stacked = ExactMatrix.vstack(self.coords)
-        d, n = self.num_coords, self.dim
-        return _permuted(self._stacked @ y, (d, n), (0, 1), d, n) @ x.conj()
+        d, n, a, b = self.num_coords, self.dim, x.ncols, y.ncols
+        gy = _permuted(self._stacked @ y, (d, n, b), (1, 0, 2), n, d * b)
+        return _permuted(x.H @ gy, (a, d, b), (1, 0, 2), d, a * b)
 
     def value(self, p: int, q: int) -> ExactMatrix:
         return ExactMatrix.from_rows([[g[p, q]] for g in self.coords])

@@ -10,16 +10,27 @@ than a tolerance.
 
 All comparisons are exact. Identities that quantify over module vectors
 or algebra elements are checked on coordinate basis vectors, which
-decides them because each slot enters linearly or antilinearly.
+decides them because each slot enters linearly or antilinearly. Each such
+identity is one FockFamily expression over all its members at once: the
+fixed operators (basis creations and annihilations, side and right
+actions, generators) are gathered into families once, with size-1 axes
+where a member does not depend on them, and the members that vary are
+built with the batched creations, left_actions and expansions. Each
+member keeps its own formula. Only the rightmost factors, and the batched
+operators, are restricted to the declared window: the source summands of a
+product are those of its rightmost factor, so no block inside the window
+changes (see the fock module on window pruning).
 """
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
-from .fock import FockOperator, FockSpace
-from .linalg import ExactMatrix, gram_adjoint, kron_sum, weighted_sum
+from .fock import FockFamily, FockOperator, FockSpace
+from .linalg import ExactMatrix, MatrixStack, gram_adjoint, kron_sum, weighted_sum
 from .opalgebra import DiagonalOperatorModel, NotDiagonalModel
 from .report import CheckResult, IdentityReport
 from .scalars import GaussianRational
@@ -50,10 +61,23 @@ class GeneratorFamily:
         """The generating creation operators of one family (1 or 2)."""
         return self.S if family == 1 else self.T
 
+    def members(self, family: int) -> ExactMatrix:
+        """The generating module vectors of one family, as columns."""
+        spec = self.space.spec
+        return ExactMatrix.hstack(spec.basis_U if family == 1 else spec.basis_V)
+
     @cached_property
     def adjoints(self) -> dict:
         """The annihilation operators of each family, in generator order."""
         return {1: [s.adjoint() for s in self.S], 2: [t.adjoint() for t in self.T]}
+
+    @cached_property
+    def stacked(self) -> dict:
+        """Each family's generators, and their adjoints, as one FockFamily
+        over generator order: (creations, annihilations) per family."""
+        return {fam: (FockFamily.stack(ops, (len(ops),)),
+                      FockFamily.stack(self.adjoints[fam], (len(ops),)))
+                for fam, ops in ((1, self.S), (2, self.T))}
 
     @cached_property
     def ranges(self) -> dict:
@@ -61,17 +85,19 @@ class GeneratorFamily:
         return {fam: [x @ x_adj for x, x_adj in zip(self.family(fam), adjoints)]
                 for fam, adjoints in self.adjoints.items()}
 
-    def expand(self, family: int, xi: ExactMatrix) -> FockOperator:
-        """The creation operator of the module vector xi rebuilt from the
-        generating family: the sum over members m_i of their creation
-        followed by the side action of the inner product <m_i, xi>."""
+    def expansions(self, family: int, xs: ExactMatrix, window) -> FockFamily:
+        """The creation operators of the module vectors in the columns of xs
+        rebuilt from the generating family, as a family over the columns:
+        the sum over members m_i of their creation followed by the side
+        action of the inner products <m_i, x>. The side actions, the
+        rightmost factors, are built on the source window only."""
         spec = self.space.spec
-        members = spec.basis_U if family == 1 else spec.basis_V
         stack = spec.inner_B1 if family == 1 else spec.inner_B2
-        out = self.space.zero()
-        for op, m in zip(self.family(family), members):
-            out = out + op @ self.space.left_action(family, stack.pair(m, xi))
-        return out
+        members = self.members(family)
+        return _total(
+            op @ self.space.left_actions(family, stack.pairs(members.take_cols([i]), xs), window)
+            for i, op in enumerate(self.family(family))
+        )
 
     @cached_property
     def model(self) -> DiagonalOperatorModel:
@@ -110,17 +136,34 @@ def _key_name(key) -> str:
     return "level {} word {}".format(n, "".join(str(x) for x in word))
 
 
+def _block_witness(dest, src) -> str:
+    return f"nonzero block {_key_name(dest)} <- {_key_name(src)}"
+
+
 def window_report(check_id, statement, diff, lo, hi) -> IdentityReport:
     """Report whether a difference operator vanishes on the source window."""
     bad = sorted(k for k in diff.blocks if lo <= k[1][0] <= hi)
     if bad:
-        dest, src = bad[0]
-        witness = f"nonzero block {_key_name(dest)} <- {_key_name(src)}"
-        return IdentityReport(check_id, statement, (lo, hi), False, witness)
+        return IdentityReport(check_id, statement, (lo, hi), False, _block_witness(*bad[0]))
     return IdentityReport(check_id, statement, (lo, hi), True)
 
 
-def _family_report(check_id, statement, labelled_diffs, lo, hi) -> IdentityReport:
+def _family_report(check_id, statement, diffs: FockFamily, label, lo, hi) -> IdentityReport:
+    """Report whether every member of a family of difference operators
+    vanishes on the source window. A failure names the first failing
+    member in C order, by label(*index), and its first bad block."""
+    failure = diffs.first_failure(lo, hi)
+    if failure is None:
+        return IdentityReport(check_id, statement, (lo, hi), True)
+    index, block = failure
+    witness = f"{label(*index)}: {_block_witness(*block)}"
+    return IdentityReport(check_id, statement, (lo, hi), False, witness)
+
+
+def _sequence_report(check_id, statement, labelled_diffs, lo, hi) -> IdentityReport:
+    """Report whether every operator of a labelled sequence of difference
+    operators vanishes on the source window, for identities whose members
+    are separate operators; a failure names the first failing one."""
     for label, diff in labelled_diffs:
         rep = window_report(check_id, statement, diff, lo, hi)
         if not rep.passed:
@@ -129,24 +172,21 @@ def _family_report(check_id, statement, labelled_diffs, lo, hi) -> IdentityRepor
     return IdentityReport(check_id, statement, (lo, hi), True)
 
 
-def _basis_columns(dim: int) -> list:
-    eye = ExactMatrix.identity(dim)
-    return [eye.take_cols([p]) for p in range(dim)]
-
-
-def _annihilation_expected(space: FockSpace, family: int, xi: ExactMatrix) -> FockOperator:
-    """The lowering operator predicted by the inner-product formula."""
+def _annihilation_expected(space: FockSpace, family: int, xs: ExactMatrix) -> FockFamily:
+    """The lowering operators predicted by the inner-product formula for the
+    module vectors in the columns of xs, as a family over the columns."""
     spec = space.spec
     h = space.summand((1, ()))
-    xi_q = h.express @ xi
+    c = xs.ncols
     d1 = spec.algebra_B1.dim
     d2 = spec.algebra_B2.dim
     gram = h.gram_B1 if family == 1 else h.gram_B2
-    rows = [xi_q.H @ g for g in gram.coords]
-    if family == 1:
-        base = ExactMatrix.vstack(rows + [ExactMatrix.zeros(d2, h.dim)])
-    else:
-        base = ExactMatrix.vstack([ExactMatrix.zeros(d1, h.dim)] + rows)
+    # row j of rows[t] is x_j^H coords[t], row t of member j's base block
+    xs_adj = (h.express @ xs).H
+    rows = [xs_adj @ g for g in gram.coords]
+    zero = ExactMatrix.zeros(c, h.dim)
+    sides = rows + [zero] * d2 if family == 1 else [zero] * d1 + rows
+    base = MatrixStack.regrouped(ExactMatrix.vstack(sides), (d1 + d2, c, h.dim), (1, 0, 2))
     blocks = {((0, ()), (1, ())): base}
     for key in space.keys:
         n, word = key
@@ -156,8 +196,11 @@ def _annihilation_expected(space: FockSpace, family: int, xi: ExactMatrix) -> Fo
         src = space.summand(src_key)
         tail = space.summand(key)
         ops = tail.left_B1 if family == 1 else tail.left_B2
-        blocks[(key, src_key)] = kron_sum(rows, ops) @ src.include
-    return FockOperator(space, blocks)
+        # rows (j, v) of the Kronecker sum are the rows of member j's block
+        summed = kron_sum(rows, ops)
+        stacked = MatrixStack.regrouped(summed, (c, tail.dim, summed.ncols), (0, 1, 2))
+        blocks[(key, src_key)] = stacked @ src.include
+    return FockFamily(space, (c,), blocks)
 
 
 def _word_start_projection(space: FockSpace, family: int) -> FockOperator:
@@ -181,130 +224,110 @@ def _to_ambient(space: FockSpace, L: ExactMatrix) -> ExactMatrix:
     return h.include @ L @ h.express
 
 
+def _total(terms):
+    return functools.reduce(operator.add, terms)
+
+
 def verify_creation_relations(gens: GeneratorFamily) -> list:
     """Structural identities of single creation and annihilation operators."""
     space = gens.space
     spec = space.spec
     K = space.depth
     d = spec.dim
-    basis = _basis_columns(d)
-    # Every identity below reuses these: the creations and annihilations of
-    # the basis vectors, the right actions of the base algebra basis and the
-    # two lifted samples.
-    created = {fam: [space.creation(fam, xi) for xi in basis] for fam in (1, 2)}
-    annihilated = {fam: [s.adjoint() for s in ops] for fam, ops in created.items()}
-    right = [
-        space.right_action(spec.algebra_A.basis_element(a))
-        for a in range(spec.algebra_A.dim)
-    ]
-    samples = [
-        (label, space.lift(L), _to_ambient(space, L)) for label, L in _lift_samples(space)
-    ]
+    eye = ExactMatrix.identity(d)
     if d >= 2:
-        extra = basis[0] + basis[1].scale(_I)
+        extra = eye.take_cols([0]) + eye.take_cols([1]).scale(_I)
     else:
-        extra = basis[0].scale(GaussianRational(1, 1))
+        extra = eye.take_cols([0]).scale(GaussianRational(1, 1))
+    # Every identity below reuses these families: the creations and
+    # annihilations of the basis vectors (and of one extra vector), the
+    # right actions of the base algebra basis and the two lifted samples.
+    vectors = ExactMatrix.hstack([eye, extra])
+    created, annihilated, lowered = {}, {}, {}
+    for fam in (1, 2):
+        created_ext = space.creations(fam, vectors, (0, K))
+        lowered[fam] = created_ext.adjoint()
+        created[fam] = created_ext[:d]
+        annihilated[fam] = lowered[fam][:d]
+    right = space.right_actions(ExactMatrix.identity(spec.algebra_A.dim), (0, K))
+    samples = _lift_samples(space)
+    ns = len(samples)
+    lifted = FockFamily.stack([space.lift(L) for _, L in samples], (ns,))
+    ambients = [_to_ambient(space, L) for _, L in samples]
+    # the vectors e_p + i e_q, p < q, and (1 + i) e_0 of the linearity check
+    pairs = [(p, q) for p in range(d) for q in range(p + 1, d)]
+    combos = ExactMatrix.hstack(
+        [eye.take_cols([p]) + eye.take_cols([q]).scale(_I) for p, q in pairs]
+        + [eye.take_cols([0]).scale(GaussianRational(1, 1))])
     reports = []
 
     for family, fam_name in ((1, "1"), (2, "2")):
         alg = spec.algebra_B1 if family == 1 else spec.algebra_B2
-        side = [space.left_action(family, alg.basis_element(c)) for c in range(alg.dim)]
-
-        def module_map_diffs(fam=family):
-            for p, s in enumerate(created[fam]):
-                for a, r in enumerate(right):
-                    yield (f"vector {p}, coefficient {a}", s @ r - r @ s)
+        nc = alg.dim
+        s_fam, a_fam = created[family], annihilated[family]
+        s_col, right_row = s_fam.reshape((d, 1)), right.reshape((1, -1))
 
         reports.append(_family_report(
             f"creation-module-map-{fam_name}",
             "creation commutes with the right coefficient action",
-            module_map_diffs(), 0, K,
+            s_col @ right_row - right_row @ s_col,
+            lambda p, a: f"vector {p}, coefficient {a}", 0, K,
         ))
-
-        def annihilation_diffs(fam=family):
-            lowered = annihilated[fam] + [space.creation(fam, extra).adjoint()]
-            for p, (xi, s_adj) in enumerate(zip(basis + [extra], lowered)):
-                yield (f"vector {p}", s_adj - _annihilation_expected(space, fam, xi))
 
         reports.append(_family_report(
             f"annihilation-formula-{fam_name}",
             "the adjoint of creation lowers degree by the inner-product formula",
-            annihilation_diffs(), 1, K,
+            lowered[family] - _annihilation_expected(space, family, vectors),
+            lambda p: f"vector {p}", 1, K,
         ))
 
-        def linearity_diffs(fam=family):
-            ops = created[fam]
-            for p in range(d):
-                for q in range(p + 1, d):
-                    combo = space.creation(fam, basis[p] + basis[q].scale(_I))
-                    yield (f"pair ({p}, {q})", combo - (ops[p] + ops[q].scale(_I)))
-            scaled = space.creation(fam, basis[0].scale(GaussianRational(1, 1)))
-            yield ("complex rescaling", scaled - ops[0].scale(GaussianRational(1, 1)))
-
+        # creating each combination against the same combination of the
+        # basis creations
         reports.append(_family_report(
             f"creation-linear-{fam_name}",
             "creation is complex linear in the module vector",
-            linearity_diffs(), 0, K - 1,
+            space.creations(family, combos, (0, K - 1)) - s_fam.combine(combos),
+            lambda j: f"pair {pairs[j]}" if j < len(pairs) else "complex rescaling", 0, K - 1,
         ))
 
-        right_ops = spec.right_B1 if family == 1 else spec.right_B2
-
-        def intertwine_diffs(fam=family, side=side, rops=right_ops):
-            for label, lifted, L_amb in samples:
-                for p, xi in enumerate(basis):
-                    s_xi = created[fam][p]
-                    for c, act in enumerate(side):
-                        lhs = space.creation(fam, rops[c] @ (L_amb @ xi))
-                        yield (
-                            f"{label}, vector {p}, side element {c}",
-                            lhs - lifted @ s_xi @ act,
-                        )
-
+        # the vector of member (sample, p, c) is rops[c] @ L_amb @ e_p
+        rops = spec.right_B1 if family == 1 else spec.right_B2
+        by_sample = ExactMatrix.hstack([rop @ L_amb for L_amb in ambients for rop in rops])
+        transformed = by_sample.take_cols(
+            [(s * nc + c) * d + p for s in range(ns) for p in range(d) for c in range(nc)])
+        side = space.left_actions(family, ExactMatrix.identity(nc), (0, K - 1))
         reports.append(_family_report(
             f"creation-lift-intertwine-{fam_name}",
             "creation by a transformed and side-scaled vector factors through "
             "the lifted operator and the side action",
-            intertwine_diffs(), 0, K - 1,
+            space.creations(family, transformed, (0, K - 1)).reshape((ns, d, nc))
+            - lifted.reshape((ns, 1, 1)) @ s_fam.reshape((1, d, 1)) @ side.reshape((1, 1, nc)),
+            lambda s, p, c: f"{samples[s][0]}, vector {p}, side element {c}", 0, K - 1,
         ))
 
         inner = spec.inner_B1 if family == 1 else spec.inner_B2
-
-        def compression_diffs(fam=family, stack=inner):
-            for label, lifted, L_amb in samples:
-                for p, zeta in enumerate(basis):
-                    for q, xi in enumerate(basis):
-                        val = stack.pair(zeta, L_amb @ xi)
-                        lhs = annihilated[fam][p] @ lifted @ created[fam][q]
-                        yield (
-                            f"{label}, vectors ({p}, {q})",
-                            lhs - space.left_action(fam, val),
-                        )
-
+        values = ExactMatrix.hstack([inner.pairs(eye, L_amb) for L_amb in ambients])
         reports.append(_family_report(
             f"compressed-left-action-{fam_name}",
             "compressing a lifted operator between two creations recovers its "
             "inner-product coefficient as a side action",
-            compression_diffs(), 0, K - 1,
+            a_fam.reshape((1, d, 1)) @ lifted.reshape((ns, 1, 1))
+            @ s_fam.window(0, K - 1).reshape((1, 1, d))
+            - space.left_actions(family, values, (0, K - 1)).reshape((ns, d, d)),
+            lambda s, p, q: f"{samples[s][0]}, vectors ({p}, {q})", 0, K - 1,
         ))
-
-    def cross_diffs(order):
-        for p in range(d):
-            for q in range(d):
-                if order == 1:
-                    diff = annihilated[1][p] @ created[2][q]
-                else:
-                    diff = annihilated[2][q] @ created[1][p]
-                yield (f"vectors ({p}, {q})", diff)
 
     reports.append(_family_report(
         "cross-family-orthogonal-1",
         "annihilation from the first family kills the second family's range",
-        cross_diffs(1), 1, K,
+        annihilated[1].reshape((d, 1)) @ created[2].window(1, K).reshape((1, d)),
+        lambda p, q: f"vectors ({p}, {q})", 1, K,
     ))
     reports.append(_family_report(
         "cross-family-orthogonal-2",
         "annihilation from the second family kills the first family's range",
-        cross_diffs(2), 1, K,
+        annihilated[2].reshape((1, d)) @ created[1].window(1, K).reshape((d, 1)),
+        lambda p, q: f"vectors ({p}, {q})", 1, K,
     ))
 
     sum_s = sum(gens.ranges[1], space.zero())
@@ -331,22 +354,14 @@ def verify_creation_relations(gens: GeneratorFamily) -> list:
         sum_s + sum_t + p0 - (space.identity() + p1), 0, K,
     ))
 
-    def expansion_diffs(family):
-        for p, xi in enumerate(basis):
-            yield (f"vector {p}", created[family][p] - gens.expand(family, xi))
-
-    reports.append(_family_report(
-        "creation-expansion-1",
-        "every first-family creation expands over the generating family with "
-        "inner-product coefficients",
-        expansion_diffs(1), 0, K - 1,
-    ))
-    reports.append(_family_report(
-        "creation-expansion-2",
-        "every second-family creation expands over the generating family with "
-        "inner-product coefficients",
-        expansion_diffs(2), 0, K - 1,
-    ))
+    for family, fam_name, which in ((1, "1", "first"), (2, "2", "second")):
+        reports.append(_family_report(
+            f"creation-expansion-{fam_name}",
+            f"every {which}-family creation expands over the generating family with "
+            "inner-product coefficients",
+            created[family] - gens.expansions(family, eye, (0, K - 1)),
+            lambda p: f"vector {p}", 0, K - 1,
+        ))
     return reports
 
 
@@ -364,40 +379,33 @@ def verify_defining_relations(gens: GeneratorFamily) -> list:
         total - space.identity(), 2, K,
     ))
 
+    def pair_label(i, j):
+        return f"pair ({i}, {j})"
+
+    _, s_adj = gens.stacked[1]
+    t_ops, _ = gens.stacked[2]
     reports.append(_family_report(
         "defining-relation-2",
         "generators of the two families have orthogonal ranges",
-        ((f"pair ({j}, {l})", s_adj @ t)
-         for j, s_adj in enumerate(gens.adjoints[1]) for l, t in enumerate(gens.T)),
-        1, K,
+        s_adj.reshape((-1, 1)) @ t_ops.window(1, K).reshape((1, -1)),
+        pair_label, 1, K,
     ))
 
-    def gram_diffs(members, side, stack):
-        for i, x_adj in enumerate(gens.adjoints[side]):
-            for j, y in enumerate(gens.family(side)):
-                val = stack.pair(members[i], members[j])
-                yield (f"pair ({i}, {j})", x_adj @ y - space.left_action(side, val))
+    for number, side, which in ((3, 1, "first"), (4, 2, "second")):
+        ops, adj = gens.stacked[side]
+        members = gens.members(side)
+        n = members.ncols
+        stack = spec.inner_B1 if side == 1 else spec.inner_B2
+        reports.append(_family_report(
+            f"defining-relation-{number}",
+            f"{which}-family compressions recover the {which}-side inner products",
+            adj.reshape((n, 1)) @ ops.window(0, K - 1).reshape((1, n))
+            - space.left_actions(side, stack.pairs(members, members), (0, K - 1)).reshape((n, n)),
+            pair_label, 0, K - 1,
+        ))
 
-    reports.append(_family_report(
-        "defining-relation-3",
-        "first-family compressions recover the first-side inner products",
-        gram_diffs(spec.basis_U, 1, spec.inner_B1), 0, K - 1,
-    ))
-    reports.append(_family_report(
-        "defining-relation-4",
-        "second-family compressions recover the second-side inner products",
-        gram_diffs(spec.basis_V, 2, spec.inner_B2), 0, K - 1,
-    ))
-
-    def intertwine_diffs(side, family):
-        amb_ops = spec.left_B1 if side == 1 else spec.left_B2
-        members = spec.basis_U if family == 1 else spec.basis_V
-        alg = spec.algebra_B1 if side == 1 else spec.algebra_B2
-        for c in range(alg.dim):
-            act = space.left_action(side, alg.basis_element(c))
-            for j, (x, m) in enumerate(zip(gens.family(family), members)):
-                rhs = gens.expand(family, amb_ops[c] @ m)
-                yield (f"element {c}, generator {j}", act @ x - rhs)
+    def element_label(c, j):
+        return f"element {c}, generator {j}"
 
     statements = {
         (1, 1): "the first side action shifts across first-family generators",
@@ -405,11 +413,20 @@ def verify_defining_relations(gens: GeneratorFamily) -> list:
         (2, 1): "the second side action shifts across first-family generators",
         (2, 2): "the second side action shifts across second-family generators",
     }
+    acts = {side: space.left_actions(side, ExactMatrix.identity(len(ops)), (0, K))
+            for side, ops in ((1, spec.left_B1), (2, spec.left_B2))}
     for number, (side, family) in ((5, (1, 1)), (6, (1, 2)), (7, (2, 1)), (8, (2, 2))):
+        amb_ops = spec.left_B1 if side == 1 else spec.left_B2
+        nc = len(amb_ops)
+        members = gens.members(family)
+        n = members.ncols
+        shifted = ExactMatrix.hstack([op @ members for op in amb_ops])
         reports.append(_family_report(
             f"defining-relation-{number}",
             statements[(side, family)],
-            intertwine_diffs(side, family), 0, K - 1,
+            acts[side].reshape((nc, 1)) @ gens.stacked[family][0].window(0, K - 1).reshape((1, n))
+            - gens.expansions(family, shifted, (0, K - 1)).reshape((nc, n)),
+            element_label, 0, K - 1,
         ))
     return reports
 
@@ -417,11 +434,12 @@ def verify_defining_relations(gens: GeneratorFamily) -> list:
 def represent_module_map(gens: GeneratorFamily, L_amb: ExactMatrix) -> FockOperator:
     """The tower operator assembled from a module map's matrix coefficients
     against the two generating families."""
-    spec = gens.space.spec
-    out = gens.space.zero()
-    for family, members in ((1, spec.basis_U), (2, spec.basis_V)):
-        for m, m_adj in zip(members, gens.adjoints[family]):
-            out = out + gens.expand(family, L_amb @ m) @ m_adj
+    space = gens.space
+    out = space.zero()
+    for family in (1, 2):
+        rebuilt = gens.expansions(family, L_amb @ gens.members(family), (0, space.depth))
+        for j, m_adj in enumerate(gens.adjoints[family]):
+            out = out + rebuilt.member((j,)) @ m_adj
     return out
 
 
@@ -440,35 +458,31 @@ def verify_reconstruction_identities(gens: GeneratorFamily) -> list:
     space = gens.space
     spec = space.spec
     K = space.depth
-    basis = _basis_columns(spec.dim)
+    d = spec.dim
+    eye = ExactMatrix.identity(d)
     reports = []
 
-    def scalar_compression_diffs(family):
-        ops = gens.family(family)
+    def scalar_compression(family):
+        """Member (p, q): sum_i m_i^* L(<e_p|e_q>) m_i minus the side action
+        of the embedded base inner product, L being the other side's action;
+        every intermediate family is released on return."""
         other = 2 if family == 1 else 1
         stack = spec.inner_B2 if family == 1 else spec.inner_B1
         embed = spec.left_embed_1 if family == 1 else spec.left_embed_2
-        for p, xi in enumerate(basis):
-            for q, eta in enumerate(basis):
-                mid = space.left_action(other, stack.pair(xi, eta))
-                lhs = space.zero()
-                for op, op_adj in zip(ops, gens.adjoints[family]):
-                    lhs = lhs + op_adj @ mid @ op
-                rhs = space.left_action(family, embed(spec.inner_A.pair(xi, eta)))
-                yield (f"vectors ({p}, {q})", lhs - rhs)
+        mid = space.left_actions(other, stack.pairs(eye, eye), (0, K))
+        lhs = _total(op_adj @ mid @ op.window(0, K - 1)
+                     for op, op_adj in zip(gens.family(family), gens.adjoints[family]))
+        rhs = space.left_actions(family, embed(spec.inner_A.pairs(eye, eye)), (0, K - 1))
+        return (lhs - rhs).reshape((d, d))
 
-    reports.append(_family_report(
-        "scalar-compression-1",
-        "averaging the other side's inner-product action over the first "
-        "family recovers the embedded base inner product",
-        scalar_compression_diffs(1), 0, K - 1,
-    ))
-    reports.append(_family_report(
-        "scalar-compression-2",
-        "averaging the other side's inner-product action over the second "
-        "family recovers the embedded base inner product",
-        scalar_compression_diffs(2), 0, K - 1,
-    ))
+    for family, fam_name, which in ((1, "1", "first"), (2, "2", "second")):
+        reports.append(_family_report(
+            f"scalar-compression-{fam_name}",
+            "averaging the other side's inner-product action over the "
+            f"{which} family recovers the embedded base inner product",
+            scalar_compression(family),
+            lambda p, q: f"vectors ({p}, {q})", 0, K - 1,
+        ))
 
     z = _complex_sample(spec.algebra_B1.dim)
     w = _complex_sample(spec.algebra_B2.dim)
@@ -476,25 +490,30 @@ def verify_reconstruction_identities(gens: GeneratorFamily) -> list:
     phi2w = weighted_sum(spec.left_B2, w)
     gram_a = spec.inner_A.scalarized()
 
+    def action(side, b, lo=2):
+        """The side action on the summands from level lo to K only: every
+        case below is declared on [2, K], and a left factor keeps the rest."""
+        return space.left_actions(side, b, (lo, K)).member((0,))
+
     cases = [
         ("algebra-reconstruction-z",
          "the first side action is rebuilt from its matrix coefficients",
-         phi1z, space.left_action(1, z)),
+         phi1z, action(1, z)),
         ("algebra-reconstruction-w",
          "the second side action is rebuilt from its matrix coefficients",
-         phi2w, space.left_action(2, w)),
+         phi2w, action(2, w)),
         ("algebra-reconstruction-zstar",
          "the adjoint of the first side action is rebuilt as the conjugate action",
-         gram_adjoint(phi1z, gram_a, gram_a), space.left_action(1, z.conj())),
+         gram_adjoint(phi1z, gram_a, gram_a), action(1, z.conj())),
         ("algebra-reconstruction-wstar",
          "the adjoint of the second side action is rebuilt as the conjugate action",
-         gram_adjoint(phi2w, gram_a, gram_a), space.left_action(2, w.conj())),
+         gram_adjoint(phi2w, gram_a, gram_a), action(2, w.conj())),
         ("algebra-reconstruction-zw",
          "the product of the two side actions is rebuilt from its coefficients",
-         phi1z @ phi2w, space.left_action(1, z) @ space.left_action(2, w)),
+         phi1z @ phi2w, action(1, z, 0) @ action(2, w)),
         ("algebra-reconstruction-wz",
          "the reversed product of the side actions is rebuilt from its coefficients",
-         phi2w @ phi1z, space.left_action(2, w) @ space.left_action(1, z)),
+         phi2w @ phi1z, action(2, w, 0) @ action(1, z)),
     ]
     rebuilt = {}
     for check_id, statement, amb, expected in cases:
@@ -531,14 +550,12 @@ def verify_module_map_representation(gens: GeneratorFamily) -> list:
     reports = []
     ambients = [_to_ambient(space, E) for E in model.idempotents]
     represented = [represent_module_map(gens, L_amb) for L_amb in ambients]
-
-    def compression_diffs():
-        for cl, (L_amb, rep) in enumerate(zip(ambients, represented)):
-            for a, s_adj in enumerate(gens.adjoints[1]):
-                for b, s in enumerate(gens.S):
-                    val = spec.inner_B1.pair(spec.basis_U[a], L_amb @ spec.basis_U[b])
-                    diff = s_adj @ rep @ s - space.left_action(1, val)
-                    yield (f"class {cl}, generators ({a}, {b})", diff)
+    ncl = len(represented)
+    members = gens.members(1)
+    n = members.ncols
+    s_ops, s_adj = gens.stacked[1]
+    values = ExactMatrix.hstack([spec.inner_B1.pairs(members, L_amb @ members)
+                                 for L_amb in ambients])
 
     # The represented operator doubles on the module level, where both
     # generating families rebuild it at once, so compression is declared
@@ -547,7 +564,10 @@ def verify_module_map_representation(gens: GeneratorFamily) -> list:
         "module-map-compression",
         "compressing a represented operator between first-family generators "
         "returns its matrix coefficient",
-        compression_diffs(), 1, K - 1,
+        s_adj.reshape((1, n, 1)) @ FockFamily.stack(represented, (ncl, 1, 1))
+        @ s_ops.window(1, K - 1).reshape((1, 1, n))
+        - space.left_actions(1, values, (1, K - 1)).reshape((ncl, n, n)),
+        lambda cl, a, b: f"class {cl}, generators ({a}, {b})", 1, K - 1,
     ))
 
     reports.append(window_report(

@@ -6,10 +6,10 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from quadmod import fock, linalg, relations, serialize
+from quadmod import cli, fock, linalg, relations, serialize
 from quadmod.algebras import CommAlgebra
 from quadmod.cli import CLIError, main, parse_cycles
-from quadmod.fock import FockOperator, FockSpace
+from quadmod.fock import FockOperator, FockSpace, QuadSpace
 from quadmod.linalg import ExactMatrix, GramStack
 from quadmod.opalgebra import DiagonalOperatorModel
 from quadmod.quadmodule import QuadModuleSpec, build_example_MN, build_example_alpha_beta
@@ -247,7 +247,7 @@ def test_one_full_run_builds_the_operator_model_once(monkeypatch, capsys):
 
 # Linear combinations and diagonals that are one array operation each.
 ARRAY_ONLY = [
-    (FockSpace, "left_action"),
+    (FockSpace, "left_actions"),
     (GramStack, "transform"),
     (DiagonalOperatorModel, "element"),
     (DiagonalOperatorModel, "coords"),
@@ -300,7 +300,7 @@ def test_linear_combinations_read_no_entries(tmp_path, monkeypatch, capsys, size
     assert code == 0
     expected = {name for _, name in ARRAY_ONLY}
     if argv[0] == "ktheory":
-        expected.discard("left_action")
+        expected.discard("left_actions")
     assert expected <= set(calls)
     assert not reads, f"entries read one by one: {dict(reads)}"
     assert len(built) == len(families)
@@ -310,6 +310,8 @@ def test_linear_combinations_read_no_entries(tmp_path, monkeypatch, capsys, size
 # Kronecker-structured work that runs through linalg's Kronecker kernels.
 KRON_FREE = [
     (fock, "_tensor_stacks"),
+    (fock, "relative_tensor"),
+    (QuadSpace, "from_ambient"),
     (FockSpace, "creation"),
     (FockSpace, "lift"),
     (relations, "_annihilation_expected"),
@@ -323,11 +325,11 @@ KRON_FREE = [
 def test_kronecker_products_form_no_krons(monkeypatch, capsys, builtin, options):
     inside, calls, krons = [], Counter(), Counter()
     for owner, name in KRON_FREE:
-        def spied(*args, _call=getattr(owner, name), _name=name):
+        def spied(*args, _call=getattr(owner, name), _name=name, **kwargs):
             calls[_name] += 1
             inside.append(_name)
             try:
-                return _call(*args)
+                return _call(*args, **kwargs)
             finally:
                 inside.pop()
         monkeypatch.setattr(owner, name, spied)
@@ -467,3 +469,36 @@ def test_real_products_skip_the_complex_kernel(monkeypatch, capsys, argv):
     code, _, _ = run_cli(capsys, "full", *argv)
     assert code == 0
     assert real and not any(real)
+
+
+@pytest.mark.parametrize("argv", [
+    ("--builtin", "mn:2,2", "--depth", "3"),
+    ("--builtin", "perm:5,(0 1 2 3 4),(0 2 4 1 3)"),
+])
+def test_identity_families_create_and_act_in_batches(monkeypatch, capsys, argv):
+    # inside the identity suite every creation and side action belongs to
+    # one batched family (creations, left_actions), never to a per-member
+    # call of creation or left_action
+    inside, suites, strays = [], [], []
+    suite = relations.full_identity_suite
+
+    def watched(gens):
+        suites.append(gens)
+        inside.append(True)
+        try:
+            return suite(gens)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(cli, "full_identity_suite", watched)
+    for name in ("creation", "left_action"):
+        def spied(self, *args, _call=getattr(FockSpace, name), _name=name):
+            if inside:
+                strays.append(_name)
+            return _call(self, *args)
+
+        monkeypatch.setattr(FockSpace, name, spied)
+    code, _, _ = run_cli(capsys, "full", *argv)
+    assert code == 0
+    assert len(suites) == 1
+    assert strays == [], f"per-member calls inside the identity suite: {Counter(strays)}"

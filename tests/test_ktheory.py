@@ -235,3 +235,53 @@ def test_remixed_basis_violates_the_class_assumptions():
     space = build_fock(spec, 3)
     with pytest.raises(AssumptionsViolated, match="range-commute"):
         k_groups(make_generators(space))
+
+
+# -- closed forms of the class matrix ---------------------------------------
+
+
+def _kron(a, b):
+    return [[x * y for x in ra for y in rb] for ra in a for rb in b]
+
+
+def _identity(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def _ones(n):
+    return [[1] * n for _ in range(n)]
+
+
+def _permutation_matrix(perm):
+    return [[int(perm[i] == j) for j in range(len(perm))] for i in range(len(perm))]
+
+
+def _cycle_power(d, k):
+    return [(i + k) % d for i in range(d)]
+
+
+@pytest.mark.parametrize("M, N", [(1, 1), (1, 2), (2, 1), (1, 3), (2, 2), (2, 3), (3, 2), (3, 3)])
+def test_bipartite_class_matrix_has_its_closed_form(M, N):
+    # read from the spec parameters alone: I_M (x) J_N + J_M (x) I_N
+    a = k_groups(make_generators(build_fock(build_example_MN(M, N), 2))).class_matrix
+    assert a == sum_matrices(_kron(_identity(M), _ones(N)), _kron(_ones(M), _identity(N)))
+
+
+PERMUTATION_PAIRS = [
+    (d, _cycle_power(d, 1), _cycle_power(d, k)) for d in range(1, 7) for k in range(d)
+] + [
+    (4, [1, 0, 3, 2], [2, 3, 0, 1]),
+    (5, list(range(5)), list(range(5))),
+    (6, [1, 2, 0, 4, 5, 3], [3, 4, 5, 0, 1, 2]),
+    (6, [1, 0, 3, 2, 5, 4], list(range(6))),
+]
+
+
+@pytest.mark.parametrize("d, sigma, tau", PERMUTATION_PAIRS,
+                         ids=[f"{d}-{s}-{t}" for d, s, t in PERMUTATION_PAIRS])
+def test_permutation_class_matrix_has_its_closed_form(d, sigma, tau):
+    # commuting twists sigma and tau give P_sigma + P_tau, row i holding a
+    # one in columns sigma(i) and tau(i)
+    spec = build_example_alpha_beta(d, sigma, tau)
+    a = k_groups(make_generators(build_fock(spec, 2))).class_matrix
+    assert a == sum_matrices(_permutation_matrix(sigma), _permutation_matrix(tau))

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -1086,3 +1087,171 @@ def test_tensor_stacks_match_the_per_coordinate_loop(spec):
         (pair[2], grams, h.left_B2),
     ]:
         assert fock._tensor_stacks(inner, stacks, ops) == _loop_tensor_stacks(inner, stacks, ops)
+
+
+# -- batched products over matrix stacks -----------------------------------
+
+
+def _stack_members(shape):
+    return list(itertools.product(*(range(n) for n in shape)))
+
+
+@st.composite
+def stack_gate_operands(draw):
+    """Two stacks whose batch shapes broadcast (each axis full on one side
+    and full or 1 on the other), real or complex, over a denominator of 1,
+    whose product bound inner*max|A|*max|B| is 2^53, just above it, 2^62 or
+    2^64, past the int64 range; the inner dimension is k, or 2k for a
+    product of two complex stacks. Sizes put the total work m*k*n*batch on
+    both sides of the float cutoff, some with every member below it."""
+    ndim = draw(st.integers(0, 2))
+    full = draw(st.lists(st.integers(1, 5), min_size=ndim, max_size=ndim))
+    a_batch, b_batch = [], []
+    for n in full:
+        keep_a = draw(st.booleans())
+        a_batch.append(n if keep_a else 1)
+        b_batch.append(n if not keep_a or draw(st.booleans()) else 1)
+    k = 2 ** draw(st.integers(0, 4))
+    m, n = (draw(st.sampled_from([1, 3, 8, 16])) for _ in range(2))
+    complex_a, complex_b = draw(st.booleans()), draw(st.booleans())
+    inner = 2 * k if complex_a and complex_b else k
+    e = draw(st.sampled_from([53, 62, 64])) - (inner.bit_length() - 1)
+    p = e // 2
+    atop = 2**p + draw(st.sampled_from([0, 1]))
+    btop = 2 ** (e - p)
+    aligned = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def part(shape, top, on):
+        if not on:
+            return np.zeros(shape, np.int64)
+        return rng.integers(top // 2 if aligned else -top, top, shape, endpoint=True)
+
+    a_shape, b_shape = tuple(a_batch) + (m, k), tuple(b_batch) + (k, n)
+    are, aim = part(a_shape, atop, True), part(a_shape, atop, complex_a)
+    bre, bim = part(b_shape, btop, True), part(b_shape, btop, complex_b)
+    are.flat[0], bre.flat[0] = atop, btop  # pin the maxima, so the bound is as stated
+    return (are, aim), (bre, bim), inner * atop * btop
+
+
+@settings(max_examples=200, deadline=None)
+@given(stack_gate_operands())
+def test_stack_products_match_the_member_loop_and_an_object_reference(case):
+    (are, aim), (bre, bim), bound = case
+    a, b = linalg.MatrixStack(are, aim, 1), linalg.MatrixStack(bre, bim, 1)
+    got, path = _gate_path(lambda: a @ b)
+    shape = np.broadcast_shapes(are.shape[:-2], bre.shape[:-2])
+    assert got.batch_shape == shape
+    want_re, want_im = _object_product(are, aim, bre, bim)
+    for index in _stack_members(shape):
+        member = got.member(shape, index)
+        assert member == ExactMatrix(want_re[index], want_im[index])
+        assert member == a.member(shape, index) @ b.member(shape, index)
+        _assert_real_flag(member)
+    _assert_real_flag(got)
+    # the batch does not enter the bound, but the cutoff reads the total work
+    rows = 2 * are.shape[-2] if aim.any() else are.shape[-2]
+    cols = 2 * bre.shape[-1] if bim.any() and not aim.any() else bre.shape[-1]
+    inner = 2 * are.shape[-1] if aim.any() and bim.any() else are.shape[-1]
+    work = math.prod(shape) * rows * inner * cols
+    if bound > 2 ** 62:
+        assert path == "object"
+    elif bound > linalg._FLOAT_EXACT or work < linalg._FLOAT_MIN_WORK:
+        assert path == "int64"
+    else:
+        assert path == "float"
+
+
+def test_stack_float_cutoff_reads_the_total_work():
+    # every member is 4x8 @ 8x8, 256 below the cutoff; nine of them reach it
+    rng = np.random.default_rng(5)
+    a = linalg.MatrixStack(rng.integers(-9, 9, (9, 1, 4, 8)), np.zeros((9, 1, 4, 8), np.int64), 1)
+    b = ExactMatrix(rng.integers(-9, 9, (8, 8)), np.zeros((8, 8), np.int64))
+    got, path = _gate_path(lambda: a @ b)
+    assert 4 * 8 * 8 < linalg._FLOAT_MIN_WORK <= 9 * 4 * 8 * 8
+    assert path == "float"
+    assert got.member((9, 1), (4, 0)) == a.member((9, 1), (4, 0)) @ b
+
+
+gaussian = st.builds(
+    lambda a, b, c, d: GR(F(a, b), F(c, d)),
+    st.integers(-9, 9), st.integers(1, 6), st.integers(-9, 9), st.integers(1, 6))
+
+
+@st.composite
+def stack_members(draw, shape, rows, cols, real):
+    """ExactMatrix members, in C order over the batch shape, with Gaussian
+    rational entries over mixed denominators (real ones when real is set)."""
+    entry = st.builds(lambda a, b: GR(F(a, b)), st.integers(-9, 9), st.integers(1, 6)) \
+        if real else gaussian
+    return [ExactMatrix.from_rows(draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                                                 min_size=rows, max_size=rows)))
+            for _ in range(math.prod(shape))]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_stack_arithmetic_matches_the_member_loop(data):
+    draw = data.draw
+    shape = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=2)))
+    broadcast = tuple(1 if draw(st.booleans()) else n for n in shape)
+    m, k, n = (draw(st.integers(1, 3)) for _ in range(3))
+    a_mats = draw(stack_members(shape, m, k, draw(st.booleans())))
+    b_mats = draw(stack_members(broadcast, k, n, draw(st.booleans())))
+    c_mats = draw(stack_members(broadcast, m, k, draw(st.booleans())))
+    [e] = draw(stack_members((), k, n, draw(st.booleans())))
+    a = linalg.MatrixStack.stack(a_mats, shape)
+    b = linalg.MatrixStack.stack(b_mats, broadcast)
+    c = linalg.MatrixStack.stack(c_mats, broadcast)
+    members = _stack_members(shape)
+
+    def at(mats, batch, index):
+        return mats[np.ravel_multi_index(tuple(min(i, s - 1) for i, s in zip(index, batch)),
+                                         batch)]
+
+    for got, want in [
+        (a @ b, lambda i: at(a_mats, shape, i) @ at(b_mats, broadcast, i)),
+        (a + c, lambda i: at(a_mats, shape, i) + at(c_mats, broadcast, i)),
+        (c - a, lambda i: at(c_mats, broadcast, i) - at(a_mats, shape, i)),
+        (-a, lambda i: -at(a_mats, shape, i)),
+        (a.H, lambda i: at(a_mats, shape, i).H),
+        (a @ e, lambda i: at(a_mats, shape, i) @ e),
+        (e.H @ c.H, lambda i: e.H @ at(c_mats, broadcast, i).H),
+        (c + at(a_mats, shape, members[0]), lambda i: at(c_mats, broadcast, i) + a_mats[0]),
+    ]:
+        _assert_real_flag(got)
+        for index in members:
+            assert got.member(shape, index) == want(index)
+    nonzero = np.broadcast_to((a @ b).nonzero(), shape)
+    for index in members:
+        assert nonzero[index] == (not (at(a_mats, shape, index) @ at(b_mats, broadcast, index)).is_zero())
+    # views on the batch axes keep every member
+    flat = a.reshaped(shape, (len(members),))
+    for j, index in enumerate(members):
+        assert flat.member(flat.batch_shape, (j,)) == a_mats[j]
+        assert a.take(shape, (slice(None),) * len(shape) + (None,)).member(
+            shape + (1,), index + (0,)) == at(a_mats, shape, index)
+    # combinations along one batch axis
+    coeffs = ExactMatrix.from_rows(draw(st.lists(
+        st.lists(gaussian, min_size=2, max_size=2), min_size=len(members), max_size=len(members))))
+    combined = flat.combine(coeffs)
+    for j in range(2):
+        want = ExactMatrix.zeros(m, k)
+        for r, member in enumerate(a_mats):
+            want = want + member.scale(coeffs[r, j])
+        assert combined.member((2,), (j,)) == want
+
+
+def test_stacks_with_empty_or_no_batch_axes():
+    a = linalg.MatrixStack(np.ones((0, 2, 3, 4), np.int64), np.zeros((0, 2, 3, 4), np.int64), 5)
+    b = linalg.MatrixStack(np.ones((1, 2, 4, 2), np.int64), np.zeros((1, 2, 4, 2), np.int64), 1)
+    got = a @ b
+    assert got.batch_shape == (0, 2)
+    assert got.nonzero().shape == (0, 2)
+    assert got.is_zero() and (got - got).is_zero()
+    x = ExactMatrix.from_rows([[1, GR(0, 1)], [F(1, 2), 3]])
+    one = linalg.MatrixStack.stack([x], ())
+    assert one.batch_shape == ()
+    assert (one @ x).member((), ()) == x @ x
+    assert (x @ one - one @ x).member((), ()) == ExactMatrix.zeros(2, 2)
+    assert bool(one.nonzero()) and not (one - x).nonzero()

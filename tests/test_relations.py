@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from quadmod.fock import build_fock
+from quadmod.fock import FockOperator, FockSpace, build_fock
 from quadmod.linalg import ExactMatrix
 from quadmod.quadmodule import build_example_MN, build_example_alpha_beta
 from quadmod.relations import (
@@ -169,3 +169,152 @@ def test_lift_projection_is_the_lift_of_the_model_projection(tower, request):
     for pattern in itertools.product((0, 1), repeat=model.rank):
         expected = space.lift(model.element(ExactMatrix.column(list(pattern))))
         assert gens.lift_projection(pattern) == expected, pattern
+
+
+# -- witnesses under perturbed towers --------------------------------------
+
+# every report of the suite, in report order
+REPORT_ORDER = [
+    "creation-module-map-1", "annihilation-formula-1", "creation-linear-1",
+    "creation-lift-intertwine-1", "compressed-left-action-1", "creation-module-map-2",
+    "annihilation-formula-2", "creation-linear-2", "creation-lift-intertwine-2",
+    "compressed-left-action-2", "cross-family-orthogonal-1",
+    "cross-family-orthogonal-2", "range-sum-1", "range-sum-2", "range-sum-total",
+    "creation-expansion-1", "creation-expansion-2", "defining-relation-1",
+    "defining-relation-2", "defining-relation-3", "defining-relation-4",
+    "defining-relation-5", "defining-relation-6", "defining-relation-7",
+    "defining-relation-8", "scalar-compression-1", "scalar-compression-2",
+    "algebra-reconstruction-z", "algebra-reconstruction-w",
+    "algebra-reconstruction-zstar", "algebra-reconstruction-wstar",
+    "algebra-reconstruction-zw", "algebra-reconstruction-wz", "product-reconstruction",
+    "module-map-compression", "module-map-multiplicative", "module-map-injective",
+]
+
+# (module, perturbation) -> the witness of every failing report, each naming
+# the first failing member in member order and its first bad block
+PERTURBED_FAILURES = {
+    ("mn:2,2", "lift"): {
+        "creation-lift-intertwine-2":
+            "left generator, vector 0, side element 0: "
+            "nonzero block level 2 word 2 <- level 1",
+        "compressed-left-action-2":
+            "left generator, vectors (0, 0): "
+            "nonzero block level 1 <- level 1",
+    },
+    ("mn:2,2", "left_B1"): {
+        "annihilation-formula-1":
+            "vector 0: "
+            "nonzero block level 2 word 1 <- level 3 word 11",
+        "creation-lift-intertwine-1":
+            "left generator, vector 0, side element 0: "
+            "nonzero block level 3 word 11 <- level 2 word 1",
+        "compressed-left-action-1":
+            "left generator, vectors (0, 0): "
+            "nonzero block level 2 word 1 <- level 2 word 1",
+        "creation-expansion-1": "vector 0: nonzero block level 3 word 11 <- level 2 word 1",
+        "defining-relation-3":
+            "pair (0, 0): "
+            "nonzero block level 2 word 1 <- level 2 word 1",
+        "defining-relation-5":
+            "element 0, generator 0: "
+            "nonzero block level 2 word 1 <- level 1",
+        "defining-relation-7":
+            "element 0, generator 0: "
+            "nonzero block level 3 word 11 <- level 2 word 1",
+        "scalar-compression-1":
+            "vectors (0, 0): "
+            "nonzero block level 2 word 1 <- level 2 word 1",
+        "algebra-reconstruction-z": "nonzero block level 2 word 1 <- level 2 word 1",
+        "algebra-reconstruction-w": "nonzero block level 3 word 11 <- level 3 word 11",
+        "algebra-reconstruction-zstar": "nonzero block level 2 word 1 <- level 2 word 1",
+        "algebra-reconstruction-wstar": "nonzero block level 3 word 11 <- level 3 word 11",
+        "algebra-reconstruction-zw": "nonzero block level 2 word 1 <- level 2 word 1",
+        "algebra-reconstruction-wz": "nonzero block level 2 word 1 <- level 2 word 1",
+        "product-reconstruction": "nonzero block level 3 word 11 <- level 3 word 11",
+    },
+    ("mn:2,2", "left_B2"): {
+        "defining-relation-8":
+            "element 1, generator 0: "
+            "nonzero block level 3 word 22 <- level 2 word 2",
+        "algebra-reconstruction-w": "nonzero block level 3 word 22 <- level 3 word 22",
+        "algebra-reconstruction-wstar": "nonzero block level 3 word 22 <- level 3 word 22",
+        "algebra-reconstruction-zw": "nonzero block level 3 word 22 <- level 3 word 22",
+        "algebra-reconstruction-wz": "nonzero block level 3 word 22 <- level 3 word 22",
+    },
+    ("perm:3", "lift"): {
+        "creation-lift-intertwine-2":
+            "left generator, vector 0, side element 2: "
+            "nonzero block level 2 word 2 <- level 1",
+        "compressed-left-action-2":
+            "left generator, vectors (0, 0): "
+            "nonzero block level 1 <- level 1",
+    },
+    ("perm:3", "left_B1"): {
+        "annihilation-formula-1":
+            "vector 2: "
+            "nonzero block level 2 word 1 <- level 3 word 11",
+        "creation-lift-intertwine-1":
+            "complex combination, vector 2, side element 0: "
+            "nonzero block level 3 word 11 <- level 2 word 1",
+        "compressed-left-action-1":
+            "complex combination, vectors (2, 2): "
+            "nonzero block level 2 word 1 <- level 2 word 1",
+        "creation-expansion-1": "vector 2: nonzero block level 3 word 11 <- level 2 word 1",
+        "defining-relation-3":
+            "pair (0, 0): "
+            "nonzero block level 2 word 1 <- level 2 word 1",
+        "defining-relation-5":
+            "element 0, generator 0: "
+            "nonzero block level 2 word 1 <- level 1",
+        "defining-relation-7":
+            "element 2, generator 0: "
+            "nonzero block level 3 word 11 <- level 2 word 1",
+        "scalar-compression-1":
+            "vectors (0, 0): "
+            "nonzero block level 2 word 1 <- level 2 word 1",
+        "algebra-reconstruction-z": "nonzero block level 2 word 1 <- level 2 word 1",
+        "algebra-reconstruction-zstar": "nonzero block level 2 word 1 <- level 2 word 1",
+        "algebra-reconstruction-zw": "nonzero block level 2 word 1 <- level 2 word 1",
+        "algebra-reconstruction-wz": "nonzero block level 2 word 1 <- level 2 word 1",
+    },
+    ("perm:3", "left_B2"): {
+        "defining-relation-8":
+            "element 2, generator 0: "
+            "nonzero block level 3 word 22 <- level 2 word 2",
+    },
+}
+
+
+def _extra_lift_block(monkeypatch):
+    """Every lift gains the identity on the summand of level 2, word 2."""
+    lift = FockSpace.lift
+    key = (2, (2,))
+
+    def perturbed(self, L):
+        extra = {(key, key): ExactMatrix.identity(self.summand(key).dim)}
+        return lift(self, L) + FockOperator(self, extra)
+
+    monkeypatch.setattr(FockSpace, "lift", perturbed)
+
+
+@pytest.mark.parametrize("module, perturbation", list(PERTURBED_FAILURES))
+def test_perturbed_towers_keep_their_witnesses(monkeypatch, module, perturbation):
+    # each failing family names the member and block that checking its
+    # members one by one, in member order, would name first
+    if module == "mn:2,2":
+        spec = build_example_MN(2, 2)
+    else:
+        spec = build_example_alpha_beta(3, [1, 2, 0], [2, 0, 1])
+    space = build_fock(spec, 3)
+    if perturbation == "lift":
+        _extra_lift_block(monkeypatch)
+    elif perturbation == "left_B1":
+        summand = space.summand((2, (1,)))
+        summand.left_B1[0] = summand.left_B1[0].scale(2)
+    else:
+        summand = space.summand(space.keys[-1])
+        summand.left_B2[-1] = summand.left_B2[-1] + ExactMatrix.identity(summand.dim)
+    reports = full_identity_suite(make_generators(space))
+    failures = PERTURBED_FAILURES[(module, perturbation)]
+    expected = [(cid, cid not in failures, failures.get(cid, "")) for cid in REPORT_ORDER]
+    assert [(r.check_id, r.passed, r.witness) for r in reports] == expected
