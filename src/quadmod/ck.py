@@ -13,8 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .algebras import AlgebraHom
-from .relations import GeneratorFamily, _sequence_report, window_report
+from .linalg import ExactMatrix
+from .relations import GeneratorFamily, families_report, window_report
 
 
 class CKStructureError(ValueError):
@@ -23,21 +26,25 @@ class CKStructureError(ValueError):
 
 @dataclass
 class CKState:
-    """One sliced generator, a class composed with a creation, and its adjoint."""
+    """One sliced generator, a class composed with a creation, by its
+    indices, with the 0/1 class pattern of its support."""
 
     family: int
     class_index: int
     generator_index: int
-    op: object
-    adjoint: object
     support: list
 
 
 @dataclass
 class CKBundle:
+    """The states, first family first, and their relation matrix; ops and
+    adjoints hold each family's states, and their adjoints, as a FockFamily."""
+
     gens: GeneratorFamily
     states: list
     matrix: list
+    ops: dict
+    adjoints: dict
 
     def state_labels(self) -> list[str]:
         return [
@@ -49,113 +56,109 @@ class CKBundle:
 def build_ck_generators(gens: GeneratorFamily) -> CKBundle:
     """Slice the generating family by the model's minimal idempotents and
     read off the relation matrix from the resulting supports."""
-    states = []
-    for family, members in ((1, gens.S), (2, gens.T)):
-        for cl, lifted in enumerate(gens.lifts):
-            for g, x in enumerate(members):
-                op = lifted @ x
-                if op.is_zero():
-                    continue
-                adjoint = op.adjoint()
-                candidate = (adjoint @ op).block((1, ()), (1, ()))
-                pattern = gens.model.projection_coords(candidate)
-                if pattern is None:
-                    raise CKStructureError(
-                        f"state (family {family}, class {cl}, generator {g}) "
-                        "has a support that is not a model projection"
-                    )
-                states.append(CKState(family, cl, g, op, adjoint, pattern))
+    model = gens.model
+    lifts = gens.lifts
+    ncl = lifts.shape[0]
+    module = (1, ())
+    states, ops, adjoints = [], {}, {}
+    for family in (1, 2):
+        members = gens.family(family)
+        ng = members.shape[0]
+        # member (class, generator) of the slices, kept where nonzero
+        sliced = (lifts.reshape((ncl, 1)) @ members.reshape((1, ng))).reshape((ncl * ng,))
+        kept = [int(j) for j in np.flatnonzero(sliced.nonzero())]
+        ops[family] = sliced[kept]
+        adjoints[family] = ops[family].adjoint()
+        squares = adjoints[family] @ ops[family].window(1, 1)
+        for i, j in enumerate(kept):
+            cl, g = divmod(j, ng)
+            pattern = model.projection_coords(squares.member((i,)).block(module, module))
+            if pattern is None:
+                raise CKStructureError(
+                    f"state (family {family}, class {cl}, generator {g}) "
+                    "has a support that is not a model projection"
+                )
+            states.append(CKState(family, cl, g, pattern))
     matrix = [[st.support[other.class_index] for other in states] for st in states]
-    return CKBundle(gens, states, matrix)
+    return CKBundle(gens, states, matrix, ops, adjoints)
 
 
 def verify_ck_relations(bundle: CKBundle) -> list:
-    """The relation-matrix identities satisfied by the sliced generators."""
+    """The relation-matrix identities satisfied by the sliced generators,
+    each one family expression per generating family: one family over the
+    states of both would hold zero blocks for half its members."""
     gens = bundle.gens
     space = gens.space
     K = space.depth
     states = bundle.states
-    supports = [gens.lift_projection(st.support) for st in states]
-    ranges = [st.op @ st.adjoint for st in states]
-    reports = []
+    lifts = gens.lifts
+    ncl = lifts.shape[0]
+    ops, adjoints = bundle.ops, bundle.adjoints
+    # per family, the indices of its states in state order
+    order = {f: [idx for idx, st in enumerate(states) if st.family == f] for f in (1, 2)}
+    supports = {f: lifts.combine(ExactMatrix.from_rows([states[idx].support for idx in idxs]).T)
+                for f, idxs in order.items()}
+    ranges = {f: ops[f] @ adjoints[f] for f in (1, 2)}
+    relation = ExactMatrix.from_rows(bundle.matrix)
 
-    def support_diffs():
-        for idx, st in enumerate(states):
-            yield (f"state {idx}", st.adjoint @ st.op - supports[idx])
+    def selection(f, of, count):
+        """The 0/1 matrix whose row i is unit row of(state) of size count,
+        for state i of family f."""
+        return ExactMatrix.identity(count).take_rows([of(states[idx]) for idx in order[f]])
 
-    reports.append(_sequence_report(
+    def per_family(diffs):
+        for f, idxs in order.items():
+            yield diffs(f), lambda i, idxs=idxs: f"state {idxs[i]}"
+
+    def selected(f):
+        # member i: the sum of the ranges, of both families, that the matrix
+        # row of state i of family f selects
+        return (ranges[1].combine(relation.submatrix(order[f], order[1]).T)
+                + ranges[2].combine(relation.submatrix(order[f], order[2]).T))
+
+    reports = [families_report(
         "ck-state-support",
         "each state's absolute square is the lift of its support projection",
-        support_diffs(), 1, K - 1,
-    ))
-
-    def iso_diffs():
-        for idx, st in enumerate(states):
-            yield (f"state {idx}", ranges[idx] @ st.op - st.op)
-
-    reports.append(_sequence_report(
+        per_family(lambda f: adjoints[f] @ ops[f].window(1, K - 1) - supports[f]), 1, K - 1,
+    ), families_report(
         "ck-partial-isometry",
         "every state is a partial isometry",
-        iso_diffs(), 0, K - 1,
-    ))
-
-    def relation_diffs():
-        for idx, (st, row) in enumerate(zip(states, bundle.matrix)):
-            rhs = sum((r for r, bit in zip(ranges, row) if bit), space.zero())
-            yield (f"state {idx}", st.adjoint @ st.op - rhs)
-
-    # The top level has no range projections to split into, so the main
-    # relation stops one level short of the truncation.
-    reports.append(_sequence_report(
+        per_family(lambda f: ranges[f] @ ops[f].window(0, K - 1) - ops[f]), 0, K - 1,
+    ), families_report(
+        # The top level has no range projections to split into, so the main
+        # relation stops one level short of the truncation.
         "ck-relation",
         "each state's support splits into the ranges its matrix row selects",
-        relation_diffs(), 2, K - 1,
-    ))
+        per_family(lambda f: adjoints[f] @ ops[f].window(2, K - 1) - selected(f)), 2, K - 1,
+    )]
 
-    def class_range_diffs():
-        for cl, lifted in enumerate(gens.lifts):
-            acc = sum((r for r, st in zip(ranges, states) if st.class_index == cl),
-                      space.zero())
-            yield (f"class {cl}", lifted - acc)
-
-    reports.append(_sequence_report(
+    class_ranges = (ranges[1].combine(selection(1, lambda st: st.class_index, ncl))
+                    + ranges[2].combine(selection(2, lambda st: st.class_index, ncl)))
+    reports.append(families_report(
         "ck-class-range",
         "each idempotent class is the sum of the ranges of its states",
-        class_range_diffs(), 2, K,
+        [(lifts - class_ranges, lambda cl: f"class {cl}")], 2, K,
     ))
-
     reports.append(window_report(
         "ck-total-range",
         "the ranges of all states add to the identity",
-        sum(ranges, space.zero()) - space.identity(), 2, K,
+        class_ranges.sums(ncl) - space.identity(), 2, K,
     ))
-
-    def split_diffs():
-        for family in (1, 2):
-            for g, x in enumerate(gens.family(family)):
-                acc = sum((st.op for st in states
-                           if st.family == family and st.generator_index == g),
-                          space.zero())
-                yield (f"family {family} generator {g}", x - acc)
-
-    reports.append(_sequence_report(
+    reports.append(families_report(
         "ck-generator-split",
         "every generator is the sum of its states",
-        split_diffs(), 0, K - 1,
+        ((gens.family(f) - ops[f].combine(
+            selection(f, lambda st: st.generator_index, gens.family(f).shape[0])),
+          lambda g, f=f: f"family {f} generator {g}") for f in (1, 2)),
+        0, K - 1,
     ))
-
-    def shift_diffs():
-        for idx, st in enumerate(states):
-            yield (
-                f"state {idx}",
-                st.op - gens.family(st.family)[st.generator_index] @ supports[idx],
-            )
-
-    reports.append(_sequence_report(
+    reports.append(families_report(
         "ck-left-shift",
         "slicing a generator from the left equals shifting by its support "
         "from the right",
-        shift_diffs(), 1, K - 1,
+        per_family(lambda f: ops[f] - gens.family(f)[
+            [states[idx].generator_index for idx in order[f]]] @ supports[f].window(1, K - 1)),
+        1, K - 1,
     ))
     return reports
 
@@ -227,17 +230,25 @@ def verify_two_isometry_relations(gens: GeneratorFamily, first_twist: AlgebraHom
 
     Conjugating by the first generator recovers the second twist and vice
     versa.  Swapping the two twist arguments checks the mismatched
-    attributions, which only pass when the twists agree.
+    attributions, which only pass when the twists agree. Each identity
+    quantified over the base algebra is one family over its basis.
     """
-    if len(gens.S) != 1 or len(gens.T) != 1:
+    if gens.S.shape != (1,) or gens.T.shape != (1,):
         raise ValueError("both generating families must be singletons")
     space = gens.space
     spec = space.spec
     K = space.depth
     u, v = gens.S[0], gens.T[0]
-    (u_adj,), (v_adj,) = gens.adjoints[1], gens.adjoints[2]
-    (u_range,), (v_range,) = gens.ranges[1], gens.ranges[2]
-    base_elems = [spec.algebra_A.basis_element(c) for c in range(spec.algebra_A.dim)]
+    u_adj, v_adj = gens.adjoints[1][0], gens.adjoints[2][0]
+    u_range, v_range = gens.ranges[1][0], gens.ranges[2][0]
+    eye = ExactMatrix.identity(spec.algebra_A.dim)
+
+    def element(c):
+        return f"element {c}"
+
+    # the side action of every embedded base basis element, one family each
+    acts = {1: space.left_actions(1, spec.left_embed_1(eye), (0, K)),
+            2: space.left_actions(2, spec.left_embed_2(eye), (0, K))}
     reports = [
         window_report(
             "two-isometry-complete",
@@ -254,42 +265,30 @@ def verify_two_isometry_relations(gens: GeneratorFamily, first_twist: AlgebraHom
             "the second generator is an isometry",
             v_adj @ v - space.identity(), 1, K - 1,
         ),
+        families_report(
+            "two-isometry-range-commute-u",
+            "the first range projection commutes with the base action",
+            [(u_range @ acts[1] - acts[1] @ u_range, element)], 1, K,
+        ),
+        families_report(
+            "two-isometry-range-commute-v",
+            "the second range projection commutes with the base action",
+            [(v_range @ acts[1] - acts[1] @ v_range, element)], 1, K,
+        ),
     ]
-
-    def act1(x):
-        return space.left_action(1, spec.left_embed_1(x))
-
-    def act2(x):
-        return space.left_action(2, spec.left_embed_2(x))
-
-    def commute_diffs(proj):
-        for c, x in enumerate(base_elems):
-            act = act1(x)
-            yield (f"element {c}", proj @ act - act @ proj)
-
-    reports.append(_sequence_report(
-        "two-isometry-range-commute-u",
-        "the first range projection commutes with the base action",
-        commute_diffs(u_range), 1, K,
-    ))
-    reports.append(_sequence_report(
-        "two-isometry-range-commute-v",
-        "the second range projection commutes with the base action",
-        commute_diffs(v_range), 1, K,
-    ))
 
     # Conjugating by a generator lands in that family's coefficient
     # component, so each case compares against the matching side action.
     cases = [
-        ("two-isometry-hom-u-second-twist", u, u_adj, act1, second_twist,
+        ("two-isometry-hom-u-second-twist", u, u_adj, 1, spec.left_embed_1, second_twist,
          "conjugation by the first generator implements the second twist"),
-        ("two-isometry-hom-v-first-twist", v, v_adj, act2, first_twist,
+        ("two-isometry-hom-v-first-twist", v, v_adj, 2, spec.left_embed_2, first_twist,
          "conjugation by the second generator implements the first twist"),
     ]
-    for check_id, gen, gen_adj, act, twist, statement in cases:
-        def hom_diffs(gen=gen, gen_adj=gen_adj, act=act, twist=twist):
-            for c, x in enumerate(base_elems):
-                yield (f"element {c}", gen_adj @ act(x) @ gen - act(twist(x)))
-
-        reports.append(_sequence_report(check_id, statement, hom_diffs(), 0, K - 1))
+    for check_id, gen, gen_adj, side, embed, twist, statement in cases:
+        twisted = space.left_actions(side, embed(twist.matrix), (0, K - 1))
+        reports.append(families_report(
+            check_id, statement,
+            [(gen_adj @ acts[side] @ gen.window(0, K - 1) - twisted, element)], 0, K - 1,
+        ))
     return reports

@@ -23,7 +23,7 @@ from .ck import (
     verify_ck_relations,
     verify_two_isometry_relations,
 )
-from .fock import DepthTooSmall, FockSpace, TooLarge, TowerDefect, build_fock
+from .fock import BadBudget, DepthTooSmall, FockSpace, TooLarge, TowerDefect, build_fock
 from .ktheory import (
     AssumptionsViolated,
     FGAbelianGroup,
@@ -164,19 +164,20 @@ def load_spec(args) -> tuple:
 
 
 def build_space(spec: QuadModuleSpec, requested_depth) -> FockSpace:
-    if requested_depth is not None:
-        try:
+    # an unreadable budget is a usage error, whatever the depth
+    try:
+        if requested_depth is not None:
             return build_fock(spec, requested_depth)
-        except (TooLarge, DepthTooSmall) as exc:
-            raise CLIError(str(exc))
-    try:
-        return build_fock(spec, 3)
-    except TooLarge:
-        pass
-    try:
-        return build_fock(spec, 2)
-    except TooLarge as exc:
-        raise CLIError(f"module too large even at depth 2: {exc}")
+        try:
+            return build_fock(spec, 3)
+        except TooLarge:
+            pass
+        try:
+            return build_fock(spec, 2)
+        except TooLarge as exc:
+            raise CLIError(f"module too large even at depth 2: {exc}")
+    except (TooLarge, DepthTooSmall, BadBudget) as exc:
+        raise CLIError(str(exc))
 
 
 # -- report sections -------------------------------------------------------
@@ -264,7 +265,7 @@ def _derive_twists(space: FockSpace, perms) -> tuple | None:
 def two_isometry_section(gens: GeneratorFamily, perms) -> dict | None:
     """Checks for the singleton-generator case, when the two coefficient
     actions come from automorphisms we can recover."""
-    if len(gens.S) != 1 or len(gens.T) != 1:
+    if gens.S.shape != (1,) or gens.T.shape != (1,):
         return None
     twists = _derive_twists(gens.space, perms)
     if twists is None:
@@ -515,8 +516,12 @@ def main(argv=None) -> int:
     else:
         payload = render_text(report)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(payload)
+        try:
+            with open(args.output, "w", encoding="utf-8") as handle:
+                handle.write(payload)
+        except OSError as exc:
+            print(f"error: cannot write {args.output}: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(payload)
     return 0 if report["passed"] else 1

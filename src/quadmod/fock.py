@@ -19,10 +19,11 @@ Operators on the tower are block matrices over the summands (FockOperator).
 A FockFamily holds many of them at once, each block a MatrixStack over all
 members, so a family product or sum is one exact product or sum per pair
 of blocks, under the per-entry bound of linalg whatever the number of
-members. creations, left_actions and right_actions build whole families:
-the creations of every column of a matrix of module vectors, or the side
-actions of every column of a coefficient matrix, in one product per block;
-creation, left_action and right_action are their one-member cases.
+members. creations, left_actions, right_actions and lifts build whole
+families: the creations of every column of a matrix of module vectors, the
+side actions of every column of a coefficient matrix, or the lifts of a
+list of module operators, in one product per block; creation and lift are
+their one-member cases.
 
 Window pruning: an identity is checked on the blocks whose source level
 lies in a window [lo, hi]. The source summands of a product are those of
@@ -35,6 +36,7 @@ and drops only blocks the check ignores.
 from __future__ import annotations
 
 import bisect
+import functools
 import os
 
 import numpy as np
@@ -67,6 +69,10 @@ class TooLarge(ValueError):
     """The requested tower exceeds the configured dimension budget."""
 
 
+class BadBudget(ValueError):
+    """QUADMOD_MAX_DIM is set but is not a positive integer."""
+
+
 class TowerDefect(ValueError):
     """A construction cross-check failed. checks holds every check made
     before the tower was abandoned, the failed one last."""
@@ -83,9 +89,9 @@ def dimension_budget() -> int:
     try:
         value = int(raw)
     except ValueError as exc:
-        raise TooLarge(f"QUADMOD_MAX_DIM is not an integer: {raw!r}") from exc
+        raise BadBudget(f"QUADMOD_MAX_DIM is not an integer: {raw!r}") from exc
     if value < 1:
-        raise TooLarge("QUADMOD_MAX_DIM must be positive")
+        raise BadBudget("QUADMOD_MAX_DIM must be positive")
     return value
 
 
@@ -359,10 +365,6 @@ class FockOperator:
     def adjoint(self) -> "FockOperator":
         return FockOperator(self.space, _adjoint_blocks(self.space, self.blocks))
 
-    def window(self, lo: int, hi: int) -> "FockOperator":
-        """The blocks whose source level lies in [lo, hi]."""
-        return FockOperator(self.space, _in_window(self.blocks, lo, hi))
-
     def is_zero(self) -> bool:
         return not self.blocks
 
@@ -399,14 +401,6 @@ class FockFamily:
         self.space = space
         self.shape = tuple(shape)
         self.blocks = {k: v for k, v in blocks.items() if not v.is_zero()}
-
-    @classmethod
-    def stack(cls, ops, shape) -> "FockFamily":
-        """The operators ops, in C order over the batch shape shape."""
-        ops = list(ops)
-        keys = sorted({k for op in ops for k in op.blocks})
-        return cls(ops[0].space, shape,
-                   {k: MatrixStack.stack([op.block(*k) for op in ops], shape) for k in keys})
 
     def _with(self, other, blocks_of, swap: bool = False):
         """blocks_of applied to this family's blocks and those of a family
@@ -459,6 +453,12 @@ class FockFamily:
         return FockFamily(self.space, (coeffs.ncols,),
                           {k: v.combine(coeffs) for k, v in self.blocks.items()})
 
+    def sums(self, size: int) -> "FockFamily":
+        """For a family with one batch axis: member i of the result is the
+        sum of the size members from i * size on, as one combine."""
+        groups = [j // size for j in range(self.shape[0])]
+        return self.combine(ExactMatrix.identity(self.shape[0] // size).take_rows(groups))
+
     def window(self, lo: int, hi: int) -> "FockFamily":
         """The blocks whose source level lies in [lo, hi]."""
         return FockFamily(self.space, self.shape, _in_window(self.blocks, lo, hi))
@@ -468,20 +468,24 @@ class FockFamily:
         return FockOperator(self.space, {k: v.member(self.shape, index)
                                          for k, v in self.blocks.items()})
 
+    def nonzero(self):
+        """Per member, whether it has a nonzero block: a boolean array of
+        the batch shape."""
+        return functools.reduce(np.logical_or, (v.nonzero() for v in self.blocks.values()),
+                                np.zeros(self.shape, bool))
+
     def first_failure(self, lo: int, hi: int):
         """The first member, in C order over the batch shape, with a nonzero
         block whose source level lies in [lo, hi], with that member's first
         such block (dest, src) in sorted order; None when every member
         vanishes on the window."""
-        keys = sorted(_in_window(self.blocks, lo, hi))
-        masks = [np.broadcast_to(self.blocks[k].nonzero(), self.shape) for k in keys]
-        if not masks:
-            return None
-        bad = np.logical_or.reduce(masks)
+        inside = self.window(lo, hi)
+        bad = inside.nonzero()
         if not bad.any():
             return None
         index = np.unravel_index(int(np.argmax(bad)), self.shape)
-        key = next(k for k, mask in zip(keys, masks) if mask[index])
+        key = min(k for k, v in inside.blocks.items()
+                  if np.broadcast_to(v.nonzero(), self.shape)[index])
         return tuple(int(i) for i in index), key
 
 
@@ -624,13 +628,6 @@ class FockSpace:
         return FockFamily(self, (coeffs.ncols,),
                           {(key, key): b for key, b in zip(self.keys[start:stop], stacks)})
 
-    def left_action(self, side: int, b: ExactMatrix) -> FockOperator:
-        """The degree-preserving action of a side algebra element: the one
-        member of left_actions on the whole tower."""
-        if b.ncols != 1:
-            raise ValueError("algebra element shape mismatch")
-        return self.left_actions(side, b, (0, self.depth)).member((0,))
-
     def left_actions(self, side: int, coeffs: ExactMatrix, window) -> FockFamily:
         """The actions of the side algebra elements in the columns of coeffs,
         acting on the leftmost tensor factor and by one-sided multiplication
@@ -643,12 +640,6 @@ class FockSpace:
             raise ValueError("algebra element shape mismatch")
         return self._diagonal_family("left_B1" if side == 1 else "left_B2", coeffs, window)
 
-    def right_action(self, a: ExactMatrix) -> FockOperator:
-        """The right action of a base algebra element (degree zero)."""
-        if a.ncols != 1:
-            raise ValueError("base algebra element shape mismatch")
-        return self.right_actions(a, (0, self.depth)).member((0,))
-
     def right_actions(self, coeffs: ExactMatrix, window) -> FockFamily:
         """The right actions of the base algebra elements in the columns of
         coeffs, as a family over the columns, on the summands whose level
@@ -658,30 +649,44 @@ class FockSpace:
         return self._diagonal_family("right_A", coeffs, window)
 
     def lift(self, L: ExactMatrix) -> FockOperator:
-        """Extend an operator on the module to the tower by acting on the
-        leftmost tensor factor; zero on the coefficient level.
+        """The one member of lifts."""
+        return self.lifts([L]).member((0,))
 
-        L is given in quotient coordinates of the module summand.
-        """
+    def lifts(self, ops) -> FockFamily:
+        """The extensions of the module operators ops, given in quotient
+        coordinates of the module summand, to the tower, as a family over
+        the list: each acts on the leftmost tensor factor and is zero on the
+        coefficient level. On level n >= 2 the block of L is
+        express @ (L (x) I) @ include, one ambient-width product per member:
+        one product for all members would hold all of them at once."""
         h = self.summands[(1, ())]
-        if L.shape != (h.dim, h.dim):
+        ops = list(ops)
+        if any(L.shape != (h.dim, h.dim) for L in ops):
             raise ValueError("operator must act on the module summand")
-        blocks = {((1, ()), (1, ())): L}
+        r = len(ops)
+        blocks = {((1, ()), (1, ())): MatrixStack.stack(ops, (r,))}
         for key in self.keys:
             n, word = key
             if n < 2:
                 continue
             tail = self.summands[(n - 1, word[1:])]
             sp = self.summands[key]
-            lifted = times_kron_identity(sp.express, L, tail.dim)
-            null_proj = ExactMatrix.identity(sp.ambient_dim) - sp.include @ sp.express
-            if not (lifted @ null_proj).is_zero():
-                raise ValueError(
-                    "operator does not descend to the tensor quotient; "
-                    "it is not adjointable on the module"
-                )
-            blocks[(key, key)] = lifted @ sp.include
-        return FockOperator(self, blocks)
+            # the ambient null projection I - include @ express vanishes on
+            # the columns reps, and everywhere when nothing was cut
+            outside = sorted(set(range(sp.ambient_dim)) - set(sp.reps))
+            null_part = (ExactMatrix.identity(sp.ambient_dim).take_cols(outside)
+                         - sp.include @ sp.express.take_cols(outside))
+            lifted = []
+            for L in ops:
+                ambient = times_kron_identity(sp.express, L, tail.dim)
+                if not (ambient @ null_part).is_zero():
+                    raise ValueError(
+                        "operator does not descend to the tensor quotient; "
+                        "it is not adjointable on the module"
+                    )
+                lifted.append(ambient.take_cols(sp.reps))
+            blocks[(key, key)] = MatrixStack.stack(lifted, (r,))
+        return FockFamily(self, (r,), blocks)
 
     def gauge_unitary(self) -> FockOperator:
         """The quarter-turn gauge rotation: multiplication by i^n on level n."""
@@ -726,8 +731,9 @@ def build_fock(spec: QuadModuleSpec, depth: int) -> FockSpace:
     """Construct levels 0..depth of the tower, with all construction-time
     cross-checks enforced.
 
-    Raises DepthTooSmall for depth < 2, TooLarge when the accumulated
-    quotient dimension would exceed the QUADMOD_MAX_DIM budget,
+    Raises DepthTooSmall for depth < 2, BadBudget when QUADMOD_MAX_DIM is
+    not a positive integer, TooLarge when the accumulated quotient
+    dimension would exceed the QUADMOD_MAX_DIM budget,
     LambdaNotFaithful (from the index-map derivation) when level 0 cannot
     carry a definite inner product, and TowerDefect when a new summand fails
     its balancing or index-map route check.

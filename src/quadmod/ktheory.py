@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .linalg import ExactMatrix, MatrixFamily
-from .relations import GeneratorFamily, _sequence_report
+from .relations import GeneratorFamily, families_report
 
 
 class AssumptionsViolated(ValueError):
@@ -261,33 +261,27 @@ def class_action_matrix(gens: GeneratorFamily) -> tuple:
     h = space.summand((1, ()))
     model = gens.model
     lifts = gens.lifts
-    reports = []
 
-    def iso_diffs():
-        for family in (1, 2):
-            for g, (x, proj) in enumerate(zip(gens.family(family), gens.ranges[family])):
-                yield (f"family {family} generator {g}", proj @ x - x)
+    def class_of(family, g):
+        return lambda cl: f"family {family} generator {g} class {cl}"
 
-    reports.append(_sequence_report(
+    def commute_parts():
+        # one family over the classes per generator
+        for f in (1, 2):
+            ranges = gens.ranges[f]
+            for g in range(ranges.shape[0]):
+                yield ranges[g] @ lifts - lifts @ ranges[g], class_of(f, g)
+
+    reports = [families_report(
         "ktheory-partial-isometry",
         "every generator is a partial isometry",
-        iso_diffs(), 1, K - 1,
-    ))
-
-    def commute_diffs():
-        for family in (1, 2):
-            for g, proj in enumerate(gens.ranges[family]):
-                for cl, lifted in enumerate(lifts):
-                    yield (
-                        f"family {family} generator {g} class {cl}",
-                        proj @ lifted - lifted @ proj,
-                    )
-
-    reports.append(_sequence_report(
+        ((gens.ranges[f] @ gens.family(f).window(1, K - 1) - gens.family(f),
+          lambda g, f=f: f"family {f} generator {g}") for f in (1, 2)), 1, K - 1,
+    ), families_report(
         "ktheory-range-commute",
         "every range projection commutes with the lifted model",
-        commute_diffs(), 1, K,
-    ))
+        commute_parts(), 1, K,
+    )]
     bad = [r for r in reports if not r.passed]
     if bad:
         raise AssumptionsViolated(
@@ -296,7 +290,9 @@ def class_action_matrix(gens: GeneratorFamily) -> tuple:
 
     rank = model.rank
     matrix = [[0] * rank for _ in range(rank)]
-    route_diffs = []
+    # per generator, the patterns of the model projections its compression
+    # sends the classes to, as the columns of a 0/1 matrix
+    patterns = []
     class_ambients = [h.include @ e @ h.express for e in model.idempotents]
     sides = (
         (1, spec.basis_U, spec.inner_B1, spec.left_B1),
@@ -304,9 +300,9 @@ def class_action_matrix(gens: GeneratorFamily) -> tuple:
     )
     for family, members, stack, side_ops in sides:
         side = MatrixFamily([op] for op in side_ops)
-        ops = zip(gens.family(family), gens.adjoints[family])
-        for g, (x, x_adj) in enumerate(ops):
-            vals = [stack.pair(members[g], e_amb @ members[g]) for e_amb in class_ambients]
+        for g, member in enumerate(members):
+            vals = [stack.pair(member, e_amb @ member) for e_amb in class_ambients]
+            columns = []
             for cl, (y,) in enumerate(side.combine(ExactMatrix.hstack(vals))):
                 y_q = h.express @ y @ h.include
                 pattern = model.projection_coords(y_q)
@@ -317,16 +313,16 @@ def class_action_matrix(gens: GeneratorFamily) -> tuple:
                     )
                 for r in range(rank):
                     matrix[r][cl] += pattern[r]
-                route_diffs.append((
-                    f"family {family} generator {g} class {cl}",
-                    x_adj @ lifts[cl] @ x - gens.lift_projection(pattern),
-                ))
+                columns.append(pattern)
+            patterns.append((family, g, ExactMatrix.from_rows(columns).T))
 
-    route = _sequence_report(
+    route = families_report(
         "ktheory-compression-route",
         "compressing a lifted class projection through a generator recovers "
         "its induced model element on the tower",
-        iter(route_diffs), 1, K - 1,
+        ((gens.adjoints[f][g] @ lifts @ gens.family(f)[g].window(1, K - 1)
+          - lifts.window(1, K - 1).combine(columns), class_of(f, g))
+         for f, g, columns in patterns), 1, K - 1,
     )
     reports.append(route)
     if not route.passed:

@@ -750,8 +750,9 @@ class MatrixStack(_Numerators):
         parts = _common(0, *(a for m in mats for a in m._scaled_to(den)))
         full = tuple(shape) + mats[0].shape
         re = np.stack(parts[0::2]).reshape(full)
-        im = np.stack(parts[1::2]).reshape(full)
-        return cls(re, im, den, _real=all(m._real for m in mats))
+        if all(m._real for m in mats):
+            return cls(re, _zero(full), den, _real=True)
+        return cls(re, np.stack(parts[1::2]).reshape(full), den, _real=False)
 
     @classmethod
     def regrouped(cls, x: ExactMatrix, shape, axes) -> "MatrixStack":

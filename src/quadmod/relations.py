@@ -40,9 +40,10 @@ _I = GaussianRational(0, 1)
 
 @dataclass
 class GeneratorFamily:
-    """Creation operators attached to the two generating families, with
-    everything derived from them: their adjoints and range projections,
-    the left-action operator model and its lifts to the tower.
+    """Creation operators attached to the two generating families, each
+    family one FockFamily over its generators, with everything derived
+    from them: their adjoints and range projections, the left-action
+    operator model and its lifts to the tower.
 
     Derived operators are built on first use, so a module whose left
     actions are not diagonal raises NotDiagonalModel only where a stage
@@ -50,14 +51,10 @@ class GeneratorFamily:
     """
 
     space: FockSpace
-    S: list
-    T: list
+    S: FockFamily
+    T: FockFamily
 
-    @property
-    def depth(self) -> int:
-        return self.space.depth
-
-    def family(self, family: int) -> list:
+    def family(self, family: int) -> FockFamily:
         """The generating creation operators of one family (1 or 2)."""
         return self.S if family == 1 else self.T
 
@@ -69,21 +66,17 @@ class GeneratorFamily:
     @cached_property
     def adjoints(self) -> dict:
         """The annihilation operators of each family, in generator order."""
-        return {1: [s.adjoint() for s in self.S], 2: [t.adjoint() for t in self.T]}
-
-    @cached_property
-    def stacked(self) -> dict:
-        """Each family's generators, and their adjoints, as one FockFamily
-        over generator order: (creations, annihilations) per family."""
-        return {fam: (FockFamily.stack(ops, (len(ops),)),
-                      FockFamily.stack(self.adjoints[fam], (len(ops),)))
-                for fam, ops in ((1, self.S), (2, self.T))}
+        return {1: self.S.adjoint(), 2: self.T.adjoint()}
 
     @cached_property
     def ranges(self) -> dict:
         """The range projections x x* of each family, in generator order."""
-        return {fam: [x @ x_adj for x, x_adj in zip(self.family(fam), adjoints)]
-                for fam, adjoints in self.adjoints.items()}
+        return {fam: self.family(fam) @ adjoints for fam, adjoints in self.adjoints.items()}
+
+    def range_sum(self, family: int) -> FockFamily:
+        """The sum of one family's range projections, as a one-member family."""
+        ranges = self.ranges[family]
+        return ranges.sums(ranges.shape[0])
 
     def expansions(self, family: int, xs: ExactMatrix, window) -> FockFamily:
         """The creation operators of the module vectors in the columns of xs
@@ -94,9 +87,10 @@ class GeneratorFamily:
         spec = self.space.spec
         stack = spec.inner_B1 if family == 1 else spec.inner_B2
         members = self.members(family)
+        ops = self.family(family)
         return _total(
-            op @ self.space.left_actions(family, stack.pairs(members.take_cols([i]), xs), window)
-            for i, op in enumerate(self.family(family))
+            ops[i] @ self.space.left_actions(family, stack.pairs(members.take_cols([i]), xs), window)
+            for i in range(members.ncols)
         )
 
     @cached_property
@@ -106,26 +100,19 @@ class GeneratorFamily:
         return DiagonalOperatorModel(h.left_B1 + h.left_B2)
 
     @cached_property
-    def lifts(self) -> list:
-        """The lifts of the model's minimal idempotents, in class order."""
-        return [self.space.lift(e) for e in self.model.idempotents]
-
-    def lift_projection(self, pattern) -> FockOperator:
-        """The lift of the model projection with a 0/1 class pattern: lift
-        is linear, so this is the sum of the selected class lifts."""
-        out = self.space.zero()
-        for bit, lifted in zip(pattern, self.lifts):
-            if bit:
-                out = out + lifted
-        return out
+    def lifts(self) -> FockFamily:
+        """The lifts of the model's minimal idempotents, in class order; the
+        lift of a 0/1 class pattern is lifts.combine of its column."""
+        return self.space.lifts(self.model.idempotents)
 
 
 def make_generators(space: FockSpace) -> GeneratorFamily:
     spec = space.spec
+    K = space.depth
     return GeneratorFamily(
         space,
-        [space.creation(1, u) for u in spec.basis_U],
-        [space.creation(2, v) for v in spec.basis_V],
+        space.creations(1, ExactMatrix.hstack(spec.basis_U), (0, K)),
+        space.creations(2, ExactMatrix.hstack(spec.basis_V), (0, K)),
     )
 
 
@@ -148,27 +135,20 @@ def window_report(check_id, statement, diff, lo, hi) -> IdentityReport:
     return IdentityReport(check_id, statement, (lo, hi), True)
 
 
-def _family_report(check_id, statement, diffs: FockFamily, label, lo, hi) -> IdentityReport:
-    """Report whether every member of a family of difference operators
-    vanishes on the source window. A failure names the first failing
-    member in C order, by label(*index), and its first bad block."""
-    failure = diffs.first_failure(lo, hi)
-    if failure is None:
-        return IdentityReport(check_id, statement, (lo, hi), True)
-    index, block = failure
-    witness = f"{label(*index)}: {_block_witness(*block)}"
-    return IdentityReport(check_id, statement, (lo, hi), False, witness)
-
-
-def _sequence_report(check_id, statement, labelled_diffs, lo, hi) -> IdentityReport:
-    """Report whether every operator of a labelled sequence of difference
-    operators vanishes on the source window, for identities whose members
-    are separate operators; a failure names the first failing one."""
-    for label, diff in labelled_diffs:
-        rep = window_report(check_id, statement, diff, lo, hi)
-        if not rep.passed:
-            rep.witness = f"{label}: {rep.witness}"
-            return rep
+def families_report(check_id, statement, parts, lo, hi) -> IdentityReport:
+    """Report whether every member of the families of difference operators
+    in parts vanishes on the source window. parts yields (family, label)
+    pairs in member order: one pair, or one per operator set when the
+    members fall into families over different operator sets. It is read up
+    to the first failing family only, and a failure names that family's
+    first failing member in C order, by label(*index), and its first bad
+    block."""
+    for diffs, label in parts:
+        failure = diffs.first_failure(lo, hi)
+        if failure is not None:
+            index, block = failure
+            witness = f"{label(*index)}: {_block_witness(*block)}"
+            return IdentityReport(check_id, statement, (lo, hi), False, witness)
     return IdentityReport(check_id, statement, (lo, hi), True)
 
 
@@ -252,7 +232,7 @@ def verify_creation_relations(gens: GeneratorFamily) -> list:
     right = space.right_actions(ExactMatrix.identity(spec.algebra_A.dim), (0, K))
     samples = _lift_samples(space)
     ns = len(samples)
-    lifted = FockFamily.stack([space.lift(L) for _, L in samples], (ns,))
+    lifted = space.lifts(L for _, L in samples)
     ambients = [_to_ambient(space, L) for _, L in samples]
     # the vectors e_p + i e_q, p < q, and (1 + i) e_0 of the linearity check
     pairs = [(p, q) for p in range(d) for q in range(p + 1, d)]
@@ -267,27 +247,27 @@ def verify_creation_relations(gens: GeneratorFamily) -> list:
         s_fam, a_fam = created[family], annihilated[family]
         s_col, right_row = s_fam.reshape((d, 1)), right.reshape((1, -1))
 
-        reports.append(_family_report(
+        reports.append(families_report(
             f"creation-module-map-{fam_name}",
             "creation commutes with the right coefficient action",
-            s_col @ right_row - right_row @ s_col,
-            lambda p, a: f"vector {p}, coefficient {a}", 0, K,
+            [(s_col @ right_row - right_row @ s_col,
+              lambda p, a: f"vector {p}, coefficient {a}")], 0, K,
         ))
 
-        reports.append(_family_report(
+        reports.append(families_report(
             f"annihilation-formula-{fam_name}",
             "the adjoint of creation lowers degree by the inner-product formula",
-            lowered[family] - _annihilation_expected(space, family, vectors),
-            lambda p: f"vector {p}", 1, K,
+            [(lowered[family] - _annihilation_expected(space, family, vectors),
+              lambda p: f"vector {p}")], 1, K,
         ))
 
         # creating each combination against the same combination of the
         # basis creations
-        reports.append(_family_report(
+        reports.append(families_report(
             f"creation-linear-{fam_name}",
             "creation is complex linear in the module vector",
-            space.creations(family, combos, (0, K - 1)) - s_fam.combine(combos),
-            lambda j: f"pair {pairs[j]}" if j < len(pairs) else "complex rescaling", 0, K - 1,
+            [(space.creations(family, combos, (0, K - 1)) - s_fam.combine(combos),
+              lambda j: f"pair {pairs[j]}" if j < len(pairs) else "complex rescaling")], 0, K - 1,
         ))
 
         # the vector of member (sample, p, c) is rops[c] @ L_amb @ e_p
@@ -296,42 +276,42 @@ def verify_creation_relations(gens: GeneratorFamily) -> list:
         transformed = by_sample.take_cols(
             [(s * nc + c) * d + p for s in range(ns) for p in range(d) for c in range(nc)])
         side = space.left_actions(family, ExactMatrix.identity(nc), (0, K - 1))
-        reports.append(_family_report(
+        reports.append(families_report(
             f"creation-lift-intertwine-{fam_name}",
             "creation by a transformed and side-scaled vector factors through "
             "the lifted operator and the side action",
-            space.creations(family, transformed, (0, K - 1)).reshape((ns, d, nc))
-            - lifted.reshape((ns, 1, 1)) @ s_fam.reshape((1, d, 1)) @ side.reshape((1, 1, nc)),
-            lambda s, p, c: f"{samples[s][0]}, vector {p}, side element {c}", 0, K - 1,
+            [(space.creations(family, transformed, (0, K - 1)).reshape((ns, d, nc))
+              - lifted.reshape((ns, 1, 1)) @ s_fam.reshape((1, d, 1)) @ side.reshape((1, 1, nc)),
+              lambda s, p, c: f"{samples[s][0]}, vector {p}, side element {c}")], 0, K - 1,
         ))
 
         inner = spec.inner_B1 if family == 1 else spec.inner_B2
         values = ExactMatrix.hstack([inner.pairs(eye, L_amb) for L_amb in ambients])
-        reports.append(_family_report(
+        reports.append(families_report(
             f"compressed-left-action-{fam_name}",
             "compressing a lifted operator between two creations recovers its "
             "inner-product coefficient as a side action",
-            a_fam.reshape((1, d, 1)) @ lifted.reshape((ns, 1, 1))
-            @ s_fam.window(0, K - 1).reshape((1, 1, d))
-            - space.left_actions(family, values, (0, K - 1)).reshape((ns, d, d)),
-            lambda s, p, q: f"{samples[s][0]}, vectors ({p}, {q})", 0, K - 1,
+            [(a_fam.reshape((1, d, 1)) @ lifted.reshape((ns, 1, 1))
+              @ s_fam.window(0, K - 1).reshape((1, 1, d))
+              - space.left_actions(family, values, (0, K - 1)).reshape((ns, d, d)),
+              lambda s, p, q: f"{samples[s][0]}, vectors ({p}, {q})")], 0, K - 1,
         ))
 
-    reports.append(_family_report(
+    reports.append(families_report(
         "cross-family-orthogonal-1",
         "annihilation from the first family kills the second family's range",
-        annihilated[1].reshape((d, 1)) @ created[2].window(1, K).reshape((1, d)),
-        lambda p, q: f"vectors ({p}, {q})", 1, K,
+        [(annihilated[1].reshape((d, 1)) @ created[2].window(1, K).reshape((1, d)),
+          lambda p, q: f"vectors ({p}, {q})")], 1, K,
     ))
-    reports.append(_family_report(
+    reports.append(families_report(
         "cross-family-orthogonal-2",
         "annihilation from the second family kills the first family's range",
-        annihilated[2].reshape((1, d)) @ created[1].window(1, K).reshape((d, 1)),
-        lambda p, q: f"vectors ({p}, {q})", 1, K,
+        [(annihilated[2].reshape((1, d)) @ created[1].window(1, K).reshape((d, 1)),
+          lambda p, q: f"vectors ({p}, {q})")], 1, K,
     ))
 
-    sum_s = sum(gens.ranges[1], space.zero())
-    sum_t = sum(gens.ranges[2], space.zero())
+    sum_s = gens.range_sum(1)
+    sum_t = gens.range_sum(2)
     p0 = space.level_projection(0)
     p1 = space.level_projection(1)
 
@@ -355,12 +335,12 @@ def verify_creation_relations(gens: GeneratorFamily) -> list:
     ))
 
     for family, fam_name, which in ((1, "1", "first"), (2, "2", "second")):
-        reports.append(_family_report(
+        reports.append(families_report(
             f"creation-expansion-{fam_name}",
             f"every {which}-family creation expands over the generating family with "
             "inner-product coefficients",
-            created[family] - gens.expansions(family, eye, (0, K - 1)),
-            lambda p: f"vector {p}", 0, K - 1,
+            [(created[family] - gens.expansions(family, eye, (0, K - 1)),
+              lambda p: f"vector {p}")], 0, K - 1,
         ))
     return reports
 
@@ -372,36 +352,33 @@ def verify_defining_relations(gens: GeneratorFamily) -> list:
     K = space.depth
     reports = []
 
-    total = sum(gens.ranges[1] + gens.ranges[2], space.zero())
     reports.append(window_report(
         "defining-relation-1",
         "the two generating range sums add to the identity",
-        total - space.identity(), 2, K,
+        gens.range_sum(1) + gens.range_sum(2) - space.identity(), 2, K,
     ))
 
     def pair_label(i, j):
         return f"pair ({i}, {j})"
 
-    _, s_adj = gens.stacked[1]
-    t_ops, _ = gens.stacked[2]
-    reports.append(_family_report(
+    reports.append(families_report(
         "defining-relation-2",
         "generators of the two families have orthogonal ranges",
-        s_adj.reshape((-1, 1)) @ t_ops.window(1, K).reshape((1, -1)),
-        pair_label, 1, K,
+        [(gens.adjoints[1].reshape((-1, 1)) @ gens.T.window(1, K).reshape((1, -1)),
+          pair_label)], 1, K,
     ))
 
     for number, side, which in ((3, 1, "first"), (4, 2, "second")):
-        ops, adj = gens.stacked[side]
+        ops, adj = gens.family(side), gens.adjoints[side]
         members = gens.members(side)
         n = members.ncols
         stack = spec.inner_B1 if side == 1 else spec.inner_B2
-        reports.append(_family_report(
+        reports.append(families_report(
             f"defining-relation-{number}",
             f"{which}-family compressions recover the {which}-side inner products",
-            adj.reshape((n, 1)) @ ops.window(0, K - 1).reshape((1, n))
-            - space.left_actions(side, stack.pairs(members, members), (0, K - 1)).reshape((n, n)),
-            pair_label, 0, K - 1,
+            [(adj.reshape((n, 1)) @ ops.window(0, K - 1).reshape((1, n))
+              - space.left_actions(side, stack.pairs(members, members), (0, K - 1)).reshape((n, n)),
+              pair_label)], 0, K - 1,
         ))
 
     def element_label(c, j):
@@ -421,26 +398,31 @@ def verify_defining_relations(gens: GeneratorFamily) -> list:
         members = gens.members(family)
         n = members.ncols
         shifted = ExactMatrix.hstack([op @ members for op in amb_ops])
-        reports.append(_family_report(
+        reports.append(families_report(
             f"defining-relation-{number}",
             statements[(side, family)],
-            acts[side].reshape((nc, 1)) @ gens.stacked[family][0].window(0, K - 1).reshape((1, n))
-            - gens.expansions(family, shifted, (0, K - 1)).reshape((nc, n)),
-            element_label, 0, K - 1,
+            [(acts[side].reshape((nc, 1)) @ gens.family(family).window(0, K - 1).reshape((1, n))
+              - gens.expansions(family, shifted, (0, K - 1)).reshape((nc, n)),
+              element_label)], 0, K - 1,
         ))
     return reports
 
 
-def represent_module_map(gens: GeneratorFamily, L_amb: ExactMatrix) -> FockOperator:
-    """The tower operator assembled from a module map's matrix coefficients
-    against the two generating families."""
+def represent_module_maps(gens: GeneratorFamily, ambients: list) -> FockFamily:
+    """The tower operators assembled from module maps' matrix coefficients
+    against the two generating families, as a family over the maps: for
+    each family, the generators rebuilt from the mapped members, each
+    times its adjoint, summed over the generators."""
     space = gens.space
-    out = space.zero()
+    r = len(ambients)
+    terms = []
     for family in (1, 2):
-        rebuilt = gens.expansions(family, L_amb @ gens.members(family), (0, space.depth))
-        for j, m_adj in enumerate(gens.adjoints[family]):
-            out = out + rebuilt.member((j,)) @ m_adj
-    return out
+        members = gens.members(family)
+        n = members.ncols
+        mapped = ExactMatrix.hstack([L_amb @ members for L_amb in ambients])
+        rebuilt = gens.expansions(family, mapped, (0, space.depth)).reshape((r, n))
+        terms.append((rebuilt @ gens.adjoints[family].reshape((1, n))).reshape((r * n,)).sums(n))
+    return _total(terms)
 
 
 def _complex_sample(dim: int) -> ExactMatrix:
@@ -470,18 +452,18 @@ def verify_reconstruction_identities(gens: GeneratorFamily) -> list:
         stack = spec.inner_B2 if family == 1 else spec.inner_B1
         embed = spec.left_embed_1 if family == 1 else spec.left_embed_2
         mid = space.left_actions(other, stack.pairs(eye, eye), (0, K))
-        lhs = _total(op_adj @ mid @ op.window(0, K - 1)
-                     for op, op_adj in zip(gens.family(family), gens.adjoints[family]))
+        ops, adj = gens.family(family), gens.adjoints[family]
+        lhs = _total(adj[i] @ mid @ ops[i].window(0, K - 1) for i in range(ops.shape[0]))
         rhs = space.left_actions(family, embed(spec.inner_A.pairs(eye, eye)), (0, K - 1))
         return (lhs - rhs).reshape((d, d))
 
     for family, fam_name, which in ((1, "1", "first"), (2, "2", "second")):
-        reports.append(_family_report(
+        reports.append(families_report(
             f"scalar-compression-{fam_name}",
             "averaging the other side's inner-product action over the "
             f"{which} family recovers the embedded base inner product",
-            scalar_compression(family),
-            lambda p, q: f"vectors ({p}, {q})", 0, K - 1,
+            [(scalar_compression(family),
+              lambda p, q: f"vectors ({p}, {q})")], 0, K - 1,
         ))
 
     z = _complex_sample(spec.algebra_B1.dim)
@@ -517,7 +499,7 @@ def verify_reconstruction_identities(gens: GeneratorFamily) -> list:
     ]
     rebuilt = {}
     for check_id, statement, amb, expected in cases:
-        rebuilt[check_id] = represent_module_map(gens, amb)
+        rebuilt[check_id] = represent_module_maps(gens, [amb])
         reports.append(window_report(
             check_id, statement, rebuilt[check_id] - expected, 2, K,
         ))
@@ -549,48 +531,48 @@ def verify_module_map_representation(gens: GeneratorFamily) -> list:
         )]
     reports = []
     ambients = [_to_ambient(space, E) for E in model.idempotents]
-    represented = [represent_module_map(gens, L_amb) for L_amb in ambients]
-    ncl = len(represented)
-    members = gens.members(1)
-    n = members.ncols
-    s_ops, s_adj = gens.stacked[1]
-    values = ExactMatrix.hstack([spec.inner_B1.pairs(members, L_amb @ members)
-                                 for L_amb in ambients])
+    represented = represent_module_maps(gens, ambients)
+    ncl = len(ambients)
+    # per family, coordinate c of <m_i|L m_j> for every class L and pair
+    # (i, j) of members, as row c with columns (class, i, j)
+    values = {}
+    for family in (1, 2):
+        members = gens.members(family)
+        stack = spec.inner_B1 if family == 1 else spec.inner_B2
+        values[family] = ExactMatrix.hstack([stack.pairs(members, L_amb @ members)
+                                             for L_amb in ambients])
+    n = gens.S.shape[0]
 
     # The represented operator doubles on the module level, where both
     # generating families rebuild it at once, so compression is declared
     # from source level 1 up.
-    reports.append(_family_report(
+    reports.append(families_report(
         "module-map-compression",
         "compressing a represented operator between first-family generators "
         "returns its matrix coefficient",
-        s_adj.reshape((1, n, 1)) @ FockFamily.stack(represented, (ncl, 1, 1))
-        @ s_ops.window(1, K - 1).reshape((1, 1, n))
-        - space.left_actions(1, values, (1, K - 1)).reshape((ncl, n, n)),
-        lambda cl, a, b: f"class {cl}, generators ({a}, {b})", 1, K - 1,
+        [(gens.adjoints[1].reshape((1, n, 1)) @ represented.reshape((ncl, 1, 1))
+          @ gens.S.window(1, K - 1).reshape((1, 1, n))
+          - space.left_actions(1, values[1], (1, K - 1)).reshape((ncl, n, n)),
+          lambda cl, a, b: f"class {cl}, generators ({a}, {b})")], 1, K - 1,
     ))
 
     reports.append(window_report(
         "module-map-multiplicative",
         "representation turns operator products into operator products",
-        represent_module_map(gens, ambients[0] @ ambients[-1])
+        represent_module_maps(gens, [ambients[0] @ ambients[-1]])
         - represented[0] @ represented[-1],
         2, K,
     ))
 
-    rows = []
-    for L_amb in ambients:
-        entries = []
-        for u in spec.basis_U:
-            for uj in spec.basis_U:
-                col = spec.inner_B1.pair(u, L_amb @ uj)
-                entries.extend(col[c, 0] for c in range(col.nrows))
-        for v in spec.basis_V:
-            for vl in spec.basis_V:
-                col = spec.inner_B2.pair(v, L_amb @ vl)
-                entries.extend(col[c, 0] for c in range(col.nrows))
-        rows.append(entries)
-    coeff = ExactMatrix.from_rows(rows)
+    # row cl of the coefficient matrix holds every coefficient of class cl:
+    # member c of a regrouped values matrix is its coordinate c, one row
+    # per class
+    blocks = []
+    for vals in values.values():
+        d = vals.nrows
+        per_coord = MatrixStack.regrouped(vals, (d, ncl, vals.ncols // ncl), (0, 1, 2))
+        blocks += [per_coord.member((d,), (c,)) for c in range(d)]
+    coeff = ExactMatrix.hstack(blocks)
     rank = coeff.rank()
     reports.append(CheckResult(
         "module-map-injective",
@@ -621,14 +603,15 @@ def core_filtration_dims(gens: GeneratorFamily, max_length: int) -> list[int]:
     space = gens.space
     if max_length >= space.depth:
         raise ValueError("word length must stay below the truncation depth")
-    alphabet = list(gens.S) + list(gens.T)
+    alphabet = [fam.member((i,)) for fam in (gens.S, gens.T) for i in range(fam.shape[0])]
+    lifts = [gens.lifts.member((c,)) for c in range(gens.lifts.shape[0])]
     dims = []
     words = [space.identity()]
     for n in range(max_length + 1):
         if n > 0:
             words = [g @ wrd for g in alphabet for wrd in words]
         adjoints = [wrd.adjoint() for wrd in words]
-        ops = [w1 @ e @ w2 for w1 in words for e in gens.lifts for w2 in adjoints]
+        ops = [w1 @ e @ w2 for w1 in words for e in lifts for w2 in adjoints]
         dims.append(_span_rank([space.degree_zero_part(op) for op in ops]))
     return dims
 

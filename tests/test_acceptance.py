@@ -111,7 +111,8 @@ def test_gauge_rotation_grades_the_generators():
         space = build_fock(spec, 3)
         gauge = space.gauge_unitary()
         assert gauge @ gauge.adjoint() == space.identity()
-        for op in make_generators(space).S + make_generators(space).T:
+        gens = make_generators(space)
+        for op in [fam.member((i,)) for fam in (gens.S, gens.T) for i in range(fam.shape[0])]:
             assert gauge @ op @ gauge.adjoint() == op.scale(i_unit)
             assert space.degree_zero_part(op).is_zero()
             square = op @ op.adjoint()

@@ -2,8 +2,12 @@
 defines is referenced by name somewhere in the project."""
 
 import ast
+import importlib
+import importlib.util
 import re
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SEARCHED = ("src", "tests", "bench")
@@ -149,3 +153,28 @@ def test_numerator_arrays_stay_private_to_linalg():
         if isinstance(node, ast.Attribute) and node.attr in private
     ]
     assert not reads, "ExactMatrix internals read outside linalg: " + ", ".join(reads)
+
+
+def _tracer_targets():
+    """(module, attribute path) of every function bench/tracer.py wraps,
+    read from its target lists without running the benchmark."""
+    path = ROOT / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer_targets", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    rows = tracer.STAGES + tracer.OPERATORS + tracer.KERNELS + [tracer.TRUEDIV]
+    return [(module, attr) for _, module, attr in rows]
+
+
+@pytest.mark.parametrize("module, path", _tracer_targets())
+def test_every_traced_target_is_defined_where_the_tracer_patches_it(module, path):
+    # a method must sit in its owner class's own dict, not be inherited; a
+    # plain name must be a module-level function of its module
+    mod = importlib.import_module("quadmod." + module)
+    owner_name, _, attr = path.rpartition(".")
+    if owner_name:
+        owner = getattr(mod, owner_name)
+        assert attr in vars(owner), f"{path} is not defined in {owner_name} itself"
+        assert callable(getattr(owner, attr))
+    else:
+        assert callable(vars(mod).get(attr)), f"{module}.{attr} is not a module-level function"

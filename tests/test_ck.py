@@ -11,6 +11,7 @@ from quadmod.ck import (
     verify_two_isometry_relations,
 )
 from quadmod.fock import build_fock
+from quadmod.ktheory import AssumptionsViolated, class_action_matrix
 from quadmod.linalg import ExactMatrix
 from quadmod.opalgebra import DiagonalOperatorModel
 from quadmod.quadmodule import build_example_MN, build_example_alpha_beta
@@ -181,3 +182,244 @@ def test_two_isometry_needs_singleton_families():
     ident = AlgebraHom.identity(alg)
     with pytest.raises(ValueError, match="singleton"):
         verify_two_isometry_relations(gens, ident, ident)
+
+
+# -- witnesses under perturbed towers --------------------------------------
+
+SIGMA, TAU = [1, 2, 0], [2, 0, 1]
+
+# the check ids of each section, in report order
+SECTION_ORDER = {
+    "ck": ["ck-state-support", "ck-partial-isometry", "ck-relation", "ck-class-range",
+           "ck-total-range", "ck-generator-split", "ck-left-shift"],
+    "two": ["two-isometry-complete", "two-isometry-u", "two-isometry-v",
+            "two-isometry-range-commute-u", "two-isometry-range-commute-v",
+            "two-isometry-hom-u-second-twist", "two-isometry-hom-v-first-twist"],
+    "ktheory": ["ktheory-partial-isometry", "ktheory-range-commute",
+                "ktheory-compression-route"],
+}
+
+# (module, perturbation) -> per section, the witness of every failing check;
+# a failed K-theory assumption raises, so its entry lists the failed checks
+# of the exception message instead. Together the perturbations fail every
+# check id of the three sections.
+CK_PERTURBED_FAILURES = {
+    ("mn:2,2", "gram-scale"): {
+        "ck": {
+            "ck-state-support": "state 0: nonzero block level 2 word 1 <- level 2 word 1",
+            "ck-partial-isometry": "state 0: nonzero block level 3 word 11 <- level 2 word 1",
+            "ck-relation": "state 0: nonzero block level 2 word 1 <- level 2 word 1",
+            "ck-class-range": "class 0: nonzero block level 3 word 11 <- level 3 word 11",
+            "ck-total-range": "nonzero block level 3 word 11 <- level 3 word 11",
+        },
+        "ktheory": [
+            "ktheory-partial-isometry: family 1 generator 0: "
+            "nonzero block level 3 word 11 <- level 2 word 1",
+        ],
+    },
+    ("mn:2,2", "gram-shear-1"): {
+        "ck": {
+            "ck-class-range": "class 0: nonzero block level 3 word 11 <- level 3 word 11",
+            "ck-total-range": "nonzero block level 3 word 11 <- level 3 word 11",
+        },
+        "ktheory": [
+            "ktheory-range-commute: family 1 generator 0 class 0: "
+            "nonzero block level 3 word 11 <- level 3 word 11",
+        ],
+    },
+    ("mn:2,2", "gram-shear-2"): {
+        "ck": {
+            "ck-class-range": "class 0: nonzero block level 3 word 22 <- level 3 word 22",
+            "ck-total-range": "nonzero block level 3 word 22 <- level 3 word 22",
+        },
+        "ktheory": [
+            "ktheory-range-commute: family 2 generator 0 class 0: "
+            "nonzero block level 3 word 22 <- level 3 word 22",
+        ],
+    },
+    ("mn:2,2", "model"): {
+        "ck": {
+            "ck-state-support": "state 1: nonzero block level 1 <- level 1",
+            "ck-relation": "state 1: nonzero block level 2 word 1 <- level 2 word 1",
+            "ck-total-range": "nonzero block level 2 word 1 <- level 2 word 1",
+            "ck-generator-split": "family 1 generator 1: nonzero block level 1 <- level 0",
+            "ck-left-shift": "state 1: nonzero block level 2 word 1 <- level 1",
+        },
+        "ktheory": [
+            "ktheory-compression-route: family 1 generator 0 class 1: "
+            "nonzero block level 1 <- level 1",
+        ],
+    },
+    ("mn:2,2", "support"): {
+        "ck": {
+            "ck-state-support": "state 0: nonzero block level 1 <- level 1",
+            "ck-left-shift": "state 0: nonzero block level 2 word 1 <- level 1",
+        },
+    },
+    ("mn:2,2", "matrix"): {
+        "ck": {
+            "ck-relation": "state 0: nonzero block level 2 word 1 <- level 2 word 1",
+        },
+    },
+    ("perm:3", "left_B1"): {
+        "two": {
+            "two-isometry-hom-u-second-twist": "element 0: nonzero block level 1 <- level 1",
+        },
+    },
+    ("perm:3", "left_B2"): {
+        "two": {
+            "two-isometry-hom-v-first-twist":
+                "element 2: "
+                "nonzero block level 2 word 2 <- level 2 word 2",
+        },
+    },
+    ("perm:3", "gram-scale"): {
+        "ck": {
+            "ck-state-support": "state 0: nonzero block level 2 word 1 <- level 2 word 1",
+            "ck-partial-isometry": "state 0: nonzero block level 3 word 11 <- level 2 word 1",
+            "ck-relation": "state 0: nonzero block level 2 word 1 <- level 2 word 1",
+            "ck-class-range": "class 0: nonzero block level 3 word 11 <- level 3 word 11",
+            "ck-total-range": "nonzero block level 3 word 11 <- level 3 word 11",
+        },
+        "two": {
+            "two-isometry-complete": "nonzero block level 3 word 11 <- level 3 word 11",
+            "two-isometry-u": "nonzero block level 2 word 1 <- level 2 word 1",
+            "two-isometry-hom-u-second-twist":
+                "element 0: "
+                "nonzero block level 2 word 1 <- level 2 word 1",
+        },
+        "ktheory": [
+            "ktheory-partial-isometry: family 1 generator 0: "
+            "nonzero block level 3 word 11 <- level 2 word 1",
+        ],
+    },
+    ("perm:3", "gram-shear-1"): {
+        "ck": {
+            "ck-class-range": "class 0: nonzero block level 3 word 11 <- level 3 word 11",
+            "ck-total-range": "nonzero block level 3 word 11 <- level 3 word 11",
+        },
+        "two": {
+            "two-isometry-complete": "nonzero block level 3 word 11 <- level 3 word 11",
+            "two-isometry-u": "nonzero block level 2 word 1 <- level 2 word 1",
+            "two-isometry-range-commute-u":
+                "element 0: "
+                "nonzero block level 3 word 11 <- level 3 word 11",
+            "two-isometry-hom-u-second-twist":
+                "element 2: "
+                "nonzero block level 2 word 1 <- level 2 word 1",
+        },
+        "ktheory": [
+            "ktheory-partial-isometry: family 1 generator 0: "
+            "nonzero block level 3 word 11 <- level 2 word 1",
+            "ktheory-range-commute: family 1 generator 0 class 0: "
+            "nonzero block level 3 word 11 <- level 3 word 11",
+        ],
+    },
+    ("perm:3", "gram-shear-2"): {
+        "ck": {
+            "ck-class-range": "class 0: nonzero block level 3 word 22 <- level 3 word 22",
+            "ck-total-range": "nonzero block level 3 word 22 <- level 3 word 22",
+        },
+        "two": {
+            "two-isometry-complete": "nonzero block level 3 word 22 <- level 3 word 22",
+            "two-isometry-v": "nonzero block level 2 word 2 <- level 2 word 2",
+            "two-isometry-range-commute-v":
+                "element 0: "
+                "nonzero block level 3 word 22 <- level 3 word 22",
+            "two-isometry-hom-v-first-twist":
+                "element 2: "
+                "nonzero block level 2 word 2 <- level 2 word 2",
+        },
+        "ktheory": [
+            "ktheory-partial-isometry: family 2 generator 0: "
+            "nonzero block level 3 word 22 <- level 2 word 2",
+            "ktheory-range-commute: family 2 generator 0 class 0: "
+            "nonzero block level 3 word 22 <- level 3 word 22",
+        ],
+    },
+    ("perm:3", "model"): {
+        "ck": {
+            "ck-state-support": "state 1: nonzero block level 1 <- level 1",
+            "ck-relation": "state 1: nonzero block level 2 word 1 <- level 2 word 1",
+            "ck-total-range": "nonzero block level 2 word 1 <- level 2 word 1",
+            "ck-generator-split": "family 1 generator 0: nonzero block level 1 <- level 0",
+            "ck-left-shift": "state 1: nonzero block level 2 word 1 <- level 1",
+        },
+        "ktheory": [
+            "ktheory-compression-route: family 1 generator 0 class 1: "
+            "nonzero block level 1 <- level 1",
+        ],
+    },
+    ("perm:3", "support"): {
+        "ck": {
+            "ck-state-support": "state 0: nonzero block level 1 <- level 1",
+            "ck-left-shift": "state 0: nonzero block level 2 word 1 <- level 1",
+        },
+    },
+    ("perm:3", "matrix"): {
+        "ck": {
+            "ck-relation": "state 0: nonzero block level 2 word 1 <- level 2 word 1",
+        },
+    },
+}
+
+
+def _perturbed(module, perturbation):
+    """The reports of the three sections on a depth-3 tower whose summand,
+    model or state data carry one perturbation."""
+    spec = (build_example_MN(2, 2) if module == "mn:2,2"
+            else build_example_alpha_beta(3, SIGMA, TAU))
+    space = build_fock(spec, 3)
+    if perturbation == "left_B1":
+        summand = space.summand((2, (1,)))
+        summand.left_B1[0] = summand.left_B1[0].scale(2)
+    elif perturbation == "left_B2":
+        summand = space.summand(space.keys[-1])
+        summand.left_B2[-1] = summand.left_B2[-1] + ExactMatrix.identity(summand.dim)
+    elif perturbation == "gram-scale":
+        # the adjoints of the blocks into this summand double
+        summand = space.summand((3, (1, 1)))
+        summand.gram_scalar = summand.gram_scalar.scale(2)
+    elif perturbation.startswith("gram-shear"):
+        # a range projection into this summand stops commuting with the
+        # diagonal actions
+        summand = space.summand((3, (1, 1)) if perturbation.endswith("1") else (3, (2, 2)))
+        n = summand.dim
+        shear = ExactMatrix.identity(n).set_block(0, n - 1, ExactMatrix.identity(1))
+        summand.gram_scalar = summand.gram_scalar @ shear
+    gens = make_generators(space)
+    if perturbation == "model":
+        idempotents = gens.model.idempotents
+        idempotents[-1] = ExactMatrix.zeros(*idempotents[-1].shape)
+    bundle = build_ck_generators(gens)
+    first = bundle.states[0]
+    if perturbation == "support":
+        first.support = [1 - first.support[0]] + first.support[1:]
+    elif perturbation == "matrix":
+        bundle.matrix[0] = [1 - bundle.matrix[0][0]] + bundle.matrix[0][1:]
+    sections = {"ck": verify_ck_relations(bundle)}
+    if module != "mn:2,2":
+        alg = spec.algebra_A
+        sections["two"] = verify_two_isometry_relations(
+            gens, AlgebraHom.permutation(alg, SIGMA), AlgebraHom.permutation(alg, TAU))
+    try:
+        sections["ktheory"] = class_action_matrix(gens)[1]
+    except AssumptionsViolated as exc:
+        sections["ktheory"] = str(exc)
+    return sections
+
+
+@pytest.mark.parametrize("module, perturbation", list(CK_PERTURBED_FAILURES))
+def test_perturbed_towers_keep_their_ck_witnesses(module, perturbation):
+    # each failing check names the state, generator, class or element, and
+    # the block, that checking its members one by one in order names first
+    failures = CK_PERTURBED_FAILURES[(module, perturbation)]
+    got = _perturbed(module, perturbation)
+    assert set(got) == {"ck", "ktheory"} | ({"two"} if module == "perm:3" else set())
+    for section, reports in got.items():
+        expected = failures.get(section, {})
+        if isinstance(expected, list):
+            assert reports == "; ".join(expected)
+            continue
+        assert [(r.check_id, r.passed, r.witness) for r in reports] == [
+            (cid, cid not in expected, expected.get(cid, "")) for cid in SECTION_ORDER[section]]

@@ -9,7 +9,7 @@ import pytest
 from quadmod import cli, fock, linalg, relations, serialize
 from quadmod.algebras import CommAlgebra
 from quadmod.cli import CLIError, main, parse_cycles
-from quadmod.fock import FockOperator, FockSpace, QuadSpace
+from quadmod.fock import FockFamily, FockOperator, FockSpace, QuadSpace
 from quadmod.linalg import ExactMatrix, GramStack
 from quadmod.opalgebra import DiagonalOperatorModel
 from quadmod.quadmodule import QuadModuleSpec, build_example_MN, build_example_alpha_beta
@@ -154,6 +154,28 @@ def test_unusable_inputs_exit_with_two(capsys):
         code, _, err = run_cli(capsys, *argv)
         assert code == 2, argv
         assert err.startswith("error:"), argv
+
+
+def test_an_unwritable_output_is_a_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "report.json"
+    code, out, err = run_cli(capsys, "full", "--builtin", "perm:3,(0 1 2),(0 1)",
+                             "--output", str(target))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write {target}: ")
+    assert len(err.splitlines()) == 1
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("raw", ["x", "0", "-3"])
+def test_a_bad_budget_is_a_usage_error(monkeypatch, capsys, raw):
+    # neither a tower too large nor a failed tower-construction check
+    monkeypatch.setenv("QUADMOD_MAX_DIM", raw)
+    for argv in (("ck", "--builtin", "mn:2,2"),
+                 ("full", "--builtin", "mn:2,2", "--depth", "2", "--format", "json")):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: QUADMOD_MAX_DIM "), argv
+        assert len(err.splitlines()) == 1
 
 
 def test_missing_source_is_a_usage_error(capsys):
@@ -312,8 +334,8 @@ KRON_FREE = [
     (fock, "_tensor_stacks"),
     (fock, "relative_tensor"),
     (QuadSpace, "from_ambient"),
-    (FockSpace, "creation"),
-    (FockSpace, "lift"),
+    (FockSpace, "creations"),
+    (FockSpace, "lifts"),
     (relations, "_annihilation_expected"),
 ]
 
@@ -438,15 +460,15 @@ def test_fock_reports_a_tower_that_cannot_be_built(tmp_path, capsys):
     ("--builtin", "perm:3,(0 1 2),(0 2 1)"),
 ])
 def test_one_full_run_adjoints_each_operator_once(monkeypatch, capsys, argv):
-    # every operator passed in stays referenced, so no id is reused
+    # every operator or family passed in stays referenced, so no id is
+    # reused
     seen = []
-    adjoint = FockOperator.adjoint
+    for owner in (FockOperator, FockFamily):
+        def counted(self, _adjoint=owner.adjoint):
+            seen.append(self)
+            return _adjoint(self)
 
-    def counted(self):
-        seen.append(self)
-        return adjoint(self)
-
-    monkeypatch.setattr(FockOperator, "adjoint", counted)
+        monkeypatch.setattr(owner, "adjoint", counted)
     code, _, _ = run_cli(capsys, "full", *argv)
     assert code == 0
     assert max(Counter(id(op) for op in seen).values()) == 1
@@ -476,9 +498,9 @@ def test_real_products_skip_the_complex_kernel(monkeypatch, capsys, argv):
     ("--builtin", "perm:5,(0 1 2 3 4),(0 2 4 1 3)"),
 ])
 def test_identity_families_create_and_act_in_batches(monkeypatch, capsys, argv):
-    # inside the identity suite every creation and side action belongs to
-    # one batched family (creations, left_actions), never to a per-member
-    # call of creation or left_action
+    # inside the identity suite every creation and lift belongs to one
+    # batched family (creations, lifts), never to a per-member call of
+    # creation or lift; side actions exist only as batched families
     inside, suites, strays = [], [], []
     suite = relations.full_identity_suite
 
@@ -491,7 +513,7 @@ def test_identity_families_create_and_act_in_batches(monkeypatch, capsys, argv):
             inside.pop()
 
     monkeypatch.setattr(cli, "full_identity_suite", watched)
-    for name in ("creation", "left_action"):
+    for name in ("creation", "lift"):
         def spied(self, *args, _call=getattr(FockSpace, name), _name=name):
             if inside:
                 strays.append(_name)

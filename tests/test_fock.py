@@ -107,7 +107,7 @@ def test_creation_shapes_are_validated():
     with pytest.raises(ValueError):
         space.creation(1, ExactMatrix.column([1, 0]))
     with pytest.raises(ValueError):
-        space.left_action(1, ExactMatrix.column([1, 0, 0, 0]))
+        space.left_actions(1, ExactMatrix.column([1, 0, 0, 0]), (0, space.depth))
 
 
 def test_adjoint_is_an_involution():
@@ -178,7 +178,7 @@ def test_lift_of_left_action_matches_tower_action():
     h = space.summand((1, ()))
     b = space.spec.algebra_B1.basis_element(0)
     lifted = space.lift(h.left_B1[0])
-    tower = space.left_action(1, b)
+    tower = space.left_actions(1, b, (0, space.depth)).member((0,))
     diff = lifted - tower
     # they may only disagree on the coefficient level, where lift is zero
     assert diff.is_zero_on_source_levels(1, space.depth)

@@ -795,9 +795,9 @@ def test_side_actions_match_the_per_summand_loop(space):
     for side, alg, ops_of in ((1, spec.algebra_B1, lambda sp: sp.left_B1),
                               (2, spec.algebra_B2, lambda sp: sp.left_B2)):
         for b in samples(alg.dim):
-            assert space.left_action(side, b).blocks == loop(ops_of, b)
+            assert space.left_actions(side, b, (0, space.depth)).member((0,)).blocks == loop(ops_of, b)
     for a in samples(spec.algebra_A.dim):
-        assert space.right_action(a).blocks == loop(lambda sp: sp.right_A, a)
+        assert space.right_actions(a, (0, space.depth)).member((0,)).blocks == loop(lambda sp: sp.right_A, a)
 
 
 def test_diagonal_helpers():

@@ -9,7 +9,7 @@ from quadmod.relations import (
     core_filtration_dims,
     full_identity_suite,
     make_generators,
-    represent_module_map,
+    represent_module_maps,
 )
 
 # every identity the suite checks, with its truncation window at depth K
@@ -111,10 +111,10 @@ def test_completeness_window_is_tight(bipartite):
     space = bipartite
     gens = make_generators(space)
     total = space.zero()
-    for s in gens.S:
-        total = total + s @ s.adjoint()
-    for t in gens.T:
-        total = total + t @ t.adjoint()
+    for family in (gens.S, gens.T):
+        for i in range(family.shape[0]):
+            x = family.member((i,))
+            total = total + x @ x.adjoint()
     defect = total - space.identity()
     assert defect.first_nonzero_source_level() == 0
     assert not defect.is_zero_on_source_levels(1, 1)
@@ -128,7 +128,7 @@ def test_represented_module_map_doubles_on_the_module_level(bipartite):
     h = space.summand((1, ()))
     L_module = h.left_B1[0]
     L_amb = h.include @ L_module @ h.express
-    represented = represent_module_map(gens, L_amb)
+    represented = represent_module_maps(gens, [L_amb]).member((0,))
     key = (1, ())
     assert represented.block(key, key) == L_module.scale(2)
     diff = represented - space.lift(L_module)
@@ -156,19 +156,22 @@ def test_filtration_needs_headroom(twisted):
 
 def test_generator_counts_follow_the_bases(bipartite, twisted):
     gens = make_generators(bipartite)
-    assert len(gens.S) == 2 and len(gens.T) == 2
+    assert gens.S.shape == (2,) and gens.T.shape == (2,)
     gens = make_generators(twisted)
-    assert len(gens.S) == 1 and len(gens.T) == 1
+    assert gens.S.shape == (1,) and gens.T.shape == (1,)
 
 
 @pytest.mark.parametrize("tower", ["bipartite", "twisted"])
 def test_lift_projection_is_the_lift_of_the_model_projection(tower, request):
+    # lift is linear, so the lift of a model projection is the combination
+    # of the class lifts that its 0/1 pattern selects
     space = request.getfixturevalue(tower)
     gens = make_generators(space)
     model = gens.model
     for pattern in itertools.product((0, 1), repeat=model.rank):
-        expected = space.lift(model.element(ExactMatrix.column(list(pattern))))
-        assert gens.lift_projection(pattern) == expected, pattern
+        column = ExactMatrix.column(list(pattern))
+        expected = space.lift(model.element(column))
+        assert gens.lifts.combine(column).member((0,)) == expected, pattern
 
 
 # -- witnesses under perturbed towers --------------------------------------
@@ -287,14 +290,14 @@ PERTURBED_FAILURES = {
 
 def _extra_lift_block(monkeypatch):
     """Every lift gains the identity on the summand of level 2, word 2."""
-    lift = FockSpace.lift
+    lifts = FockSpace.lifts
     key = (2, (2,))
 
-    def perturbed(self, L):
+    def perturbed(self, ops):
         extra = {(key, key): ExactMatrix.identity(self.summand(key).dim)}
-        return lift(self, L) + FockOperator(self, extra)
+        return lifts(self, ops) + FockOperator(self, extra)
 
-    monkeypatch.setattr(FockSpace, "lift", perturbed)
+    monkeypatch.setattr(FockSpace, "lifts", perturbed)
 
 
 @pytest.mark.parametrize("module, perturbation", list(PERTURBED_FAILURES))
