@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import ExactMatrix, SingularGram
+from .linalg import ExactMatrix, MatrixStack
 
 
 class CommAlgebra:
@@ -43,7 +43,7 @@ class CommAlgebra:
         return x.to_diagonal()
 
     def is_positive(self, x: ExactMatrix) -> bool:
-        return all(x[i, 0].is_real and x[i, 0].re >= 0 for i in range(self.dim))
+        return x.is_nonnegative()
 
     def __eq__(self, other):
         return isinstance(other, CommAlgebra) and other.dim == self.dim
@@ -75,14 +75,15 @@ class AlgebraHom:
         return self(self.source.unit()) == self.target.unit()
 
     def is_multiplicative(self) -> bool:
-        for i in range(self.source.dim):
-            ei = self(self.source.basis_element(i))
-            for j in range(self.source.dim):
-                ej = self(self.source.basis_element(j))
-                expected = ei if i == j else ExactMatrix.zeros(self.target.dim, 1)
-                if self.target.mul(ei, ej) != expected:
-                    return False
-        return True
+        """h(e_i) h(e_j) = delta_ij h(e_i) for every pair (i, j), as one array
+        test. With M the matrix, target coordinate r of the left side is
+        M[r, i] M[r, j] and of the right side M[r, i] delta_ij: over the
+        grid (r, i), row r of M scaled by M[r, i] must equal the unit row
+        e_i scaled by M[r, i]."""
+        t, s = self.matrix.shape
+        rows = MatrixStack.regrouped(self.matrix, (t, 1, 1, s), (0, 1, 2, 3))
+        units = MatrixStack.regrouped(ExactMatrix.identity(s), (1, s, 1, s), (0, 1, 2, 3))
+        return (rows.scaled(self.matrix) - units.scaled(self.matrix)).is_zero()
 
     def is_star_map(self) -> bool:
         return self.matrix == self.matrix.conj()
@@ -107,13 +108,17 @@ class AlgebraHom:
             raise ValueError("composition dimension mismatch")
         return AlgebraHom(inner.source, self.target, self.matrix @ inner.matrix)
 
-    def preimage(self, y: ExactMatrix) -> ExactMatrix | None:
-        """Some x with self(x) = y, or None when y is outside the range."""
-        try:
-            x = self.matrix.solve(y)
-        except SingularGram:
-            return None
-        return x
+    def first_outside_range(self, ys: ExactMatrix) -> int | None:
+        """The first column of ys that is not self(x) for any x, or None.
+
+        Every column is tested by one elimination: reduced row echelon form
+        picks its pivots left to right, so the first pivot among the
+        columns of ys is the first of them outside the span of the
+        matrix's columns and of the earlier columns of ys, and the earlier
+        ones, being no pivots, lie in the range."""
+        n = self.matrix.ncols
+        _, pivots = ExactMatrix.hstack([self.matrix, ys]).rref()
+        return next((p - n for p in pivots if p >= n), None)
 
     @staticmethod
     def identity(alg: CommAlgebra) -> "AlgebraHom":

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebras import AlgebraHom
-from .linalg import ExactMatrix
+from .linalg import ExactMatrix, MatrixStack
 from .relations import GeneratorFamily, families_report, window_report
 
 
@@ -55,23 +55,43 @@ class CKBundle:
 
 def build_ck_generators(gens: GeneratorFamily) -> CKBundle:
     """Slice the generating family by the model's minimal idempotents and
-    read off the relation matrix from the resulting supports."""
+    read off the relation matrix from the resulting supports.
+
+    The slice of class cl and generator g, lift(E_cl) @ S_g, is kept where
+    it is nonzero, and only slices that can be nonzero are formed. Its
+    coefficient-level block is E_cl times S_g's block there; above it, the
+    lift acts on the leftmost tensor factor, so every block is the
+    creation of E_cl m_g and vanishes with it. The candidates are the
+    pairs where one of these two module-level blocks is nonzero, two small
+    products for all pairs at once. When the family's right action is
+    unital, the columns of the coefficient-level block sum to E_cl m_g, so
+    every candidate is kept."""
     model = gens.model
     lifts = gens.lifts
     ncl = lifts.shape[0]
     module = (1, ())
+    h = gens.space.summand(module)
+    classes = MatrixStack.stack(model.idempotents, (ncl, 1))
     states, ops, adjoints = [], {}, {}
     for family in (1, 2):
         members = gens.family(family)
         ng = members.shape[0]
-        # member (class, generator) of the slices, kept where nonzero
-        sliced = (lifts.reshape((ncl, 1)) @ members.reshape((1, ng))).reshape((ncl * ng,))
-        kept = [int(j) for j in np.flatnonzero(sliced.nonzero())]
+        vectors = h.express @ gens.members(family)
+        # per (class, generator): whether E_cl m_g, or the coefficient-level
+        # block of the slice, is nonzero
+        columns = MatrixStack.regrouped(vectors, (h.dim, ng, 1), (1, 0, 2))
+        reach = (classes @ columns.reshaped((ng,), (1, ng))).nonzero()
+        coefficient = members.blocks.get((module, (0, ())))
+        if coefficient is not None:
+            reach = reach | (classes @ coefficient.reshaped(members.shape, (1, ng))).nonzero()
+        cls, gs = np.nonzero(reach)
+        sliced = lifts[cls] @ members[gs]
+        kept = np.flatnonzero(sliced.nonzero())
         ops[family] = sliced[kept]
         adjoints[family] = ops[family].adjoint()
         squares = adjoints[family] @ ops[family].window(1, 1)
         for i, j in enumerate(kept):
-            cl, g = divmod(j, ng)
+            cl, g = int(cls[j]), int(gs[j])
             pattern = model.projection_coords(squares.member((i,)).block(module, module))
             if pattern is None:
                 raise CKStructureError(

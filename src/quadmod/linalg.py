@@ -426,6 +426,10 @@ class ExactMatrix(_Numerators):
     def is_zero(self) -> bool:
         return self._real and not self._re.any()
 
+    def is_nonnegative(self) -> bool:
+        """Whether every entry is real and at least zero."""
+        return self._real and not (self._re < 0).any()
+
     def __eq__(self, other):
         if not isinstance(other, ExactMatrix):
             return NotImplemented
@@ -802,17 +806,40 @@ class MatrixStack(_Numerators):
     def is_zero(self) -> bool:
         return not self._re.any() and (self._real or not self._im.any())
 
+    def flattened(self) -> ExactMatrix:
+        """The members of a stack with one batch axis as the rows of one
+        r x (m n) matrix, each member read row-major. Moving entries keeps
+        the stack's normalisation and peak."""
+        r = self._re.shape[0]
+        m, n = self._re.shape[-2:]
+        im = _zero((r, m * n)) if self._real else self._im.reshape(r, m * n)
+        return ExactMatrix(self._re.reshape(r, m * n), im, self._den,
+                           _normalize=False, _real=self._real, _peak=self._peak)
+
     def combine(self, coeffs: ExactMatrix) -> "MatrixStack":
         """For members M_0, ..., M_{r-1} along one batch axis: the stack, over
         the columns j of coeffs, of sum_k coeffs[k, j] * M_k. The members'
         numerators read as one r x (m n) matrix, so this is one exact
         product, as in MatrixFamily.combine."""
-        r = coeffs.nrows
         m, n = self._re.shape[-2:]
-        full = self.take((r,), ...)
-        flat = ExactMatrix(full._re.reshape(r, m * n), full._im.reshape(r, m * n), self._den,
-                           _normalize=False, _real=self._real, _peak=self._peak)
+        flat = self.take((coeffs.nrows,), ...).flattened()
         return MatrixStack.regrouped(coeffs.T @ flat, (coeffs.ncols, m, n), (0, 1, 2))
+
+    def scaled(self, coeffs: ExactMatrix) -> "MatrixStack":
+        """Each member times its own scalar: member (i, j) of the stack
+        broadcast to the batch shape coeffs.shape, times coeffs[i, j]. One
+        elementwise product of the numerator arrays, each entry at most
+        max|coeffs| * max|stack| in magnitude (twice that for two complex
+        operands)."""
+        cre, cim = coeffs._re[..., None, None], coeffs._im[..., None, None]
+        peak = coeffs._peak_abs() * self._peak_abs()
+        den = coeffs._den * self._den
+        if coeffs._real and self._real:
+            a, b = _common(peak, cre, self._re)
+            re = a * b
+            return MatrixStack(re, _zero(re.shape), den, _real=True)
+        are, aim, bre, bim = _common(2 * peak, cre, cim, self._re, self._im)
+        return MatrixStack(are * bre - aim * bim, are * bim + aim * bre, den)
 
     def __matmul__(self, other):
         if not isinstance(other, (MatrixStack, ExactMatrix)):
@@ -1009,6 +1036,9 @@ def psd_check(G: ExactMatrix):
     Returns (True, None) when x^H G x >= 0 for every vector x, otherwise
     (False, w) with an explicit witness vector w (list of GaussianRational)
     such that w^H G w < 0. Pivoted LDL^H over the rationals; no floats.
+    The diagonal and the off-diagonal scan are read as array tests on the
+    numerators, whose order and signs are those of the entries (the
+    denominator is positive); ties go to the smallest index.
     """
     if not G.is_hermitian():
         raise NotHermitian("psd_check requires a Hermitian matrix")
@@ -1019,29 +1049,26 @@ def psd_check(G: ExactMatrix):
         m = work.nrows
         if m == 0:
             return True, None
-        diag = [work[i, i].re for i in range(m)]
-        if any(work[i, i].im for i in range(m)):
+        if not work._real and work._im.diagonal().any():
             raise NotHermitian("non-real diagonal")
+        diag = work._re.diagonal()
         # most-negative diagonal entry is an immediate witness
-        lo = min(range(m), key=lambda i: (diag[i], i))
+        lo = int(np.argmin(diag))
         if diag[lo] < 0:
             witness = [GaussianRational() for _ in range(m)]
             witness[lo] = GaussianRational(1)
             break
-        hi = max(range(m), key=lambda i: (diag[i], -i))
+        hi = int(np.argmax(diag))
         if diag[hi] == 0:
-            # all diagonals vanish; any nonzero off-diagonal certifies failure
-            off = None
-            for i in range(m):
-                for j in range(i + 1, m):
-                    if not work[i, j].is_zero:
-                        off = (i, j)
-                        break
-                if off:
-                    break
-            if off is None:
+            # all diagonals vanish; any nonzero off-diagonal certifies
+            # failure, the first one above the diagonal in row-major order
+            nonzero = work._re != 0
+            if not work._real:
+                nonzero |= work._im != 0
+            off = np.argwhere(np.triu(nonzero, 1))
+            if not len(off):
                 return True, None
-            i, j = off
+            i, j = (int(x) for x in off[0])
             a = work[i, j]
             witness = [GaussianRational() for _ in range(m)]
             witness[i] = -a
@@ -1058,7 +1085,8 @@ def psd_check(G: ExactMatrix):
         b = work.submatrix(rest, [0])
         C = work.submatrix(rest, rest)
         events.append(("pivot", d, b))
-        work = C - (b @ b.H).scale(GaussianRational(1) / d)
+        # d is the largest diagonal entry, so real and positive
+        work = C - (b @ b.H).scale(1 / d.re)
     # lift the witness back through the pivots, undoing swaps as they appear
     for ev in reversed(events):
         if ev[0] == "pivot":
@@ -1094,8 +1122,8 @@ class GramStack:
             if g.shape != (dim, dim):
                 raise ValueError("coordinate Gram matrices must be square and equal-size")
         self.coords = coords
-        # the coordinate Grams stacked in one column, built by the first
-        # pair; valid for good, as nothing reassigns coords or writes arrays
+        # the coordinate Grams stacked in one column, built on first use;
+        # valid for good, as nothing reassigns coords or writes arrays
         self._stacked = None
 
     @property
@@ -1122,24 +1150,26 @@ class GramStack:
         matrix; x^H times that, regrouped into the result."""
         if x.nrows != self.dim or y.nrows != self.dim:
             raise ValueError("pairs takes vectors of the form's dimension")
-        if self._stacked is None:
-            self._stacked = ExactMatrix.vstack(self.coords)
         d, n, a, b = self.num_coords, self.dim, x.ncols, y.ncols
-        gy = _permuted(self._stacked @ y, (d, n, b), (1, 0, 2), n, d * b)
+        gy = _permuted(self._vstacked() @ y, (d, n, b), (1, 0, 2), n, d * b)
         return _permuted(x.H @ gy, (a, d, b), (1, 0, 2), d, a * b)
 
-    def value(self, p: int, q: int) -> ExactMatrix:
-        return ExactMatrix.from_rows([[g[p, q]] for g in self.coords])
+    def _vstacked(self) -> ExactMatrix:
+        if self._stacked is None:
+            self._stacked = ExactMatrix.vstack(self.coords)
+        return self._stacked
+
+    @property
+    def stack(self) -> MatrixStack:
+        """The coordinate Grams as one MatrixStack over the coordinates."""
+        n = self.dim
+        return MatrixStack.regrouped(self._vstacked(), (self.num_coords, n, n), (0, 1, 2))
 
     def scalarized(self) -> ExactMatrix:
         """The scalar Gram obtained by the coordinate-sum trace."""
-        out = self.coords[0]
-        for g in self.coords[1:]:
-            out = out + g
-        return out
-
-    def is_hermitian(self) -> bool:
-        return all(g.is_hermitian() for g in self.coords)
+        ones = ExactMatrix(np.ones((self.num_coords, 1), np.int64), _zero((self.num_coords, 1)),
+                           _normalize=False, _real=True, _peak=1)
+        return self.stack.combine(ones).member((1,), (0,))
 
     def restrict(self, idx) -> "GramStack":
         idx = list(idx)

@@ -16,16 +16,38 @@ together with:
 
 validate_axioms checks every compatibility the construction later relies
 on; each check is reported individually with an exact witness on failure.
+
+Every check that quantifies over a grid of members, (c, c2), (a, c),
+(c, x) or (i, j, c), is one batched expression over the whole grid. The
+operator lists and coordinate Grams are held as MatrixStacks, laid out
+along the grid's axes, and the two sides of the axiom are a few exact
+products, member-wise scalings or combinations of whole stacks (see the
+linalg module), never one product per member. Their difference is tested
+member by member with one array test, and a failing check's witness names
+its first failing member in C order over the grid: the member a nested
+loop over the grid, first axis outermost, would meet first. Range
+membership over a grid is one elimination, and ranks are read from the
+flattened stacks. The index maps are derived once per specification and
+shared by every stage that reads them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 from .algebras import AlgebraHom, CommAlgebra
-from .linalg import ExactMatrix, GramStack, psd_check, weighted_sum
+from .linalg import (
+    ExactMatrix,
+    GramStack,
+    MatrixFamily,
+    MatrixStack,
+    psd_check,
+    times_identity_kron,
+)
 from .report import CheckResult
-from .scalars import GaussianRational
 
 
 class InvalidParameter(ValueError):
@@ -36,9 +58,52 @@ class LambdaNotFaithful(ValueError):
     """The derived index maps are not faithful positive maps."""
 
 
-def _vec(matrix: ExactMatrix) -> ExactMatrix:
-    cols = [matrix.take_cols([j]) for j in range(matrix.ncols)]
-    return ExactMatrix.vstack(cols)
+def _first(bad) -> tuple | None:
+    """The first index, in C order, at which the boolean array bad is
+    true, or None."""
+    hits = np.argwhere(bad)
+    return tuple(int(i) for i in hits[0]) if len(hits) else None
+
+
+def _grid(first: MatrixStack, second: MatrixStack):
+    """Two stacks of one batch axis each, laid out on the grid (i, j) of
+    their members: first along i, second along j."""
+    r, s = first.batch_shape[0], second.batch_shape[0]
+    return first.reshaped((r,), (r, 1)), second.reshaped((s,), (1, s))
+
+
+def _columns(x: ExactMatrix) -> MatrixStack:
+    """The columns of x as one stack over the columns."""
+    m, n = x.shape
+    return MatrixStack.regrouped(x, (m, n, 1), (1, 0, 2))
+
+
+def _entries(x: ExactMatrix) -> MatrixStack:
+    """The entries of x as a stack of 1 x 1 members over x's index grid."""
+    m, n = x.shape
+    return MatrixStack.regrouped(x, (m, n, 1, 1), (0, 1, 2, 3))
+
+
+def _compressions(family: ExactMatrix, form: GramStack, ops: list):
+    """For the columns f_i of family, a form and operators ops[c]: the
+    form's values <f_i | ops[c] f_j> as the columns (i, c, j) of one
+    matrix, and their traces sum_i <f_i | ops[c] f_i> as the columns c of
+    another. ops[c] f_j is one product for every (c, j), the values one
+    pairs call, and the traces one product with I (x) 1."""
+    k, d = family.ncols, len(ops)
+    values = form.pairs(family, times_identity_kron(ExactMatrix.hstack(ops), d, family))
+    diagonal = values.take_cols([(i * d + c) * k + i for c in range(d) for i in range(k)])
+    return values, times_identity_kron(diagonal, d, CommAlgebra(k).unit())
+
+
+def _reconstructs(acts: MatrixStack, family: ExactMatrix, form: GramStack) -> bool:
+    """Whether every vector v is sum_f sum_c acts[c] f <f|v>_c over the
+    columns f of family and the coordinates c of the form, that is whether
+    sum_c acts[c] (F F^H) G_c is the identity: F F^H, the stack (F F^H) G,
+    acts times it and the sum over c, one product each."""
+    gram = family @ family.H
+    total = (acts @ (gram @ form.stack)).combine(CommAlgebra(acts.batch_shape[0]).unit())
+    return (total - ExactMatrix.identity(family.nrows)).is_zero()
 
 
 class QuadModuleSpec:
@@ -86,10 +151,10 @@ class QuadModuleSpec:
         self._check_shapes()
         # right action of A, realized through the first side algebra; the
         # agreement with the second route is a validated axiom
-        self.right_A = [
-            weighted_sum(self.right_B1, self.right_embed_1(self.algebra_A.basis_element(a)))
-            for a in range(self.algebra_A.dim)
-        ]
+        combos = MatrixFamily([m] for m in self.right_B1).combine(self.right_embed_1.matrix)
+        self.right_A = [blocks[0] for blocks in combos]
+        # the index maps, or their failure, once derive_lambda has run
+        self._index_maps = None
 
     def _check_shapes(self):
         pairs = [
@@ -131,253 +196,184 @@ class QuadModuleSpec:
                 if v.shape != (self.dim, 1):
                     raise ValueError(f"{label}: vector shape mismatch")
 
-    # -- small helpers ----------------------------------------------------
-
-    def left_A(self, a: ExactMatrix) -> ExactMatrix:
-        """The common left action of A, via the first embedding."""
-        return weighted_sum(self.left_B1, self.left_embed_1(a))
+    @cached_property
+    def _stacks(self) -> dict:
+        """Each action list, right_A included, as one MatrixStack over its
+        algebra basis."""
+        names = ("right_B1", "right_B2", "left_B1", "left_B2", "right_A")
+        return {name: MatrixStack.stack(getattr(self, name), (len(getattr(self, name)),))
+                for name in names}
 
     # -- axiom validation --------------------------------------------------
 
     def validate_axioms(self) -> list[CheckResult]:
         out = []
         dim = self.dim
+        ops = self._stacks
+        forms = [("a", self.inner_A), ("b1", self.inner_B1), ("b2", self.inner_B2)]
 
         def add(check_id, statement, passed, witness=""):
             out.append(CheckResult(check_id, statement, bool(passed), witness))
 
+        def add_grid(check_id, statement, diff, witness):
+            """One check over a grid: diff holds the difference of the two
+            sides per member, and witness formats the first failing index."""
+            bad = _first(diff.nonzero())
+            add(check_id, statement, bad is None, "" if bad is None else witness.format(*bad))
+
         # each action is a unital representation of its (commutative) algebra
         families = [
-            ("right-b1", self.right_B1, self.algebra_B1),
-            ("right-b2", self.right_B2, self.algebra_B2),
-            ("left-b1", self.left_B1, self.algebra_B1),
-            ("left-b2", self.left_B2, self.algebra_B2),
+            ("right-b1", "right_B1", self.algebra_B1),
+            ("right-b2", "right_B2", self.algebra_B2),
+            ("left-b1", "left_B1", self.algebra_B1),
+            ("left-b2", "left_B2", self.algebra_B2),
         ]
-        for label, ops, alg in families:
-            bad = ""
-            for c in range(alg.dim):
-                for c2 in range(alg.dim):
-                    want = ops[c] if c == c2 else ExactMatrix.zeros(dim, dim)
-                    if ops[c] @ ops[c2] != want:
-                        bad = f"basis pair ({c},{c2})"
-                        break
-                if bad:
-                    break
-            add(
+        for label, name, alg in families:
+            rows, cols = _grid(ops[name], ops[name])
+            add_grid(
                 f"action-rep-{label}",
                 "the action respects products of algebra elements",
-                not bad,
-                bad,
+                rows @ cols - rows.scaled(ExactMatrix.identity(alg.dim)),
+                "basis pair ({},{})",
             )
-            total = ExactMatrix.zeros(dim, dim)
-            for op in ops:
-                total = total + op
             add(
                 f"action-unital-{label}",
                 "the algebra unit acts as the identity operator",
-                total == ExactMatrix.identity(dim),
+                (ops[name].combine(alg.unit()) - ExactMatrix.identity(dim)).is_zero(),
             )
 
         # left and right actions commute, in all four combinations
         combos = [
-            ("left-b1-right-b1", self.left_B1, self.right_B1),
-            ("left-b1-right-b2", self.left_B1, self.right_B2),
-            ("left-b2-right-b1", self.left_B2, self.right_B1),
-            ("left-b2-right-b2", self.left_B2, self.right_B2),
+            ("left-b1-right-b1", "left_B1", "right_B1"),
+            ("left-b1-right-b2", "left_B1", "right_B2"),
+            ("left-b2-right-b1", "left_B2", "right_B1"),
+            ("left-b2-right-b2", "left_B2", "right_B2"),
         ]
-        for label, lefts, rights in combos:
-            bad = ""
-            for c, left in enumerate(lefts):
-                for c2, right in enumerate(rights):
-                    if left @ right != right @ left:
-                        bad = f"left basis {c} vs right basis {c2}"
-                        break
-                if bad:
-                    break
-            add(
+        for label, left, right in combos:
+            lefts, rights = _grid(ops[left], ops[right])
+            add_grid(
                 f"action-commute-{label}",
                 "left and right actions commute",
-                not bad,
-                bad,
+                lefts @ rights - rights @ lefts,
+                "left basis {} vs right basis {}",
             )
 
         # the two routes to the right A-action agree
-        bad = ""
-        for a in range(self.algebra_A.dim):
-            ea = self.algebra_A.basis_element(a)
-            via1 = weighted_sum(self.right_B1, self.right_embed_1(ea))
-            via2 = weighted_sum(self.right_B2, self.right_embed_2(ea))
-            if via1 != via2:
-                bad = f"base algebra basis {a}"
-                break
-        add(
+        add_grid(
             "right-action-compatible",
             "the right A-action through either side algebra is the same",
-            not bad,
-            bad,
+            ops["right_A"] - ops["right_B2"].combine(self.right_embed_2.matrix),
+            "base algebra basis {}",
         )
 
         # twisted right-action compatibility: acting by b, then by a in A,
-        # equals acting by b times the embedded image of a
-        for label, ops, alg, embed in [
-            ("1", self.right_B1, self.algebra_B1, self.right_embed_1),
-            ("2", self.right_B2, self.algebra_B2, self.right_embed_2),
+        # equals acting by b times the embedded image of a; on the grid
+        # (a, c), b_c times the image of a is embed[c, a] b_c
+        for label, name, embed in [
+            ("1", "right_B1", self.right_embed_1),
+            ("2", "right_B2", self.right_embed_2),
         ]:
-            bad = ""
-            for a in range(self.algebra_A.dim):
-                ra = self.right_A[a]
-                img = embed(self.algebra_A.basis_element(a))
-                for c in range(alg.dim):
-                    twisted = weighted_sum(ops, alg.mul(alg.basis_element(c), img))
-                    if twisted != ra @ ops[c]:
-                        bad = f"algebra basis {c}, base basis {a}"
-                        break
-                if bad:
-                    break
-            add(
+            base, side = _grid(ops["right_A"], ops[name])
+            add_grid(
                 f"right-action-twist-{label}",
                 "right action twisted by the embedded base algebra matches acting in two steps",
-                not bad,
-                bad,
+                base @ side - side.scaled(embed.matrix.T),
+                "algebra basis {1}, base basis {0}",
             )
 
         # the two left embeddings induce the same left A-action
-        bad = ""
-        for a in range(self.algebra_A.dim):
-            ea = self.algebra_A.basis_element(a)
-            l1 = weighted_sum(self.left_B1, self.left_embed_1(ea))
-            l2 = weighted_sum(self.left_B2, self.left_embed_2(ea))
-            if l1 != l2:
-                bad = f"base algebra basis {a}"
-                break
-        add(
+        left_A = ops["left_B1"].combine(self.left_embed_1.matrix)
+        add_grid(
             "left-action-compatible",
             "the left A-action through either side algebra is the same",
-            not bad,
-            bad,
+            left_A - ops["left_B2"].combine(self.left_embed_2.matrix),
+            "base algebra basis {}",
         )
 
         # inner products: hermitian, positive, nondegenerate, right-linear
-        stacks = [
-            ("a", self.inner_A, None, None),
-            ("b1", self.inner_B1, self.right_B1, None),
-            ("b2", self.inner_B2, self.right_B2, None),
-        ]
-        for label, stack, _, _ in stacks:
+        for label, form in forms:
+            grams = form.stack
+            hermitian = ~(grams - grams.H).nonzero()
             add(
                 f"inner-hermitian-{label}",
                 "the inner product is conjugate-symmetric",
-                stack.is_hermitian(),
+                hermitian.all(),
             )
-            bad = ""
-            for c, g in enumerate(stack.coords):
-                if not g.is_hermitian():
-                    continue
-                ok, _ = psd_check(g)
-                if not ok:
-                    bad = f"coordinate {c}"
-                    break
+            bad = next((int(c) for c in np.flatnonzero(hermitian)
+                        if not psd_check(form.coords[c])[0]), None)
             add(
                 f"inner-positive-{label}",
                 "squared lengths are positive algebra elements",
-                not bad,
-                bad,
+                bad is None,
+                "" if bad is None else f"coordinate {bad}",
             )
             add(
                 f"inner-nondegenerate-{label}",
                 "only the zero vector has zero length",
-                stack.is_hermitian() and stack.scalarized().rank() == dim,
+                hermitian.all() and form.scalarized().rank() == dim,
             )
 
         # right linearity over the respective coefficient algebra
-        for label, stack, ops in [
-            ("b1", self.inner_B1, self.right_B1),
-            ("b2", self.inner_B2, self.right_B2),
-            ("a", self.inner_A, self.right_A),
+        for label, form, name in [
+            ("b1", self.inner_B1, "right_B1"),
+            ("b2", self.inner_B2, "right_B2"),
+            ("a", self.inner_A, "right_A"),
         ]:
-            bad = ""
-            for c, g in enumerate(stack.coords):
-                for c2, op in enumerate(ops):
-                    want = g if c == c2 else ExactMatrix.zeros(dim, dim)
-                    if g @ op != want:
-                        bad = f"coordinate {c}, algebra basis {c2}"
-                        break
-                if bad:
-                    break
-            add(
+            coords, acts = _grid(form.stack, ops[name])
+            add_grid(
                 f"inner-right-linear-{label}",
                 "the inner product is linear over the right action of its own algebra",
-                not bad,
-                bad,
+                coords @ acts - coords.scaled(ExactMatrix.identity(form.num_coords)),
+                "coordinate {}, algebra basis {}",
             )
 
         # side-valued inner products absorb the right A-action through the
         # right embeddings
-        for label, stack, embed in [
+        for label, form, embed in [
             ("1", self.inner_B1, self.right_embed_1),
             ("2", self.inner_B2, self.right_embed_2),
         ]:
-            bad = ""
-            for a in range(self.algebra_A.dim):
-                ra = self.right_A[a]
-                img = embed(self.algebra_A.basis_element(a))
-                for c, g in enumerate(stack.coords):
-                    if g @ ra != g.scale(img[c, 0]):
-                        bad = f"coordinate {c}, base basis {a}"
-                        break
-                if bad:
-                    break
-            add(
+            base, coords = _grid(ops["right_A"], form.stack)
+            add_grid(
                 f"inner-right-twist-{label}",
                 "moving a base algebra element inside the inner product picks up its embedded image",
-                not bad,
-                bad,
+                coords @ base - coords.scaled(embed.matrix.T),
+                "coordinate {1}, base basis {0}",
             )
 
         # left actions are adjointable for all three inner products, with
         # the conjugated element as the common adjoint
-        for side, ops in [("1", self.left_B1), ("2", self.left_B2)]:
-            for label, stack in [("a", self.inner_A), ("b1", self.inner_B1), ("b2", self.inner_B2)]:
-                bad = ""
-                for c, op in enumerate(ops):
-                    for x, g in enumerate(stack.coords):
-                        if g @ op != op.H @ g:
-                            bad = f"algebra basis {c}, coordinate {x}"
-                            break
-                    if bad:
-                        break
-                add(
+        for side, name in [("1", "left_B1"), ("2", "left_B2")]:
+            for label, form in forms:
+                acts, coords = _grid(ops[name], form.stack)
+                add_grid(
                     f"left-adjointable-{side}-{label}",
                     "the left action is adjointable with the conjugate element as adjoint",
-                    not bad,
-                    bad,
+                    coords @ acts - acts.H @ coords,
+                    "algebra basis {}, coordinate {}",
                 )
 
-        # faithfulness of the left actions, including the induced A-action
-        for label, ops in [("b1", self.left_B1), ("b2", self.left_B2)]:
-            stacked = ExactMatrix.hstack([_vec(op) for op in ops])
+        # faithfulness of the left actions, including the induced A-action:
+        # the flattened operators are linearly independent
+        for label, name, alg in [("b1", "left_B1", self.algebra_B1), ("b2", "left_B2", self.algebra_B2)]:
             add(
                 f"left-faithful-{label}",
                 "the left action has trivial kernel",
-                stacked.rank() == len(ops),
+                ops[name].flattened().rank() == alg.dim,
             )
-        a_ops = [self.left_A(self.algebra_A.basis_element(a)) for a in range(self.algebra_A.dim)]
-        stacked = ExactMatrix.hstack([_vec(op) for op in a_ops])
         add(
             "left-faithful-a",
             "the induced left action of the base algebra has trivial kernel",
-            stacked.rank() == len(a_ops),
+            left_A.flattened().rank() == self.algebra_A.dim,
         )
 
-        # fullness: inner product values span the whole coefficient algebra
-        for label, stack in [("a", self.inner_A), ("b1", self.inner_B1), ("b2", self.inner_B2)]:
-            values = ExactMatrix.hstack(
-                [stack.value(p, q) for p in range(dim) for q in range(dim)]
-            )
+        # fullness: inner product values span the whole coefficient algebra;
+        # the value <e_p|e_q> is column (p, q) of the flattened Grams
+        for label, form in forms:
             add(
                 f"inner-full-{label}",
                 "inner product values span the coefficient algebra",
-                values.rank() == stack.num_coords,
+                form.stack.flattened().rank() == form.num_coords,
             )
 
         # the four embeddings are unital *-homomorphisms; the left pair must
@@ -406,109 +402,52 @@ class QuadModuleSpec:
         """Check that basis_U and basis_V generate the two right module
         structures and satisfy the compression and trace conditions."""
         out = []
-        dim = self.dim
+        family_u = ExactMatrix.hstack(self.basis_U)
+        family_v = ExactMatrix.hstack(self.basis_V)
 
         def add(check_id, statement, passed, witness=""):
             out.append(CheckResult(check_id, statement, bool(passed), witness))
 
-        recon_u = ExactMatrix.zeros(dim, dim)
-        for u in self.basis_U:
-            for c, g in enumerate(self.inner_B1.coords):
-                recon_u = recon_u + (self.right_B1[c] @ u) @ (u.H @ g)
         add(
             "finite-basis-reconstruction-u",
             "every vector is recovered from the first family and its side-1 inner products",
-            recon_u == ExactMatrix.identity(dim),
+            _reconstructs(self._stacks["right_B1"], family_u, self.inner_B1),
         )
-
-        recon_v = ExactMatrix.zeros(dim, dim)
-        for v in self.basis_V:
-            for c, g in enumerate(self.inner_B2.coords):
-                recon_v = recon_v + (self.right_B2[c] @ v) @ (v.H @ g)
         add(
             "finite-basis-reconstruction-v",
             "every vector is recovered from the second family and its side-2 inner products",
-            recon_v == ExactMatrix.identity(dim),
+            _reconstructs(self._stacks["right_B2"], family_v, self.inner_B2),
         )
 
-        bad = ""
-        for i, u in enumerate(self.basis_U):
-            for j, u2 in enumerate(self.basis_U):
-                for c in range(self.algebra_B2.dim):
-                    val = self.inner_B1.pair(u, self.left_B2[c] @ u2)
-                    if self.left_embed_1.preimage(val) is None:
-                        bad = f"pair ({i},{j}), side-2 basis {c}"
-                        break
-                if bad:
-                    break
-            if bad:
-                break
-        add(
-            "finite-basis-compression-u",
-            "compressions of the side-2 left action by the first family land in the embedded base algebra",
-            not bad,
-            bad,
-        )
-
-        bad = ""
-        for k, v in enumerate(self.basis_V):
-            for l, v2 in enumerate(self.basis_V):
-                for c in range(self.algebra_B1.dim):
-                    val = self.inner_B2.pair(v, self.left_B1[c] @ v2)
-                    if self.left_embed_2.preimage(val) is None:
-                        bad = f"pair ({k},{l}), side-1 basis {c}"
-                        break
-                if bad:
-                    break
-            if bad:
-                break
-        add(
-            "finite-basis-compression-v",
-            "compressions of the side-1 left action by the second family land in the embedded base algebra",
-            not bad,
-            bad,
-        )
+        traces = {}
+        for label, family, form, ops, embed, other, statement in [
+            ("u", family_u, self.inner_B1, self.left_B2, self.left_embed_1, "side-2",
+             "compressions of the side-2 left action by the first family land in the embedded base algebra"),
+            ("v", family_v, self.inner_B2, self.left_B1, self.left_embed_2, "side-1",
+             "compressions of the side-1 left action by the second family land in the embedded base algebra"),
+        ]:
+            values, traces[label] = _compressions(family, form, ops)
+            k, d = family.ncols, len(ops)
+            # the columns (i, c, j) of the values in the order (i, j, c)
+            order = [(i * d + c) * k + j for i in range(k) for j in range(k) for c in range(d)]
+            bad = embed.first_outside_range(values.take_cols(order))
+            witness = ""
+            if bad is not None:
+                i, j, c = np.unravel_index(bad, (k, k, d))
+                witness = f"pair ({i},{j}), {other} basis {c}"
+            add(f"finite-basis-compression-{label}", statement, bad is None, witness)
 
         # trace condition: summing side-1 compressions of a side-2 inner
         # product recovers the A-valued inner product (and symmetrically)
-        weights = ExactMatrix.from_rows(
-            [
-                [
-                    sum(
-                        ((u.H @ g1 @ (self.left_B2[c2] @ u))[0, 0] for u in self.basis_U),
-                        GaussianRational(),
-                    )
-                    for c2 in range(self.algebra_B2.dim)
-                ]
-                for g1 in self.inner_B1.coords
-            ]
-        )
-        lhs = self.inner_B2.transform(weights)
-        rhs = self.inner_A.transform(self.left_embed_1.matrix)
         add(
             "finite-basis-trace-u",
             "summed first-family compressions of side-2 inner products equal the embedded A-valued inner product",
-            lhs == rhs,
+            self.inner_B2.transform(traces["u"]) == self.inner_A.transform(self.left_embed_1.matrix),
         )
-
-        weights = ExactMatrix.from_rows(
-            [
-                [
-                    sum(
-                        ((v.H @ g2 @ (self.left_B1[c1] @ v))[0, 0] for v in self.basis_V),
-                        GaussianRational(),
-                    )
-                    for c1 in range(self.algebra_B1.dim)
-                ]
-                for g2 in self.inner_B2.coords
-            ]
-        )
-        lhs = self.inner_B1.transform(weights)
-        rhs = self.inner_A.transform(self.left_embed_2.matrix)
         add(
             "finite-basis-trace-v",
             "summed second-family compressions of side-1 inner products equal the embedded A-valued inner product",
-            lhs == rhs,
+            self.inner_B1.transform(traces["v"]) == self.inner_A.transform(self.left_embed_2.matrix),
         )
 
         return out
@@ -524,61 +463,55 @@ class QuadModuleSpec:
         falls outside the embedded base algebra, or when the resulting map
         is not entrywise nonnegative with no zero column (the exact failure
         of faithful positivity in the commutative setting).
+
+        The maps are derived once per specification: every later call
+        returns the same maps, or raises the same failure again.
         """
-        cols1 = []
-        for c in range(self.algebra_B1.dim):
-            total = ExactMatrix.zeros(self.algebra_B2.dim, 1)
-            for v in self.basis_V:
-                total = total + self.inner_B2.pair(v, self.left_B1[c] @ v)
-            a = self.left_embed_2.preimage(total)
-            if a is None:
-                raise LambdaNotFaithful(
-                    f"side-1 compression sum for basis element {c} is outside the embedded base algebra"
-                )
-            cols1.append(a)
-        lam1 = ExactMatrix.hstack(cols1)
+        if self._index_maps is None:
+            try:
+                self._index_maps = self._derived_index_maps()
+            except LambdaNotFaithful as exc:
+                self._index_maps = exc
+        if isinstance(self._index_maps, LambdaNotFaithful):
+            raise LambdaNotFaithful(*self._index_maps.args)
+        return self._index_maps
 
-        cols2 = []
-        for c in range(self.algebra_B2.dim):
-            total = ExactMatrix.zeros(self.algebra_B1.dim, 1)
-            for u in self.basis_U:
-                total = total + self.inner_B1.pair(u, self.left_B2[c] @ u)
-            a = self.left_embed_1.preimage(total)
-            if a is None:
-                raise LambdaNotFaithful(
-                    f"side-2 compression sum for basis element {c} is outside the embedded base algebra"
-                )
-            cols2.append(a)
-        lam2 = ExactMatrix.hstack(cols2)
-
-        for label, lam in [("side-1", lam1), ("side-2", lam2)]:
-            for i in range(lam.nrows):
-                for j in range(lam.ncols):
-                    v = lam[i, j]
-                    if not (v.is_real and v.re >= 0):
-                        raise LambdaNotFaithful(f"{label} index map has a non-positive entry")
-            for j in range(lam.ncols):
-                if all(lam[i, j].is_zero for i in range(lam.nrows)):
-                    raise LambdaNotFaithful(f"{label} index map kills basis element {j}")
-
-        checks = []
-        for label, lam, embed, alg in [
-            ("1", lam1, self.right_embed_1, self.algebra_B1),
-            ("2", lam2, self.right_embed_2, self.algebra_B2),
+    def _derived_index_maps(self) -> "LambdaMaps":
+        lams = {}
+        for side, family, form, ops, embed in [
+            ("side-1", self.basis_V, self.inner_B2, self.left_B1, self.left_embed_2),
+            ("side-2", self.basis_U, self.inner_B1, self.left_B2, self.left_embed_1),
         ]:
-            bad = ""
-            for a in range(self.algebra_A.dim):
-                ea = self.algebra_A.basis_element(a)
-                twist = alg.mult_matrix(embed(ea))
-                if lam @ twist != self.algebra_A.mult_matrix(ea) @ lam:
-                    bad = f"base basis {a}"
-                    break
+            _, totals = _compressions(ExactMatrix.hstack(family), form, ops)
+            bad = embed.first_outside_range(totals)
+            if bad is not None:
+                raise LambdaNotFaithful(
+                    f"{side} compression sum for basis element {bad} is outside the embedded base algebra"
+                )
+            lams[side] = embed.matrix.solve(totals)
+
+        for side, lam in lams.items():
+            if not lam.is_nonnegative():
+                raise LambdaNotFaithful(f"{side} index map has a non-positive entry")
+            zero = _first(~_columns(lam).nonzero())
+            if zero is not None:
+                raise LambdaNotFaithful(f"{side} index map kills basis element {zero[0]}")
+        lam1, lam2 = lams["side-1"], lams["side-2"]
+
+        # lam diag(embed(e_a)) = diag(e_a) lam for every a: on the grid
+        # (a, j), column j of lam times embed[j, a] against lam[a, j] e_a
+        units = _columns(ExactMatrix.identity(self.algebra_A.dim))
+        checks = []
+        for label, lam, embed in [("1", lam1, self.right_embed_1), ("2", lam2, self.right_embed_2)]:
+            base, cols = _grid(units, _columns(lam))
+            diff = cols.scaled(embed.matrix.T) - base.scaled(lam)
+            bad = _first(diff.nonzero().any(axis=1))
             checks.append(
                 CheckResult(
                     f"index-map-right-compat-{label}",
                     "the index map intertwines the twisted right A-action with multiplication",
-                    not bad,
-                    bad,
+                    bad is None,
+                    "" if bad is None else f"base basis {bad[0]}",
                 )
             )
         checks.append(
@@ -601,37 +534,27 @@ class QuadModuleSpec:
 
     def verify_strongly_finite_type(self, basis_1=None, basis_2=None) -> list[CheckResult]:
         """Check that the side algebras are generated over the embedded base
-        algebra by the given families (standard algebra bases by default)."""
+        algebra by the given families (standard algebra bases by default).
+
+        With K = embed @ lam, the sum over the family's elements e of
+        diag(e) K diag(e)^H has entry (p, q) equal to K[p, q] times
+        (B B^H)[p, q], B holding the family as columns: one product and
+        one member-wise scaling."""
         maps = self.derive_lambda()
-        if basis_1 is None:
-            basis_1 = [self.algebra_B1.basis_element(c) for c in range(self.algebra_B1.dim)]
-        if basis_2 is None:
-            basis_2 = [self.algebra_B2.basis_element(c) for c in range(self.algebra_B2.dim)]
         out = []
-
-        recon = ExactMatrix.zeros(self.algebra_B1.dim, self.algebra_B1.dim)
-        for e in basis_1:
-            me = self.algebra_B1.mult_matrix(e)
-            recon = recon + me @ self.right_embed_1.matrix @ maps.lam1 @ me.H
-        out.append(
-            CheckResult(
-                "strong-basis-b1",
-                "the first side algebra is recovered from its family via the index map",
-                recon == ExactMatrix.identity(self.algebra_B1.dim),
-            )
-        )
-
-        recon = ExactMatrix.zeros(self.algebra_B2.dim, self.algebra_B2.dim)
-        for f in basis_2:
-            mf = self.algebra_B2.mult_matrix(f)
-            recon = recon + mf @ self.right_embed_2.matrix @ maps.lam2 @ mf.H
-        out.append(
-            CheckResult(
-                "strong-basis-b2",
-                "the second side algebra is recovered from its family via the index map",
-                recon == ExactMatrix.identity(self.algebra_B2.dim),
-            )
-        )
+        for label, alg, family, embed, lam, statement in [
+            ("b1", self.algebra_B1, basis_1, self.right_embed_1, maps.lam1,
+             "the first side algebra is recovered from its family via the index map"),
+            ("b2", self.algebra_B2, basis_2, self.right_embed_2, maps.lam2,
+             "the second side algebra is recovered from its family via the index map"),
+        ]:
+            basis = ExactMatrix.identity(alg.dim) if family is None else ExactMatrix.hstack(family)
+            recon = _entries(embed.matrix @ lam).scaled(basis @ basis.H)
+            out.append(CheckResult(
+                f"strong-basis-{label}",
+                statement,
+                (recon - _entries(ExactMatrix.identity(alg.dim))).is_zero(),
+            ))
         return out
 
     # -- derived right module basis over the base algebra ---------------------
@@ -644,31 +567,21 @@ class QuadModuleSpec:
         family acted on by the side-1 algebra basis, family_v the second
         family acted on by the side-2 algebra basis.
         """
-        family_u = [
-            self.right_B1[c] @ u
-            for u in self.basis_U
-            for c in range(self.algebra_B1.dim)
-        ]
-        family_v = [
-            self.right_B2[c] @ v
-            for v in self.basis_V
-            for c in range(self.algebra_B2.dim)
-        ]
-        checks = []
-        for label, family in [("u", family_u), ("v", family_v)]:
-            recon = ExactMatrix.zeros(self.dim, self.dim)
-            for w in family:
-                for a, g in enumerate(self.inner_A.coords):
-                    recon = recon + (self.right_A[a] @ w) @ (w.H @ g)
+        families, checks = {}, []
+        for label, ops, vectors in [("u", self.right_B1, self.basis_U),
+                                    ("v", self.right_B2, self.basis_V)]:
+            k, d = len(vectors), len(ops)
+            # column (c, j) is ops[c] @ vectors[j]
+            acted = times_identity_kron(ExactMatrix.hstack(ops), d, ExactMatrix.hstack(vectors))
+            families[label] = [acted.take_cols([c * k + j]) for j in range(k) for c in range(d)]
             checks.append(
                 CheckResult(
                     f"right-a-basis-{label}",
                     "the induced family generates H as a right module over the base algebra",
-                    recon == ExactMatrix.identity(self.dim),
+                    _reconstructs(self._stacks["right_A"], acted, self.inner_A),
                 )
             )
-        return family_u, family_v, checks
-
+        return families["u"], families["v"], checks
 
 @dataclass
 class LambdaMaps:

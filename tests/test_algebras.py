@@ -42,8 +42,12 @@ def test_scalar_embedding_and_preimage():
     h = AlgebraHom.scalar_embedding(target)
     assert h.validate() == []
     assert h(ExactMatrix.column([5])) == ExactMatrix.column([5, 5, 5])
-    assert h.preimage(ExactMatrix.column([7, 7, 7])) == ExactMatrix.column([7])
-    assert h.preimage(ExactMatrix.column([1, 0, 0])) is None
+    # constant columns have a preimage; the first column without one is
+    # named even when a later column repeats it
+    ys = ExactMatrix.from_rows([[7, 0, 1, 2], [7, 0, 0, 0], [7, 0, 0, 0]])
+    assert h.first_outside_range(ys.take_cols([0, 1])) is None
+    assert h.first_outside_range(ys) == 2
+    assert h.first_outside_range(ys.take_cols([3, 2])) == 0
 
 
 def test_validate_reports_each_failure():

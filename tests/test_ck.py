@@ -1,3 +1,6 @@
+import argparse
+
+import numpy as np
 import pytest
 
 from quadmod.algebras import AlgebraHom
@@ -10,6 +13,7 @@ from quadmod.ck import (
     verify_ck_relations,
     verify_two_isometry_relations,
 )
+from quadmod.cli import load_spec
 from quadmod.fock import build_fock
 from quadmod.ktheory import AssumptionsViolated, class_action_matrix
 from quadmod.linalg import ExactMatrix
@@ -423,3 +427,28 @@ def test_perturbed_towers_keep_their_ck_witnesses(module, perturbation):
             continue
         assert [(r.check_id, r.passed, r.witness) for r in reports] == [
             (cid, cid not in expected, expected.get(cid, "")) for cid in SECTION_ORDER[section]]
+
+
+@pytest.mark.parametrize("builtin, depth", [
+    ("mn:2,2", 3), ("mn:3,3", 3),
+    ("perm:3,(0 1 2),(0 2 1)", 3), ("perm:4,(0 1)(2 3),(0 2)(1 3)", 3),
+    ("perm:5,(0 1 2 3 4),(0 2 4 1 3)", 3), ("perm:6,(0 1 2 3 4 5),(0 2 4)(1 3 5)", 3),
+])
+def test_slices_chosen_on_the_module_match_the_whole_tower_filter(builtin, depth):
+    # the slices kept from the module-level blocks are those the whole
+    # tower keeps: every (class, generator) slice formed, the zero ones
+    # dropped
+    spec, _ = load_spec(argparse.Namespace(input=None, builtin=builtin))
+    gens = make_generators(build_fock(spec, depth))
+    bundle = build_ck_generators(gens)
+    lifts = gens.lifts
+    ncl = lifts.shape[0]
+    expected = []
+    for family in (1, 2):
+        members = gens.family(family)
+        ng = members.shape[0]
+        sliced = (lifts.reshape((ncl, 1)) @ members.reshape((1, ng))).reshape((ncl * ng,))
+        kept = [int(j) for j in np.flatnonzero(sliced.nonzero())]
+        expected += [(family, *divmod(j, ng)) for j in kept]
+        assert not (bundle.ops[family] - sliced[kept]).nonzero().any()
+    assert [(st.family, st.class_index, st.generator_index) for st in bundle.states] == expected

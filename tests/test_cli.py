@@ -362,10 +362,12 @@ def test_kronecker_products_form_no_krons(monkeypatch, capsys, builtin, options)
         return kron(self, other)
 
     monkeypatch.setattr(ExactMatrix, "kron", counted_kron)
-    # products per pair call, and stacked Gram builds per stack (the
-    # stacks are kept alive, so that no id is reused)
-    pairing, products, stacked, stacks = [], [], Counter(), []
+    # products per pair call, and stacked Gram builds per stack, wherever
+    # a stack is first read (the stacks are kept alive, so that no id is
+    # reused)
+    pairing, products, stacking, stacked, stacks = [], [], [], Counter(), []
     pair, matmul, vstack = GramStack.pair, ExactMatrix.__matmul__, ExactMatrix.vstack
+    vstacked = GramStack._vstacked
 
     def counted_pair(self, x, y):
         pairing.append(self)
@@ -380,13 +382,21 @@ def test_kronecker_products_form_no_krons(monkeypatch, capsys, builtin, options)
             products[-1] += 1
         return matmul(self, other)
 
+    def counted_vstacked(self):
+        stacking.append(self)
+        try:
+            return vstacked(self)
+        finally:
+            stacking.pop()
+
     def counted_vstack(mats):
-        if pairing:
-            stacked[id(pairing[-1])] += 1
-            stacks.append(pairing[-1])
+        if stacking:
+            stacked[id(stacking[-1])] += 1
+            stacks.append(stacking[-1])
         return vstack(mats)
 
     monkeypatch.setattr(GramStack, "pair", counted_pair)
+    monkeypatch.setattr(GramStack, "_vstacked", counted_vstacked)
     monkeypatch.setattr(ExactMatrix, "__matmul__", counted_matmul)
     monkeypatch.setattr(ExactMatrix, "vstack", staticmethod(counted_vstack))
     code, _, _ = run_cli(capsys, "full", "--builtin", builtin, *options)

@@ -1240,6 +1240,32 @@ def test_stack_arithmetic_matches_the_member_loop(data):
         for r, member in enumerate(a_mats):
             want = want + member.scale(coeffs[r, j])
         assert combined.member((2,), (j,)) == want
+    # the members as the rows of one matrix, each read row-major
+    rows = flat.flattened()
+    for j, member in enumerate(a_mats):
+        assert rows.take_rows([j]) == ExactMatrix.from_rows([[x for row in member.to_rows() for x in row]])
+    # one scalar per member, the stack broadcast to the scalars' shape
+    grid = shape if len(shape) == 2 else (2,) + shape
+    scalars = ExactMatrix.from_rows(draw(st.lists(
+        st.lists(gaussian, min_size=grid[1], max_size=grid[1]), min_size=grid[0], max_size=grid[0])))
+    scaled = a.scaled(scalars)
+    _assert_real_flag(scaled)
+    for index in _stack_members(grid):
+        want = at(a_mats, shape, index[-len(shape):]).scale(scalars[index])
+        assert scaled.member(grid, index) == want
+
+
+def test_member_scalars_stay_exact_past_int64():
+    # products past 2^62 take big integers, complex ones included, and
+    # drop back to int64 where the result fits
+    big = 2 ** 62
+    a = linalg.MatrixStack.stack([ExactMatrix.from_rows([[big, 1]]),
+                                  ExactMatrix.from_rows([[GR(1, 1), -big]])], (2,))
+    scalars = ExactMatrix.from_rows([[4, GR(0, 1)], [F(1, 3), 0]])
+    got = a.scaled(scalars)
+    for index in _stack_members((2, 2)):
+        assert got.member((2, 2), index) == a.member((2,), index[1:]).scale(scalars[index])
+    assert got.member((2, 2), (1, 1)).is_zero()
 
 
 def test_stacks_with_empty_or_no_batch_axes():

@@ -1,6 +1,10 @@
+import argparse
+
 import pytest
 
+from quadmod import linalg, quadmodule
 from quadmod.algebras import AlgebraHom
+from quadmod.cli import load_spec, validate_section
 from quadmod.linalg import ExactMatrix
 from quadmod.quadmodule import (
     InvalidParameter,
@@ -135,3 +139,38 @@ def test_builder_parameter_validation():
         build_example_alpha_beta(0, [], [])
     with pytest.raises(InvalidParameter):
         build_example_alpha_beta(3, [0, 0, 1], [0, 1, 2])
+
+
+@pytest.mark.parametrize("small, large", [
+    ("perm:3,(0 1 2),(0 2 1)", "perm:6,(0 1 2 3 4 5),(0 2 4)(1 3 5)"),
+    ("mn:2,2", "mn:3,3"),
+])
+def test_validation_makes_as_many_products_on_a_larger_module(monkeypatch, small, large):
+    # every quantified check is one batched expression, so the number of
+    # exact products does not grow with the grids; the pivots of a
+    # positivity test are per coordinate by design and are not counted
+    products, validating, positivity = [], [], []
+    product, psd = linalg._product, quadmodule.psd_check
+
+    def counted_product(a, b):
+        if validating and not positivity:
+            products[-1] += 1
+        return product(a, b)
+
+    def counted_psd(g):
+        positivity.append(g)
+        try:
+            return psd(g)
+        finally:
+            positivity.pop()
+
+    monkeypatch.setattr(linalg, "_product", counted_product)
+    monkeypatch.setattr(quadmodule, "psd_check", counted_psd)
+    for builtin in (small, large):
+        spec, _ = load_spec(argparse.Namespace(input=None, builtin=builtin))
+        products.append(0)
+        validating.append(builtin)
+        section = validate_section(spec)
+        validating.pop()
+        assert all(c["passed"] for c in section["checks"])
+    assert products[0] == products[1] > 0
