@@ -30,20 +30,11 @@ class CommAlgebra:
     def basis_element(self, c: int) -> ExactMatrix:
         return ExactMatrix.identity(self.dim).take_cols([c])
 
-    def mul(self, x: ExactMatrix, y: ExactMatrix) -> ExactMatrix:
-        return self.mult_matrix(x) @ y
-
-    def star(self, x: ExactMatrix) -> ExactMatrix:
-        return x.conj()
-
     def mult_matrix(self, x: ExactMatrix) -> ExactMatrix:
         """Multiplication by x as a diagonal matrix."""
         if x.shape != (self.dim, 1):
             raise ValueError("element shape mismatch")
         return x.to_diagonal()
-
-    def is_positive(self, x: ExactMatrix) -> bool:
-        return x.is_nonnegative()
 
     def __eq__(self, other):
         return isinstance(other, CommAlgebra) and other.dim == self.dim

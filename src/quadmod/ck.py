@@ -76,7 +76,7 @@ def build_ck_generators(gens: GeneratorFamily) -> CKBundle:
     for family in (1, 2):
         members = gens.family(family)
         ng = members.shape[0]
-        vectors = h.express @ gens.members(family)
+        vectors = h.coordinates(gens.members(family))
         # per (class, generator): whether E_cl m_g, or the coefficient-level
         # block of the slice, is nonzero
         columns = MatrixStack.regrouped(vectors, (h.dim, ng, 1), (1, 0, 2))

@@ -7,13 +7,20 @@ of length n-1 recording which balanced tensor product glued each step;
 each summand is the quotient of an ambient coordinate tensor space by the
 null space of its inner product.
 
-Everything is exact: quotient bases are pivot columns of a deterministic
-reduced row echelon form of the scalarized Gram matrix, operators are
-transported by the express/include maps, and every construction step is
-cross-checked (balancing relations, the two index-map routes to the
-A-valued inner product, and the bracketing independence of triple
-tensors). The ambient side operators of a balanced tensor, x (x) I and
-I (x) x, are applied by the Kronecker kernels of linalg and never formed.
+Everything is exact. A quotient basis is a set of ambient coordinates
+reps. When the scalarized Gram is diagonal, as it is on every builtin
+module, reps are the coordinates where its diagonal is nonzero, and the
+quotient is a coordinate selection: an ambient operator descends to its
+entries (reps, reps), and it preserves the null space exactly when its
+entries (reps, outside) vanish. Otherwise reps are the pivot columns of a
+deterministic reduced row echelon form of the Gram, and operators move
+through the express map that elimination finds. QuadSpace hides which
+kind a summand is. Every construction step is cross-checked (balancing
+relations, the two index-map routes to the A-valued inner product, and the
+bracketing independence of triple tensors). The ambient side operators of
+a balanced tensor, x (x) I and I (x) x, are never formed: linalg's
+Kronecker kernels multiply by them, and kron_identity_entries gathers the
+entries a coordinate quotient reads.
 
 Operators on the tower are block matrices over the summands (FockOperator).
 A FockFamily holds many of them at once, each block a MatrixStack over all
@@ -47,6 +54,7 @@ from .linalg import (
     MatrixFamily,
     MatrixStack,
     identity_kron_times,
+    kron_identity_entries,
     kron_sum,
     times_identity_kron,
     times_kron_identity,
@@ -95,13 +103,63 @@ def dimension_budget() -> int:
     return value
 
 
+def _coordinate_quotient(scalar: ExactMatrix):
+    """The quotient by the null space of a diagonal scalar Gram: it keeps
+    the coordinates reps where the diagonal is nonzero (the pivots rref
+    would find), its Gram is the diagonal there, inverted entry by entry,
+    and no express map is needed, as express is the row selection reps."""
+    reps = scalar.diagonal_column().nonzero_rows()
+    gram = scalar.submatrix(reps, reps)
+    return reps, gram, gram.diagonal_inverse(), None
+
+
+def _eliminated_quotient(scalar: ExactMatrix):
+    """The quotient by the null space of any Hermitian scalar Gram: reps are
+    the pivot columns of its reduced row echelon form, and express =
+    G_q^-1 @ scalar.take_rows(reps) sends ambient coordinates to quotient
+    coordinates, G_q being the Gram on reps. Its columns reps are the
+    identity, as include, the column selection reps, is its right inverse."""
+    _, pivots = scalar.rref()
+    reps = list(pivots)
+    gram = scalar.submatrix(reps, reps)
+    gram_inv = gram.inverse()
+    express = gram_inv @ scalar.take_rows(reps)
+    if express.take_cols(reps) != ExactMatrix.identity(len(reps)):
+        raise AssertionError("internal error: express/include mismatch")
+    return reps, gram, gram_inv, express
+
+
+def _quotient(scalar: ExactMatrix):
+    """(reps, gram, gram_inv, express) of the quotient by the null space of
+    a Hermitian scalar Gram: a coordinate selection, with express None,
+    when the Gram is diagonal, and by elimination otherwise."""
+    if scalar.is_diagonal():
+        return _coordinate_quotient(scalar)
+    return _eliminated_quotient(scalar)
+
+
+# the structure operators a QuadSpace carries, in the order they are checked
+_OPERATORS = ("left_B1", "left_B2", "right_A", "right_B1", "right_B2")
+
+
 class QuadSpace:
     """A quotient inner-product space in the tower.
 
-    Presented by an ambient coordinate space, the list of representative
-    ambient indices (reps), the express map sending ambient coordinates to
-    quotient coordinates, and the include map embedding quotient basis
-    vectors back into the ambient space. Carries quotient Gram stacks for
+    Presented by an ambient coordinate space and the list of representative
+    ambient indices (reps) whose basis vectors are the quotient's basis.
+    The include map sends a quotient basis vector to its ambient basis
+    vector, so x @ include is the column selection x.take_cols(reps). The
+    express map, sending ambient coordinates to quotient coordinates, takes
+    one of two forms:
+
+    * a coordinate quotient, whose scalarized Gram is diagonal, cuts away
+      the coordinates where the diagonal vanishes, so express is the row
+      selection reps too and is not stored (express is None);
+    * otherwise express is G_q^-1 @ scalar.take_rows(reps), G_q being the
+      Gram on reps, found by elimination.
+
+    coordinates, descend and ambient apply express and include in either
+    form, so no caller depends on which. Carries quotient Gram stacks for
     the inner products that exist on it and the transported structure
     operators.
     """
@@ -110,7 +168,6 @@ class QuadSpace:
         "ambient_dim",
         "reps",
         "express",
-        "include",
         "gram_A",
         "gram_B1",
         "gram_B2",
@@ -147,57 +204,75 @@ class QuadSpace:
         right_B2: list[ExactMatrix] | None = None,
     ) -> "QuadSpace":
         """The quotient of an ambient space by the null space of its
-        scalarized Gram. The ambient operators are only ever multiplied from
-        the left, so each is an ExactMatrix or a _KronIdentity."""
+        scalarized Gram. Each ambient operator is an ExactMatrix or a
+        _KronIdentity, which the quotient multiplies from the left or reads
+        entries of (see descend)."""
         ambient_dim = gram_A.dim
         scalar = gram_A.scalarized()
         if not scalar.is_hermitian():
             raise ValueError("ambient inner product is not Hermitian")
-        _, pivots = scalar.rref()
-        reps = list(pivots)
-        q_gram_scalar = scalar.submatrix(reps, reps)
-        q_gram_scalar_inv = q_gram_scalar.inverse()
-        express = q_gram_scalar_inv @ scalar.take_rows(reps)
-        include = ExactMatrix.zeros(ambient_dim, len(reps))
-        for q, r in enumerate(reps):
-            include = include.set_block(r, q, ExactMatrix.identity(1))
-        if express @ include != ExactMatrix.identity(len(reps)):
-            raise AssertionError("internal error: express/include mismatch")
-
-        # every structure operator must preserve the null space
-        null_proj = ExactMatrix.identity(ambient_dim) - include @ express
-        op_families = [("left_B1", left_B1), ("left_B2", left_B2), ("right_A", right_A)]
-        if right_B1 is not None:
-            op_families.append(("right_B1", right_B1))
-        if right_B2 is not None:
-            op_families.append(("right_B2", right_B2))
-        for label, ops in op_families:
-            for c, op in enumerate(ops):
-                if not (scalar @ op @ null_proj).is_zero():
-                    raise ValueError(
-                        f"{label}[{c}] does not preserve the inner-product null space"
-                    )
-
-        def q_ops(ops):
-            return [express @ op @ include for op in ops]
-
-        return cls(
+        reps, gram, gram_inv, express = _quotient(scalar)
+        # the operator fields are filled in below, once descend can run
+        space = cls(
             ambient_dim=ambient_dim,
             reps=reps,
             express=express,
-            include=include,
             gram_A=gram_A.restrict(reps),
             gram_B1=gram_B1.restrict(reps) if gram_B1 is not None else None,
             gram_B2=gram_B2.restrict(reps) if gram_B2 is not None else None,
-            gram_scalar=q_gram_scalar,
-            gram_scalar_inv=q_gram_scalar_inv,
-            left_B1=q_ops(left_B1),
-            left_B2=q_ops(left_B2),
-            right_A=q_ops(right_A),
-            right_B1=q_ops(right_B1) if right_B1 is not None else None,
-            right_B2=q_ops(right_B2) if right_B2 is not None else None,
+            gram_scalar=gram,
+            gram_scalar_inv=gram_inv,
             degenerate=len(reps) != ambient_dim,
+            **dict.fromkeys(_OPERATORS),
         )
+        # every structure operator must preserve the null space
+        for label, ops in zip(_OPERATORS, (left_B1, left_B2, right_A, right_B1, right_B2)):
+            if ops is None:
+                continue
+            quotients = []
+            for c, op in enumerate(ops):
+                quotient, null_part = space.descend(op)
+                if not null_part.is_zero():
+                    raise ValueError(
+                        f"{label}[{c}] does not preserve the inner-product null space"
+                    )
+                quotients.append(quotient)
+            setattr(space, label, quotients)
+        return space
+
+    def coordinates(self, x):
+        """express @ x: the quotient coordinates of the ambient vectors in
+        the columns of x, an ExactMatrix or a _KronIdentity."""
+        if self.express is None:
+            return x.take_rows(self.reps)
+        return self.express @ x
+
+    def descend(self, op):
+        """(express @ op @ include, express @ op on the null space) for an
+        ambient operator op, an ExactMatrix or a _KronIdentity: the operator
+        op induces on the quotient, and a matrix that vanishes exactly when
+        op preserves the null space of the ambient Gram (express kills a
+        vector exactly when the Gram does).
+
+        The columns outside reps of I - include @ express span the null
+        space, so for M = express @ op the second matrix is
+        M[:, outside] - M[:, reps] @ express[:, outside]. On a coordinate
+        quotient express vanishes outside reps, and the two matrices are the
+        entries (reps, reps) and (reps, outside) of op, gathered."""
+        outside = sorted(set(range(self.ambient_dim)).difference(self.reps))
+        if self.express is None:
+            return op.submatrix(self.reps, self.reps), op.submatrix(self.reps, outside)
+        m = self.express @ op
+        quotient = m.take_cols(self.reps)
+        return quotient, m.take_cols(outside) - quotient @ self.express.take_cols(outside)
+
+    def ambient(self, L: ExactMatrix) -> ExactMatrix:
+        """include @ L @ express: an operator on the quotient as the ambient
+        operator that vanishes on the null space."""
+        n = self.ambient_dim
+        if self.express is None:
+            return L.scattered(self.reps, self.reps, (n, n))
+        return (L @ self.express).scattered(self.reps, range(n), (n, n))
 
 
 def _tensor_stacks(inner_left: GramStack, target_stacks, left_ops):
@@ -246,15 +321,16 @@ def relative_tensor(h: QuadSpace, tensor_type: int, w: QuadSpace) -> tuple[QuadS
     if h_right is not None:
         for c in range(len(w_left)):
             # express @ (h_right[c] (x) I_w - I_h (x) w_left[c])
-            defects.append(times_kron_identity(space.express, h_right[c], w.dim)
-                           - times_identity_kron(space.express, h.dim, w_left[c]))
+            defects.append(space.coordinates(_KronIdentity(h_right[c], w.dim, True))
+                           - space.coordinates(_KronIdentity(w_left[c], h.dim, False)))
     return space, defects
 
 
 class _KronIdentity:
     """An ambient side operator of a balanced tensor: x (x) I_s when left
-    is true, I_s (x) x otherwise. The quotient only multiplies it from the
-    left, so the Kronecker kernels apply it and it is never formed."""
+    is true, I_s (x) x otherwise. A quotient multiplies it from the left,
+    which the Kronecker kernels do, or reads some of its entries, which
+    kron_identity_entries gathers; it is never formed."""
 
     __slots__ = ("x", "s", "left")
 
@@ -267,6 +343,12 @@ class _KronIdentity:
         if self.left:
             return times_kron_identity(mat, self.x, self.s)
         return times_identity_kron(mat, self.s, self.x)
+
+    def submatrix(self, rows, cols) -> ExactMatrix:
+        return kron_identity_entries(self.x, self.s, self.left, rows, cols)
+
+    def take_rows(self, rows) -> ExactMatrix:
+        return self.submatrix(rows, range(self.x.ncols * self.s))
 
 
 def _sum_blocks(a: dict, b: dict) -> dict:
@@ -557,11 +639,12 @@ class FockSpace:
         family 1 prepends through the first balanced tensor, family 2
         through the second. The vectors are given in ambient module
         coordinates. On the coefficient level a creation acts on the
-        matching side summand: its block's column c is express @ right[c] @ x
-        for that side's right action right, one stacked product for every
-        column c and vector x at once. From level n >= 1 it prepends the
-        tensor factor: the block express @ (x (x) I) of every vector is one
-        times_kron_identity with all the vectors as columns.
+        matching side summand: its block's column t is express @ right[t] @ x
+        for that side's right action right, one times_identity_kron for every
+        column t and vector x at once. From level n >= 1 it prepends the
+        tensor factor: the block express @ (x (x) I) of every vector is read
+        off with all the vectors as columns at once, by the quotient's
+        coordinates.
         """
         if family not in (1, 2):
             raise ValueError("family must be 1 or 2")
@@ -572,11 +655,11 @@ class FockSpace:
         c = xs.ncols
         blocks = {}
         if lo <= 0 <= hi:
-            coeff = self._coefficient_stack(family) @ xs
-            # row (t, i) of coeff, column j, is entry (i, t) of member j's block
-            width = coeff.nrows // h.dim
-            blocks[((1, ()), (0, ()))] = MatrixStack.regrouped(coeff, (width, h.dim, c), (2, 1, 0))
-        xs_q = h.express @ xs
+            width = self.summands[(0, ())].dim
+            coeff = times_identity_kron(self._coefficient_stack(family), width, xs)
+            # column (t, j) of coeff is column t of member j's block
+            blocks[((1, ()), (0, ()))] = MatrixStack.regrouped(coeff, (h.dim, width, c), (2, 0, 1))
+        xs_q = h.coordinates(xs)
         for key in self.keys:
             n, word = key
             if n == 0 or n == self.depth or not lo <= n <= hi:
@@ -585,14 +668,14 @@ class FockSpace:
             dsp = self.summands[dest]
             s = self.summands[key].dim
             # column (j, v) of the product is column v of member j's block
-            prod = times_kron_identity(dsp.express, xs_q, s)
+            prod = dsp.coordinates(_KronIdentity(xs_q, s, True))
             blocks[(dest, key)] = MatrixStack.regrouped(prod, (dsp.dim, c, s), (1, 0, 2))
         return FockFamily(self, (c,), blocks)
 
     def _coefficient_stack(self, family: int) -> ExactMatrix:
-        """express @ right[t] for every coefficient-level column t, stacked in
-        one column of blocks, built once per family: right is the family's
-        side right action, and the other side's columns are zero."""
+        """express @ right[t] for every coefficient-level column t, side by
+        side in one row of blocks, built once per family: right is the
+        family's side right action, and the other side's columns are zero."""
         if family not in self._coefficient_stacks:
             h = self.summands[(1, ())]
             spec = self.spec
@@ -604,8 +687,7 @@ class FockSpace:
                 rights = list(spec.right_B1) + [zero] * d2
             else:
                 rights = [zero] * d1 + list(spec.right_B2)
-            stacked = ExactMatrix.vstack(rights)
-            self._coefficient_stacks[family] = identity_kron_times(d1 + d2, h.express, stacked)
+            self._coefficient_stacks[family] = h.coordinates(ExactMatrix.hstack(rights))
         return self._coefficient_stacks[family]
 
     def _side_family(self, ops: str) -> MatrixFamily:
@@ -656,9 +738,9 @@ class FockSpace:
         """The extensions of the module operators ops, given in quotient
         coordinates of the module summand, to the tower, as a family over
         the list: each acts on the leftmost tensor factor and is zero on the
-        coefficient level. On level n >= 2 the block of L is
-        express @ (L (x) I) @ include, one ambient-width product per member:
-        one product for all members would hold all of them at once."""
+        coefficient level. On level n >= 2 the block of L is the quotient
+        express @ (L (x) I) @ include of the summand, one per member, and
+        L must preserve the summand's null space (see QuadSpace.descend)."""
         h = self.summands[(1, ())]
         ops = list(ops)
         if any(L.shape != (h.dim, h.dim) for L in ops):
@@ -671,20 +753,15 @@ class FockSpace:
                 continue
             tail = self.summands[(n - 1, word[1:])]
             sp = self.summands[key]
-            # the ambient null projection I - include @ express vanishes on
-            # the columns reps, and everywhere when nothing was cut
-            outside = sorted(set(range(sp.ambient_dim)) - set(sp.reps))
-            null_part = (ExactMatrix.identity(sp.ambient_dim).take_cols(outside)
-                         - sp.include @ sp.express.take_cols(outside))
             lifted = []
             for L in ops:
-                ambient = times_kron_identity(sp.express, L, tail.dim)
-                if not (ambient @ null_part).is_zero():
+                block, null_part = sp.descend(_KronIdentity(L, tail.dim, True))
+                if not null_part.is_zero():
                     raise ValueError(
                         "operator does not descend to the tensor quotient; "
                         "it is not adjointable on the module"
                     )
-                lifted.append(ambient.take_cols(sp.reps))
+                lifted.append(block)
             blocks[(key, key)] = MatrixStack.stack(lifted, (r,))
         return FockFamily(self, (r,), blocks)
 

@@ -293,7 +293,7 @@ def class_action_matrix(gens: GeneratorFamily) -> tuple:
     # per generator, the patterns of the model projections its compression
     # sends the classes to, as the columns of a 0/1 matrix
     patterns = []
-    class_ambients = [h.include @ e @ h.express for e in model.idempotents]
+    class_ambients = [h.ambient(e) for e in model.idempotents]
     sides = (
         (1, spec.basis_U, spec.inner_B1, spec.left_B1),
         (2, spec.basis_V, spec.inner_B2, spec.left_B2),
@@ -304,7 +304,7 @@ def class_action_matrix(gens: GeneratorFamily) -> tuple:
             vals = [stack.pair(member, e_amb @ member) for e_amb in class_ambients]
             columns = []
             for cl, (y,) in enumerate(side.combine(ExactMatrix.hstack(vals))):
-                y_q = h.express @ y @ h.include
+                y_q, _ = h.descend(y)
                 pattern = model.projection_coords(y_q)
                 if pattern is None:
                     raise AssumptionsViolated(

@@ -85,6 +85,12 @@ way: for y with m columns, <x_i|y_j> = (x_i^H G_c y_j)_c is the coordinate
 Grams, stacked once into one (d n) x n matrix, times y, regrouped into an
 n x (d m) matrix, times x^H, for every pair of columns at once.
 
+A selection of rows and columns of x (x) I_s or I_s (x) x needs no product
+at all: kron_identity_entries reads entry ((a, u), (b, v)) of x (x) I_s as
+x[a, b] when u = v and zero otherwise (and entry ((u, a), (v, b)) of
+I_s (x) x alike), one gather of x's numerators. It does no arithmetic, so
+its bound is max|x| and its result is real when x is.
+
 The module also provides deterministic reduced row echelon form, kernel and
 solve built on it, and Gram-form utilities: exact positive-semidefiniteness
 with a rational negativity witness, and adjoints of linear maps with respect
@@ -392,6 +398,19 @@ class ExactMatrix(_Numerators):
         off = ~np.eye(*self.shape, dtype=bool)
         return not (self._re[off].any() or self._im[off].any())
 
+    def diagonal_inverse(self) -> "ExactMatrix":
+        """The inverse of an invertible diagonal matrix, entry by entry:
+        1 / ((a + i b) / d) = d (a - i b) / (a^2 + b^2)."""
+        if self.nrows != self.ncols or not self.is_diagonal():
+            raise ValueError("only a square diagonal matrix has a diagonal inverse")
+        re, im = np.diag(self._re).tolist(), np.diag(self._im).tolist()
+        norms = [a * a + b * b for a, b in zip(re, im)]
+        if not all(norms):
+            raise SingularGram("matrix is singular")
+        d = self._den
+        return ExactMatrix.from_entries(
+            [[(d * a, n, -d * b, n)] for a, b, n in zip(re, im, norms)]).to_diagonal()
+
     # -- basics ----------------------------------------------------------
 
     @property
@@ -425,6 +444,13 @@ class ExactMatrix(_Numerators):
 
     def is_zero(self) -> bool:
         return self._real and not self._re.any()
+
+    def nonzero_rows(self) -> list:
+        """The indices of the rows with a nonzero entry, in order."""
+        nonzero = (self._re != 0).any(axis=1)
+        if not self._real:
+            nonzero |= (self._im != 0).any(axis=1)
+        return np.flatnonzero(nonzero).tolist()
 
     def is_nonnegative(self) -> bool:
         """Whether every entry is real and at least zero."""
@@ -529,6 +555,20 @@ class ExactMatrix(_Numerators):
 
     def submatrix(self, rows, cols) -> "ExactMatrix":
         return self._selected(np.ix_(list(rows), list(cols)))
+
+    def scattered(self, rows, cols, shape) -> "ExactMatrix":
+        """The matrix of the given shape whose entry (rows[i], cols[j]) is
+        this matrix's entry (i, j), and whose other entries are zero: the
+        inverse of submatrix(rows, cols) on those positions."""
+        at = np.ix_(list(rows), list(cols))
+        re = np.zeros(shape, self._re.dtype)
+        re[at] = self._re
+        if self._real:
+            return ExactMatrix(re, _zero(re.shape), self._den, _normalize=False,
+                               _real=True, _peak=self._peak)
+        im = np.zeros(shape, self._im.dtype)
+        im[at] = self._im
+        return ExactMatrix(re, im, self._den, _normalize=False, _real=False, _peak=self._peak)
 
     @staticmethod
     def _joined(mats, join) -> "ExactMatrix":
@@ -1017,6 +1057,30 @@ def times_identity_kron(mat: ExactMatrix, s: int, x: ExactMatrix) -> ExactMatrix
         raise ValueError("matrix columns do not match the Kronecker product")
     folded = _permuted(mat, (r, s, h), (0, 1, 2), r * s, h)
     return _permuted(folded @ x, (r, s, q), (0, 1, 2), r, s * q)
+
+
+def kron_identity_entries(x: ExactMatrix, s: int, left: bool, rows, cols) -> ExactMatrix:
+    """The entries of x (x) I_s (left) or I_s (x) x (otherwise) at the given
+    rows and columns, gathered from x without forming the Kronecker product
+    (see the module docstring)."""
+    p, q = x.shape
+    rows = np.asarray(rows, dtype=np.intp).reshape(-1)
+    cols = np.asarray(cols, dtype=np.intp).reshape(-1)
+    for idx, size in ((rows, p * s), (cols, q * s)):
+        if idx.size and (idx.min() < 0 or idx.max() >= size):
+            raise ValueError("index outside the Kronecker product")
+    if not rows.size or not cols.size:
+        return ExactMatrix.zeros(rows.size, cols.size)
+    if left:
+        (a, u), (b, v) = np.divmod(rows, s), np.divmod(cols, s)
+    else:
+        (u, a), (v, b) = np.divmod(rows, p), np.divmod(cols, q)
+    keep = u[:, None] == v[None, :]
+    at = a[:, None], b[None, :]
+    re = np.where(keep, x._re[at], 0)
+    if x._real:
+        return ExactMatrix(re, _zero(re.shape), x._den, _real=True, _peak=x._peak)
+    return ExactMatrix(re, np.where(keep, x._im[at], 0), x._den, _peak=x._peak)
 
 
 def gram_adjoint(t: ExactMatrix, gram_dom: ExactMatrix, gram_cod: ExactMatrix) -> ExactMatrix:

@@ -162,7 +162,7 @@ def _annihilation_expected(space: FockSpace, family: int, xs: ExactMatrix) -> Fo
     d2 = spec.algebra_B2.dim
     gram = h.gram_B1 if family == 1 else h.gram_B2
     # row j of rows[t] is x_j^H coords[t], row t of member j's base block
-    xs_adj = (h.express @ xs).H
+    xs_adj = h.coordinates(xs).H
     rows = [xs_adj @ g for g in gram.coords]
     zero = ExactMatrix.zeros(c, h.dim)
     sides = rows + [zero] * d2 if family == 1 else [zero] * d1 + rows
@@ -176,10 +176,10 @@ def _annihilation_expected(space: FockSpace, family: int, xs: ExactMatrix) -> Fo
         src = space.summand(src_key)
         tail = space.summand(key)
         ops = tail.left_B1 if family == 1 else tail.left_B2
-        # rows (j, v) of the Kronecker sum are the rows of member j's block
-        summed = kron_sum(rows, ops)
-        stacked = MatrixStack.regrouped(summed, (c, tail.dim, summed.ncols), (0, 1, 2))
-        blocks[(key, src_key)] = stacked @ src.include
+        # rows (j, v) of the Kronecker sum are the rows of member j's block,
+        # read on the source quotient by include, the column selection reps
+        summed = kron_sum(rows, ops).take_cols(src.reps)
+        blocks[(key, src_key)] = MatrixStack.regrouped(summed, (c, tail.dim, src.dim), (0, 1, 2))
     return FockFamily(space, (c,), blocks)
 
 
@@ -201,7 +201,7 @@ def _lift_samples(space: FockSpace):
 
 def _to_ambient(space: FockSpace, L: ExactMatrix) -> ExactMatrix:
     h = space.summand((1, ()))
-    return h.include @ L @ h.express
+    return h.ambient(L)
 
 
 def _total(terms):

@@ -39,14 +39,17 @@ def scalar_to_entry(value: GaussianRational) -> list[int]:
 
 def _checked_entry(entry):
     """A stored scalar entry, once it is four integers with nonzero
-    denominators."""
-    if (
-        not isinstance(entry, (list, tuple))
-        or len(entry) != 4
-        or not all(isinstance(x, int) and not isinstance(x, bool) for x in entry)
-    ):
+    denominators. The fields are tested one by one, without a generator:
+    the loader runs this once per stored entry."""
+    if not isinstance(entry, (list, tuple)) or len(entry) != 4:
         raise SpecFormatError(f"scalar entry must be four integers, got {entry!r}")
-    if entry[1] == 0 or entry[3] == 0:
+    a, b, c, d = entry
+    # bool is an int subclass that JSON true and false load as
+    if (not (isinstance(a, int) and isinstance(b, int) and isinstance(c, int)
+             and isinstance(d, int))
+            or bool in (type(a), type(b), type(c), type(d))):
+        raise SpecFormatError(f"scalar entry must be four integers, got {entry!r}")
+    if b == 0 or d == 0:
         raise SpecFormatError("scalar entry has a zero denominator")
     return entry
 

@@ -9,11 +9,8 @@ def test_pointwise_algebra_basics():
     alg = CommAlgebra(3)
     x = ExactMatrix.column([1, GaussianRational(0, 2), -3])
     y = ExactMatrix.column([2, 1, 1])
-    assert alg.mul(x, y) == ExactMatrix.column([2, GaussianRational(0, 2), -3])
-    assert alg.mul(alg.unit(), x) == x
-    assert alg.star(x) == ExactMatrix.column([1, GaussianRational(0, -2), -3])
-    assert alg.is_positive(ExactMatrix.column([0, 1, 2]))
-    assert not alg.is_positive(x)
+    assert alg.mult_matrix(x) @ y == ExactMatrix.column([2, GaussianRational(0, 2), -3])
+    assert alg.mult_matrix(alg.unit()) == ExactMatrix.identity(3)
 
 
 def test_permutation_hom_matrix_is_frozen_convention():

@@ -407,6 +407,45 @@ def test_kronecker_products_form_no_krons(monkeypatch, capsys, builtin, options)
     assert stacked and max(stacked.values()) == 1
 
 
+@pytest.mark.parametrize("argv, eliminates", [
+    (("--builtin", "mn:2,2", "--depth", "3"), False),
+    (("--builtin", "perm:5,(0 1 2 3 4),(0 2 4 1 3)"), False),
+    # a rotated module: its Gram and some tensor Grams are not diagonal
+    (("--input", "rotated.json", "--depth", "3"), True),
+], ids=["mn:2,2", "perm:5", "rotated"])
+def test_diagonal_grams_take_the_coordinate_quotient(monkeypatch, capsys, tmp_path, argv,
+                                                      eliminates):
+    # every builtin Gram is diagonal, so every quotient is a coordinate
+    # selection and QuadSpace.from_ambient eliminates nothing
+    inside, calls = [], Counter()
+    from_ambient = QuadSpace.from_ambient
+
+    def spied(*args, **kwargs):
+        calls["from_ambient"] += 1
+        inside.append(1)
+        try:
+            return from_ambient(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(QuadSpace, "from_ambient", spied)
+    for name in ("rref", "inverse"):
+        def counted(self, _call=getattr(ExactMatrix, name), _name=name):
+            if inside:
+                calls[_name] += 1
+            return _call(self)
+        monkeypatch.setattr(ExactMatrix, name, counted)
+    serialize.save(rotated_bipartite(), tmp_path / "rotated.json")
+    monkeypatch.chdir(tmp_path)
+    code, _, _ = run_cli(capsys, "full", *argv)
+    assert code in (0, 1)
+    assert calls["from_ambient"] > 0
+    if eliminates:
+        assert calls["rref"] > 0 and calls["inverse"] > 0
+    else:
+        assert not calls["rref"] and not calls["inverse"], dict(calls)
+
+
 def corrupted_spec_file(tmp_path, path, value):
     """The bipartite module with one stored entry overwritten, as a file."""
     data = copy.deepcopy(serialize.spec_to_dict(build_example_MN(2, 2)))

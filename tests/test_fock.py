@@ -1,4 +1,6 @@
 import json
+import re
+from fractions import Fraction as F
 
 import pytest
 
@@ -8,6 +10,7 @@ from quadmod.linalg import ExactMatrix, GramStack
 from quadmod.quadmodule import build_example_MN, build_example_alpha_beta
 from quadmod.scalars import GaussianRational
 
+GR = GaussianRational
 I = GaussianRational(0, 1)
 
 
@@ -201,3 +204,77 @@ def test_level_projections_resolve_identity():
     for n in range(space.depth + 1):
         total = total + space.level_projection(n)
     assert total == space.identity()
+
+
+# -- quotients: coordinate selections and elimination -----------------------
+
+
+def _diagonal_stack(*diagonals):
+    return GramStack(ExactMatrix.diagonal(d) for d in diagonals)
+
+
+# ambient dim 6, read as 3 x 2 for x (x) I_2 and as 3 copies of 2 for
+# I_3 (x) y; the cut Gram vanishes on the odd coordinates, which both
+# Kronecker operators and the matrix below map into themselves
+CUT = _diagonal_stack([1, 0, 2, 0, F(1, 2), 0], [3, 0, 0, 0, 1, 0])
+DEFINITE = _diagonal_stack([2, F(1, 3), 5, -1, 1, 7], [0, 1, 0, 0, 0, GR(F(1, 2))])
+X = ExactMatrix.from_rows([[1, GR(0, 2), 0], [F(1, 2), 3, -1], [0, 4, 5]])
+Y = ExactMatrix.from_rows([[2, 0], [F(1, 3), GR(0, 1)]])
+OP = ExactMatrix.from_rows([
+    [1, 0, 2, 0, F(1, 2), 0],
+    [5, 3, 0, 1, 0, GR(0, 1)],
+    [0, 0, 4, 0, -1, 0],
+    [7, 2, 0, F(2, 3), 1, 1],
+    [GR(1, 1), 0, 0, 0, 6, 0],
+    [0, 0, 1, 0, 0, 2],
+])
+
+
+def _from_ambient(stack):
+    return fock.QuadSpace.from_ambient(
+        stack, _diagonal_stack([1] * 6), None,
+        [fock._KronIdentity(X, 2, True), OP], [fock._KronIdentity(Y, 3, False)], [OP @ OP])
+
+
+@pytest.mark.parametrize("stack, dim", [(CUT, 3), (DEFINITE, 6)], ids=["cut", "definite"])
+def test_coordinate_quotient_matches_elimination(monkeypatch, stack, dim):
+    selected = _from_ambient(stack)
+    with monkeypatch.context() as m:
+        m.setattr(fock, "_quotient", fock._eliminated_quotient)
+        eliminated = _from_ambient(stack)
+    assert selected.express is None and eliminated.express is not None
+    assert selected.dim == dim
+    assert selected.degenerate == eliminated.degenerate == (dim < 6)
+    assert selected.reps == eliminated.reps
+    for field in ("gram_scalar", "gram_scalar_inv", "left_B1", "left_B2", "right_A"):
+        assert getattr(selected, field) == getattr(eliminated, field), field
+    for field in ("gram_A", "gram_B1"):
+        assert getattr(selected, field).coords == getattr(eliminated, field).coords, field
+    assert selected.right_B1 is eliminated.right_B1 is None
+    vectors = OP.take_cols([0, 3, 5])
+    assert selected.coordinates(vectors) == eliminated.coordinates(vectors)
+    for op in (OP, fock._KronIdentity(X, 2, True)):
+        assert selected.descend(op) == eliminated.descend(op)
+    assert selected.ambient(selected.left_B1[1]) == eliminated.ambient(eliminated.left_B1[1])
+    # include is the column selection reps in both forms, and express the
+    # coordinates: include @ L @ express read back on the quotient is L
+    for space in (selected, eliminated):
+        L = space.left_B1[0]
+        assert space.descend(space.ambient(L))[0] == L
+
+
+@pytest.mark.parametrize("gram, ops, label", [
+    # coordinate quotient: diagonal Gram, the null vector e_1 is sent to e_0
+    (ExactMatrix.diagonal([1, 0]), ([ExactMatrix.from_rows([[0, 1], [0, 0]])], [], []),
+     "left_B1[0]"),
+    # coordinate quotient: I_3 (x) y sends the null vector e_1 outside the
+    # null space when y[0, 1] is nonzero
+    (CUT.scalarized(), ([], [fock._KronIdentity(Y.H, 3, False)], []), "left_B2[0]"),
+    # elimination: the null vector (1, -1) is sent to (1, 0)
+    (ExactMatrix.from_rows([[1, 1], [1, 1]]), ([], [], [ExactMatrix.from_rows([[1, 0], [0, 0]])]),
+     "right_A[0]"),
+], ids=["coordinate", "coordinate-kron", "elimination"])
+def test_from_ambient_rejects_an_operator_leaving_the_null_space(gram, ops, label):
+    message = f"{label} does not preserve the inner-product null space"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        fock.QuadSpace.from_ambient(GramStack([gram]), None, None, *ops)

@@ -1071,6 +1071,73 @@ def test_kronecker_kernels_on_fractions_and_degenerate_shapes():
         stack.pair(a, b)
 
 
+# rows of x for the gathers below: one entry at the int64 gate, one at the
+# float gate, big integers, fractions and Gaussian rationals
+GATHERED = {
+    "small": [[1, -2], [0, 3], [5, 7]],
+    "fractions": [[F(1, 2), F(-2, 3)], [0, F(5, 6)], [1, F(1, 9)]],
+    "complex": [[GR(1, 2), 0], [GR(0, F(-1, 3)), 4], [2, GR(F(1, 2), 1)]],
+    "int64 gate": [[2**62, -(2**62)], [2**62 - 1, 1], [0, 3]],
+    "float gate": [[2**53, 2**53 + 1], [-(2**53), 1], [7, 0]],
+    "bigint": [[2**70, -(2**65) + 1], [1, 0], [GR(0, 2**64), 3]],
+}
+
+
+@pytest.mark.parametrize("left", [True, False], ids=["x(x)I", "I(x)x"])
+@pytest.mark.parametrize("name", list(GATHERED))
+def test_kron_identity_entries_match_the_formed_kron(name, left):
+    x = ExactMatrix.from_rows(GATHERED[name])
+    s = 3
+    full = x.kron(ExactMatrix.identity(s)) if left else ExactMatrix.identity(s).kron(x)
+    rng = random.Random(name)
+    all_rows, all_cols = range(full.nrows), range(full.ncols)
+    for rows, cols in [
+        (all_rows, all_cols),
+        ([], all_cols),
+        (all_rows, []),
+        ([], []),
+        (rng.sample(all_rows, 5), [0, 5, 2]),
+        ([8, 8, 1], rng.sample(all_cols, 4)),
+    ]:
+        got = linalg.kron_identity_entries(x, s, left, rows, cols)
+        want = full.submatrix(rows, cols)
+        assert got == want
+        assert got.shape == (len(rows), len(cols))
+        _assert_real_flag(got)
+        # a gather does no arithmetic: int64 stays int64, and the carried
+        # bound is max|x|
+        assert got._re.dtype == want._re.dtype
+        assert got._peak_abs() >= _max_entry(got)
+    with pytest.raises(ValueError):
+        linalg.kron_identity_entries(x, s, left, [full.nrows], [0])
+    with pytest.raises(ValueError):
+        linalg.kron_identity_entries(x, s, left, [0], [-1])
+
+
+def _max_entry(x):
+    return max((abs(int(v)) for part in (x._re, x._im) for v in part.ravel()), default=0)
+
+
+def test_diagonal_inverse_scatter_and_nonzero_rows():
+    d = ExactMatrix.diagonal([F(2, 3), -5, GR(1, 2), 2**70])
+    assert d.diagonal_inverse() == d.inverse()
+    assert d.diagonal_inverse() @ d == ExactMatrix.identity(4)
+    with pytest.raises(SingularGram):
+        ExactMatrix.diagonal([1, 0]).diagonal_inverse()
+    with pytest.raises(ValueError):
+        ExactMatrix.from_rows([[1, 1], [0, 1]]).diagonal_inverse()
+    x = ExactMatrix.from_rows([[F(1, 2), GR(0, 3)], [4, 2**70]])
+    rows, cols = [3, 0], [1, 4]
+    placed = x.scattered(rows, cols, (5, 6))
+    assert placed.submatrix(rows, cols) == x
+    assert placed.nonzero_rows() == [0, 3]
+    assert placed.take_rows([1, 2, 4]).is_zero()
+    assert placed.take_cols([0, 2, 3, 5]).is_zero()
+    _assert_real_flag(placed)
+    assert ExactMatrix.column([0, GR(0, 1), 0, F(1, 3)]).nonzero_rows() == [1, 3]
+    assert ExactMatrix.zeros(3, 2).nonzero_rows() == []
+
+
 @pytest.mark.parametrize("spec", [
     build_example_MN(2, 2),
     build_example_alpha_beta(3, [1, 2, 0], [2, 0, 1]),

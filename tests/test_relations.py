@@ -127,7 +127,7 @@ def test_represented_module_map_doubles_on_the_module_level(bipartite):
     gens = make_generators(space)
     h = space.summand((1, ()))
     L_module = h.left_B1[0]
-    L_amb = h.include @ L_module @ h.express
+    L_amb = h.ambient(L_module)
     represented = represent_module_maps(gens, [L_amb]).member((0,))
     key = (1, ())
     assert represented.block(key, key) == L_module.scale(2)

@@ -154,6 +154,11 @@ def test_loader_matches_from_rows(rows):
     ([1, 2, 3], "scalar entry must be four integers, got [1, 2, 3]"),
     ([1, 2, 3, "x"], "scalar entry must be four integers, got [1, 2, 3, 'x']"),
     ([1, True, 0, 1], "scalar entry must be four integers, got [1, True, 0, 1]"),
+    ([1, 1, 0, False], "scalar entry must be four integers, got [1, 1, 0, False]"),
+    ([1, 2.0, 0, 1], "scalar entry must be four integers, got [1, 2.0, 0, 1]"),
+    ([1, 2], "scalar entry must be four integers, got [1, 2]"),
+    ([1, 1, 0, 1, 0], "scalar entry must be four integers, got [1, 1, 0, 1, 0]"),
+    ({"re": 1}, "scalar entry must be four integers, got {'re': 1}"),
     ("1/2", "scalar entry must be four integers, got '1/2'"),
     ([1, 0, 0, 1], "scalar entry has a zero denominator"),
     ([1, 1, 0, 0], "scalar entry has a zero denominator"),
@@ -165,3 +170,9 @@ def test_loader_keeps_the_malformed_entry_messages(entry, message):
         with pytest.raises(SpecFormatError) as err:
             load()
         assert str(err.value) == message
+
+
+def test_loader_accepts_tuples_negative_denominators_and_big_integers():
+    big = 2**80
+    want = GaussianRational(Fraction(-1, 2), Fraction(big, 3))
+    assert serialize.entry_to_scalar((1, -2, big, 3)) == want
