@@ -65,7 +65,9 @@ def build_ck_generators(gens: GeneratorFamily) -> CKBundle:
     pairs where one of these two module-level blocks is nonzero, two small
     products for all pairs at once. When the family's right action is
     unital, the columns of the coefficient-level block sum to E_cl m_g, so
-    every candidate is kept."""
+    every candidate is kept. The slices are S_g's rows scaled by the lift
+    diagonals when the lifts are diagonal (GeneratorFamily.lifted), and the
+    supports of a family's states are read by one model membership test."""
     model = gens.model
     lifts = gens.lifts
     ncl = lifts.shape[0]
@@ -85,20 +87,20 @@ def build_ck_generators(gens: GeneratorFamily) -> CKBundle:
         if coefficient is not None:
             reach = reach | (classes @ coefficient.reshaped(members.shape, (1, ng))).nonzero()
         cls, gs = np.nonzero(reach)
-        sliced = lifts[cls] @ members[gs]
+        sliced = gens.lifted(members[gs], cls)
         kept = np.flatnonzero(sliced.nonzero())
         ops[family] = sliced[kept]
         adjoints[family] = ops[family].adjoint()
         squares = adjoints[family] @ ops[family].window(1, 1)
-        for i, j in enumerate(kept):
-            cl, g = int(cls[j]), int(gs[j])
-            pattern = model.projection_coords(squares.member((i,)).block(module, module))
-            if pattern is None:
-                raise CKStructureError(
-                    f"state (family {family}, class {cl}, generator {g}) "
-                    "has a support that is not a model projection"
-                )
-            states.append(CKState(family, cl, g, pattern))
+        inside, patterns = model.projection_patterns(squares.block(module, module))
+        if not inside.all():
+            j = kept[np.argmin(inside)]
+            raise CKStructureError(
+                f"state (family {family}, class {int(cls[j])}, generator {int(gs[j])}) "
+                "has a support that is not a model projection"
+            )
+        states += [CKState(family, int(cls[j]), int(gs[j]), pattern)
+                   for j, pattern in zip(kept, patterns.tolist())]
     matrix = [[st.support[other.class_index] for other in states] for st in states]
     return CKBundle(gens, states, matrix, ops, adjoints)
 

@@ -30,7 +30,9 @@ members. creations, left_actions, right_actions and lifts build whole
 families: the creations of every column of a matrix of module vectors, the
 side actions of every column of a coefficient matrix, or the lifts of a
 list of module operators, in one product per block; creation and lift are
-their one-member cases.
+their one-member cases. A family whose blocks are all diagonal, such as the
+lifts of a diagonal model, can also be read as a FockDiagonal, which
+multiplies by it and takes commutators with it without a matrix product.
 
 Window pruning: an identity is checked on the blocks whose source level
 lies in a window [lo, hi]. The source summands of a product are those of
@@ -53,6 +55,8 @@ from .linalg import (
     GramStack,
     MatrixFamily,
     MatrixStack,
+    diagonal_commutator,
+    diagonal_times,
     identity_kron_times,
     kron_identity_entries,
     kron_sum,
@@ -249,7 +253,8 @@ class QuadSpace:
 
     def descend(self, op):
         """(express @ op @ include, express @ op on the null space) for an
-        ambient operator op, an ExactMatrix or a _KronIdentity: the operator
+        ambient operator op, an ExactMatrix or a _KronIdentity, or for every
+        member of a MatrixStack of them at once: the operator
         op induces on the quotient, and a matrix that vanishes exactly when
         op preserves the null space of the ambient Gram (express kills a
         vector exactly when the Gram does).
@@ -545,6 +550,26 @@ class FockFamily:
         """The blocks whose source level lies in [lo, hi]."""
         return FockFamily(self.space, self.shape, _in_window(self.blocks, lo, hi))
 
+    def block(self, dest, src) -> MatrixStack:
+        """Block (dest, src) of every member, as one stack over the batch
+        shape; zero matrices where the family has no such block."""
+        got = self.blocks.get((dest, src))
+        if got is not None:
+            return got.reshaped(self.shape, self.shape)
+        dims = self.space.summand(dest).dim, self.space.summand(src).dim
+        return MatrixStack.zeros(self.shape + dims)
+
+    def diagonal(self) -> "FockDiagonal | None":
+        """The family as diagonals, when every block of every member is a
+        diagonal matrix on the diagonal of the block grid; None otherwise."""
+        columns = {}
+        for (dest, src), v in self.blocks.items():
+            cols = v.diagonal_columns() if dest == src else None
+            if cols is None:
+                return None
+            columns[dest] = cols
+        return FockDiagonal(self.space, self.shape, columns)
+
     def member(self, index) -> FockOperator:
         """The member at index, one integer per batch axis."""
         return FockOperator(self.space, {k: v.member(self.shape, index)
@@ -569,6 +594,54 @@ class FockFamily:
         key = min(k for k, v in inside.blocks.items()
                   if np.broadcast_to(v.nonzero(), self.shape)[index])
         return tuple(int(i) for i in index), key
+
+
+class FockDiagonal:
+    """Block-diagonal tower operators whose blocks are diagonal matrices,
+    indexed by a batch shape, such as the class lifts of a diagonal model:
+    per summand, the diagonals of every member as one MatrixStack of
+    columns. Multiplying a family by them from the left, or taking its
+    commutator with them, scales the rows and columns of the family's
+    blocks: one entrywise product per block and no matrix product (see
+    linalg on diagonal kernels). A summand without a column is one where
+    every member vanishes."""
+
+    __slots__ = ("space", "shape", "columns")
+
+    def __init__(self, space: "FockSpace", shape, columns: dict):
+        self.space = space
+        self.shape = tuple(shape)
+        self.columns = columns
+
+    def __getitem__(self, index) -> "FockDiagonal":
+        """The members indexed on the batch axes, as FockFamily indexes."""
+        shape = np.empty(self.shape, np.int8)[index].shape
+        return FockDiagonal(self.space, shape,
+                            {k: v.take(self.shape, index) for k, v in self.columns.items()})
+
+    def _batch(self, x: FockFamily) -> tuple:
+        if self.space is not x.space:
+            raise ValueError("operators live on different towers")
+        return np.broadcast_shapes(self.shape, x.shape)
+
+    def times(self, x: FockFamily) -> FockFamily:
+        """D @ x, member by member: the rows of each block (dest, src) of x
+        scaled by the diagonal on dest."""
+        shape = self._batch(x)
+        return FockFamily(self.space, shape, {
+            (dest, src): diagonal_times(self.columns[dest], m)
+            for (dest, src), m in x.blocks.items() if dest in self.columns})
+
+    def commutator(self, x: FockFamily) -> FockFamily:
+        """x @ D - D @ x, member by member: each block (dest, src) of x
+        times the mask of the diagonal on src less the diagonal on dest."""
+        shape = self._batch(x)
+        blocks = {}
+        for (dest, src), m in x.blocks.items():
+            left, right = self.columns.get(dest), self.columns.get(src)
+            if left is not None or right is not None:
+                blocks[(dest, src)] = diagonal_commutator(m, left, right)
+        return FockFamily(self.space, shape, blocks)
 
 
 class FockSpace:

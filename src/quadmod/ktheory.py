@@ -8,6 +8,17 @@ over all generators gives a square integer matrix on the model's free
 class group. The two K-groups are the cokernel and kernel of identity
 minus that matrix.
 
+On every builtin the class lifts are diagonal: each block is diag(p) for
+a 0/1 column p. A range projection R then commutes with a lift exactly
+when R P - P R vanishes, and on block (d, s) that difference is
+R_ds * (p_s[col] - p_d[row]) entry by entry, a mask of R's entries, so
+ktheory-range-commute forms no matrix product; the lift times a generator
+is its rows scaled by p, so ktheory-compression-route is one product per
+generator, the adjoint times the row-scaled generator. When some block
+of some lift is not diagonal (GeneratorFamily.lift_diagonals is None),
+both run as products instead. The class patterns are read in one pass
+per generating family (class_patterns).
+
 Everything here runs over plain Python integers, so there is no overflow
 or rounding anywhere in the reduction.
 """
@@ -16,7 +27,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import ExactMatrix, MatrixFamily
+import numpy as np
+
+from .linalg import ExactMatrix, MatrixFamily, times_identity_kron
 from .relations import GeneratorFamily, families_report
 
 
@@ -247,6 +260,45 @@ class KTheoryResult:
     reports: list
 
 
+def class_patterns(gens: GeneratorFamily, family: int) -> ExactMatrix:
+    """The model projections that compressing each class through each
+    generator of one family induces on the module, as the 0/1 class
+    patterns in the columns (generator, class), generator slowest, of a
+    rank x (generators * classes) matrix.
+
+    Compressing class cl through generator g gives the left action of the
+    algebra element <m_g, E_cl m_g> on the module. One pass reads them all:
+    E_cl m_g for every pair as one Kronecker product, the inner products of
+    every member with every such vector as one pairs (of which the pairs of
+    a generator with its own vectors are kept), their left actions as one
+    combination, their quotients at once and their patterns by one model
+    membership test. Raises AssumptionsViolated naming the first pair, in
+    that order, whose image is not a model projection."""
+    space = gens.space
+    spec = space.spec
+    h = space.summand((1, ()))
+    model = gens.model
+    members = gens.members(family)
+    stack, side_ops = (spec.inner_B1, spec.left_B1) if family == 1 else (spec.inner_B2, spec.left_B2)
+    ng, ncl = members.ncols, len(model.idempotents)
+    # column (cl, g) of images is E_cl m_g
+    images = times_identity_kron(
+        ExactMatrix.hstack([h.ambient(e) for e in model.idempotents]), ncl, members)
+    # column (i, cl, g) of pairs(members, images) is <m_i, E_cl m_g>
+    values = stack.pairs(members, images).take_cols(
+        [g * ncl * ng + cl * ng + g for g in range(ng) for cl in range(ncl)])
+    side = MatrixFamily([op] for op in side_ops)
+    quotients, _ = h.descend(side.stacks(values, 0, 1)[0])
+    inside, patterns = model.projection_patterns(quotients)
+    if not inside.all():
+        g, cl = divmod(int(np.argmin(inside)), ncl)
+        raise AssumptionsViolated(
+            f"family {family} generator {g} does not send class "
+            f"{cl} to a model projection"
+        )
+    return ExactMatrix.from_rows(patterns.T.tolist())
+
+
 def class_action_matrix(gens: GeneratorFamily) -> tuple:
     """The integer matrix of the summed generator compressions on model
     classes, together with the assumption reports that legitimise it.
@@ -256,10 +308,7 @@ def class_action_matrix(gens: GeneratorFamily) -> tuple:
     leaves the model's projections.
     """
     space = gens.space
-    spec = space.spec
     K = space.depth
-    h = space.summand((1, ()))
-    model = gens.model
     lifts = gens.lifts
 
     def class_of(family, g):
@@ -270,7 +319,7 @@ def class_action_matrix(gens: GeneratorFamily) -> tuple:
         for f in (1, 2):
             ranges = gens.ranges[f]
             for g in range(ranges.shape[0]):
-                yield ranges[g] @ lifts - lifts @ ranges[g], class_of(f, g)
+                yield gens.lift_commutators(ranges[g]), class_of(f, g)
 
     reports = [families_report(
         "ktheory-partial-isometry",
@@ -288,39 +337,25 @@ def class_action_matrix(gens: GeneratorFamily) -> tuple:
             "; ".join(f"{r.check_id}: {r.witness}" for r in bad)
         )
 
-    rank = model.rank
+    rank = gens.model.rank
     matrix = [[0] * rank for _ in range(rank)]
     # per generator, the patterns of the model projections its compression
     # sends the classes to, as the columns of a 0/1 matrix
     patterns = []
-    class_ambients = [h.ambient(e) for e in model.idempotents]
-    sides = (
-        (1, spec.basis_U, spec.inner_B1, spec.left_B1),
-        (2, spec.basis_V, spec.inner_B2, spec.left_B2),
-    )
-    for family, members, stack, side_ops in sides:
-        side = MatrixFamily([op] for op in side_ops)
-        for g, member in enumerate(members):
-            vals = [stack.pair(member, e_amb @ member) for e_amb in class_ambients]
-            columns = []
-            for cl, (y,) in enumerate(side.combine(ExactMatrix.hstack(vals))):
-                y_q, _ = h.descend(y)
-                pattern = model.projection_coords(y_q)
-                if pattern is None:
-                    raise AssumptionsViolated(
-                        f"family {family} generator {g} does not send class "
-                        f"{cl} to a model projection"
-                    )
-                for r in range(rank):
-                    matrix[r][cl] += pattern[r]
-                columns.append(pattern)
-            patterns.append((family, g, ExactMatrix.from_rows(columns).T))
+    for family in (1, 2):
+        found = class_patterns(gens, family)
+        for g in range(found.ncols // rank):
+            columns = found.take_cols(range(g * rank, (g + 1) * rank))
+            for r, row in enumerate(columns.integer_rows()):
+                for cl, v in enumerate(row):
+                    matrix[r][cl] += v
+            patterns.append((family, g, columns))
 
     route = families_report(
         "ktheory-compression-route",
         "compressing a lifted class projection through a generator recovers "
         "its induced model element on the tower",
-        ((gens.adjoints[f][g] @ lifts @ gens.family(f)[g].window(1, K - 1)
+        ((gens.adjoints[f][g] @ gens.lifted(gens.family(f)[g].window(1, K - 1))
           - lifts.window(1, K - 1).combine(columns), class_of(f, g))
          for f, g, columns in patterns), 1, K - 1,
     )

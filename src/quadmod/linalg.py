@@ -91,6 +91,17 @@ x[a, b] when u = v and zero otherwise (and entry ((u, a), (v, b)) of
 I_s (x) x alike), one gather of x's numerators. It does no arithmetic, so
 its bound is max|x| and its result is real when x is.
 
+Products with a diagonal matrix need no matrix product either. For
+P = diag(p), P @ x scales row i of x by p[i] (diagonal_times), and the
+commutator x @ diag(q) - diag(p) @ x has entry (i, j) equal to
+x[i, j] * (q[j] - p[i]) (diagonal_commutator): the difference of the two
+diagonals is an m x n mask, and the result is one entrywise product of
+numerator arrays. Over the common denominator of p and q the mask's
+entries are at most 2*max|p|, so a commutator entry is at most
+2*max|x|*max|p|, and a row-scaled entry at most max|p|*max|x| (each twice
+that for two complex operands). Both kernels are exact for any diagonal,
+not only a 0/1 one, and their results are real when both operands are.
+
 The module also provides deterministic reduced row echelon form, kernel and
 solve built on it, and Gram-form utilities: exact positive-semidefiniteness
 with a rational negativity witness, and adjoints of linear maps with respect
@@ -155,6 +166,12 @@ def _zero(shape):
     are never written in place, so every real result of one shape shares
     one."""
     return np.broadcast_to(np.int64(0), shape)
+
+
+def _broadcast(arr, shape):
+    """arr broadcast to shape, as a read-only view; arr itself when it has
+    that shape already (stored arrays are never written in place)."""
+    return arr if arr.shape == shape else np.broadcast_to(arr, shape)
 
 
 def _to_object(arr):
@@ -336,7 +353,13 @@ class ExactMatrix(_Numerators):
 
     @classmethod
     def from_rows(cls, rows) -> "ExactMatrix":
-        """Build from nested lists of ints, Fractions or GaussianRationals."""
+        """Build from nested lists of ints, Fractions or GaussianRationals;
+        rows of plain ints are read as one integer array."""
+        rows = [list(row) for row in rows]
+        m, n = len(rows), len(rows[0]) if rows else 0
+        if all(len(row) == n and all(type(v) is int for v in row) for row in rows):
+            re = _int_array([v for row in rows for v in row], (m, n))
+            return cls(re, _zero((m, n)), 1, _normalize=False, _real=True)
         parts = []
         for row in rows:
             vals = [GaussianRational.from_value(v) for v in row]
@@ -444,6 +467,14 @@ class ExactMatrix(_Numerators):
 
     def is_zero(self) -> bool:
         return self._real and not self._re.any()
+
+    def equal_rows(self) -> list:
+        """The row indices grouped by equal rows, each group in increasing
+        order and the groups in order of their first row."""
+        groups = {}
+        for i, key in enumerate(zip(map(tuple, self._re.tolist()), map(tuple, self._im.tolist()))):
+            groups.setdefault(key, []).append(i)
+        return list(groups.values())
 
     def nonzero_rows(self) -> list:
         """The indices of the rows with a nonzero entry, in order."""
@@ -807,6 +838,13 @@ class MatrixStack(_Numerators):
         im = x._im.reshape(shape).transpose(axes)
         return cls(re, im, x._den, _real=x._real, _normalize=False, _peak=x._peak)
 
+    @classmethod
+    def zeros(cls, shape) -> "MatrixStack":
+        """Zero matrices, shape being the batch shape followed by the matrix
+        shape."""
+        shape = tuple(shape)
+        return cls(_zero(shape), _zero(shape), 1, _real=True, _normalize=False, _peak=0)
+
     @property
     def batch_shape(self) -> tuple:
         return self._re.shape[:-2]
@@ -815,19 +853,21 @@ class MatrixStack(_Numerators):
         """The stack broadcast to the batch shape shape, then indexed by
         index on its batch axes; a view, normalised as this stack is."""
         full = tuple(shape) + self._re.shape[-2:]
-        re = np.broadcast_to(self._re, full)[index]
-        im = np.broadcast_to(self._im, full)[index]
+        re = _broadcast(self._re, full)[index]
+        if self._real:
+            return MatrixStack(re, _zero(re.shape), self._den, _real=True, _normalize=False,
+                               _peak=self._peak)
         # a part of a complex stack may be real
-        return MatrixStack(re, im, self._den, _real=self._real or None, _normalize=False,
-                           _peak=self._peak)
+        return MatrixStack(re, _broadcast(self._im, full)[index], self._den,
+                           _normalize=False, _peak=self._peak)
 
     def reshaped(self, shape, new_shape) -> "MatrixStack":
         """The stack broadcast to the batch shape shape, its batch axes then
         reshaped to new_shape (row-major, as numpy reshapes)."""
         mat = self._re.shape[-2:]
         full = tuple(shape) + mat
-        re = np.broadcast_to(self._re, full).reshape(tuple(new_shape) + mat)
-        im = np.broadcast_to(self._im, full).reshape(tuple(new_shape) + mat)
+        re = _broadcast(self._re, full).reshape(tuple(new_shape) + mat)
+        im = _zero(re.shape) if self._real else _broadcast(self._im, full).reshape(re.shape)
         return MatrixStack(re, im, self._den, _real=self._real, _normalize=False,
                            _peak=self._peak)
 
@@ -868,18 +908,59 @@ class MatrixStack(_Numerators):
     def scaled(self, coeffs: ExactMatrix) -> "MatrixStack":
         """Each member times its own scalar: member (i, j) of the stack
         broadcast to the batch shape coeffs.shape, times coeffs[i, j]. One
-        elementwise product of the numerator arrays, each entry at most
+        entrywise product (see _entrywise), each entry at most
         max|coeffs| * max|stack| in magnitude (twice that for two complex
         operands)."""
-        cre, cim = coeffs._re[..., None, None], coeffs._im[..., None, None]
-        peak = coeffs._peak_abs() * self._peak_abs()
-        den = coeffs._den * self._den
-        if coeffs._real and self._real:
-            a, b = _common(peak, cre, self._re)
-            re = a * b
-            return MatrixStack(re, _zero(re.shape), den, _real=True)
-        are, aim, bre, bim = _common(2 * peak, cre, cim, self._re, self._im)
-        return MatrixStack(are * bre - aim * bim, are * bim + aim * bre, den)
+        scalars = MatrixStack(coeffs._re[..., None, None], coeffs._im[..., None, None],
+                              coeffs._den, _real=coeffs._real, _normalize=False,
+                              _peak=coeffs._peak)
+        return _entrywise(scalars, self)
+
+    def _selected(self, rows, cols) -> "MatrixStack":
+        """Every member's entries at the given rows and columns, each an
+        index array or a full slice, normalised again."""
+        key = (Ellipsis, rows, cols)
+        re = self._re[key]
+        im = _zero(re.shape) if self._real else self._im[key]
+        return MatrixStack(re, im, self._den, _real=self._real or None, _peak=self._peak)
+
+    def submatrix(self, rows, cols) -> "MatrixStack":
+        rows = np.asarray(rows, dtype=np.intp).reshape(-1, 1)
+        return self._selected(rows, np.asarray(cols, dtype=np.intp).reshape(1, -1))
+
+    def take_cols(self, idx) -> "MatrixStack":
+        return self._selected(slice(None), np.asarray(idx, dtype=np.intp))
+
+    def diagonal_columns(self) -> "MatrixStack | None":
+        """Every member's diagonal, as a stack of columns over the same batch
+        shape; None when some member has a nonzero entry off its diagonal.
+        A diagonal holds all the nonzero entries, so it keeps the stack's
+        normalisation and peak."""
+        n = self._re.shape[-1]
+        if self._re.shape[-2] != n:
+            raise ValueError("only square matrices have diagonals")
+        off = ~np.eye(n, dtype=bool)
+        if (self._re[..., off] != 0).any() or (not self._real and (self._im[..., off] != 0).any()):
+            return None
+        re = np.diagonal(self._re, axis1=-2, axis2=-1)[..., None]
+        im = _zero(re.shape) if self._real else np.diagonal(self._im, axis1=-2, axis2=-1)[..., None]
+        return MatrixStack(re, im, self._den, _real=self._real or None, _normalize=False,
+                           _peak=self._peak)
+
+    def zero_one_diagonals(self):
+        """Per member, whether it is a diagonal matrix whose entries are all
+        0 or 1, and which of its diagonal entries are 1: boolean arrays of
+        the batch shape and of the batch shape plus (n,). An entry is 1
+        exactly when its real numerator equals the denominator and its
+        imaginary one is 0, so this reads the numerators and forms no value."""
+        n = self._re.shape[-1]
+        if self._re.shape[-2] != n:
+            raise ValueError("only square matrices have diagonals")
+        ones = self._re == self._den
+        allowed = (self._re == 0) | (ones & np.eye(n, dtype=bool))
+        if not self._real:
+            allowed &= self._im == 0
+        return allowed.all(axis=(-2, -1)), np.diagonal(ones, axis1=-2, axis2=-1)
 
     def __matmul__(self, other):
         if not isinstance(other, (MatrixStack, ExactMatrix)):
@@ -916,6 +997,49 @@ class MatrixStack(_Numerators):
         im = np.swapaxes(self._im, -1, -2)
         return MatrixStack(np.swapaxes(self._re, -1, -2), im if self._real else -im,
                            self._den, _real=self._real, _normalize=False, _peak=self._peak)
+
+
+def _entrywise(a, b) -> MatrixStack:
+    """a times b entry by entry, for ExactMatrix and MatrixStack operands
+    alike, numpy broadcasting every axis, the matrix axes included. One
+    elementwise product of the numerator arrays: each entry is at most
+    max|a|*max|b| in magnitude (twice that for two complex operands), which
+    is also the stored peak."""
+    peak = a._peak_abs() * b._peak_abs()
+    den = a._den * b._den
+    if a._real and b._real:
+        are, bre = _common(peak, a._re, b._re)
+        re = are * bre
+        return MatrixStack(re, _zero(re.shape), den, _real=True, _peak=peak)
+    are, aim, bre, bim = _common(2 * peak, a._re, a._im, b._re, b._im)
+    return MatrixStack(are * bre - aim * bim, are * bim + aim * bre, den, _peak=2 * peak)
+
+
+def diagonal_times(p: MatrixStack, x) -> MatrixStack:
+    """diag(p) @ x member by member, p a stack of diagonal columns
+    (..., m, 1) and x a stack or matrix with m rows, batch axes
+    broadcasting: row i of x times p[i], one entrywise product and no
+    matrix product (see the module docstring)."""
+    return _entrywise(p, x)
+
+
+def diagonal_commutator(x, left: MatrixStack | None, right: MatrixStack | None) -> MatrixStack:
+    """x @ diag(right) - diag(left) @ x member by member, for x a stack or
+    matrix of m x n blocks and left, right stacks of diagonal columns
+    (..., m, 1) and (..., n, 1), None standing for a zero diagonal; batch
+    axes broadcast. Entry (i, j) is x[i, j] * (right[j] - left[i]): the
+    diagonals' difference, an m x n mask, then one entrywise product and no
+    matrix product (see the module docstring)."""
+    if right is None:
+        return _entrywise(x, -left)
+    row = MatrixStack(np.swapaxes(right._re, -1, -2), np.swapaxes(right._im, -1, -2), right._den,
+                      _real=right._real, _normalize=False, _peak=right._peak)
+    if left is None:
+        return _entrywise(x, row)
+    re, im, den, real = _sum(row, left, np.subtract)
+    bound = row._peak_abs() * (den // row._den) + left._peak_abs() * (den // left._den)
+    return _entrywise(x, MatrixStack(re, im, den, _real=real or None, _normalize=False,
+                                     _peak=bound))
 
 
 def _flatten(members):
@@ -1197,12 +1321,6 @@ class GramStack:
     @property
     def num_coords(self) -> int:
         return len(self.coords)
-
-    def pair(self, x: ExactMatrix, y: ExactMatrix) -> ExactMatrix:
-        """Algebra element <x|y> of two column vectors, as a column vector."""
-        if x.shape != (self.dim, 1) or y.shape != (self.dim, 1):
-            raise ValueError("pair takes two column vectors of the form's dimension")
-        return self.pairs(x, y)
 
     def pairs(self, x: ExactMatrix, y: ExactMatrix) -> ExactMatrix:
         """The algebra elements <x_i|y_j> for every column x_i of x and y_j

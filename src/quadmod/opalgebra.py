@@ -12,7 +12,7 @@ rejected rather than silently approximated.
 
 from __future__ import annotations
 
-from .linalg import ExactMatrix
+from .linalg import ExactMatrix, MatrixStack
 
 
 class NotDiagonalModel(ValueError):
@@ -22,11 +22,11 @@ class NotDiagonalModel(ValueError):
 class DiagonalOperatorModel:
     """The unital algebra generated by a family of diagonal operators.
 
-    membership is the 0/1 matrix whose column c marks the coordinates of
-    class c, so the operator with coordinate column x has diagonal
-    membership @ x."""
+    classes lists the coordinates of each class, and class_of the class of
+    each coordinate; the operator with coordinate column x is diagonal, with
+    entry x[class_of[j]] at coordinate j."""
 
-    __slots__ = ("dim", "classes", "membership", "idempotents")
+    __slots__ = ("dim", "classes", "class_of", "idempotents")
 
     def __init__(self, generators: list[ExactMatrix]):
         if not generators:
@@ -41,50 +41,35 @@ class DiagonalOperatorModel:
                     "in the module basis; this model only covers the "
                     "diagonal case"
                 )
-        diagonals = ExactMatrix.hstack([g.diagonal_column() for g in generators])
-        signature = {}
-        for j, key in enumerate(diagonals.to_rows()):
-            signature.setdefault(tuple(key), []).append(j)
+        # coordinates with equal entries in every generator share a class
         self.dim = dim
-        self.classes = sorted(signature.values(), key=lambda cls: cls[0])
-        # row j of membership is the unit row of the class of j
-        class_of = [0] * dim
+        self.classes = ExactMatrix.hstack([g.diagonal_column() for g in generators]).equal_rows()
+        self.class_of = [0] * dim
         for c, cls in enumerate(self.classes):
             for j in cls:
-                class_of[j] = c
-        self.membership = ExactMatrix.identity(self.rank).take_rows(class_of)
+                self.class_of[j] = c
+        # row j of membership is the unit row of the class of j
+        membership = ExactMatrix.identity(self.rank).take_rows(self.class_of)
         self.idempotents = [
-            self.membership.take_cols([c]).to_diagonal() for c in range(self.rank)
+            membership.take_cols([c]).to_diagonal() for c in range(self.rank)
         ]
 
     @property
     def rank(self) -> int:
         return len(self.classes)
 
-    def coords(self, op: ExactMatrix) -> ExactMatrix | None:
-        """The coordinate column of an operator in the model, or None when
-        the operator lies outside it."""
-        if op.shape != (self.dim, self.dim):
-            return None
-        values = op.diagonal_column().take_rows([cls[0] for cls in self.classes])
-        if self.element(values) != op:
-            return None
-        return values
-
-    def contains(self, op: ExactMatrix) -> bool:
-        return self.coords(op) is not None
-
-    def element(self, coeffs: ExactMatrix) -> ExactMatrix:
-        """The operator with the given coordinate column."""
-        if coeffs.shape != (self.rank, 1):
-            raise ValueError("coordinate column shape mismatch")
-        return (self.membership @ coeffs).to_diagonal()
-
-    def projection_coords(self, op: ExactMatrix) -> list[int] | None:
-        """For a projection in the model, its 0/1 class pattern; None when
-        the operator is not a model projection."""
-        coords = self.coords(op)
-        rows = None if coords is None else coords.integer_rows()
-        if rows is None or any(v not in (0, 1) for v, in rows):
-            return None
-        return [v for v, in rows]
+    def projection_patterns(self, ops: MatrixStack):
+        """Which members of a stack of module operators with one batch axis
+        are model projections, and their 0/1 class patterns: a boolean array
+        over the members, and an integer array whose row j is member j's
+        pattern (meaningless where member j is no model projection). A model
+        projection is a diagonal 0/1 matrix constant on every class, so one
+        pass over the numerators decides every member."""
+        if len(ops.batch_shape) != 1:
+            raise ValueError("need a stack over one batch axis")
+        zero_one, ones = ops.zero_one_diagonals()
+        if ones.shape[1] != self.dim:
+            raise ValueError("operators must act on the module")
+        patterns = ones[:, [cls[0] for cls in self.classes]]
+        inside = zero_one & (ones == patterns[:, self.class_of]).all(axis=1)
+        return inside, patterns.astype(int)

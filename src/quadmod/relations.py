@@ -29,7 +29,7 @@ import operator
 from dataclasses import dataclass
 from functools import cached_property
 
-from .fock import FockFamily, FockOperator, FockSpace
+from .fock import FockDiagonal, FockFamily, FockOperator, FockSpace
 from .linalg import ExactMatrix, MatrixStack, gram_adjoint, kron_sum, weighted_sum
 from .opalgebra import DiagonalOperatorModel, NotDiagonalModel
 from .report import CheckResult, IdentityReport
@@ -104,6 +104,32 @@ class GeneratorFamily:
         """The lifts of the model's minimal idempotents, in class order; the
         lift of a 0/1 class pattern is lifts.combine of its column."""
         return self.space.lifts(self.model.idempotents)
+
+    @cached_property
+    def lift_diagonals(self) -> FockDiagonal | None:
+        """The lifts as diagonals, read once from the lifts built; None when
+        some block of some lift is not diagonal. It decides, for every
+        product with the lifts below, between masks and products."""
+        return self.lifts.diagonal()
+
+    def lifted(self, x: FockFamily, classes=slice(None)) -> FockFamily:
+        """lifts[classes] @ x, member by member: the rows of x's blocks
+        scaled by the lift diagonals, or one product per block when the
+        lifts are not diagonal."""
+        diagonals = self.lift_diagonals
+        if diagonals is None:
+            return self.lifts[classes] @ x
+        return diagonals[classes].times(x)
+
+    def lift_commutators(self, x: FockFamily) -> FockFamily:
+        """x @ lifts - lifts @ x for an operator family x without batch
+        axes, one member per class: x's blocks times the masks of the lift
+        diagonals, or two products per block when the lifts are not
+        diagonal."""
+        diagonals = self.lift_diagonals
+        if diagonals is None:
+            return x @ self.lifts - self.lifts @ x
+        return diagonals.commutator(x)
 
 
 def make_generators(space: FockSpace) -> GeneratorFamily:

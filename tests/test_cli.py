@@ -271,8 +271,7 @@ def test_one_full_run_builds_the_operator_model_once(monkeypatch, capsys):
 ARRAY_ONLY = [
     (FockSpace, "left_actions"),
     (GramStack, "transform"),
-    (DiagonalOperatorModel, "element"),
-    (DiagonalOperatorModel, "coords"),
+    (DiagonalOperatorModel, "projection_patterns"),
     (CommAlgebra, "mult_matrix"),
     (serialize, "matrix_from_json"),
 ]
@@ -362,18 +361,18 @@ def test_kronecker_products_form_no_krons(monkeypatch, capsys, builtin, options)
         return kron(self, other)
 
     monkeypatch.setattr(ExactMatrix, "kron", counted_kron)
-    # products per pair call, and stacked Gram builds per stack, wherever
+    # products per pairs call, and stacked Gram builds per stack, wherever
     # a stack is first read (the stacks are kept alive, so that no id is
     # reused)
     pairing, products, stacking, stacked, stacks = [], [], [], Counter(), []
-    pair, matmul, vstack = GramStack.pair, ExactMatrix.__matmul__, ExactMatrix.vstack
+    pairs, matmul, vstack = GramStack.pairs, ExactMatrix.__matmul__, ExactMatrix.vstack
     vstacked = GramStack._vstacked
 
-    def counted_pair(self, x, y):
+    def counted_pairs(self, x, y):
         pairing.append(self)
         products.append(0)
         try:
-            return pair(self, x, y)
+            return pairs(self, x, y)
         finally:
             pairing.pop()
 
@@ -395,7 +394,7 @@ def test_kronecker_products_form_no_krons(monkeypatch, capsys, builtin, options)
             stacks.append(stacking[-1])
         return vstack(mats)
 
-    monkeypatch.setattr(GramStack, "pair", counted_pair)
+    monkeypatch.setattr(GramStack, "pairs", counted_pairs)
     monkeypatch.setattr(GramStack, "_vstacked", counted_vstacked)
     monkeypatch.setattr(ExactMatrix, "__matmul__", counted_matmul)
     monkeypatch.setattr(ExactMatrix, "vstack", staticmethod(counted_vstack))

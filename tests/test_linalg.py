@@ -994,11 +994,11 @@ def pair_cases(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(pair_cases())
-def test_pair_matches_the_loop_and_an_object_reference(case):
+def test_pairs_of_two_vectors_match_the_loop_and_an_object_reference(case):
     coords, (xre, xim, xd), (yre, yim, yd) = case
     stack = GramStack(ExactMatrix(*g) for g in coords)
     x, y = ExactMatrix(xre, xim, xd), ExactMatrix(yre, yim, yd)
-    got = stack.pair(x, y)
+    got = stack.pairs(x, y)
     # x^H G y = conj(x)^T (G y), one row per coordinate
     rows = []
     for gre, gim, gd in coords:
@@ -1008,7 +1008,7 @@ def test_pair_matches_the_loop_and_an_object_reference(case):
     assert got == ExactMatrix.vstack(rows)
     assert got == _loop_pair(stack, x, y)
     # the stacked Grams are built once and reused
-    assert stack.pair(y, x) == _loop_pair(stack, y, x)
+    assert stack.pairs(y, x) == _loop_pair(stack, y, x)
     _assert_real_flag(got)
 
 
@@ -1066,9 +1066,9 @@ def test_kronecker_kernels_on_fractions_and_degenerate_shapes():
     with pytest.raises(ValueError):
         linalg.identity_kron_times(2, c, mat.T)
     stack = GramStack([a, a.H])
-    assert stack.pair(b, d) == _loop_pair(stack, b, d)
+    assert stack.pairs(b, d) == _loop_pair(stack, b, d)
     with pytest.raises(ValueError):
-        stack.pair(a, b)
+        stack.pairs(c, b)
 
 
 # rows of x for the gathers below: one entry at the int64 gate, one at the
@@ -1116,6 +1116,107 @@ def test_kron_identity_entries_match_the_formed_kron(name, left):
 
 def _max_entry(x):
     return max((abs(int(v)) for part in (x._re, x._im) for v in part.ravel()), default=0)
+
+
+# two members of diagonals for the mask kernels: three entries for the rows
+# of the GATHERED matrices and two for their columns
+MASK_DIAGONALS = {
+    "0/1": ([[1, 0, 1], [0, 0, 1]], [[1, 0], [1, 1]]),
+    "rational": ([[F(1, 2), F(-2, 3), 5], [F(3, 4), 0, F(1, 6)]], [[F(2, 5), 1], [0, F(-7, 3)]]),
+    "negative": ([[-1, 2, -(2**40)], [-3, -3, 0]], [[-5, 0], [-(2**62), 1]]),
+}
+
+
+def _diagonal_stack(diagonals):
+    return linalg.MatrixStack.stack([ExactMatrix.column(d) for d in diagonals],
+                                    (len(diagonals),))
+
+
+def _object_matmul(a, b):
+    """a @ b on object arrays: the reference the mask kernels must match."""
+    re, im = _object_product(a._re, a._im, b._re, b._im)
+    return ExactMatrix(re, im, a._den * b._den)
+
+
+@pytest.mark.parametrize("diagonals", list(MASK_DIAGONALS))
+@pytest.mark.parametrize("name", list(GATHERED))
+def test_diagonal_kernels_match_the_object_reference(name, diagonals):
+    x = ExactMatrix.from_rows(GATHERED[name])
+    lefts, rights = MASK_DIAGONALS[diagonals]
+    left, right = _diagonal_stack(lefts), _diagonal_stack(rights)
+    # the kernels on x, and on a stack whose members are x and -x
+    xs = linalg.MatrixStack.stack([x, -x], (2,))
+    kernels = [
+        (linalg.diagonal_commutator(x, left, right), [x, x], lambda P, Q, y: y @ Q - P @ y),
+        (linalg.diagonal_commutator(x, None, right), [x, x], lambda P, Q, y: y @ Q),
+        (linalg.diagonal_commutator(x, left, None), [x, x], lambda P, Q, y: -(P @ y)),
+        (linalg.diagonal_times(left, x), [x, x], lambda P, Q, y: P @ y),
+        (linalg.diagonal_commutator(xs, left, right), [x, -x], lambda P, Q, y: y @ Q - P @ y),
+    ]
+    for got, members, formula in kernels:
+        _assert_real_flag(got)
+        assert got._peak_abs() >= _max_entry(got)
+        for i, (p, q, y) in enumerate(zip(lefts, rights, members)):
+            P, Q = ExactMatrix.diagonal(p), ExactMatrix.diagonal(q)
+            want = formula(_Reference(P), _Reference(Q), _Reference(y)).matrix
+            member = got.member((2,), (i,))
+            assert member == want
+            _assert_real_flag(member)
+
+
+class _Reference:
+    """An ExactMatrix whose products go through _object_matmul."""
+
+    def __init__(self, matrix):
+        self.matrix = matrix
+
+    def __matmul__(self, other):
+        return _Reference(_object_matmul(self.matrix, other.matrix))
+
+    def __sub__(self, other):
+        return _Reference(self.matrix - other.matrix)
+
+    def __neg__(self):
+        return _Reference(-self.matrix)
+
+
+def test_stack_diagonals_selections_and_zero_one_members():
+    a = ExactMatrix.diagonal([F(1, 2), 0, GR(0, 3)])
+    b = ExactMatrix.diagonal([1, 2**70, -4])
+    stack = linalg.MatrixStack.stack([a, b], (2,))
+    columns = stack.diagonal_columns()
+    assert columns.member((2,), (0,)) == a.diagonal_column()
+    assert columns.member((2,), (1,)) == b.diagonal_column()
+    off = b.set_block(0, 2, ExactMatrix.identity(1))
+    assert linalg.MatrixStack.stack([a, off], (2,)).diagonal_columns() is None
+    assert linalg.MatrixStack.stack([off.H], (1,)).diagonal_columns() is None
+    # entries at rows and columns, as ExactMatrix selects them
+    full = linalg.MatrixStack.stack([a, off], (2,))
+    for i, m in enumerate([a, off]):
+        assert full.submatrix([2, 0], [1, 2]).member((2,), (i,)) == m.submatrix([2, 0], [1, 2])
+        assert full.take_cols([2]).member((2,), (i,)) == m.take_cols([2])
+        assert full.submatrix([], [0]).member((2,), (i,)) == ExactMatrix.zeros(0, 1)
+    # 0/1 diagonals, read from numerators over a shared denominator of 2
+    ones = [ExactMatrix.diagonal(d) for d in ([1, 0, 1], [F(1, 2), 0, 1], [GR(1, 1), 0, 0],
+                                              [1, 1, 1], [0, 0, 0])]
+    ones.append(ones[0] + ExactMatrix.zeros(3, 3).set_block(1, 0, ExactMatrix.identity(1)))
+    flags, diagonal = linalg.MatrixStack.stack(ones, (6,)).zero_one_diagonals()
+    assert flags.tolist() == [True, False, False, True, True, False]
+    assert diagonal[[0, 3, 4]].tolist() == [[True, False, True], [True] * 3, [False] * 3]
+    zeros = linalg.MatrixStack.zeros((4, 2, 3))
+    assert zeros.batch_shape == (4,) and zeros.is_zero()
+    assert zeros.member((4,), (3,)) == ExactMatrix.zeros(2, 3)
+
+
+def test_integer_rows_and_equal_rows():
+    rows = [[1, -(2**70)], [0, 3], [1, -(2**70)]]
+    got = ExactMatrix.from_rows(rows)
+    assert got == ExactMatrix.from_entries([[(v, 1, 0, 1) for v in row] for row in rows])
+    assert got.integer_rows() == rows
+    assert got.equal_rows() == [[0, 2], [1]]
+    mixed = ExactMatrix.from_rows([[F(1, 2), GR(0, 1)], [0, 0], [F(1, 2), GR(0, 1)], [0, 1]])
+    assert mixed.equal_rows() == [[0, 2], [1], [3]]
+    assert ExactMatrix.from_rows([[2**62, 0]])._re.dtype == np.int64
 
 
 def test_diagonal_inverse_scatter_and_nonzero_rows():

@@ -1,7 +1,7 @@
 import pytest
 
 from quadmod.fock import build_fock
-from quadmod.linalg import ExactMatrix
+from quadmod.linalg import ExactMatrix, MatrixStack
 from quadmod.opalgebra import DiagonalOperatorModel, NotDiagonalModel
 from quadmod.quadmodule import build_example_MN
 from quadmod.relations import make_generators
@@ -26,34 +26,45 @@ def test_singleton_classes_when_spectra_separate_points():
     assert model.classes == [[0], [1], [2]]
 
 
-def test_coords_and_element_are_inverse():
+def patterns_of(model, *ops):
+    inside, patterns = model.projection_patterns(MatrixStack.stack(ops, (len(ops),)))
+    return [p.tolist() if ok else None for ok, p in zip(inside, patterns)]
+
+
+def test_projection_patterns_read_every_member_at_once():
     model = DiagonalOperatorModel([diag(1, 0, 1, 0), diag(0, 2, 0, 2)])
-    op = diag(5, -7, 5, -7)
-    coords = model.coords(op)
-    assert coords == ExactMatrix.column([5, -7])
-    assert model.element(coords) == op
-    assert model.contains(op)
+    assert patterns_of(model, diag(1, 0, 1, 0), diag(1, 1, 1, 1), ExactMatrix.zeros(4, 4),
+                       diag(0, 1, 0, 1)) == [[1, 0], [1, 1], [0, 0], [0, 1]]
 
 
 def test_operators_outside_the_model_are_rejected():
     model = DiagonalOperatorModel([diag(1, 0, 1, 0)])
     # breaks the tie between coordinates 0 and 2
-    assert model.coords(diag(1, 0, 2, 0)) is None
-    assert not model.contains(diag(1, 0, 2, 0))
+    assert patterns_of(model, diag(1, 0, 0, 0), diag(1, 0, 1, 0)) == [None, [1, 0]]
     # non-diagonal operators are never in a diagonal model
     off = ExactMatrix.zeros(4, 4).set_block(0, 1, ExactMatrix.from_rows([[1]]))
-    assert model.coords(off) is None
-    # shape mismatch
-    assert model.coords(diag(1, 0)) is None
+    assert patterns_of(model, off, diag(1, 1, 1, 1) + off) == [None, None]
 
 
-def test_projection_coords_filters_non_idempotent_values():
+def test_projection_patterns_filter_non_idempotent_values():
     model = DiagonalOperatorModel([diag(1, 0, 1, 0), diag(0, 2, 0, 2)])
-    assert model.projection_coords(diag(1, 0, 1, 0)) == [1, 0]
-    assert model.projection_coords(diag(1, 1, 1, 1)) == [1, 1]
-    assert model.projection_coords(ExactMatrix.zeros(4, 4)) == [0, 0]
-    assert model.projection_coords(diag(2, 0, 2, 0)) is None
-    assert model.projection_coords(diag(GaussianRational(0, 1), 0, GaussianRational(0, 1), 0)) is None
+    i = GaussianRational(0, 1)
+    # model elements that are not projections, beside one that is: the
+    # stack shares the denominator 2 of the half, so a one is read from
+    # numerators equal to the denominator
+    assert patterns_of(model, diag(5, -7, 5, -7), diag(2, 0, 2, 0), diag(i, 0, i, 0),
+                       diag(GaussianRational("1/2"), 0, GaussianRational("1/2"), 0),
+                       diag(1 + i, 0, 1 + i, 0), diag(0, 1, 0, 1)) == [None] * 5 + [[0, 1]]
+
+
+def test_projection_pattern_shape_checks():
+    model = DiagonalOperatorModel([diag(1, 2)])
+    with pytest.raises(ValueError):
+        model.projection_patterns(MatrixStack.stack([diag(1, 0, 0)], (1,)))
+    with pytest.raises(ValueError):
+        model.projection_patterns(MatrixStack.stack([diag(1, 0)], (1, 1)))
+    with pytest.raises(ValueError):
+        model.projection_patterns(MatrixStack.stack([ExactMatrix.zeros(2, 3)], (1,)))
 
 
 def test_non_diagonal_generators_are_refused():
@@ -62,12 +73,6 @@ def test_non_diagonal_generators_are_refused():
         DiagonalOperatorModel([off])
     with pytest.raises(ValueError):
         DiagonalOperatorModel([])
-
-
-def test_element_shape_check():
-    model = DiagonalOperatorModel([diag(1, 2)])
-    with pytest.raises(ValueError):
-        model.element(ExactMatrix.column([1]))
 
 
 def test_left_action_model_of_the_bipartite_module():

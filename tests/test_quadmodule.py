@@ -59,11 +59,11 @@ def test_bipartite_2x3_finite_type_and_index_maps():
 def test_bipartite_generating_family_is_orthonormal():
     spec = build_example_MN(2, 2)
     u0, u1 = spec.basis_U
-    assert spec.inner_B1.pair(u0, u0) == spec.algebra_B1.unit()
-    assert spec.inner_B1.pair(u0, u1) == ExactMatrix.zeros(2, 1)
+    assert spec.inner_B1.pairs(u0, u0) == spec.algebra_B1.unit()
+    assert spec.inner_B1.pairs(u0, u1) == ExactMatrix.zeros(2, 1)
     v0, v1 = spec.basis_V
-    assert spec.inner_B2.pair(v0, v0) == spec.algebra_B2.unit()
-    assert spec.inner_B2.pair(v1, v0) == ExactMatrix.zeros(2, 1)
+    assert spec.inner_B2.pairs(v0, v0) == spec.algebra_B2.unit()
+    assert spec.inner_B2.pairs(v1, v0) == ExactMatrix.zeros(2, 1)
 
 
 def test_twisted_functions_commuting_cycles():

@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from quadmod.fock import FockOperator, FockSpace, build_fock
-from quadmod.linalg import ExactMatrix
+from quadmod.linalg import ExactMatrix, weighted_sum
 from quadmod.quadmodule import build_example_MN, build_example_alpha_beta
 from quadmod.relations import (
     core_filtration_dims,
@@ -170,7 +170,7 @@ def test_lift_projection_is_the_lift_of_the_model_projection(tower, request):
     model = gens.model
     for pattern in itertools.product((0, 1), repeat=model.rank):
         column = ExactMatrix.column(list(pattern))
-        expected = space.lift(model.element(column))
+        expected = space.lift(weighted_sum(model.idempotents, column))
         assert gens.lifts.combine(column).member((0,)) == expected, pattern
 
 
