@@ -6,7 +6,7 @@ import pytest
 
 from quadmod import cli, fock
 from quadmod.fock import DepthTooSmall, TooLarge, TowerDefect, build_fock
-from quadmod.linalg import ExactMatrix, GramStack
+from quadmod.linalg import ExactMatrix, GramStack, MatrixStack
 from quadmod.quadmodule import build_example_MN, build_example_alpha_beta
 from quadmod.scalars import GaussianRational
 
@@ -255,6 +255,12 @@ def test_coordinate_quotient_matches_elimination(monkeypatch, stack, dim):
     assert selected.coordinates(vectors) == eliminated.coordinates(vectors)
     for op in (OP, fock._KronIdentity(X, 2, True)):
         assert selected.descend(op) == eliminated.descend(op)
+    # a stack of operators descends member by member, in either form
+    ops = [OP, OP @ OP, -OP]
+    for space in (selected, eliminated):
+        quotients, null_parts = space.descend(MatrixStack.stack(ops, (3,)))
+        for i, op in enumerate(ops):
+            assert (quotients.member((3,), (i,)), null_parts.member((3,), (i,))) == space.descend(op)
     assert selected.ambient(selected.left_B1[1]) == eliminated.ambient(eliminated.left_B1[1])
     # include is the column selection reps in both forms, and express the
     # coordinates: include @ L @ express read back on the quotient is L
