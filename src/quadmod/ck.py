@@ -66,8 +66,8 @@ def build_ck_generators(gens: GeneratorFamily) -> CKBundle:
     products for all pairs at once. When the family's right action is
     unital, the columns of the coefficient-level block sum to E_cl m_g, so
     every candidate is kept. The slices are S_g's rows scaled by the lift
-    diagonals when the lifts are diagonal (GeneratorFamily.lifted), and the
-    supports of a family's states are read by one model membership test."""
+    diagonals (GeneratorFamily.lifted), and the supports of a family's
+    states are read by one model membership test."""
     model = gens.model
     lifts = gens.lifts
     ncl = lifts.shape[0]

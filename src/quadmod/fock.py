@@ -56,7 +56,7 @@ from .linalg import (
     MatrixFamily,
     MatrixStack,
     diagonal_commutator,
-    diagonal_times,
+    entrywise,
     identity_kron_times,
     kron_identity_entries,
     kron_sum,
@@ -559,15 +559,14 @@ class FockFamily:
         dims = self.space.summand(dest).dim, self.space.summand(src).dim
         return MatrixStack.zeros(self.shape + dims)
 
-    def diagonal(self) -> "FockDiagonal | None":
-        """The family as diagonals, when every block of every member is a
-        diagonal matrix on the diagonal of the block grid; None otherwise."""
+    def diagonal(self) -> "FockDiagonal":
+        """The family as diagonals, for a family whose every block is a
+        diagonal matrix on the diagonal of the block grid."""
         columns = {}
         for (dest, src), v in self.blocks.items():
-            cols = v.diagonal_columns() if dest == src else None
-            if cols is None:
-                return None
-            columns[dest] = cols
+            if dest != src:
+                raise ValueError("the family has a block off the block diagonal")
+            columns[dest] = v.diagonal_columns()
         return FockDiagonal(self.space, self.shape, columns)
 
     def member(self, index) -> FockOperator:
@@ -629,7 +628,7 @@ class FockDiagonal:
         scaled by the diagonal on dest."""
         shape = self._batch(x)
         return FockFamily(self.space, shape, {
-            (dest, src): diagonal_times(self.columns[dest], m)
+            (dest, src): entrywise(self.columns[dest], m)
             for (dest, src), m in x.blocks.items() if dest in self.columns})
 
     def commutator(self, x: FockFamily) -> FockFamily:

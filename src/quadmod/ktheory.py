@@ -8,16 +8,17 @@ over all generators gives a square integer matrix on the model's free
 class group. The two K-groups are the cokernel and kernel of identity
 minus that matrix.
 
-On every builtin the class lifts are diagonal: each block is diag(p) for
-a 0/1 column p. A range projection R then commutes with a lift exactly
+The class lifts are diagonal: each block is diag(p) for a 0/1 column p.
+The module block is a model idempotent, diagonal as the model is, and on
+level n >= 2 the block is the quotient of L (x) I, whose diagonal the
+quotient reads at the coordinates it keeps (see GeneratorFamily.
+lift_diagonals). A range projection R then commutes with a lift exactly
 when R P - P R vanishes, and on block (d, s) that difference is
 R_ds * (p_s[col] - p_d[row]) entry by entry, a mask of R's entries, so
 ktheory-range-commute forms no matrix product; the lift times a generator
 is its rows scaled by p, so ktheory-compression-route is one product per
-generator, the adjoint times the row-scaled generator. When some block
-of some lift is not diagonal (GeneratorFamily.lift_diagonals is None),
-both run as products instead. The class patterns are read in one pass
-per generating family (class_patterns).
+generator, the adjoint times the row-scaled generator. The class patterns
+are read in one pass per generating family (class_patterns).
 
 Everything here runs over plain Python integers, so there is no overflow
 or rounding anywhere in the reduction.
@@ -260,20 +261,19 @@ class KTheoryResult:
     reports: list
 
 
-def class_patterns(gens: GeneratorFamily, family: int) -> ExactMatrix:
+def class_patterns(gens: GeneratorFamily, family: int):
     """The model projections that compressing each class through each
-    generator of one family induces on the module, as the 0/1 class
-    patterns in the columns (generator, class), generator slowest, of a
-    rank x (generators * classes) matrix.
+    generator of one family induces on the module, as an integer array of
+    shape (generators, rank, classes) whose entry (g, r, cl) is entry r of
+    the 0/1 class pattern of class cl compressed through generator g.
 
     Compressing class cl through generator g gives the left action of the
     algebra element <m_g, E_cl m_g> on the module. One pass reads them all:
-    E_cl m_g for every pair as one Kronecker product, the inner products of
-    every member with every such vector as one pairs (of which the pairs of
-    a generator with its own vectors are kept), their left actions as one
+    E_cl m_g for every pair as one Kronecker product, the inner products
+    <m_g, E_cl m_g> as one column_pairs, their left actions as one
     combination, their quotients at once and their patterns by one model
     membership test. Raises AssumptionsViolated naming the first pair, in
-    that order, whose image is not a model projection."""
+    the order (generator, class), whose image is not a model projection."""
     space = gens.space
     spec = space.spec
     h = space.summand((1, ()))
@@ -284,9 +284,9 @@ def class_patterns(gens: GeneratorFamily, family: int) -> ExactMatrix:
     # column (cl, g) of images is E_cl m_g
     images = times_identity_kron(
         ExactMatrix.hstack([h.ambient(e) for e in model.idempotents]), ncl, members)
-    # column (i, cl, g) of pairs(members, images) is <m_i, E_cl m_g>
-    values = stack.pairs(members, images).take_cols(
-        [g * ncl * ng + cl * ng + g for g in range(ng) for cl in range(ncl)])
+    # column (g, cl) of values is <m_g, E_cl m_g>
+    values = stack.column_pairs(ExactMatrix.hstack([members] * ncl), images).take_cols(
+        [cl * ng + g for g in range(ng) for cl in range(ncl)])
     side = MatrixFamily([op] for op in side_ops)
     quotients, _ = h.descend(side.stacks(values, 0, 1)[0])
     inside, patterns = model.projection_patterns(quotients)
@@ -296,7 +296,7 @@ def class_patterns(gens: GeneratorFamily, family: int) -> ExactMatrix:
             f"family {family} generator {g} does not send class "
             f"{cl} to a model projection"
         )
-    return ExactMatrix.from_rows(patterns.T.tolist())
+    return patterns.reshape(ng, ncl, -1).transpose(0, 2, 1)
 
 
 def class_action_matrix(gens: GeneratorFamily) -> tuple:
@@ -337,27 +337,19 @@ def class_action_matrix(gens: GeneratorFamily) -> tuple:
             "; ".join(f"{r.check_id}: {r.witness}" for r in bad)
         )
 
-    rank = gens.model.rank
-    matrix = [[0] * rank for _ in range(rank)]
-    # per generator, the patterns of the model projections its compression
-    # sends the classes to, as the columns of a 0/1 matrix
-    patterns = []
-    for family in (1, 2):
-        found = class_patterns(gens, family)
-        for g in range(found.ncols // rank):
-            columns = found.take_cols(range(g * rank, (g + 1) * rank))
-            for r, row in enumerate(columns.integer_rows()):
-                for cl, v in enumerate(row):
-                    matrix[r][cl] += v
-            patterns.append((family, g, columns))
+    # per family and generator, the patterns of the model projections its
+    # compression sends the classes to, as the columns of a 0/1 matrix
+    patterns = {f: class_patterns(gens, f) for f in (1, 2)}
+    matrix = (patterns[1].sum(axis=0) + patterns[2].sum(axis=0)).tolist()
 
     route = families_report(
         "ktheory-compression-route",
         "compressing a lifted class projection through a generator recovers "
         "its induced model element on the tower",
         ((gens.adjoints[f][g] @ gens.lifted(gens.family(f)[g].window(1, K - 1))
-          - lifts.window(1, K - 1).combine(columns), class_of(f, g))
-         for f, g, columns in patterns), 1, K - 1,
+          - lifts.window(1, K - 1).combine(ExactMatrix(columns, np.zeros_like(columns))),
+          class_of(f, g))
+         for f in (1, 2) for g, columns in enumerate(patterns[f])), 1, K - 1,
     )
     reports.append(route)
     if not route.passed:

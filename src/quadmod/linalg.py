@@ -92,7 +92,8 @@ I_s (x) x alike), one gather of x's numerators. It does no arithmetic, so
 its bound is max|x| and its result is real when x is.
 
 Products with a diagonal matrix need no matrix product either. For
-P = diag(p), P @ x scales row i of x by p[i] (diagonal_times), and the
+P = diag(p), P @ x scales row i of x by p[i], the entrywise product of x
+with p as a column (entrywise, numpy broadcasting every axis), and the
 commutator x @ diag(q) - diag(p) @ x has entry (i, j) equal to
 x[i, j] * (q[j] - p[i]) (diagonal_commutator): the difference of the two
 diagonals is an m x n mask, and the result is one entrywise product of
@@ -262,10 +263,10 @@ def _normalized(re, im, den: int, real: bool):
 
 
 def _sum(a, b, op):
-    """(re, im, den, real) of op(a, b), op being np.add or np.subtract, for
-    ExactMatrix and MatrixStack operands alike; batch axes broadcast. The
-    bound of each part of the result is read from the operands' peaks,
-    rescaled to the common denominator."""
+    """(re, im, den, real, bound) of op(a, b), op being np.add or
+    np.subtract, for ExactMatrix and MatrixStack operands alike; batch axes
+    broadcast. bound, which bounds each part of the result, is read from
+    the operands' peaks, rescaled to the common denominator."""
     den = a._den * b._den // math.gcd(a._den, b._den)
     are, aim = a._scaled_to(den)
     bre, bim = b._scaled_to(den)
@@ -273,9 +274,9 @@ def _sum(a, b, op):
     if a._real and b._real:
         are, bre = _common(bound, are, bre)
         re = op(are, bre)
-        return re, _zero(re.shape), den, True
+        return re, _zero(re.shape), den, True, bound
     are, aim, bre, bim = _common(bound, are, aim, bre, bim)
-    return op(are, bre), op(aim, bim), den, False
+    return op(are, bre), op(aim, bim), den, False, bound
 
 
 class _Numerators:
@@ -353,13 +354,7 @@ class ExactMatrix(_Numerators):
 
     @classmethod
     def from_rows(cls, rows) -> "ExactMatrix":
-        """Build from nested lists of ints, Fractions or GaussianRationals;
-        rows of plain ints are read as one integer array."""
-        rows = [list(row) for row in rows]
-        m, n = len(rows), len(rows[0]) if rows else 0
-        if all(len(row) == n and all(type(v) is int for v in row) for row in rows):
-            re = _int_array([v for row in rows for v in row], (m, n))
-            return cls(re, _zero((m, n)), 1, _normalize=False, _real=True)
+        """Build from nested lists of ints, Fractions or GaussianRationals."""
         parts = []
         for row in rows:
             vals = [GaussianRational.from_value(v) for v in row]
@@ -468,14 +463,6 @@ class ExactMatrix(_Numerators):
     def is_zero(self) -> bool:
         return self._real and not self._re.any()
 
-    def equal_rows(self) -> list:
-        """The row indices grouped by equal rows, each group in increasing
-        order and the groups in order of their first row."""
-        groups = {}
-        for i, key in enumerate(zip(map(tuple, self._re.tolist()), map(tuple, self._im.tolist()))):
-            groups.setdefault(key, []).append(i)
-        return list(groups.values())
-
     def nonzero_rows(self) -> list:
         """The indices of the rows with a nonzero entry, in order."""
         nonzero = (self._re != 0).any(axis=1)
@@ -516,7 +503,7 @@ class ExactMatrix(_Numerators):
             return NotImplemented
         if self.shape != other.shape:
             raise ValueError("shape mismatch")
-        re, im, den, real = _sum(self, other, op)
+        re, im, den, real, _ = _sum(self, other, op)
         return ExactMatrix(re, im, den, _real=real or None)
 
     def __neg__(self):
@@ -908,13 +895,13 @@ class MatrixStack(_Numerators):
     def scaled(self, coeffs: ExactMatrix) -> "MatrixStack":
         """Each member times its own scalar: member (i, j) of the stack
         broadcast to the batch shape coeffs.shape, times coeffs[i, j]. One
-        entrywise product (see _entrywise), each entry at most
+        entrywise product (see entrywise), each entry at most
         max|coeffs| * max|stack| in magnitude (twice that for two complex
         operands)."""
         scalars = MatrixStack(coeffs._re[..., None, None], coeffs._im[..., None, None],
                               coeffs._den, _real=coeffs._real, _normalize=False,
                               _peak=coeffs._peak)
-        return _entrywise(scalars, self)
+        return entrywise(scalars, self)
 
     def _selected(self, rows, cols) -> "MatrixStack":
         """Every member's entries at the given rows and columns, each an
@@ -931,17 +918,16 @@ class MatrixStack(_Numerators):
     def take_cols(self, idx) -> "MatrixStack":
         return self._selected(slice(None), np.asarray(idx, dtype=np.intp))
 
-    def diagonal_columns(self) -> "MatrixStack | None":
+    def diagonal_columns(self) -> "MatrixStack":
         """Every member's diagonal, as a stack of columns over the same batch
-        shape; None when some member has a nonzero entry off its diagonal.
-        A diagonal holds all the nonzero entries, so it keeps the stack's
-        normalisation and peak."""
+        shape, for a stack of diagonal matrices. A diagonal holds all the
+        nonzero entries, so it keeps the stack's normalisation and peak."""
         n = self._re.shape[-1]
         if self._re.shape[-2] != n:
             raise ValueError("only square matrices have diagonals")
         off = ~np.eye(n, dtype=bool)
         if (self._re[..., off] != 0).any() or (not self._real and (self._im[..., off] != 0).any()):
-            return None
+            raise ValueError("some member has a nonzero entry off its diagonal")
         re = np.diagonal(self._re, axis1=-2, axis2=-1)[..., None]
         im = _zero(re.shape) if self._real else np.diagonal(self._im, axis1=-2, axis2=-1)[..., None]
         return MatrixStack(re, im, self._den, _real=self._real or None, _normalize=False,
@@ -983,7 +969,7 @@ class MatrixStack(_Numerators):
             return NotImplemented
         if self._re.shape[-2:] != other._re.shape[-2:]:
             raise ValueError("shape mismatch")
-        re, im, den, real = _sum(self, other, op)
+        re, im, den, real, _ = _sum(self, other, op)
         return MatrixStack(re, im, den, _real=real or None)
 
     def __neg__(self):
@@ -999,7 +985,7 @@ class MatrixStack(_Numerators):
                            self._den, _real=self._real, _normalize=False, _peak=self._peak)
 
 
-def _entrywise(a, b) -> MatrixStack:
+def entrywise(a, b) -> MatrixStack:
     """a times b entry by entry, for ExactMatrix and MatrixStack operands
     alike, numpy broadcasting every axis, the matrix axes included. One
     elementwise product of the numerator arrays: each entry is at most
@@ -1015,14 +1001,6 @@ def _entrywise(a, b) -> MatrixStack:
     return MatrixStack(are * bre - aim * bim, are * bim + aim * bre, den, _peak=2 * peak)
 
 
-def diagonal_times(p: MatrixStack, x) -> MatrixStack:
-    """diag(p) @ x member by member, p a stack of diagonal columns
-    (..., m, 1) and x a stack or matrix with m rows, batch axes
-    broadcasting: row i of x times p[i], one entrywise product and no
-    matrix product (see the module docstring)."""
-    return _entrywise(p, x)
-
-
 def diagonal_commutator(x, left: MatrixStack | None, right: MatrixStack | None) -> MatrixStack:
     """x @ diag(right) - diag(left) @ x member by member, for x a stack or
     matrix of m x n blocks and left, right stacks of diagonal columns
@@ -1031,15 +1009,14 @@ def diagonal_commutator(x, left: MatrixStack | None, right: MatrixStack | None) 
     diagonals' difference, an m x n mask, then one entrywise product and no
     matrix product (see the module docstring)."""
     if right is None:
-        return _entrywise(x, -left)
+        return entrywise(x, -left)
     row = MatrixStack(np.swapaxes(right._re, -1, -2), np.swapaxes(right._im, -1, -2), right._den,
                       _real=right._real, _normalize=False, _peak=right._peak)
     if left is None:
-        return _entrywise(x, row)
-    re, im, den, real = _sum(row, left, np.subtract)
-    bound = row._peak_abs() * (den // row._den) + left._peak_abs() * (den // left._den)
-    return _entrywise(x, MatrixStack(re, im, den, _real=real or None, _normalize=False,
-                                     _peak=bound))
+        return entrywise(x, row)
+    re, im, den, real, bound = _sum(row, left, np.subtract)
+    return entrywise(x, MatrixStack(re, im, den, _real=real or None, _normalize=False,
+                                    _peak=bound))
 
 
 def _flatten(members):
@@ -1335,6 +1312,20 @@ class GramStack:
         d, n, a, b = self.num_coords, self.dim, x.ncols, y.ncols
         gy = _permuted(self._vstacked() @ y, (d, n, b), (1, 0, 2), n, d * b)
         return _permuted(x.H @ gy, (a, d, b), (1, 0, 2), d, a * b)
+
+    def column_pairs(self, x: ExactMatrix, y: ExactMatrix) -> ExactMatrix:
+        """The algebra elements <x_k|y_k> for every column k of x and of y,
+        as the columns of a num_coords x ncols matrix: the columns (k, k) of
+        pairs(x, y) without the others. The stacked Grams times y in one
+        exact product, each coordinate's block times conj(x) entry by
+        entry, then the column sums of every block as one product with a
+        row of ones."""
+        if x.shape != y.shape or x.nrows != self.dim:
+            raise ValueError("column_pairs takes two equal-shape matrices of the form's dimension")
+        n = self.dim
+        ones = ExactMatrix(np.ones((1, n), np.int64), _zero((1, n)), _normalize=False,
+                           _real=True, _peak=1)
+        return (ones @ entrywise(x.conj(), self.stack @ y)).flattened()
 
     def _vstacked(self) -> ExactMatrix:
         if self._stacked is None:

@@ -41,9 +41,12 @@ class DiagonalOperatorModel:
                     "in the module basis; this model only covers the "
                     "diagonal case"
                 )
-        # coordinates with equal entries in every generator share a class
+        diagonals = ExactMatrix.hstack([g.diagonal_column() for g in generators])
+        signature = {}
+        for j, key in enumerate(diagonals.to_rows()):
+            signature.setdefault(tuple(key), []).append(j)
         self.dim = dim
-        self.classes = ExactMatrix.hstack([g.diagonal_column() for g in generators]).equal_rows()
+        self.classes = sorted(signature.values(), key=lambda cls: cls[0])
         self.class_of = [0] * dim
         for c, cls in enumerate(self.classes):
             for j in cls:

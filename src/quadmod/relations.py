@@ -106,30 +106,24 @@ class GeneratorFamily:
         return self.space.lifts(self.model.idempotents)
 
     @cached_property
-    def lift_diagonals(self) -> FockDiagonal | None:
-        """The lifts as diagonals, read once from the lifts built; None when
-        some block of some lift is not diagonal. It decides, for every
-        product with the lifts below, between masks and products."""
+    def lift_diagonals(self) -> FockDiagonal:
+        """The lifts as diagonals, read once from the lifts built. Every
+        lift block is diagonal: the module block is a model idempotent, and
+        a block on level n >= 2 is the quotient of L (x) I, which keeps the
+        diagonal entries on the coordinates it keeps (on an eliminated
+        quotient because express is the identity on them)."""
         return self.lifts.diagonal()
 
     def lifted(self, x: FockFamily, classes=slice(None)) -> FockFamily:
         """lifts[classes] @ x, member by member: the rows of x's blocks
-        scaled by the lift diagonals, or one product per block when the
-        lifts are not diagonal."""
-        diagonals = self.lift_diagonals
-        if diagonals is None:
-            return self.lifts[classes] @ x
-        return diagonals[classes].times(x)
+        scaled by the lift diagonals."""
+        return self.lift_diagonals[classes].times(x)
 
     def lift_commutators(self, x: FockFamily) -> FockFamily:
         """x @ lifts - lifts @ x for an operator family x without batch
         axes, one member per class: x's blocks times the masks of the lift
-        diagonals, or two products per block when the lifts are not
-        diagonal."""
-        diagonals = self.lift_diagonals
-        if diagonals is None:
-            return x @ self.lifts - self.lifts @ x
-        return diagonals.commutator(x)
+        diagonals."""
+        return self.lift_diagonals.commutator(x)
 
 
 def make_generators(space: FockSpace) -> GeneratorFamily:

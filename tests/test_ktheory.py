@@ -7,12 +7,7 @@ import numpy as np
 import pytest
 
 from quadmod import ktheory, linalg
-from quadmod.ck import (
-    CKStructureError,
-    bipartite_relation_matrices,
-    build_ck_generators,
-    verify_ck_relations,
-)
+from quadmod.ck import bipartite_relation_matrices
 from quadmod.cli import load_spec, smith_trial_matrices
 from quadmod.fock import FockFamily, build_fock
 from quadmod.ktheory import (
@@ -320,7 +315,6 @@ def _same_blocks(got, want):
 def test_mask_families_equal_the_product_families(builtin):
     gens = _generators(builtin, 3)
     lifts = gens.lifts
-    assert gens.lift_diagonals is not None
     ncl = lifts.shape[0]
     for f in (1, 2):
         ranges, members = gens.ranges[f], gens.family(f)
@@ -333,78 +327,19 @@ def test_mask_families_equal_the_product_families(builtin):
         _same_blocks(gens.lifted(members[gs], cls), lifts[cls] @ members[gs])
 
 
-def _off_diagonal_lifts(spec, key, member):
-    """The generators of a depth-3 tower whose lift of class member has one
-    off-diagonal entry, a one at (0, 1), in its block on summand key."""
-    gens = make_generators(build_fock(spec, 3))
-    ncl = gens.lifts.shape[0]
+def test_a_lift_block_off_its_diagonal_is_refused():
+    gens = _generators("mn:2,2", 3)
+    # creations map each level to the next, off the block diagonal
+    with pytest.raises(ValueError, match="off the block diagonal"):
+        gens.family(1).diagonal()
+    ncl, key = gens.lifts.shape[0], ((2, (1,)), (2, (1,)))
     blocks = dict(gens.lifts.blocks)
     mats = [blocks[key].member((ncl,), (i,)) for i in range(ncl)]
-    mats[member] = mats[member].set_block(0, 1, ExactMatrix.identity(1))
+    mats[0] = mats[0].set_block(0, 1, ExactMatrix.identity(1))
     blocks[key] = MatrixStack.stack(mats, (ncl,))
     gens.lifts = FockFamily(gens.space, (ncl,), blocks)
-    return gens
-
-
-# (module, summand, class) -> the CK states and reports, or the CK error,
-# and the K-theory error, as the products gave them before any mask existed
-OFF_DIAGONAL_LIFT_WITNESSES = {
-    ("mn:2,2", (2, (1,)), 0): {
-        "ck": "state (family 1, class 0, generator 0) has a support that is not a "
-              "model projection",
-        "ktheory": "ktheory-compression-route: family 1 generator 0 class 0: "
-                   "nonzero block level 1 <- level 1",
-    },
-    ("mn:2,2", (3, (2, 1)), 3): {
-        "states": [(1, 0, 0, [1, 0, 1, 0]), (1, 1, 0, [0, 1, 0, 1]), (1, 2, 1, [1, 0, 1, 0]),
-                   (1, 3, 1, [0, 1, 0, 1]), (2, 0, 0, [1, 1, 0, 0]), (2, 1, 1, [1, 1, 0, 0]),
-                   (2, 2, 0, [0, 0, 1, 1]), (2, 3, 1, [0, 0, 1, 1])],
-        "ck": {"ck-class-range": "class 3: nonzero block level 3 word 21 <- level 3 word 21"},
-        "ktheory": "ktheory-compression-route: family 2 generator 0 class 3: "
-                   "nonzero block level 2 word 1 <- level 2 word 1",
-    },
-    ("perm:3", (2, (2,)), 1): {
-        "ck": "state (family 2, class 1, generator 0) has a support that is not a "
-              "model projection",
-        "ktheory": "ktheory-compression-route: family 1 generator 0 class 0: "
-                   "nonzero block level 2 word 2 <- level 2 word 2",
-    },
-    ("perm:3", (1, ()), 2): {
-        "states": [(1, 0, 0, [0, 1, 0]), (1, 1, 0, [0, 0, 1]), (1, 2, 0, [1, 0, 0]),
-                   (2, 0, 0, [0, 0, 1]), (2, 1, 0, [1, 0, 0]), (2, 2, 0, [0, 1, 0])],
-        "ck": {"ck-state-support": "state 1: nonzero block level 1 <- level 1",
-               "ck-generator-split": "family 1 generator 0: nonzero block level 1 <- level 0",
-               "ck-left-shift": "state 1: nonzero block level 2 word 1 <- level 1"},
-        "ktheory": "ktheory-compression-route: family 1 generator 0 class 1: "
-                   "nonzero block level 1 <- level 1",
-    },
-}
-
-CK_ORDER = ["ck-state-support", "ck-partial-isometry", "ck-relation", "ck-class-range",
-            "ck-total-range", "ck-generator-split", "ck-left-shift"]
-
-
-@pytest.mark.parametrize("module, summand, member", list(OFF_DIAGONAL_LIFT_WITNESSES))
-def test_a_non_diagonal_lift_takes_the_products_and_keeps_their_witnesses(module, summand,
-                                                                           member):
-    spec = (build_example_MN(2, 2) if module == "mn:2,2"
-            else build_example_alpha_beta(3, [1, 2, 0], [2, 0, 1]))
-    gens = _off_diagonal_lifts(spec, (summand, summand), member)
-    assert gens.lift_diagonals is None
-    expected = OFF_DIAGONAL_LIFT_WITNESSES[(module, summand, member)]
-    if isinstance(expected["ck"], str):
-        with pytest.raises(CKStructureError) as exc:
-            build_ck_generators(gens)
-        assert str(exc.value) == expected["ck"]
-    else:
-        bundle = build_ck_generators(gens)
-        assert [(st.family, st.class_index, st.generator_index, st.support)
-                for st in bundle.states] == expected["states"]
-        assert [(r.check_id, r.passed, r.witness) for r in verify_ck_relations(bundle)] == [
-            (cid, cid not in expected["ck"], expected["ck"].get(cid, "")) for cid in CK_ORDER]
-    with pytest.raises(AssumptionsViolated) as exc:
-        class_action_matrix(gens)
-    assert str(exc.value) == expected["ktheory"]
+    with pytest.raises(ValueError, match="off its diagonal"):
+        gens.lift_diagonals
 
 
 def _products_inside(monkeypatch, owner, name, selected=lambda *args: True):
@@ -433,20 +368,11 @@ def _products_inside(monkeypatch, owner, name, selected=lambda *args: True):
     return counts
 
 
-@pytest.mark.parametrize("diagonal", [True, False], ids=["masks", "products"])
-def test_range_commute_forms_no_product_on_diagonal_lifts(monkeypatch, diagonal):
+def test_range_commute_forms_no_product(monkeypatch):
     counts = _products_inside(monkeypatch, ktheory, "families_report",
                               lambda check_id, *rest: check_id == "ktheory-range-commute")
-    if diagonal:
-        gens = _generators("mn:2,3", 3)
-        class_action_matrix(gens)
-    else:
-        # the lifts only a mask would misread: one off-diagonal entry
-        gens = _off_diagonal_lifts(build_example_MN(2, 3), ((3, (2, 1)), (3, (2, 1))), 0)
-        with pytest.raises(AssumptionsViolated):
-            class_action_matrix(gens)
-    assert len(counts) == 1
-    assert (counts[0] == 0) == diagonal
+    class_action_matrix(_generators("mn:2,3", 3))
+    assert counts == [0]
 
 
 def test_the_pattern_read_makes_as_many_products_at_every_size(monkeypatch):

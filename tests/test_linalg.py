@@ -1010,6 +1010,14 @@ def test_pairs_of_two_vectors_match_the_loop_and_an_object_reference(case):
     # the stacked Grams are built once and reused
     assert stack.pairs(y, x) == _loop_pair(stack, y, x)
     _assert_real_flag(got)
+    # column_pairs keeps the columns (k, k) of pairs
+    xs, ys = ExactMatrix.hstack([x, y]), ExactMatrix.hstack([y, x])
+    matched = stack.column_pairs(xs, ys)
+    assert matched == stack.pairs(xs, ys).take_cols([0, 3])
+    assert stack.column_pairs(x, y) == got
+    _assert_real_flag(matched)
+    with pytest.raises(ValueError, match="column_pairs"):
+        stack.column_pairs(x, ys)
 
 
 def _full(shape, value):
@@ -1150,7 +1158,7 @@ def test_diagonal_kernels_match_the_object_reference(name, diagonals):
         (linalg.diagonal_commutator(x, left, right), [x, x], lambda P, Q, y: y @ Q - P @ y),
         (linalg.diagonal_commutator(x, None, right), [x, x], lambda P, Q, y: y @ Q),
         (linalg.diagonal_commutator(x, left, None), [x, x], lambda P, Q, y: -(P @ y)),
-        (linalg.diagonal_times(left, x), [x, x], lambda P, Q, y: P @ y),
+        (linalg.entrywise(left, x), [x, x], lambda P, Q, y: P @ y),
         (linalg.diagonal_commutator(xs, left, right), [x, -x], lambda P, Q, y: y @ Q - P @ y),
     ]
     for got, members, formula in kernels:
@@ -1188,8 +1196,9 @@ def test_stack_diagonals_selections_and_zero_one_members():
     assert columns.member((2,), (0,)) == a.diagonal_column()
     assert columns.member((2,), (1,)) == b.diagonal_column()
     off = b.set_block(0, 2, ExactMatrix.identity(1))
-    assert linalg.MatrixStack.stack([a, off], (2,)).diagonal_columns() is None
-    assert linalg.MatrixStack.stack([off.H], (1,)).diagonal_columns() is None
+    for stack in (linalg.MatrixStack.stack([a, off], (2,)), linalg.MatrixStack.stack([off.H], (1,))):
+        with pytest.raises(ValueError, match="off its diagonal"):
+            stack.diagonal_columns()
     # entries at rows and columns, as ExactMatrix selects them
     full = linalg.MatrixStack.stack([a, off], (2,))
     for i, m in enumerate([a, off]):
@@ -1208,15 +1217,13 @@ def test_stack_diagonals_selections_and_zero_one_members():
     assert zeros.member((4,), (3,)) == ExactMatrix.zeros(2, 3)
 
 
-def test_integer_rows_and_equal_rows():
+def test_integer_rows():
     rows = [[1, -(2**70)], [0, 3], [1, -(2**70)]]
     got = ExactMatrix.from_rows(rows)
     assert got == ExactMatrix.from_entries([[(v, 1, 0, 1) for v in row] for row in rows])
     assert got.integer_rows() == rows
-    assert got.equal_rows() == [[0, 2], [1]]
-    mixed = ExactMatrix.from_rows([[F(1, 2), GR(0, 1)], [0, 0], [F(1, 2), GR(0, 1)], [0, 1]])
-    assert mixed.equal_rows() == [[0, 2], [1], [3]]
-    assert ExactMatrix.from_rows([[2**62, 0]])._re.dtype == np.int64
+    assert ExactMatrix.from_rows([[F(1, 2), 0]]).integer_rows() is None
+    assert ExactMatrix.from_rows([[GR(0, 1)]]).integer_rows() is None
 
 
 def test_diagonal_inverse_scatter_and_nonzero_rows():
