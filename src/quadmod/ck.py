@@ -118,8 +118,14 @@ def verify_ck_relations(bundle: CKBundle) -> list:
     ops, adjoints = bundle.ops, bundle.adjoints
     # per family, the indices of its states in state order
     order = {f: [idx for idx, st in enumerate(states) if st.family == f] for f in (1, 2)}
-    supports = {f: lifts.combine(ExactMatrix.from_rows([states[idx].support for idx in idxs]).T)
+    # per family, the 0/1 class pattern of each state's support, one column
+    # per state: the supports are these combinations of the lifts, as a
+    # family to compare against and as diagonals to scale columns by
+    patterns = {f: ExactMatrix.from_rows([states[idx].support for idx in idxs]).T
                 for f, idxs in order.items()}
+    supports = {f: lifts.combine(pattern) for f, pattern in patterns.items()}
+    support_diagonals = {f: gens.lift_diagonals.combine(pattern)
+                         for f, pattern in patterns.items()}
     ranges = {f: ops[f] @ adjoints[f] for f in (1, 2)}
     relation = ExactMatrix.from_rows(bundle.matrix)
 
@@ -178,8 +184,8 @@ def verify_ck_relations(bundle: CKBundle) -> list:
         "ck-left-shift",
         "slicing a generator from the left equals shifting by its support "
         "from the right",
-        per_family(lambda f: ops[f] - gens.family(f)[
-            [states[idx].generator_index for idx in order[f]]] @ supports[f].window(1, K - 1)),
+        per_family(lambda f: ops[f] - support_diagonals[f].right_times(gens.family(f)[
+            [states[idx].generator_index for idx in order[f]]].window(1, K - 1))),
         1, K - 1,
     ))
     return reports

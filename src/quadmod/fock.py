@@ -254,7 +254,8 @@ class QuadSpace:
     def descend(self, op):
         """(express @ op @ include, express @ op on the null space) for an
         ambient operator op, an ExactMatrix or a _KronIdentity, or for every
-        member of a MatrixStack of them at once: the operator
+        member of a MatrixStack at once (also of a _KronIdentity of a stack,
+        on a coordinate quotient): the operator
         op induces on the quotient, and a matrix that vanishes exactly when
         op preserves the null space of the ambient Gram (express kills a
         vector exactly when the Gram does).
@@ -335,7 +336,8 @@ class _KronIdentity:
     """An ambient side operator of a balanced tensor: x (x) I_s when left
     is true, I_s (x) x otherwise. A quotient multiplies it from the left,
     which the Kronecker kernels do, or reads some of its entries, which
-    kron_identity_entries gathers; it is never formed."""
+    kron_identity_entries gathers; it is never formed. For the gather, x
+    may be a MatrixStack, whose members are all read at once."""
 
     __slots__ = ("x", "s", "left")
 
@@ -623,6 +625,14 @@ class FockDiagonal:
             raise ValueError("operators live on different towers")
         return np.broadcast_shapes(self.shape, x.shape)
 
+    def combine(self, coeffs: ExactMatrix) -> "FockDiagonal":
+        """For diagonals with one batch axis: member j of the result is
+        sum_k coeffs[k, j] * member k, as FockFamily.combine forms it."""
+        if self.shape != (coeffs.nrows,):
+            raise ValueError("coefficient rows do not match the diagonals")
+        return FockDiagonal(self.space, (coeffs.ncols,),
+                            {k: v.combine(coeffs) for k, v in self.columns.items()})
+
     def times(self, x: FockFamily) -> FockFamily:
         """D @ x, member by member: the rows of each block (dest, src) of x
         scaled by the diagonal on dest."""
@@ -630,6 +640,15 @@ class FockDiagonal:
         return FockFamily(self.space, shape, {
             (dest, src): entrywise(self.columns[dest], m)
             for (dest, src), m in x.blocks.items() if dest in self.columns})
+
+    def right_times(self, x: FockFamily) -> FockFamily:
+        """x @ D, member by member: the columns of each block (dest, src) of
+        x scaled by the diagonal on src, the commutator with no diagonal on
+        dest."""
+        shape = self._batch(x)
+        return FockFamily(self.space, shape, {
+            (dest, src): diagonal_commutator(m, None, self.columns[src])
+            for (dest, src), m in x.blocks.items() if src in self.columns})
 
     def commutator(self, x: FockFamily) -> FockFamily:
         """x @ D - D @ x, member by member: each block (dest, src) of x
@@ -811,30 +830,38 @@ class FockSpace:
         coordinates of the module summand, to the tower, as a family over
         the list: each acts on the leftmost tensor factor and is zero on the
         coefficient level. On level n >= 2 the block of L is the quotient
-        express @ (L (x) I) @ include of the summand, one per member, and
-        L must preserve the summand's null space (see QuadSpace.descend)."""
+        express @ (L (x) I) @ include of the summand, and L must preserve
+        the summand's null space (see QuadSpace.descend). On a coordinate
+        quotient the blocks and null parts of all members are read at once
+        from the stacked operators; an eliminated quotient descends them
+        one by one."""
         h = self.summands[(1, ())]
         ops = list(ops)
         if any(L.shape != (h.dim, h.dim) for L in ops):
             raise ValueError("operator must act on the module summand")
         r = len(ops)
-        blocks = {((1, ()), (1, ())): MatrixStack.stack(ops, (r,))}
+        stacked = MatrixStack.stack(ops, (r,))
+        blocks = {((1, ()), (1, ())): stacked}
         for key in self.keys:
             n, word = key
             if n < 2:
                 continue
             tail = self.summands[(n - 1, word[1:])]
             sp = self.summands[key]
-            lifted = []
-            for L in ops:
-                block, null_part = sp.descend(_KronIdentity(L, tail.dim, True))
-                if not null_part.is_zero():
-                    raise ValueError(
-                        "operator does not descend to the tensor quotient; "
-                        "it is not adjointable on the module"
-                    )
-                lifted.append(block)
-            blocks[(key, key)] = MatrixStack.stack(lifted, (r,))
+            if sp.express is None:
+                # a coordinate quotient gathers every member's entries at once
+                block, null_part = sp.descend(_KronIdentity(stacked, tail.dim, True))
+                null_parts = [null_part]
+            else:
+                descended = [sp.descend(_KronIdentity(L, tail.dim, True)) for L in ops]
+                block = MatrixStack.stack([b for b, _ in descended], (r,))
+                null_parts = [z for _, z in descended]
+            if not all(z.is_zero() for z in null_parts):
+                raise ValueError(
+                    "operator does not descend to the tensor quotient; "
+                    "it is not adjointable on the module"
+                )
+            blocks[(key, key)] = block
         return FockFamily(self, (r,), blocks)
 
     def gauge_unitary(self) -> FockOperator:

@@ -210,13 +210,14 @@ def _int_array(values, shape):
     return np.array(values, dtype=np.int64 if fits else object).reshape(shape)
 
 
-def _cmul(are, aim, bre, bim):
+def _cmul(are, aim, bre, bim, a_peak: int, b_peak: int):
     """(are + i aim) @ (bre + i bim) as the one real product
     [[Are, -Aim], [Aim, Are]] @ [Bre; Bim] = [Re; Im], whose inner dimension
-    is 2k; leading batch axes broadcast as in _rmul."""
+    is 2k; leading batch axes broadcast as in _rmul. a_peak bounds both
+    parts of a, and b_peak both parts of b."""
     a = np.concatenate([np.concatenate([are, -aim], -1), np.concatenate([aim, are], -1)], -2)
     b = np.concatenate([bre, bim], -2)
-    c = _rmul(a, b, max(_max_abs(are), _max_abs(aim)), max(_max_abs(bre), _max_abs(bim)))
+    c = _rmul(a, b, a_peak, b_peak)
     m = are.shape[-2]
     return c[..., :m, :], c[..., m:, :]
 
@@ -238,7 +239,7 @@ def _product(a, b):
         c = _rmul(a._re, np.concatenate([b._re, b._im], -1), *peaks)
         n = b._re.shape[-1]
         return c[..., :n], c[..., n:]
-    return _cmul(a._re, a._im, b._re, b._im)
+    return _cmul(a._re, a._im, b._re, b._im, *peaks)
 
 
 def _normalized(re, im, den: int, real: bool):
@@ -1096,7 +1097,7 @@ def weighted_sum(mats, coeffs: ExactMatrix) -> ExactMatrix:
     return MatrixFamily([m] for m in mats).combine(coeffs)[0][0]
 
 
-def _permuted(x: ExactMatrix, shape, axes, rows: int, cols: int) -> ExactMatrix:
+def regroup(x: ExactMatrix, shape, axes, rows: int, cols: int) -> ExactMatrix:
     """The entries of x read row-major as an array of the given shape, its
     axes permuted, as a rows x cols matrix. Moving entries keeps x's
     normalisation, so the result is not normalised again."""
@@ -1117,7 +1118,7 @@ def kron_sum(lefts, rights) -> ExactMatrix:
     a, [(m, n)] = _flatten([x] for x in lefts)
     b, [(p, q)] = _flatten([x] for x in rights)
     # entry ((i, j), (k, l)) of a^T b is sum_t lefts[t][i, j] * rights[t][k, l]
-    return _permuted(a.T @ b, (m, n, p, q), (0, 2, 1, 3), m * p, n * q)
+    return regroup(a.T @ b, (m, n, p, q), (0, 2, 1, 3), m * p, n * q)
 
 
 def times_kron_identity(mat: ExactMatrix, x: ExactMatrix, s: int) -> ExactMatrix:
@@ -1128,9 +1129,9 @@ def times_kron_identity(mat: ExactMatrix, x: ExactMatrix, s: int) -> ExactMatrix
     if mat.ncols != h * s:
         raise ValueError("matrix columns do not match the Kronecker product")
     # column (t, v) of row i moves to column t of row (i, v) ...
-    folded = _permuted(mat, (r, h, s), (0, 2, 1), r * s, h)
+    folded = regroup(mat, (r, h, s), (0, 2, 1), r * s, h)
     # ... and column j of row (i, v) of the product back to column (j, v) of row i
-    return _permuted(folded @ x, (r, s, q), (0, 2, 1), r, q * s)
+    return regroup(folded @ x, (r, s, q), (0, 2, 1), r, q * s)
 
 
 def identity_kron_times(s: int, x: ExactMatrix, mat: ExactMatrix) -> ExactMatrix:
@@ -1141,9 +1142,9 @@ def identity_kron_times(s: int, x: ExactMatrix, mat: ExactMatrix) -> ExactMatrix
     if mat.nrows != s * p:
         raise ValueError("matrix rows do not match the Kronecker product")
     # row (i, t) of mat moves to row t of column block i ...
-    folded = _permuted(mat, (s, p, n), (1, 0, 2), p, s * n)
+    folded = regroup(mat, (s, p, n), (1, 0, 2), p, s * n)
     # ... and row k of column block i of the product back to row (i, k)
-    return _permuted(x @ folded, (a, s, n), (1, 0, 2), s * a, n)
+    return regroup(x @ folded, (a, s, n), (1, 0, 2), s * a, n)
 
 
 def times_identity_kron(mat: ExactMatrix, s: int, x: ExactMatrix) -> ExactMatrix:
@@ -1156,32 +1157,36 @@ def times_identity_kron(mat: ExactMatrix, s: int, x: ExactMatrix) -> ExactMatrix
     r = mat.nrows
     if mat.ncols != s * h:
         raise ValueError("matrix columns do not match the Kronecker product")
-    folded = _permuted(mat, (r, s, h), (0, 1, 2), r * s, h)
-    return _permuted(folded @ x, (r, s, q), (0, 1, 2), r, s * q)
+    folded = regroup(mat, (r, s, h), (0, 1, 2), r * s, h)
+    return regroup(folded @ x, (r, s, q), (0, 1, 2), r, s * q)
 
 
-def kron_identity_entries(x: ExactMatrix, s: int, left: bool, rows, cols) -> ExactMatrix:
+def kron_identity_entries(x, s: int, left: bool, rows, cols):
     """The entries of x (x) I_s (left) or I_s (x) x (otherwise) at the given
     rows and columns, gathered from x without forming the Kronecker product
-    (see the module docstring)."""
-    p, q = x.shape
+    (see the module docstring). x is an ExactMatrix, or a MatrixStack whose
+    members are all read by the one gather, into a stack of the same batch
+    shape."""
+    p, q = x._re.shape[-2:]
     rows = np.asarray(rows, dtype=np.intp).reshape(-1)
     cols = np.asarray(cols, dtype=np.intp).reshape(-1)
     for idx, size in ((rows, p * s), (cols, q * s)):
         if idx.size and (idx.min() < 0 or idx.max() >= size):
             raise ValueError("index outside the Kronecker product")
     if not rows.size or not cols.size:
+        if isinstance(x, MatrixStack):
+            return MatrixStack.zeros(x.batch_shape + (rows.size, cols.size))
         return ExactMatrix.zeros(rows.size, cols.size)
     if left:
         (a, u), (b, v) = np.divmod(rows, s), np.divmod(cols, s)
     else:
         (u, a), (v, b) = np.divmod(rows, p), np.divmod(cols, q)
     keep = u[:, None] == v[None, :]
-    at = a[:, None], b[None, :]
+    at = Ellipsis, a[:, None], b[None, :]
     re = np.where(keep, x._re[at], 0)
     if x._real:
-        return ExactMatrix(re, _zero(re.shape), x._den, _real=True, _peak=x._peak)
-    return ExactMatrix(re, np.where(keep, x._im[at], 0), x._den, _peak=x._peak)
+        return type(x)(re, _zero(re.shape), x._den, _real=True, _peak=x._peak)
+    return type(x)(re, np.where(keep, x._im[at], 0), x._den, _peak=x._peak)
 
 
 def gram_adjoint(t: ExactMatrix, gram_dom: ExactMatrix, gram_cod: ExactMatrix) -> ExactMatrix:
@@ -1310,8 +1315,8 @@ class GramStack:
         if x.nrows != self.dim or y.nrows != self.dim:
             raise ValueError("pairs takes vectors of the form's dimension")
         d, n, a, b = self.num_coords, self.dim, x.ncols, y.ncols
-        gy = _permuted(self._vstacked() @ y, (d, n, b), (1, 0, 2), n, d * b)
-        return _permuted(x.H @ gy, (a, d, b), (1, 0, 2), d, a * b)
+        gy = regroup(self._vstacked() @ y, (d, n, b), (1, 0, 2), n, d * b)
+        return regroup(x.H @ gy, (a, d, b), (1, 0, 2), d, a * b)
 
     def column_pairs(self, x: ExactMatrix, y: ExactMatrix) -> ExactMatrix:
         """The algebra elements <x_k|y_k> for every column k of x and of y,

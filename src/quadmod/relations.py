@@ -15,22 +15,38 @@ identity is one FockFamily expression over all its members at once: the
 fixed operators (basis creations and annihilations, side and right
 actions, generators) are gathered into families once, with size-1 axes
 where a member does not depend on them, and the members that vary are
-built with the batched creations, left_actions and expansions. Each
-member keeps its own formula. Only the rightmost factors, and the batched
-operators, are restricted to the declared window: the source summands of a
-product are those of its rightmost factor, so no block inside the window
-changes (see the fock module on window pruning).
+built with the batched creations and left_actions. Each member keeps its
+own formula. Only the rightmost factors, and the batched operators, are
+restricted to the declared window: the source summands of a product are
+those of its rightmost factor, so no block inside the window changes (see
+the fock module on window pruning).
+
+The side action phi is linear, so every operator rebuilt from a generating
+family S_1, ..., S_n is a combination of one basis family built once per
+family, with phi(e_c) the action of side basis element c and <.|.>_c
+coordinate c of the side inner product:
+
+* the creation of x is sum_{i,c} <m_i|x>_c S_i phi(e_c), a combination of
+  the expansion basis S_i phi(e_c);
+* a module map L is represented by sum_{i,j,c} <m_j|L m_i>_c
+  S_j phi(e_c) S_i*, a combination of the representation basis
+  S_j phi(e_c) S_i*;
+* the scalar compression sum_i S_i* phi'(<e_p|e_q>') S_i, phi' being the
+  other side's action, is the combination of the members S_i* phi'(e_c) S_i
+  with the coordinates of <e_p|e_q>'.
+
+Each combination is one exact product per block (FockFamily.combine) and
+moving it outside the products changes no entry. Restricting a basis family
+to a window restricts its rightmost factor, as above.
 """
 
 from __future__ import annotations
 
-import functools
-import operator
 from dataclasses import dataclass
 from functools import cached_property
 
 from .fock import FockDiagonal, FockFamily, FockOperator, FockSpace
-from .linalg import ExactMatrix, MatrixStack, gram_adjoint, kron_sum, weighted_sum
+from .linalg import ExactMatrix, MatrixStack, gram_adjoint, kron_sum, regroup, weighted_sum
 from .opalgebra import DiagonalOperatorModel, NotDiagonalModel
 from .report import CheckResult, IdentityReport
 from .scalars import GaussianRational
@@ -42,8 +58,9 @@ _I = GaussianRational(0, 1)
 class GeneratorFamily:
     """Creation operators attached to the two generating families, each
     family one FockFamily over its generators, with everything derived
-    from them: their adjoints and range projections, the left-action
-    operator model and its lifts to the tower.
+    from them: their adjoints and range projections, the basis families
+    that expansions and represented module maps combine (see the module
+    docstring), the left-action operator model and its lifts to the tower.
 
     Derived operators are built on first use, so a module whose left
     actions are not diagonal raises NotDiagonalModel only where a stage
@@ -78,20 +95,47 @@ class GeneratorFamily:
         ranges = self.ranges[family]
         return ranges.sums(ranges.shape[0])
 
+    def inner(self, family: int):
+        """The side-algebra-valued inner product of one family's side."""
+        spec = self.space.spec
+        return spec.inner_B1 if family == 1 else spec.inner_B2
+
+    @cached_property
+    def side_bases(self) -> dict:
+        """Per side (1 or 2), the actions of the side algebra's basis
+        elements on the whole tower, in basis order."""
+        space = self.space
+        return {side: space.left_actions(side, ExactMatrix.identity(self.inner(side).num_coords),
+                                         (0, space.depth))
+                for side in (1, 2)}
+
+    @cached_property
+    def expansion_bases(self) -> dict:
+        """Per family, the members (i, c), i slowest, S_i phi(e_c) on the
+        whole tower: generator i followed by the side action of basis
+        element c. Every expansion is a combination of them."""
+        return {fam: (self.family(fam).reshape((-1, 1)) @ self.side_bases[fam].reshape((1, -1)))
+                .reshape((-1,)) for fam in (1, 2)}
+
+    @cached_property
+    def representation_bases(self) -> dict:
+        """Per family, the members (j, c, i), j slowest, S_j phi(e_c) S_i* on
+        the whole tower: the expansion basis times each adjoint. Every
+        represented module map is a combination of them."""
+        return {fam: (basis.reshape((-1, 1)) @ self.adjoints[fam].reshape((1, -1))).reshape((-1,))
+                for fam, basis in self.expansion_bases.items()}
+
     def expansions(self, family: int, xs: ExactMatrix, window) -> FockFamily:
         """The creation operators of the module vectors in the columns of xs
         rebuilt from the generating family, as a family over the columns:
-        the sum over members m_i of their creation followed by the side
-        action of the inner products <m_i, x>. The side actions, the
-        rightmost factors, are built on the source window only."""
-        spec = self.space.spec
-        stack = spec.inner_B1 if family == 1 else spec.inner_B2
-        members = self.members(family)
-        ops = self.family(family)
-        return _total(
-            ops[i] @ self.space.left_actions(family, stack.pairs(members.take_cols([i]), xs), window)
-            for i in range(members.ncols)
-        )
+        sum_i S_i phi(<m_i|x>), the combination of the expansion basis with
+        coefficient (i, c) the coordinate c of <m_i|x>. The side actions,
+        the rightmost factors, are kept on the source window only."""
+        stack = self.inner(family)
+        n, nc, m = self.members(family).ncols, stack.num_coords, xs.ncols
+        # column (i, k) of the pairs holds <m_i|x_k>; row (i, c) of coeffs
+        coeffs = regroup(stack.pairs(self.members(family), xs), (nc, n, m), (1, 0, 2), n * nc, m)
+        return self.expansion_bases[family].window(*window).combine(coeffs)
 
     @cached_property
     def model(self) -> DiagonalOperatorModel:
@@ -224,10 +268,6 @@ def _to_ambient(space: FockSpace, L: ExactMatrix) -> ExactMatrix:
     return h.ambient(L)
 
 
-def _total(terms):
-    return functools.reduce(operator.add, terms)
-
-
 def verify_creation_relations(gens: GeneratorFamily) -> list:
     """Structural identities of single creation and annihilation operators."""
     space = gens.space
@@ -305,7 +345,7 @@ def verify_creation_relations(gens: GeneratorFamily) -> list:
               lambda s, p, c: f"{samples[s][0]}, vector {p}, side element {c}")], 0, K - 1,
         ))
 
-        inner = spec.inner_B1 if family == 1 else spec.inner_B2
+        inner = gens.inner(family)
         values = ExactMatrix.hstack([inner.pairs(eye, L_amb) for L_amb in ambients])
         reports.append(families_report(
             f"compressed-left-action-{fam_name}",
@@ -392,7 +432,7 @@ def verify_defining_relations(gens: GeneratorFamily) -> list:
         ops, adj = gens.family(side), gens.adjoints[side]
         members = gens.members(side)
         n = members.ncols
-        stack = spec.inner_B1 if side == 1 else spec.inner_B2
+        stack = gens.inner(side)
         reports.append(families_report(
             f"defining-relation-{number}",
             f"{which}-family compressions recover the {which}-side inner products",
@@ -410,8 +450,7 @@ def verify_defining_relations(gens: GeneratorFamily) -> list:
         (2, 1): "the second side action shifts across first-family generators",
         (2, 2): "the second side action shifts across second-family generators",
     }
-    acts = {side: space.left_actions(side, ExactMatrix.identity(len(ops)), (0, K))
-            for side, ops in ((1, spec.left_B1), (2, spec.left_B2))}
+    acts = gens.side_bases
     for number, (side, family) in ((5, (1, 1)), (6, (1, 2)), (7, (2, 1)), (8, (2, 2))):
         amb_ops = spec.left_B1 if side == 1 else spec.left_B2
         nc = len(amb_ops)
@@ -430,19 +469,38 @@ def verify_defining_relations(gens: GeneratorFamily) -> list:
 
 def represent_module_maps(gens: GeneratorFamily, ambients: list) -> FockFamily:
     """The tower operators assembled from module maps' matrix coefficients
-    against the two generating families, as a family over the maps: for
-    each family, the generators rebuilt from the mapped members, each
-    times its adjoint, summed over the generators."""
-    space = gens.space
+    against the two generating families, as a family over the maps: the
+    sum over both families of sum_{i,j} S_j phi(<m_j|L m_i>) S_i*, the
+    combination of the representation basis with coefficient (j, c, i) the
+    coordinate c of <m_j|L m_i>."""
     r = len(ambients)
     terms = []
     for family in (1, 2):
         members = gens.members(family)
-        n = members.ncols
+        stack = gens.inner(family)
+        n, nc = members.ncols, stack.num_coords
         mapped = ExactMatrix.hstack([L_amb @ members for L_amb in ambients])
-        rebuilt = gens.expansions(family, mapped, (0, space.depth)).reshape((r, n))
-        terms.append((rebuilt @ gens.adjoints[family].reshape((1, n))).reshape((r * n,)).sums(n))
-    return _total(terms)
+        # column (j, l, i) of the pairs holds <m_j|L_l m_i>; row (j, c, i) of coeffs
+        coeffs = regroup(stack.pairs(members, mapped), (nc, n, r, n), (1, 0, 3, 2), n * nc * n, r)
+        terms.append(gens.representation_bases[family].combine(coeffs))
+    return terms[0] + terms[1]
+
+
+def scalar_compressions(gens: GeneratorFamily, family: int) -> FockFamily:
+    """Member (p, q), p slowest: sum_i S_i* L(<e_p|e_q>) S_i on source
+    levels 0 to K - 1, L being the other side's action and <.|.> its inner
+    product, as the combination of the nc members sum_i S_i* L(e_c) S_i
+    with the coordinates of the inner products."""
+    K = gens.space.depth
+    other = 2 if family == 1 else 1
+    stack = gens.inner(other)
+    eye = ExactMatrix.identity(gens.space.spec.dim)
+    ops, adj = gens.family(family), gens.adjoints[family]
+    # member (i, c) is S_i* L(e_c) S_i; each coordinate c repeats once per i
+    terms = (adj.reshape((-1, 1)) @ gens.side_bases[other].reshape((1, -1))
+             @ ops.window(0, K - 1).reshape((-1, 1))).reshape((-1,))
+    pairs = stack.pairs(eye, eye)
+    return terms.combine(ExactMatrix.vstack([pairs] * ops.shape[0]))
 
 
 def _complex_sample(dim: int) -> ExactMatrix:
@@ -464,25 +522,14 @@ def verify_reconstruction_identities(gens: GeneratorFamily) -> list:
     eye = ExactMatrix.identity(d)
     reports = []
 
-    def scalar_compression(family):
-        """Member (p, q): sum_i m_i^* L(<e_p|e_q>) m_i minus the side action
-        of the embedded base inner product, L being the other side's action;
-        every intermediate family is released on return."""
-        other = 2 if family == 1 else 1
-        stack = spec.inner_B2 if family == 1 else spec.inner_B1
-        embed = spec.left_embed_1 if family == 1 else spec.left_embed_2
-        mid = space.left_actions(other, stack.pairs(eye, eye), (0, K))
-        ops, adj = gens.family(family), gens.adjoints[family]
-        lhs = _total(adj[i] @ mid @ ops[i].window(0, K - 1) for i in range(ops.shape[0]))
-        rhs = space.left_actions(family, embed(spec.inner_A.pairs(eye, eye)), (0, K - 1))
-        return (lhs - rhs).reshape((d, d))
-
     for family, fam_name, which in ((1, "1", "first"), (2, "2", "second")):
+        embed = spec.left_embed_1 if family == 1 else spec.left_embed_2
+        rhs = space.left_actions(family, embed(spec.inner_A.pairs(eye, eye)), (0, K - 1))
         reports.append(families_report(
             f"scalar-compression-{fam_name}",
             "averaging the other side's inner-product action over the "
             f"{which} family recovers the embedded base inner product",
-            [(scalar_compression(family),
+            [((scalar_compressions(gens, family) - rhs).reshape((d, d)),
               lambda p, q: f"vectors ({p}, {q})")], 0, K - 1,
         ))
 
@@ -517,9 +564,10 @@ def verify_reconstruction_identities(gens: GeneratorFamily) -> list:
          "the reversed product of the side actions is rebuilt from its coefficients",
          phi2w @ phi1z, action(2, w, 0) @ action(1, z)),
     ]
+    represented = represent_module_maps(gens, [amb for _, _, amb, _ in cases])
     rebuilt = {}
-    for check_id, statement, amb, expected in cases:
-        rebuilt[check_id] = represent_module_maps(gens, [amb])
+    for k, (check_id, statement, _, expected) in enumerate(cases):
+        rebuilt[check_id] = represented.member((k,))
         reports.append(window_report(
             check_id, statement, rebuilt[check_id] - expected, 2, K,
         ))
@@ -558,7 +606,7 @@ def verify_module_map_representation(gens: GeneratorFamily) -> list:
     values = {}
     for family in (1, 2):
         members = gens.members(family)
-        stack = spec.inner_B1 if family == 1 else spec.inner_B2
+        stack = gens.inner(family)
         values[family] = ExactMatrix.hstack([stack.pairs(members, L_amb @ members)
                                              for L_amb in ambients])
     n = gens.S.shape[0]

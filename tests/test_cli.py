@@ -531,9 +531,9 @@ def test_real_products_skip_the_complex_kernel(monkeypatch, capsys, argv):
     real = []
     cmul = linalg._cmul
 
-    def counted(are, aim, bre, bim):
+    def counted(are, aim, bre, bim, *peaks):
         real.append(not aim.any() and not bim.any())
-        return cmul(are, aim, bre, bim)
+        return cmul(are, aim, bre, bim, *peaks)
 
     monkeypatch.setattr(linalg, "_cmul", counted)
     code, _, _ = run_cli(capsys, "full", *argv)

@@ -187,6 +187,27 @@ def test_lift_of_left_action_matches_tower_action():
     assert diff.is_zero_on_source_levels(1, space.depth)
 
 
+def test_lifts_gather_all_members_at_once_on_a_coordinate_quotient(monkeypatch):
+    # one gather for the blocks and one for the null parts per summand,
+    # however many operators are lifted, and each member is its own lift
+    space = bipartite_space()
+    h = space.summand((1, ()))
+    ops = list(h.left_B1) + list(h.left_B2) + [h.left_B1[0] @ h.left_B2[1]]
+    gathers = []
+
+    def counted(*args, _call=fock.kron_identity_entries):
+        gathers.append(1)
+        return _call(*args)
+
+    monkeypatch.setattr(fock, "kron_identity_entries", counted)
+    lifted = space.lifts(ops)
+    upper = [k for k in space.keys if k[0] >= 2]
+    assert all(space.summand(k).express is None for k in upper)
+    assert len(gathers) == 2 * len(upper)
+    for i, L in enumerate(ops):
+        assert lifted.member((i,)) == space.lift(L)
+
+
 def test_apply_moves_vectors_up_one_level():
     space = bipartite_space()
     s = space.creation(1, space.spec.basis_U[0])

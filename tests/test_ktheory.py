@@ -325,6 +325,13 @@ def test_mask_families_equal_the_product_families(builtin):
         # every (class, generator) pair, as build_ck_generators indexes them
         cls, gs = np.divmod(np.arange(ncl * members.shape[0]), members.shape[0])
         _same_blocks(gens.lifted(members[gs], cls), lifts[cls] @ members[gs])
+    # a generator times combined lifts, as ck-left-shift forms it: each
+    # class alone and all of them together
+    patterns = ExactMatrix.hstack([ExactMatrix.identity(ncl), ExactMatrix.column([1] * ncl)])
+    combined = gens.lift_diagonals.combine(patterns)
+    for f in (1, 2):
+        member = gens.family(f)[0]
+        _same_blocks(combined.right_times(member), member @ lifts.combine(patterns))
 
 
 def test_a_lift_block_off_its_diagonal_is_refused():

@@ -1122,6 +1122,22 @@ def test_kron_identity_entries_match_the_formed_kron(name, left):
         linalg.kron_identity_entries(x, s, left, [0], [-1])
 
 
+@pytest.mark.parametrize("left", [True, False], ids=["x(x)I", "I(x)x"])
+@pytest.mark.parametrize("name", list(GATHERED))
+def test_kron_identity_entries_gather_a_stack_member_by_member(name, left):
+    x = ExactMatrix.from_rows(GATHERED[name])
+    members = [x, -x, x.scale(GR("1/3")), ExactMatrix.zeros(*x.shape)]
+    stack = linalg.MatrixStack.stack(members, (2, 2))
+    s = 2
+    rows, cols = [0, 3, 5, 1], [3, 0, 2]
+    for rs, cs in [(rows, cols), ([], cols), (rows, [])]:
+        got = linalg.kron_identity_entries(stack, s, left, rs, cs)
+        assert got.batch_shape == (2, 2)
+        for k, member in enumerate(members):
+            want = linalg.kron_identity_entries(member, s, left, rs, cs)
+            assert got.member((2, 2), divmod(k, 2)) == want
+
+
 def _max_entry(x):
     return max((abs(int(v)) for part in (x._re, x._im) for v in part.ravel()), default=0)
 

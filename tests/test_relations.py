@@ -1,7 +1,12 @@
+import functools
 import itertools
+import operator
 
 import pytest
+from test_cli import rotated_bipartite
+from test_ktheory import _same_blocks
 
+from quadmod import fock
 from quadmod.fock import FockOperator, FockSpace, build_fock
 from quadmod.linalg import ExactMatrix, weighted_sum
 from quadmod.quadmodule import build_example_MN, build_example_alpha_beta
@@ -10,7 +15,9 @@ from quadmod.relations import (
     full_identity_suite,
     make_generators,
     represent_module_maps,
+    scalar_compressions,
 )
+from quadmod.scalars import GaussianRational
 
 # every identity the suite checks, with its truncation window at depth K
 # (upper bounds written as offsets from K)
@@ -172,6 +179,109 @@ def test_lift_projection_is_the_lift_of_the_model_projection(tower, request):
         column = ExactMatrix.column(list(pattern))
         expected = space.lift(weighted_sum(model.idempotents, column))
         assert gens.lifts.combine(column).member((0,)) == expected, pattern
+
+
+# -- operators rebuilt from the basis families -------------------------------
+
+# The formulas below sum one product per generator, each with its own side
+# action; the suite combines basis families built once instead, and the two
+# must agree block for block.
+
+
+def _total(terms):
+    return functools.reduce(operator.add, terms)
+
+
+def reference_expansions(gens, family, xs, window):
+    # sum_i S_i phi(<m_i|x>), one side action per generator
+    space = gens.space
+    members, ops = gens.members(family), gens.family(family)
+    return _total(
+        ops[i] @ space.left_actions(family, gens.inner(family).pairs(members.take_cols([i]), xs),
+                                    window)
+        for i in range(members.ncols))
+
+
+def reference_module_maps(gens, ambients):
+    # per family, the generators rebuilt from the mapped members, each times
+    # its adjoint, summed over the generators
+    r = len(ambients)
+    terms = []
+    for family in (1, 2):
+        members = gens.members(family)
+        n = members.ncols
+        mapped = ExactMatrix.hstack([L_amb @ members for L_amb in ambients])
+        rebuilt = reference_expansions(gens, family, mapped, (0, gens.space.depth)).reshape((r, n))
+        terms.append((rebuilt @ gens.adjoints[family].reshape((1, n))).reshape((r * n,)).sums(n))
+    return _total(terms)
+
+
+def reference_scalar_compressions(gens, family):
+    # member (p, q): sum_i S_i* L(<e_p|e_q>) S_i, one product per generator
+    space = gens.space
+    K = space.depth
+    eye = ExactMatrix.identity(space.spec.dim)
+    other = 2 if family == 1 else 1
+    mid = space.left_actions(other, gens.inner(other).pairs(eye, eye), (0, K))
+    ops, adj = gens.family(family), gens.adjoints[family]
+    return _total(adj[i] @ mid @ ops[i].window(0, K - 1) for i in range(ops.shape[0]))
+
+
+REBUILT_TOWERS = {
+    "mn:2,2": lambda: build_example_MN(2, 2),
+    "perm:4": lambda: build_example_alpha_beta(4, [1, 0, 3, 2], [2, 3, 0, 1]),
+    # complex Grams that are not diagonal: every tensor quotient eliminates
+    "rotated_bipartite": rotated_bipartite,
+}
+
+
+def _rebuilt_cases(spec):
+    """Module vectors, with a complex one, and ambient module maps, with a
+    complex one and a product, to rebuild."""
+    d = spec.dim
+    eye = ExactMatrix.identity(d)
+    i = GaussianRational(0, 1)
+    extra = eye.take_cols([0]) + eye.take_cols([d - 1]).scale(i)
+    maps = [spec.left_B1[0], spec.left_B2[-1].scale(i), spec.left_B1[0] @ spec.left_B2[-1]]
+    return ExactMatrix.hstack([eye, extra]), maps
+
+
+@pytest.mark.parametrize("module", list(REBUILT_TOWERS))
+def test_combinations_of_the_basis_families_match_the_per_generator_formulas(module):
+    spec = REBUILT_TOWERS[module]()
+    gens = make_generators(build_fock(spec, 3))
+    K = gens.space.depth
+    xs, maps = _rebuilt_cases(spec)
+    for family in (1, 2):
+        for window in ((0, K - 1), (0, K), (1, K - 1)):
+            _same_blocks(gens.expansions(family, xs, window),
+                         reference_expansions(gens, family, xs, window))
+        _same_blocks(scalar_compressions(gens, family).reshape((-1,)),
+                     reference_scalar_compressions(gens, family))
+    _same_blocks(represent_module_maps(gens, maps), reference_module_maps(gens, maps))
+
+
+def test_cached_basis_families_leave_no_products(monkeypatch, bipartite):
+    # once the basis families exist, an expansion or a represented module
+    # map is a combination of them: no block product at all
+    gens = make_generators(bipartite)
+    gens.representation_bases
+    products = []
+
+    def counted(a, b, _call=fock._product_blocks):
+        products.append(1)
+        return _call(a, b)
+
+    monkeypatch.setattr(fock, "_product_blocks", counted)
+    spec = bipartite.spec
+    xs, maps = _rebuilt_cases(spec)
+    for family in (1, 2):
+        gens.expansions(family, xs, (0, bipartite.depth - 1))
+    represent_module_maps(gens, maps)
+    assert products == []
+    # the spy sees the products a family expression makes
+    gens.S @ gens.T
+    assert products
 
 
 # -- witnesses under perturbed towers --------------------------------------
