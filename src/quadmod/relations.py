@@ -131,10 +131,10 @@ class GeneratorFamily:
         sum_i S_i phi(<m_i|x>), the combination of the expansion basis with
         coefficient (i, c) the coordinate c of <m_i|x>. The side actions,
         the rightmost factors, are kept on the source window only."""
-        stack = self.inner(family)
-        n, nc, m = self.members(family).ncols, stack.num_coords, xs.ncols
+        stack, members = self.inner(family), self.members(family)
+        n, nc, m = members.ncols, stack.num_coords, xs.ncols
         # column (i, k) of the pairs holds <m_i|x_k>; row (i, c) of coeffs
-        coeffs = regroup(stack.pairs(self.members(family), xs), (nc, n, m), (1, 0, 2), n * nc, m)
+        coeffs = regroup(stack.pairs(members, xs), (nc, n, m), (1, 0, 2), n * nc, m)
         return self.expansion_bases[family].window(*window).combine(coeffs)
 
     @cached_property
@@ -335,7 +335,7 @@ def verify_creation_relations(gens: GeneratorFamily) -> list:
         by_sample = ExactMatrix.hstack([rop @ L_amb for L_amb in ambients for rop in rops])
         transformed = by_sample.take_cols(
             [(s * nc + c) * d + p for s in range(ns) for p in range(d) for c in range(nc)])
-        side = space.left_actions(family, ExactMatrix.identity(nc), (0, K - 1))
+        side = gens.side_bases[family].window(0, K - 1)
         reports.append(families_report(
             f"creation-lift-intertwine-{fam_name}",
             "creation by a transformed and side-scaled vector factors through "
