@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import ExactMatrix, MatrixStack
+from .linalg import ExactMatrix
 
 
 class CommAlgebra:
@@ -72,8 +72,8 @@ class AlgebraHom:
         grid (r, i), row r of M scaled by M[r, i] must equal the unit row
         e_i scaled by M[r, i]."""
         t, s = self.matrix.shape
-        rows = MatrixStack.regrouped(self.matrix, (t, 1, 1, s), (0, 1, 2, 3))
-        units = MatrixStack.regrouped(ExactMatrix.identity(s), (1, s, 1, s), (0, 1, 2, 3))
+        rows = self.matrix.regrouped((t, 1, 1, s), (0, 1, 2, 3))
+        units = ExactMatrix.identity(s).regrouped((1, s, 1, s), (0, 1, 2, 3))
         return (rows.scaled(self.matrix) - units.scaled(self.matrix)).is_zero()
 
     def is_star_map(self) -> bool:
@@ -92,12 +92,6 @@ class AlgebraHom:
         if not self.is_star_map():
             failures.append("star-preserving")
         return failures
-
-    def compose(self, inner: "AlgebraHom") -> "AlgebraHom":
-        """self after inner."""
-        if inner.target.dim != self.source.dim:
-            raise ValueError("composition dimension mismatch")
-        return AlgebraHom(inner.source, self.target, self.matrix @ inner.matrix)
 
     def first_outside_range(self, ys: ExactMatrix) -> int | None:
         """The first column of ys that is not self(x) for any x, or None.

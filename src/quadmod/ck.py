@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebras import AlgebraHom
-from .linalg import ExactMatrix, MatrixStack
+from .linalg import ExactMatrix
 from .relations import GeneratorFamily, families_report, window_report
 
 
@@ -38,7 +38,7 @@ class CKState:
 @dataclass
 class CKBundle:
     """The states, first family first, and their relation matrix; ops and
-    adjoints hold each family's states, and their adjoints, as a FockFamily."""
+    adjoints hold each family's states, and their adjoints, as one FockOperator."""
 
     gens: GeneratorFamily
     states: list
@@ -73,7 +73,7 @@ def build_ck_generators(gens: GeneratorFamily) -> CKBundle:
     ncl = lifts.shape[0]
     module = (1, ())
     h = gens.space.summand(module)
-    classes = MatrixStack.stack(model.idempotents, (ncl, 1))
+    classes = ExactMatrix.stack(model.idempotents, (ncl, 1))
     states, ops, adjoints = [], {}, {}
     for family in (1, 2):
         members = gens.family(family)
@@ -81,7 +81,7 @@ def build_ck_generators(gens: GeneratorFamily) -> CKBundle:
         vectors = h.coordinates(gens.members(family))
         # per (class, generator): whether E_cl m_g, or the coefficient-level
         # block of the slice, is nonzero
-        columns = MatrixStack.regrouped(vectors, (h.dim, ng, 1), (1, 0, 2))
+        columns = vectors.regrouped((h.dim, ng, 1), (1, 0, 2))
         reach = (classes @ columns.reshaped((ng,), (1, ng))).nonzero()
         coefficient = members.blocks.get((module, (0, ())))
         if coefficient is not None:

@@ -22,15 +22,17 @@ a balanced tensor, x (x) I and I (x) x, are never formed: linalg's
 Kronecker kernels multiply by them, and kron_identity_entries gathers the
 entries a coordinate quotient reads.
 
-Operators on the tower are block matrices over the summands (FockOperator).
-A FockFamily holds many of them at once, each block a MatrixStack over all
-members, so a family product or sum is one exact product or sum per pair
-of blocks, under the per-entry bound of linalg whatever the number of
-members. creations, left_actions, right_actions and lifts build whole
-families: the creations of every column of a matrix of module vectors, the
-side actions of every column of a coefficient matrix, or the lifts of a
-list of module operators, in one product per block; creation and lift are
-their one-member cases. A family whose blocks are all diagonal, such as the
+Operators on the tower are block matrices over the summands
+(FockOperator), indexed by a batch shape: each block is one ExactMatrix
+holding that block of every member in its batch axes, so a product or sum
+of operators is one exact product or sum per pair of blocks, under the
+per-entry bound of linalg whatever the number of members. A single
+operator has the batch shape (), and indexing op[i] reads member i.
+creations, left_actions, right_actions and lifts build whole batches: the
+creations of every column of a matrix of module vectors, the side actions
+of every column of a coefficient matrix, or the lifts of a list of module
+operators, in one product per block; creation and lift are their
+one-member cases. An operator whose blocks are all diagonal, such as the
 lifts of a diagonal model, can also be read as a FockDiagonal, which
 multiplies by it and takes commutators with it without a matrix product.
 
@@ -46,6 +48,7 @@ from __future__ import annotations
 
 import bisect
 import functools
+import itertools
 import os
 
 import numpy as np
@@ -53,8 +56,6 @@ import numpy as np
 from .linalg import (
     ExactMatrix,
     GramStack,
-    MatrixFamily,
-    MatrixStack,
     diagonal_commutator,
     entrywise,
     identity_kron_times,
@@ -65,7 +66,6 @@ from .linalg import (
 )
 from .quadmodule import QuadModuleSpec
 from .report import CheckResult
-from .scalars import GaussianRational
 
 # Exact rational arithmetic is cubic in the level dimension, so the
 # default budget refuses towers that would grind or exhaust memory.
@@ -112,7 +112,7 @@ def _coordinate_quotient(scalar: ExactMatrix):
     the coordinates reps where the diagonal is nonzero (the pivots rref
     would find), its Gram is the diagonal there, inverted entry by entry,
     and no express map is needed, as express is the row selection reps."""
-    reps = scalar.diagonal_column().nonzero_rows()
+    reps = scalar.diagonal_columns().nonzero_rows()
     gram = scalar.submatrix(reps, reps)
     return reps, gram, gram.diagonal_inverse(), None
 
@@ -253,10 +253,9 @@ class QuadSpace:
 
     def descend(self, op):
         """(express @ op @ include, express @ op on the null space) for an
-        ambient operator op, an ExactMatrix or a _KronIdentity, or for every
-        member of a MatrixStack at once (also of a _KronIdentity of a stack,
-        on a coordinate quotient): the operator
-        op induces on the quotient, and a matrix that vanishes exactly when
+        ambient operator op, an ExactMatrix or a _KronIdentity, for every
+        member of a batched op at once: the operator op induces on the
+        quotient, and a matrix that vanishes exactly when
         op preserves the null space of the ambient Gram (express kills a
         vector exactly when the Gram does).
 
@@ -291,11 +290,11 @@ def _tensor_stacks(inner_left: GramStack, target_stacks, left_ops):
     target stack becomes sum_c inner_left.coords[c] (x) (W @ left_ops[c]).
     """
     # (I (x) W) @ sum_c G_c (x) L_c = sum_c G_c (x) (W @ L_c), by the
-    # mixed-product rule: the sum is formed once for every coordinate W
+    # mixed-product rule: the sum is formed once, and multiplied by every
+    # coordinate W of a target in one batched product
     total = kron_sum(inner_left.coords, left_ops)
     return [
-        None if stack is None
-        else GramStack(identity_kron_times(inner_left.dim, w, total) for w in stack.coords)
+        None if stack is None else GramStack(identity_kron_times(inner_left.dim, stack.grams, total))
         for stack in target_stacks
     ]
 
@@ -336,8 +335,8 @@ class _KronIdentity:
     """An ambient side operator of a balanced tensor: x (x) I_s when left
     is true, I_s (x) x otherwise. A quotient multiplies it from the left,
     which the Kronecker kernels do, or reads some of its entries, which
-    kron_identity_entries gathers; it is never formed. For the gather, x
-    may be a MatrixStack, whose members are all read at once."""
+    kron_identity_entries gathers; it is never formed. x may have batch
+    axes, and then every member is multiplied or read at once."""
 
     __slots__ = ("x", "s", "left")
 
@@ -359,7 +358,7 @@ class _KronIdentity:
 
 
 def _sum_blocks(a: dict, b: dict) -> dict:
-    """The blocks of a sum of two block operators or families."""
+    """The blocks of a sum of two block operators."""
     blocks = dict(a)
     for k, v in b.items():
         blocks[k] = blocks[k] + v if k in blocks else v
@@ -367,8 +366,8 @@ def _sum_blocks(a: dict, b: dict) -> dict:
 
 
 def _difference_blocks(a: dict, b: dict) -> dict:
-    """The blocks of a difference of two block operators or families, each
-    block shared by both one subtraction."""
+    """The blocks of a difference of two block operators, each block shared
+    by both one subtraction."""
     blocks = dict(a)
     for k, v in b.items():
         blocks[k] = blocks[k] - v if k in blocks else -v
@@ -376,10 +375,9 @@ def _difference_blocks(a: dict, b: dict) -> dict:
 
 
 def _product_blocks(a: dict, b: dict) -> dict:
-    """The blocks of a product of two block operators or families: each
-    block (d, s) of a meets every block (s, t) of b, and products landing on
-    the same (d, t) add up. Blocks are ExactMatrix or MatrixStack, so one
-    loop serves operators and families alike."""
+    """The blocks of a product of two block operators: each block (d, s) of
+    a meets every block (s, t) of b, and products landing on the same
+    (d, t) add up."""
     by_src = {}
     for (d2, s2), m2 in b.items():
         by_src.setdefault(d2, []).append((s2, m2))
@@ -392,96 +390,18 @@ def _product_blocks(a: dict, b: dict) -> dict:
     return blocks
 
 
-def _adjoint_blocks(space: "FockSpace", blocks: dict) -> dict:
-    """The blocks of the adjoint for the tower's scalar inner products."""
-    out = {}
-    for (d, s), m in blocks.items():
-        sd = space.summand(d)
-        ss = space.summand(s)
-        adj = ss.gram_scalar_inv @ m.H @ sd.gram_scalar
-        k = (s, d)
-        out[k] = out[k] + adj if k in out else adj
-    return out
-
-
-def _in_window(blocks: dict, lo: int, hi: int) -> dict:
-    return {k: v for k, v in blocks.items() if lo <= k[1][0] <= hi}
-
-
 class FockOperator:
-    """A block matrix over the summands of a truncated tower."""
+    """Block matrices over the summands of a truncated tower, indexed by a
+    batch shape: each block is one ExactMatrix over all members at once
+    (see linalg), so a product or sum is one exact product or sum per
+    block pair rather than one per member. A single operator has the batch
+    shape ().
 
-    __slots__ = ("space", "blocks")
-
-    def __init__(self, space: "FockSpace", blocks: dict):
-        self.space = space
-        self.blocks = {k: v for k, v in blocks.items() if not v.is_zero()}
-
-    def block(self, dest, src) -> ExactMatrix:
-        got = self.blocks.get((dest, src))
-        if got is not None:
-            return got
-        return ExactMatrix.zeros(self.space.summand(dest).dim, self.space.summand(src).dim)
-
-    def __add__(self, other):
-        if not isinstance(other, FockOperator):
-            return NotImplemented
-        if self.space is not other.space:
-            raise ValueError("operators live on different towers")
-        return FockOperator(self.space, _sum_blocks(self.blocks, other.blocks))
-
-    def __sub__(self, other):
-        if not isinstance(other, FockOperator):
-            return NotImplemented
-        if self.space is not other.space:
-            raise ValueError("operators live on different towers")
-        return FockOperator(self.space, _difference_blocks(self.blocks, other.blocks))
-
-    def __neg__(self):
-        return FockOperator(self.space, {k: -v for k, v in self.blocks.items()})
-
-    def scale(self, c) -> "FockOperator":
-        c = GaussianRational.from_value(c)
-        return FockOperator(self.space, {k: v.scale(c) for k, v in self.blocks.items()})
-
-    def __matmul__(self, other):
-        if not isinstance(other, FockOperator):
-            return NotImplemented
-        if self.space is not other.space:
-            raise ValueError("operators live on different towers")
-        return FockOperator(self.space, _product_blocks(self.blocks, other.blocks))
-
-    def adjoint(self) -> "FockOperator":
-        return FockOperator(self.space, _adjoint_blocks(self.space, self.blocks))
-
-    def is_zero(self) -> bool:
-        return not self.blocks
-
-    def is_zero_on_source_levels(self, lo: int, hi: int) -> bool:
-        """Whether every block whose source level lies in [lo, hi] vanishes."""
-        return all(not (lo <= src[0] <= hi) for (_, src) in self.blocks)
-
-    def first_nonzero_source_level(self):
-        levels = sorted(src[0] for (_, src) in self.blocks)
-        return levels[0] if levels else None
-
-    def __eq__(self, other):
-        if not isinstance(other, FockOperator) or self.space is not other.space:
-            return NotImplemented
-        return (self - other).is_zero()
-
-
-class FockFamily:
-    """Tower operators indexed by a batch shape, each block one MatrixStack
-    over all members at once (see linalg), so a product or sum of families
-    is one exact product or sum per block pair rather than one per member.
-
-    A block's stack may have size-1 batch axes where the family has more:
-    such a block is the same for every index along them, and numpy
-    broadcasting spreads it without copying. A FockOperator operand counts
-    as a family without batch axes. Blocks that vanish for every member are
-    dropped, as FockOperator drops zero blocks. window restricts a family to
-    a source-level window (see the module docstring on pruning).
+    A block may have size-1 batch axes where the operator has more: such a
+    block is the same for every index along them, and numpy broadcasting
+    spreads it without copying. Blocks that vanish for every member are
+    dropped. window restricts an operator to a source-level window (see
+    the module docstring on pruning).
     """
 
     __slots__ = ("space", "shape", "blocks")
@@ -491,23 +411,20 @@ class FockFamily:
         self.shape = tuple(shape)
         self.blocks = {k: v for k, v in blocks.items() if not v.is_zero()}
 
-    def _with(self, other, blocks_of, swap: bool = False):
-        """blocks_of applied to this family's blocks and those of a family
-        or operator operand (in the other order when swap is set), over the
+    def _with(self, other, blocks_of):
+        """blocks_of applied to the blocks of both operators, over the
         broadcast batch shape; NotImplemented for any other operand."""
-        if not isinstance(other, (FockFamily, FockOperator)):
+        if not isinstance(other, FockOperator):
             return NotImplemented
         if self.space is not other.space:
             raise ValueError("operators live on different towers")
-        shape = other.shape if isinstance(other, FockFamily) else ()
-        pair = (other.blocks, self.blocks) if swap else (self.blocks, other.blocks)
-        return FockFamily(self.space, np.broadcast_shapes(self.shape, shape), blocks_of(*pair))
+        shape = self.shape
+        if other.shape != shape:
+            shape = np.broadcast_shapes(shape, other.shape)
+        return FockOperator(self.space, shape, blocks_of(self.blocks, other.blocks))
 
     def __matmul__(self, other):
         return self._with(other, _product_blocks)
-
-    def __rmatmul__(self, other):
-        return self._with(other, _product_blocks, swap=True)
 
     def __add__(self, other):
         return self._with(other, _sum_blocks)
@@ -516,65 +433,75 @@ class FockFamily:
         return self._with(other, _difference_blocks)
 
     def __neg__(self):
-        return FockFamily(self.space, self.shape, {k: -v for k, v in self.blocks.items()})
+        return FockOperator(self.space, self.shape, {k: -v for k, v in self.blocks.items()})
 
-    def __getitem__(self, index) -> "FockFamily":
-        """The family indexed on its batch axes as a numpy array of its
-        shape would be (slices and new axes keep blocks as views)."""
+    def __getitem__(self, index) -> "FockOperator":
+        """The operator indexed on its batch axes as a numpy array of its
+        shape would be: op[i] is member i, of shape (), and slices and new
+        axes keep blocks as views."""
         shape = np.empty(self.shape, np.int8)[index].shape
-        return FockFamily(self.space, shape,
-                          {k: v.take(self.shape, index) for k, v in self.blocks.items()})
+        return FockOperator(self.space, shape,
+                            {k: v.take(self.shape, index) for k, v in self.blocks.items()})
 
-    def reshape(self, shape) -> "FockFamily":
+    def reshape(self, shape) -> "FockOperator":
         """The same members, in the same C order, over the batch shape shape."""
         shape = np.empty(self.shape, np.int8).reshape(shape).shape
-        return FockFamily(self.space, shape,
-                          {k: v.reshaped(self.shape, shape) for k, v in self.blocks.items()})
+        return FockOperator(self.space, shape,
+                            {k: v.reshaped(self.shape, shape) for k, v in self.blocks.items()})
 
-    def adjoint(self) -> "FockFamily":
-        return FockFamily(self.space, self.shape, _adjoint_blocks(self.space, self.blocks))
+    def adjoint(self) -> "FockOperator":
+        """The adjoint for the tower's scalar inner products: block (d, s)
+        becomes block (s, d)."""
+        space = self.space
+        return FockOperator(space, self.shape, {
+            (s, d): space.summand(s).gram_scalar_inv @ m.H @ space.summand(d).gram_scalar
+            for (d, s), m in self.blocks.items()})
 
-    def combine(self, coeffs: ExactMatrix) -> "FockFamily":
-        """For a family with one batch axis: member j of the result is
-        sum_k coeffs[k, j] * member k, one exact product per block."""
+    def is_zero(self) -> bool:
+        return not self.blocks
+
+    def __eq__(self, other):
+        if not isinstance(other, FockOperator) or self.space is not other.space:
+            return NotImplemented
+        return (self - other).is_zero()
+
+    def combine(self, coeffs: ExactMatrix) -> "FockOperator":
+        """For one batch axis: member j of the result is sum_k coeffs[k, j] *
+        member k, one exact product per block."""
         if self.shape != (coeffs.nrows,):
-            raise ValueError("coefficient rows do not match the family")
-        return FockFamily(self.space, (coeffs.ncols,),
-                          {k: v.combine(coeffs) for k, v in self.blocks.items()})
+            raise ValueError("coefficient rows do not match the members")
+        return FockOperator(self.space, (coeffs.ncols,),
+                            {k: v.combine(coeffs) for k, v in self.blocks.items()})
 
-    def sums(self, size: int) -> "FockFamily":
-        """For a family with one batch axis: member i of the result is the
-        sum of the size members from i * size on, as one combine."""
+    def sums(self, size: int) -> "FockOperator":
+        """For one batch axis: member i of the result is the sum of the size
+        members from i * size on, as one combine."""
         groups = [j // size for j in range(self.shape[0])]
         return self.combine(ExactMatrix.identity(self.shape[0] // size).take_rows(groups))
 
-    def window(self, lo: int, hi: int) -> "FockFamily":
+    def window(self, lo: int, hi: int) -> "FockOperator":
         """The blocks whose source level lies in [lo, hi]."""
-        return FockFamily(self.space, self.shape, _in_window(self.blocks, lo, hi))
+        return FockOperator(self.space, self.shape,
+                            {k: v for k, v in self.blocks.items() if lo <= k[1][0] <= hi})
 
-    def block(self, dest, src) -> MatrixStack:
-        """Block (dest, src) of every member, as one stack over the batch
-        shape; zero matrices where the family has no such block."""
+    def block(self, dest, src) -> ExactMatrix:
+        """Block (dest, src) of every member, over the full batch shape;
+        zero matrices where the operator has no such block."""
         got = self.blocks.get((dest, src))
         if got is not None:
             return got.reshaped(self.shape, self.shape)
-        dims = self.space.summand(dest).dim, self.space.summand(src).dim
-        return MatrixStack.zeros(self.shape + dims)
+        return ExactMatrix.zeros(*self.shape, self.space.summand(dest).dim,
+                                 self.space.summand(src).dim)
 
     def diagonal(self) -> "FockDiagonal":
-        """The family as diagonals, for a family whose every block is a
+        """The operator as diagonals, for one whose every block is a
         diagonal matrix on the diagonal of the block grid."""
         columns = {}
         for (dest, src), v in self.blocks.items():
             if dest != src:
-                raise ValueError("the family has a block off the block diagonal")
+                raise ValueError("the operator has a block off the block diagonal")
             columns[dest] = v.diagonal_columns()
         return FockDiagonal(self.space, self.shape, columns)
-
-    def member(self, index) -> FockOperator:
-        """The member at index, one integer per batch axis."""
-        return FockOperator(self.space, {k: v.member(self.shape, index)
-                                         for k, v in self.blocks.items()})
 
     def nonzero(self):
         """Per member, whether it has a nonzero block: a boolean array of
@@ -600,9 +527,9 @@ class FockFamily:
 class FockDiagonal:
     """Block-diagonal tower operators whose blocks are diagonal matrices,
     indexed by a batch shape, such as the class lifts of a diagonal model:
-    per summand, the diagonals of every member as one MatrixStack of
-    columns. Multiplying a family by them from the left, or taking its
-    commutator with them, scales the rows and columns of the family's
+    per summand, the diagonals of every member as one batched column.
+    Multiplying an operator by them from the left, or taking its
+    commutator with them, scales the rows and columns of the operator's
     blocks: one entrywise product per block and no matrix product (see
     linalg on diagonal kernels). A summand without a column is one where
     every member vanishes."""
@@ -615,42 +542,42 @@ class FockDiagonal:
         self.columns = columns
 
     def __getitem__(self, index) -> "FockDiagonal":
-        """The members indexed on the batch axes, as FockFamily indexes."""
+        """The members indexed on the batch axes, as FockOperator indexes."""
         shape = np.empty(self.shape, np.int8)[index].shape
         return FockDiagonal(self.space, shape,
                             {k: v.take(self.shape, index) for k, v in self.columns.items()})
 
-    def _batch(self, x: FockFamily) -> tuple:
+    def _batch(self, x: FockOperator) -> tuple:
         if self.space is not x.space:
             raise ValueError("operators live on different towers")
         return np.broadcast_shapes(self.shape, x.shape)
 
     def combine(self, coeffs: ExactMatrix) -> "FockDiagonal":
         """For diagonals with one batch axis: member j of the result is
-        sum_k coeffs[k, j] * member k, as FockFamily.combine forms it."""
+        sum_k coeffs[k, j] * member k, as FockOperator.combine forms it."""
         if self.shape != (coeffs.nrows,):
             raise ValueError("coefficient rows do not match the diagonals")
         return FockDiagonal(self.space, (coeffs.ncols,),
                             {k: v.combine(coeffs) for k, v in self.columns.items()})
 
-    def times(self, x: FockFamily) -> FockFamily:
+    def times(self, x: FockOperator) -> FockOperator:
         """D @ x, member by member: the rows of each block (dest, src) of x
         scaled by the diagonal on dest."""
         shape = self._batch(x)
-        return FockFamily(self.space, shape, {
+        return FockOperator(self.space, shape, {
             (dest, src): entrywise(self.columns[dest], m)
             for (dest, src), m in x.blocks.items() if dest in self.columns})
 
-    def right_times(self, x: FockFamily) -> FockFamily:
+    def right_times(self, x: FockOperator) -> FockOperator:
         """x @ D, member by member: the columns of each block (dest, src) of
         x scaled by the diagonal on src, the commutator with no diagonal on
         dest."""
         shape = self._batch(x)
-        return FockFamily(self.space, shape, {
+        return FockOperator(self.space, shape, {
             (dest, src): diagonal_commutator(m, None, self.columns[src])
             for (dest, src), m in x.blocks.items() if src in self.columns})
 
-    def commutator(self, x: FockFamily) -> FockFamily:
+    def commutator(self, x: FockOperator) -> FockOperator:
         """x @ D - D @ x, member by member: each block (dest, src) of x
         times the mask of the diagonal on src less the diagonal on dest."""
         shape = self._batch(x)
@@ -659,7 +586,7 @@ class FockDiagonal:
             left, right = self.columns.get(dest), self.columns.get(src)
             if left is not None or right is not None:
                 blocks[(dest, src)] = diagonal_commutator(m, left, right)
-        return FockFamily(self.space, shape, blocks)
+        return FockOperator(self.space, shape, blocks)
 
 
 class FockSpace:
@@ -673,8 +600,12 @@ class FockSpace:
         self.lam2 = lam2
         self.build_checks = checks
         self.keys = sorted(summands.keys())
+        self._levels = [key[0] for key in self.keys]
+        # where each summand's block starts in a member of a side family
+        self._offsets = list(itertools.accumulate(
+            (summands[key].dim ** 2 for key in self.keys), initial=0))
         # per QuadSpace operator list ("left_B1", "left_B2", "right_A"): the
-        # family whose member c holds the summand blocks of operator c
+        # batched matrix whose member c holds the summand blocks of operator c
         self._side_families = {}
         # per creation family: the stacked coefficient-level operator
         self._coefficient_stacks = {}
@@ -692,23 +623,20 @@ class FockSpace:
             dims[n] += sp.dim
         return dims
 
-    @property
-    def total_dim(self) -> int:
-        return sum(self.level_dims)
-
     # -- basic operators -------------------------------------------------
 
     def zero(self) -> FockOperator:
-        return FockOperator(self, {})
+        return FockOperator(self, (), {})
 
     def identity(self) -> FockOperator:
         return FockOperator(
-            self, {(k, k): ExactMatrix.identity(sp.dim) for k, sp in self.summands.items()}
+            self, (), {(k, k): ExactMatrix.identity(sp.dim) for k, sp in self.summands.items()}
         )
 
     def level_projection(self, n: int) -> FockOperator:
         return FockOperator(
             self,
+            (),
             {
                 (k, k): ExactMatrix.identity(self.summands[k].dim)
                 for k in self.keys_at_level(n)
@@ -720,11 +648,11 @@ class FockSpace:
         member of creations on the whole tower."""
         if xi.shape != (self.spec.dim, 1):
             raise ValueError("module vector shape mismatch")
-        return self.creations(family, xi, (0, self.depth)).member((0,))
+        return self.creations(family, xi, (0, self.depth))[0]
 
-    def creations(self, family: int, xs: ExactMatrix, window) -> FockFamily:
+    def creations(self, family: int, xs: ExactMatrix, window) -> FockOperator:
         """The creation operators of the module vectors in the columns of xs,
-        as a family over the columns, with the blocks whose source level
+        one member per column, with the blocks whose source level
         lies in window = (lo, hi) only.
 
         family 1 prepends through the first balanced tensor, family 2
@@ -749,7 +677,7 @@ class FockSpace:
             width = self.summands[(0, ())].dim
             coeff = times_identity_kron(self._coefficient_stack(family), width, xs)
             # column (t, j) of coeff is column t of member j's block
-            blocks[((1, ()), (0, ()))] = MatrixStack.regrouped(coeff, (h.dim, width, c), (2, 0, 1))
+            blocks[((1, ()), (0, ()))] = coeff.regrouped((h.dim, width, c), (2, 0, 1))
         xs_q = h.coordinates(xs)
         for key in self.keys:
             n, word = key
@@ -760,8 +688,8 @@ class FockSpace:
             s = self.summands[key].dim
             # column (j, v) of the product is column v of member j's block
             prod = dsp.coordinates(_KronIdentity(xs_q, s, True))
-            blocks[(dest, key)] = MatrixStack.regrouped(prod, (dsp.dim, c, s), (1, 0, 2))
-        return FockFamily(self, (c,), blocks)
+            blocks[(dest, key)] = prod.regrouped((dsp.dim, c, s), (1, 0, 2))
+        return FockOperator(self, (c,), blocks)
 
     def _coefficient_stack(self, family: int) -> ExactMatrix:
         """express @ right[t] for every coefficient-level column t, side by
@@ -781,30 +709,40 @@ class FockSpace:
             self._coefficient_stacks[family] = h.coordinates(ExactMatrix.hstack(rights))
         return self._coefficient_stacks[family]
 
-    def _side_family(self, ops: str) -> MatrixFamily:
-        """The family of one operator list of the summands, built once: its
-        member c holds every summand's operator c, in key order."""
+    def _side_family(self, ops: str) -> ExactMatrix:
+        """One operator list of the summands, built once, as an r x 1 x L
+        batched matrix: member c holds every summand's operator c, each read
+        row-major, side by side in key order."""
         if ops not in self._side_families:
-            per_summand = [getattr(self.summands[key], ops) for key in self.keys]
-            self._side_families[ops] = MatrixFamily(zip(*per_summand))
+            flat = ExactMatrix.hstack(
+                ExactMatrix.stack(getattr(sp, ops), (len(getattr(sp, ops)),)).flattened()
+                for sp in (self.summands[key] for key in self.keys))
+            self._side_families[ops] = flat.regrouped((flat.nrows, 1, flat.ncols), (0, 1, 2))
         return self._side_families[ops]
 
-    def _diagonal_family(self, ops: str, coeffs: ExactMatrix, window) -> FockFamily:
+    def _diagonal_family(self, ops: str, coeffs: ExactMatrix, window) -> FockOperator:
         """The block-diagonal operators sum_c coeffs[c, j] * ops[c], one per
         column j, on the summands whose level lies in window = (lo, hi):
-        keys are sorted by level, so those summands are one run of blocks
-        and their combinations one MatrixFamily product."""
+        keys are sorted by level, so those summands are one run of columns
+        of the side family, combined by one exact product and then cut into
+        blocks."""
         lo, hi = window
-        levels = [key[0] for key in self.keys]
-        start, stop = bisect.bisect_left(levels, lo), bisect.bisect_right(levels, hi)
-        stacks = self._side_family(ops).stacks(coeffs, start, stop)
-        return FockFamily(self, (coeffs.ncols,),
-                          {(key, key): b for key, b in zip(self.keys[start:stop], stacks)})
+        start = bisect.bisect_left(self._levels, lo)
+        stop = bisect.bisect_right(self._levels, hi)
+        at = self._offsets
+        run = self._side_family(ops).take_cols(range(at[start], at[stop])).combine(coeffs)
+        c = coeffs.ncols
+        blocks = {}
+        for i in range(start, stop):
+            key, dim = self.keys[i], self.summands[self.keys[i]].dim
+            cut = run.take_cols(range(at[i] - at[start], at[i + 1] - at[start]))
+            blocks[(key, key)] = cut.regrouped((c, dim, dim), (0, 1, 2))
+        return FockOperator(self, (c,), blocks)
 
-    def left_actions(self, side: int, coeffs: ExactMatrix, window) -> FockFamily:
+    def left_actions(self, side: int, coeffs: ExactMatrix, window) -> FockOperator:
         """The actions of the side algebra elements in the columns of coeffs,
         acting on the leftmost tensor factor and by one-sided multiplication
-        on the coefficient level, as a family over the columns, on the
+        on the coefficient level, one member per column, on the
         summands whose level lies in window = (lo, hi)."""
         if side not in (1, 2):
             raise ValueError("side must be 1 or 2")
@@ -813,9 +751,9 @@ class FockSpace:
             raise ValueError("algebra element shape mismatch")
         return self._diagonal_family("left_B1" if side == 1 else "left_B2", coeffs, window)
 
-    def right_actions(self, coeffs: ExactMatrix, window) -> FockFamily:
+    def right_actions(self, coeffs: ExactMatrix, window) -> FockOperator:
         """The right actions of the base algebra elements in the columns of
-        coeffs, as a family over the columns, on the summands whose level
+        coeffs, one member per column, on the summands whose level
         lies in window = (lo, hi)."""
         if coeffs.nrows != self.spec.algebra_A.dim:
             raise ValueError("base algebra element shape mismatch")
@@ -823,60 +761,38 @@ class FockSpace:
 
     def lift(self, L: ExactMatrix) -> FockOperator:
         """The one member of lifts."""
-        return self.lifts([L]).member((0,))
+        return self.lifts([L])[0]
 
-    def lifts(self, ops) -> FockFamily:
+    def lifts(self, ops) -> FockOperator:
         """The extensions of the module operators ops, given in quotient
-        coordinates of the module summand, to the tower, as a family over
-        the list: each acts on the leftmost tensor factor and is zero on the
+        coordinates of the module summand, to the tower, one member per
+        operator: each acts on the leftmost tensor factor and is zero on the
         coefficient level. On level n >= 2 the block of L is the quotient
         express @ (L (x) I) @ include of the summand, and L must preserve
         the summand's null space (see QuadSpace.descend). On a coordinate
-        quotient the blocks and null parts of all members are read at once
-        from the stacked operators; an eliminated quotient descends them
-        one by one."""
+        quotient the blocks and null parts of all members are gathered at
+        once from the stacked operators, and an eliminated quotient forms
+        them in one batched product."""
         h = self.summands[(1, ())]
         ops = list(ops)
         if any(L.shape != (h.dim, h.dim) for L in ops):
             raise ValueError("operator must act on the module summand")
         r = len(ops)
-        stacked = MatrixStack.stack(ops, (r,))
+        stacked = ExactMatrix.stack(ops, (r,))
         blocks = {((1, ()), (1, ())): stacked}
         for key in self.keys:
             n, word = key
             if n < 2:
                 continue
             tail = self.summands[(n - 1, word[1:])]
-            sp = self.summands[key]
-            if sp.express is None:
-                # a coordinate quotient gathers every member's entries at once
-                block, null_part = sp.descend(_KronIdentity(stacked, tail.dim, True))
-                null_parts = [null_part]
-            else:
-                descended = [sp.descend(_KronIdentity(L, tail.dim, True)) for L in ops]
-                block = MatrixStack.stack([b for b, _ in descended], (r,))
-                null_parts = [z for _, z in descended]
-            if not all(z.is_zero() for z in null_parts):
+            block, null_part = self.summands[key].descend(_KronIdentity(stacked, tail.dim, True))
+            if not null_part.is_zero():
                 raise ValueError(
                     "operator does not descend to the tensor quotient; "
                     "it is not adjointable on the module"
                 )
             blocks[(key, key)] = block
-        return FockFamily(self, (r,), blocks)
-
-    def gauge_unitary(self) -> FockOperator:
-        """The quarter-turn gauge rotation: multiplication by i^n on level n."""
-        i_unit = GaussianRational(0, 1)
-        blocks = {}
-        for key, sp in self.summands.items():
-            blocks[(key, key)] = ExactMatrix.identity(sp.dim).scale(i_unit ** key[0])
-        return FockOperator(self, blocks)
-
-    def degree_zero_part(self, x: FockOperator) -> FockOperator:
-        """The block-diagonal-in-level part of an operator."""
-        return FockOperator(
-            self, {k: v for k, v in x.blocks.items() if k[0][0] == k[1][0]}
-        )
+        return FockOperator(self, (r,), blocks)
 
 
 _BALANCED = "balanced-tensor defects vanish in every summand"
@@ -893,13 +809,13 @@ def _construction_defect(n: int, word: tuple, space: QuadSpace, defects, lam1, l
                 f"balancing defect at level {n}, word {word}, basis {c}",
             )
     for route, (stack, lam) in enumerate(((space.gram_B1, lam1), (space.gram_B2, lam2)), 1):
-        got = stack.transform(lam).coords
-        for c, (g, want) in enumerate(zip(got, space.gram_A.coords)):
-            if g != want:
-                return CheckResult(
-                    "index-route-consistent", _ROUTED, False,
-                    f"index-map route {route} differs at level {n}, word {word}, coordinate {c}",
-                )
+        differs = (stack.transform(lam).grams - space.gram_A.grams).nonzero()
+        if differs.any():
+            return CheckResult(
+                "index-route-consistent", _ROUTED, False,
+                f"index-map route {route} differs at level {n}, word {word}, "
+                f"coordinate {int(np.argmax(differs))}",
+            )
     return None
 
 

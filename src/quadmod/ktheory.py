@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ExactMatrix, MatrixFamily, times_identity_kron
+from .linalg import ExactMatrix, times_identity_kron
 from .relations import GeneratorFamily, families_report
 
 
@@ -235,10 +235,6 @@ class FGAbelianGroup:
     def as_dict(self) -> dict:
         return {"freeRank": self.free_rank, "factors": list(self.torsion)}
 
-    @property
-    def is_trivial(self) -> bool:
-        return self.free_rank == 0 and not self.torsion
-
 
 def cokernel(rows: list) -> FGAbelianGroup:
     """The quotient of the row space's ambient lattice by the column image."""
@@ -287,8 +283,7 @@ def class_patterns(gens: GeneratorFamily, family: int):
     # column (g, cl) of values is <m_g, E_cl m_g>
     values = stack.column_pairs(ExactMatrix.hstack([members] * ncl), images).take_cols(
         [cl * ng + g for g in range(ng) for cl in range(ncl)])
-    side = MatrixFamily([op] for op in side_ops)
-    quotients, _ = h.descend(side.stacks(values, 0, 1)[0])
+    quotients, _ = h.descend(ExactMatrix.stack(side_ops, (len(side_ops),)).combine(values))
     inside, patterns = model.projection_patterns(quotients)
     if not inside.all():
         g, cl = divmod(int(np.argmin(inside)), ncl)

@@ -32,32 +32,32 @@ bound 2k*max|A|*max|B|. Each matrix stores a bound on max|numerator|, filled
 by one scan on first use and carried through negation, conjugation,
 transposition, scaling and kron, so no bound is scanned twice.
 
-A MatrixStack holds many matrices of one shape over one denominator: its
-numerator arrays have leading batch axes, which broadcast as numpy
-broadcasts them, and an ExactMatrix operand counts as a stack without batch
-axes. A product of stacks is one batched product through the same kernel.
-Each entry of each member is still one dot product of k terms, so the
-bound k*max|A|*max|B| (doubled for two complex operands), taken over the
-whole stacks, decides the path exactly as for one product, whatever the
-batch size; only the float cutoff reads the total work m*k*n times the
-number of members. Sums, negation and conjugate transposes act on whole
-stacks too, so a family of operator identities costs a few such products
-per block instead of one product per member.
-
-A linear combination sum_k c_k M_k over a fixed family of matrices is one
-such product too. MatrixFamily flattens the numerators of the family, once,
-into one integer matrix F over one denominator, one row per member; the
-combination is then the coefficient row times F, reshaped back into the
-members' blocks. Its inner dimension is the number r of members, so it
-takes the float64 product under the bound r*max|c|*max|F| (doubled for
-complex operands, as above), int64 under 2^62 and big integers otherwise.
-Several combinations, one per coefficient column, share the product.
+An ExactMatrix may carry leading batch axes: its numerator arrays then
+have more than two axes, the last two holding one member, and shape, nrows
+and ncols describe one member while batch_shape gives the leading axes.
+Batch axes broadcast as numpy broadcasts them, so a product, sum or
+difference of batched matrices is one operation on whole arrays, and a
+single matrix is the case without batch axes. Each entry of each member of
+a product is still one dot product of k terms, so the bound
+k*max|A|*max|B| (doubled for two complex operands), read over the whole
+arrays, decides the path exactly as for one product, whatever the batch
+size; only the float cutoff reads the total work m*k*n times the number of
+members. A linear combination sum_k c_k M_k of the members along one batch
+axis (combine) is one such product too: the members' numerators, read
+row-major, are the rows of one r x (m n) integer matrix F over one
+denominator, and the coefficients' transpose times F, regrouped, is every
+combination at once. Its inner dimension is the number r of members, so
+it takes the float64 product under the bound r*max|c|*max|F| (doubled for
+complex operands), int64 under 2^62 and big integers otherwise.
+Elimination (rref and the inverse, solve and kernel built on it), kron,
+hstack, vstack and entry access take a single matrix and raise ValueError
+on batch axes.
 
 Kronecker-structured products are one such product each as well; no
 Kronecker product is formed only to be summed or multiplied:
 
 * kron_sum(lefts, rights) = sum_k A_k (x) B_k over r pairs, with the A_k
-  m x n and the B_k p x q. Flattened as MatrixFamily flattens a family, the
+  m x n and the B_k p x q. Flattened as combine flattens its members, the
   A_k make an r x mn integer matrix A and the B_k an r x pq one B, each over
   its lcm denominator. Entry ((i, j), (k, l)) of A^T B is the sum's entry
   ((i, k), (j, l)), so regrouping the axes (m, n, p, q) of A^T B into
@@ -82,8 +82,9 @@ through ExactMatrix @, so each takes the float64, int64 or big-integer path
 as above. Regrouping only moves entries, so each kernel normalises once, in
 its product. GramStack.pairs reads algebra-valued inner products the same
 way: for y with m columns, <x_i|y_j> = (x_i^H G_c y_j)_c is the coordinate
-Grams, stacked once into one (d n) x n matrix, times y, regrouped into an
-n x (d m) matrix, times x^H, for every pair of columns at once.
+Grams, held as one d x n x n batched matrix and read as one (d n) x n
+matrix, times y, regrouped into an n x (d m) matrix, times x^H, for every
+pair of columns at once.
 
 A selection of rows and columns of x (x) I_s or I_s (x) x needs no product
 at all: kron_identity_entries reads entry ((a, u), (b, v)) of x (x) I_s as
@@ -112,7 +113,6 @@ to possibly non-standard inner products.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from fractions import Fraction
 
@@ -153,11 +153,27 @@ def _max_abs(arr) -> int:
     return int(np.abs(arr).max()) if arr.size else 0
 
 
+# The two dtypes of a stored numerator array; numpy's dtypes of builtin
+# types are singletons, so an identity test recognises them.
+_INT64 = np.dtype(np.int64)
+_OBJECT = np.dtype(object)
+
+
 def _demote(arr):
     """Drop an object array back to int64 when its values fit."""
-    if arr.dtype == object and _max_abs(arr) <= _INT64_SAFE:
+    if arr.dtype is _OBJECT and _max_abs(arr) <= _INT64_SAFE:
         return arr.astype(np.int64)
     return arr
+
+
+def _stored(arr):
+    """arr as a numerator array: int64 unless it holds Python ints. An
+    int64 or object array is kept as handed over rather than copied, as
+    stored arrays are never written in place."""
+    if isinstance(arr, np.ndarray) and (arr.dtype is _INT64 or arr.dtype is _OBJECT):
+        return arr
+    arr = np.asarray(arr)
+    return arr if arr.dtype == object else arr.astype(np.int64)
 
 
 @functools.lru_cache(maxsize=4096)
@@ -176,13 +192,13 @@ def _broadcast(arr, shape):
 
 
 def _to_object(arr):
-    return arr if arr.dtype == object else arr.astype(object)
+    return arr if arr.dtype is _OBJECT else arr.astype(object)
 
 
 def _common(bound: int, *arrays):
     """The arrays unchanged when all are int64 and bound is at most
     _INT64_SAFE; otherwise all of them as object arrays."""
-    if bound <= _INT64_SAFE and all(a.dtype != object for a in arrays):
+    if bound <= _INT64_SAFE and all(a.dtype is not _OBJECT for a in arrays):
         return arrays
     return tuple(_to_object(a) for a in arrays)
 
@@ -193,7 +209,7 @@ def _rmul(a, b, a_peak: int, b_peak: int):
     b_peak bound max|a| and max|b|."""
     k = a.shape[-1]
     bound = k * a_peak * b_peak
-    if a.dtype != object and b.dtype != object and bound <= _FLOAT_EXACT:
+    if a.dtype is not _OBJECT and b.dtype is not _OBJECT and bound <= _FLOAT_EXACT:
         work = a.shape[-2] * k * b.shape[-1]
         if a.ndim > 2 or b.ndim > 2:
             work *= math.prod(np.broadcast_shapes(a.shape[:-2], b.shape[:-2]))
@@ -223,8 +239,8 @@ def _cmul(are, aim, bre, bim, a_peak: int, b_peak: int):
 
 
 def _product(a, b):
-    """Numerator arrays of a @ b, over the denominator a._den * b._den, for
-    ExactMatrix and MatrixStack operands alike."""
+    """Numerator arrays of a @ b, over the denominator a._den * b._den;
+    batch axes broadcast."""
     peaks = a._peak_abs(), b._peak_abs()
     if a._real and b._real:
         re = _rmul(a._re, b._re, *peaks)
@@ -242,32 +258,11 @@ def _product(a, b):
     return _cmul(a._re, a._im, b._re, b._im, *peaks)
 
 
-def _normalized(re, im, den: int, real: bool):
-    """(re, im, den, g): the numerators and the denominator divided by their
-    common factor g, object arrays dropped back to int64 when they fit. The
-    gcd scan stops as soon as it reaches 1, and a real matrix has no
-    imaginary part to take it from."""
-    g = den
-    if g > 1:
-        g = math.gcd(g, _gcd_reduce(re))
-    if g > 1 and not real:
-        g = math.gcd(g, _gcd_reduce(im))
-    if g > 1:
-        if real:
-            re, = _common(g, re)
-            re = re // g
-        else:
-            re, im = _common(g, re, im)
-            re, im = re // g, im // g
-        den //= g
-    return _demote(re), _demote(im), den, g
-
-
 def _sum(a, b, op):
     """(re, im, den, real, bound) of op(a, b), op being np.add or
-    np.subtract, for ExactMatrix and MatrixStack operands alike; batch axes
-    broadcast. bound, which bounds each part of the result, is read from
-    the operands' peaks, rescaled to the common denominator."""
+    np.subtract; batch axes broadcast. bound, which bounds each part of the
+    result, is read from the operands' peaks, rescaled to the common
+    denominator."""
     den = a._den * b._den // math.gcd(a._den, b._den)
     are, aim = a._scaled_to(den)
     bre, bim = b._scaled_to(den)
@@ -280,9 +275,20 @@ def _sum(a, b, op):
     return op(are, bre), op(aim, bim), den, False, bound
 
 
-class _Numerators:
-    """Integer numerator arrays _re and _im over one positive denominator
-    _den, the parts shared by ExactMatrix and MatrixStack.
+def _indices(idx):
+    """Row or column indices as an index array, or as a slice for a range,
+    which selects a view."""
+    if isinstance(idx, range):
+        return slice(idx.start, idx.stop, idx.step)
+    return np.asarray(idx, dtype=np.intp).reshape(-1)
+
+
+class ExactMatrix:
+    """Matrices over the Gaussian rationals with one shared denominator:
+    integer numerator arrays _re and _im over one positive denominator
+    _den. The last two axes of the arrays are a matrix, and any leading
+    axes are batch axes (see the module docstring); shape, nrows and ncols
+    are one member's.
 
     _real is true when the imaginary part is zero; the imaginary part is
     then an int64 zero array, for results known to be real the shared
@@ -293,6 +299,51 @@ class _Numerators:
     lifetime."""
 
     __slots__ = ("_re", "_im", "_den", "_real", "_peak")
+
+    def __init__(self, re, im, den: int = 1, _normalize: bool = True,
+                 _real: bool | None = None, _peak: int | None = None):
+        re, im = _stored(re), _stored(im)
+        if re.shape != im.shape or re.ndim < 2:
+            raise ValueError("real and imaginary parts must be equal-shape arrays "
+                             "of at least two axes")
+        if den <= 0:
+            raise ValueError("denominator must be positive")
+        # a caller that knows the imaginary part is zero says so, and the
+        # scan is skipped; a zero part found by the scan becomes the shared
+        # int64 zero
+        if _real is None:
+            _real = not im.any()
+            if _real:
+                im = _zero(re.shape)
+        self._real = _real
+        self._re = re
+        self._im = im
+        self._den = int(den)
+        self._peak = _peak
+        if _normalize:
+            self._normalize()
+
+    def _normalize(self):
+        """Divide the numerators and the denominator by their common factor
+        g, and drop object arrays back to int64 when they fit. The gcd scan
+        stops as soon as it reaches 1, and a real matrix has no imaginary
+        part to take it from."""
+        re, im, g = self._re, self._im, self._den
+        if g > 1:
+            g = math.gcd(g, _gcd_reduce(re))
+        if g > 1 and not self._real:
+            g = math.gcd(g, _gcd_reduce(im))
+        if g > 1:
+            if self._real:
+                re, = _common(g, re)
+                re = re // g
+            else:
+                re, im = _common(g, re, im)
+                re, im = re // g, im // g
+            self._den //= g
+            if self._peak is not None:
+                self._peak //= g
+        self._re, self._im = _demote(re), _demote(im)
 
     def _peak_abs(self) -> int:
         """A bound on max |numerator| over both parts, scanned once."""
@@ -315,41 +366,9 @@ class _Numerators:
         re, im = _common(bound, self._re, self._im)
         return re * f, im * f
 
-
-class ExactMatrix(_Numerators):
-    """Matrix over the Gaussian rationals with a shared denominator (see
-    _Numerators for the flags it keeps)."""
-
-    __slots__ = ()
-
-    def __init__(self, re, im, den: int = 1, _normalize: bool = True,
-                 _real: bool | None = None, _peak: int | None = None):
-        re = np.asarray(re)
-        im = np.asarray(im)
-        if re.shape != im.shape or re.ndim != 2:
-            raise ValueError("real and imaginary parts must be equal-shape 2d arrays")
-        if den <= 0:
-            raise ValueError("denominator must be positive")
-        # Stored arrays are never written in place, so an int64 array is
-        # kept as handed over rather than copied.
-        if re.dtype != object:
-            re = re.astype(np.int64, copy=False)
-        if im.dtype != object:
-            im = im.astype(np.int64, copy=False)
-        # a caller that knows the imaginary part is zero says so, and the
-        # scan is skipped
-        self._real = not im.any() if _real is None else _real
-        self._re = re
-        self._im = im
-        self._den = int(den)
-        self._peak = _peak
-        if _normalize:
-            self._normalize()
-
-    def _normalize(self):
-        self._re, self._im, self._den, g = _normalized(self._re, self._im, self._den, self._real)
-        if g > 1 and self._peak is not None:
-            self._peak //= g
+    def _single(self, what: str):
+        if self._re.ndim != 2:
+            raise ValueError(f"{what} takes a single matrix, not one with batch axes")
 
     # -- construction ---------------------------------------------------
 
@@ -384,9 +403,10 @@ class ExactMatrix(_Numerators):
         return cls(_int_array(re, (m, n)), _int_array(im, (m, n)), den)
 
     @classmethod
-    def zeros(cls, m: int, n: int) -> "ExactMatrix":
-        return cls(np.zeros((m, n), dtype=np.int64), _zero((m, n)), 1,
-                   _normalize=False, _real=True, _peak=0)
+    def zeros(cls, *shape) -> "ExactMatrix":
+        """Zero matrices: shape is the batch shape followed by the matrix
+        shape."""
+        return cls(_zero(shape), _zero(shape), 1, _normalize=False, _real=True, _peak=0)
 
     @classmethod
     def identity(cls, n: int) -> "ExactMatrix":
@@ -401,21 +421,31 @@ class ExactMatrix(_Numerators):
     def column(cls, values) -> "ExactMatrix":
         return cls.from_rows([[v] for v in values])
 
+    @classmethod
+    def stack(cls, mats, shape) -> "ExactMatrix":
+        """The equal-shape matrices mats, in C order over the batch shape
+        shape, as one batched matrix over their lcm denominator."""
+        mats = list(mats)
+        if not mats:
+            raise ValueError("need at least one matrix to stack")
+        den = math.lcm(*(m._den for m in mats))
+        parts = _common(0, *(a for m in mats for a in m._scaled_to(den)))
+        full = tuple(shape) + mats[0]._re.shape
+        re = np.stack(parts[0::2]).reshape(full)
+        if all(m._real for m in mats):
+            return cls(re, _zero(full), den, _real=True)
+        return cls(re, np.stack(parts[1::2]).reshape(full), den, _real=False)
+
     def to_diagonal(self) -> "ExactMatrix":
         """The square diagonal matrix whose diagonal is this column."""
         if self.ncols != 1:
             raise ValueError("only a column has a diagonal matrix")
         return ExactMatrix(np.diagflat(self._re), np.diagflat(self._im), self._den, _normalize=False)
 
-    def diagonal_column(self) -> "ExactMatrix":
-        """The diagonal of a square matrix, as a column."""
-        if self.nrows != self.ncols:
-            raise ValueError("only a square matrix has a diagonal")
-        return ExactMatrix(np.diag(self._re)[:, None], np.diag(self._im)[:, None], self._den)
-
     def is_diagonal(self) -> bool:
+        """Whether every member is zero off its diagonal."""
         off = ~np.eye(*self.shape, dtype=bool)
-        return not (self._re[off].any() or self._im[off].any())
+        return not ((self._re[..., off] != 0).any() or (self._im[..., off] != 0).any())
 
     def diagonal_inverse(self) -> "ExactMatrix":
         """The inverse of an invertible diagonal matrix, entry by entry:
@@ -434,17 +464,23 @@ class ExactMatrix(_Numerators):
 
     @property
     def shape(self):
-        return self._re.shape
+        """One member's shape."""
+        return self._re.shape[-2:]
+
+    @property
+    def batch_shape(self) -> tuple:
+        return self._re.shape[:-2]
 
     @property
     def nrows(self) -> int:
-        return self._re.shape[0]
+        return self._re.shape[-2]
 
     @property
     def ncols(self) -> int:
-        return self._re.shape[1]
+        return self._re.shape[-1]
 
     def __getitem__(self, key) -> GaussianRational:
+        self._single("entry access")
         i, j = key
         return GaussianRational(
             Fraction(int(self._re[i, j]), self._den),
@@ -454,15 +490,14 @@ class ExactMatrix(_Numerators):
     def to_rows(self):
         return [[self[i, j] for j in range(self.ncols)] for i in range(self.nrows)]
 
-    def integer_rows(self):
-        """The entries as nested lists of ints, or None when some entry is
-        not an integer."""
-        if self._den != 1 or not self._real:
-            return None
-        return self._re.tolist()
-
     def is_zero(self) -> bool:
         return self._real and not self._re.any()
+
+    def nonzero(self):
+        """Per member, whether it has a nonzero entry: a boolean array of
+        the batch shape."""
+        bad = (self._re != 0).any(axis=(-2, -1))
+        return bad if self._real else bad | (self._im != 0).any(axis=(-2, -1))
 
     def nonzero_rows(self) -> list:
         """The indices of the rows with a nonzero entry, in order."""
@@ -476,20 +511,23 @@ class ExactMatrix(_Numerators):
         return self._real and not (self._re < 0).any()
 
     def __eq__(self, other):
+        """Equal values and shapes, batch axes included. Over one
+        denominator the numerators decide; otherwise both are read over the
+        lcm of the two, so a matrix that is not normalised compares by
+        value too."""
         if not isinstance(other, ExactMatrix):
             return NotImplemented
-        return (
-            self.shape == other.shape
-            and self._den == other._den
-            and bool(np.array_equal(self._re, other._re))
-            and bool(np.array_equal(self._im, other._im))
-        )
+        if self._re.shape != other._re.shape:
+            return False
+        den = math.lcm(self._den, other._den)
+        return all(bool(np.array_equal(a, b))
+                   for a, b in zip(self._scaled_to(den), other._scaled_to(den)))
 
     def __hash__(self):
         raise TypeError("ExactMatrix is unhashable")
 
     def __repr__(self):
-        return f"ExactMatrix({self.nrows}x{self.ncols}, den={self._den})"
+        return f"ExactMatrix({'x'.join(map(str, self._re.shape))}, den={self._den})"
 
     # -- arithmetic ------------------------------------------------------
 
@@ -512,12 +550,12 @@ class ExactMatrix(_Numerators):
                            _normalize=False, _real=self._real, _peak=self._peak)
 
     def __matmul__(self, other):
+        """The product of every pair of members, batch axes broadcast: one
+        exact product of the numerator arrays (see the module docstring)."""
         if not isinstance(other, ExactMatrix):
             return NotImplemented
         if self.ncols != other.nrows:
             raise ValueError("inner dimension mismatch")
-        if self.ncols == 0:
-            return ExactMatrix.zeros(self.nrows, other.ncols)
         real = self._real and other._real
         return ExactMatrix(*_product(self, other), self._den * other._den, _real=real or None)
 
@@ -535,6 +573,26 @@ class ExactMatrix(_Numerators):
         re, im = _common(bound, self._re, self._im)
         return ExactMatrix(cre * re - cim * im, cre * im + cim * re, self._den * q)
 
+    def scaled(self, coeffs: "ExactMatrix") -> "ExactMatrix":
+        """Each member times its own scalar: member (i, j) of this matrix
+        broadcast to the batch shape coeffs.shape, times coeffs[i, j]. One
+        entrywise product (see entrywise), each entry at most
+        max|coeffs| * max|self| in magnitude (twice that for two complex
+        operands)."""
+        scalars = ExactMatrix(coeffs._re[..., None, None], coeffs._im[..., None, None],
+                              coeffs._den, _normalize=False, _real=coeffs._real,
+                              _peak=coeffs._peak)
+        return entrywise(scalars, self)
+
+    def combine(self, coeffs: "ExactMatrix") -> "ExactMatrix":
+        """For members M_0, ..., M_{r-1} along one batch axis: the members
+        sum_k coeffs[k, j] * M_k over the columns j of coeffs. The members'
+        numerators read as one r x (m n) matrix, so this is one exact
+        product (see the module docstring)."""
+        m, n = self.shape
+        flat = self.take((coeffs.nrows,), ...).flattened()
+        return (coeffs.T @ flat).regrouped((coeffs.ncols, m, n), (0, 1, 2))
+
     def conj(self) -> "ExactMatrix":
         if self._real:
             return self
@@ -543,37 +601,108 @@ class ExactMatrix(_Numerators):
 
     @property
     def T(self) -> "ExactMatrix":
-        return ExactMatrix(self._re.T.copy(), self._transposed_im(), self._den, _normalize=False,
-                           _real=self._real, _peak=self._peak)
+        """Every member's transpose."""
+        re = np.swapaxes(self._re, -1, -2)
+        im = _zero(re.shape) if self._real else np.swapaxes(self._im, -1, -2)
+        return ExactMatrix(re, im, self._den, _normalize=False, _real=self._real,
+                           _peak=self._peak)
 
     @property
     def H(self) -> "ExactMatrix":
-        im = self._transposed_im()
-        return ExactMatrix(self._re.T.copy(), im if self._real else -im, self._den,
-                           _normalize=False, _real=self._real, _peak=self._peak)
-
-    def _transposed_im(self):
-        return _zero(self._im.shape[::-1]) if self._real else self._im.T.copy()
+        """Every member's conjugate transpose."""
+        return self.T.conj()
 
     def is_hermitian(self) -> bool:
         return self == self.H
 
     # -- shaping ---------------------------------------------------------
 
-    def _selected(self, key) -> "ExactMatrix":
+    def _selected(self, rows, cols) -> "ExactMatrix":
+        """Every member's entries at the given rows and columns, each index
+        arrays or a slice, normalised again."""
+        key = (Ellipsis, rows, cols)
         re = self._re[key]
         if self._real:
             return ExactMatrix(re, _zero(re.shape), self._den, _real=True)
         return ExactMatrix(re, self._im[key], self._den)
 
     def take_rows(self, idx) -> "ExactMatrix":
-        return self._selected((list(idx), slice(None)))
+        return self._selected(_indices(idx), slice(None))
 
     def take_cols(self, idx) -> "ExactMatrix":
-        return self._selected((slice(None), list(idx)))
+        return self._selected(slice(None), _indices(idx))
 
     def submatrix(self, rows, cols) -> "ExactMatrix":
-        return self._selected(np.ix_(list(rows), list(cols)))
+        return self._selected(*np.ix_(list(rows), list(cols)))
+
+    def take(self, shape, index) -> "ExactMatrix":
+        """The members broadcast to the batch shape shape, then indexed by
+        index on the batch axes: a view, normalised as a whole as this
+        matrix is (one member alone may share a factor with the
+        denominator)."""
+        full = tuple(shape) + self.shape
+        re = _broadcast(self._re, full)[index]
+        if self._real:
+            return ExactMatrix(re, _zero(re.shape), self._den, _normalize=False, _real=True,
+                               _peak=self._peak)
+        # a part of a complex matrix may be real
+        return ExactMatrix(re, _broadcast(self._im, full)[index], self._den,
+                           _normalize=False, _peak=self._peak)
+
+    def reshaped(self, shape, new_shape) -> "ExactMatrix":
+        """The members broadcast to the batch shape shape, the batch axes
+        then reshaped to new_shape (row-major, as numpy reshapes)."""
+        mat = self.shape
+        full = tuple(shape) + mat
+        re = _broadcast(self._re, full).reshape(tuple(new_shape) + mat)
+        im = _zero(re.shape) if self._real else _broadcast(self._im, full).reshape(re.shape)
+        return ExactMatrix(re, im, self._den, _normalize=False, _real=self._real,
+                           _peak=self._peak)
+
+    def regrouped(self, shape, axes) -> "ExactMatrix":
+        """The entries read row-major as an array of the given shape, its
+        axes permuted; the last two permuted axes are the matrices. Moving
+        entries keeps the normalisation and peak."""
+        re = self._re.reshape(shape).transpose(axes)
+        im = _zero(re.shape) if self._real else self._im.reshape(shape).transpose(axes)
+        return ExactMatrix(re, im, self._den, _normalize=False, _real=self._real,
+                           _peak=self._peak)
+
+    def flattened(self) -> "ExactMatrix":
+        """The members along one batch axis as the rows of one r x (m n)
+        matrix, each member read row-major. Moving entries keeps the
+        normalisation and peak."""
+        r = self._re.shape[0]
+        m, n = self.shape
+        return self.regrouped((r, m * n), (0, 1))
+
+    def diagonal_columns(self) -> "ExactMatrix":
+        """Every member's diagonal, as a column, for diagonal members. A
+        diagonal holds all the nonzero entries, so it keeps the
+        normalisation and peak."""
+        if self.nrows != self.ncols:
+            raise ValueError("only square matrices have diagonals")
+        if not self.is_diagonal():
+            raise ValueError("some member has a nonzero entry off its diagonal")
+        re = np.diagonal(self._re, axis1=-2, axis2=-1)[..., None]
+        im = _zero(re.shape) if self._real else np.diagonal(self._im, axis1=-2, axis2=-1)[..., None]
+        return ExactMatrix(re, im, self._den, _normalize=False, _real=self._real or None,
+                           _peak=self._peak)
+
+    def zero_one_diagonals(self):
+        """Per member, whether it is a diagonal matrix whose entries are all
+        0 or 1, and which of its diagonal entries are 1: boolean arrays of
+        the batch shape and of the batch shape plus (n,). An entry is 1
+        exactly when its real numerator equals the denominator and its
+        imaginary one is 0, so this reads the numerators and forms no value."""
+        n = self.ncols
+        if self.nrows != n:
+            raise ValueError("only square matrices have diagonals")
+        ones = self._re == self._den
+        allowed = (self._re == 0) | (ones & np.eye(n, dtype=bool))
+        if not self._real:
+            allowed &= self._im == 0
+        return allowed.all(axis=(-2, -1)), np.diagonal(ones, axis1=-2, axis2=-1)
 
     def scattered(self, rows, cols, shape) -> "ExactMatrix":
         """The matrix of the given shape whose entry (rows[i], cols[j]) is
@@ -592,6 +721,8 @@ class ExactMatrix(_Numerators):
     @staticmethod
     def _joined(mats, join) -> "ExactMatrix":
         mats = list(mats)
+        for m in mats:
+            m._single("hstack and vstack")
         den = math.lcm(*(m._den for m in mats))
         parts = _common(0, *(a for m in mats for a in m._scaled_to(den)))
         return ExactMatrix(join(parts[0::2]), join(parts[1::2]), den)
@@ -627,6 +758,8 @@ class ExactMatrix(_Numerators):
         return ExactMatrix(are, aim, den)
 
     def kron(self, other: "ExactMatrix") -> "ExactMatrix":
+        self._single("kron")
+        other._single("kron")
         peak = self._peak_abs() * other._peak_abs()
         if self._real and other._real:
             a, b = _common(peak, self._re, other._re)
@@ -652,6 +785,7 @@ class ExactMatrix(_Numerators):
         stay integer; only the final scaling introduces the one shared
         denominator.
         """
+        self._single("rref")
         m, n = self.shape
         wre, wim = (a.copy() for a in _common(0, self._re, self._im))
         pivots = []
@@ -770,342 +904,51 @@ class ExactMatrix(_Numerators):
         return R.take_cols(range(self.nrows, 2 * self.nrows))
 
 
-def _any_entry(arr):
-    """Per matrix of arr, whether it has a nonzero entry (the last two axes
-    are the matrices)."""
-    return (arr != 0 if arr.dtype == object else arr).any(axis=(-2, -1))
-
-
-def _stacked_product(a, b) -> "MatrixStack":
-    """a @ b for MatrixStack or ExactMatrix operands, one of them a stack:
-    one exact product over the broadcast batch axes."""
-    if a._re.shape[-1] != b._re.shape[-2]:
-        raise ValueError("inner dimension mismatch")
-    real = a._real and b._real
-    return MatrixStack(*_product(a, b), a._den * b._den, _real=real or None)
-
-
-class MatrixStack(_Numerators):
-    """Equal-shape matrices over the Gaussian rationals with one shared
-    denominator: numerator arrays whose last two axes are the matrices and
-    whose leading axes are batch axes. Batch axes broadcast as numpy
-    broadcasts them, and an ExactMatrix operand counts as a stack without
-    batch axes. Every product, sum and combination is one exact product or
-    sum of whole arrays (see the module docstring)."""
-
-    __slots__ = ()
-
-    def __init__(self, re, im, den: int, _real: bool | None = None, _normalize: bool = True,
-                 _peak: int | None = None):
-        self._real = not im.any() if _real is None else _real
-        self._re, self._im, self._den, self._peak = re, im, int(den), _peak
-        if _normalize:
-            self._re, self._im, self._den, g = _normalized(re, im, self._den, self._real)
-            if g > 1 and _peak is not None:
-                self._peak //= g
-
-    @classmethod
-    def stack(cls, mats, shape) -> "MatrixStack":
-        """The equal-shape matrices mats, in C order over the batch shape
-        shape, as one stack over their lcm denominator."""
-        mats = list(mats)
-        den = math.lcm(*(m._den for m in mats))
-        parts = _common(0, *(a for m in mats for a in m._scaled_to(den)))
-        full = tuple(shape) + mats[0].shape
-        re = np.stack(parts[0::2]).reshape(full)
-        if all(m._real for m in mats):
-            return cls(re, _zero(full), den, _real=True)
-        return cls(re, np.stack(parts[1::2]).reshape(full), den, _real=False)
-
-    @classmethod
-    def regrouped(cls, x: ExactMatrix, shape, axes) -> "MatrixStack":
-        """The entries of x read row-major as an array of the given shape,
-        its axes permuted; the last two permuted axes are the matrices.
-        Moving entries keeps x's normalisation and peak."""
-        re = x._re.reshape(shape).transpose(axes)
-        im = x._im.reshape(shape).transpose(axes)
-        return cls(re, im, x._den, _real=x._real, _normalize=False, _peak=x._peak)
-
-    @classmethod
-    def zeros(cls, shape) -> "MatrixStack":
-        """Zero matrices, shape being the batch shape followed by the matrix
-        shape."""
-        shape = tuple(shape)
-        return cls(_zero(shape), _zero(shape), 1, _real=True, _normalize=False, _peak=0)
-
-    @property
-    def batch_shape(self) -> tuple:
-        return self._re.shape[:-2]
-
-    def take(self, shape, index) -> "MatrixStack":
-        """The stack broadcast to the batch shape shape, then indexed by
-        index on its batch axes; a view, normalised as this stack is."""
-        full = tuple(shape) + self._re.shape[-2:]
-        re = _broadcast(self._re, full)[index]
-        if self._real:
-            return MatrixStack(re, _zero(re.shape), self._den, _real=True, _normalize=False,
-                               _peak=self._peak)
-        # a part of a complex stack may be real
-        return MatrixStack(re, _broadcast(self._im, full)[index], self._den,
-                           _normalize=False, _peak=self._peak)
-
-    def reshaped(self, shape, new_shape) -> "MatrixStack":
-        """The stack broadcast to the batch shape shape, its batch axes then
-        reshaped to new_shape (row-major, as numpy reshapes)."""
-        mat = self._re.shape[-2:]
-        full = tuple(shape) + mat
-        re = _broadcast(self._re, full).reshape(tuple(new_shape) + mat)
-        im = _zero(re.shape) if self._real else _broadcast(self._im, full).reshape(re.shape)
-        return MatrixStack(re, im, self._den, _real=self._real, _normalize=False,
-                           _peak=self._peak)
-
-    def member(self, shape, index) -> ExactMatrix:
-        """Member index (one integer per batch axis) of the stack broadcast
-        to the batch shape shape."""
-        one = self.take(shape, index)
-        return ExactMatrix(one._re, one._im, one._den, _real=self._real or None)
-
-    def nonzero(self):
-        """Per member, whether it has a nonzero entry: a boolean array of
-        the batch shape."""
-        bad = _any_entry(self._re)
-        return bad if self._real else bad | _any_entry(self._im)
-
-    def is_zero(self) -> bool:
-        return not self._re.any() and (self._real or not self._im.any())
-
-    def flattened(self) -> ExactMatrix:
-        """The members of a stack with one batch axis as the rows of one
-        r x (m n) matrix, each member read row-major. Moving entries keeps
-        the stack's normalisation and peak."""
-        r = self._re.shape[0]
-        m, n = self._re.shape[-2:]
-        im = _zero((r, m * n)) if self._real else self._im.reshape(r, m * n)
-        return ExactMatrix(self._re.reshape(r, m * n), im, self._den,
-                           _normalize=False, _real=self._real, _peak=self._peak)
-
-    def combine(self, coeffs: ExactMatrix) -> "MatrixStack":
-        """For members M_0, ..., M_{r-1} along one batch axis: the stack, over
-        the columns j of coeffs, of sum_k coeffs[k, j] * M_k. The members'
-        numerators read as one r x (m n) matrix, so this is one exact
-        product, as in MatrixFamily.combine."""
-        m, n = self._re.shape[-2:]
-        flat = self.take((coeffs.nrows,), ...).flattened()
-        return MatrixStack.regrouped(coeffs.T @ flat, (coeffs.ncols, m, n), (0, 1, 2))
-
-    def scaled(self, coeffs: ExactMatrix) -> "MatrixStack":
-        """Each member times its own scalar: member (i, j) of the stack
-        broadcast to the batch shape coeffs.shape, times coeffs[i, j]. One
-        entrywise product (see entrywise), each entry at most
-        max|coeffs| * max|stack| in magnitude (twice that for two complex
-        operands)."""
-        scalars = MatrixStack(coeffs._re[..., None, None], coeffs._im[..., None, None],
-                              coeffs._den, _real=coeffs._real, _normalize=False,
-                              _peak=coeffs._peak)
-        return entrywise(scalars, self)
-
-    def _selected(self, rows, cols) -> "MatrixStack":
-        """Every member's entries at the given rows and columns, each an
-        index array or a full slice, normalised again."""
-        key = (Ellipsis, rows, cols)
-        re = self._re[key]
-        im = _zero(re.shape) if self._real else self._im[key]
-        return MatrixStack(re, im, self._den, _real=self._real or None, _peak=self._peak)
-
-    def submatrix(self, rows, cols) -> "MatrixStack":
-        rows = np.asarray(rows, dtype=np.intp).reshape(-1, 1)
-        return self._selected(rows, np.asarray(cols, dtype=np.intp).reshape(1, -1))
-
-    def take_cols(self, idx) -> "MatrixStack":
-        return self._selected(slice(None), np.asarray(idx, dtype=np.intp))
-
-    def diagonal_columns(self) -> "MatrixStack":
-        """Every member's diagonal, as a stack of columns over the same batch
-        shape, for a stack of diagonal matrices. A diagonal holds all the
-        nonzero entries, so it keeps the stack's normalisation and peak."""
-        n = self._re.shape[-1]
-        if self._re.shape[-2] != n:
-            raise ValueError("only square matrices have diagonals")
-        off = ~np.eye(n, dtype=bool)
-        if (self._re[..., off] != 0).any() or (not self._real and (self._im[..., off] != 0).any()):
-            raise ValueError("some member has a nonzero entry off its diagonal")
-        re = np.diagonal(self._re, axis1=-2, axis2=-1)[..., None]
-        im = _zero(re.shape) if self._real else np.diagonal(self._im, axis1=-2, axis2=-1)[..., None]
-        return MatrixStack(re, im, self._den, _real=self._real or None, _normalize=False,
-                           _peak=self._peak)
-
-    def zero_one_diagonals(self):
-        """Per member, whether it is a diagonal matrix whose entries are all
-        0 or 1, and which of its diagonal entries are 1: boolean arrays of
-        the batch shape and of the batch shape plus (n,). An entry is 1
-        exactly when its real numerator equals the denominator and its
-        imaginary one is 0, so this reads the numerators and forms no value."""
-        n = self._re.shape[-1]
-        if self._re.shape[-2] != n:
-            raise ValueError("only square matrices have diagonals")
-        ones = self._re == self._den
-        allowed = (self._re == 0) | (ones & np.eye(n, dtype=bool))
-        if not self._real:
-            allowed &= self._im == 0
-        return allowed.all(axis=(-2, -1)), np.diagonal(ones, axis1=-2, axis2=-1)
-
-    def __matmul__(self, other):
-        if not isinstance(other, (MatrixStack, ExactMatrix)):
-            return NotImplemented
-        return _stacked_product(self, other)
-
-    def __rmatmul__(self, other):
-        if not isinstance(other, ExactMatrix):
-            return NotImplemented
-        return _stacked_product(other, self)
-
-    def __add__(self, other):
-        return self._summed(other, np.add)
-
-    def __sub__(self, other):
-        return self._summed(other, np.subtract)
-
-    def _summed(self, other, op):
-        if not isinstance(other, (MatrixStack, ExactMatrix)):
-            return NotImplemented
-        if self._re.shape[-2:] != other._re.shape[-2:]:
-            raise ValueError("shape mismatch")
-        re, im, den, real, _ = _sum(self, other, op)
-        return MatrixStack(re, im, den, _real=real or None)
-
-    def __neg__(self):
-        im = self._im if self._real else -self._im
-        return MatrixStack(-self._re, im, self._den, _real=self._real, _normalize=False,
-                           _peak=self._peak)
-
-    @property
-    def H(self) -> "MatrixStack":
-        """Every member's conjugate transpose."""
-        im = np.swapaxes(self._im, -1, -2)
-        return MatrixStack(np.swapaxes(self._re, -1, -2), im if self._real else -im,
-                           self._den, _real=self._real, _normalize=False, _peak=self._peak)
-
-
-def entrywise(a, b) -> MatrixStack:
-    """a times b entry by entry, for ExactMatrix and MatrixStack operands
-    alike, numpy broadcasting every axis, the matrix axes included. One
-    elementwise product of the numerator arrays: each entry is at most
-    max|a|*max|b| in magnitude (twice that for two complex operands), which
-    is also the stored peak."""
+def entrywise(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
+    """a times b entry by entry, numpy broadcasting every axis, the matrix
+    axes included. One elementwise product of the numerator arrays: each
+    entry is at most max|a|*max|b| in magnitude (twice that for two complex
+    operands), which is also the stored peak."""
     peak = a._peak_abs() * b._peak_abs()
     den = a._den * b._den
     if a._real and b._real:
         are, bre = _common(peak, a._re, b._re)
         re = are * bre
-        return MatrixStack(re, _zero(re.shape), den, _real=True, _peak=peak)
+        return ExactMatrix(re, _zero(re.shape), den, _real=True, _peak=peak)
     are, aim, bre, bim = _common(2 * peak, a._re, a._im, b._re, b._im)
-    return MatrixStack(are * bre - aim * bim, are * bim + aim * bre, den, _peak=2 * peak)
+    return ExactMatrix(are * bre - aim * bim, are * bim + aim * bre, den, _peak=2 * peak)
 
 
-def diagonal_commutator(x, left: MatrixStack | None, right: MatrixStack | None) -> MatrixStack:
-    """x @ diag(right) - diag(left) @ x member by member, for x a stack or
-    matrix of m x n blocks and left, right stacks of diagonal columns
-    (..., m, 1) and (..., n, 1), None standing for a zero diagonal; batch
-    axes broadcast. Entry (i, j) is x[i, j] * (right[j] - left[i]): the
-    diagonals' difference, an m x n mask, then one entrywise product and no
-    matrix product (see the module docstring)."""
+def diagonal_commutator(x: ExactMatrix, left: ExactMatrix | None,
+                        right: ExactMatrix | None) -> ExactMatrix:
+    """x @ diag(right) - diag(left) @ x member by member, for x of m x n
+    members and left, right diagonal columns (..., m, 1) and (..., n, 1),
+    None standing for a zero diagonal; batch axes broadcast. Entry (i, j)
+    is x[i, j] * (right[j] - left[i]): the diagonals' difference, an m x n
+    mask, then one entrywise product and no matrix product (see the module
+    docstring)."""
     if right is None:
         return entrywise(x, -left)
-    row = MatrixStack(np.swapaxes(right._re, -1, -2), np.swapaxes(right._im, -1, -2), right._den,
-                      _real=right._real, _normalize=False, _peak=right._peak)
+    row = right.T
     if left is None:
         return entrywise(x, row)
     re, im, den, real, bound = _sum(row, left, np.subtract)
-    return entrywise(x, MatrixStack(re, im, den, _real=real or None, _normalize=False,
+    return entrywise(x, ExactMatrix(re, im, den, _normalize=False, _real=real or None,
                                     _peak=bound))
 
 
-def _flatten(members):
-    """The numerators of members M_0, ..., M_{r-1}, each a list of blocks
-    with the same shapes in every member, as one r x L ExactMatrix over one
-    denominator (row k holds the entries of M_k's blocks, row-major, block
-    after block), together with the block shapes."""
-    members = [list(m) for m in members]
-    if not members or not members[0]:
-        raise ValueError("need at least one member with at least one block")
-    shapes = [b.shape for b in members[0]]
-    if any([b.shape for b in m] != shapes for m in members):
-        raise ValueError("members must have blocks of the same shapes")
-    den = math.lcm(*(b._den for m in members for b in m))
-    scaled = [[b._scaled_to(den) for b in m] for m in members]
-    re = [np.concatenate([s[0].ravel() for s in m]) for m in scaled]
-    im = [np.concatenate([s[1].ravel() for s in m]) for m in scaled]
-    parts = _common(0, *re, *im)
-    r = len(members)
-    return ExactMatrix(np.stack(parts[:r]), np.stack(parts[r:]), den), shapes
-
-
-class MatrixFamily:
-    """A fixed family of members M_0, ..., M_{r-1}, each a list of blocks
-    with the same shapes in every member, ready for linear combinations.
-
-    The numerators of all members are flattened once into one r x L integer
-    matrix over one denominator, L being the total size of a member's
-    blocks; combine then costs one exact product (see the module docstring).
-    """
-
-    __slots__ = ("_flat", "_shapes", "_offsets")
-
-    def __init__(self, members):
-        self._flat, self._shapes = _flatten(members)
-        self._offsets = [0, *itertools.accumulate(p * q for p, q in self._shapes)]
-
-    def _combined(self, coeffs: ExactMatrix, start: int, stop: int):
-        """Blocks start..stop-1 of sum_k coeffs[k, j] * M_k for every column
-        j of coeffs, as (re, im, den, real) with arrays of shape
-        (columns, p, q): one exact product with the flattened family's
-        columns of those blocks."""
-        if coeffs.nrows != self._flat.nrows:
-            raise ValueError("coefficient rows do not match the family")
-        flat = self._flat
-        lo, hi = self._offsets[start], self._offsets[stop]
-        # the columns of the window, bounded by the whole family's peak
-        window = ExactMatrix(flat._re[:, lo:hi], flat._im[:, lo:hi], flat._den, _normalize=False,
-                             _real=flat._real, _peak=flat._peak_abs())
-        re, im = _product(coeffs.T, window)
-        den = coeffs._den * flat._den
-        real = coeffs._real and flat._real
-        c = coeffs.ncols
-        for (p, q), at in zip(self._shapes[start:stop], self._offsets[start:stop]):
-            cut = slice(at - lo, at - lo + p * q)
-            yield re[:, cut].reshape(c, p, q), im[:, cut].reshape(c, p, q), den, real
-
-    def combine(self, coeffs: ExactMatrix) -> list:
-        """sum_k coeffs[k, j] * M_k for each column j of coeffs, each as the
-        list of its blocks."""
-        blocks = list(self._combined(coeffs, 0, len(self._shapes)))
-        return [[ExactMatrix(re[j], im[j], den, _real=real or None) for re, im, den, real in blocks]
-                for j in range(coeffs.ncols)]
-
-    def stacks(self, coeffs: ExactMatrix, start: int, stop: int) -> list:
-        """Blocks start..stop-1 of the combinations of combine, each block as
-        one MatrixStack over the columns of coeffs."""
-        return [MatrixStack(re, im, den, _real=real or None)
-                for re, im, den, real in self._combined(coeffs, start, stop)]
-
-
-def weighted_sum(mats, coeffs: ExactMatrix) -> ExactMatrix:
-    """sum_c coeffs[c, 0] * mats[c], for a column vector of coefficients."""
-    mats = list(mats)
-    if coeffs.shape != (len(mats), 1):
-        raise ValueError("coefficient column does not match matrix list")
-    return MatrixFamily([m] for m in mats).combine(coeffs)[0][0]
-
-
 def regroup(x: ExactMatrix, shape, axes, rows: int, cols: int) -> ExactMatrix:
-    """The entries of x read row-major as an array of the given shape, its
-    axes permuted, as a rows x cols matrix. Moving entries keeps x's
-    normalisation, so the result is not normalised again."""
-    re = x._re.reshape(shape).transpose(axes).reshape(rows, cols)
+    """Each member's entries read row-major as an array of the given shape,
+    its axes permuted, as a rows x cols matrix; batch axes stay. Moving
+    entries keeps x's normalisation, so the result is not normalised
+    again."""
+    batch = x.batch_shape
+    axes = tuple(range(len(batch))) + tuple(len(batch) + a for a in axes)
+    re = x._re.reshape(batch + tuple(shape)).transpose(axes).reshape(batch + (rows, cols))
     if x._real:
         return ExactMatrix(re, _zero(re.shape), x._den, _normalize=False,
                            _real=True, _peak=x._peak)
-    im = x._im.reshape(shape).transpose(axes).reshape(rows, cols)
+    im = x._im.reshape(batch + tuple(shape)).transpose(axes).reshape(re.shape)
     return ExactMatrix(re, im, x._den, _normalize=False, _real=False, _peak=x._peak)
 
 
@@ -1115,8 +958,10 @@ def kron_sum(lefts, rights) -> ExactMatrix:
     lefts, rights = list(lefts), list(rights)
     if len(lefts) != len(rights):
         raise ValueError("need as many right factors as left factors")
-    a, [(m, n)] = _flatten([x] for x in lefts)
-    b, [(p, q)] = _flatten([x] for x in rights)
+    r = len(lefts)
+    a = ExactMatrix.stack(lefts, (r,)).flattened()
+    b = ExactMatrix.stack(rights, (r,)).flattened()
+    (m, n), (p, q) = lefts[0].shape, rights[0].shape
     # entry ((i, j), (k, l)) of a^T b is sum_t lefts[t][i, j] * rights[t][k, l]
     return regroup(a.T @ b, (m, n, p, q), (0, 2, 1, 3), m * p, n * q)
 
@@ -1164,19 +1009,14 @@ def times_identity_kron(mat: ExactMatrix, s: int, x: ExactMatrix) -> ExactMatrix
 def kron_identity_entries(x, s: int, left: bool, rows, cols):
     """The entries of x (x) I_s (left) or I_s (x) x (otherwise) at the given
     rows and columns, gathered from x without forming the Kronecker product
-    (see the module docstring). x is an ExactMatrix, or a MatrixStack whose
-    members are all read by the one gather, into a stack of the same batch
-    shape."""
+    (see the module docstring). Every member of a batched x is read by the
+    one gather, into a result of the same batch shape."""
     p, q = x._re.shape[-2:]
     rows = np.asarray(rows, dtype=np.intp).reshape(-1)
     cols = np.asarray(cols, dtype=np.intp).reshape(-1)
     for idx, size in ((rows, p * s), (cols, q * s)):
         if idx.size and (idx.min() < 0 or idx.max() >= size):
             raise ValueError("index outside the Kronecker product")
-    if not rows.size or not cols.size:
-        if isinstance(x, MatrixStack):
-            return MatrixStack.zeros(x.batch_shape + (rows.size, cols.size))
-        return ExactMatrix.zeros(rows.size, cols.size)
     if left:
         (a, u), (b, v) = np.divmod(rows, s), np.divmod(cols, s)
     else:
@@ -1185,8 +1025,8 @@ def kron_identity_entries(x, s: int, left: bool, rows, cols):
     at = Ellipsis, a[:, None], b[None, :]
     re = np.where(keep, x._re[at], 0)
     if x._real:
-        return type(x)(re, _zero(re.shape), x._den, _real=True, _peak=x._peak)
-    return type(x)(re, np.where(keep, x._im[at], 0), x._den, _peak=x._peak)
+        return ExactMatrix(re, _zero(re.shape), x._den, _real=True, _peak=x._peak)
+    return ExactMatrix(re, np.where(keep, x._im[at], 0), x._den, _peak=x._peak)
 
 
 def gram_adjoint(t: ExactMatrix, gram_dom: ExactMatrix, gram_cod: ExactMatrix) -> ExactMatrix:
@@ -1278,50 +1118,60 @@ class GramStack:
     """An algebra-valued sesquilinear form on C^dim.
 
     Stored as one scalar Gram matrix per coordinate of the (commutative)
-    target algebra: <x|y> has c-th coordinate x^H coords[c] y.
+    target algebra, held as one batched matrix grams of shape
+    (num_coords, dim, dim): <x|y> has c-th coordinate x^H grams[c] y. Built
+    from a list of coordinate Grams or from such a batched matrix.
     """
 
-    __slots__ = ("coords", "_stacked")
+    __slots__ = ("grams",)
 
     def __init__(self, coords):
-        coords = list(coords)
-        if not coords:
-            raise ValueError("need at least one coordinate matrix")
-        dim = coords[0].nrows
-        for g in coords:
-            if g.shape != (dim, dim):
+        if not isinstance(coords, ExactMatrix):
+            coords = list(coords)
+            if not coords:
+                raise ValueError("need at least one coordinate matrix")
+            if any(g.shape != coords[0].shape for g in coords):
                 raise ValueError("coordinate Gram matrices must be square and equal-size")
-        self.coords = coords
-        # the coordinate Grams stacked in one column, built on first use;
-        # valid for good, as nothing reassigns coords or writes arrays
-        self._stacked = None
+            coords = ExactMatrix.stack(coords, (len(coords),))
+        if len(coords.batch_shape) != 1 or coords.nrows != coords.ncols:
+            raise ValueError("coordinate Gram matrices must be square and equal-size")
+        if not coords.batch_shape[0]:
+            raise ValueError("need at least one coordinate matrix")
+        self.grams = coords
 
     @property
     def dim(self) -> int:
-        return self.coords[0].nrows
+        return self.grams.nrows
 
     @property
     def num_coords(self) -> int:
-        return len(self.coords)
+        return self.grams.batch_shape[0]
+
+    @property
+    def coords(self) -> list:
+        """The coordinate Grams, one matrix each."""
+        return [self.grams.take((self.num_coords,), c) for c in range(self.num_coords)]
 
     def pairs(self, x: ExactMatrix, y: ExactMatrix) -> ExactMatrix:
         """The algebra elements <x_i|y_j> for every column x_i of x and y_j
         of y, as the columns (i, j), i slowest, of a num_coords x
         (x.ncols * y.ncols) matrix.
 
-        Two exact products: the stacked Grams times y, whose row (c, k) is
-        row k of coords[c] @ y, regrouped into a dim x (num_coords * y.ncols)
-        matrix; x^H times that, regrouped into the result."""
+        Two exact products: the Grams read as one (num_coords * dim) x dim
+        matrix times y, whose row (c, k) is row k of grams[c] @ y, regrouped
+        into a dim x (num_coords * y.ncols) matrix; x^H times that,
+        regrouped into the result."""
         if x.nrows != self.dim or y.nrows != self.dim:
             raise ValueError("pairs takes vectors of the form's dimension")
         d, n, a, b = self.num_coords, self.dim, x.ncols, y.ncols
-        gy = regroup(self._vstacked() @ y, (d, n, b), (1, 0, 2), n, d * b)
+        column = self.grams.regrouped((d * n, n), (0, 1))
+        gy = regroup(column @ y, (d, n, b), (1, 0, 2), n, d * b)
         return regroup(x.H @ gy, (a, d, b), (1, 0, 2), d, a * b)
 
     def column_pairs(self, x: ExactMatrix, y: ExactMatrix) -> ExactMatrix:
         """The algebra elements <x_k|y_k> for every column k of x and of y,
         as the columns of a num_coords x ncols matrix: the columns (k, k) of
-        pairs(x, y) without the others. The stacked Grams times y in one
+        pairs(x, y) without the others. The Grams times y in one batched
         exact product, each coordinate's block times conj(x) entry by
         entry, then the column sums of every block as one product with a
         row of ones."""
@@ -1330,40 +1180,28 @@ class GramStack:
         n = self.dim
         ones = ExactMatrix(np.ones((1, n), np.int64), _zero((1, n)), _normalize=False,
                            _real=True, _peak=1)
-        return (ones @ entrywise(x.conj(), self.stack @ y)).flattened()
-
-    def _vstacked(self) -> ExactMatrix:
-        if self._stacked is None:
-            self._stacked = ExactMatrix.vstack(self.coords)
-        return self._stacked
-
-    @property
-    def stack(self) -> MatrixStack:
-        """The coordinate Grams as one MatrixStack over the coordinates."""
-        n = self.dim
-        return MatrixStack.regrouped(self._vstacked(), (self.num_coords, n, n), (0, 1, 2))
+        return (ones @ entrywise(x.conj(), self.grams @ y)).flattened()
 
     def scalarized(self) -> ExactMatrix:
         """The scalar Gram obtained by the coordinate-sum trace."""
         ones = ExactMatrix(np.ones((self.num_coords, 1), np.int64), _zero((self.num_coords, 1)),
                            _normalize=False, _real=True, _peak=1)
-        return self.stack.combine(ones).member((1,), (0,))
+        return self.grams.combine(ones).take((1,), 0)
 
     def restrict(self, idx) -> "GramStack":
         idx = list(idx)
-        return GramStack([g.submatrix(idx, idx) for g in self.coords])
+        return GramStack(self.grams.submatrix(idx, idx))
 
     def transform(self, matrix: ExactMatrix) -> "GramStack":
         """Push the form through a linear map of target algebras.
 
-        Coordinate c of the result is sum_k matrix[c, k] * coords[k].
+        Coordinate c of the result is sum_k matrix[c, k] * grams[k].
         """
         if matrix.ncols != self.num_coords:
             raise ValueError("coordinate count mismatch")
-        combos = MatrixFamily([g] for g in self.coords).combine(matrix.T)
-        return GramStack(blocks[0] for blocks in combos)
+        return GramStack(self.grams.combine(matrix.T))
 
     def __eq__(self, other):
         if not isinstance(other, GramStack):
             return NotImplemented
-        return self.coords == other.coords
+        return self.grams == other.grams

@@ -12,7 +12,7 @@ rejected rather than silently approximated.
 
 from __future__ import annotations
 
-from .linalg import ExactMatrix, MatrixStack
+from .linalg import ExactMatrix
 
 
 class NotDiagonalModel(ValueError):
@@ -41,7 +41,7 @@ class DiagonalOperatorModel:
                     "in the module basis; this model only covers the "
                     "diagonal case"
                 )
-        diagonals = ExactMatrix.hstack([g.diagonal_column() for g in generators])
+        diagonals = ExactMatrix.hstack([g.diagonal_columns() for g in generators])
         signature = {}
         for j, key in enumerate(diagonals.to_rows()):
             signature.setdefault(tuple(key), []).append(j)
@@ -61,15 +61,15 @@ class DiagonalOperatorModel:
     def rank(self) -> int:
         return len(self.classes)
 
-    def projection_patterns(self, ops: MatrixStack):
-        """Which members of a stack of module operators with one batch axis
+    def projection_patterns(self, ops: ExactMatrix):
+        """Which members of module operators with one batch axis
         are model projections, and their 0/1 class patterns: a boolean array
         over the members, and an integer array whose row j is member j's
         pattern (meaningless where member j is no model projection). A model
         projection is a diagonal 0/1 matrix constant on every class, so one
         pass over the numerators decides every member."""
         if len(ops.batch_shape) != 1:
-            raise ValueError("need a stack over one batch axis")
+            raise ValueError("need operators over one batch axis")
         zero_one, ones = ops.zero_one_diagonals()
         if ones.shape[1] != self.dim:
             raise ValueError("operators must act on the module")

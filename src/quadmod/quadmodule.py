@@ -19,15 +19,15 @@ on; each check is reported individually with an exact witness on failure.
 
 Every check that quantifies over a grid of members, (c, c2), (a, c),
 (c, x) or (i, j, c), is one batched expression over the whole grid. The
-operator lists and coordinate Grams are held as MatrixStacks, laid out
-along the grid's axes, and the two sides of the axiom are a few exact
-products, member-wise scalings or combinations of whole stacks (see the
-linalg module), never one product per member. Their difference is tested
-member by member with one array test, and a failing check's witness names
-its first failing member in C order over the grid: the member a nested
-loop over the grid, first axis outermost, would meet first. Range
-membership over a grid is one elimination, and ranks are read from the
-flattened stacks. The index maps are derived once per specification and
+operator lists and coordinate Grams are held as ExactMatrix values with
+batch axes, laid out along the grid's axes, and the two sides of the axiom
+are a few exact products, member-wise scalings or combinations of whole
+batches (see the linalg module), never one product per member. Their
+difference is tested member by member with one array test, and a failing
+check's witness names its first failing member in C order over the grid:
+the member a nested loop over the grid, first axis outermost, would meet
+first. Range membership over a grid is one elimination, and ranks are read
+from the flattened batches. The index maps are derived once per specification and
 shared by every stage that reads them.
 """
 
@@ -42,8 +42,6 @@ from .algebras import AlgebraHom, CommAlgebra
 from .linalg import (
     ExactMatrix,
     GramStack,
-    MatrixFamily,
-    MatrixStack,
     psd_check,
     times_identity_kron,
 )
@@ -65,23 +63,23 @@ def _first(bad) -> tuple | None:
     return tuple(int(i) for i in hits[0]) if len(hits) else None
 
 
-def _grid(first: MatrixStack, second: MatrixStack):
-    """Two stacks of one batch axis each, laid out on the grid (i, j) of
+def _grid(first: ExactMatrix, second: ExactMatrix):
+    """Two batched matrices of one batch axis each, laid out on the grid (i, j) of
     their members: first along i, second along j."""
     r, s = first.batch_shape[0], second.batch_shape[0]
     return first.reshaped((r,), (r, 1)), second.reshaped((s,), (1, s))
 
 
-def _columns(x: ExactMatrix) -> MatrixStack:
-    """The columns of x as one stack over the columns."""
+def _columns(x: ExactMatrix) -> ExactMatrix:
+    """The columns of x, one member per column."""
     m, n = x.shape
-    return MatrixStack.regrouped(x, (m, n, 1), (1, 0, 2))
+    return x.regrouped((m, n, 1), (1, 0, 2))
 
 
-def _entries(x: ExactMatrix) -> MatrixStack:
-    """The entries of x as a stack of 1 x 1 members over x's index grid."""
+def _entries(x: ExactMatrix) -> ExactMatrix:
+    """The entries of x as 1 x 1 members over x's index grid."""
     m, n = x.shape
-    return MatrixStack.regrouped(x, (m, n, 1, 1), (0, 1, 2, 3))
+    return x.regrouped((m, n, 1, 1), (0, 1, 2, 3))
 
 
 def _compressions(family: ExactMatrix, form: GramStack, ops: list):
@@ -96,13 +94,13 @@ def _compressions(family: ExactMatrix, form: GramStack, ops: list):
     return values, times_identity_kron(diagonal, d, CommAlgebra(k).unit())
 
 
-def _reconstructs(acts: MatrixStack, family: ExactMatrix, form: GramStack) -> bool:
+def _reconstructs(acts: ExactMatrix, family: ExactMatrix, form: GramStack) -> bool:
     """Whether every vector v is sum_f sum_c acts[c] f <f|v>_c over the
     columns f of family and the coordinates c of the form, that is whether
     sum_c acts[c] (F F^H) G_c is the identity: F F^H, the stack (F F^H) G,
     acts times it and the sum over c, one product each."""
     gram = family @ family.H
-    total = (acts @ (gram @ form.stack)).combine(CommAlgebra(acts.batch_shape[0]).unit())
+    total = (acts @ (gram @ form.grams)).combine(CommAlgebra(acts.batch_shape[0]).unit())
     return (total - ExactMatrix.identity(family.nrows)).is_zero()
 
 
@@ -151,8 +149,10 @@ class QuadModuleSpec:
         self._check_shapes()
         # right action of A, realized through the first side algebra; the
         # agreement with the second route is a validated axiom
-        combos = MatrixFamily([m] for m in self.right_B1).combine(self.right_embed_1.matrix)
-        self.right_A = [blocks[0] for blocks in combos]
+        dA = self.algebra_A.dim
+        combos = ExactMatrix.stack(self.right_B1, (len(self.right_B1),)).combine(
+            self.right_embed_1.matrix)
+        self.right_A = [combos.take((dA,), a) for a in range(dA)]
         # the index maps, or their failure, once derive_lambda has run
         self._index_maps = None
 
@@ -198,10 +198,10 @@ class QuadModuleSpec:
 
     @cached_property
     def _stacks(self) -> dict:
-        """Each action list, right_A included, as one MatrixStack over its
-        algebra basis."""
+        """Each action list, right_A included, as one batched matrix over
+        its algebra basis."""
         names = ("right_B1", "right_B2", "left_B1", "left_B2", "right_A")
-        return {name: MatrixStack.stack(getattr(self, name), (len(getattr(self, name)),))
+        return {name: ExactMatrix.stack(getattr(self, name), (len(getattr(self, name)),))
                 for name in names}
 
     # -- axiom validation --------------------------------------------------
@@ -292,7 +292,7 @@ class QuadModuleSpec:
 
         # inner products: hermitian, positive, nondegenerate, right-linear
         for label, form in forms:
-            grams = form.stack
+            grams = form.grams
             hermitian = ~(grams - grams.H).nonzero()
             add(
                 f"inner-hermitian-{label}",
@@ -319,7 +319,7 @@ class QuadModuleSpec:
             ("b2", self.inner_B2, "right_B2"),
             ("a", self.inner_A, "right_A"),
         ]:
-            coords, acts = _grid(form.stack, ops[name])
+            coords, acts = _grid(form.grams, ops[name])
             add_grid(
                 f"inner-right-linear-{label}",
                 "the inner product is linear over the right action of its own algebra",
@@ -333,7 +333,7 @@ class QuadModuleSpec:
             ("1", self.inner_B1, self.right_embed_1),
             ("2", self.inner_B2, self.right_embed_2),
         ]:
-            base, coords = _grid(ops["right_A"], form.stack)
+            base, coords = _grid(ops["right_A"], form.grams)
             add_grid(
                 f"inner-right-twist-{label}",
                 "moving a base algebra element inside the inner product picks up its embedded image",
@@ -345,7 +345,7 @@ class QuadModuleSpec:
         # the conjugated element as the common adjoint
         for side, name in [("1", "left_B1"), ("2", "left_B2")]:
             for label, form in forms:
-                acts, coords = _grid(ops[name], form.stack)
+                acts, coords = _grid(ops[name], form.grams)
                 add_grid(
                     f"left-adjointable-{side}-{label}",
                     "the left action is adjointable with the conjugate element as adjoint",
@@ -373,7 +373,7 @@ class QuadModuleSpec:
             add(
                 f"inner-full-{label}",
                 "inner product values span the coefficient algebra",
-                form.stack.flattened().rank() == form.num_coords,
+                form.grams.flattened().rank() == form.num_coords,
             )
 
         # the four embeddings are unital *-homomorphisms; the left pair must

@@ -11,7 +11,7 @@ than a tolerance.
 All comparisons are exact. Identities that quantify over module vectors
 or algebra elements are checked on coordinate basis vectors, which
 decides them because each slot enters linearly or antilinearly. Each such
-identity is one FockFamily expression over all its members at once: the
+identity is one FockOperator expression over all its members at once: the
 fixed operators (basis creations and annihilations, side and right
 actions, generators) are gathered into families once, with size-1 axes
 where a member does not depend on them, and the members that vary are
@@ -35,7 +35,7 @@ coordinate c of the side inner product:
   other side's action, is the combination of the members S_i* phi'(e_c) S_i
   with the coordinates of <e_p|e_q>'.
 
-Each combination is one exact product per block (FockFamily.combine) and
+Each combination is one exact product per block (FockOperator.combine) and
 moving it outside the products changes no entry. Restricting a basis family
 to a window restricts its rightmost factor, as above.
 """
@@ -45,8 +45,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .fock import FockDiagonal, FockFamily, FockOperator, FockSpace
-from .linalg import ExactMatrix, MatrixStack, gram_adjoint, kron_sum, regroup, weighted_sum
+from .fock import FockDiagonal, FockOperator, FockSpace
+from .linalg import ExactMatrix, gram_adjoint, kron_sum, regroup
 from .opalgebra import DiagonalOperatorModel, NotDiagonalModel
 from .report import CheckResult, IdentityReport
 from .scalars import GaussianRational
@@ -57,7 +57,7 @@ _I = GaussianRational(0, 1)
 @dataclass
 class GeneratorFamily:
     """Creation operators attached to the two generating families, each
-    family one FockFamily over its generators, with everything derived
+    family one FockOperator over its generators, with everything derived
     from them: their adjoints and range projections, the basis families
     that expansions and represented module maps combine (see the module
     docstring), the left-action operator model and its lifts to the tower.
@@ -68,10 +68,10 @@ class GeneratorFamily:
     """
 
     space: FockSpace
-    S: FockFamily
-    T: FockFamily
+    S: FockOperator
+    T: FockOperator
 
-    def family(self, family: int) -> FockFamily:
+    def family(self, family: int) -> FockOperator:
         """The generating creation operators of one family (1 or 2)."""
         return self.S if family == 1 else self.T
 
@@ -90,8 +90,9 @@ class GeneratorFamily:
         """The range projections x x* of each family, in generator order."""
         return {fam: self.family(fam) @ adjoints for fam, adjoints in self.adjoints.items()}
 
-    def range_sum(self, family: int) -> FockFamily:
-        """The sum of one family's range projections, as a one-member family."""
+    def range_sum(self, family: int) -> FockOperator:
+        """The sum of one family's range projections, as the one member of
+        batch shape (1,)."""
         ranges = self.ranges[family]
         return ranges.sums(ranges.shape[0])
 
@@ -125,9 +126,9 @@ class GeneratorFamily:
         return {fam: (basis.reshape((-1, 1)) @ self.adjoints[fam].reshape((1, -1))).reshape((-1,))
                 for fam, basis in self.expansion_bases.items()}
 
-    def expansions(self, family: int, xs: ExactMatrix, window) -> FockFamily:
+    def expansions(self, family: int, xs: ExactMatrix, window) -> FockOperator:
         """The creation operators of the module vectors in the columns of xs
-        rebuilt from the generating family, as a family over the columns:
+        rebuilt from the generating family, one member per column:
         sum_i S_i phi(<m_i|x>), the combination of the expansion basis with
         coefficient (i, c) the coordinate c of <m_i|x>. The side actions,
         the rightmost factors, are kept on the source window only."""
@@ -144,7 +145,7 @@ class GeneratorFamily:
         return DiagonalOperatorModel(h.left_B1 + h.left_B2)
 
     @cached_property
-    def lifts(self) -> FockFamily:
+    def lifts(self) -> FockOperator:
         """The lifts of the model's minimal idempotents, in class order; the
         lift of a 0/1 class pattern is lifts.combine of its column."""
         return self.space.lifts(self.model.idempotents)
@@ -158,12 +159,12 @@ class GeneratorFamily:
         quotient because express is the identity on them)."""
         return self.lifts.diagonal()
 
-    def lifted(self, x: FockFamily, classes=slice(None)) -> FockFamily:
+    def lifted(self, x: FockOperator, classes=slice(None)) -> FockOperator:
         """lifts[classes] @ x, member by member: the rows of x's blocks
         scaled by the lift diagonals."""
         return self.lift_diagonals[classes].times(x)
 
-    def lift_commutators(self, x: FockFamily) -> FockFamily:
+    def lift_commutators(self, x: FockOperator) -> FockOperator:
         """x @ lifts - lifts @ x for an operator family x without batch
         axes, one member per class: x's blocks times the masks of the lift
         diagonals."""
@@ -216,9 +217,9 @@ def families_report(check_id, statement, parts, lo, hi) -> IdentityReport:
     return IdentityReport(check_id, statement, (lo, hi), True)
 
 
-def _annihilation_expected(space: FockSpace, family: int, xs: ExactMatrix) -> FockFamily:
+def _annihilation_expected(space: FockSpace, family: int, xs: ExactMatrix) -> FockOperator:
     """The lowering operators predicted by the inner-product formula for the
-    module vectors in the columns of xs, as a family over the columns."""
+    module vectors in the columns of xs, one member per column."""
     spec = space.spec
     h = space.summand((1, ()))
     c = xs.ncols
@@ -230,7 +231,7 @@ def _annihilation_expected(space: FockSpace, family: int, xs: ExactMatrix) -> Fo
     rows = [xs_adj @ g for g in gram.coords]
     zero = ExactMatrix.zeros(c, h.dim)
     sides = rows + [zero] * d2 if family == 1 else [zero] * d1 + rows
-    base = MatrixStack.regrouped(ExactMatrix.vstack(sides), (d1 + d2, c, h.dim), (1, 0, 2))
+    base = ExactMatrix.vstack(sides).regrouped((d1 + d2, c, h.dim), (1, 0, 2))
     blocks = {((0, ()), (1, ())): base}
     for key in space.keys:
         n, word = key
@@ -243,8 +244,8 @@ def _annihilation_expected(space: FockSpace, family: int, xs: ExactMatrix) -> Fo
         # rows (j, v) of the Kronecker sum are the rows of member j's block,
         # read on the source quotient by include, the column selection reps
         summed = kron_sum(rows, ops).take_cols(src.reps)
-        blocks[(key, src_key)] = MatrixStack.regrouped(summed, (c, tail.dim, src.dim), (0, 1, 2))
-    return FockFamily(space, (c,), blocks)
+        blocks[(key, src_key)] = summed.regrouped((c, tail.dim, src.dim), (0, 1, 2))
+    return FockOperator(space, (c,), blocks)
 
 
 def _word_start_projection(space: FockSpace, family: int) -> FockOperator:
@@ -253,7 +254,7 @@ def _word_start_projection(space: FockSpace, family: int) -> FockOperator:
         n, word = key
         if n >= 2 and word[0] == family:
             blocks[(key, key)] = ExactMatrix.identity(space.summand(key).dim)
-    return FockOperator(space, blocks)
+    return FockOperator(space, (), blocks)
 
 
 def _lift_samples(space: FockSpace):
@@ -467,9 +468,9 @@ def verify_defining_relations(gens: GeneratorFamily) -> list:
     return reports
 
 
-def represent_module_maps(gens: GeneratorFamily, ambients: list) -> FockFamily:
+def represent_module_maps(gens: GeneratorFamily, ambients: list) -> FockOperator:
     """The tower operators assembled from module maps' matrix coefficients
-    against the two generating families, as a family over the maps: the
+    against the two generating families, one member per map: the
     sum over both families of sum_{i,j} S_j phi(<m_j|L m_i>) S_i*, the
     combination of the representation basis with coefficient (j, c, i) the
     coordinate c of <m_j|L m_i>."""
@@ -486,7 +487,7 @@ def represent_module_maps(gens: GeneratorFamily, ambients: list) -> FockFamily:
     return terms[0] + terms[1]
 
 
-def scalar_compressions(gens: GeneratorFamily, family: int) -> FockFamily:
+def scalar_compressions(gens: GeneratorFamily, family: int) -> FockOperator:
     """Member (p, q), p slowest: sum_i S_i* L(<e_p|e_q>) S_i on source
     levels 0 to K - 1, L being the other side's action and <.|.> its inner
     product, as the combination of the nc members sum_i S_i* L(e_c) S_i
@@ -535,14 +536,14 @@ def verify_reconstruction_identities(gens: GeneratorFamily) -> list:
 
     z = _complex_sample(spec.algebra_B1.dim)
     w = _complex_sample(spec.algebra_B2.dim)
-    phi1z = weighted_sum(spec.left_B1, z)
-    phi2w = weighted_sum(spec.left_B2, w)
+    phi1z = ExactMatrix.stack(spec.left_B1, (len(spec.left_B1),)).combine(z).take((1,), 0)
+    phi2w = ExactMatrix.stack(spec.left_B2, (len(spec.left_B2),)).combine(w).take((1,), 0)
     gram_a = spec.inner_A.scalarized()
 
     def action(side, b, lo=2):
         """The side action on the summands from level lo to K only: every
         case below is declared on [2, K], and a left factor keeps the rest."""
-        return space.left_actions(side, b, (lo, K)).member((0,))
+        return space.left_actions(side, b, (lo, K))[0]
 
     cases = [
         ("algebra-reconstruction-z",
@@ -567,7 +568,7 @@ def verify_reconstruction_identities(gens: GeneratorFamily) -> list:
     represented = represent_module_maps(gens, [amb for _, _, amb, _ in cases])
     rebuilt = {}
     for k, (check_id, statement, _, expected) in enumerate(cases):
-        rebuilt[check_id] = represented.member((k,))
+        rebuilt[check_id] = represented[k]
         reports.append(window_report(
             check_id, statement, rebuilt[check_id] - expected, 2, K,
         ))
@@ -632,15 +633,12 @@ def verify_module_map_representation(gens: GeneratorFamily) -> list:
         2, K,
     ))
 
-    # row cl of the coefficient matrix holds every coefficient of class cl:
-    # member c of a regrouped values matrix is its coordinate c, one row
-    # per class
-    blocks = []
-    for vals in values.values():
-        d = vals.nrows
-        per_coord = MatrixStack.regrouped(vals, (d, ncl, vals.ncols // ncl), (0, 1, 2))
-        blocks += [per_coord.member((d,), (c,)) for c in range(d)]
-    coeff = ExactMatrix.hstack(blocks)
+    # row cl of the coefficient matrix holds every coefficient of class cl,
+    # coordinate by coordinate
+    coeff = ExactMatrix.hstack(
+        regroup(vals, (vals.nrows, ncl, vals.ncols // ncl), (1, 0, 2), ncl,
+                vals.nrows * vals.ncols // ncl)
+        for vals in values.values())
     rank = coeff.rank()
     reports.append(CheckResult(
         "module-map-injective",
@@ -649,39 +647,6 @@ def verify_module_map_representation(gens: GeneratorFamily) -> list:
         "" if rank == model.rank else f"coefficient rank {rank} of {model.rank}",
     ))
     return reports
-
-
-def _span_rank(ops) -> int:
-    keys = sorted({k for op in ops for k in op.blocks})
-    if not keys:
-        return 0
-    rows = []
-    for op in ops:
-        pieces = []
-        for dest, src in keys:
-            m = op.block(dest, src)
-            pieces.extend(m.take_rows([i]) for i in range(m.nrows))
-        rows.append(ExactMatrix.hstack(pieces))
-    return ExactMatrix.vstack(rows).rank()
-
-
-def core_filtration_dims(gens: GeneratorFamily, max_length: int) -> list[int]:
-    """Dimensions of the degree-zero corners spanned by two-sided words of
-    each length, conjugating the operator model, at this truncation depth."""
-    space = gens.space
-    if max_length >= space.depth:
-        raise ValueError("word length must stay below the truncation depth")
-    alphabet = [fam.member((i,)) for fam in (gens.S, gens.T) for i in range(fam.shape[0])]
-    lifts = [gens.lifts.member((c,)) for c in range(gens.lifts.shape[0])]
-    dims = []
-    words = [space.identity()]
-    for n in range(max_length + 1):
-        if n > 0:
-            words = [g @ wrd for g in alphabet for wrd in words]
-        adjoints = [wrd.adjoint() for wrd in words]
-        ops = [w1 @ e @ w2 for w1 in words for e in lifts for w2 in adjoints]
-        dims.append(_span_rank([space.degree_zero_part(op) for op in ops]))
-    return dims
 
 
 def full_identity_suite(gens: GeneratorFamily) -> list:

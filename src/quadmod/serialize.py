@@ -9,7 +9,6 @@ the three inner products are lists of coordinate Gram matrices.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 
 from .algebras import AlgebraHom, CommAlgebra
 from .linalg import ExactMatrix, GramStack
@@ -52,11 +51,6 @@ def _checked_entry(entry):
     if b == 0 or d == 0:
         raise SpecFormatError("scalar entry has a zero denominator")
     return entry
-
-
-def entry_to_scalar(entry) -> GaussianRational:
-    entry = _checked_entry(entry)
-    return GaussianRational(Fraction(entry[0], entry[1]), Fraction(entry[2], entry[3]))
 
 
 def matrix_to_json(m: ExactMatrix) -> list:

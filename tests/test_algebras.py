@@ -23,7 +23,7 @@ def test_permutation_hom_matrix_is_frozen_convention():
     x = ExactMatrix.column([10, 20, 30])
     assert h(x) == ExactMatrix.column([20, 30, 10])
     assert h.inverse().matrix == h.matrix.T
-    assert h.compose(h.inverse()).matrix == ExactMatrix.identity(3)
+    assert h.matrix @ h.inverse().matrix == ExactMatrix.identity(3)
 
 
 def test_permutation_rejects_non_bijections():

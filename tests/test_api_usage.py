@@ -1,5 +1,5 @@
 """No unused API: every function, method and class that the package
-defines is referenced by name somewhere in the project."""
+defines is referenced by name in the package or in the benchmark."""
 
 import ast
 import importlib
@@ -11,6 +11,9 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SEARCHED = ("src", "tests", "bench")
+# where a reference counts as use: a name only the tests call is not used
+# by the program (the benchmark names the functions it wraps in strings)
+USERS = ("src", "bench")
 _DEFINITION = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
@@ -51,7 +54,7 @@ def _references(tree):
 
 def test_every_defined_name_is_referenced():
     uses = {}
-    for top in SEARCHED:
+    for top in USERS:
         for path, tree in _parsed(top):
             for name, line, local in _references(tree):
                 uses.setdefault(name, []).append((path, line, local))
@@ -155,13 +158,19 @@ def test_numerator_arrays_stay_private_to_linalg():
     assert not reads, "ExactMatrix internals read outside linalg: " + ", ".join(reads)
 
 
-def _tracer_targets():
-    """(module, attribute path) of every function bench/tracer.py wraps,
-    read from its target lists without running the benchmark."""
+def _tracer_module():
+    """bench/tracer.py, loaded without running the benchmark."""
     path = ROOT / "bench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("bench_tracer_targets", path)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def _tracer_targets():
+    """(module, attribute path) of every function bench/tracer.py wraps,
+    read from its target lists."""
+    tracer = _tracer_module()
     rows = tracer.STAGES + tracer.OPERATORS + tracer.KERNELS + [tracer.TRUEDIV]
     return [(module, attr) for _, module, attr in rows]
 
@@ -178,3 +187,28 @@ def test_every_traced_target_is_defined_where_the_tracer_patches_it(module, path
         assert callable(getattr(owner, attr))
     else:
         assert callable(vars(mod).get(attr)), f"{module}.{attr} is not a module-level function"
+
+
+def test_the_benchmark_tracer_sees_every_exact_product(monkeypatch, capsys):
+    # every exact product runs inside ExactMatrix.__matmul__, which the
+    # benchmark's tracer wraps, so its kernel counters cover batched work
+    from quadmod import cli, linalg
+    tracer = _tracer_module().Tracer()
+    product, innermost = linalg._product, []
+
+    def spied(a, b):
+        # the innermost traced call open when the product runs
+        innermost.append(tracer.stack[-1][0] if tracer.stack else None)
+        return product(a, b)
+
+    monkeypatch.setattr(linalg, "_product", spied)
+    tracer.install()
+    try:
+        code = cli.main(["full", "--builtin", "mn:2,2", "--depth", "3"])
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert code == 0
+    prefixes = {span[0]: span[1] for span in tracer.spans}
+    assert innermost
+    assert {prefixes.get(i) for i in innermost} == {"linalg.__matmul__"}

@@ -9,7 +9,7 @@ import pytest
 from quadmod import cli, fock, linalg, relations, serialize
 from quadmod.algebras import CommAlgebra
 from quadmod.cli import CLIError, main, parse_cycles
-from quadmod.fock import FockFamily, FockOperator, FockSpace, QuadSpace
+from quadmod.fock import FockOperator, FockSpace, QuadSpace
 from quadmod.linalg import ExactMatrix, GramStack
 from quadmod.opalgebra import DiagonalOperatorModel
 from quadmod.quadmodule import QuadModuleSpec, build_example_MN, build_example_alpha_beta
@@ -299,20 +299,15 @@ def test_linear_combinations_read_no_entries(tmp_path, monkeypatch, capsys, size
         return getitem(self, key)
 
     monkeypatch.setattr(ExactMatrix, "__getitem__", counted)
-    # each tower builds one family per operator list it combines
-    built, families = [], {}
-    real_family, side_family = fock.MatrixFamily, FockSpace._side_family
-
-    def building(members):
-        built.append(1)
-        return real_family(members)
+    # each tower builds one side family per operator list it combines
+    families = {}
+    side_family = FockSpace._side_family
 
     def recorded(self, ops):
         family = side_family(self, ops)
         families.setdefault((id(self), ops), set()).add(id(family))
         return family
 
-    monkeypatch.setattr(fock, "MatrixFamily", building)
     monkeypatch.setattr(FockSpace, "_side_family", recorded)
     # the builtin, read back from a file so that the loader runs too
     path = tmp_path / "module.json"
@@ -324,7 +319,6 @@ def test_linear_combinations_read_no_entries(tmp_path, monkeypatch, capsys, size
         expected.discard("left_actions")
     assert expected <= set(calls)
     assert not reads, f"entries read one by one: {dict(reads)}"
-    assert len(built) == len(families)
     assert all(len(ids) == 1 for ids in families.values())
 
 
@@ -361,12 +355,12 @@ def test_kronecker_products_form_no_krons(monkeypatch, capsys, builtin, options)
         return kron(self, other)
 
     monkeypatch.setattr(ExactMatrix, "kron", counted_kron)
-    # products per pairs call, and stacked Gram builds per stack, wherever
-    # a stack is first read (the stacks are kept alive, so that no id is
-    # reused)
-    pairing, products, stacking, stacked, stacks = [], [], [], Counter(), []
-    pairs, matmul, vstack = GramStack.pairs, ExactMatrix.__matmul__, ExactMatrix.vstack
-    vstacked = GramStack._vstacked
+    # products per pairs call, and the Grams stacked again inside one: a
+    # GramStack holds its Grams as one batched matrix, stacked once when it
+    # is built
+    pairing, products, restacked = [], [], []
+    pairs, matmul = GramStack.pairs, ExactMatrix.__matmul__
+    stack, vstack = ExactMatrix.stack, ExactMatrix.vstack
 
     def counted_pairs(self, x, y):
         pairing.append(self)
@@ -381,29 +375,26 @@ def test_kronecker_products_form_no_krons(monkeypatch, capsys, builtin, options)
             products[-1] += 1
         return matmul(self, other)
 
-    def counted_vstacked(self):
-        stacking.append(self)
-        try:
-            return vstacked(self)
-        finally:
-            stacking.pop()
+    def counted_stack(cls, mats, shape):
+        if pairing:
+            restacked.append("stack")
+        return stack(mats, shape)
 
     def counted_vstack(mats):
-        if stacking:
-            stacked[id(stacking[-1])] += 1
-            stacks.append(stacking[-1])
+        if pairing:
+            restacked.append("vstack")
         return vstack(mats)
 
     monkeypatch.setattr(GramStack, "pairs", counted_pairs)
-    monkeypatch.setattr(GramStack, "_vstacked", counted_vstacked)
     monkeypatch.setattr(ExactMatrix, "__matmul__", counted_matmul)
+    monkeypatch.setattr(ExactMatrix, "stack", classmethod(counted_stack))
     monkeypatch.setattr(ExactMatrix, "vstack", staticmethod(counted_vstack))
     code, _, _ = run_cli(capsys, "full", "--builtin", builtin, *options)
     assert code == 0
     assert set(calls) == {name for _, name in KRON_FREE}
     assert not krons, f"krons formed: {dict(krons)}"
     assert products and max(products) <= 2
-    assert stacked and max(stacked.values()) == 1
+    assert not restacked, f"Grams stacked inside pairs: {Counter(restacked)}"
 
 
 @pytest.mark.parametrize("argv, eliminates", [
@@ -508,15 +499,15 @@ def test_fock_reports_a_tower_that_cannot_be_built(tmp_path, capsys):
     ("--builtin", "perm:3,(0 1 2),(0 2 1)"),
 ])
 def test_one_full_run_adjoints_each_operator_once(monkeypatch, capsys, argv):
-    # every operator or family passed in stays referenced, so no id is
-    # reused
+    # every operator passed in stays referenced, so no id is reused
     seen = []
-    for owner in (FockOperator, FockFamily):
-        def counted(self, _adjoint=owner.adjoint):
-            seen.append(self)
-            return _adjoint(self)
+    adjoint = FockOperator.adjoint
 
-        monkeypatch.setattr(owner, "adjoint", counted)
+    def counted(self):
+        seen.append(self)
+        return adjoint(self)
+
+    monkeypatch.setattr(FockOperator, "adjoint", counted)
     code, _, _ = run_cli(capsys, "full", *argv)
     assert code == 0
     assert max(Counter(id(op) for op in seen).values()) == 1

@@ -13,7 +13,6 @@ from quadmod.fock import build_fock
 from quadmod.linalg import (
     ExactMatrix,
     GramStack,
-    MatrixFamily,
     NotHermitian,
     SingularGram,
     gram_adjoint,
@@ -45,6 +44,9 @@ def test_matrix_roundtrip_and_entries():
     assert m[0, 1] == GR(0, F(1, 3))
     assert m[1, 0] == GR(3)
     assert m.to_rows()[1][1].is_zero
+    rows = [[1, -(2**70)], [0, 3], [1, -(2**70)]]
+    assert ExactMatrix.from_rows(rows) == ExactMatrix.from_entries(
+        [[(v, 1, 0, 1) for v in row] for row in rows])
 
 
 def test_matmul_against_scalar_arithmetic():
@@ -648,6 +650,30 @@ def test_real_flag_on_mixed_operands():
 # -- linear combinations over a fixed family -----------------------------
 
 
+def _family(members):
+    """Members of one or more blocks as one r x 1 x L batched matrix: each
+    member's blocks read row-major, side by side, as the tower lays out its
+    side families."""
+    r = len(members)
+    flat = ExactMatrix.hstack(ExactMatrix.stack([m[b] for m in members], (r,)).flattened()
+                              for b in range(len(members[0])))
+    return flat.regrouped((r, 1, flat.ncols), (0, 1, 2))
+
+
+def _combined_blocks(members, coeffs):
+    """For every column j of coeffs, the blocks of sum_k coeffs[k, j] *
+    members[k]: one combine of _family, member j cut back into blocks."""
+    combined = _family(members).combine(coeffs)
+    out = []
+    for j in range(coeffs.ncols):
+        row, at, blocks = combined.take((coeffs.ncols,), j), 0, []
+        for p, q in (b.shape for b in members[0]):
+            blocks.append(row.take_cols(range(at, at + p * q)).regrouped((p, q), (0, 1)))
+            at += p * q
+        out.append(blocks)
+    return out
+
+
 def _object_combination(members, cre, cim, j):
     """sum_k (cre + i cim)[k, j] * members[k], block by block, on object
     arrays: a list of (re, im) pairs."""
@@ -695,8 +721,7 @@ def gated_combinations(draw):
 @given(gated_combinations())
 def test_combination_matches_object_reference_at_the_gates(case):
     members, cre, cim = case
-    family = MatrixFamily([[_real_matrix(b) for b in m] for m in members])
-    got = family.combine(ExactMatrix(cre, cim))
+    got = _combined_blocks([[_real_matrix(b) for b in m] for m in members], ExactMatrix(cre, cim))
     assert len(got) == cre.shape[1]
     for j, blocks in enumerate(got):
         want = _object_combination(members, cre, cim, j)
@@ -741,7 +766,7 @@ def test_combination_matches_fraction_reference(case):
     # column of zero coefficients
     column = [[coeffs[2 * k], GR() if zero_column else coeffs[2 * k + 1]] for k in range(r)]
     c = ExactMatrix.from_rows(column)
-    got = MatrixFamily(members).combine(c)
+    got = _combined_blocks(members, c)
     for j in range(2):
         assert got[j] == _fraction_combination(members, c, j)
     if zero_column:
@@ -751,22 +776,26 @@ def test_combination_matches_fraction_reference(case):
 def test_combination_of_blocks_with_different_shapes():
     a = [ExactMatrix.from_rows([[1, F(1, 2)]]), ExactMatrix.from_rows([[GR(0, 1)], [3], [0]])]
     b = [ExactMatrix.from_rows([[F(1, 3), 0]]), ExactMatrix.from_rows([[1], [F(-1, 6)], [2]])]
-    family = MatrixFamily([a, b])
-    [blocks] = family.combine(ExactMatrix.column([2, GR(0, 3)]))
+    [blocks] = _combined_blocks([a, b], ExactMatrix.column([2, GR(0, 3)]))
     assert [x.shape for x in blocks] == [(1, 2), (3, 1)]
     assert blocks[0] == a[0].scale(2) + b[0].scale(GR(0, 3))
     assert blocks[1] == a[1].scale(2) + b[1].scale(GR(0, 3))
-    [zero] = family.combine(ExactMatrix.zeros(2, 1))
+    [zero] = _combined_blocks([a, b], ExactMatrix.zeros(2, 1))
     assert zero == [ExactMatrix.zeros(1, 2), ExactMatrix.zeros(3, 1)]
+    # coefficient rows must match the members, and stacked members must
+    # share their shape
     with pytest.raises(ValueError):
-        family.combine(ExactMatrix.zeros(3, 1))
+        _family([a, b]).combine(ExactMatrix.zeros(3, 1))
     with pytest.raises(ValueError):
-        MatrixFamily([a, b[:1]])
+        ExactMatrix.stack([a[0], b[1]], (2,))
+    with pytest.raises(ValueError):
+        ExactMatrix.stack([], (0,))
 
 
 def _loop_weighted_sum(mats, coeffs):
-    """The per-coefficient loop side actions used before MatrixFamily: one
-    scale and one addition per nonzero coefficient."""
+    """The per-coefficient loop side actions used before the side actions
+    became one combination: one scale and one addition per nonzero
+    coefficient."""
     out = ExactMatrix.zeros(*mats[0].shape)
     for c in range(coeffs.nrows):
         w = coeffs[c, 0]
@@ -795,21 +824,18 @@ def test_side_actions_match_the_per_summand_loop(space):
     for side, alg, ops_of in ((1, spec.algebra_B1, lambda sp: sp.left_B1),
                               (2, spec.algebra_B2, lambda sp: sp.left_B2)):
         for b in samples(alg.dim):
-            assert space.left_actions(side, b, (0, space.depth)).member((0,)).blocks == loop(ops_of, b)
+            assert space.left_actions(side, b, (0, space.depth))[0].blocks == loop(ops_of, b)
     for a in samples(spec.algebra_A.dim):
-        assert space.right_actions(a, (0, space.depth)).member((0,)).blocks == loop(lambda sp: sp.right_A, a)
+        assert space.right_actions(a, (0, space.depth))[0].blocks == loop(lambda sp: sp.right_A, a)
 
 
 def test_diagonal_helpers():
     col = ExactMatrix.column([F(1, 2), GR(0, 3), 0])
     d = col.to_diagonal()
     assert d == ExactMatrix.diagonal([F(1, 2), GR(0, 3), 0])
-    assert d.is_diagonal() and d.diagonal_column() == col
+    assert d.is_diagonal() and d.diagonal_columns() == col
     assert not ExactMatrix.from_rows([[1, GR(0, 1)], [0, 1]]).is_diagonal()
-    assert ExactMatrix.from_rows([[1, 0], [0, 2]]).diagonal_column().integer_rows() == [[1], [2]]
-    assert col.integer_rows() is None
-    assert ExactMatrix.column([GR(1, 1)]).integer_rows() is None
-    assert ExactMatrix.column([2**70]).integer_rows() == [[2**70]]
+    assert ExactMatrix.from_rows([[1, 0], [0, 2]]).diagonal_columns() == ExactMatrix.column([1, 2])
 
 
 # -- Kronecker-structured products ----------------------------------------
@@ -1127,7 +1153,7 @@ def test_kron_identity_entries_match_the_formed_kron(name, left):
 def test_kron_identity_entries_gather_a_stack_member_by_member(name, left):
     x = ExactMatrix.from_rows(GATHERED[name])
     members = [x, -x, x.scale(GR("1/3")), ExactMatrix.zeros(*x.shape)]
-    stack = linalg.MatrixStack.stack(members, (2, 2))
+    stack = ExactMatrix.stack(members, (2, 2))
     s = 2
     rows, cols = [0, 3, 5, 1], [3, 0, 2]
     for rs, cs in [(rows, cols), ([], cols), (rows, [])]:
@@ -1135,7 +1161,7 @@ def test_kron_identity_entries_gather_a_stack_member_by_member(name, left):
         assert got.batch_shape == (2, 2)
         for k, member in enumerate(members):
             want = linalg.kron_identity_entries(member, s, left, rs, cs)
-            assert got.member((2, 2), divmod(k, 2)) == want
+            assert got.take((2, 2), divmod(k, 2)) == want
 
 
 def _max_entry(x):
@@ -1152,8 +1178,7 @@ MASK_DIAGONALS = {
 
 
 def _diagonal_stack(diagonals):
-    return linalg.MatrixStack.stack([ExactMatrix.column(d) for d in diagonals],
-                                    (len(diagonals),))
+    return ExactMatrix.stack([ExactMatrix.column(d) for d in diagonals], (len(diagonals),))
 
 
 def _object_matmul(a, b):
@@ -1168,8 +1193,8 @@ def test_diagonal_kernels_match_the_object_reference(name, diagonals):
     x = ExactMatrix.from_rows(GATHERED[name])
     lefts, rights = MASK_DIAGONALS[diagonals]
     left, right = _diagonal_stack(lefts), _diagonal_stack(rights)
-    # the kernels on x, and on a stack whose members are x and -x
-    xs = linalg.MatrixStack.stack([x, -x], (2,))
+    # the kernels on x, and on x and -x as two members
+    xs = ExactMatrix.stack([x, -x], (2,))
     kernels = [
         (linalg.diagonal_commutator(x, left, right), [x, x], lambda P, Q, y: y @ Q - P @ y),
         (linalg.diagonal_commutator(x, None, right), [x, x], lambda P, Q, y: y @ Q),
@@ -1183,7 +1208,7 @@ def test_diagonal_kernels_match_the_object_reference(name, diagonals):
         for i, (p, q, y) in enumerate(zip(lefts, rights, members)):
             P, Q = ExactMatrix.diagonal(p), ExactMatrix.diagonal(q)
             want = formula(_Reference(P), _Reference(Q), _Reference(y)).matrix
-            member = got.member((2,), (i,))
+            member = got.take((2,), i)
             assert member == want
             _assert_real_flag(member)
 
@@ -1207,39 +1232,31 @@ class _Reference:
 def test_stack_diagonals_selections_and_zero_one_members():
     a = ExactMatrix.diagonal([F(1, 2), 0, GR(0, 3)])
     b = ExactMatrix.diagonal([1, 2**70, -4])
-    stack = linalg.MatrixStack.stack([a, b], (2,))
+    stack = ExactMatrix.stack([a, b], (2,))
     columns = stack.diagonal_columns()
-    assert columns.member((2,), (0,)) == a.diagonal_column()
-    assert columns.member((2,), (1,)) == b.diagonal_column()
+    assert columns.take((2,), 0) == ExactMatrix.column([F(1, 2), 0, GR(0, 3)])
+    assert columns.take((2,), 1) == ExactMatrix.column([1, 2**70, -4])
     off = b.set_block(0, 2, ExactMatrix.identity(1))
-    for stack in (linalg.MatrixStack.stack([a, off], (2,)), linalg.MatrixStack.stack([off.H], (1,))):
+    for stack in (ExactMatrix.stack([a, off], (2,)), ExactMatrix.stack([off.H], (1,))):
         with pytest.raises(ValueError, match="off its diagonal"):
             stack.diagonal_columns()
     # entries at rows and columns, as ExactMatrix selects them
-    full = linalg.MatrixStack.stack([a, off], (2,))
+    full = ExactMatrix.stack([a, off], (2,))
     for i, m in enumerate([a, off]):
-        assert full.submatrix([2, 0], [1, 2]).member((2,), (i,)) == m.submatrix([2, 0], [1, 2])
-        assert full.take_cols([2]).member((2,), (i,)) == m.take_cols([2])
-        assert full.submatrix([], [0]).member((2,), (i,)) == ExactMatrix.zeros(0, 1)
+        assert full.submatrix([2, 0], [1, 2]).take((2,), i) == m.submatrix([2, 0], [1, 2])
+        assert full.take_cols([2]).take((2,), i) == m.take_cols([2])
+        assert full.take_rows([1]).take((2,), i) == m.take_rows([1])
+        assert full.submatrix([], [0]).take((2,), i) == ExactMatrix.zeros(0, 1)
     # 0/1 diagonals, read from numerators over a shared denominator of 2
     ones = [ExactMatrix.diagonal(d) for d in ([1, 0, 1], [F(1, 2), 0, 1], [GR(1, 1), 0, 0],
                                               [1, 1, 1], [0, 0, 0])]
     ones.append(ones[0] + ExactMatrix.zeros(3, 3).set_block(1, 0, ExactMatrix.identity(1)))
-    flags, diagonal = linalg.MatrixStack.stack(ones, (6,)).zero_one_diagonals()
+    flags, diagonal = ExactMatrix.stack(ones, (6,)).zero_one_diagonals()
     assert flags.tolist() == [True, False, False, True, True, False]
     assert diagonal[[0, 3, 4]].tolist() == [[True, False, True], [True] * 3, [False] * 3]
-    zeros = linalg.MatrixStack.zeros((4, 2, 3))
-    assert zeros.batch_shape == (4,) and zeros.is_zero()
-    assert zeros.member((4,), (3,)) == ExactMatrix.zeros(2, 3)
-
-
-def test_integer_rows():
-    rows = [[1, -(2**70)], [0, 3], [1, -(2**70)]]
-    got = ExactMatrix.from_rows(rows)
-    assert got == ExactMatrix.from_entries([[(v, 1, 0, 1) for v in row] for row in rows])
-    assert got.integer_rows() == rows
-    assert ExactMatrix.from_rows([[F(1, 2), 0]]).integer_rows() is None
-    assert ExactMatrix.from_rows([[GR(0, 1)]]).integer_rows() is None
+    zeros = ExactMatrix.zeros(4, 2, 3)
+    assert zeros.batch_shape == (4,) and zeros.shape == (2, 3) and zeros.is_zero()
+    assert zeros.take((4,), 3) == ExactMatrix.zeros(2, 3)
 
 
 def test_diagonal_inverse_scatter_and_nonzero_rows():
@@ -1280,7 +1297,7 @@ def test_tensor_stacks_match_the_per_coordinate_loop(spec):
         assert fock._tensor_stacks(inner, stacks, ops) == _loop_tensor_stacks(inner, stacks, ops)
 
 
-# -- batched products over matrix stacks -----------------------------------
+# -- batched products: matrices with batch axes -----------------------------
 
 
 def _stack_members(shape):
@@ -1329,15 +1346,15 @@ def stack_gate_operands(draw):
 @given(stack_gate_operands())
 def test_stack_products_match_the_member_loop_and_an_object_reference(case):
     (are, aim), (bre, bim), bound = case
-    a, b = linalg.MatrixStack(are, aim, 1), linalg.MatrixStack(bre, bim, 1)
+    a, b = ExactMatrix(are, aim, 1), ExactMatrix(bre, bim, 1)
     got, path = _gate_path(lambda: a @ b)
     shape = np.broadcast_shapes(are.shape[:-2], bre.shape[:-2])
     assert got.batch_shape == shape
     want_re, want_im = _object_product(are, aim, bre, bim)
     for index in _stack_members(shape):
-        member = got.member(shape, index)
+        member = got.take(shape, index)
         assert member == ExactMatrix(want_re[index], want_im[index])
-        assert member == a.member(shape, index) @ b.member(shape, index)
+        assert member == a.take(shape, index) @ b.take(shape, index)
         _assert_real_flag(member)
     _assert_real_flag(got)
     # the batch does not enter the bound, but the cutoff reads the total work
@@ -1356,12 +1373,12 @@ def test_stack_products_match_the_member_loop_and_an_object_reference(case):
 def test_stack_float_cutoff_reads_the_total_work():
     # every member is 4x8 @ 8x8, 256 below the cutoff; nine of them reach it
     rng = np.random.default_rng(5)
-    a = linalg.MatrixStack(rng.integers(-9, 9, (9, 1, 4, 8)), np.zeros((9, 1, 4, 8), np.int64), 1)
+    a = ExactMatrix(rng.integers(-9, 9, (9, 1, 4, 8)), np.zeros((9, 1, 4, 8), np.int64), 1)
     b = ExactMatrix(rng.integers(-9, 9, (8, 8)), np.zeros((8, 8), np.int64))
     got, path = _gate_path(lambda: a @ b)
     assert 4 * 8 * 8 < linalg._FLOAT_MIN_WORK <= 9 * 4 * 8 * 8
     assert path == "float"
-    assert got.member((9, 1), (4, 0)) == a.member((9, 1), (4, 0)) @ b
+    assert got.take((9, 1), (4, 0)) == a.take((9, 1), (4, 0)) @ b
 
 
 gaussian = st.builds(
@@ -1391,9 +1408,9 @@ def test_stack_arithmetic_matches_the_member_loop(data):
     b_mats = draw(stack_members(broadcast, k, n, draw(st.booleans())))
     c_mats = draw(stack_members(broadcast, m, k, draw(st.booleans())))
     [e] = draw(stack_members((), k, n, draw(st.booleans())))
-    a = linalg.MatrixStack.stack(a_mats, shape)
-    b = linalg.MatrixStack.stack(b_mats, broadcast)
-    c = linalg.MatrixStack.stack(c_mats, broadcast)
+    a = ExactMatrix.stack(a_mats, shape)
+    b = ExactMatrix.stack(b_mats, broadcast)
+    c = ExactMatrix.stack(c_mats, broadcast)
     members = _stack_members(shape)
 
     def at(mats, batch, index):
@@ -1412,15 +1429,15 @@ def test_stack_arithmetic_matches_the_member_loop(data):
     ]:
         _assert_real_flag(got)
         for index in members:
-            assert got.member(shape, index) == want(index)
+            assert got.take(shape, index) == want(index)
     nonzero = np.broadcast_to((a @ b).nonzero(), shape)
     for index in members:
         assert nonzero[index] == (not (at(a_mats, shape, index) @ at(b_mats, broadcast, index)).is_zero())
     # views on the batch axes keep every member
     flat = a.reshaped(shape, (len(members),))
     for j, index in enumerate(members):
-        assert flat.member(flat.batch_shape, (j,)) == a_mats[j]
-        assert a.take(shape, (slice(None),) * len(shape) + (None,)).member(
+        assert flat.take(flat.batch_shape, j) == a_mats[j]
+        assert a.take(shape, (slice(None),) * len(shape) + (None,)).take(
             shape + (1,), index + (0,)) == at(a_mats, shape, index)
     # combinations along one batch axis
     coeffs = ExactMatrix.from_rows(draw(st.lists(
@@ -1430,7 +1447,7 @@ def test_stack_arithmetic_matches_the_member_loop(data):
         want = ExactMatrix.zeros(m, k)
         for r, member in enumerate(a_mats):
             want = want + member.scale(coeffs[r, j])
-        assert combined.member((2,), (j,)) == want
+        assert combined.take((2,), j) == want
     # the members as the rows of one matrix, each read row-major
     rows = flat.flattened()
     for j, member in enumerate(a_mats):
@@ -1443,32 +1460,75 @@ def test_stack_arithmetic_matches_the_member_loop(data):
     _assert_real_flag(scaled)
     for index in _stack_members(grid):
         want = at(a_mats, shape, index[-len(shape):]).scale(scalars[index])
-        assert scaled.member(grid, index) == want
+        assert scaled.take(grid, index) == want
 
 
 def test_member_scalars_stay_exact_past_int64():
     # products past 2^62 take big integers, complex ones included, and
     # drop back to int64 where the result fits
     big = 2 ** 62
-    a = linalg.MatrixStack.stack([ExactMatrix.from_rows([[big, 1]]),
-                                  ExactMatrix.from_rows([[GR(1, 1), -big]])], (2,))
+    a = ExactMatrix.stack([ExactMatrix.from_rows([[big, 1]]),
+                           ExactMatrix.from_rows([[GR(1, 1), -big]])], (2,))
     scalars = ExactMatrix.from_rows([[4, GR(0, 1)], [F(1, 3), 0]])
     got = a.scaled(scalars)
     for index in _stack_members((2, 2)):
-        assert got.member((2, 2), index) == a.member((2,), index[1:]).scale(scalars[index])
-    assert got.member((2, 2), (1, 1)).is_zero()
+        assert got.take((2, 2), index) == a.take((2,), index[1:]).scale(scalars[index])
+    assert got.take((2, 2), (1, 1)).is_zero()
 
 
 def test_stacks_with_empty_or_no_batch_axes():
-    a = linalg.MatrixStack(np.ones((0, 2, 3, 4), np.int64), np.zeros((0, 2, 3, 4), np.int64), 5)
-    b = linalg.MatrixStack(np.ones((1, 2, 4, 2), np.int64), np.zeros((1, 2, 4, 2), np.int64), 1)
+    a = ExactMatrix(np.ones((0, 2, 3, 4), np.int64), np.zeros((0, 2, 3, 4), np.int64), 5)
+    b = ExactMatrix(np.ones((1, 2, 4, 2), np.int64), np.zeros((1, 2, 4, 2), np.int64), 1)
     got = a @ b
     assert got.batch_shape == (0, 2)
     assert got.nonzero().shape == (0, 2)
     assert got.is_zero() and (got - got).is_zero()
     x = ExactMatrix.from_rows([[1, GR(0, 1)], [F(1, 2), 3]])
-    one = linalg.MatrixStack.stack([x], ())
-    assert one.batch_shape == ()
-    assert (one @ x).member((), ()) == x @ x
-    assert (x @ one - one @ x).member((), ()) == ExactMatrix.zeros(2, 2)
+    one = ExactMatrix.stack([x], ())
+    assert one.batch_shape == () and one == x
+    assert (one @ x).take((), ()) == x @ x
+    assert (x @ one - one @ x).take((), ()) == ExactMatrix.zeros(2, 2)
     assert bool(one.nonzero()) and not (one - x).nonzero()
+
+
+def test_batched_members_equal_the_single_matrix_operations():
+    # member k of a batched result is the operation on member k alone, for
+    # a batch that mixes an int64-sized member with a big-integer one, over
+    # mixed denominators and complex entries
+    big = 2**70
+    xs = [ExactMatrix.from_rows([[1, F(1, 2)], [GR(0, 3), -4]]),
+          ExactMatrix.from_rows([[big, GR(1, big)], [F(1, 3), -big]])]
+    ys = [ExactMatrix.from_rows([[F(2, 5), 0], [1, GR(2, -1)]]),
+          ExactMatrix.from_rows([[-big, 3], [GR(0, 1), F(big, 7)]])]
+    x, y = ExactMatrix.stack(xs, (2,)), ExactMatrix.stack(ys, (2,))
+    assert xs[0]._re.dtype == np.int64 and x._re.dtype == object
+    for got, want in [
+        (x + y, lambda k: xs[k] + ys[k]),
+        (x - y, lambda k: xs[k] - ys[k]),
+        (x @ y, lambda k: xs[k] @ ys[k]),
+        (x @ y, lambda k: _object_matmul(xs[k], ys[k])),
+        (x.H, lambda k: xs[k].H),
+        (linalg.entrywise(x, y), lambda k: linalg.entrywise(xs[k], ys[k])),
+    ]:
+        _assert_real_flag(got)
+        for k in range(2):
+            assert got.take((2,), k) == want(k)
+    coeffs = ExactMatrix.from_rows([[2, GR(0, 1), F(1, 3)], [-1, big, 0]])
+    combined = x.combine(coeffs)
+    for j in range(3):
+        assert combined.take((3,), j) == xs[0].scale(coeffs[0, j]) + xs[1].scale(coeffs[1, j])
+    scalars = ExactMatrix.from_rows([[GR(1, 1), -big]])
+    scaled = x.scaled(scalars)
+    for k in range(2):
+        assert scaled.take((1, 2), (0, k)) == xs[k].scale(scalars[0, k])
+
+
+def test_single_matrix_operations_refuse_batch_axes():
+    x = ExactMatrix.from_rows([[1, 2], [3, 4]])
+    batch = ExactMatrix.stack([x, x], (2,))
+    for call in (batch.rref, batch.inverse, batch.kernel_basis, batch.rank,
+                 lambda: batch.solve(x), lambda: batch.kron(x), lambda: x.kron(batch),
+                 lambda: ExactMatrix.hstack([x, batch]), lambda: ExactMatrix.vstack([batch]),
+                 lambda: batch[0, 0]):
+        with pytest.raises(ValueError, match="batch axes"):
+            call()

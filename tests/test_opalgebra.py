@@ -1,7 +1,7 @@
 import pytest
 
 from quadmod.fock import build_fock
-from quadmod.linalg import ExactMatrix, MatrixStack
+from quadmod.linalg import ExactMatrix
 from quadmod.opalgebra import DiagonalOperatorModel, NotDiagonalModel
 from quadmod.quadmodule import build_example_MN
 from quadmod.relations import make_generators
@@ -27,7 +27,7 @@ def test_singleton_classes_when_spectra_separate_points():
 
 
 def patterns_of(model, *ops):
-    inside, patterns = model.projection_patterns(MatrixStack.stack(ops, (len(ops),)))
+    inside, patterns = model.projection_patterns(ExactMatrix.stack(ops, (len(ops),)))
     return [p.tolist() if ok else None for ok, p in zip(inside, patterns)]
 
 
@@ -60,11 +60,11 @@ def test_projection_patterns_filter_non_idempotent_values():
 def test_projection_pattern_shape_checks():
     model = DiagonalOperatorModel([diag(1, 2)])
     with pytest.raises(ValueError):
-        model.projection_patterns(MatrixStack.stack([diag(1, 0, 0)], (1,)))
+        model.projection_patterns(ExactMatrix.stack([diag(1, 0, 0)], (1,)))
     with pytest.raises(ValueError):
-        model.projection_patterns(MatrixStack.stack([diag(1, 0)], (1, 1)))
+        model.projection_patterns(ExactMatrix.stack([diag(1, 0)], (1, 1)))
     with pytest.raises(ValueError):
-        model.projection_patterns(MatrixStack.stack([ExactMatrix.zeros(2, 3)], (1,)))
+        model.projection_patterns(ExactMatrix.stack([ExactMatrix.zeros(2, 3)], (1,)))
 
 
 def test_non_diagonal_generators_are_refused():

@@ -4,14 +4,14 @@ import operator
 
 import pytest
 from test_cli import rotated_bipartite
+from test_fock import degree_zero_part
 from test_ktheory import _same_blocks
 
 from quadmod import fock
 from quadmod.fock import FockOperator, FockSpace, build_fock
-from quadmod.linalg import ExactMatrix, weighted_sum
+from quadmod.linalg import ExactMatrix
 from quadmod.quadmodule import build_example_MN, build_example_alpha_beta
 from quadmod.relations import (
-    core_filtration_dims,
     full_identity_suite,
     make_generators,
     represent_module_maps,
@@ -120,11 +120,11 @@ def test_completeness_window_is_tight(bipartite):
     total = space.zero()
     for family in (gens.S, gens.T):
         for i in range(family.shape[0]):
-            x = family.member((i,))
+            x = family[i]
             total = total + x @ x.adjoint()
     defect = total - space.identity()
-    assert defect.first_nonzero_source_level() == 0
-    assert not defect.is_zero_on_source_levels(1, 1)
+    assert not defect.window(0, 0).is_zero()
+    assert not defect.window(1, 1).is_zero()
 
 
 def test_represented_module_map_doubles_on_the_module_level(bipartite):
@@ -135,12 +135,47 @@ def test_represented_module_map_doubles_on_the_module_level(bipartite):
     h = space.summand((1, ()))
     L_module = h.left_B1[0]
     L_amb = h.ambient(L_module)
-    represented = represent_module_maps(gens, [L_amb]).member((0,))
+    represented = represent_module_maps(gens, [L_amb])[0]
     key = (1, ())
     assert represented.block(key, key) == L_module.scale(2)
     diff = represented - space.lift(L_module)
-    assert diff.first_nonzero_source_level() == 1
-    assert diff.is_zero_on_source_levels(2, space.depth - 1)
+    # the first source level with a nonzero block is the module level
+    assert diff.window(0, 0).is_zero()
+    assert not diff.window(1, 1).is_zero()
+    assert diff.window(2, space.depth - 1).is_zero()
+
+
+def _span_rank(ops) -> int:
+    keys = sorted({k for op in ops for k in op.blocks})
+    if not keys:
+        return 0
+    rows = []
+    for op in ops:
+        pieces = []
+        for dest, src in keys:
+            m = op.block(dest, src)
+            pieces.extend(m.take_rows([i]) for i in range(m.nrows))
+        rows.append(ExactMatrix.hstack(pieces))
+    return ExactMatrix.vstack(rows).rank()
+
+
+def core_filtration_dims(gens, max_length: int) -> list[int]:
+    """Dimensions of the degree-zero corners spanned by two-sided words of
+    each length, conjugating the operator model, at this truncation depth."""
+    space = gens.space
+    if max_length >= space.depth:
+        raise ValueError("word length must stay below the truncation depth")
+    alphabet = [fam[i] for fam in (gens.S, gens.T) for i in range(fam.shape[0])]
+    lifts = [gens.lifts[c] for c in range(gens.lifts.shape[0])]
+    dims = []
+    words = [space.identity()]
+    for n in range(max_length + 1):
+        if n > 0:
+            words = [g @ wrd for g in alphabet for wrd in words]
+        adjoints = [wrd.adjoint() for wrd in words]
+        ops = [w1 @ e @ w2 for w1 in words for e in lifts for w2 in adjoints]
+        dims.append(_span_rank([degree_zero_part(op) for op in ops]))
+    return dims
 
 
 def test_filtration_dims_bipartite():
@@ -177,8 +212,9 @@ def test_lift_projection_is_the_lift_of_the_model_projection(tower, request):
     model = gens.model
     for pattern in itertools.product((0, 1), repeat=model.rank):
         column = ExactMatrix.column(list(pattern))
-        expected = space.lift(weighted_sum(model.idempotents, column))
-        assert gens.lifts.combine(column).member((0,)) == expected, pattern
+        projection = ExactMatrix.stack(model.idempotents, (model.rank,)).combine(column)
+        expected = space.lift(projection.take((1,), 0))
+        assert gens.lifts.combine(column)[0] == expected, pattern
 
 
 # -- operators rebuilt from the basis families -------------------------------
@@ -405,7 +441,7 @@ def _extra_lift_block(monkeypatch):
 
     def perturbed(self, ops):
         extra = {(key, key): ExactMatrix.identity(self.summand(key).dim)}
-        return lifts(self, ops) + FockOperator(self, extra)
+        return lifts(self, ops) + FockOperator(self, (), extra)
 
     monkeypatch.setattr(FockSpace, "lifts", perturbed)
 

@@ -52,7 +52,7 @@ def test_scalars_survive_with_full_precision():
     third = GaussianRational(0, 1) * GaussianRational("1/3")
     entry = serialize.scalar_to_entry(third)
     assert entry == [0, 1, 1, 3]
-    assert serialize.entry_to_scalar(entry) == third
+    assert serialize.matrix_from_json([[entry]], 1, 1, "here")[0, 0] == third
 
 
 def test_rejects_wrong_format_tag():
@@ -90,11 +90,11 @@ def test_rejects_missing_fields_and_bad_dims():
 
 def test_rejects_malformed_scalars():
     with pytest.raises(SpecFormatError, match="four integers"):
-        serialize.entry_to_scalar([1, 2, 3])
+        serialize.matrix_from_json([[[1, 2, 3]]], 1, 1, "here")
     with pytest.raises(SpecFormatError, match="four integers"):
-        serialize.entry_to_scalar([1, 2, 3, "x"])
+        serialize.matrix_from_json([[[1, 2, 3, "x"]]], 1, 1, "here")
     with pytest.raises(SpecFormatError, match="zero denominator"):
-        serialize.entry_to_scalar([1, 0, 0, 1])
+        serialize.matrix_from_json([[[1, 0, 0, 1]]], 1, 1, "here")
 
 
 def test_rejects_shape_mismatches():
@@ -165,8 +165,7 @@ def test_loader_matches_from_rows(rows):
 ])
 def test_loader_keeps_the_malformed_entry_messages(entry, message):
     for load in (lambda: serialize.matrix_from_json([[[0, 1, 0, 1], entry]], 1, 2, "here"),
-                 lambda: serialize.vector_from_json([entry], 1, "here"),
-                 lambda: serialize.entry_to_scalar(entry)):
+                 lambda: serialize.vector_from_json([entry], 1, "here")):
         with pytest.raises(SpecFormatError) as err:
             load()
         assert str(err.value) == message
@@ -175,4 +174,4 @@ def test_loader_keeps_the_malformed_entry_messages(entry, message):
 def test_loader_accepts_tuples_negative_denominators_and_big_integers():
     big = 2**80
     want = GaussianRational(Fraction(-1, 2), Fraction(big, 3))
-    assert serialize.entry_to_scalar((1, -2, big, 3)) == want
+    assert serialize.matrix_from_json([[(1, -2, big, 3)]], 1, 1, "here")[0, 0] == want
