@@ -9,6 +9,8 @@ from pathlib import Path
 
 import pytest
 
+from quadmod import cli, linalg
+
 ROOT = Path(__file__).resolve().parent.parent
 SEARCHED = ("src", "tests", "bench")
 # where a reference counts as use: a name only the tests call is not used
@@ -192,7 +194,6 @@ def test_every_traced_target_is_defined_where_the_tracer_patches_it(module, path
 def test_the_benchmark_tracer_sees_every_exact_product(monkeypatch, capsys):
     # every exact product runs inside ExactMatrix.__matmul__, which the
     # benchmark's tracer wraps, so its kernel counters cover batched work
-    from quadmod import cli, linalg
     tracer = _tracer_module().Tracer()
     product, innermost = linalg._product, []
 
