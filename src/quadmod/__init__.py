@@ -9,7 +9,7 @@ most 2^53, which float64 represents exactly.
 """
 
 from .scalars import GaussianRational
-from .linalg import ExactMatrix, GramStack, NotHermitian, SingularGram
+from .linalg import ExactMatrix, GramStack, NotHermitian, SingularGram, psd_check
 from .quadmodule import (
     InvalidParameter,
     LambdaNotFaithful,
@@ -41,6 +41,7 @@ __all__ = [
     "GramStack",
     "NotHermitian",
     "SingularGram",
+    "psd_check",
     "InvalidParameter",
     "LambdaNotFaithful",
     "QuadModuleSpec",

@@ -56,6 +56,7 @@ import numpy as np
 from .linalg import (
     ExactMatrix,
     GramStack,
+    NotDiagonal,
     diagonal_commutator,
     entrywise,
     identity_kron_times,
@@ -107,14 +108,15 @@ def dimension_budget() -> int:
     return value
 
 
-def _coordinate_quotient(scalar: ExactMatrix):
-    """The quotient by the null space of a diagonal scalar Gram: it keeps
-    the coordinates reps where the diagonal is nonzero (the pivots rref
-    would find), its Gram is the diagonal there, inverted entry by entry,
-    and no express map is needed, as express is the row selection reps."""
-    reps = scalar.diagonal_columns().nonzero_rows()
-    gram = scalar.submatrix(reps, reps)
-    return reps, gram, gram.diagonal_inverse(), None
+def _coordinate_quotient(diagonal: ExactMatrix):
+    """The quotient by the null space of a diagonal scalar Gram, given as
+    its diagonal column: it keeps the coordinates reps where the diagonal
+    is nonzero (the pivots rref would find), its Gram is the diagonal
+    there, inverted entry by entry, and no express map is needed, as
+    express is the row selection reps."""
+    reps = diagonal.nonzero_rows()
+    kept = diagonal.take_rows(reps)
+    return reps, kept.to_diagonal(), kept.reciprocals().to_diagonal(), None
 
 
 def _eliminated_quotient(scalar: ExactMatrix):
@@ -136,10 +138,18 @@ def _eliminated_quotient(scalar: ExactMatrix):
 def _quotient(scalar: ExactMatrix):
     """(reps, gram, gram_inv, express) of the quotient by the null space of
     a Hermitian scalar Gram: a coordinate selection, with express None,
-    when the Gram is diagonal, and by elimination otherwise."""
-    if scalar.is_diagonal():
-        return _coordinate_quotient(scalar)
-    return _eliminated_quotient(scalar)
+    when the Gram is diagonal, and by elimination otherwise. ValueError
+    when the Gram is not Hermitian, which a diagonal Gram is exactly when
+    its diagonal, read once, is real."""
+    try:
+        diagonal = scalar.diagonal_columns()
+    except NotDiagonal:
+        if not scalar.is_hermitian():
+            raise ValueError("ambient inner product is not Hermitian") from None
+        return _eliminated_quotient(scalar)
+    if not diagonal.is_real():
+        raise ValueError("ambient inner product is not Hermitian")
+    return _coordinate_quotient(diagonal)
 
 
 # the structure operators a QuadSpace carries, in the order they are checked
@@ -171,6 +181,7 @@ class QuadSpace:
     __slots__ = (
         "ambient_dim",
         "reps",
+        "outside",
         "express",
         "gram_A",
         "gram_B1",
@@ -212,14 +223,12 @@ class QuadSpace:
         _KronIdentity, which the quotient multiplies from the left or reads
         entries of (see descend)."""
         ambient_dim = gram_A.dim
-        scalar = gram_A.scalarized()
-        if not scalar.is_hermitian():
-            raise ValueError("ambient inner product is not Hermitian")
-        reps, gram, gram_inv, express = _quotient(scalar)
+        reps, gram, gram_inv, express = _quotient(gram_A.scalarized())
         # the operator fields are filled in below, once descend can run
         space = cls(
             ambient_dim=ambient_dim,
             reps=reps,
+            outside=sorted(set(range(ambient_dim)).difference(reps)),
             express=express,
             gram_A=gram_A.restrict(reps),
             gram_B1=gram_B1.restrict(reps) if gram_B1 is not None else None,
@@ -264,11 +273,11 @@ class QuadSpace:
         M[:, outside] - M[:, reps] @ express[:, outside]. On a coordinate
         quotient express vanishes outside reps, and the two matrices are the
         entries (reps, reps) and (reps, outside) of op, gathered."""
-        outside = sorted(set(range(self.ambient_dim)).difference(self.reps))
+        reps, outside = self.reps, self.outside
         if self.express is None:
-            return op.submatrix(self.reps, self.reps), op.submatrix(self.reps, outside)
+            return op.submatrix(reps, reps), op.submatrix(reps, outside)
         m = self.express @ op
-        quotient = m.take_cols(self.reps)
+        quotient = m.take_cols(reps)
         return quotient, m.take_cols(outside) - quotient @ self.express.take_cols(outside)
 
     def ambient(self, L: ExactMatrix) -> ExactMatrix:
@@ -731,13 +740,9 @@ class FockSpace:
         stop = bisect.bisect_right(self._levels, hi)
         at = self._offsets
         run = self._side_family(ops).take_cols(range(at[start], at[stop])).combine(coeffs)
-        c = coeffs.ncols
-        blocks = {}
-        for i in range(start, stop):
-            key, dim = self.keys[i], self.summands[self.keys[i]].dim
-            cut = run.take_cols(range(at[i] - at[start], at[i + 1] - at[start]))
-            blocks[(key, key)] = cut.regrouped((c, dim, dim), (0, 1, 2))
-        return FockOperator(self, (c,), blocks)
+        keys = self.keys[start:stop]
+        cuts = run.square_blocks([self.summands[key].dim for key in keys])
+        return FockOperator(self, (coeffs.ncols,), {(key, key): cut for key, cut in zip(keys, cuts)})
 
     def left_actions(self, side: int, coeffs: ExactMatrix, window) -> FockOperator:
         """The actions of the side algebra elements in the columns of coeffs,

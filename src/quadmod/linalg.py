@@ -143,6 +143,10 @@ class SingularGram(ValueError):
     """Raised when a Gram matrix that must be invertible is not."""
 
 
+class NotDiagonal(ValueError):
+    """Raised when an operation requires diagonal matrices."""
+
+
 # _gcd_reduce and _max_abs work on int64 and on object (Python int) arrays
 # alike.
 def _gcd_reduce(arr) -> int:
@@ -403,6 +407,38 @@ class ExactMatrix:
         return cls(_int_array(re, (m, n)), _int_array(im, (m, n)), den)
 
     @classmethod
+    def from_flat_entries(cls, flat, shape) -> list:
+        """One matrix per member of the batch shape shape[:-2], from the
+        integers flat holds: each entry's reNum, reDen, imNum, imDen in
+        turn, row-major over shape. Each member is rescaled to the lcm of
+        its own denominators and reduced, as from_entries builds it, but
+        every member is read at once: the integers become one int64 array
+        (object when one does not fit), a member's lcm is its denominator
+        when all of them agree and the lcm of its distinct ones otherwise,
+        computed on Python ints, and the rescaled numerators are int64 only
+        when max|numerator| * lcm stays at most 2^62. Denominators must be
+        nonzero."""
+        try:
+            ints = np.array(flat, dtype=np.int64)
+        except OverflowError:
+            ints = np.array(flat, dtype=object)
+        batch, (m, n) = tuple(shape[:-2]), shape[-2:]
+        # per member, its 2 m n numerators and denominators, real and
+        # imaginary parts alternating
+        pairs = ints.reshape(math.prod(batch), 2 * m * n, 2)
+        nums, dens = pairs[..., 0], pairs[..., 1]
+        agree = (dens == dens[:, :1]).all(axis=1)
+        lcms = [abs(int(row[0])) if same else math.lcm(*set(row.tolist()))
+                for row, same in zip(dens, agree)]
+        peak = max(int(nums.max()), -int(nums.min()))
+        if max(peak, 1) * max(lcms) > _INT64_SAFE:
+            nums, dens = _to_object(nums), _to_object(dens)
+        lcm = np.array(lcms, dtype=nums.dtype)[:, None]
+        re = (nums[:, 0::2] * (lcm // dens[:, 0::2])).reshape(batch + (m, n))
+        im = (nums[:, 1::2] * (lcm // dens[:, 1::2])).reshape(batch + (m, n))
+        return [cls(re[i], im[i], den) for i, den in zip(np.ndindex(batch), lcms)]
+
+    @classmethod
     def zeros(cls, *shape) -> "ExactMatrix":
         """Zero matrices: shape is the batch shape followed by the matrix
         shape."""
@@ -443,22 +479,24 @@ class ExactMatrix:
         return ExactMatrix(np.diagflat(self._re), np.diagflat(self._im), self._den, _normalize=False)
 
     def is_diagonal(self) -> bool:
-        """Whether every member is zero off its diagonal."""
-        off = ~np.eye(*self.shape, dtype=bool)
-        return not ((self._re[..., off] != 0).any() or (self._im[..., off] != 0).any())
+        """Whether every member is zero off its diagonal: each part has as
+        many nonzero entries as its diagonals, counted without a mask or a
+        copy; a real matrix has no imaginary part to count."""
+        parts = (self._re,) if self._real else (self._re, self._im)
+        return all(np.count_nonzero(p) == np.count_nonzero(np.diagonal(p, axis1=-2, axis2=-1))
+                   for p in parts)
 
-    def diagonal_inverse(self) -> "ExactMatrix":
-        """The inverse of an invertible diagonal matrix, entry by entry:
-        1 / ((a + i b) / d) = d (a - i b) / (a^2 + b^2)."""
-        if self.nrows != self.ncols or not self.is_diagonal():
-            raise ValueError("only a square diagonal matrix has a diagonal inverse")
-        re, im = np.diag(self._re).tolist(), np.diag(self._im).tolist()
-        norms = [a * a + b * b for a, b in zip(re, im)]
-        if not all(norms):
-            raise SingularGram("matrix is singular")
+    def reciprocals(self) -> "ExactMatrix":
+        """A single matrix's entries inverted one by one, every entry being
+        nonzero: 1 / ((a + i b) / d) = d (a - i b) / (a^2 + b^2)."""
+        self._single("reciprocals")
+        re, im = self._re.tolist(), self._im.tolist()
+        norms = [[a * a + b * b for a, b in zip(*row)] for row in zip(re, im)]
+        if not all(map(all, norms)):
+            raise SingularGram("matrix has a zero entry")
         d = self._den
         return ExactMatrix.from_entries(
-            [[(d * a, n, -d * b, n)] for a, b, n in zip(re, im, norms)]).to_diagonal()
+            [[(d * a, q, -d * b, q) for a, b, q in zip(*row)] for row in zip(re, im, norms)])
 
     # -- basics ----------------------------------------------------------
 
@@ -487,9 +525,6 @@ class ExactMatrix:
             Fraction(int(self._im[i, j]), self._den),
         )
 
-    def to_rows(self):
-        return [[self[i, j] for j in range(self.ncols)] for i in range(self.nrows)]
-
     def is_zero(self) -> bool:
         return self._real and not self._re.any()
 
@@ -505,6 +540,20 @@ class ExactMatrix:
         if not self._real:
             nonzero |= (self._im != 0).any(axis=1)
         return np.flatnonzero(nonzero).tolist()
+
+    def equal_rows(self) -> list:
+        """A single matrix's rows grouped by value: lists of row indices,
+        each in order, ordered by their first rows. All entries share one
+        denominator, so rows are equal exactly when their numerators are."""
+        self._single("equal_rows")
+        classes = {}
+        for i, key in enumerate(map(tuple, np.concatenate([self._re, self._im], 1).tolist())):
+            classes.setdefault(key, []).append(i)
+        return list(classes.values())
+
+    def is_real(self) -> bool:
+        """Whether every entry is real."""
+        return self._real
 
     def is_nonnegative(self) -> bool:
         """Whether every entry is real and at least zero."""
@@ -683,11 +732,32 @@ class ExactMatrix:
         if self.nrows != self.ncols:
             raise ValueError("only square matrices have diagonals")
         if not self.is_diagonal():
-            raise ValueError("some member has a nonzero entry off its diagonal")
+            raise NotDiagonal("some member has a nonzero entry off its diagonal")
         re = np.diagonal(self._re, axis1=-2, axis2=-1)[..., None]
         im = _zero(re.shape) if self._real else np.diagonal(self._im, axis1=-2, axis2=-1)[..., None]
         return ExactMatrix(re, im, self._den, _normalize=False, _real=self._real or None,
                            _peak=self._peak)
+
+    def square_blocks(self, dims) -> list:
+        """For members of one row holding square blocks side by side, each
+        read row-major as flattened reads a member: one batched matrix per
+        block, of dims[i] x dims[i] members. Each is a view of this matrix,
+        normalised as a whole as this matrix is (see take)."""
+        if self.nrows != 1 or self.ncols != sum(n * n for n in dims):
+            raise ValueError("blocks do not fill the row")
+        blocks, at = [], 0
+        for n in dims:
+            key = (Ellipsis, 0, slice(at, at + n * n))
+            shape = self.batch_shape + (n, n)
+            re = self._re[key].reshape(shape)
+            if self._real:
+                blocks.append(ExactMatrix(re, _zero(shape), self._den, _normalize=False,
+                                          _real=True, _peak=self._peak))
+            else:
+                blocks.append(ExactMatrix(re, self._im[key].reshape(shape), self._den,
+                                          _normalize=False, _peak=self._peak))
+            at += n * n
+        return blocks
 
     def zero_one_diagonals(self):
         """Per member, whether it is a diagonal matrix whose entries are all
@@ -1041,7 +1111,17 @@ def gram_adjoint(t: ExactMatrix, gram_dom: ExactMatrix, gram_cod: ExactMatrix) -
 
 
 def psd_check(G: ExactMatrix):
-    """Exact positive-semidefiniteness test for a Hermitian matrix.
+    """Exact positive-semidefiniteness test for a Hermitian matrix: raises
+    NotHermitian for any other matrix, and is hermitian_psd_check
+    otherwise."""
+    if not G.is_hermitian():
+        raise NotHermitian("psd_check requires a Hermitian matrix")
+    return hermitian_psd_check(G)
+
+
+def hermitian_psd_check(G: ExactMatrix):
+    """Exact positive-semidefiniteness test for a matrix already known to
+    be Hermitian, which is not tested again (psd_check tests it).
 
     Returns (True, None) when x^H G x >= 0 for every vector x, otherwise
     (False, w) with an explicit witness vector w (list of GaussianRational)
@@ -1050,8 +1130,6 @@ def psd_check(G: ExactMatrix):
     numerators, whose order and signs are those of the entries (the
     denominator is positive); ties go to the smallest index.
     """
-    if not G.is_hermitian():
-        raise NotHermitian("psd_check requires a Hermitian matrix")
     work = G
     events = []  # ("swap", i) and ("pivot", d, b) in execution order
     witness = None

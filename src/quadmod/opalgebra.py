@@ -12,7 +12,7 @@ rejected rather than silently approximated.
 
 from __future__ import annotations
 
-from .linalg import ExactMatrix
+from .linalg import ExactMatrix, NotDiagonal
 
 
 class NotDiagonalModel(ValueError):
@@ -32,21 +32,21 @@ class DiagonalOperatorModel:
         if not generators:
             raise ValueError("need at least one generator")
         dim = generators[0].nrows
-        for g in generators:
-            if g.shape != (dim, dim):
-                raise ValueError("generator shape mismatch")
-            if not g.is_diagonal():
-                raise NotDiagonalModel(
-                    "left action operators are not simultaneously diagonal "
-                    "in the module basis; this model only covers the "
-                    "diagonal case"
-                )
-        diagonals = ExactMatrix.hstack([g.diagonal_columns() for g in generators])
-        signature = {}
-        for j, key in enumerate(diagonals.to_rows()):
-            signature.setdefault(tuple(key), []).append(j)
+        if any(g.shape != (dim, dim) for g in generators):
+            raise ValueError("generator shape mismatch")
+        k = len(generators)
+        try:
+            columns = ExactMatrix.stack(generators, (k,)).diagonal_columns()
+        except NotDiagonal:
+            raise NotDiagonalModel(
+                "left action operators are not simultaneously diagonal "
+                "in the module basis; this model only covers the "
+                "diagonal case"
+            ) from None
         self.dim = dim
-        self.classes = sorted(signature.values(), key=lambda cls: cls[0])
+        # row j holds every generator's diagonal entry j; a class is a set
+        # of equal rows
+        self.classes = columns.regrouped((k, dim), (1, 0)).equal_rows()
         self.class_of = [0] * dim
         for c, cls in enumerate(self.classes):
             for j in cls:

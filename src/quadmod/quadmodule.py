@@ -42,7 +42,7 @@ from .algebras import AlgebraHom, CommAlgebra
 from .linalg import (
     ExactMatrix,
     GramStack,
-    psd_check,
+    hermitian_psd_check,
     times_identity_kron,
 )
 from .report import CheckResult
@@ -299,8 +299,10 @@ class QuadModuleSpec:
                 "the inner product is conjugate-symmetric",
                 hermitian.all(),
             )
+            # only coordinates just found Hermitian are tested for positivity
+            coords = form.coords
             bad = next((int(c) for c in np.flatnonzero(hermitian)
-                        if not psd_check(form.coords[c])[0]), None)
+                        if not hermitian_psd_check(coords[c])[0]), None)
             add(
                 f"inner-positive-{label}",
                 "squared lengths are positive algebra elements",

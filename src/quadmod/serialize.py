@@ -4,11 +4,26 @@ The on-disk format is tagged "quadmod-spec-v1". Every scalar is stored as
 a four-integer list [reNum, reDen, imNum, imDen] so the files stay exact;
 matrices are row-major lists of such entries, vectors are flat lists, and
 the three inner products are lists of coordinate Gram matrices.
+
+Each matrix field (an operator list, a Gram stack, a hom or a vector list)
+is read in bulk. Its nesting is checked one level at a time over the whole
+field: every item of a level must be a list of the expected length, and
+every entry a list or tuple of four. Then all its scalars at once: each
+must be an int but not a bool (JSON true and false load as bools), and no
+denominator may be zero. The field's integers then become its matrices in
+one step (ExactMatrix.from_flat_entries), each over the lcm of its own
+denominators and reduced, as from_entries would build it. When a bulk check
+fails, the field is walked again entry by entry in stored order only to
+raise the message of its first defect, so a file with several defects is
+rejected for the same one, with the same message, as an entry-by-entry
+reader would give. A file that is not UTF-8 text, is not JSON or nests too
+deeply to parse is rejected with a SpecFormatError as well.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import chain
 
 from .algebras import AlgebraHom, CommAlgebra
 from .linalg import ExactMatrix, GramStack
@@ -39,7 +54,7 @@ def scalar_to_entry(value: GaussianRational) -> list[int]:
 def _checked_entry(entry):
     """A stored scalar entry, once it is four integers with nonzero
     denominators. The fields are tested one by one, without a generator:
-    the loader runs this once per stored entry."""
+    a failed bulk check walks the entries through this in order."""
     if not isinstance(entry, (list, tuple)) or len(entry) != 4:
         raise SpecFormatError(f"scalar entry must be four integers, got {entry!r}")
     a, b, c, d = entry
@@ -53,6 +68,58 @@ def _checked_entry(entry):
     return entry
 
 
+def _all_of(items, kinds) -> bool:
+    """Whether every item is an instance of kinds, read off the set of
+    their types."""
+    return all(issubclass(t, kinds) for t in set(map(type, items)))
+
+
+def _bulk_scalars(data, lengths):
+    """(flat, sizes) for a nested field that passes every bulk check, None
+    otherwise. Level k must be lists of lengths[k] items each (None: one
+    nonzero length), the last level entries, each a list or tuple of four
+    ints, not bools, with nonzero denominators; flat holds the entries'
+    integers row-major and sizes the lengths found."""
+    level, sizes = [data], []
+    for n in lengths:
+        if not _all_of(level, list):
+            return None
+        found = set(map(len, level))
+        size = found.pop()
+        if found or not size or (n is not None and size != n):
+            return None
+        sizes.append(size)
+        level = list(chain.from_iterable(level))
+    if not _all_of(level, (list, tuple)) or set(map(len, level)) != {4}:
+        return None
+    flat = list(chain.from_iterable(level))
+    types = set(map(type, flat))
+    if bool in types or not all(issubclass(t, int) for t in types) or 0 in flat[1::2]:
+        return None
+    return flat, tuple(sizes)
+
+
+def _read(data, lengths, walk):
+    """(flat, sizes) of a nested field (see _bulk_scalars); when a bulk
+    check fails, walk() walks the field entry by entry and raises the
+    SpecFormatError of its first defect."""
+    scalars = _bulk_scalars(data, lengths)
+    if scalars is None:
+        walk()
+        raise AssertionError("internal error: a bulk check failed on a well-formed field")
+    return scalars
+
+
+def _walk_matrix(data, nrows: int, ncols: int, where: str):
+    if not isinstance(data, list) or len(data) != nrows:
+        raise SpecFormatError(f"{where}: expected {nrows} rows")
+    for r, row in enumerate(data):
+        if not isinstance(row, list) or len(row) != ncols:
+            raise SpecFormatError(f"{where}: row {r} must have {ncols} entries")
+        for entry in row:
+            _checked_entry(entry)
+
+
 def matrix_to_json(m: ExactMatrix) -> list:
     return [
         [scalar_to_entry(m[i, j]) for j in range(m.ncols)] for i in range(m.nrows)
@@ -60,24 +127,39 @@ def matrix_to_json(m: ExactMatrix) -> list:
 
 
 def matrix_from_json(data, nrows: int, ncols: int, where: str) -> ExactMatrix:
-    if not isinstance(data, list) or len(data) != nrows:
-        raise SpecFormatError(f"{where}: expected {nrows} rows")
-    rows = []
-    for r, row in enumerate(data):
-        if not isinstance(row, list) or len(row) != ncols:
-            raise SpecFormatError(f"{where}: row {r} must have {ncols} entries")
-        rows.append([_checked_entry(e) for e in row])
-    return ExactMatrix.from_entries(rows)
+    flat, shape = _read(data, (nrows, ncols), lambda: _walk_matrix(data, nrows, ncols, where))
+    return ExactMatrix.from_flat_entries(flat, shape)[0]
+
+
+def matrices_from_json(data, count: int, nrows: int, ncols: int, where: str) -> list:
+    """A list of count matrices, read in bulk."""
+    def walk():
+        if not isinstance(data, list) or len(data) != count:
+            raise SpecFormatError(f"{where}: expected {count} matrices")
+        for i, m in enumerate(data):
+            _walk_matrix(m, nrows, ncols, f"{where}[{i}]")
+
+    flat, shape = _read(data, (count, nrows, ncols), walk)
+    return ExactMatrix.from_flat_entries(flat, shape)
 
 
 def vector_to_json(v: ExactMatrix) -> list:
     return [scalar_to_entry(v[i, 0]) for i in range(v.nrows)]
 
 
-def vector_from_json(data, dim: int, where: str) -> ExactMatrix:
-    if not isinstance(data, list) or len(data) != dim:
-        raise SpecFormatError(f"{where}: expected {dim} entries")
-    return ExactMatrix.from_entries([[_checked_entry(e)] for e in data])
+def vectors_from_json(data, dim: int, where: str) -> list:
+    """A nonempty list of vectors, read in bulk, each as a column."""
+    def walk():
+        if not isinstance(data, list) or not data:
+            raise SpecFormatError(f"{where}: expected a nonempty list of vectors")
+        for i, v in enumerate(data):
+            if not isinstance(v, list) or len(v) != dim:
+                raise SpecFormatError(f"{where}[{i}]: expected {dim} entries")
+            for entry in v:
+                _checked_entry(entry)
+
+    flat, shape = _read(data, (None, dim), walk)
+    return ExactMatrix.from_flat_entries(flat, shape + (1,))
 
 
 def spec_to_dict(spec: QuadModuleSpec) -> dict:
@@ -130,12 +212,7 @@ def spec_from_dict(data) -> QuadModuleSpec:
     dim = sizes["H"]
 
     def matrix_list(field, count):
-        raw = data[field]
-        if not isinstance(raw, list) or len(raw) != count:
-            raise SpecFormatError(f"{field}: expected {count} matrices")
-        return [
-            matrix_from_json(m, dim, dim, f"{field}[{i}]") for i, m in enumerate(raw)
-        ]
+        return matrices_from_json(data[field], count, dim, dim, field)
 
     right_B1 = matrix_list("right_B1", sizes["B1"])
     right_B2 = matrix_list("right_B2", sizes["B2"])
@@ -159,14 +236,6 @@ def spec_from_dict(data) -> QuadModuleSpec:
             matrix_from_json(data[field], target.dim, alg_A.dim, field),
         )
 
-    def vector_list(field):
-        raw = data[field]
-        if not isinstance(raw, list) or not raw:
-            raise SpecFormatError(f"{field}: expected a nonempty list of vectors")
-        return [
-            vector_from_json(v, dim, f"{field}[{i}]") for i, v in enumerate(raw)
-        ]
-
     try:
         return QuadModuleSpec(
             algebra_A=alg_A,
@@ -184,8 +253,8 @@ def spec_from_dict(data) -> QuadModuleSpec:
             left_embed_2=homs["left_embed_2"],
             right_embed_1=homs["right_embed_1"],
             right_embed_2=homs["right_embed_2"],
-            basis_U=vector_list("basis_U"),
-            basis_V=vector_list("basis_V"),
+            basis_U=vectors_from_json(data["basis_U"], dim, "basis_U"),
+            basis_V=vectors_from_json(data["basis_V"], dim, "basis_V"),
             name=name,
         )
     except ValueError as exc:
@@ -203,6 +272,8 @@ def loads(text: str) -> QuadModuleSpec:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SpecFormatError(f"not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise SpecFormatError("not valid JSON: nested too deeply to parse") from exc
     return spec_from_dict(data)
 
 
@@ -214,4 +285,8 @@ def save(spec: QuadModuleSpec, path) -> None:
 
 def load(path) -> QuadModuleSpec:
     with open(path, "r", encoding="utf-8") as fh:
-        return loads(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise SpecFormatError(f"not UTF-8 text: {exc}") from exc
+    return loads(text)

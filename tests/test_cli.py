@@ -192,6 +192,21 @@ def test_malformed_spec_file_exits_with_two(tmp_path, capsys):
     assert "bad spec file" in err
 
 
+@pytest.mark.parametrize("content, reason", [
+    (b"\xff\xfe{}", "not UTF-8 text: "),
+    ((b"[" * 100000) + (b"]" * 100000), "not valid JSON: nested too deeply"),
+], ids=["not-utf8", "deeply-nested"])
+def test_undecodable_or_deeply_nested_spec_files_are_usage_errors(tmp_path, capsys, content,
+                                                                  reason):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    for command in ("validate", "full"):
+        code, out, err = run_cli(capsys, command, "--input", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: bad spec file {path}: {reason}")
+        assert len(err.splitlines()) == 1
+
+
 def test_cycle_parsing():
     assert parse_cycles(3, "") == [0, 1, 2]
     assert parse_cycles(3, "id") == [0, 1, 2]

@@ -13,6 +13,7 @@ from quadmod.fock import build_fock
 from quadmod.linalg import (
     ExactMatrix,
     GramStack,
+    NotDiagonal,
     NotHermitian,
     SingularGram,
     gram_adjoint,
@@ -24,6 +25,11 @@ from quadmod.scalars import GaussianRational as GR
 
 def F(a, b=1):
     return Fraction(a, b)
+
+
+def rows_of(m):
+    """A single matrix's entries, row by row."""
+    return [[m[i, j] for j in range(m.ncols)] for i in range(m.nrows)]
 
 
 def test_scalar_arithmetic():
@@ -43,7 +49,7 @@ def test_matrix_roundtrip_and_entries():
     assert m[0, 0] == GR(F(1, 2))
     assert m[0, 1] == GR(0, F(1, 3))
     assert m[1, 0] == GR(3)
-    assert m.to_rows()[1][1].is_zero
+    assert rows_of(m)[1][1].is_zero
     rows = [[1, -(2**70)], [0, 3], [1, -(2**70)]]
     assert ExactMatrix.from_rows(rows) == ExactMatrix.from_entries(
         [[(v, 1, 0, 1) for v in row] for row in rows])
@@ -735,7 +741,7 @@ def _fraction_combination(members, coeffs, j):
         rows = [[GR()] * members[0][b].ncols for _ in range(members[0][b].nrows)]
         for k, m in enumerate(members):
             c = coeffs[k, j]
-            for x, row in enumerate(m[b].to_rows()):
+            for x, row in enumerate(rows_of(m[b])):
                 for y, v in enumerate(row):
                     rows[x][y] = rows[x][y] + c * v
         out.append(ExactMatrix.from_rows(rows))
@@ -836,6 +842,79 @@ def test_diagonal_helpers():
     assert d.is_diagonal() and d.diagonal_columns() == col
     assert not ExactMatrix.from_rows([[1, GR(0, 1)], [0, 1]]).is_diagonal()
     assert ExactMatrix.from_rows([[1, 0], [0, 2]]).diagonal_columns() == ExactMatrix.column([1, 2])
+
+
+
+def test_equal_rows_groups_rows_by_value():
+    x = ExactMatrix.from_rows([[1, F(1, 2)], [GR(0, 1), 0], [F(2, 2), F(2, 4)], [GR(0, 1), 0],
+                               [2**70, 0], [1, 0]])
+    assert x.equal_rows() == [[0, 2], [1, 3], [4], [5]]
+    assert ExactMatrix.zeros(3, 2).equal_rows() == [[0, 1, 2]]
+    with pytest.raises(ValueError):
+        ExactMatrix.zeros(2, 3, 2).equal_rows()
+
+
+def test_square_blocks_cut_a_flattened_row_into_views():
+    a = ExactMatrix.stack([ExactMatrix.from_rows([[F(1, 2), 2]] * 2),
+                           ExactMatrix.from_rows([[GR(0, 1), 0], [4, 2**70]])], (2,))
+    b = ExactMatrix.stack([ExactMatrix.from_rows([[6]]), ExactMatrix.from_rows([[F(-1, 3)]])], (2,))
+    row = ExactMatrix.hstack([x.flattened() for x in (a, b)])
+    row = row.regrouped((2, 1, 5), (0, 1, 2))
+    cuts = row.square_blocks([2, 1])
+    assert [c.batch_shape + c.shape for c in cuts] == [(2, 2, 2), (2, 1, 1)]
+    assert cuts == [a, b]
+    assert all(np.shares_memory(c._re, row._re) for c in cuts)
+    for c in cuts:
+        _assert_real_flag(c)
+    with pytest.raises(ValueError, match="fill"):
+        row.square_blocks([2, 2])
+
+@st.composite
+def sparse_batches(draw):
+    """Numerator arrays of batched matrices, square or rectangular, with
+    Python-int entries, mostly zero, and every member sometimes diagonal."""
+    batch = draw(st.sampled_from([(), (1,), (3,), (2, 2)]))
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    shape = batch + (m, n)
+    diagonal_only = draw(st.booleans())
+
+    def part():
+        values = st.one_of(st.just(0), st.just(0), small_or_big)
+        arr = np.array(draw(st.lists(values, min_size=math.prod(shape),
+                                     max_size=math.prod(shape))), dtype=object).reshape(shape)
+        if diagonal_only:
+            arr = arr * np.eye(m, n, dtype=int).astype(object)
+        return arr
+
+    re = part()
+    im = part() if draw(st.booleans()) else np.zeros(shape, dtype=object)
+    return re, im, draw(st.integers(1, 4))
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_batches())
+def test_is_diagonal_and_diagonal_columns_match_an_entry_reference(parts):
+    re, im, den = parts
+    *batch, m, n = re.shape
+    off = [(idx, i, j) for idx in np.ndindex(*batch) for i in range(m) for j in range(n) if i != j]
+    diagonal = all(re[idx + (i, j)] == 0 and im[idx + (i, j)] == 0 for idx, i, j in off)
+    # normalised, so int64 where the values fit, and kept as object arrays
+    for x in (ExactMatrix(re, im, den), ExactMatrix(re, im, den, _normalize=False)):
+        assert x.is_diagonal() == diagonal
+        if m != n:
+            with pytest.raises(ValueError, match="square"):
+                x.diagonal_columns()
+        elif not diagonal:
+            with pytest.raises(NotDiagonal):
+                x.diagonal_columns()
+        else:
+            ref = [[re[idx + (i, i)] for i in range(n)] for idx in np.ndindex(*batch)]
+            ref_im = [[im[idx + (i, i)] for i in range(n)] for idx in np.ndindex(*batch)]
+            want = ExactMatrix(np.array(ref, dtype=object).reshape(tuple(batch) + (n, 1)),
+                               np.array(ref_im, dtype=object).reshape(tuple(batch) + (n, 1)), den)
+            got = x.diagonal_columns()
+            assert got == want
+            _assert_real_flag(got)
 
 
 # -- Kronecker-structured products ----------------------------------------
@@ -1261,12 +1340,15 @@ def test_stack_diagonals_selections_and_zero_one_members():
 
 def test_diagonal_inverse_scatter_and_nonzero_rows():
     d = ExactMatrix.diagonal([F(2, 3), -5, GR(1, 2), 2**70])
-    assert d.diagonal_inverse() == d.inverse()
-    assert d.diagonal_inverse() @ d == ExactMatrix.identity(4)
+    inverse = d.diagonal_columns().reciprocals().to_diagonal()
+    assert inverse == d.inverse()
+    assert inverse @ d == ExactMatrix.identity(4)
+    x = ExactMatrix.from_rows([[F(1, 2), GR(0, 3), -7], [GR(2, -1), 2**70, F(-5, 9)]])
+    assert x.reciprocals() == ExactMatrix.from_rows([[1 / v for v in row] for row in rows_of(x)])
     with pytest.raises(SingularGram):
-        ExactMatrix.diagonal([1, 0]).diagonal_inverse()
-    with pytest.raises(ValueError):
-        ExactMatrix.from_rows([[1, 1], [0, 1]]).diagonal_inverse()
+        ExactMatrix.column([1, 0]).reciprocals()
+    with pytest.raises(NotDiagonal):
+        ExactMatrix.from_rows([[1, 1], [0, 1]]).diagonal_columns()
     x = ExactMatrix.from_rows([[F(1, 2), GR(0, 3)], [4, 2**70]])
     rows, cols = [3, 0], [1, 4]
     placed = x.scattered(rows, cols, (5, 6))
@@ -1451,7 +1533,7 @@ def test_stack_arithmetic_matches_the_member_loop(data):
     # the members as the rows of one matrix, each read row-major
     rows = flat.flattened()
     for j, member in enumerate(a_mats):
-        assert rows.take_rows([j]) == ExactMatrix.from_rows([[x for row in member.to_rows() for x in row]])
+        assert rows.take_rows([j]) == ExactMatrix.from_rows([[x for row in rows_of(member) for x in row]])
     # one scalar per member, the stack broadcast to the scalars' shape
     grid = shape if len(shape) == 2 else (2,) + shape
     scalars = ExactMatrix.from_rows(draw(st.lists(

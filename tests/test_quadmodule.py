@@ -150,7 +150,7 @@ def test_validation_makes_as_many_products_on_a_larger_module(monkeypatch, small
     # exact products does not grow with the grids; the pivots of a
     # positivity test are per coordinate by design and are not counted
     products, validating, positivity = [], [], []
-    product, psd = linalg._product, quadmodule.psd_check
+    product, psd = linalg._product, quadmodule.hermitian_psd_check
 
     def counted_product(a, b):
         if validating and not positivity:
@@ -165,7 +165,7 @@ def test_validation_makes_as_many_products_on_a_larger_module(monkeypatch, small
             positivity.pop()
 
     monkeypatch.setattr(linalg, "_product", counted_product)
-    monkeypatch.setattr(quadmodule, "psd_check", counted_psd)
+    monkeypatch.setattr(quadmodule, "hermitian_psd_check", counted_psd)
     for builtin in (small, large):
         spec, _ = load_spec(argparse.Namespace(input=None, builtin=builtin))
         products.append(0)

@@ -2,6 +2,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quadmod import serialize
 from quadmod.linalg import ExactMatrix
@@ -146,8 +148,8 @@ def test_loader_matches_from_rows(rows):
     got = serialize.matrix_from_json(rows, len(rows), len(rows[0]), "here")
     assert got == ExactMatrix.from_rows([[scalar(e) for e in row] for row in rows])
     column = [row[0] for row in rows]
-    assert serialize.vector_from_json(column, len(column), "here") == \
-        ExactMatrix.column([scalar(e) for e in column])
+    assert serialize.vectors_from_json([column], len(column), "here") == \
+        [ExactMatrix.column([scalar(e) for e in column])]
 
 
 @pytest.mark.parametrize("entry, message", [
@@ -165,7 +167,8 @@ def test_loader_matches_from_rows(rows):
 ])
 def test_loader_keeps_the_malformed_entry_messages(entry, message):
     for load in (lambda: serialize.matrix_from_json([[[0, 1, 0, 1], entry]], 1, 2, "here"),
-                 lambda: serialize.vector_from_json([entry], 1, "here")):
+                 lambda: serialize.matrices_from_json([[[[0, 1, 0, 1], entry]]], 1, 1, 2, "here"),
+                 lambda: serialize.vectors_from_json([[entry]], 1, "here")):
         with pytest.raises(SpecFormatError) as err:
             load()
         assert str(err.value) == message
@@ -175,3 +178,125 @@ def test_loader_accepts_tuples_negative_denominators_and_big_integers():
     big = 2**80
     want = GaussianRational(Fraction(-1, 2), Fraction(big, 3))
     assert serialize.matrix_from_json([[(1, -2, big, 3)]], 1, 1, "here")[0, 0] == want
+
+
+# -- the bulk reader against the per-entry reference ----------------------
+
+# at and around the int64 bounds of linalg (2^62 for stored values, 2^63
+# for the array type), and denominators that each fit in int64 but whose
+# lcm does not
+_EDGES = [2**62, 2**62 + 1, 2**63, -(2**62), -(2**62) - 1, -(2**63)]
+_WIDE_DENOMINATORS = [2**61 - 1, 2**61 + 1, 3**39, 5**27]
+numerators = st.one_of(st.integers(-6, 6), st.sampled_from(_EDGES))
+denominators = st.one_of(st.integers(-6, 6).filter(bool), st.sampled_from(_EDGES + _WIDE_DENOMINATORS))
+
+
+@st.composite
+def stored_matrices(draw, count, nrows, ncols):
+    """count stored matrices, entries as lists or tuples, some all zero."""
+    def entry(zero):
+        num = st.just(0) if zero else numerators
+        e = draw(st.tuples(num, denominators, num, denominators))
+        return e if draw(st.booleans()) else list(e)
+
+    zeros = [draw(st.booleans()) for _ in range(count)]
+    return [[[entry(z) for _ in range(ncols)] for _ in range(nrows)] for z in zeros]
+
+
+def reference_matrix(rows):
+    """The matrix the loader built before reading in bulk: every entry
+    checked, then from_entries."""
+    return ExactMatrix.from_entries([[serialize._checked_entry(e) for e in row] for row in rows])
+
+
+def stored_form(m):
+    """An ExactMatrix as stored: denominator, dtype, numerators and the
+    real flag, so equal values over different representations differ."""
+    return m._den, m._re.dtype, m._im.dtype, m._re.tolist(), m._im.tolist(), m._real
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3), st.data())
+def test_bulk_reader_matches_the_per_entry_reference(count, nrows, ncols, data):
+    stored = data.draw(stored_matrices(count, nrows, ncols))
+    want = [stored_form(reference_matrix(rows)) for rows in stored]
+    got = serialize.matrices_from_json(stored, count, nrows, ncols, "here")
+    assert [stored_form(m) for m in got] == want
+    assert stored_form(serialize.matrix_from_json(stored[0], nrows, ncols, "here")) == want[0]
+    columns = [[row[0] for row in rows] for rows in stored]
+    assert [stored_form(v) for v in serialize.vectors_from_json(columns, nrows, "here")] == \
+        [stored_form(reference_matrix([[e] for e in column])) for column in columns]
+
+
+
+@pytest.mark.parametrize("rows", [
+    # denominators that fit in int64 but whose lcm does not
+    [[(1, 2**61 - 1, 0, 1), (1, 2**61 + 1, 0, 1)]],
+    [[(2, 3**39, 0, 1)], [(0, 1, 1, 5**27)]],
+    # values at 2^62, 2^62 + 1 and 2^63, some reducing to small ones
+    [[(2**62, 1, 0, 1), (0, 1, 2**62 + 1, 1)], [(2**63, 2**63, 0, 1), (-(2**63), 2, 0, 1)]],
+    [[(-(2**63), 1, 0, 1)]],
+    # all zero over wide denominators
+    [[(0, 5**27, 0, 3**39), (0, -1, 0, 2**63)]],
+])
+def test_bulk_reader_matches_the_reference_at_the_int64_edges(rows):
+    got = serialize.matrices_from_json([rows, rows], 2, len(rows), len(rows[0]), "here")
+    assert [stored_form(m) for m in got] == [stored_form(reference_matrix(rows))] * 2
+
+def test_well_formed_files_load_without_the_per_entry_walk(monkeypatch, tmp_path):
+    calls = []
+    checked = serialize._checked_entry
+
+    def counted(entry):
+        calls.append(entry)
+        return checked(entry)
+
+    monkeypatch.setattr(serialize, "_checked_entry", counted)
+    for spec in (build_example_MN(2, 3), build_example_alpha_beta(3, [1, 2, 0], [2, 0, 1])):
+        path = tmp_path / "spec.json"
+        serialize.save(spec, path)
+        back = serialize.load(path)
+        assert back.inner_A == spec.inner_A and back.basis_V == spec.basis_V
+    assert calls == []
+    # a defect sends the field, and only that field, through the walk
+    data = serialize.spec_to_dict(build_example_MN(2, 2))
+    data["left_B1"][0][1][1] = [1, 1, 0, True]
+    with pytest.raises(SpecFormatError, match="got \\[1, 1, 0, True\\]"):
+        serialize.spec_from_dict(data)
+    assert 0 < len(calls) <= 4 * 4
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    # an entry defect before a row defect of the same matrix
+    (lambda d: (d["left_B1"][0][0].__setitem__(1, [1, 2]), d["left_B1"][0].__setitem__(1, [])),
+     "scalar entry must be four integers, got [1, 2]"),
+    # a row defect before an entry defect in a later row
+    (lambda d: (d["left_B1"][0].__setitem__(1, []), d["left_B1"][0][2].__setitem__(0, "x")),
+     "left_B1[0]: row 1 must have 4 entries"),
+    # an entry of matrix 0 before the shape of matrix 1
+    (lambda d: (d["inner_B1"][0][3].__setitem__(3, [1, 0, 0, 1]), d["inner_B1"].__setitem__(1, "x")),
+     "scalar entry has a zero denominator"),
+    # an earlier field before a later one
+    (lambda d: (d["right_B2"][1][0].__setitem__(0, [1, 1.0, 0, 1]), d.__setitem__("left_B1", 5)),
+     "scalar entry must be four integers, got [1, 1.0, 0, 1]"),
+    (lambda d: d.__setitem__("inner_A", d["inner_A"] + d["inner_A"]), "inner_A: expected 1 matrices"),
+    (lambda d: d["right_embed_2"].__setitem__(0, []), "right_embed_2: row 0 must have 1 entries"),
+    (lambda d: d["basis_U"].__setitem__(1, d["basis_U"][1][:-1]), "basis_U[1]: expected 4 entries"),
+    (lambda d: d["basis_V"][0].__setitem__(2, (1, 2, 3, False)),
+     "scalar entry must be four integers, got (1, 2, 3, False)"),
+])
+def test_a_failed_bulk_check_names_the_first_defect_in_stored_order(corrupt, message):
+    data = serialize.spec_to_dict(build_example_MN(2, 2))
+    corrupt(data)
+    with pytest.raises(SpecFormatError) as err:
+        serialize.spec_from_dict(data)
+    assert str(err.value) == message
+
+
+def test_undecodable_and_deeply_nested_files_are_format_errors(tmp_path):
+    path = tmp_path / "spec.json"
+    path.write_bytes(b"\xff\xfe{}")
+    with pytest.raises(SpecFormatError, match="not UTF-8 text"):
+        serialize.load(path)
+    with pytest.raises(SpecFormatError, match="nested too deeply"):
+        serialize.loads("[" * 100000 + "]" * 100000)
