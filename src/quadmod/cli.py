@@ -8,6 +8,7 @@ when every check passed, 1 when at least one failed, 2 for unusable input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import re
@@ -467,6 +468,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of every main call in the process, built on the first:
+    parse_args keeps no state in it and returns a fresh namespace per call."""
+    return build_parser()
+
+
 def run(args) -> dict:
     spec, perms = load_spec(args)
     if args.command == "validate":
@@ -505,7 +513,7 @@ def run(args) -> dict:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         report = run(args)
     except CLIError as exc:

@@ -20,7 +20,20 @@ relations, the two index-map routes to the A-valued inner product, and the
 bracketing independence of triple tensors). The ambient side operators of
 a balanced tensor, x (x) I and I (x) x, are never formed: linalg's
 Kronecker kernels multiply by them, and kron_identity_entries gathers the
-entries a coordinate quotient reads.
+entries a coordinate quotient reads, every member of an operator list in
+one gather.
+
+Nor are the Gram stacks of a balanced tensor H (x)_B W formed on its
+ambient space. Coordinate k of a stack is sum_c G_c (x) (W_k L_c), with
+G_c the B-valued Gram of H, L_c the action of B on W and W_k the stack of
+W. Its scalar Gram, the coordinate sum of the A-valued stack, is
+sum_c G_c (x) (S L_c), S being the scalar Gram of W (the coordinate sum of
+its A-valued stack, on either kind of quotient): one Kronecker sum of the
+ambient size, from which reps are chosen as for any Gram. Each stack is
+then formed on reps x reps only, by linalg's kron_sum_entries, so a cut
+summand forms no coordinate larger than |reps|^2. The associativity
+check, which is defined on the whole triple ambient space, forms its
+stacks there (_tensor_stacks).
 
 Operators on the tower are block matrices over the summands
 (FockOperator), indexed by a batch shape: each block is one ExactMatrix
@@ -62,6 +75,7 @@ from .linalg import (
     identity_kron_times,
     kron_identity_entries,
     kron_sum,
+    kron_sum_entries,
     times_identity_kron,
     times_kron_identity,
 )
@@ -159,9 +173,11 @@ _OPERATORS = ("left_B1", "left_B2", "right_A", "right_B1", "right_B2")
 class QuadSpace:
     """A quotient inner-product space in the tower.
 
-    Presented by an ambient coordinate space and the list of representative
+    Presented by an ambient coordinate space and the representative
     ambient indices (reps) whose basis vectors are the quotient's basis.
-    The include map sends a quotient basis vector to its ambient basis
+    reps, the other indices (outside) and the two in turn (order) are
+    read-only index arrays made once, so a gather converts no list. The
+    include map sends a quotient basis vector to its ambient basis
     vector, so x @ include is the column selection x.take_cols(reps). The
     express map, sending ambient coordinates to quotient coordinates, takes
     one of two forms:
@@ -182,6 +198,7 @@ class QuadSpace:
         "ambient_dim",
         "reps",
         "outside",
+        "order",
         "express",
         "gram_A",
         "gram_B1",
@@ -209,9 +226,9 @@ class QuadSpace:
     @classmethod
     def from_ambient(
         cls,
-        gram_A: GramStack,
-        gram_B1: GramStack | None,
-        gram_B2: GramStack | None,
+        gram_A: GramStack | _BalancedStack,
+        gram_B1: GramStack | _BalancedStack | None,
+        gram_B2: GramStack | _BalancedStack | None,
         left_B1: list,
         left_B2: list,
         right_A: list,
@@ -219,37 +236,52 @@ class QuadSpace:
         right_B2: list[ExactMatrix] | None = None,
     ) -> "QuadSpace":
         """The quotient of an ambient space by the null space of its
-        scalarized Gram. Each ambient operator is an ExactMatrix or a
-        _KronIdentity, which the quotient multiplies from the left or reads
-        entries of (see descend)."""
+        scalarized Gram. Each Gram stack is a GramStack or a _BalancedStack,
+        which forms its entries on reps only. Each ambient operator is an
+        ExactMatrix or a _KronIdentity, which the quotient multiplies from
+        the left or reads entries of (see descend); the members of a list
+        descend in one batch per kind, and a list whose member does not
+        preserve the null space is refused, naming its first such member."""
         ambient_dim = gram_A.dim
         reps, gram, gram_inv, express = _quotient(gram_A.scalarized())
+        # reps then the other coordinates, each an index array made once
+        kept = len(reps)
+        cut = np.ones(ambient_dim, bool)
+        cut[reps] = False
+        order = np.concatenate([np.asarray(reps, np.intp), np.flatnonzero(cut)])
+        order.flags.writeable = False
+        reps = order[:kept]
         # the operator fields are filled in below, once descend can run
         space = cls(
             ambient_dim=ambient_dim,
             reps=reps,
-            outside=sorted(set(range(ambient_dim)).difference(reps)),
+            outside=order[kept:],
+            order=order,
             express=express,
             gram_A=gram_A.restrict(reps),
             gram_B1=gram_B1.restrict(reps) if gram_B1 is not None else None,
             gram_B2=gram_B2.restrict(reps) if gram_B2 is not None else None,
             gram_scalar=gram,
             gram_scalar_inv=gram_inv,
-            degenerate=len(reps) != ambient_dim,
+            degenerate=kept != ambient_dim,
             **dict.fromkeys(_OPERATORS),
         )
         # every structure operator must preserve the null space
         for label, ops in zip(_OPERATORS, (left_B1, left_B2, right_A, right_B1, right_B2)):
             if ops is None:
                 continue
-            quotients = []
-            for c, op in enumerate(ops):
+            quotients, failed = [None] * len(ops), []
+            for members, op in _batches(ops):
                 quotient, null_part = space.descend(op)
-                if not null_part.is_zero():
-                    raise ValueError(
-                        f"{label}[{c}] does not preserve the inner-product null space"
-                    )
-                quotients.append(quotient)
+                bad = null_part.nonzero()
+                if bad.any():
+                    failed.append(members[int(np.argmax(bad))])
+                for t, c in enumerate(members):
+                    quotients[c] = quotient.take((len(members),), t)
+            if failed:
+                raise ValueError(
+                    f"{label}[{min(failed)}] does not preserve the inner-product null space"
+                )
             setattr(space, label, quotients)
         return space
 
@@ -272,13 +304,18 @@ class QuadSpace:
         space, so for M = express @ op the second matrix is
         M[:, outside] - M[:, reps] @ express[:, outside]. On a coordinate
         quotient express vanishes outside reps, and the two matrices are the
-        entries (reps, reps) and (reps, outside) of op, gathered."""
-        reps, outside = self.reps, self.outside
+        entries (reps, reps) and (reps, outside) of op, read by one gather
+        of the rows reps in the column order reps, outside. The quotient is
+        copied out of it, so that it does not hold the null part alive."""
+        kept = len(self.reps)
         if self.express is None:
-            return op.submatrix(reps, reps), op.submatrix(reps, outside)
+            both = op.submatrix(self.reps, self.order)
+            return (both.take_cols(np.arange(kept)),
+                    both.take_cols(range(kept, self.ambient_dim)))
         m = self.express @ op
-        quotient = m.take_cols(reps)
-        return quotient, m.take_cols(outside) - quotient @ self.express.take_cols(outside)
+        quotient = m.take_cols(self.reps)
+        return quotient, (m.take_cols(self.outside)
+                          - quotient @ self.express.take_cols(self.outside))
 
     def ambient(self, L: ExactMatrix) -> ExactMatrix:
         """include @ L @ express: an operator on the quotient as the ambient
@@ -289,8 +326,25 @@ class QuadSpace:
         return (L @ self.express).scattered(self.reps, range(n), (n, n))
 
 
+def _batches(ops):
+    """The members of an operator list as batched operands, one per kind:
+    (member indices, operand) pairs, the operand an ExactMatrix or a
+    _KronIdentity holding those members along one batch axis. A list of
+    one kind is one operand."""
+    kinds = {}
+    for c, op in enumerate(ops):
+        kinds.setdefault((op.s, op.left) if isinstance(op, _KronIdentity) else None, []).append(c)
+    for kind, members in kinds.items():
+        if kind is None:
+            yield members, ExactMatrix.stack([ops[c] for c in members], (len(members),))
+        else:
+            stacked = ExactMatrix.stack([ops[c].x for c in members], (len(members),))
+            yield members, _KronIdentity(stacked, *kind)
+
+
 def _tensor_stacks(inner_left: GramStack, target_stacks, left_ops):
-    """Gram stacks of a balanced tensor, one per requested target form.
+    """Gram stacks of a balanced tensor, one per requested target form, on
+    the whole ambient space.
 
     inner_left is the left factor's inner product valued in the balancing
     algebra; left_ops is that algebra's left action on the right factor;
@@ -301,11 +355,51 @@ def _tensor_stacks(inner_left: GramStack, target_stacks, left_ops):
     # (I (x) W) @ sum_c G_c (x) L_c = sum_c G_c (x) (W @ L_c), by the
     # mixed-product rule: the sum is formed once, and multiplied by every
     # coordinate W of a target in one batched product
-    total = kron_sum(inner_left.coords, left_ops)
+    total = kron_sum(inner_left.grams, left_ops)
     return [
         None if stack is None else GramStack(identity_kron_times(inner_left.dim, stack.grams, total))
         for stack in target_stacks
     ]
+
+
+class _BalancedStack:
+    """One Gram stack of a balanced tensor, held as its factors: coordinate
+    k is sum_c G_c (x) (W_k @ L_c), G being the left factor's inner product
+    valued in the balancing algebra, L its left action on the right factor
+    and W the right factor's stack, as _tensor_stacks forms it. QuadSpace
+    reads it twice: its scalar Gram, sum_c G_c (x) (S @ L_c) with S the
+    coordinate sum of W, as one Kronecker sum, and its entries on the kept
+    coordinates. On a cut summand those are one kron_sum_entries over every
+    coordinate, and no coordinate is formed on the ambient space. An uncut
+    summand keeps every coordinate, and its stacks are formed as
+    _tensor_stacks forms them, from one sum_c G_c (x) L_c that the stacks
+    of a tensor share through the dict sums."""
+
+    __slots__ = ("inner", "stack", "left_ops", "sums")
+
+    def __init__(self, inner_left: GramStack, stack: GramStack, left_ops: ExactMatrix,
+                 sums: dict):
+        self.inner = inner_left.grams
+        self.stack = stack
+        self.left_ops = left_ops
+        self.sums = sums
+
+    @property
+    def dim(self) -> int:
+        return self.inner.nrows * self.stack.dim
+
+    def scalarized(self) -> ExactMatrix:
+        return kron_sum(self.inner, self.stack.scalarized() @ self.left_ops)
+
+    def restrict(self, idx) -> GramStack:
+        grams = self.stack.grams
+        if np.array_equal(idx, np.arange(self.dim)):
+            if "total" not in self.sums:
+                self.sums["total"] = kron_sum(self.inner, self.left_ops)
+            return GramStack(identity_kron_times(self.inner.nrows, grams, self.sums["total"]))
+        # member (k, c) is W_k @ L_c
+        rights = grams.reshaped(grams.batch_shape, grams.batch_shape + (1,)) @ self.left_ops
+        return GramStack(kron_sum_entries(self.inner, rights, idx, idx))
 
 
 def relative_tensor(h: QuadSpace, tensor_type: int, w: QuadSpace) -> tuple[QuadSpace, list[ExactMatrix]]:
@@ -322,9 +416,10 @@ def relative_tensor(h: QuadSpace, tensor_type: int, w: QuadSpace) -> tuple[QuadS
     w_left = w.left_B1 if tensor_type == 1 else w.left_B2
     h_right = h.right_B1 if tensor_type == 1 else h.right_B2
 
-    gram_A, gram_B1, gram_B2 = _tensor_stacks(
-        inner_left, [w.gram_A, w.gram_B1, w.gram_B2], w_left
-    )
+    left_ops, sums = ExactMatrix.stack(w_left, (len(w_left),)), {}
+    gram_A, gram_B1, gram_B2 = (
+        None if stack is None else _BalancedStack(inner_left, stack, left_ops, sums)
+        for stack in (w.gram_A, w.gram_B1, w.gram_B2))
     left_B1 = [_KronIdentity(op, w.dim, True) for op in h.left_B1]
     left_B2 = [_KronIdentity(op, w.dim, True) for op in h.left_B2]
     right_A = [_KronIdentity(op, h.dim, False) for op in w.right_A]
@@ -333,10 +428,11 @@ def relative_tensor(h: QuadSpace, tensor_type: int, w: QuadSpace) -> tuple[QuadS
 
     defects = []
     if h_right is not None:
-        for c in range(len(w_left)):
-            # express @ (h_right[c] (x) I_w - I_h (x) w_left[c])
-            defects.append(space.coordinates(_KronIdentity(h_right[c], w.dim, True))
-                           - space.coordinates(_KronIdentity(w_left[c], h.dim, False)))
+        # express @ (h_right[c] (x) I_w - I_h (x) w_left[c]), every c at once
+        d = len(w_left)
+        both = (space.coordinates(_KronIdentity(ExactMatrix.stack(h_right, (d,)), w.dim, True))
+                - space.coordinates(_KronIdentity(left_ops, h.dim, False)))
+        defects = [both.take((d,), c) for c in range(d)]
     return space, defects
 
 

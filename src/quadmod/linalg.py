@@ -62,7 +62,17 @@ Kronecker product is formed only to be summed or multiplied:
   its lcm denominator. Entry ((i, j), (k, l)) of A^T B is the sum's entry
   ((i, k), (j, l)), so regrouping the axes (m, n, p, q) of A^T B into
   (m, p, n, q) gives the mp x nq result. Its inner dimension is r, so its
-  bound is r*max|A|*max|B|.
+  bound is r*max|A|*max|B|. The B_k may carry batch axes before the
+  terms' axis, and then every member is one batch of the one product.
+* kron_sum_entries(lefts, rights, rows, cols) is the same sum at the given
+  rows and columns only, the sum never formed: row (i, k) and column
+  (j, l) read sum_t A_t[i, j] * B_t[k, l], so the entries are r gathers of
+  each factor's numerators and r entrywise products, added up, for every
+  member of batched B_k at once. Each entry is a sum of r products, so the
+  bound is r*max|A|*max|B|, doubled when both factors are complex, and it
+  picks int64 or big integers as above; the result is over the product of
+  the two denominators and normalised once. When rows and cols are every
+  index in order it is kron_sum, which costs no more.
 * times_kron_identity(mat, x, s) = mat @ (x (x) I_s), with x h x q. The
   r x (h s) matrix mat is regrouped into an (r s) x h one, multiplied by x
   once, and the (r s) x q product is regrouped back into r x (q s). Its
@@ -89,8 +99,9 @@ pair of columns at once.
 A selection of rows and columns of x (x) I_s or I_s (x) x needs no product
 at all: kron_identity_entries reads entry ((a, u), (b, v)) of x (x) I_s as
 x[a, b] when u = v and zero otherwise (and entry ((u, a), (v, b)) of
-I_s (x) x alike), one gather of x's numerators. It does no arithmetic, so
-its bound is max|x| and its result is real when x is.
+I_s (x) x alike), one gather of x's numerators into a zero array, at the
+entries where u = v only. It does no arithmetic, so its bound is max|x|
+and its result is real when x is.
 
 Products with a diagonal matrix need no matrix product either. For
 P = diag(p), P @ x scales row i of x by p[i], the entrywise product of x
@@ -279,12 +290,27 @@ def _sum(a, b, op):
     return op(are, bre), op(aim, bim), den, False, bound
 
 
+def _index_array(idx):
+    """Row or column indices as a one-axis intp array; an intp array is
+    returned as it is, with no copy."""
+    return np.asarray(idx, dtype=np.intp).reshape(-1)
+
+
 def _indices(idx):
     """Row or column indices as an index array, or as a slice for a range,
     which selects a view."""
     if isinstance(idx, range):
         return slice(idx.start, idx.stop, idx.step)
-    return np.asarray(idx, dtype=np.intp).reshape(-1)
+    return _index_array(idx)
+
+
+def _checked_indices(idx, size: int):
+    """idx as an index array, every index in range(size): a gather reads
+    only such indices, as a negative one would wrap around."""
+    idx = _index_array(idx)
+    if idx.size and (idx.min() < 0 or idx.max() >= size):
+        raise ValueError("index outside the Kronecker product")
+    return idx
 
 
 class ExactMatrix:
@@ -667,13 +693,19 @@ class ExactMatrix:
     # -- shaping ---------------------------------------------------------
 
     def _selected(self, rows, cols) -> "ExactMatrix":
-        """Every member's entries at the given rows and columns, each index
-        arrays or a slice, normalised again."""
-        key = (Ellipsis, rows, cols)
-        re = self._re[key]
+        """Every member's entries at the given rows and columns, each an
+        index array or a slice, normalised again. A slice selects a view,
+        and an index array gathers along its axis with take, which lays the
+        result out in C order; numpy's fancy indexing would move the batch
+        axes innermost."""
+        def selected(part):
+            part = part[..., rows, :] if isinstance(rows, slice) else part.take(rows, axis=-2)
+            return part[..., cols] if isinstance(cols, slice) else part.take(cols, axis=-1)
+
+        re = selected(self._re)
         if self._real:
             return ExactMatrix(re, _zero(re.shape), self._den, _real=True)
-        return ExactMatrix(re, self._im[key], self._den)
+        return ExactMatrix(re, selected(self._im), self._den)
 
     def take_rows(self, idx) -> "ExactMatrix":
         return self._selected(_indices(idx), slice(None))
@@ -682,7 +714,7 @@ class ExactMatrix:
         return self._selected(slice(None), _indices(idx))
 
     def submatrix(self, rows, cols) -> "ExactMatrix":
-        return self._selected(*np.ix_(list(rows), list(cols)))
+        return self._selected(_index_array(rows), _index_array(cols))
 
     def take(self, shape, index) -> "ExactMatrix":
         """The members broadcast to the batch shape shape, then indexed by
@@ -778,7 +810,7 @@ class ExactMatrix:
         """The matrix of the given shape whose entry (rows[i], cols[j]) is
         this matrix's entry (i, j), and whose other entries are zero: the
         inverse of submatrix(rows, cols) on those positions."""
-        at = np.ix_(list(rows), list(cols))
+        at = np.ix_(_index_array(rows), _index_array(cols))
         re = np.zeros(shape, self._re.dtype)
         re[at] = self._re
         if self._real:
@@ -1022,18 +1054,79 @@ def regroup(x: ExactMatrix, shape, axes, rows: int, cols: int) -> ExactMatrix:
     return ExactMatrix(re, im, x._den, _normalize=False, _real=False, _peak=x._peak)
 
 
+def _terms(mats) -> ExactMatrix:
+    """The factors of a Kronecker sum as one batched matrix whose last batch
+    axis runs over the terms: a list of equal-shape matrices is stacked, and
+    a batched matrix is taken as it is."""
+    if isinstance(mats, ExactMatrix):
+        return mats
+    mats = list(mats)
+    return ExactMatrix.stack(mats, (len(mats),))
+
+
+def _kron_terms(lefts, rights):
+    """(lefts, rights, r) for sum_k lefts[k] (x) rights[k]: lefts with the
+    one batch axis of the r terms, rights with it last."""
+    lefts, rights = _terms(lefts), _terms(rights)
+    if len(lefts.batch_shape) != 1:
+        raise ValueError("left factors take one batch axis, over the terms")
+    r = lefts.batch_shape[0]
+    if rights.batch_shape[-1:] != (r,):
+        raise ValueError("need as many right factors as left factors")
+    return lefts, rights, r
+
+
 def kron_sum(lefts, rights) -> ExactMatrix:
     """sum_k lefts[k] (x) rights[k] as one exact product (see the module
-    docstring); the lefts share one shape, and so do the rights."""
-    lefts, rights = list(lefts), list(rights)
-    if len(lefts) != len(rights):
-        raise ValueError("need as many right factors as left factors")
-    r = len(lefts)
-    a = ExactMatrix.stack(lefts, (r,)).flattened()
-    b = ExactMatrix.stack(rights, (r,)).flattened()
-    (m, n), (p, q) = lefts[0].shape, rights[0].shape
+    docstring). Each factor list is a list of equal-shape matrices or a
+    batched matrix; a batched right factor may carry batch axes before the
+    terms' axis, and the result then has them too."""
+    lefts, rights, r = _kron_terms(lefts, rights)
+    (m, n), (p, q) = lefts.shape, rights.shape
+    batch = rights.batch_shape[:-1]
+    a = lefts.flattened()
+    b = rights.regrouped(batch + (r, p * q), tuple(range(len(batch) + 2)))
     # entry ((i, j), (k, l)) of a^T b is sum_t lefts[t][i, j] * rights[t][k, l]
     return regroup(a.T @ b, (m, n, p, q), (0, 2, 1, 3), m * p, n * q)
+
+
+def kron_sum_entries(lefts, rights, rows, cols) -> ExactMatrix:
+    """The entries of sum_k lefts[k] (x) rights[k] at the given rows and
+    columns, the factors taken as kron_sum takes them, gathered from the
+    factors without forming the sum (see the module docstring). When rows
+    and cols are every index in order, this is kron_sum."""
+    lefts, rights, r = _kron_terms(lefts, rights)
+    (m, n), (p, q) = lefts.shape, rights.shape
+    rows, cols = _checked_indices(rows, m * p), _checked_indices(cols, n * q)
+    if (rows.size == m * p and cols.size == n * q
+            and (rows == np.arange(m * p)).all() and (cols == np.arange(n * q)).all()):
+        return kron_sum(lefts, rights)
+    (i, k), (j, l) = np.divmod(rows, p), np.divmod(cols, q)
+
+    def summed(x, y):
+        # sum_t x[t][i, j] * y[..., t][k, l] at every (row, column)
+        total = x[0][i[:, None], j] * y[..., 0, k[:, None], l]
+        for t in range(1, r):
+            total += x[t][i[:, None], j] * y[..., t, k[:, None], l]
+        return total
+
+    real_left, real_right = lefts._real, rights._real
+    bound = r * lefts._peak_abs() * rights._peak_abs()
+    if not (real_left or real_right):
+        bound *= 2
+    are, aim, bre, bim = _common(bound, lefts._re, lefts._im, rights._re, rights._im)
+    den = lefts._den * rights._den
+    if real_left and real_right:
+        re = summed(are, bre)
+        return ExactMatrix(re, _zero(re.shape), den, _real=True, _peak=bound)
+    if real_left:
+        re, im = summed(are, bre), summed(are, bim)
+    elif real_right:
+        re, im = summed(are, bre), summed(aim, bre)
+    else:
+        re = summed(are, bre) - summed(aim, bim)
+        im = summed(are, bim) + summed(aim, bre)
+    return ExactMatrix(re, im, den, _peak=bound)
 
 
 def times_kron_identity(mat: ExactMatrix, x: ExactMatrix, s: int) -> ExactMatrix:
@@ -1082,21 +1175,24 @@ def kron_identity_entries(x, s: int, left: bool, rows, cols):
     (see the module docstring). Every member of a batched x is read by the
     one gather, into a result of the same batch shape."""
     p, q = x._re.shape[-2:]
-    rows = np.asarray(rows, dtype=np.intp).reshape(-1)
-    cols = np.asarray(cols, dtype=np.intp).reshape(-1)
-    for idx, size in ((rows, p * s), (cols, q * s)):
-        if idx.size and (idx.min() < 0 or idx.max() >= size):
-            raise ValueError("index outside the Kronecker product")
+    rows, cols = _checked_indices(rows, p * s), _checked_indices(cols, q * s)
     if left:
         (a, u), (b, v) = np.divmod(rows, s), np.divmod(cols, s)
     else:
         (u, a), (v, b) = np.divmod(rows, p), np.divmod(cols, q)
-    keep = u[:, None] == v[None, :]
-    at = Ellipsis, a[:, None], b[None, :]
-    re = np.where(keep, x._re[at], 0)
+    # only the entries where u = v can be nonzero, one in s of all
+    hit_rows, hit_cols = np.nonzero(u[:, None] == v[None, :])
+    at = Ellipsis, a[hit_rows], b[hit_cols]
+
+    def gathered(part):
+        out = np.zeros(part.shape[:-2] + (rows.size, cols.size), part.dtype)
+        out[..., hit_rows, hit_cols] = part[at]
+        return out
+
+    re = gathered(x._re)
     if x._real:
         return ExactMatrix(re, _zero(re.shape), x._den, _real=True, _peak=x._peak)
-    return ExactMatrix(re, np.where(keep, x._im[at], 0), x._den, _peak=x._peak)
+    return ExactMatrix(re, gathered(x._im), x._den, _peak=x._peak)
 
 
 def gram_adjoint(t: ExactMatrix, gram_dom: ExactMatrix, gram_cod: ExactMatrix) -> ExactMatrix:
@@ -1267,7 +1363,6 @@ class GramStack:
         return self.grams.combine(ones).take((1,), 0)
 
     def restrict(self, idx) -> "GramStack":
-        idx = list(idx)
         return GramStack(self.grams.submatrix(idx, idx))
 
     def transform(self, matrix: ExactMatrix) -> "GramStack":

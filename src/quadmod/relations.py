@@ -46,7 +46,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .fock import FockDiagonal, FockOperator, FockSpace
-from .linalg import ExactMatrix, gram_adjoint, kron_sum, regroup
+from .linalg import ExactMatrix, gram_adjoint, kron_sum_entries, regroup
 from .opalgebra import DiagonalOperatorModel, NotDiagonalModel
 from .report import CheckResult, IdentityReport
 from .scalars import GaussianRational
@@ -242,8 +242,9 @@ def _annihilation_expected(space: FockSpace, family: int, xs: ExactMatrix) -> Fo
         tail = space.summand(key)
         ops = tail.left_B1 if family == 1 else tail.left_B2
         # rows (j, v) of the Kronecker sum are the rows of member j's block,
-        # read on the source quotient by include, the column selection reps
-        summed = kron_sum(rows, ops).take_cols(src.reps)
+        # read on the source quotient by include, the column selection reps,
+        # and only those columns are formed
+        summed = kron_sum_entries(rows, ops, range(c * tail.dim), src.reps)
         blocks[(key, src_key)] = summed.regrouped((c, tail.dim, src.dim), (0, 1, 2))
     return FockOperator(space, (c,), blocks)
 

@@ -24,6 +24,38 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def test_main_reuses_one_parser_with_a_fresh_namespace_per_call(monkeypatch, capsys):
+    # the parser is built on the first call only, and each call's options,
+    # subcommand and defaults land in a namespace of its own
+    namespaces, builds = [], []
+    build = cli.build_parser
+
+    def counted():
+        builds.append(1)
+        return build()
+
+    cli._parser.cache_clear()
+    monkeypatch.setattr(cli, "build_parser", counted)
+    monkeypatch.setattr(cli, "run", lambda args: namespaces.append(args) or {"passed": True})
+    monkeypatch.setattr(cli, "render_text", lambda report: "")
+    try:
+        assert main(["ktheory", "--builtin", "mn:2,2", "--depth", "2", "--seed", "3",
+                     "--format", "json"]) == 0
+        assert main(["validate", "--input", "spec.json"]) == 0
+        assert main(["full", "--builtin", "mn:2,3"]) == 0
+    finally:
+        cli._parser.cache_clear()
+    capsys.readouterr()
+    assert len(builds) == 1
+    first, second, third = (vars(n) for n in namespaces)
+    assert first == {"command": "ktheory", "builtin": "mn:2,2", "input": None, "depth": 2,
+                     "format": "json", "output": None, "seed": 3}
+    assert second == {"command": "validate", "builtin": None, "input": "spec.json",
+                      "format": "text", "output": None}
+    assert third == {"command": "full", "builtin": "mn:2,3", "input": None, "depth": None,
+                     "format": "text", "output": None, "seed": None}
+
+
 def report_schema():
     return json.loads(
         resources.files("quadmod").joinpath("report_schema.json").read_text())
@@ -340,6 +372,8 @@ def test_linear_combinations_read_no_entries(tmp_path, monkeypatch, capsys, size
 # Kronecker-structured work that runs through linalg's Kronecker kernels.
 KRON_FREE = [
     (fock, "_tensor_stacks"),
+    (fock._BalancedStack, "scalarized"),
+    (fock._BalancedStack, "restrict"),
     (fock, "relative_tensor"),
     (QuadSpace, "from_ambient"),
     (FockSpace, "creations"),

@@ -207,7 +207,7 @@ def test_lift_of_left_action_matches_tower_action():
 
 
 def test_lifts_gather_all_members_at_once_on_a_coordinate_quotient(monkeypatch):
-    # one gather for the blocks and one for the null parts per summand,
+    # one gather per summand for the blocks and the null parts together,
     # however many operators are lifted, and each member is its own lift
     space = bipartite_space()
     h = space.summand((1, ()))
@@ -222,7 +222,7 @@ def test_lifts_gather_all_members_at_once_on_a_coordinate_quotient(monkeypatch):
     lifted = space.lifts(ops)
     upper = [k for k in space.keys if k[0] >= 2]
     assert all(space.summand(k).express is None for k in upper)
-    assert len(gathers) == 2 * len(upper)
+    assert len(gathers) == len(upper)
     for i, L in enumerate(ops):
         assert lifted[i] == space.lift(L)
 
@@ -285,7 +285,7 @@ def test_coordinate_quotient_matches_elimination(monkeypatch, stack, dim):
     assert selected.express is None and eliminated.express is not None
     assert selected.dim == dim
     assert selected.degenerate == eliminated.degenerate == (dim < 6)
-    assert selected.reps == eliminated.reps
+    assert selected.reps.tolist() == eliminated.reps.tolist()
     for field in ("gram_scalar", "gram_scalar_inv", "left_B1", "left_B2", "right_A"):
         assert getattr(selected, field) == getattr(eliminated, field), field
     for field in ("gram_A", "gram_B1"):
@@ -324,3 +324,78 @@ def test_from_ambient_rejects_an_operator_leaving_the_null_space(gram, ops, labe
     message = f"{label} does not preserve the inner-product null space"
     with pytest.raises(ValueError, match=re.escape(message)):
         fock.QuadSpace.from_ambient(GramStack([gram]), None, None, *ops)
+
+
+
+def test_cut_summands_form_grams_on_reps_and_descend_each_list_once(monkeypatch, capsys):
+    # ktheory mn:2,6 --depth 2 cuts both tensor summands (to 24 and 72 of
+    # 144 coordinates): each forms its scalar Gram once on the ambient
+    # space and its Gram stacks on reps x reps only, and from_ambient
+    # descends each operator list as one batch, read by one gather
+    tensors, seen, descents, gathers = [], [], [], []
+    relative_tensor, from_ambient = fock.relative_tensor, fock.QuadSpace.from_ambient
+    descend, init = fock.QuadSpace.descend, GramStack.__init__
+    kron_sum, kron_times = fock.kron_sum, fock.identity_kron_times
+
+    def tensor(h, tensor_type, w):
+        seen.append({"stacks": [], "sums": [], "kron_times": 0})
+        space, defects = relative_tensor(h, tensor_type, w)
+        tensors.append((seen.pop(), space))
+        return space, defects
+
+    def summed(lefts, rights):
+        out = kron_sum(lefts, rights)
+        if seen:
+            seen[-1]["sums"].append(out)
+        return out
+
+    def times(*args):
+        if seen:
+            seen[-1]["kron_times"] += 1
+        return kron_times(*args)
+
+    def stack(self, coords):
+        init(self, coords)
+        if seen:
+            seen[-1]["stacks"].append(self.grams)
+
+    def ambient(*args, **kwargs):
+        descents.append([])
+        space = from_ambient(*args, **kwargs)
+        lists = [ops for ops in args[3:] + tuple(kwargs.values()) if ops is not None]
+        assert descents.pop() == [1] * len(lists)
+        return space
+
+    def descended(self, op):
+        gathers.append(0)
+        out = descend(self, op)
+        count = gathers.pop()
+        if descents:
+            descents[-1].append(count)
+        return out
+
+    def counted(call):
+        def gathered(*args):
+            if gathers:
+                gathers[-1] += 1
+            return call(*args)
+        return gathered
+
+    monkeypatch.setattr(fock, "relative_tensor", tensor)
+    monkeypatch.setattr(fock, "kron_sum", summed)
+    monkeypatch.setattr(fock, "identity_kron_times", times)
+    monkeypatch.setattr(GramStack, "__init__", stack)
+    monkeypatch.setattr(fock.QuadSpace, "from_ambient", ambient)
+    monkeypatch.setattr(fock.QuadSpace, "descend", descended)
+    monkeypatch.setattr(fock, "kron_identity_entries", counted(fock.kron_identity_entries))
+    monkeypatch.setattr(ExactMatrix, "submatrix", counted(ExactMatrix.submatrix))
+    code = cli.main(["ktheory", "--builtin", "mn:2,6", "--depth", "2"])
+    capsys.readouterr()
+    assert code == 0
+    assert [(space.ambient_dim, space.dim) for _, space in tensors] == [(144, 24), (144, 72)]
+    for found, space in tensors:
+        assert not found["kron_times"]
+        [scalar] = found["sums"]
+        assert (scalar.batch_shape, scalar.shape) == ((), (144, 144))
+        assert len(found["stacks"]) == 3
+        assert all(g.shape == (space.dim, space.dim) for g in found["stacks"])

@@ -1040,6 +1040,76 @@ def test_kron_sum_matches_the_loop_and_an_object_reference(case):
     _assert_real_flag(got)
 
 
+def _index_sets(size):
+    """Every index in order, or any list of indices: empty, repeated or out
+    of order."""
+    return st.one_of(st.just(list(range(size))),
+                     st.lists(st.integers(0, size - 1), max_size=size + 2))
+
+
+@settings(max_examples=100, deadline=None)
+@given(kron_sum_cases(), st.data())
+def test_kron_sum_entries_match_the_formed_sum_and_an_object_reference(case, data):
+    lefts, rights = case
+    a = [ExactMatrix(*x) for x in lefts]
+    b = [ExactMatrix(*x) for x in rights]
+    (m, n), (p, q) = a[0].shape, b[0].shape
+    rows, cols = data.draw(_index_sets(m * p)), data.draw(_index_sets(n * q))
+    # stacked first, as stacking rescales to one denominator under a bound
+    sa, sb = ExactMatrix.stack(a, (len(a),)), ExactMatrix.stack(b, (len(b),))
+    got, path = _gate_path(lambda: linalg.kron_sum_entries(sa, sb, rows, cols))
+    want = _object_matrix([
+        (*_object_kron(ar, ai, br, bi), da * db)
+        for (ar, ai, da), (br, bi, db) in zip(lefts, rights)
+    ]).submatrix(rows, cols)
+    assert got == want
+    assert got == linalg.kron_sum(a, b).submatrix(rows, cols)
+    assert got.shape == (len(rows), len(cols))
+    _assert_real_flag(got)
+    if rows != list(range(m * p)) or cols != list(range(n * q)):
+        # a sum of r products, each at most max|A|*max|B|, twice that for
+        # two complex factors: int64 up to 2^62, big integers past it
+        bound = len(a) * sa._peak_abs() * sb._peak_abs()
+        if not (sa.is_real() or sb.is_real()):
+            bound *= 2
+        assert path == ("int64" if bound <= 2**62 else "object")
+    # a batch of right factors: every member at once, as one call each
+    both = linalg.kron_sum_entries(sa, ExactMatrix.stack([sb, -sb], (2,)), rows, cols)
+    assert both.batch_shape == (2,)
+    assert both.take((2,), 0) == got
+    assert both.take((2,), 1) == -got
+
+
+def test_kron_sum_entries_on_fractions_gates_and_degenerate_index_sets():
+    a = ExactMatrix.from_rows([[F(1, 2), GR(0, F(2, 3))], [3, F(-5, 7)]])
+    b = ExactMatrix.from_rows([[F(4, 9), 0, 1], [GR(1, -1), F(1, 6), 2]])
+    c = ExactMatrix.from_rows([[F(1, 3), 5], [F(-2, 5), 1]])
+    d = ExactMatrix.from_rows([[F(1, 10), GR(0, 1), 0], [7, F(3, 4), GR(F(1, 2), -2)]])
+    # real and complex factors on either side, over fraction denominators
+    for lefts, rights in [([a, c], [b, d]), ([c], [d]), ([a, a], [c, -c]), ([c, c], [c.T, c])]:
+        full = linalg.kron_sum(lefts, rights)
+        for rows, cols in [([3, 0, 2], [full.ncols - 1, 1, 1, 3]), ([], [0, 2]), ([1, 2], []), ([], []),
+                           (range(full.nrows), range(full.ncols))]:
+            got = linalg.kron_sum_entries(lefts, rights, rows, cols)
+            assert got == full.submatrix(rows, cols)
+            assert got.shape == (len(rows), len(cols))
+            _assert_real_flag(got)
+    for rows, cols in [([4], [0]), ([0], [6]), ([-1], [0])]:
+        with pytest.raises(ValueError, match="outside"):
+            linalg.kron_sum_entries([a], [b], rows, cols)
+    with pytest.raises(ValueError, match="as many"):
+        linalg.kron_sum_entries([a, c], [b], [0], [0])
+    # the int64 gate: two terms of 2^30 * 2^31 sum to exactly 2^62, and one
+    # more unit on a left factor takes the bound past it to big integers
+    for top, path, value in [(2**30, "int64", 2**62), (2**30 + 1, "object", 2**62 + 2**31)]:
+        lefts = [_full((2, 2), top), _full((2, 2), 2**30)]
+        rights = [_full((2, 2), 2**31)] * 2
+        got, chosen = _gate_path(lambda: linalg.kron_sum_entries(lefts, rights, [0, 3], [1]))
+        assert chosen == path
+        assert got == _full((2, 1), value)
+        assert got._re.dtype == (np.int64 if path == "int64" else object)
+
+
 @st.composite
 def kron_identity_cases(draw):
     """An identity factor I_s and two matrices x and mat, at the gates of
@@ -1370,13 +1440,25 @@ def test_tensor_stacks_match_the_per_coordinate_loop(spec):
     grams = [h.gram_A, h.gram_B1, h.gram_B2]
     pair_ops = [op.kron(ExactMatrix.identity(h.dim)) for op in h.left_B1]
     pair = fock._tensor_stacks(h.gram_B2, grams, h.left_B2)
+    rng = random.Random(spec.name)
     for inner, stacks, ops in [
         (h.gram_B1, grams, h.left_B1),
         (h.gram_B2, [h.gram_A, None, h.gram_B2], h.left_B2),
         (h.gram_B1, pair, pair_ops),
         (pair[2], grams, h.left_B2),
     ]:
-        assert fock._tensor_stacks(inner, stacks, ops) == _loop_tensor_stacks(inner, stacks, ops)
+        want = _loop_tensor_stacks(inner, stacks, ops)
+        assert fock._tensor_stacks(inner, stacks, ops) == want
+        # the stacks held as factors: the scalar Gram, and the entries on
+        # every coordinate (the uncut route, one shared Kronecker sum) and
+        # on sorted subsets of them (the kernel's gathers)
+        left_ops, sums = ExactMatrix.stack(ops, (len(ops),)), {}
+        held = [fock._BalancedStack(inner, stack, left_ops, sums) for stack in stacks if stack]
+        assert held[0].scalarized() == want[0].scalarized()
+        n = held[0].dim
+        for idx in [range(n), sorted(rng.sample(range(n), n // 3)), [n - 1], []]:
+            got = [stack.restrict(np.asarray(idx, np.intp)) for stack in held]
+            assert [g.grams for g in got] == [w.grams.submatrix(idx, idx) for w in want if w]
 
 
 # -- batched products: matrices with batch axes -----------------------------

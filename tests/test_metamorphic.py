@@ -1,12 +1,15 @@
-"""Metamorphic checks: renaming the module basis, or conjugating both
-twists of a permutation module by one permutation, yields an isomorphic
-module, so every verdict and both K-groups must stay the same."""
+"""Metamorphic checks: renaming the module basis, rescaling it by rational
+weights, or conjugating both twists of a permutation module by one
+permutation, yields an isomorphic module, so every verdict and both
+K-groups must stay the same."""
 
+import argparse
 import json
+from fractions import Fraction
 
 import pytest
 
-from quadmod import serialize
+from quadmod import cli, serialize
 from quadmod.cli import main
 from quadmod.linalg import ExactMatrix, GramStack
 from quadmod.quadmodule import QuadModuleSpec, build_example_MN
@@ -57,6 +60,54 @@ def test_relabelling_the_basis_keeps_every_verdict(tmp_path, capsys):
     original = verdicts(full_report(capsys, "--builtin", "mn:2,3"))
     assert verdicts(full_report(capsys, "--input", str(path))) == original
     assert original[1]["K0"] == {"freeRank": 0, "factors": [8]}
+
+
+def rescaled(spec: QuadModuleSpec, weights: list) -> QuadModuleSpec:
+    """The same module in the basis w_i e_i, the weights cycled over the
+    basis: with D = diag(w), coordinates become D^-1 x, operators
+    D^-1 L D and each coordinate Gram D^H G D."""
+    w = [weights[i % len(weights)] for i in range(spec.dim)]
+    d, d_inv = ExactMatrix.diagonal(w), ExactMatrix.diagonal([1 / x for x in w])
+
+    def op(m):
+        return d_inv @ m @ d
+
+    def stack(gram):
+        return GramStack([d @ g @ d for g in gram.coords])
+
+    return QuadModuleSpec(
+        spec.algebra_A, spec.algebra_B1, spec.algebra_B2, spec.dim,
+        [op(m) for m in spec.right_B1], [op(m) for m in spec.right_B2],
+        [op(m) for m in spec.left_B1], [op(m) for m in spec.left_B2],
+        stack(spec.inner_A), stack(spec.inner_B1), stack(spec.inner_B2),
+        spec.left_embed_1, spec.left_embed_2,
+        spec.right_embed_1, spec.right_embed_2,
+        [d_inv @ v for v in spec.basis_U], [d_inv @ v for v in spec.basis_V],
+        name=spec.name,
+    )
+
+
+# coprime numerators and denominators up to 40
+WEIGHTS = [Fraction(8, 19), Fraction(35, 9), Fraction(8, 13), Fraction(31, 38), Fraction(5, 7)]
+
+
+@pytest.mark.parametrize("builtin, options", [
+    ("mn:2,2", ("--depth", "3")),
+    ("perm:4,(0 1)(2 3),(0 2)(1 3)", ()),
+], ids=["mn:2,2", "perm:4"])
+def test_rational_weights_keep_every_verdict(tmp_path, capsys, builtin, options):
+    # the rescaled Grams hold entries other than 0 and 1, so the tower's
+    # Gram stacks and quotients run on fractions end to end
+    spec, _ = cli.load_spec(argparse.Namespace(input=None, builtin=builtin))
+    weighted = rescaled(spec, WEIGHTS)
+    assert not all(g.zero_one_diagonals()[0] for g in weighted.inner_A.coords)
+    reports = []
+    for name, module in (("plain", spec), ("weighted", weighted)):
+        path = tmp_path / f"{name}.json"
+        serialize.save(module, path)
+        reports.append(verdicts(full_report(capsys, "--input", str(path), *options)))
+    assert reports[1] == reports[0]
+    assert all(passed for _, _, passed in reports[0][0])
 
 
 def conjugated(cycles: str, pi: list) -> str:
