@@ -175,9 +175,9 @@ class QuadSpace:
 
     Presented by an ambient coordinate space and the representative
     ambient indices (reps) whose basis vectors are the quotient's basis.
-    reps, the other indices (outside) and the two in turn (order) are
-    read-only index arrays made once, so a gather converts no list. The
-    include map sends a quotient basis vector to its ambient basis
+    order is reps then the other indices (outside), a read-only index
+    array made once, of which reps and outside are views, so a gather
+    converts no list. The include map sends a quotient basis vector to its ambient basis
     vector, so x @ include is the column selection x.take_cols(reps). The
     express map, sending ambient coordinates to quotient coordinates, takes
     one of two forms:
@@ -196,8 +196,7 @@ class QuadSpace:
 
     __slots__ = (
         "ambient_dim",
-        "reps",
-        "outside",
+        "dim",
         "order",
         "express",
         "gram_A",
@@ -220,8 +219,12 @@ class QuadSpace:
             raise TypeError(f"unexpected fields: {sorted(kw)}")
 
     @property
-    def dim(self) -> int:
-        return len(self.reps)
+    def reps(self) -> np.ndarray:
+        return self.order[:self.dim]
+
+    @property
+    def outside(self) -> np.ndarray:
+        return self.order[self.dim:]
 
     @classmethod
     def from_ambient(
@@ -229,22 +232,21 @@ class QuadSpace:
         gram_A: GramStack | _BalancedStack,
         gram_B1: GramStack | _BalancedStack | None,
         gram_B2: GramStack | _BalancedStack | None,
-        left_B1: list,
-        left_B2: list,
-        right_A: list,
+        left_B1: list | _KronIdentity,
+        left_B2: list | _KronIdentity,
+        right_A: list | _KronIdentity,
         right_B1: list[ExactMatrix] | None = None,
         right_B2: list[ExactMatrix] | None = None,
     ) -> "QuadSpace":
         """The quotient of an ambient space by the null space of its
         scalarized Gram. Each Gram stack is a GramStack or a _BalancedStack,
-        which forms its entries on reps only. Each ambient operator is an
-        ExactMatrix or a _KronIdentity, which the quotient multiplies from
-        the left or reads entries of (see descend); the members of a list
-        descend in one batch per kind, and a list whose member does not
-        preserve the null space is refused, naming its first such member."""
+        which forms its entries on reps only. Each operator list is a list
+        of ExactMatrix or one _KronIdentity with a batch axis over the
+        list, and descends in one batch (see descend); a list whose member
+        does not preserve the null space is refused, naming its first such
+        member."""
         ambient_dim = gram_A.dim
         reps, gram, gram_inv, express = _quotient(gram_A.scalarized())
-        # reps then the other coordinates, each an index array made once
         kept = len(reps)
         cut = np.ones(ambient_dim, bool)
         cut[reps] = False
@@ -254,8 +256,7 @@ class QuadSpace:
         # the operator fields are filled in below, once descend can run
         space = cls(
             ambient_dim=ambient_dim,
-            reps=reps,
-            outside=order[kept:],
+            dim=kept,
             order=order,
             express=express,
             gram_A=gram_A.restrict(reps),
@@ -270,19 +271,19 @@ class QuadSpace:
         for label, ops in zip(_OPERATORS, (left_B1, left_B2, right_A, right_B1, right_B2)):
             if ops is None:
                 continue
-            quotients, failed = [None] * len(ops), []
-            for members, op in _batches(ops):
-                quotient, null_part = space.descend(op)
-                bad = null_part.nonzero()
-                if bad.any():
-                    failed.append(members[int(np.argmax(bad))])
-                for t, c in enumerate(members):
-                    quotients[c] = quotient.take((len(members),), t)
-            if failed:
+            if isinstance(ops, list):
+                if not ops:
+                    setattr(space, label, [])
+                    continue
+                ops = ExactMatrix.stack(ops, (len(ops),))
+            quotient, null_part = space.descend(ops)
+            bad = null_part.nonzero()
+            if bad.any():
                 raise ValueError(
-                    f"{label}[{min(failed)}] does not preserve the inner-product null space"
+                    f"{label}[{int(np.argmax(bad))}] does not preserve the inner-product null space"
                 )
-            setattr(space, label, quotients)
+            shape = quotient.batch_shape
+            setattr(space, label, [quotient.take(shape, c) for c in range(shape[0])])
         return space
 
     def coordinates(self, x):
@@ -326,22 +327,6 @@ class QuadSpace:
         return (L @ self.express).scattered(self.reps, range(n), (n, n))
 
 
-def _batches(ops):
-    """The members of an operator list as batched operands, one per kind:
-    (member indices, operand) pairs, the operand an ExactMatrix or a
-    _KronIdentity holding those members along one batch axis. A list of
-    one kind is one operand."""
-    kinds = {}
-    for c, op in enumerate(ops):
-        kinds.setdefault((op.s, op.left) if isinstance(op, _KronIdentity) else None, []).append(c)
-    for kind, members in kinds.items():
-        if kind is None:
-            yield members, ExactMatrix.stack([ops[c] for c in members], (len(members),))
-        else:
-            stacked = ExactMatrix.stack([ops[c].x for c in members], (len(members),))
-            yield members, _KronIdentity(stacked, *kind)
-
-
 def _tensor_stacks(inner_left: GramStack, target_stacks, left_ops):
     """Gram stacks of a balanced tensor, one per requested target form, on
     the whole ambient space.
@@ -369,20 +354,15 @@ class _BalancedStack:
     and W the right factor's stack, as _tensor_stacks forms it. QuadSpace
     reads it twice: its scalar Gram, sum_c G_c (x) (S @ L_c) with S the
     coordinate sum of W, as one Kronecker sum, and its entries on the kept
-    coordinates. On a cut summand those are one kron_sum_entries over every
-    coordinate, and no coordinate is formed on the ambient space. An uncut
-    summand keeps every coordinate, and its stacks are formed as
-    _tensor_stacks forms them, from one sum_c G_c (x) L_c that the stacks
-    of a tensor share through the dict sums."""
+    coordinates, one kron_sum_entries over every coordinate, so no
+    coordinate of a cut summand is formed on the ambient space."""
 
-    __slots__ = ("inner", "stack", "left_ops", "sums")
+    __slots__ = ("inner", "stack", "left_ops")
 
-    def __init__(self, inner_left: GramStack, stack: GramStack, left_ops: ExactMatrix,
-                 sums: dict):
+    def __init__(self, inner_left: GramStack, stack: GramStack, left_ops: ExactMatrix):
         self.inner = inner_left.grams
         self.stack = stack
         self.left_ops = left_ops
-        self.sums = sums
 
     @property
     def dim(self) -> int:
@@ -393,10 +373,6 @@ class _BalancedStack:
 
     def restrict(self, idx) -> GramStack:
         grams = self.stack.grams
-        if np.array_equal(idx, np.arange(self.dim)):
-            if "total" not in self.sums:
-                self.sums["total"] = kron_sum(self.inner, self.left_ops)
-            return GramStack(identity_kron_times(self.inner.nrows, grams, self.sums["total"]))
         # member (k, c) is W_k @ L_c
         rights = grams.reshaped(grams.batch_shape, grams.batch_shape + (1,)) @ self.left_ops
         return GramStack(kron_sum_entries(self.inner, rights, idx, idx))
@@ -416,13 +392,14 @@ def relative_tensor(h: QuadSpace, tensor_type: int, w: QuadSpace) -> tuple[QuadS
     w_left = w.left_B1 if tensor_type == 1 else w.left_B2
     h_right = h.right_B1 if tensor_type == 1 else h.right_B2
 
-    left_ops, sums = ExactMatrix.stack(w_left, (len(w_left),)), {}
+    left_ops = ExactMatrix.stack(w_left, (len(w_left),))
     gram_A, gram_B1, gram_B2 = (
-        None if stack is None else _BalancedStack(inner_left, stack, left_ops, sums)
+        None if stack is None else _BalancedStack(inner_left, stack, left_ops)
         for stack in (w.gram_A, w.gram_B1, w.gram_B2))
-    left_B1 = [_KronIdentity(op, w.dim, True) for op in h.left_B1]
-    left_B2 = [_KronIdentity(op, w.dim, True) for op in h.left_B2]
-    right_A = [_KronIdentity(op, h.dim, False) for op in w.right_A]
+    left_B1, left_B2, right_A = (
+        _KronIdentity(ExactMatrix.stack(ops, (len(ops),)), s, left)
+        for ops, s, left in ((h.left_B1, w.dim, True), (h.left_B2, w.dim, True),
+                             (w.right_A, h.dim, False)))
 
     space = QuadSpace.from_ambient(gram_A, gram_B1, gram_B2, left_B1, left_B2, right_A)
 

@@ -273,7 +273,8 @@ OP = ExactMatrix.from_rows([
 def _from_ambient(stack):
     return fock.QuadSpace.from_ambient(
         stack, _diagonal_stack([1] * 6), None,
-        [fock._KronIdentity(X, 2, True), OP], [fock._KronIdentity(Y, 3, False)], [OP @ OP])
+        [X.kron(ExactMatrix.identity(2)), OP], fock._KronIdentity(ExactMatrix.stack([Y], (1,)), 3, False),
+        [OP @ OP])
 
 
 @pytest.mark.parametrize("stack, dim", [(CUT, 3), (DEFINITE, 6)], ids=["cut", "definite"])
@@ -315,11 +316,16 @@ def test_coordinate_quotient_matches_elimination(monkeypatch, stack, dim):
      "left_B1[0]"),
     # coordinate quotient: I_3 (x) y sends the null vector e_1 outside the
     # null space when y[0, 1] is nonzero
-    (CUT.scalarized(), ([], [fock._KronIdentity(Y.H, 3, False)], []), "left_B2[0]"),
+    (CUT.scalarized(), ([], fock._KronIdentity(ExactMatrix.stack([Y.H], (1,)), 3, False), []),
+     "left_B2[0]"),
+    # the same, with I_3 (x) y preserving the null space ahead of it: the
+    # first member that leaves it is named
+    (CUT.scalarized(), ([], fock._KronIdentity(ExactMatrix.stack([Y, Y.H, Y.H], (3,)), 3, False),
+                        []), "left_B2[1]"),
     # elimination: the null vector (1, -1) is sent to (1, 0)
     (ExactMatrix.from_rows([[1, 1], [1, 1]]), ([], [], [ExactMatrix.from_rows([[1, 0], [0, 0]])]),
      "right_A[0]"),
-], ids=["coordinate", "coordinate-kron", "elimination"])
+], ids=["coordinate", "coordinate-kron", "coordinate-kron-later", "elimination"])
 def test_from_ambient_rejects_an_operator_leaving_the_null_space(gram, ops, label):
     message = f"{label} does not preserve the inner-product null space"
     with pytest.raises(ValueError, match=re.escape(message)):

@@ -1450,10 +1450,9 @@ def test_tensor_stacks_match_the_per_coordinate_loop(spec):
         want = _loop_tensor_stacks(inner, stacks, ops)
         assert fock._tensor_stacks(inner, stacks, ops) == want
         # the stacks held as factors: the scalar Gram, and the entries on
-        # every coordinate (the uncut route, one shared Kronecker sum) and
-        # on sorted subsets of them (the kernel's gathers)
-        left_ops, sums = ExactMatrix.stack(ops, (len(ops),)), {}
-        held = [fock._BalancedStack(inner, stack, left_ops, sums) for stack in stacks if stack]
+        # every coordinate and on sorted subsets of them
+        left_ops = ExactMatrix.stack(ops, (len(ops),))
+        held = [fock._BalancedStack(inner, stack, left_ops) for stack in stacks if stack]
         assert held[0].scalarized() == want[0].scalarized()
         n = held[0].dim
         for idx in [range(n), sorted(rng.sample(range(n), n // 3)), [n - 1], []]:
