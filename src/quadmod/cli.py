@@ -24,7 +24,8 @@ from .ck import (
     verify_ck_relations,
     verify_two_isometry_relations,
 )
-from .fock import BadBudget, DepthTooSmall, FockSpace, TooLarge, TowerDefect, build_fock
+from .fock import (BadBudget, DepthTooSmall, FockSpace, TooLarge, TowerDefect, build_fock,
+                   dimension_budget)
 from .ktheory import (
     AssumptionsViolated,
     FGAbelianGroup,
@@ -113,11 +114,25 @@ def parse_cycles(d: int, token: str) -> list:
     return perm
 
 
+def _within_budget(total: int, sizes: str):
+    """Refuse a builtin whose levels 0 and 1 alone, of dimension total,
+    exceed the dimension budget: no tower over it can be built, and the
+    module itself may not fit in memory."""
+    try:
+        budget = dimension_budget()
+    except BadBudget as exc:
+        raise CLIError(str(exc))
+    if total > budget:
+        raise CLIError(f"builtin too large: levels 0 and 1 have dimension {total} "
+                       f"({sizes}), which exceeds budget {budget}")
+
+
 def load_spec(args) -> tuple:
     """Build the module spec named by --builtin or --input.
 
     Returns (spec, perms) where perms is the (sigma, tau) pair for the
-    permutation builtin and None otherwise.
+    permutation builtin and None otherwise. A builtin is sized before it
+    is built (see _within_budget).
     """
     if args.input is not None:
         try:
@@ -137,6 +152,8 @@ def load_spec(args) -> tuple:
             m, n = int(parts[0]), int(parts[1])
         except ValueError:
             raise CLIError(f"expected integer sizes in {args.builtin!r}")
+        if min(m, n) >= 1:
+            _within_budget(m * n + m + n, f"M*N = {m * n} plus M + N = {m + n}")
         try:
             return build_example_MN(m, n), None
         except InvalidParameter as exc:
@@ -153,6 +170,7 @@ def load_spec(args) -> tuple:
             raise CLIError(f"expected an integer dimension in {args.builtin!r}")
         if d < 1:
             raise CLIError("the permutation builtin needs d >= 1")
+        _within_budget(3 * d, f"d = {d} plus 2d = {2 * d}")
         sigma = parse_cycles(d, parts[1])
         tau = parse_cycles(d, parts[2])
         try:

@@ -17,11 +17,16 @@ deterministic reduced row echelon form of the Gram, and operators move
 through the express map that elimination finds. QuadSpace hides which
 kind a summand is. Every construction step is cross-checked (balancing
 relations, the two index-map routes to the A-valued inner product, and the
-bracketing independence of triple tensors). The ambient side operators of
-a balanced tensor, x (x) I and I (x) x, are never formed: linalg's
-Kronecker kernels multiply by them, and kron_identity_entries gathers the
-entries a coordinate quotient reads, every member of an operator list in
-one gather.
+bracketing independence of triple tensors).
+
+Every structure operator of a balanced tensor is x (x) I or I (x) x, and
+it is never formed: QuadSpace takes it as the factor x, the size of the
+identity and the side, an operator of a summand that is no tensor being
+the case of an identity of size 1. A coordinate quotient reads the entries
+it needs with kron_identity_entries, and an eliminated one multiplies by
+it with linalg's Kronecker kernels. Each operator list of a summand is one
+ExactMatrix with one batch axis over the list: it is descended, held and
+read as that one batch.
 
 Nor are the Gram stacks of a balanced tensor H (x)_B W formed on its
 ambient space. Coordinate k of a stack is sum_c G_c (x) (W_k L_c), with
@@ -32,8 +37,8 @@ its A-valued stack, on either kind of quotient): one Kronecker sum of the
 ambient size, from which reps are chosen as for any Gram. Each stack is
 then formed on reps x reps only, by linalg's kron_sum_entries, so a cut
 summand forms no coordinate larger than |reps|^2. The associativity
-check, which is defined on the whole triple ambient space, forms its
-stacks there (_tensor_stacks).
+check, which is defined on the whole triple ambient space, reads the same
+stacks on every index, where kron_sum_entries is kron_sum.
 
 Operators on the tower are block matrices over the summands
 (FockOperator), indexed by a batch shape: each block is one ExactMatrix
@@ -72,7 +77,6 @@ from .linalg import (
     NotDiagonal,
     diagonal_commutator,
     entrywise,
-    identity_kron_times,
     kron_identity_entries,
     kron_sum,
     kron_sum_entries,
@@ -191,7 +195,8 @@ class QuadSpace:
     coordinates, descend and ambient apply express and include in either
     form, so no caller depends on which. Carries quotient Gram stacks for
     the inner products that exist on it and the transported structure
-    operators.
+    operators, each list one ExactMatrix with one batch axis over the
+    list, or None.
     """
 
     __slots__ = (
@@ -232,18 +237,23 @@ class QuadSpace:
         gram_A: GramStack | _BalancedStack,
         gram_B1: GramStack | _BalancedStack | None,
         gram_B2: GramStack | _BalancedStack | None,
-        left_B1: list | _KronIdentity,
-        left_B2: list | _KronIdentity,
-        right_A: list | _KronIdentity,
-        right_B1: list[ExactMatrix] | None = None,
-        right_B2: list[ExactMatrix] | None = None,
+        left_B1: ExactMatrix | None,
+        left_B2: ExactMatrix | None,
+        right_A: ExactMatrix | None,
+        right_B1: ExactMatrix | None = None,
+        right_B2: ExactMatrix | None = None,
+        head: int = 1,
+        tail: int = 1,
     ) -> "QuadSpace":
         """The quotient of an ambient space by the null space of its
         scalarized Gram. Each Gram stack is a GramStack or a _BalancedStack,
-        which forms its entries on reps only. Each operator list is a list
-        of ExactMatrix or one _KronIdentity with a batch axis over the
-        list, and descends in one batch (see descend); a list whose member
-        does not preserve the null space is refused, naming its first such
+        which forms its entries on reps only. Each operator list is one
+        ExactMatrix with one batch axis over the list, or None. The ambient
+        space is a tensor product of factors of dims head and tail, and a
+        left action x acts on it as x (x) I_tail, a right action as
+        I_head (x) x; a space that is no tensor has head = tail = 1. Each
+        list descends in one batch (see descend); a list whose member does
+        not preserve the null space is refused, naming its first such
         member."""
         ambient_dim = gram_A.dim
         reps, gram, gram_inv, express = _quotient(gram_A.scalarized())
@@ -271,35 +281,35 @@ class QuadSpace:
         for label, ops in zip(_OPERATORS, (left_B1, left_B2, right_A, right_B1, right_B2)):
             if ops is None:
                 continue
-            if isinstance(ops, list):
-                if not ops:
-                    setattr(space, label, [])
-                    continue
-                ops = ExactMatrix.stack(ops, (len(ops),))
-            quotient, null_part = space.descend(ops)
+            left = label.startswith("left")
+            quotient, null_part = space.descend(ops, tail if left else head, left)
             bad = null_part.nonzero()
             if bad.any():
                 raise ValueError(
                     f"{label}[{int(np.argmax(bad))}] does not preserve the inner-product null space"
                 )
-            shape = quotient.batch_shape
-            setattr(space, label, [quotient.take(shape, c) for c in range(shape[0])])
+            setattr(space, label, quotient)
         return space
 
-    def coordinates(self, x):
-        """express @ x: the quotient coordinates of the ambient vectors in
-        the columns of x, an ExactMatrix or a _KronIdentity."""
+    def coordinates(self, x: ExactMatrix, s: int = 1, left: bool = True) -> ExactMatrix:
+        """express @ (x (x) I_s) when left is true, express @ (I_s (x) x)
+        otherwise: the quotient coordinates of the ambient vectors in the
+        columns of that product, for every member of a batched x at once.
+        A plain ambient matrix x is the case s = 1."""
         if self.express is None:
-            return x.take_rows(self.reps)
-        return self.express @ x
+            return kron_identity_entries(x, s, left, self.reps, range(x.ncols * s))
+        if left:
+            return times_kron_identity(self.express, x, s)
+        return times_identity_kron(self.express, s, x)
 
-    def descend(self, op):
-        """(express @ op @ include, express @ op on the null space) for an
-        ambient operator op, an ExactMatrix or a _KronIdentity, for every
-        member of a batched op at once: the operator op induces on the
-        quotient, and a matrix that vanishes exactly when
-        op preserves the null space of the ambient Gram (express kills a
-        vector exactly when the Gram does).
+    def descend(self, x: ExactMatrix, s: int = 1, left: bool = True):
+        """(express @ op @ include, express @ op on the null space) for the
+        ambient operator op = x (x) I_s when left is true and I_s (x) x
+        otherwise, for every member of a batched x at once: the operator op
+        induces on the quotient, and a matrix that vanishes exactly when op
+        preserves the null space of the ambient Gram (express kills a
+        vector exactly when the Gram does). A plain ambient operator x is
+        the case s = 1.
 
         The columns outside reps of I - include @ express span the null
         space, so for M = express @ op the second matrix is
@@ -308,12 +318,12 @@ class QuadSpace:
         entries (reps, reps) and (reps, outside) of op, read by one gather
         of the rows reps in the column order reps, outside. The quotient is
         copied out of it, so that it does not hold the null part alive."""
-        kept = len(self.reps)
+        kept = self.dim
         if self.express is None:
-            both = op.submatrix(self.reps, self.order)
+            both = kron_identity_entries(x, s, left, self.reps, self.order)
             return (both.take_cols(np.arange(kept)),
                     both.take_cols(range(kept, self.ambient_dim)))
-        m = self.express @ op
+        m = self.coordinates(x, s, left)
         quotient = m.take_cols(self.reps)
         return quotient, (m.take_cols(self.outside)
                           - quotient @ self.express.take_cols(self.outside))
@@ -327,31 +337,11 @@ class QuadSpace:
         return (L @ self.express).scattered(self.reps, range(n), (n, n))
 
 
-def _tensor_stacks(inner_left: GramStack, target_stacks, left_ops):
-    """Gram stacks of a balanced tensor, one per requested target form, on
-    the whole ambient space.
-
-    inner_left is the left factor's inner product valued in the balancing
-    algebra; left_ops is that algebra's left action on the right factor;
-    each entry of target_stacks is the right factor's Gram stack for one
-    target algebra (or None, which passes through). Coordinate W of a
-    target stack becomes sum_c inner_left.coords[c] (x) (W @ left_ops[c]).
-    """
-    # (I (x) W) @ sum_c G_c (x) L_c = sum_c G_c (x) (W @ L_c), by the
-    # mixed-product rule: the sum is formed once, and multiplied by every
-    # coordinate W of a target in one batched product
-    total = kron_sum(inner_left.grams, left_ops)
-    return [
-        None if stack is None else GramStack(identity_kron_times(inner_left.dim, stack.grams, total))
-        for stack in target_stacks
-    ]
-
-
 class _BalancedStack:
     """One Gram stack of a balanced tensor, held as its factors: coordinate
     k is sum_c G_c (x) (W_k @ L_c), G being the left factor's inner product
-    valued in the balancing algebra, L its left action on the right factor
-    and W the right factor's stack, as _tensor_stacks forms it. QuadSpace
+    valued in the balancing algebra, L its left action on the right factor,
+    one batch over c, and W the right factor's stack. QuadSpace
     reads it twice: its scalar Gram, sum_c G_c (x) (S @ L_c) with S the
     coordinate sum of W, as one Kronecker sum, and its entries on the kept
     coordinates, one kron_sum_entries over every coordinate, so no
@@ -378,13 +368,13 @@ class _BalancedStack:
         return GramStack(kron_sum_entries(self.inner, rights, idx, idx))
 
 
-def relative_tensor(h: QuadSpace, tensor_type: int, w: QuadSpace) -> tuple[QuadSpace, list[ExactMatrix]]:
+def relative_tensor(h: QuadSpace, tensor_type: int, w: QuadSpace) -> tuple[QuadSpace, ExactMatrix]:
     """The balanced tensor of the module summand h with the tower summand w.
 
     tensor_type selects the balancing side algebra (1 or 2). Returns the
-    quotient space and the list of ambient balancing defects (one per side
-    algebra basis element), which callers assert to vanish; the quotient
-    flag degenerate records whether the ambient space was actually cut.
+    quotient space and its balancing defects, one member per side algebra
+    basis element, which callers assert to vanish; the quotient flag
+    degenerate records whether the ambient space was actually cut.
     """
     if tensor_type not in (1, 2):
         raise ValueError("tensor_type must be 1 or 2")
@@ -392,51 +382,14 @@ def relative_tensor(h: QuadSpace, tensor_type: int, w: QuadSpace) -> tuple[QuadS
     w_left = w.left_B1 if tensor_type == 1 else w.left_B2
     h_right = h.right_B1 if tensor_type == 1 else h.right_B2
 
-    left_ops = ExactMatrix.stack(w_left, (len(w_left),))
     gram_A, gram_B1, gram_B2 = (
-        None if stack is None else _BalancedStack(inner_left, stack, left_ops)
+        None if stack is None else _BalancedStack(inner_left, stack, w_left)
         for stack in (w.gram_A, w.gram_B1, w.gram_B2))
-    left_B1, left_B2, right_A = (
-        _KronIdentity(ExactMatrix.stack(ops, (len(ops),)), s, left)
-        for ops, s, left in ((h.left_B1, w.dim, True), (h.left_B2, w.dim, True),
-                             (w.right_A, h.dim, False)))
-
-    space = QuadSpace.from_ambient(gram_A, gram_B1, gram_B2, left_B1, left_B2, right_A)
-
-    defects = []
-    if h_right is not None:
-        # express @ (h_right[c] (x) I_w - I_h (x) w_left[c]), every c at once
-        d = len(w_left)
-        both = (space.coordinates(_KronIdentity(ExactMatrix.stack(h_right, (d,)), w.dim, True))
-                - space.coordinates(_KronIdentity(left_ops, h.dim, False)))
-        defects = [both.take((d,), c) for c in range(d)]
+    space = QuadSpace.from_ambient(gram_A, gram_B1, gram_B2, h.left_B1, h.left_B2, w.right_A,
+                                   head=h.dim, tail=w.dim)
+    # express @ (h_right[c] (x) I_w - I_h (x) w_left[c]), every c at once
+    defects = space.coordinates(h_right, w.dim) - space.coordinates(w_left, h.dim, False)
     return space, defects
-
-
-class _KronIdentity:
-    """An ambient side operator of a balanced tensor: x (x) I_s when left
-    is true, I_s (x) x otherwise. A quotient multiplies it from the left,
-    which the Kronecker kernels do, or reads some of its entries, which
-    kron_identity_entries gathers; it is never formed. x may have batch
-    axes, and then every member is multiplied or read at once."""
-
-    __slots__ = ("x", "s", "left")
-
-    def __init__(self, x: ExactMatrix, s: int, left: bool):
-        self.x = x
-        self.s = s
-        self.left = left
-
-    def __rmatmul__(self, mat: ExactMatrix) -> ExactMatrix:
-        if self.left:
-            return times_kron_identity(mat, self.x, self.s)
-        return times_identity_kron(mat, self.s, self.x)
-
-    def submatrix(self, rows, cols) -> ExactMatrix:
-        return kron_identity_entries(self.x, self.s, self.left, rows, cols)
-
-    def take_rows(self, rows) -> ExactMatrix:
-        return self.submatrix(rows, range(self.x.ncols * self.s))
 
 
 def _sum_blocks(a: dict, b: dict) -> dict:
@@ -769,7 +722,7 @@ class FockSpace:
             dsp = self.summands[dest]
             s = self.summands[key].dim
             # column (j, v) of the product is column v of member j's block
-            prod = dsp.coordinates(_KronIdentity(xs_q, s, True))
+            prod = dsp.coordinates(xs_q, s)
             blocks[(dest, key)] = prod.regrouped((dsp.dim, c, s), (1, 0, 2))
         return FockOperator(self, (c,), blocks)
 
@@ -796,9 +749,8 @@ class FockSpace:
         batched matrix: member c holds every summand's operator c, each read
         row-major, side by side in key order."""
         if ops not in self._side_families:
-            flat = ExactMatrix.hstack(
-                ExactMatrix.stack(getattr(sp, ops), (len(getattr(sp, ops)),)).flattened()
-                for sp in (self.summands[key] for key in self.keys))
+            flat = ExactMatrix.hstack(getattr(self.summands[key], ops).flattened()
+                                      for key in self.keys)
             self._side_families[ops] = flat.regrouped((flat.nrows, 1, flat.ncols), (0, 1, 2))
         return self._side_families[ops]
 
@@ -863,7 +815,7 @@ class FockSpace:
             if n < 2:
                 continue
             tail = self.summands[(n - 1, word[1:])]
-            block, null_part = self.summands[key].descend(_KronIdentity(stacked, tail.dim, True))
+            block, null_part = self.summands[key].descend(stacked, tail.dim)
             if not null_part.is_zero():
                 raise ValueError(
                     "operator does not descend to the tensor quotient; "
@@ -880,12 +832,12 @@ _ROUTED = "both index-map routes give the A-valued inner product on every summan
 def _construction_defect(n: int, word: tuple, space: QuadSpace, defects, lam1, lam2):
     """The failed check of a new tower summand, or None when its balancing
     defects vanish and both index-map routes give its A-valued form."""
-    for c, defect in enumerate(defects):
-        if not defect.is_zero():
-            return CheckResult(
-                "tensor-balanced", _BALANCED, False,
-                f"balancing defect at level {n}, word {word}, basis {c}",
-            )
+    unbalanced = defects.nonzero()
+    if unbalanced.any():
+        return CheckResult(
+            "tensor-balanced", _BALANCED, False,
+            f"balancing defect at level {n}, word {word}, basis {int(np.argmax(unbalanced))}",
+        )
     for route, (stack, lam) in enumerate(((space.gram_B1, lam1), (space.gram_B2, lam2)), 1):
         differs = (stack.transform(lam).grams - space.gram_A.grams).nonzero()
         if differs.any():
@@ -922,25 +874,28 @@ def build_fock(spec: QuadModuleSpec, depth: int) -> FockSpace:
     d1 = spec.algebra_B1.dim
     d2 = spec.algebra_B2.dim
 
+    def batch(ops):
+        return ExactMatrix.stack(ops, (len(ops),))
+
     # level 0: the two side algebras in a column, inner product through the
     # index maps
     gram0 = []
     for a in range(dA):
         diag = [lam1[a, c] for c in range(d1)] + [lam2[a, c] for c in range(d2)]
         gram0.append(ExactMatrix.diagonal(diag))
-    left0_B1 = [
+    left0_B1 = batch([
         ExactMatrix.block_diag(
             [spec.algebra_B1.mult_matrix(spec.algebra_B1.basis_element(c)), ExactMatrix.zeros(d2, d2)]
         )
         for c in range(d1)
-    ]
-    left0_B2 = [
+    ])
+    left0_B2 = batch([
         ExactMatrix.block_diag(
             [ExactMatrix.zeros(d1, d1), spec.algebra_B2.mult_matrix(spec.algebra_B2.basis_element(c))]
         )
         for c in range(d2)
-    ]
-    right0_A = [
+    ])
+    right0_A = batch([
         ExactMatrix.block_diag(
             [
                 spec.algebra_B1.mult_matrix(spec.right_embed_1(spec.algebra_A.basis_element(a))),
@@ -948,7 +903,7 @@ def build_fock(spec: QuadModuleSpec, depth: int) -> FockSpace:
             ]
         )
         for a in range(dA)
-    ]
+    ])
     level0 = QuadSpace.from_ambient(GramStack(gram0), None, None, left0_B1, left0_B2, right0_A)
     if level0.degenerate:
         raise AssertionError("internal error: faithful index maps left level 0 degenerate")
@@ -961,11 +916,11 @@ def build_fock(spec: QuadModuleSpec, depth: int) -> FockSpace:
         spec.inner_A,
         spec.inner_B1,
         spec.inner_B2,
-        spec.left_B1,
-        spec.left_B2,
-        spec.right_A,
-        right_B1=spec.right_B1,
-        right_B2=spec.right_B2,
+        batch(spec.left_B1),
+        batch(spec.left_B2),
+        batch(spec.right_A),
+        right_B1=batch(spec.right_B1),
+        right_B2=batch(spec.right_B2),
     )
     summands[(1, ())] = h
     total += h.dim
@@ -1029,31 +984,27 @@ def build_fock(spec: QuadModuleSpec, depth: int) -> FockSpace:
 
 def _associativity_check(h: QuadSpace) -> bool:
     """Compare the two bracketings of every type-(i, j) triple tensor of the
-    module with itself, on the full (unquotiented) triple ambient space."""
-    id_h = ExactMatrix.identity(h.dim)
+    module with itself, on the full (unquotiented) triple ambient space:
+    every Gram stack is a _BalancedStack read on every index."""
+    grams = (h.gram_A, h.gram_B1, h.gram_B2)
+
+    def tensor(inner, stacks, left_ops):
+        held = [_BalancedStack(inner, stack, left_ops) for stack in stacks]
+        return [stack.restrict(np.arange(stack.dim)) for stack in held]
+
+    pair_dim = h.dim * h.dim
     for i in (1, 2):
         for j in (1, 2):
-            inner_i = h.gram_B1 if i == 1 else h.gram_B2
-            inner_j = h.gram_B1 if j == 1 else h.gram_B2
-            left_i = h.left_B1 if i == 1 else h.left_B2
-            left_j = h.left_B1 if j == 1 else h.left_B2
+            inner_i, left_i = (h.gram_B1, h.left_B1) if i == 1 else (h.gram_B2, h.left_B2)
+            inner_j, left_j = (h.gram_B1, h.left_B1) if j == 1 else (h.gram_B2, h.left_B2)
 
-            # right bracketing: H (x)_i (H (x)_j H)
-            pair_A, pair_B1, pair_B2 = _tensor_stacks(
-                inner_j, [h.gram_A, h.gram_B1, h.gram_B2], left_j
-            )
-            pair_left_i = [op.kron(id_h) for op in left_i]
-            right_A, right_B1, right_B2 = _tensor_stacks(
-                inner_i, [pair_A, pair_B1, pair_B2], pair_left_i
-            )
+            # right bracketing: H (x)_i (H (x)_j H), where B_i acts on the
+            # pair as x (x) I_h
+            pair_left_i = kron_identity_entries(left_i, h.dim, True, range(pair_dim), range(pair_dim))
+            right = tensor(inner_i, tensor(inner_j, grams, left_j), pair_left_i)
 
             # left bracketing: (H (x)_i H) (x)_j H
-            up_A, up_B1, up_B2 = _tensor_stacks(
-                inner_i, [h.gram_A, h.gram_B1, h.gram_B2], left_i
-            )
-            up_j = up_B1 if j == 1 else up_B2
-            left_assoc = _tensor_stacks(up_j, [h.gram_A, h.gram_B1, h.gram_B2], left_j)
-
-            if [right_A, right_B1, right_B2] != list(left_assoc):
+            up = tensor(inner_i, grams, left_i)
+            if right != tensor(up[j], grams, left_j):
                 return False
     return True

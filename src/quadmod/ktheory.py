@@ -266,16 +266,17 @@ def class_patterns(gens: GeneratorFamily, family: int):
     Compressing class cl through generator g gives the left action of the
     algebra element <m_g, E_cl m_g> on the module. One pass reads them all:
     E_cl m_g for every pair as one Kronecker product, the inner products
-    <m_g, E_cl m_g> as one column_pairs, their left actions as one
-    combination, their quotients at once and their patterns by one model
-    membership test. Raises AssumptionsViolated naming the first pair, in
-    the order (generator, class), whose image is not a model projection."""
+    <m_g, E_cl m_g> as one column_pairs, their left actions on the module
+    summand as one combination of its batched left actions, and their
+    patterns by one model membership test. Raises AssumptionsViolated
+    naming the first pair, in the order (generator, class), whose image is
+    not a model projection."""
     space = gens.space
     spec = space.spec
     h = space.summand((1, ()))
     model = gens.model
     members = gens.members(family)
-    stack, side_ops = (spec.inner_B1, spec.left_B1) if family == 1 else (spec.inner_B2, spec.left_B2)
+    stack, side_ops = (spec.inner_B1, h.left_B1) if family == 1 else (spec.inner_B2, h.left_B2)
     ng, ncl = members.ncols, len(model.idempotents)
     # column (cl, g) of images is E_cl m_g
     images = times_identity_kron(
@@ -283,8 +284,7 @@ def class_patterns(gens: GeneratorFamily, family: int):
     # column (g, cl) of values is <m_g, E_cl m_g>
     values = stack.column_pairs(ExactMatrix.hstack([members] * ncl), images).take_cols(
         [cl * ng + g for g in range(ng) for cl in range(ncl)])
-    quotients, _ = h.descend(ExactMatrix.stack(side_ops, (len(side_ops),)).combine(values))
-    inside, patterns = model.projection_patterns(quotients)
+    inside, patterns = model.projection_patterns(side_ops.combine(values))
     if not inside.all():
         g, cl = divmod(int(np.argmin(inside)), ncl)
         raise AssumptionsViolated(

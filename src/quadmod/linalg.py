@@ -78,11 +78,6 @@ Kronecker product is formed only to be summed or multiplied:
   once, and the (r s) x q product is regrouped back into r x (q s). Its
   inner dimension is h, not h*s, so its bound h*max|mat|*max|x| is s times
   smaller than that of the product with x (x) I_s, which is never formed.
-* identity_kron_times(s, x, mat) = (I_s (x) x) @ mat, with x a x h, is the
-  mirror image: the (s h) x n matrix mat is regrouped into h x (s n), x
-  times it is regrouped back into (s a) x n, and the bound is
-  h*max|x|*max|mat|.
-
 * times_identity_kron(mat, s, x) = mat @ (I_s (x) x), with x h x q: mat
   read row-major as an (r s) x h matrix, times x, read back as r x (s q);
   the bound is h*max|mat|*max|x|.
@@ -1140,19 +1135,6 @@ def times_kron_identity(mat: ExactMatrix, x: ExactMatrix, s: int) -> ExactMatrix
     folded = regroup(mat, (r, h, s), (0, 2, 1), r * s, h)
     # ... and column j of row (i, v) of the product back to column (j, v) of row i
     return regroup(folded @ x, (r, s, q), (0, 2, 1), r, q * s)
-
-
-def identity_kron_times(s: int, x: ExactMatrix, mat: ExactMatrix) -> ExactMatrix:
-    """(I_s (x) x) @ mat as one exact product with inner dimension x.ncols,
-    without forming the Kronecker product (see the module docstring)."""
-    a, p = x.shape
-    n = mat.ncols
-    if mat.nrows != s * p:
-        raise ValueError("matrix rows do not match the Kronecker product")
-    # row (i, t) of mat moves to row t of column block i ...
-    folded = regroup(mat, (s, p, n), (1, 0, 2), p, s * n)
-    # ... and row k of column block i of the product back to row (i, k)
-    return regroup(x @ folded, (a, s, n), (1, 0, 2), s * a, n)
 
 
 def times_identity_kron(mat: ExactMatrix, s: int, x: ExactMatrix) -> ExactMatrix:

@@ -24,19 +24,17 @@ class DiagonalOperatorModel:
 
     classes lists the coordinates of each class, and class_of the class of
     each coordinate; the operator with coordinate column x is diagonal, with
-    entry x[class_of[j]] at coordinate j."""
+    entry x[class_of[j]] at coordinate j. The generators are one batched
+    matrix with one batch axis over them."""
 
     __slots__ = ("dim", "classes", "class_of", "idempotents")
 
-    def __init__(self, generators: list[ExactMatrix]):
-        if not generators:
-            raise ValueError("need at least one generator")
-        dim = generators[0].nrows
-        if any(g.shape != (dim, dim) for g in generators):
-            raise ValueError("generator shape mismatch")
-        k = len(generators)
+    def __init__(self, generators: ExactMatrix):
+        if len(generators.batch_shape) != 1 or not generators.batch_shape[0]:
+            raise ValueError("need at least one generator, along one batch axis")
+        k, dim = generators.batch_shape[0], generators.nrows
         try:
-            columns = ExactMatrix.stack(generators, (k,)).diagonal_columns()
+            columns = generators.diagonal_columns()
         except NotDiagonal:
             raise NotDiagonalModel(
                 "left action operators are not simultaneously diagonal "

@@ -142,7 +142,9 @@ class GeneratorFamily:
     def model(self) -> DiagonalOperatorModel:
         """The algebra generated by both left actions on the module."""
         h = self.space.summand((1, ()))
-        return DiagonalOperatorModel(h.left_B1 + h.left_B2)
+        # both batches, one after the other along the batch axis
+        rows = ExactMatrix.vstack([h.left_B1.flattened(), h.left_B2.flattened()])
+        return DiagonalOperatorModel(rows.regrouped((rows.nrows, h.dim, h.dim), (0, 1, 2)))
 
     @cached_property
     def lifts(self) -> FockOperator:
@@ -260,8 +262,8 @@ def _word_start_projection(space: FockSpace, family: int) -> FockOperator:
 
 def _lift_samples(space: FockSpace):
     h = space.summand((1, ()))
-    first = h.left_B1[0]
-    mixed = first + h.left_B2[-1].scale(_I)
+    first = h.left_B1.take(h.left_B1.batch_shape, 0)
+    mixed = first + h.left_B2.take(h.left_B2.batch_shape, -1).scale(_I)
     return [("left generator", first), ("complex combination", mixed)]
 
 

@@ -92,7 +92,7 @@ def test_coarse_models_break_the_state_structure():
     # projection supports
     space = build_fock(build_example_MN(2, 2), 2)
     gens = make_generators(space)
-    coarse = DiagonalOperatorModel([ExactMatrix.diagonal([1, 0, 0, 0])])
+    coarse = DiagonalOperatorModel(ExactMatrix.stack([ExactMatrix.diagonal([1, 0, 0, 0])], (1,)))
     assert coarse.classes == [[0], [1, 2, 3]]
     gens.model = coarse
     with pytest.raises(CKStructureError, match="support"):
@@ -376,10 +376,15 @@ def _perturbed(module, perturbation):
     space = build_fock(spec, 3)
     if perturbation == "left_B1":
         summand = space.summand((2, (1,)))
-        summand.left_B1[0] = summand.left_B1[0].scale(2)
+        # member 0 doubled, the others kept
+        d = summand.left_B1.batch_shape[0]
+        summand.left_B1 = summand.left_B1.combine(ExactMatrix.diagonal([2] + [1] * (d - 1)))
     elif perturbation == "left_B2":
         summand = space.summand(space.keys[-1])
-        summand.left_B2[-1] = summand.left_B2[-1] + ExactMatrix.identity(summand.dim)
+        # the identity added to the last member
+        d, n = summand.left_B2.batch_shape[0], summand.dim
+        summand.left_B2 = summand.left_B2 + ExactMatrix.stack(
+            [ExactMatrix.zeros(n, n)] * (d - 1) + [ExactMatrix.identity(n)], (d,))
     elif perturbation == "gram-scale":
         # the adjoints of the blocks into this summand double
         summand = space.summand((3, (1, 1)))

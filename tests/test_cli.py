@@ -210,6 +210,41 @@ def test_a_bad_budget_is_a_usage_error(monkeypatch, capsys, raw):
         assert len(err.splitlines()) == 1
 
 
+def _unbuilt(*args):
+    raise AssertionError("an oversized builtin was built")
+
+
+@pytest.mark.parametrize("argv, sizes", [
+    (("validate", "--builtin", "mn:30,30"), "dimension 960 (M*N = 900 plus M + N = 60)"),
+    (("ktheory", "--builtin", "mn:30,30"), "dimension 960 (M*N = 900 plus M + N = 60)"),
+    (("full", "--builtin", "perm:99999999999,(0 1),(0 1)"),
+     "dimension 299999999997 (d = 99999999999 plus 2d = 199999999998)"),
+], ids=["validate-mn", "ktheory-mn", "full-perm"])
+def test_an_oversized_builtin_is_refused_before_it_is_built(monkeypatch, capsys, argv, sizes):
+    # levels 0 and 1 alone exceed the budget, so no command can use the
+    # module, and building it (or parsing the cycles of a huge
+    # permutation) could exhaust memory
+    for name in ("build_example_MN", "build_example_alpha_beta", "parse_cycles"):
+        monkeypatch.setattr(cli, name, _unbuilt)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: builtin too large: levels 0 and 1 have {sizes}, which exceeds budget 600\n"
+
+
+def test_the_builtin_size_check_reads_the_budget(monkeypatch, capsys):
+    # mn:2,3 has 6 + 5 = 11 dimensions on levels 0 and 1
+    monkeypatch.setenv("QUADMOD_MAX_DIM", "11")
+    code, _, _ = run_cli(capsys, "validate", "--builtin", "mn:2,3")
+    assert code == 0
+    monkeypatch.setenv("QUADMOD_MAX_DIM", "10")
+    code, out, err = run_cli(capsys, "validate", "--builtin", "mn:2,3")
+    assert (code, out) == (2, "")
+    assert "dimension 11" in err and "budget 10" in err
+    monkeypatch.setenv("QUADMOD_MAX_DIM", "x")
+    code, _, err = run_cli(capsys, "validate", "--builtin", "perm:3,(0 1 2),(0 1)")
+    assert code == 2 and err.startswith("error: QUADMOD_MAX_DIM ")
+
+
 def test_missing_source_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["fock"])
@@ -305,7 +340,7 @@ def test_one_full_run_builds_the_operator_model_once(monkeypatch, capsys):
     init = DiagonalOperatorModel.__init__
 
     def counted(self, generators):
-        built.append(len(generators))
+        built.append(generators.batch_shape[0])
         init(self, generators)
 
     monkeypatch.setattr(DiagonalOperatorModel, "__init__", counted)
@@ -371,7 +406,7 @@ def test_linear_combinations_read_no_entries(tmp_path, monkeypatch, capsys, size
 
 # Kronecker-structured work that runs through linalg's Kronecker kernels.
 KRON_FREE = [
-    (fock, "_tensor_stacks"),
+    (fock, "_associativity_check"),
     (fock._BalancedStack, "scalarized"),
     (fock._BalancedStack, "restrict"),
     (fock, "relative_tensor"),

@@ -1,11 +1,13 @@
 import json
 import re
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
 from quadmod import cli, fock
-from quadmod.fock import DepthTooSmall, FockOperator, TooLarge, TowerDefect, build_fock
+from quadmod.fock import (DepthTooSmall, FockOperator, FockSpace, TooLarge, TowerDefect,
+                          build_fock)
 from quadmod.linalg import ExactMatrix, GramStack
 from quadmod.quadmodule import build_example_MN, build_example_alpha_beta
 from quadmod.scalars import GaussianRational
@@ -199,7 +201,7 @@ def test_lift_of_left_action_matches_tower_action():
     space = bipartite_space()
     h = space.summand((1, ()))
     b = space.spec.algebra_B1.basis_element(0)
-    lifted = space.lift(h.left_B1[0])
+    lifted = space.lift(h.left_B1.take((2,), 0))
     tower = space.left_actions(1, b, (0, space.depth))[0]
     diff = lifted - tower
     # they may only disagree on the coefficient level, where lift is zero
@@ -211,7 +213,8 @@ def test_lifts_gather_all_members_at_once_on_a_coordinate_quotient(monkeypatch):
     # however many operators are lifted, and each member is its own lift
     space = bipartite_space()
     h = space.summand((1, ()))
-    ops = list(h.left_B1) + list(h.left_B2) + [h.left_B1[0] @ h.left_B2[1]]
+    ops = [batch.take((2,), c) for batch in (h.left_B1, h.left_B2) for c in range(2)]
+    ops.append(ops[0] @ ops[3])
     gathers = []
 
     def counted(*args, _call=fock.kron_identity_entries):
@@ -270,19 +273,33 @@ OP = ExactMatrix.from_rows([
 ])
 
 
+def _batch(*mats):
+    return ExactMatrix.stack(mats, (len(mats),))
+
+
 def _from_ambient(stack):
+    """The ambient space read as C^3 (x) C^2: left actions x (x) I_2 and
+    right actions I_3 (x) y, given by their factors."""
     return fock.QuadSpace.from_ambient(
         stack, _diagonal_stack([1] * 6), None,
-        [X.kron(ExactMatrix.identity(2)), OP], fock._KronIdentity(ExactMatrix.stack([Y], (1,)), 3, False),
-        [OP @ OP])
+        _batch(X, X @ X), _batch(-X), _batch(Y), head=3, tail=2)
+
+
+def _from_plain(stack):
+    """The same ambient space with plain operators, one of them X (x) I_2
+    formed by kron."""
+    return fock.QuadSpace.from_ambient(
+        stack, _diagonal_stack([1] * 6), None,
+        _batch(X.kron(ExactMatrix.identity(2)), OP), None, _batch(OP @ OP))
 
 
 @pytest.mark.parametrize("stack, dim", [(CUT, 3), (DEFINITE, 6)], ids=["cut", "definite"])
-def test_coordinate_quotient_matches_elimination(monkeypatch, stack, dim):
-    selected = _from_ambient(stack)
+@pytest.mark.parametrize("build", [_from_ambient, _from_plain], ids=["factors", "plain"])
+def test_coordinate_quotient_matches_elimination(monkeypatch, build, stack, dim):
+    selected = build(stack)
     with monkeypatch.context() as m:
         m.setattr(fock, "_quotient", fock._eliminated_quotient)
-        eliminated = _from_ambient(stack)
+        eliminated = build(stack)
     assert selected.express is None and eliminated.express is not None
     assert selected.dim == dim
     assert selected.degenerate == eliminated.degenerate == (dim < 6)
@@ -292,45 +309,92 @@ def test_coordinate_quotient_matches_elimination(monkeypatch, stack, dim):
     for field in ("gram_A", "gram_B1"):
         assert getattr(selected, field).coords == getattr(eliminated, field).coords, field
     assert selected.right_B1 is eliminated.right_B1 is None
+    # X (x) I_2 descends alike from its factor and formed
+    assert (_from_ambient(stack).left_B1.take((2,), 0)
+            == _from_plain(stack).left_B1.take((2,), 0))
     vectors = OP.take_cols([0, 3, 5])
     assert selected.coordinates(vectors) == eliminated.coordinates(vectors)
-    for op in (OP, fock._KronIdentity(X, 2, True)):
-        assert selected.descend(op) == eliminated.descend(op)
+    for args in ((OP,), (X, 2), (Y, 3, False)):
+        assert selected.coordinates(*args) == eliminated.coordinates(*args)
+        assert selected.descend(*args) == eliminated.descend(*args)
     # batched operators descend member by member, in either form
     ops = [OP, OP @ OP, -OP]
     for space in (selected, eliminated):
-        quotients, null_parts = space.descend(ExactMatrix.stack(ops, (3,)))
+        quotients, null_parts = space.descend(_batch(*ops))
         for i, op in enumerate(ops):
             assert (quotients.take((3,), i), null_parts.take((3,), i)) == space.descend(op)
-    assert selected.ambient(selected.left_B1[1]) == eliminated.ambient(eliminated.left_B1[1])
+    assert (selected.ambient(selected.left_B1.take((2,), 1))
+            == eliminated.ambient(eliminated.left_B1.take((2,), 1)))
     # include is the column selection reps in both forms, and express the
     # coordinates: include @ L @ express read back on the quotient is L
     for space in (selected, eliminated):
-        L = space.left_B1[0]
+        L = space.left_B1.take((2,), 0)
         assert space.descend(space.ambient(L))[0] == L
 
 
-@pytest.mark.parametrize("gram, ops, label", [
+# the null space of FIRST is spanned by the coordinates (1, u) of C^2 (x) C^3
+FIRST = ExactMatrix.diagonal([1, 1, 1, 0, 0, 0])
+
+
+@pytest.mark.parametrize("gram, ops, sizes, label", [
     # coordinate quotient: diagonal Gram, the null vector e_1 is sent to e_0
-    (ExactMatrix.diagonal([1, 0]), ([ExactMatrix.from_rows([[0, 1], [0, 0]])], [], []),
-     "left_B1[0]"),
-    # coordinate quotient: I_3 (x) y sends the null vector e_1 outside the
-    # null space when y[0, 1] is nonzero
-    (CUT.scalarized(), ([], fock._KronIdentity(ExactMatrix.stack([Y.H], (1,)), 3, False), []),
-     "left_B2[0]"),
-    # the same, with I_3 (x) y preserving the null space ahead of it: the
+    (ExactMatrix.diagonal([1, 0]), (_batch(ExactMatrix.from_rows([[0, 1], [0, 0]])), None, None),
+     {}, "left_B1[0]"),
+    # coordinate quotient: y (x) I_3 sends the null vector e_(1, 0) outside
+    # the null space when y[0, 1] is nonzero
+    (FIRST, (None, _batch(Y.H), None), {"tail": 3}, "left_B2[0]"),
+    # the same, with y (x) I_3 preserving the null space ahead of it: the
     # first member that leaves it is named
-    (CUT.scalarized(), ([], fock._KronIdentity(ExactMatrix.stack([Y, Y.H, Y.H], (3,)), 3, False),
-                        []), "left_B2[1]"),
+    (FIRST, (None, _batch(Y, Y.H, Y.H), None), {"tail": 3}, "left_B2[1]"),
+    # I_3 (x) y on the cut coordinates of CUT, read as C^3 (x) C^2
+    (CUT.scalarized(), (None, None, _batch(Y.H)), {"head": 3}, "right_A[0]"),
     # elimination: the null vector (1, -1) is sent to (1, 0)
-    (ExactMatrix.from_rows([[1, 1], [1, 1]]), ([], [], [ExactMatrix.from_rows([[1, 0], [0, 0]])]),
-     "right_A[0]"),
-], ids=["coordinate", "coordinate-kron", "coordinate-kron-later", "elimination"])
-def test_from_ambient_rejects_an_operator_leaving_the_null_space(gram, ops, label):
+    (ExactMatrix.from_rows([[1, 1], [1, 1]]), (None, None, _batch(ExactMatrix.from_rows([[1, 0], [0, 0]]))),
+     {}, "right_A[0]"),
+], ids=["coordinate", "coordinate-kron", "coordinate-kron-later", "coordinate-kron-right",
+        "elimination"])
+def test_from_ambient_rejects_an_operator_leaving_the_null_space(gram, ops, sizes, label):
     message = f"{label} does not preserve the inner-product null space"
     with pytest.raises(ValueError, match=re.escape(message)):
-        fock.QuadSpace.from_ambient(GramStack([gram]), None, None, *ops)
+        fock.QuadSpace.from_ambient(GramStack([gram]), None, None, *ops, **sizes)
 
+
+def test_operator_lists_are_held_as_batches_and_never_stacked_again(monkeypatch):
+    # each operator list of a summand is the one batch that from_ambient
+    # descended: a tensor summand and a side family read it as it is, so a
+    # build stacks only the spec's Grams and the lists of levels 0 and 1
+    # (99 stacks when the lists were held as lists of matrices)
+    calls, inside = Counter(), []
+    stack = ExactMatrix.stack.__func__
+
+    def counted(cls, mats, shape):
+        calls[inside[-1] if inside else "build"] += 1
+        return stack(cls, mats, shape)
+
+    def entered(owner, name):
+        call = getattr(owner, name)
+
+        def spied(*args, **kwargs):
+            inside.append(name)
+            try:
+                return call(*args, **kwargs)
+            finally:
+                inside.pop()
+        monkeypatch.setattr(owner, name, spied)
+
+    monkeypatch.setattr(ExactMatrix, "stack", classmethod(counted))
+    entered(fock, "relative_tensor")
+    entered(FockSpace, "_side_family")
+    space = build_fock(build_example_MN(2, 2), 4)
+    for side in (1, 2):
+        space.left_actions(side, ExactMatrix.identity(2), (0, space.depth))
+    space.right_actions(ExactMatrix.identity(1), (0, space.depth))
+    assert calls["relative_tensor"] == calls["_side_family"] == 0
+    assert calls["build"] < 20
+    for key in space.keys:
+        summand = space.summand(key)
+        for field, size in (("left_B1", 2), ("left_B2", 2), ("right_A", 1)):
+            assert getattr(summand, field).batch_shape == (size,), (key, field)
 
 
 def test_cut_summands_form_grams_on_reps_and_descend_each_list_once(monkeypatch, capsys):
@@ -341,10 +405,10 @@ def test_cut_summands_form_grams_on_reps_and_descend_each_list_once(monkeypatch,
     tensors, seen, descents, gathers = [], [], [], []
     relative_tensor, from_ambient = fock.relative_tensor, fock.QuadSpace.from_ambient
     descend, init = fock.QuadSpace.descend, GramStack.__init__
-    kron_sum, kron_times = fock.kron_sum, fock.identity_kron_times
+    kron_sum = fock.kron_sum
 
     def tensor(h, tensor_type, w):
-        seen.append({"stacks": [], "sums": [], "kron_times": 0})
+        seen.append({"stacks": [], "sums": []})
         space, defects = relative_tensor(h, tensor_type, w)
         tensors.append((seen.pop(), space))
         return space, defects
@@ -355,11 +419,6 @@ def test_cut_summands_form_grams_on_reps_and_descend_each_list_once(monkeypatch,
             seen[-1]["sums"].append(out)
         return out
 
-    def times(*args):
-        if seen:
-            seen[-1]["kron_times"] += 1
-        return kron_times(*args)
-
     def stack(self, coords):
         init(self, coords)
         if seen:
@@ -368,13 +427,13 @@ def test_cut_summands_form_grams_on_reps_and_descend_each_list_once(monkeypatch,
     def ambient(*args, **kwargs):
         descents.append([])
         space = from_ambient(*args, **kwargs)
-        lists = [ops for ops in args[3:] + tuple(kwargs.values()) if ops is not None]
+        lists = [ops for ops in args[3:] + tuple(kwargs.values()) if isinstance(ops, ExactMatrix)]
         assert descents.pop() == [1] * len(lists)
         return space
 
-    def descended(self, op):
+    def descended(self, *args):
         gathers.append(0)
-        out = descend(self, op)
+        out = descend(self, *args)
         count = gathers.pop()
         if descents:
             descents[-1].append(count)
@@ -389,7 +448,6 @@ def test_cut_summands_form_grams_on_reps_and_descend_each_list_once(monkeypatch,
 
     monkeypatch.setattr(fock, "relative_tensor", tensor)
     monkeypatch.setattr(fock, "kron_sum", summed)
-    monkeypatch.setattr(fock, "identity_kron_times", times)
     monkeypatch.setattr(GramStack, "__init__", stack)
     monkeypatch.setattr(fock.QuadSpace, "from_ambient", ambient)
     monkeypatch.setattr(fock.QuadSpace, "descend", descended)
@@ -400,7 +458,6 @@ def test_cut_summands_form_grams_on_reps_and_descend_each_list_once(monkeypatch,
     assert code == 0
     assert [(space.ambient_dim, space.dim) for _, space in tensors] == [(144, 24), (144, 72)]
     for found, space in tensors:
-        assert not found["kron_times"]
         [scalar] = found["sums"]
         assert (scalar.batch_shape, scalar.shape) == ((), (144, 144))
         assert len(found["stacks"]) == 3

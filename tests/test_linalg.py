@@ -827,12 +827,13 @@ def test_side_actions_match_the_per_summand_loop(space):
         blocks = {(k, k): _loop_weighted_sum(ops_of(space.summand(k)), coeffs) for k in space.keys}
         return {k: v for k, v in blocks.items() if not v.is_zero()}
 
-    for side, alg, ops_of in ((1, spec.algebra_B1, lambda sp: sp.left_B1),
-                              (2, spec.algebra_B2, lambda sp: sp.left_B2)):
+    for side, alg, ops_of in ((1, spec.algebra_B1, lambda sp: _members(sp.left_B1)),
+                              (2, spec.algebra_B2, lambda sp: _members(sp.left_B2))):
         for b in samples(alg.dim):
             assert space.left_actions(side, b, (0, space.depth))[0].blocks == loop(ops_of, b)
     for a in samples(spec.algebra_A.dim):
-        assert space.right_actions(a, (0, space.depth))[0].blocks == loop(lambda sp: sp.right_A, a)
+        assert (space.right_actions(a, (0, space.depth))[0].blocks
+                == loop(lambda sp: _members(sp.right_A), a))
 
 
 def test_diagonal_helpers():
@@ -935,8 +936,13 @@ def _loop_times_kron_identity(mat, x, s):
     return mat @ x.kron(ExactMatrix.identity(s))
 
 
-def _loop_identity_kron_times(s, x, mat):
-    return ExactMatrix.identity(s).kron(x) @ mat
+def _loop_times_identity_kron(mat, s, x):
+    return mat @ ExactMatrix.identity(s).kron(x)
+
+
+def _members(batch):
+    """The members of a matrix with one batch axis, one matrix each."""
+    return [batch.take(batch.batch_shape, c) for c in range(batch.batch_shape[0])]
 
 
 def _loop_pair(stack, x, y):
@@ -1112,43 +1118,41 @@ def test_kron_sum_entries_on_fractions_gates_and_degenerate_index_sets():
 
 @st.composite
 def kron_identity_cases(draw):
-    """An identity factor I_s and two matrices x and mat, at the gates of
-    gated_tops with the inner dimension h = 2^j, and denominators of 1 or
-    3: x is h x q and mat r x (h s) for mat @ (x (x) I_s) ("right"), or x
-    is q x h and mat (s h) x r for (I_s (x) x) @ mat ("left")."""
-    side = draw(st.sampled_from(["right", "left"]))
+    """An identity factor I_s and two matrices x, h x q, and mat, r x (h s),
+    at the gates of gated_tops with the inner dimension h = 2^j, and
+    denominators of 1 or 3, for mat @ (x (x) I_s) (left) or
+    mat @ (I_s (x) x) (otherwise)."""
+    left = draw(st.booleans())
     h = 2 ** draw(st.integers(0, 4))
     ta, tb, complex_entries = draw(gated_tops(h))
     # sizes on both sides of the float cutoff r*s*h*q >= 2048
     r, q = (draw(st.sampled_from([1, 3, 16, 40])) for _ in range(2))
     s = draw(st.integers(1, 3))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    mat_shape, x_shape = ((r, h * s), (h, q)) if side == "right" else ((h * s, r), (q, h))
-    mat = _raw_operand(draw, rng, mat_shape, ta, complex_entries, True)
-    x = _raw_operand(draw, rng, x_shape, tb, complex_entries, True)
+    mat = _raw_operand(draw, rng, (r, h * s), ta, complex_entries, True)
+    x = _raw_operand(draw, rng, (h, q), tb, complex_entries, True)
     if draw(st.booleans()):
         mat = (mat[0], mat[1], 1)
     if draw(st.booleans()):
         x = (x[0], x[1], 1)
-    return side, mat, x, s
+    return left, mat, x, s
 
 
 @settings(max_examples=200, deadline=None)
 @given(kron_identity_cases())
 def test_kron_identity_products_match_the_loop_and_an_object_reference(case):
-    side, (mre, mim, md), (xre, xim, xd), s = case
+    left, (mre, mim, md), (xre, xim, xd), s = case
     mat, x = ExactMatrix(mre, mim, md), ExactMatrix(xre, xim, xd)
     eye = np.eye(s, dtype=np.int64)
-    if side == "right":
+    if left:
         got = linalg.times_kron_identity(mat, x, s)
         kre, kim = _object_kron(xre, xim, eye, np.zeros_like(eye))
-        want = _object_product(mre, mim, kre, kim)
         assert got == _loop_times_kron_identity(mat, x, s)
     else:
-        got = linalg.identity_kron_times(s, x, mat)
+        got = linalg.times_identity_kron(mat, s, x)
         kre, kim = _object_kron(eye, np.zeros_like(eye), xre, xim)
-        want = _object_product(kre, kim, mre, mim)
-        assert got == _loop_identity_kron_times(s, x, mat)
+        assert got == _loop_times_identity_kron(mat, s, x)
+    want = _object_product(mre, mim, kre, kim)
     assert got == _object_matrix([(*want, md * xd)])
     _assert_real_flag(got)
 
@@ -1200,7 +1204,7 @@ def _full(shape, value):
 
 
 @pytest.mark.parametrize("above", [False, True], ids=["at", "above"])
-@pytest.mark.parametrize("kernel", ["kron_sum", "times_kron_identity", "identity_kron_times"])
+@pytest.mark.parametrize("kernel", ["kron_sum", "times_kron_identity", "times_identity_kron"])
 def test_kronecker_kernels_at_the_float_gate(kernel, above):
     # inner dimension 8 and factors 2^25: every entry is 8 * 2^50 = 2^53,
     # the largest sum the float gate admits; above it, 2^25 + 1 and one
@@ -1213,15 +1217,12 @@ def test_kronecker_kernels_at_the_float_gate(kernel, above):
         rights = [_full((8, 8), 2**25) for _ in range(7)] + [_full((8, 8), last)]
         got, path = _gate_path(lambda: linalg.kron_sum(lefts, rights))
         shape = (64, 64)
-    elif kernel == "times_kron_identity":
-        x = ExactMatrix.vstack([_full((7, 16), 2**25), _full((1, 16), last)])
-        got, path = _gate_path(lambda: linalg.times_kron_identity(_full((16, 16), a), x, 2))
-        shape = (16, 32)
     else:
-        block = [_full((7, 16), 2**25), _full((1, 16), last)]
-        mat = ExactMatrix.vstack(block + block)
-        got, path = _gate_path(lambda: linalg.identity_kron_times(2, _full((16, 8), a), mat))
-        shape = (32, 16)
+        x = ExactMatrix.vstack([_full((7, 16), 2**25), _full((1, 16), last)])
+        kernel = getattr(linalg, kernel)
+        args = (x, 2) if kernel is linalg.times_kron_identity else (2, x)
+        got, path = _gate_path(lambda: kernel(_full((16, 16), a), *args))
+        shape = (16, 32)
     assert path == ("int64" if above else "float")
     assert got == _full(shape, want)
     assert want == (2**53 + 7 * 2**25 - 1 if above else 2**53)
@@ -1244,10 +1245,10 @@ def test_kronecker_kernels_on_fractions_and_degenerate_shapes():
     assert linalg.times_kron_identity(mat, tall, 1) == mat @ tall
     with pytest.raises(ValueError):
         linalg.times_kron_identity(mat, b, 2)
-    assert linalg.identity_kron_times(3, c, mat.T) == _loop_identity_kron_times(3, c, mat.T)
-    assert linalg.identity_kron_times(1, tall.T, mat.T) == tall.T @ mat.T
+    assert linalg.times_identity_kron(mat, 3, b) == _loop_times_identity_kron(mat, 3, b)
+    assert linalg.times_identity_kron(mat, 1, tall) == mat @ tall
     with pytest.raises(ValueError):
-        linalg.identity_kron_times(2, c, mat.T)
+        linalg.times_identity_kron(mat, 2, b)
     stack = GramStack([a, a.H])
     assert stack.pairs(b, d) == _loop_pair(stack, b, d)
     with pytest.raises(ValueError):
@@ -1438,19 +1439,20 @@ def test_diagonal_inverse_scatter_and_nonzero_rows():
 def test_tensor_stacks_match_the_per_coordinate_loop(spec):
     h = build_fock(spec, 2).summand((1, ()))
     grams = [h.gram_A, h.gram_B1, h.gram_B2]
-    pair_ops = [op.kron(ExactMatrix.identity(h.dim)) for op in h.left_B1]
-    pair = fock._tensor_stacks(h.gram_B2, grams, h.left_B2)
+    left_B1, left_B2 = _members(h.left_B1), _members(h.left_B2)
+    pair_ops = [op.kron(ExactMatrix.identity(h.dim)) for op in left_B1]
+    pair = _loop_tensor_stacks(h.gram_B2, grams, left_B2)
     rng = random.Random(spec.name)
     for inner, stacks, ops in [
-        (h.gram_B1, grams, h.left_B1),
-        (h.gram_B2, [h.gram_A, None, h.gram_B2], h.left_B2),
+        (h.gram_B1, grams, left_B1),
+        (h.gram_B2, [h.gram_A, None, h.gram_B2], left_B2),
         (h.gram_B1, pair, pair_ops),
-        (pair[2], grams, h.left_B2),
+        (pair[2], grams, left_B2),
     ]:
         want = _loop_tensor_stacks(inner, stacks, ops)
-        assert fock._tensor_stacks(inner, stacks, ops) == want
         # the stacks held as factors: the scalar Gram, and the entries on
-        # every coordinate and on sorted subsets of them
+        # every coordinate, as the associativity check reads them, and on
+        # sorted subsets of them
         left_ops = ExactMatrix.stack(ops, (len(ops),))
         held = [fock._BalancedStack(inner, stack, left_ops) for stack in stacks if stack]
         assert held[0].scalarized() == want[0].scalarized()

@@ -12,8 +12,13 @@ def diag(*values):
     return ExactMatrix.diagonal(list(values))
 
 
+def model_of(*generators):
+    """The model of the generators, stacked along one batch axis."""
+    return DiagonalOperatorModel(ExactMatrix.stack(generators, (len(generators),)))
+
+
 def test_classes_group_coordinates_with_equal_spectra():
-    model = DiagonalOperatorModel([diag(1, 0, 1, 0), diag(0, 2, 0, 2)])
+    model = model_of(diag(1, 0, 1, 0), diag(0, 2, 0, 2))
     assert model.rank == 2
     assert model.classes == [[0, 2], [1, 3]]
     assert model.idempotents[0] == diag(1, 0, 1, 0)
@@ -21,7 +26,7 @@ def test_classes_group_coordinates_with_equal_spectra():
 
 
 def test_singleton_classes_when_spectra_separate_points():
-    model = DiagonalOperatorModel([diag(1, 2, 3)])
+    model = model_of(diag(1, 2, 3))
     assert model.rank == 3
     assert model.classes == [[0], [1], [2]]
 
@@ -32,13 +37,13 @@ def patterns_of(model, *ops):
 
 
 def test_projection_patterns_read_every_member_at_once():
-    model = DiagonalOperatorModel([diag(1, 0, 1, 0), diag(0, 2, 0, 2)])
+    model = model_of(diag(1, 0, 1, 0), diag(0, 2, 0, 2))
     assert patterns_of(model, diag(1, 0, 1, 0), diag(1, 1, 1, 1), ExactMatrix.zeros(4, 4),
                        diag(0, 1, 0, 1)) == [[1, 0], [1, 1], [0, 0], [0, 1]]
 
 
 def test_operators_outside_the_model_are_rejected():
-    model = DiagonalOperatorModel([diag(1, 0, 1, 0)])
+    model = model_of(diag(1, 0, 1, 0))
     # breaks the tie between coordinates 0 and 2
     assert patterns_of(model, diag(1, 0, 0, 0), diag(1, 0, 1, 0)) == [None, [1, 0]]
     # non-diagonal operators are never in a diagonal model
@@ -47,7 +52,7 @@ def test_operators_outside_the_model_are_rejected():
 
 
 def test_projection_patterns_filter_non_idempotent_values():
-    model = DiagonalOperatorModel([diag(1, 0, 1, 0), diag(0, 2, 0, 2)])
+    model = model_of(diag(1, 0, 1, 0), diag(0, 2, 0, 2))
     i = GaussianRational(0, 1)
     # model elements that are not projections, beside one that is: the
     # stack shares the denominator 2 of the half, so a one is read from
@@ -58,7 +63,7 @@ def test_projection_patterns_filter_non_idempotent_values():
 
 
 def test_projection_pattern_shape_checks():
-    model = DiagonalOperatorModel([diag(1, 2)])
+    model = model_of(diag(1, 2))
     with pytest.raises(ValueError):
         model.projection_patterns(ExactMatrix.stack([diag(1, 0, 0)], (1,)))
     with pytest.raises(ValueError):
@@ -70,9 +75,12 @@ def test_projection_pattern_shape_checks():
 def test_non_diagonal_generators_are_refused():
     off = ExactMatrix.from_rows([[0, 1], [0, 0]])
     with pytest.raises(NotDiagonalModel):
-        DiagonalOperatorModel([off])
+        model_of(off)
+    # no generator, or one without its batch axis
     with pytest.raises(ValueError):
-        DiagonalOperatorModel([])
+        DiagonalOperatorModel(ExactMatrix.zeros(0, 2, 2))
+    with pytest.raises(ValueError):
+        DiagonalOperatorModel(off)
 
 
 def test_left_action_model_of_the_bipartite_module():

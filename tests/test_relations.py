@@ -133,7 +133,7 @@ def test_represented_module_map_doubles_on_the_module_level(bipartite):
     space = bipartite
     gens = make_generators(space)
     h = space.summand((1, ()))
-    L_module = h.left_B1[0]
+    L_module = h.left_B1.take((2,), 0)
     L_amb = h.ambient(L_module)
     represented = represent_module_maps(gens, [L_amb])[0]
     key = (1, ())
@@ -459,10 +459,15 @@ def test_perturbed_towers_keep_their_witnesses(monkeypatch, module, perturbation
         _extra_lift_block(monkeypatch)
     elif perturbation == "left_B1":
         summand = space.summand((2, (1,)))
-        summand.left_B1[0] = summand.left_B1[0].scale(2)
+        # member 0 doubled, the others kept
+        d = summand.left_B1.batch_shape[0]
+        summand.left_B1 = summand.left_B1.combine(ExactMatrix.diagonal([2] + [1] * (d - 1)))
     else:
         summand = space.summand(space.keys[-1])
-        summand.left_B2[-1] = summand.left_B2[-1] + ExactMatrix.identity(summand.dim)
+        # the identity added to the last member
+        d, n = summand.left_B2.batch_shape[0], summand.dim
+        summand.left_B2 = summand.left_B2 + ExactMatrix.stack(
+            [ExactMatrix.zeros(n, n)] * (d - 1) + [ExactMatrix.identity(n)], (d,))
     reports = full_identity_suite(make_generators(space))
     failures = PERTURBED_FAILURES[(module, perturbation)]
     expected = [(cid, cid not in failures, failures.get(cid, "")) for cid in REPORT_ORDER]
