@@ -80,7 +80,6 @@ from .linalg import (
     kron_identity_entries,
     kron_sum,
     kron_sum_entries,
-    times_identity_kron,
     times_kron_identity,
 )
 from .quadmodule import QuadModuleSpec
@@ -298,9 +297,7 @@ class QuadSpace:
         A plain ambient matrix x is the case s = 1."""
         if self.express is None:
             return kron_identity_entries(x, s, left, self.reps, range(x.ncols * s))
-        if left:
-            return times_kron_identity(self.express, x, s)
-        return times_identity_kron(self.express, s, x)
+        return times_kron_identity(self.express, x, s, left)
 
     def descend(self, x: ExactMatrix, s: int = 1, left: bool = True):
         """(express @ op @ include, express @ op on the null space) for the
@@ -694,7 +691,8 @@ class FockSpace:
         through the second. The vectors are given in ambient module
         coordinates. On the coefficient level a creation acts on the
         matching side summand: its block's column t is express @ right[t] @ x
-        for that side's right action right, one times_identity_kron for every
+        for that side's right action right, one product of the stacked
+        express @ right[t] with I (x) xs (times_kron_identity) for every
         column t and vector x at once. From level n >= 1 it prepends the
         tensor factor: the block express @ (x (x) I) of every vector is read
         off with all the vectors as columns at once, by the quotient's
@@ -710,7 +708,7 @@ class FockSpace:
         blocks = {}
         if lo <= 0 <= hi:
             width = self.summands[(0, ())].dim
-            coeff = times_identity_kron(self._coefficient_stack(family), width, xs)
+            coeff = times_kron_identity(self._coefficient_stack(family), xs, width, False)
             # column (t, j) of coeff is column t of member j's block
             blocks[((1, ()), (0, ()))] = coeff.regrouped((h.dim, width, c), (2, 0, 1))
         xs_q = h.coordinates(xs)
@@ -858,7 +856,8 @@ def build_fock(spec: QuadModuleSpec, depth: int) -> FockSpace:
     dimension would exceed the QUADMOD_MAX_DIM budget,
     LambdaNotFaithful (from the index-map derivation) when level 0 cannot
     carry a definite inner product, and TowerDefect when a new summand fails
-    its balancing or index-map route check.
+    its balancing or index-map route check or, from depth 3, the two
+    bracketings of a triple tensor disagree.
     """
     if depth < 2:
         raise DepthTooSmall("the tower needs depth at least 2")
@@ -968,24 +967,27 @@ def build_fock(spec: QuadModuleSpec, depth: int) -> FockSpace:
     )
 
     if depth >= 3:
-        ok = _associativity_check(h)
+        disagreeing = _associativity_check(h)
         checks.append(
             CheckResult(
                 "tensor-associative",
                 "triple tensors agree under both bracketings on the full ambient space",
-                ok,
+                disagreeing is None,
+                "" if disagreeing is None
+                else f"the two bracketings of the type {disagreeing} triple tensor disagree",
             )
         )
-        if not ok:
-            raise ValueError("triple tensor bracketings disagree")
+        if disagreeing is not None:
+            raise TowerDefect(checks)
 
     return FockSpace(spec, depth, summands, lam1, lam2, checks)
 
 
-def _associativity_check(h: QuadSpace) -> bool:
+def _associativity_check(h: QuadSpace):
     """Compare the two bracketings of every type-(i, j) triple tensor of the
     module with itself, on the full (unquotiented) triple ambient space:
-    every Gram stack is a _BalancedStack read on every index."""
+    every Gram stack is a _BalancedStack read on every index. Returns the
+    first type (i, j) whose bracketings disagree, or None."""
     grams = (h.gram_A, h.gram_B1, h.gram_B2)
 
     def tensor(inner, stacks, left_ops):
@@ -1006,5 +1008,5 @@ def _associativity_check(h: QuadSpace) -> bool:
             # left bracketing: (H (x)_i H) (x)_j H
             up = tensor(inner_i, grams, left_i)
             if right != tensor(up[j], grams, left_j):
-                return False
-    return True
+                return i, j
+    return None

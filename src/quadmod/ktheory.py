@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ExactMatrix, times_identity_kron
+from .linalg import ExactMatrix, times_kron_identity
 from .relations import GeneratorFamily, families_report
 
 
@@ -279,8 +279,8 @@ def class_patterns(gens: GeneratorFamily, family: int):
     stack, side_ops = (spec.inner_B1, h.left_B1) if family == 1 else (spec.inner_B2, h.left_B2)
     ng, ncl = members.ncols, len(model.idempotents)
     # column (cl, g) of images is E_cl m_g
-    images = times_identity_kron(
-        ExactMatrix.hstack([h.ambient(e) for e in model.idempotents]), ncl, members)
+    images = times_kron_identity(
+        ExactMatrix.hstack([h.ambient(e) for e in model.idempotents]), members, ncl, False)
     # column (g, cl) of values is <m_g, E_cl m_g>
     values = stack.column_pairs(ExactMatrix.hstack([members] * ncl), images).take_cols(
         [cl * ng + g for g in range(ng) for cl in range(ncl)])

@@ -19,18 +19,23 @@ picks one of three arithmetic paths:
   only such integers, never approximations.
 
 Most matrices the checks form are real, and an ExactMatrix records whether
-its imaginary part is zero; a real matrix's imaginary part is a shared,
-read-only zero view that takes no memory. Real operands take real
-arithmetic: one integer product instead of four, one outer product per
-kron. The one product kernel multiplies integer arrays: a product of real
-matrices with inner dimension k is one such product under the bound
-k*max|A|*max|B|; with one real factor it is one product of the stacked
-parts, [Are; Aim] @ B or A @ [Bre, Bim], under the same bound; and a product
-of two complex matrices is the one stacked real product
-[[Are, -Aim], [Aim, Are]] @ [Bre; Bim], whose inner dimension 2k gives the
-bound 2k*max|A|*max|B|. Each matrix stores a bound on max|numerator|, filled
-by one scan on first use and carried through negation, conjugation,
-transposition, scaling and kron, so no bound is scanned twice.
+its imaginary part is zero. The constructor alone decides how a real matrix
+is stored: an imaginary part of None means "known real", any other is
+scanned once, and a real matrix's imaginary part is then a shared,
+read-only zero view that takes no memory. Operations that only move
+entries (transposing, taking members, regrouping, negation) move both parts
+through one helper, so a real operand gives a real result without a scan.
+Real operands take real arithmetic: one integer product instead of four,
+one outer product per kron. The one product kernel multiplies integer
+arrays: a product of real matrices with inner dimension k is one such
+product under the bound k*max|A|*max|B|; with one real factor it is one
+product of the stacked parts, [Are; Aim] @ B or A @ [Bre, Bim], under the
+same bound; and a product of two complex matrices is the one stacked real
+product [[Are, -Aim], [Aim, Are]] @ [Bre; Bim], whose inner dimension 2k
+gives the bound 2k*max|A|*max|B|. Each matrix stores a bound on
+max|numerator|, filled by one scan on first use and carried through
+negation, conjugation, transposition, scaling and kron, so no bound is
+scanned twice.
 
 An ExactMatrix may carry leading batch axes: its numerator arrays then
 have more than two axes, the last two holding one member, and shape, nrows
@@ -73,14 +78,13 @@ Kronecker product is formed only to be summed or multiplied:
   picks int64 or big integers as above; the result is over the product of
   the two denominators and normalised once. When rows and cols are every
   index in order it is kron_sum, which costs no more.
-* times_kron_identity(mat, x, s) = mat @ (x (x) I_s), with x h x q. The
-  r x (h s) matrix mat is regrouped into an (r s) x h one, multiplied by x
-  once, and the (r s) x q product is regrouped back into r x (q s). Its
-  inner dimension is h, not h*s, so its bound h*max|mat|*max|x| is s times
-  smaller than that of the product with x (x) I_s, which is never formed.
-* times_identity_kron(mat, s, x) = mat @ (I_s (x) x), with x h x q: mat
-  read row-major as an (r s) x h matrix, times x, read back as r x (s q);
-  the bound is h*max|mat|*max|x|.
+* times_kron_identity(mat, x, s, left) = mat @ (x (x) I_s) when left and
+  mat @ (I_s (x) x) otherwise, with x h x q. The r x (h s) matrix mat is
+  regrouped into an (r s) x h one, multiplied by x once, and the (r s) x q
+  product is regrouped back into r x (q s) or r x (s q); for I_s (x) x both
+  regroups keep the row-major order. Its inner dimension is h, not h*s, so
+  its bound h*max|mat|*max|x| is s times smaller than that of the product
+  with the Kronecker product, which is never formed.
 
 The bounds double for two complex operands, and every product goes
 through ExactMatrix @, so each takes the float64, int64 or big-integer path
@@ -253,8 +257,7 @@ def _product(a, b):
     batch axes broadcast."""
     peaks = a._peak_abs(), b._peak_abs()
     if a._real and b._real:
-        re = _rmul(a._re, b._re, *peaks)
-        return re, _zero(re.shape)
+        return _rmul(a._re, b._re, *peaks), None
     # one real factor: (Are + i Aim) B is [Are; Aim] @ B, and A (Bre + i Bim)
     # is A @ [Bre, Bim], each one real product with inner dimension k
     if b._real:
@@ -269,20 +272,19 @@ def _product(a, b):
 
 
 def _sum(a, b, op):
-    """(re, im, den, real, bound) of op(a, b), op being np.add or
-    np.subtract; batch axes broadcast. bound, which bounds each part of the
-    result, is read from the operands' peaks, rescaled to the common
-    denominator."""
+    """(re, im, den, bound) of op(a, b), op being np.add or np.subtract,
+    im None for two real operands; batch axes broadcast. bound, which
+    bounds each part of the result, is read from the operands' peaks,
+    rescaled to the common denominator."""
     den = a._den * b._den // math.gcd(a._den, b._den)
     are, aim = a._scaled_to(den)
     bre, bim = b._scaled_to(den)
     bound = a._peak_abs() * (den // a._den) + b._peak_abs() * (den // b._den)
     if a._real and b._real:
         are, bre = _common(bound, are, bre)
-        re = op(are, bre)
-        return re, _zero(re.shape), den, True, bound
+        return op(are, bre), None, den, bound
     are, aim, bre, bim = _common(bound, are, aim, bre, bim)
-    return op(are, bre), op(aim, bim), den, False, bound
+    return op(are, bre), op(aim, bim), den, bound
 
 
 def _index_array(idx):
@@ -315,34 +317,33 @@ class ExactMatrix:
     axes are batch axes (see the module docstring); shape, nrows and ncols
     are one member's.
 
-    _real is true when the imaginary part is zero; the imaginary part is
-    then an int64 zero array, for results known to be real the shared
-    read-only view of _zero. _peak bounds max |numerator| over both parts:
-    filled by a scan on first use by _peak_abs, and carried over, as an
-    exact value or an upper bound, by the operations that know it. Stored
-    arrays are never written in place, so it stays true for the object's
-    lifetime."""
+    _real is true when the imaginary part is zero, and only the
+    constructor sets it: im None means the caller knows the matrix is real,
+    and any other imaginary part is scanned once. A real matrix's imaginary
+    part is the shared read-only view of _zero. _peak bounds max |numerator|
+    over both parts: filled by a scan on first use by _peak_abs, and
+    carried over, as an exact value or an upper bound, by the operations
+    that know it. Stored arrays are never written in place, so it stays
+    true for the object's lifetime."""
 
     __slots__ = ("_re", "_im", "_den", "_real", "_peak")
 
-    def __init__(self, re, im, den: int = 1, _normalize: bool = True,
-                 _real: bool | None = None, _peak: int | None = None):
-        re, im = _stored(re), _stored(im)
-        if re.shape != im.shape or re.ndim < 2:
+    def __init__(self, re, im=None, den: int = 1, _normalize: bool = True,
+                 _peak: int | None = None):
+        re = _stored(re)
+        im = None if im is None else _stored(im)
+        if re.ndim < 2 or (im is not None and im.shape != re.shape):
             raise ValueError("real and imaginary parts must be equal-shape arrays "
                              "of at least two axes")
         if den <= 0:
             raise ValueError("denominator must be positive")
-        # a caller that knows the imaginary part is zero says so, and the
-        # scan is skipped; a zero part found by the scan becomes the shared
-        # int64 zero
-        if _real is None:
-            _real = not im.any()
-            if _real:
-                im = _zero(re.shape)
-        self._real = _real
+        # None is a caller's word that the matrix is real, and the scan is
+        # skipped; a zero part found by the scan is stored as one too
+        if im is not None and not im.any():
+            im = None
+        self._real = im is None
         self._re = re
-        self._im = im
+        self._im = _zero(re.shape) if im is None else im
         self._den = int(den)
         self._peak = _peak
         if _normalize:
@@ -394,6 +395,13 @@ class ExactMatrix:
     def _single(self, what: str):
         if self._re.ndim != 2:
             raise ValueError(f"{what} takes a single matrix, not one with batch axes")
+
+    def _moved(self, move) -> "ExactMatrix":
+        """move applied to both numerator arrays, for a move that only
+        places entries: the denominator and peak are kept, the result is
+        not normalised again, and a real matrix stays real unscanned."""
+        return ExactMatrix(move(self._re), None if self._real else move(self._im), self._den,
+                           _normalize=False, _peak=self._peak)
 
     # -- construction ---------------------------------------------------
 
@@ -463,12 +471,11 @@ class ExactMatrix:
     def zeros(cls, *shape) -> "ExactMatrix":
         """Zero matrices: shape is the batch shape followed by the matrix
         shape."""
-        return cls(_zero(shape), _zero(shape), 1, _normalize=False, _real=True, _peak=0)
+        return cls(_zero(shape), None, 1, _normalize=False, _peak=0)
 
     @classmethod
     def identity(cls, n: int) -> "ExactMatrix":
-        return cls(np.eye(n, dtype=np.int64), _zero((n, n)), 1,
-                   _normalize=False, _real=True, _peak=min(n, 1))
+        return cls(np.eye(n, dtype=np.int64), None, 1, _normalize=False, _peak=min(n, 1))
 
     @classmethod
     def diagonal(cls, values) -> "ExactMatrix":
@@ -488,16 +495,14 @@ class ExactMatrix:
         den = math.lcm(*(m._den for m in mats))
         parts = _common(0, *(a for m in mats for a in m._scaled_to(den)))
         full = tuple(shape) + mats[0]._re.shape
-        re = np.stack(parts[0::2]).reshape(full)
-        if all(m._real for m in mats):
-            return cls(re, _zero(full), den, _real=True)
-        return cls(re, np.stack(parts[1::2]).reshape(full), den, _real=False)
+        im = None if all(m._real for m in mats) else np.stack(parts[1::2]).reshape(full)
+        return cls(np.stack(parts[0::2]).reshape(full), im, den)
 
     def to_diagonal(self) -> "ExactMatrix":
         """The square diagonal matrix whose diagonal is this column."""
         if self.ncols != 1:
             raise ValueError("only a column has a diagonal matrix")
-        return ExactMatrix(np.diagflat(self._re), np.diagflat(self._im), self._den, _normalize=False)
+        return self._moved(np.diagflat)
 
     def is_diagonal(self) -> bool:
         """Whether every member is zero off its diagonal: each part has as
@@ -612,12 +617,11 @@ class ExactMatrix:
             return NotImplemented
         if self.shape != other.shape:
             raise ValueError("shape mismatch")
-        re, im, den, real, _ = _sum(self, other, op)
-        return ExactMatrix(re, im, den, _real=real or None)
+        re, im, den, _ = _sum(self, other, op)
+        return ExactMatrix(re, im, den)
 
     def __neg__(self):
-        return ExactMatrix(-self._re, self._im if self._real else -self._im, self._den,
-                           _normalize=False, _real=self._real, _peak=self._peak)
+        return self._moved(np.negative)
 
     def __matmul__(self, other):
         """The product of every pair of members, batch axes broadcast: one
@@ -626,8 +630,7 @@ class ExactMatrix:
             return NotImplemented
         if self.ncols != other.nrows:
             raise ValueError("inner dimension mismatch")
-        real = self._real and other._real
-        return ExactMatrix(*_product(self, other), self._den * other._den, _real=real or None)
+        return ExactMatrix(*_product(self, other), self._den * other._den)
 
     def scale(self, c) -> "ExactMatrix":
         c = GaussianRational.from_value(c)
@@ -636,8 +639,7 @@ class ExactMatrix:
         peak = self._peak_abs()
         if self._real and not cim:
             re, = _common(max(peak, 1) * abs(cre), self._re)
-            return ExactMatrix(cre * re, self._im, self._den * q, _real=True,
-                               _peak=peak * abs(cre))
+            return ExactMatrix(cre * re, None, self._den * q, _peak=peak * abs(cre))
         # The factor must fit as well as the products (see _scaled_to).
         bound = 2 * max(peak, 1) * max(abs(cre), abs(cim))
         re, im = _common(bound, self._re, self._im)
@@ -649,10 +651,7 @@ class ExactMatrix:
         entrywise product (see entrywise), each entry at most
         max|coeffs| * max|self| in magnitude (twice that for two complex
         operands)."""
-        scalars = ExactMatrix(coeffs._re[..., None, None], coeffs._im[..., None, None],
-                              coeffs._den, _normalize=False, _real=coeffs._real,
-                              _peak=coeffs._peak)
-        return entrywise(scalars, self)
+        return entrywise(coeffs._moved(lambda a: a[..., None, None]), self)
 
     def combine(self, coeffs: "ExactMatrix") -> "ExactMatrix":
         """For members M_0, ..., M_{r-1} along one batch axis: the members
@@ -666,16 +665,12 @@ class ExactMatrix:
     def conj(self) -> "ExactMatrix":
         if self._real:
             return self
-        return ExactMatrix(self._re, -self._im, self._den, _normalize=False,
-                           _real=False, _peak=self._peak)
+        return ExactMatrix(self._re, -self._im, self._den, _normalize=False, _peak=self._peak)
 
     @property
     def T(self) -> "ExactMatrix":
         """Every member's transpose."""
-        re = np.swapaxes(self._re, -1, -2)
-        im = _zero(re.shape) if self._real else np.swapaxes(self._im, -1, -2)
-        return ExactMatrix(re, im, self._den, _normalize=False, _real=self._real,
-                           _peak=self._peak)
+        return self._moved(lambda a: np.swapaxes(a, -1, -2))
 
     @property
     def H(self) -> "ExactMatrix":
@@ -697,10 +692,8 @@ class ExactMatrix:
             part = part[..., rows, :] if isinstance(rows, slice) else part.take(rows, axis=-2)
             return part[..., cols] if isinstance(cols, slice) else part.take(cols, axis=-1)
 
-        re = selected(self._re)
-        if self._real:
-            return ExactMatrix(re, _zero(re.shape), self._den, _real=True)
-        return ExactMatrix(re, selected(self._im), self._den)
+        return ExactMatrix(selected(self._re), None if self._real else selected(self._im),
+                           self._den)
 
     def take_rows(self, idx) -> "ExactMatrix":
         return self._selected(_indices(idx), slice(None))
@@ -717,32 +710,21 @@ class ExactMatrix:
         matrix is (one member alone may share a factor with the
         denominator)."""
         full = tuple(shape) + self.shape
-        re = _broadcast(self._re, full)[index]
-        if self._real:
-            return ExactMatrix(re, _zero(re.shape), self._den, _normalize=False, _real=True,
-                               _peak=self._peak)
-        # a part of a complex matrix may be real
-        return ExactMatrix(re, _broadcast(self._im, full)[index], self._den,
-                           _normalize=False, _peak=self._peak)
+        # a part of a complex matrix may be real, which the constructor finds
+        return self._moved(lambda a: _broadcast(a, full)[index])
 
     def reshaped(self, shape, new_shape) -> "ExactMatrix":
         """The members broadcast to the batch shape shape, the batch axes
         then reshaped to new_shape (row-major, as numpy reshapes)."""
         mat = self.shape
         full = tuple(shape) + mat
-        re = _broadcast(self._re, full).reshape(tuple(new_shape) + mat)
-        im = _zero(re.shape) if self._real else _broadcast(self._im, full).reshape(re.shape)
-        return ExactMatrix(re, im, self._den, _normalize=False, _real=self._real,
-                           _peak=self._peak)
+        return self._moved(lambda a: _broadcast(a, full).reshape(tuple(new_shape) + mat))
 
     def regrouped(self, shape, axes) -> "ExactMatrix":
         """The entries read row-major as an array of the given shape, its
         axes permuted; the last two permuted axes are the matrices. Moving
         entries keeps the normalisation and peak."""
-        re = self._re.reshape(shape).transpose(axes)
-        im = _zero(re.shape) if self._real else self._im.reshape(shape).transpose(axes)
-        return ExactMatrix(re, im, self._den, _normalize=False, _real=self._real,
-                           _peak=self._peak)
+        return self._moved(lambda a: a.reshape(shape).transpose(axes))
 
     def flattened(self) -> "ExactMatrix":
         """The members along one batch axis as the rows of one r x (m n)
@@ -760,10 +742,7 @@ class ExactMatrix:
             raise ValueError("only square matrices have diagonals")
         if not self.is_diagonal():
             raise NotDiagonal("some member has a nonzero entry off its diagonal")
-        re = np.diagonal(self._re, axis1=-2, axis2=-1)[..., None]
-        im = _zero(re.shape) if self._real else np.diagonal(self._im, axis1=-2, axis2=-1)[..., None]
-        return ExactMatrix(re, im, self._den, _normalize=False, _real=self._real or None,
-                           _peak=self._peak)
+        return self._moved(lambda a: np.diagonal(a, axis1=-2, axis2=-1)[..., None])
 
     def square_blocks(self, dims) -> list:
         """For members of one row holding square blocks side by side, each
@@ -774,15 +753,8 @@ class ExactMatrix:
             raise ValueError("blocks do not fill the row")
         blocks, at = [], 0
         for n in dims:
-            key = (Ellipsis, 0, slice(at, at + n * n))
             shape = self.batch_shape + (n, n)
-            re = self._re[key].reshape(shape)
-            if self._real:
-                blocks.append(ExactMatrix(re, _zero(shape), self._den, _normalize=False,
-                                          _real=True, _peak=self._peak))
-            else:
-                blocks.append(ExactMatrix(re, self._im[key].reshape(shape), self._den,
-                                          _normalize=False, _peak=self._peak))
+            blocks.append(self._moved(lambda a: a[..., 0, at:at + n * n].reshape(shape)))
             at += n * n
         return blocks
 
@@ -806,14 +778,13 @@ class ExactMatrix:
         this matrix's entry (i, j), and whose other entries are zero: the
         inverse of submatrix(rows, cols) on those positions."""
         at = np.ix_(_index_array(rows), _index_array(cols))
-        re = np.zeros(shape, self._re.dtype)
-        re[at] = self._re
-        if self._real:
-            return ExactMatrix(re, _zero(re.shape), self._den, _normalize=False,
-                               _real=True, _peak=self._peak)
-        im = np.zeros(shape, self._im.dtype)
-        im[at] = self._im
-        return ExactMatrix(re, im, self._den, _normalize=False, _real=False, _peak=self._peak)
+
+        def placed(part):
+            out = np.zeros(shape, part.dtype)
+            out[at] = part
+            return out
+
+        return self._moved(placed)
 
     @staticmethod
     def _joined(mats, join) -> "ExactMatrix":
@@ -862,8 +833,7 @@ class ExactMatrix:
             a, b = _common(peak, self._re, other._re)
             (m, n), (p, q) = a.shape, b.shape
             re = (a[:, None, :, None] * b[None, :, None, :]).reshape(m * p, n * q)
-            return ExactMatrix(re, _zero(re.shape), self._den * other._den,
-                               _real=True, _peak=peak)
+            return ExactMatrix(re, None, self._den * other._den, _peak=peak)
         bound = 2 * peak
         a_re, a_im, b_re, b_im = _common(bound, self._re, self._im, other._re, other._im)
         re = np.kron(a_re, b_re) - np.kron(a_im, b_im)
@@ -1010,8 +980,7 @@ def entrywise(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     den = a._den * b._den
     if a._real and b._real:
         are, bre = _common(peak, a._re, b._re)
-        re = are * bre
-        return ExactMatrix(re, _zero(re.shape), den, _real=True, _peak=peak)
+        return ExactMatrix(are * bre, None, den, _peak=peak)
     are, aim, bre, bim = _common(2 * peak, a._re, a._im, b._re, b._im)
     return ExactMatrix(are * bre - aim * bim, are * bim + aim * bre, den, _peak=2 * peak)
 
@@ -1029,9 +998,8 @@ def diagonal_commutator(x: ExactMatrix, left: ExactMatrix | None,
     row = right.T
     if left is None:
         return entrywise(x, row)
-    re, im, den, real, bound = _sum(row, left, np.subtract)
-    return entrywise(x, ExactMatrix(re, im, den, _normalize=False, _real=real or None,
-                                    _peak=bound))
+    re, im, den, bound = _sum(row, left, np.subtract)
+    return entrywise(x, ExactMatrix(re, im, den, _normalize=False, _peak=bound))
 
 
 def regroup(x: ExactMatrix, shape, axes, rows: int, cols: int) -> ExactMatrix:
@@ -1041,12 +1009,8 @@ def regroup(x: ExactMatrix, shape, axes, rows: int, cols: int) -> ExactMatrix:
     again."""
     batch = x.batch_shape
     axes = tuple(range(len(batch))) + tuple(len(batch) + a for a in axes)
-    re = x._re.reshape(batch + tuple(shape)).transpose(axes).reshape(batch + (rows, cols))
-    if x._real:
-        return ExactMatrix(re, _zero(re.shape), x._den, _normalize=False,
-                           _real=True, _peak=x._peak)
-    im = x._im.reshape(batch + tuple(shape)).transpose(axes).reshape(re.shape)
-    return ExactMatrix(re, im, x._den, _normalize=False, _real=False, _peak=x._peak)
+    return x._moved(lambda a: a.reshape(batch + tuple(shape)).transpose(axes)
+                    .reshape(batch + (rows, cols)))
 
 
 def _terms(mats) -> ExactMatrix:
@@ -1112,8 +1076,7 @@ def kron_sum_entries(lefts, rights, rows, cols) -> ExactMatrix:
     are, aim, bre, bim = _common(bound, lefts._re, lefts._im, rights._re, rights._im)
     den = lefts._den * rights._den
     if real_left and real_right:
-        re = summed(are, bre)
-        return ExactMatrix(re, _zero(re.shape), den, _real=True, _peak=bound)
+        return ExactMatrix(summed(are, bre), None, den, _peak=bound)
     if real_left:
         re, im = summed(are, bre), summed(are, bim)
     elif real_right:
@@ -1124,31 +1087,21 @@ def kron_sum_entries(lefts, rights, rows, cols) -> ExactMatrix:
     return ExactMatrix(re, im, den, _peak=bound)
 
 
-def times_kron_identity(mat: ExactMatrix, x: ExactMatrix, s: int) -> ExactMatrix:
-    """mat @ (x (x) I_s) as one exact product with inner dimension x.nrows,
-    without forming the Kronecker product (see the module docstring)."""
+def times_kron_identity(mat: ExactMatrix, x: ExactMatrix, s: int, left: bool) -> ExactMatrix:
+    """mat @ (x (x) I_s) when left is true and mat @ (I_s (x) x) otherwise,
+    as one exact product with inner dimension x.nrows, without forming the
+    Kronecker product (see the module docstring)."""
     h, q = x.shape
     r = mat.nrows
     if mat.ncols != h * s:
         raise ValueError("matrix columns do not match the Kronecker product")
-    # column (t, v) of row i moves to column t of row (i, v) ...
-    folded = regroup(mat, (r, h, s), (0, 2, 1), r * s, h)
-    # ... and column j of row (i, v) of the product back to column (j, v) of row i
-    return regroup(folded @ x, (r, s, q), (0, 2, 1), r, q * s)
-
-
-def times_identity_kron(mat: ExactMatrix, s: int, x: ExactMatrix) -> ExactMatrix:
-    """mat @ (I_s (x) x) as one exact product with inner dimension x.nrows,
-    without forming the Kronecker product: with x h x q, column block t of
-    each row of mat meets x alone, so mat read row-major as an (r s) x h
-    matrix, times x, read back as r x (s q) is the result. Both regroups
-    keep the row-major order, and its bound is h*max|mat|*max|x|."""
-    h, q = x.shape
-    r = mat.nrows
-    if mat.ncols != s * h:
-        raise ValueError("matrix columns do not match the Kronecker product")
-    folded = regroup(mat, (r, s, h), (0, 1, 2), r * s, h)
-    return regroup(folded @ x, (r, s, q), (0, 1, 2), r, s * q)
+    # for x (x) I_s, column (t, v) of row i moves to column t of row (i, v),
+    # and column j of row (i, v) of the product back to column (j, v) of row
+    # i; for I_s (x) x, column (v, t) of row i already is column t of row
+    # (i, v) in row-major order, and so is the way back
+    shape, axes = ((r, h, s), (0, 2, 1)) if left else ((r, s, h), (0, 1, 2))
+    folded = regroup(mat, shape, axes, r * s, h)
+    return regroup(folded @ x, (r, s, q), axes, r, q * s)
 
 
 def kron_identity_entries(x, s: int, left: bool, rows, cols):
@@ -1171,10 +1124,8 @@ def kron_identity_entries(x, s: int, left: bool, rows, cols):
         out[..., hit_rows, hit_cols] = part[at]
         return out
 
-    re = gathered(x._re)
-    if x._real:
-        return ExactMatrix(re, _zero(re.shape), x._den, _real=True, _peak=x._peak)
-    return ExactMatrix(re, gathered(x._im), x._den, _peak=x._peak)
+    return ExactMatrix(gathered(x._re), None if x._real else gathered(x._im), x._den,
+                       _peak=x._peak)
 
 
 def gram_adjoint(t: ExactMatrix, gram_dom: ExactMatrix, gram_cod: ExactMatrix) -> ExactMatrix:
@@ -1334,14 +1285,13 @@ class GramStack:
         if x.shape != y.shape or x.nrows != self.dim:
             raise ValueError("column_pairs takes two equal-shape matrices of the form's dimension")
         n = self.dim
-        ones = ExactMatrix(np.ones((1, n), np.int64), _zero((1, n)), _normalize=False,
-                           _real=True, _peak=1)
+        ones = ExactMatrix(np.ones((1, n), np.int64), None, _normalize=False, _peak=1)
         return (ones @ entrywise(x.conj(), self.grams @ y)).flattened()
 
     def scalarized(self) -> ExactMatrix:
         """The scalar Gram obtained by the coordinate-sum trace."""
-        ones = ExactMatrix(np.ones((self.num_coords, 1), np.int64), _zero((self.num_coords, 1)),
-                           _normalize=False, _real=True, _peak=1)
+        ones = ExactMatrix(np.ones((self.num_coords, 1), np.int64), None, _normalize=False,
+                           _peak=1)
         return self.grams.combine(ones).take((1,), 0)
 
     def restrict(self, idx) -> "GramStack":

@@ -43,7 +43,7 @@ from .linalg import (
     ExactMatrix,
     GramStack,
     hermitian_psd_check,
-    times_identity_kron,
+    times_kron_identity,
 )
 from .report import CheckResult
 
@@ -89,9 +89,9 @@ def _compressions(family: ExactMatrix, form: GramStack, ops: list):
     another. ops[c] f_j is one product for every (c, j), the values one
     pairs call, and the traces one product with I (x) 1."""
     k, d = family.ncols, len(ops)
-    values = form.pairs(family, times_identity_kron(ExactMatrix.hstack(ops), d, family))
+    values = form.pairs(family, times_kron_identity(ExactMatrix.hstack(ops), family, d, False))
     diagonal = values.take_cols([(i * d + c) * k + i for c in range(d) for i in range(k)])
-    return values, times_identity_kron(diagonal, d, CommAlgebra(k).unit())
+    return values, times_kron_identity(diagonal, CommAlgebra(k).unit(), d, False)
 
 
 def _reconstructs(acts: ExactMatrix, family: ExactMatrix, form: GramStack) -> bool:
@@ -574,7 +574,8 @@ class QuadModuleSpec:
                                     ("v", self.right_B2, self.basis_V)]:
             k, d = len(vectors), len(ops)
             # column (c, j) is ops[c] @ vectors[j]
-            acted = times_identity_kron(ExactMatrix.hstack(ops), d, ExactMatrix.hstack(vectors))
+            acted = times_kron_identity(
+                ExactMatrix.hstack(ops), ExactMatrix.hstack(vectors), d, False)
             families[label] = [acted.take_cols([c * k + j]) for j in range(k) for c in range(d)]
             checks.append(
                 CheckResult(

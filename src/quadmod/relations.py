@@ -542,6 +542,8 @@ def verify_reconstruction_identities(gens: GeneratorFamily) -> list:
     phi1z = ExactMatrix.stack(spec.left_B1, (len(spec.left_B1),)).combine(z).take((1,), 0)
     phi2w = ExactMatrix.stack(spec.left_B2, (len(spec.left_B2),)).combine(w).take((1,), 0)
     gram_a = spec.inner_A.scalarized()
+    # both adjoints from one inverse of the scalar Gram
+    adjoints = gram_adjoint(ExactMatrix.stack([phi1z, phi2w], (2,)), gram_a, gram_a)
 
     def action(side, b, lo=2):
         """The side action on the summands from level lo to K only: every
@@ -557,10 +559,10 @@ def verify_reconstruction_identities(gens: GeneratorFamily) -> list:
          phi2w, action(2, w)),
         ("algebra-reconstruction-zstar",
          "the adjoint of the first side action is rebuilt as the conjugate action",
-         gram_adjoint(phi1z, gram_a, gram_a), action(1, z.conj())),
+         adjoints.take((2,), 0), action(1, z.conj())),
         ("algebra-reconstruction-wstar",
          "the adjoint of the second side action is rebuilt as the conjugate action",
-         gram_adjoint(phi2w, gram_a, gram_a), action(2, w.conj())),
+         adjoints.take((2,), 1), action(2, w.conj())),
         ("algebra-reconstruction-zw",
          "the product of the two side actions is rebuilt from its coefficients",
          phi1z @ phi2w, action(1, z, 0) @ action(2, w)),

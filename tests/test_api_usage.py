@@ -160,6 +160,33 @@ def test_numerator_arrays_stay_private_to_linalg():
     assert not reads, "ExactMatrix internals read outside linalg: " + ", ".join(reads)
 
 
+def _scoped_calls(node, scope=()):
+    """(qualified name of the enclosing definition, call) for every call
+    under node; a lambda belongs to the definition it sits in."""
+    for child in ast.iter_child_nodes(node):
+        inner = scope + (child.name,) if isinstance(child, _DEFINITION) else scope
+        if isinstance(child, ast.Call):
+            yield ".".join(inner), child
+        yield from _scoped_calls(child, inner)
+
+
+def test_only_the_constructor_decides_how_a_real_matrix_is_stored():
+    # an imaginary part of None is the one way to say "known real": no call
+    # passes a realness flag, and only the constructor and zeros reach the
+    # shared read-only zero, so a new structure flag has one place to live
+    owners = {"ExactMatrix.__init__", "ExactMatrix.zeros"}
+    stray = []
+    for path, tree in _parsed("src"):
+        for scope, call in _scoped_calls(tree):
+            func = call.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if any(k.arg == "_real" for k in call.keywords):
+                stray.append(f"{path.name}:{call.lineno} {scope} passes _real=")
+            if name == "_zero" and scope not in owners:
+                stray.append(f"{path.name}:{call.lineno} {scope} calls _zero")
+    assert not stray, "realness decided outside the constructor: " + ", ".join(stray)
+
+
 def _tracer_module():
     """bench/tracer.py, loaded without running the benchmark."""
     path = ROOT / "bench" / "tracer.py"

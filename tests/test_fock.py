@@ -98,6 +98,37 @@ def test_an_index_route_mismatch_fails_its_check(monkeypatch, capsys):
     assert report["sections"][1]["checks"][-1]["witness"] == failed.witness
 
 
+def test_a_bracketing_disagreement_fails_its_check(monkeypatch, capsys):
+    # one unit more at entry (0, 0) of every x (x) I_h read on every index
+    # in order, which only the associativity check reads: its two
+    # bracketings of a triple tensor then disagree
+    gather = fock.kron_identity_entries
+
+    def perturbed(x, s, left, rows, cols):
+        got = gather(x, s, left, rows, cols)
+        if isinstance(rows, range) and isinstance(cols, range):
+            got = got + ExactMatrix.identity(1).scattered([0], [0], got.shape)
+        return got
+
+    monkeypatch.setattr(fock, "kron_identity_entries", perturbed)
+    with pytest.raises(TowerDefect) as err:
+        build_fock(build_example_MN(2, 2), 3)
+    failed = err.value.checks[-1]
+    assert (failed.check_id, failed.passed) == ("tensor-associative", False)
+    assert failed.witness == "the two bracketings of the type (1, 1) triple tensor disagree"
+    assert all(c.passed for c in err.value.checks[:-1])
+    assert "index-route-consistent" in {c.check_id for c in err.value.checks}
+
+    code = cli.main(["full", "--builtin", "mn:2,2", "--depth", "3", "--format", "json"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 1
+    # the tower section keeps every check made before the failed one
+    tower = report["sections"][-1]
+    assert tower["title"] == "tower construction"
+    assert [c["id"] for c in tower["checks"]] == [c.check_id for c in err.value.checks]
+    assert tower["checks"][-1]["witness"] == failed.witness
+
+
 def test_summand_keys_are_words():
     space = bipartite_space(depth=3)
     assert space.keys_at_level(0) == [(0, ())]

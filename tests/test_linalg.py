@@ -604,7 +604,9 @@ def test_real_add_matches_object_reference(ops, da, db):
 def _assert_real_flag(x):
     assert x._real == (not x._im.any())
     if x._real:
+        # the shared read-only zero: no memory, no strides, never written
         assert x._im.dtype == np.int64
+        assert not x._im.flags.writeable and not any(x._im.strides)
 
 
 small_or_big = st.one_of(st.integers(-3, 3), st.sampled_from([2**70, -(2**65) + 1]))
@@ -630,6 +632,36 @@ def test_every_operation_knows_when_its_result_is_real(pair):
     ]
     if a.rank() == n:
         results.append(a.inverse())
+    # the operations that move entries, gather them or scale them, batched
+    # where they take batches: a member of a complex batch may be real
+    ab = ExactMatrix.stack([a, b], (2,))
+    col_a, col_b = a.take_cols([0]), b.take_cols([0])
+    wide = ExactMatrix.stack([ExactMatrix.hstack([a, b]), ExactMatrix.hstack([b, a])], (2,))
+    row = ab.regrouped((1, 1, 2 * n * n), (0, 1, 2))
+    results += [
+        ab.take((2,), 0), ab.take((2,), 1), a.take((2,), 1),
+        ab.reshaped((2,), (1, 2)), a.reshaped((3,), (3, 1)),
+        ab.regrouped((2, n, n), (0, 2, 1)),
+        ExactMatrix.stack([col_a.to_diagonal(), col_b.to_diagonal()], (2,)).diagonal_columns(),
+        *row.square_blocks([n, n]),
+        a.scattered(range(n), range(1, n + 1), (n + 1, n + 1)),
+        col_a.to_diagonal(), a.scaled(b), ab.scaled(ExactMatrix.hstack([col_b, col_a])),
+        ab.combine(ExactMatrix.vstack([b.take_rows([0]), a.take_rows([0])])),
+        linalg.entrywise(a, b), linalg.entrywise(ab, col_b),
+        linalg.diagonal_commutator(ab, col_a, col_b),
+        linalg.diagonal_commutator(ab, None, col_b), linalg.diagonal_commutator(ab, col_a, None),
+        linalg.regroup(ab, (n, n), (1, 0), n, n),
+        linalg.kron_sum_entries([a, b], ab, [0, n * n - 1], range(n * n)),
+        linalg.kron_sum_entries(ab, ExactMatrix.stack([b, a, a, a, b, b], (3, 2)),
+                                range(n * n), [0]),
+    ]
+    for left in (True, False):
+        results += [
+            linalg.kron_identity_entries(ab, 2, left, [0, 2 * n - 1], range(2 * n)),
+            linalg.kron_identity_entries(a, 3, left, range(3 * n), [n]),
+            linalg.times_kron_identity(ExactMatrix.hstack([a, b]), b, 2, left),
+            linalg.times_kron_identity(wide, ab, 2, left),
+        ]
     for x in [a, b] + results:
         _assert_real_flag(x)
 
@@ -1144,12 +1176,11 @@ def test_kron_identity_products_match_the_loop_and_an_object_reference(case):
     left, (mre, mim, md), (xre, xim, xd), s = case
     mat, x = ExactMatrix(mre, mim, md), ExactMatrix(xre, xim, xd)
     eye = np.eye(s, dtype=np.int64)
+    got = linalg.times_kron_identity(mat, x, s, left)
     if left:
-        got = linalg.times_kron_identity(mat, x, s)
         kre, kim = _object_kron(xre, xim, eye, np.zeros_like(eye))
         assert got == _loop_times_kron_identity(mat, x, s)
     else:
-        got = linalg.times_identity_kron(mat, s, x)
         kre, kim = _object_kron(eye, np.zeros_like(eye), xre, xim)
         assert got == _loop_times_identity_kron(mat, s, x)
     want = _object_product(mre, mim, kre, kim)
@@ -1204,7 +1235,7 @@ def _full(shape, value):
 
 
 @pytest.mark.parametrize("above", [False, True], ids=["at", "above"])
-@pytest.mark.parametrize("kernel", ["kron_sum", "times_kron_identity", "times_identity_kron"])
+@pytest.mark.parametrize("kernel", ["kron_sum", "x_kron_identity", "identity_kron_x"])
 def test_kronecker_kernels_at_the_float_gate(kernel, above):
     # inner dimension 8 and factors 2^25: every entry is 8 * 2^50 = 2^53,
     # the largest sum the float gate admits; above it, 2^25 + 1 and one
@@ -1219,9 +1250,8 @@ def test_kronecker_kernels_at_the_float_gate(kernel, above):
         shape = (64, 64)
     else:
         x = ExactMatrix.vstack([_full((7, 16), 2**25), _full((1, 16), last)])
-        kernel = getattr(linalg, kernel)
-        args = (x, 2) if kernel is linalg.times_kron_identity else (2, x)
-        got, path = _gate_path(lambda: kernel(_full((16, 16), a), *args))
+        left = kernel == "x_kron_identity"
+        got, path = _gate_path(lambda: linalg.times_kron_identity(_full((16, 16), a), x, 2, left))
         shape = (16, 32)
     assert path == ("int64" if above else "float")
     assert got == _full(shape, want)
@@ -1240,15 +1270,13 @@ def test_kronecker_kernels_on_fractions_and_degenerate_shapes():
     with pytest.raises(ValueError):
         linalg.kron_sum([a, b], [c, c])
     mat = ExactMatrix.from_rows([[F(1, 3), 0, GR(0, 2), 1, F(-1, 2), 4]])
-    assert linalg.times_kron_identity(mat, b, 3) == _loop_times_kron_identity(mat, b, 3)
+    assert linalg.times_kron_identity(mat, b, 3, True) == _loop_times_kron_identity(mat, b, 3)
+    assert linalg.times_kron_identity(mat, b, 3, False) == _loop_times_identity_kron(mat, 3, b)
     tall = ExactMatrix.vstack([b, d, b])
-    assert linalg.times_kron_identity(mat, tall, 1) == mat @ tall
-    with pytest.raises(ValueError):
-        linalg.times_kron_identity(mat, b, 2)
-    assert linalg.times_identity_kron(mat, 3, b) == _loop_times_identity_kron(mat, 3, b)
-    assert linalg.times_identity_kron(mat, 1, tall) == mat @ tall
-    with pytest.raises(ValueError):
-        linalg.times_identity_kron(mat, 2, b)
+    for left in (True, False):
+        assert linalg.times_kron_identity(mat, tall, 1, left) == mat @ tall
+        with pytest.raises(ValueError):
+            linalg.times_kron_identity(mat, b, 2, left)
     stack = GramStack([a, a.H])
     assert stack.pairs(b, d) == _loop_pair(stack, b, d)
     with pytest.raises(ValueError):
