@@ -24,8 +24,7 @@ class CommAlgebra:
         self.dim = dim
 
     def unit(self) -> ExactMatrix:
-        ones = np.ones((self.dim, 1), np.int64)
-        return ExactMatrix(ones, np.zeros_like(ones))
+        return ExactMatrix(np.ones((self.dim, 1), np.int64))
 
     def basis_element(self, c: int) -> ExactMatrix:
         return ExactMatrix.identity(self.dim).take_cols([c])

@@ -342,7 +342,7 @@ def class_action_matrix(gens: GeneratorFamily) -> tuple:
         "compressing a lifted class projection through a generator recovers "
         "its induced model element on the tower",
         ((gens.adjoints[f][g] @ gens.lifted(gens.family(f)[g].window(1, K - 1))
-          - lifts.window(1, K - 1).combine(ExactMatrix(columns, np.zeros_like(columns))),
+          - lifts.window(1, K - 1).combine(ExactMatrix(columns)),
           class_of(f, g))
          for f in (1, 2) for g, columns in enumerate(patterns[f])), 1, K - 1,
     )

@@ -22,20 +22,22 @@ Most matrices the checks form are real, and an ExactMatrix records whether
 its imaginary part is zero. The constructor alone decides how a real matrix
 is stored: an imaginary part of None means "known real", any other is
 scanned once, and a real matrix's imaginary part is then a shared,
-read-only zero view that takes no memory. Operations that only move
-entries (transposing, taking members, regrouping, negation) move both parts
-through one helper, so a real operand gives a real result without a scan.
-Real operands take real arithmetic: one integer product instead of four,
-one outer product per kron. The one product kernel multiplies integer
-arrays: a product of real matrices with inner dimension k is one such
-product under the bound k*max|A|*max|B|; with one real factor it is one
-product of the stacked parts, [Are; Aim] @ B or A @ [Bre, Bim], under the
-same bound; and a product of two complex matrices is the one stacked real
-product [[Are, -Aim], [Aim, Are]] @ [Bre; Bim], whose inner dimension 2k
-gives the bound 2k*max|A|*max|B|. Each matrix stores a bound on
-max|numerator|, filled by one scan on first use and carried through
-negation, conjugation, transposition, scaling and kron, so no bound is
-scanned twice.
+read-only zero view that takes no memory. Operations build results from
+their operands' parts, (re,) when real and (re, im) otherwise, so a real
+result is never scanned.
+
+One rule covers complex arithmetic: each kernel states a map f, bilinear
+over the integers, and a bound on each value f forms from one part of each
+operand, and _bilinear extends f to Gaussian integers. Only two complex
+operands make a result part a sum of two such values, f(ar, br) - f(ai, bi)
+or f(ar, bi) + f(ai, br), so only they double the bound that picks int64 or
+big integers. A product's f is the integer matmul under k*max|A|*max|B|:
+one integer product for real operands, two with one real factor, four for
+two complex ones. The float gate reads that bound undoubled, as each part
+product is its own exact float64 product, back in int64 before two are
+added. Each matrix stores a bound on max|numerator|, filled by one scan on
+first use and carried through negation, conjugation, transposition,
+scaling and kron, so no bound is scanned twice.
 
 An ExactMatrix may carry leading batch axes: its numerator arrays then
 have more than two axes, the last two holding one member, and shape, nrows
@@ -44,16 +46,14 @@ Batch axes broadcast as numpy broadcasts them, so a product, sum or
 difference of batched matrices is one operation on whole arrays, and a
 single matrix is the case without batch axes. Each entry of each member of
 a product is still one dot product of k terms, so the bound
-k*max|A|*max|B| (doubled for two complex operands), read over the whole
-arrays, decides the path exactly as for one product, whatever the batch
-size; only the float cutoff reads the total work m*k*n times the number of
-members. A linear combination sum_k c_k M_k of the members along one batch
-axis (combine) is one such product too: the members' numerators, read
-row-major, are the rows of one r x (m n) integer matrix F over one
-denominator, and the coefficients' transpose times F, regrouped, is every
-combination at once. Its inner dimension is the number r of members, so
-it takes the float64 product under the bound r*max|c|*max|F| (doubled for
-complex operands), int64 under 2^62 and big integers otherwise.
+k*max|A|*max|B|, read over the whole arrays, decides the path exactly as
+for one product, whatever the batch size; only the float cutoff reads the
+total work m*k*n times the number of members. A linear combination
+sum_k c_k M_k of the members along one batch axis (combine) is one such
+product too: the members' numerators, read row-major, are the rows of one
+r x (m n) integer matrix F over one denominator, and the coefficients'
+transpose times F, regrouped, is every combination at once. Its inner
+dimension is the number r of members, so its bound is r*max|c|*max|F|.
 Elimination (rref and the inverse, solve and kernel built on it), kron,
 hstack, vstack and entry access take a single matrix and raise ValueError
 on batch axes.
@@ -74,10 +74,10 @@ Kronecker product is formed only to be summed or multiplied:
   (j, l) read sum_t A_t[i, j] * B_t[k, l], so the entries are r gathers of
   each factor's numerators and r entrywise products, added up, for every
   member of batched B_k at once. Each entry is a sum of r products, so the
-  bound is r*max|A|*max|B|, doubled when both factors are complex, and it
-  picks int64 or big integers as above; the result is over the product of
-  the two denominators and normalised once. When rows and cols are every
-  index in order it is kron_sum, which costs no more.
+  bound is r*max|A|*max|B|, and it picks int64 or big integers as above;
+  the result is over the product of the two denominators and normalised
+  once. When rows and cols are every index in order it is kron_sum, which
+  costs no more.
 * times_kron_identity(mat, x, s, left) = mat @ (x (x) I_s) when left and
   mat @ (I_s (x) x) otherwise, with x h x q. The r x (h s) matrix mat is
   regrouped into an (r s) x h one, multiplied by x once, and the (r s) x q
@@ -86,14 +86,14 @@ Kronecker product is formed only to be summed or multiplied:
   its bound h*max|mat|*max|x| is s times smaller than that of the product
   with the Kronecker product, which is never formed.
 
-The bounds double for two complex operands, and every product goes
-through ExactMatrix @, so each takes the float64, int64 or big-integer path
-as above. Regrouping only moves entries, so each kernel normalises once, in
-its product. GramStack.pairs reads algebra-valued inner products the same
-way: for y with m columns, <x_i|y_j> = (x_i^H G_c y_j)_c is the coordinate
-Grams, held as one d x n x n batched matrix and read as one (d n) x n
-matrix, times y, regrouped into an n x (d m) matrix, times x^H, for every
-pair of columns at once.
+Every product goes through ExactMatrix @, so each takes the float64, int64
+or big-integer path as above. Regrouping only moves entries, so each
+kernel normalises once, in its product. GramStack.pairs reads
+algebra-valued inner products the same way: for y with m columns,
+<x_i|y_j> = (x_i^H G_c y_j)_c is the coordinate Grams, held as one
+d x n x n batched matrix and read as one (d n) x n matrix, times y,
+regrouped into an n x (d m) matrix, times x^H, for every pair of columns
+at once.
 
 A selection of rows and columns of x (x) I_s or I_s (x) x needs no product
 at all: kron_identity_entries reads entry ((a, u), (b, v)) of x (x) I_s as
@@ -110,9 +110,9 @@ x[i, j] * (q[j] - p[i]) (diagonal_commutator): the difference of the two
 diagonals is an m x n mask, and the result is one entrywise product of
 numerator arrays. Over the common denominator of p and q the mask's
 entries are at most 2*max|p|, so a commutator entry is at most
-2*max|x|*max|p|, and a row-scaled entry at most max|p|*max|x| (each twice
-that for two complex operands). Both kernels are exact for any diagonal,
-not only a 0/1 one, and their results are real when both operands are.
+2*max|x|*max|p|, and a row-scaled entry at most max|p|*max|x|. Both
+kernels are exact for any diagonal, not only a 0/1 one, and their results
+are real when both operands are.
 
 The module also provides deterministic reduced row echelon form, kernel and
 solve built on it, and Gram-form utilities: exact positive-semidefiniteness
@@ -211,26 +211,16 @@ def _to_object(arr):
 
 def _common(bound: int, *arrays):
     """The arrays unchanged when all are int64 and bound is at most
-    _INT64_SAFE; otherwise all of them as object arrays."""
-    if bound <= _INT64_SAFE and all(a.dtype is not _OBJECT for a in arrays):
-        return arrays
+    _INT64_SAFE; otherwise all of them as object arrays. Every kernel
+    passes through here, so the test is a plain loop, which costs less per
+    call than a generator."""
+    if bound <= _INT64_SAFE:
+        for a in arrays:
+            if a.dtype is _OBJECT:
+                break
+        else:
+            return arrays
     return tuple(_to_object(a) for a in arrays)
-
-
-def _rmul(a, b, a_peak: int, b_peak: int):
-    """a @ b for integer arrays, exact on every path. The last two axes of
-    each array are its matrices; leading batch axes broadcast. a_peak and
-    b_peak bound max|a| and max|b|."""
-    k = a.shape[-1]
-    bound = k * a_peak * b_peak
-    if a.dtype is not _OBJECT and b.dtype is not _OBJECT and bound <= _FLOAT_EXACT:
-        work = a.shape[-2] * k * b.shape[-1]
-        if a.ndim > 2 or b.ndim > 2:
-            work *= math.prod(np.broadcast_shapes(a.shape[:-2], b.shape[:-2]))
-        if work >= _FLOAT_MIN_WORK:
-            return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
-    a, b = _common(bound, a, b)
-    return a @ b
 
 
 def _int_array(values, shape):
@@ -240,35 +230,60 @@ def _int_array(values, shape):
     return np.array(values, dtype=np.int64 if fits else object).reshape(shape)
 
 
-def _cmul(are, aim, bre, bim, a_peak: int, b_peak: int):
-    """(are + i aim) @ (bre + i bim) as the one real product
-    [[Are, -Aim], [Aim, Are]] @ [Bre; Bim] = [Re; Im], whose inner dimension
-    is 2k; leading batch axes broadcast as in _rmul. a_peak bounds both
-    parts of a, and b_peak both parts of b."""
-    a = np.concatenate([np.concatenate([are, -aim], -1), np.concatenate([aim, are], -1)], -2)
-    b = np.concatenate([bre, bim], -2)
-    c = _rmul(a, b, a_peak, b_peak)
-    m = are.shape[-2]
-    return c[..., :m, :], c[..., m:, :]
+def _peak_of(parts) -> int:
+    """max |value| over the integer arrays parts."""
+    return max(map(_max_abs, parts))
+
+
+def _bilinear(f, a, b, bound: int):
+    """(parts, peak) of the Gaussian-integer extension of f to the operands
+    a and b, each given by its parts: (re,) for a real operand and (re, im)
+    otherwise (see ExactMatrix._parts). f is bilinear over the integers and
+    bound bounds each value it forms from one part of a and one of b. Only
+    two complex operands make a result part the sum of two such values, so
+    only they double the bound. The bound so found picks int64 or big
+    integers for every part at once and is returned as peak, a bound on
+    each result part."""
+    if len(a) + len(b) == 2:
+        x, y = _common(bound, *a, *b)
+        return (f(x, y),), bound
+    if len(a) == len(b) == 2:
+        bound *= 2
+        ar, ai, br, bi = _common(bound, *a, *b)
+        return (f(ar, br) - f(ai, bi), f(ar, bi) + f(ai, br)), bound
+    # one real operand: its one part with each part of the other
+    parts = _common(bound, *a, *b)
+    return tuple(f(x, y) for x in parts[:len(a)] for y in parts[len(a):]), bound
 
 
 def _product(a, b):
-    """Numerator arrays of a @ b, over the denominator a._den * b._den;
-    batch axes broadcast."""
-    peaks = a._peak_abs(), b._peak_abs()
-    if a._real and b._real:
-        return _rmul(a._re, b._re, *peaks), None
-    # one real factor: (Are + i Aim) B is [Are; Aim] @ B, and A (Bre + i Bim)
-    # is A @ [Bre, Bim], each one real product with inner dimension k
-    if b._real:
-        c = _rmul(np.concatenate([a._re, a._im], -2), b._re, *peaks)
-        m = a._re.shape[-2]
-        return c[..., :m, :], c[..., m:, :]
-    if a._real:
-        c = _rmul(a._re, np.concatenate([b._re, b._im], -1), *peaks)
-        n = b._re.shape[-1]
-        return c[..., :n], c[..., n:]
-    return _cmul(a._re, a._im, b._re, b._im, *peaks)
+    """Parts of a @ b, over the denominator a._den * b._den; batch axes
+    broadcast. Each part product is one float64, int64 or big-integer
+    matmul (see the module docstring)."""
+    k = a._re.shape[-1]
+    bound = k * a._peak_abs() * b._peak_abs()
+
+    def matmul(x, y):
+        # _common leaves both operands int64 or both object
+        if x.dtype is not _OBJECT and bound <= _FLOAT_EXACT:
+            work = x.shape[-2] * k * y.shape[-1]
+            if x.ndim > 2 or y.ndim > 2:
+                work *= math.prod(np.broadcast_shapes(x.shape[:-2], y.shape[:-2]))
+            if work >= _FLOAT_MIN_WORK:
+                return (x.astype(np.float64) @ y.astype(np.float64)).astype(np.int64)
+        return x @ y
+
+    return _bilinear(matmul, a._parts(), b._parts(), bound)[0]
+
+
+def _concatenated(mats, join) -> "ExactMatrix":
+    """The matrices mats rescaled to their lcm denominator and promoted
+    together, join applied to the list of their real parts and, unless
+    every matrix is real, to that of their imaginary parts."""
+    den = math.lcm(*(m._den for m in mats))
+    n = 1 if all(m._real for m in mats) else 2
+    arrays = _common(0, *(x for m in mats for x in m._scaled_to(den)[:n]))
+    return ExactMatrix(*(join(arrays[j::n]) for j in range(n)), den=den)
 
 
 def _sum(a, b, op):
@@ -354,22 +369,18 @@ class ExactMatrix:
         g, and drop object arrays back to int64 when they fit. The gcd scan
         stops as soon as it reaches 1, and a real matrix has no imaginary
         part to take it from."""
-        re, im, g = self._re, self._im, self._den
+        parts, g = self._parts(), self._den
+        for part in parts:
+            if g > 1:
+                g = math.gcd(g, _gcd_reduce(part))
         if g > 1:
-            g = math.gcd(g, _gcd_reduce(re))
-        if g > 1 and not self._real:
-            g = math.gcd(g, _gcd_reduce(im))
-        if g > 1:
-            if self._real:
-                re, = _common(g, re)
-                re = re // g
-            else:
-                re, im = _common(g, re, im)
-                re, im = re // g, im // g
+            parts = tuple(part // g for part in _common(g, *parts))
             self._den //= g
             if self._peak is not None:
                 self._peak //= g
-        self._re, self._im = _demote(re), _demote(im)
+        self._re = _demote(parts[0])
+        if not self._real:
+            self._im = _demote(parts[1])
 
     def _peak_abs(self) -> int:
         """A bound on max |numerator| over both parts, scanned once."""
@@ -377,6 +388,11 @@ class ExactMatrix:
             peak = _max_abs(self._re)
             self._peak = peak if self._real else max(peak, _max_abs(self._im))
         return self._peak
+
+    def _parts(self) -> tuple:
+        """The numerator arrays: (re,) for a real matrix, (re, im)
+        otherwise."""
+        return (self._re,) if self._real else (self._re, self._im)
 
     def _scaled_to(self, den: int):
         """Numerator arrays rescaled to the given common denominator."""
@@ -386,11 +402,8 @@ class ExactMatrix:
         # f itself must fit too: an int64 array times a bigint raises even
         # when the array is zero.
         bound = f * max(self._peak_abs(), 1)
-        if self._real:
-            re, = _common(bound, self._re)
-            return re * f, self._im
-        re, im = _common(bound, self._re, self._im)
-        return re * f, im * f
+        parts = tuple(part * f for part in _common(bound, *self._parts()))
+        return parts if len(parts) == 2 else (parts[0], self._im)
 
     def _single(self, what: str):
         if self._re.ndim != 2:
@@ -400,8 +413,8 @@ class ExactMatrix:
         """move applied to both numerator arrays, for a move that only
         places entries: the denominator and peak are kept, the result is
         not normalised again, and a real matrix stays real unscanned."""
-        return ExactMatrix(move(self._re), None if self._real else move(self._im), self._den,
-                           _normalize=False, _peak=self._peak)
+        return ExactMatrix(*map(move, self._parts()), den=self._den, _normalize=False,
+                           _peak=self._peak)
 
     # -- construction ---------------------------------------------------
 
@@ -492,11 +505,8 @@ class ExactMatrix:
         mats = list(mats)
         if not mats:
             raise ValueError("need at least one matrix to stack")
-        den = math.lcm(*(m._den for m in mats))
-        parts = _common(0, *(a for m in mats for a in m._scaled_to(den)))
         full = tuple(shape) + mats[0]._re.shape
-        im = None if all(m._real for m in mats) else np.stack(parts[1::2]).reshape(full)
-        return cls(np.stack(parts[0::2]).reshape(full), im, den)
+        return _concatenated(mats, lambda parts: np.stack(parts).reshape(full))
 
     def to_diagonal(self) -> "ExactMatrix":
         """The square diagonal matrix whose diagonal is this column."""
@@ -508,9 +518,8 @@ class ExactMatrix:
         """Whether every member is zero off its diagonal: each part has as
         many nonzero entries as its diagonals, counted without a mask or a
         copy; a real matrix has no imaginary part to count."""
-        parts = (self._re,) if self._real else (self._re, self._im)
         return all(np.count_nonzero(p) == np.count_nonzero(np.diagonal(p, axis1=-2, axis2=-1))
-                   for p in parts)
+                   for p in self._parts())
 
     def reciprocals(self) -> "ExactMatrix":
         """A single matrix's entries inverted one by one, every entry being
@@ -630,27 +639,24 @@ class ExactMatrix:
             return NotImplemented
         if self.ncols != other.nrows:
             raise ValueError("inner dimension mismatch")
-        return ExactMatrix(*_product(self, other), self._den * other._den)
+        return ExactMatrix(*_product(self, other), den=self._den * other._den)
 
     def scale(self, c) -> "ExactMatrix":
+        """Every entry times the scalar c: an entrywise product with c as a
+        1 x 1 matrix, whose parts are arrays, so a big integer factor
+        promotes as any other operand does."""
         c = GaussianRational.from_value(c)
         q = math.lcm(c.re.denominator, c.im.denominator)
-        cre, cim = int(c.re * q), int(c.im * q)
-        peak = self._peak_abs()
-        if self._real and not cim:
-            re, = _common(max(peak, 1) * abs(cre), self._re)
-            return ExactMatrix(cre * re, None, self._den * q, _peak=peak * abs(cre))
-        # The factor must fit as well as the products (see _scaled_to).
-        bound = 2 * max(peak, 1) * max(abs(cre), abs(cim))
-        re, im = _common(bound, self._re, self._im)
-        return ExactMatrix(cre * re - cim * im, cre * im + cim * re, self._den * q)
+        parts = [int(c.re * q)] + ([int(c.im * q)] if c.im else [])
+        factor = ExactMatrix(*(_int_array([v], (1, 1)) for v in parts), den=q,
+                             _normalize=False, _peak=max(map(abs, parts)))
+        return entrywise(factor, self)
 
     def scaled(self, coeffs: "ExactMatrix") -> "ExactMatrix":
         """Each member times its own scalar: member (i, j) of this matrix
         broadcast to the batch shape coeffs.shape, times coeffs[i, j]. One
-        entrywise product (see entrywise), each entry at most
-        max|coeffs| * max|self| in magnitude (twice that for two complex
-        operands)."""
+        entrywise product (see entrywise) under the bound
+        max|coeffs| * max|self|."""
         return entrywise(coeffs._moved(lambda a: a[..., None, None]), self)
 
     def combine(self, coeffs: "ExactMatrix") -> "ExactMatrix":
@@ -692,8 +698,7 @@ class ExactMatrix:
             part = part[..., rows, :] if isinstance(rows, slice) else part.take(rows, axis=-2)
             return part[..., cols] if isinstance(cols, slice) else part.take(cols, axis=-1)
 
-        return ExactMatrix(selected(self._re), None if self._real else selected(self._im),
-                           self._den)
+        return ExactMatrix(*map(selected, self._parts()), den=self._den)
 
     def take_rows(self, idx) -> "ExactMatrix":
         return self._selected(_indices(idx), slice(None))
@@ -791,9 +796,7 @@ class ExactMatrix:
         mats = list(mats)
         for m in mats:
             m._single("hstack and vstack")
-        den = math.lcm(*(m._den for m in mats))
-        parts = _common(0, *(a for m in mats for a in m._scaled_to(den)))
-        return ExactMatrix(join(parts[0::2]), join(parts[1::2]), den)
+        return _concatenated(mats, join)
 
     @staticmethod
     def hstack(mats) -> "ExactMatrix":
@@ -818,27 +821,24 @@ class ExactMatrix:
 
     def set_block(self, i: int, j: int, block: "ExactMatrix") -> "ExactMatrix":
         """Return a copy with the block written at row i, column j."""
-        den = math.lcm(self._den, block._den)
-        are, aim, bre, bim = _common(0, *self._scaled_to(den), *block._scaled_to(den))
-        are, aim = are.copy(), aim.copy()
-        are[i : i + block.nrows, j : j + block.ncols] = bre
-        aim[i : i + block.nrows, j : j + block.ncols] = bim
-        return ExactMatrix(are, aim, den)
+        def written(parts):
+            out = parts[0].copy()
+            out[i : i + block.nrows, j : j + block.ncols] = parts[1]
+            return out
+
+        return _concatenated([self, block], written)
 
     def kron(self, other: "ExactMatrix") -> "ExactMatrix":
         self._single("kron")
         other._single("kron")
-        peak = self._peak_abs() * other._peak_abs()
-        if self._real and other._real:
-            a, b = _common(peak, self._re, other._re)
-            (m, n), (p, q) = a.shape, b.shape
-            re = (a[:, None, :, None] * b[None, :, None, :]).reshape(m * p, n * q)
-            return ExactMatrix(re, None, self._den * other._den, _peak=peak)
-        bound = 2 * peak
-        a_re, a_im, b_re, b_im = _common(bound, self._re, self._im, other._re, other._im)
-        re = np.kron(a_re, b_re) - np.kron(a_im, b_im)
-        im = np.kron(a_re, b_im) + np.kron(a_im, b_re)
-        return ExactMatrix(re, im, self._den * other._den)
+        (m, n), (p, q) = self.shape, other.shape
+
+        def outer(a, b):
+            return (a[:, None, :, None] * b[None, :, None, :]).reshape(m * p, n * q)
+
+        parts, peak = _bilinear(outer, self._parts(), other._parts(),
+                                self._peak_abs() * other._peak_abs())
+        return ExactMatrix(*parts, den=self._den * other._den, _peak=peak)
 
     # -- elimination -----------------------------------------------------
 
@@ -850,80 +850,58 @@ class ExactMatrix:
         deterministic: scan columns left to right, take the nonzero entry
         with the smallest row index. Elimination is fraction-free and rows
         stay integer; only the final scaling introduces the one shared
-        denominator.
+        denominator. Each row update and the scaling is one bilinear map
+        of the parts (see _bilinear), one integer product for a real matrix.
         """
         self._single("rref")
         m, n = self.shape
-        wre, wim = (a.copy() for a in _common(0, self._re, self._im))
+        w = [part.copy() for part in self._parts()]
         pivots = []
         r = 0
         for c in range(n):
             if r == m:
                 break
-            pr = -1
-            for i in range(r, m):
-                if wre[i, c] or wim[i, c]:
-                    pr = i
-                    break
-            if pr < 0:
+            mask = w[0][:, c] != 0
+            for part in w[1:]:
+                mask |= part[:, c] != 0
+            pr = r + int(mask[r:].argmax())
+            if not mask[pr]:
                 continue
             if pr != r:
-                wre[[r, pr], :] = wre[[pr, r], :]
-                wim[[r, pr], :] = wim[[pr, r], :]
-            pre, pim = wre[r, c], wim[r, c]
-            mask = (wre[:, c] != 0) | (wim[:, c] != 0)
-            mask[r] = False
-            touched = np.nonzero(mask)[0]
+                for part in w:
+                    part[[r, pr]] = part[[pr, r]]
+            # row r now holds the pivot, and row pr the zero that row r held
+            mask[[r, pr]] = False
+            touched = mask.nonzero()[0]
             if touched.size:
-                sub_re = wre[touched]
-                sub_im = wim[touched]
-                vre = wre[touched, c]
-                vim = wim[touched, c]
-                prow_re = wre[r, :]
-                prow_im = wim[r, :]
-                mp = max(abs(int(pre)), abs(int(pim)))
-                msub = max(_max_abs(sub_re), _max_abs(sub_im))
-                mv = max(_max_abs(vre), _max_abs(vim))
-                mprow = max(_max_abs(prow_re), _max_abs(prow_im))
-                if 2 * mp * msub + 2 * mv * mprow > _INT64_SAFE and wre.dtype != object:
-                    wre, wim = _to_object(wre), _to_object(wim)
-                    sub_re, sub_im = _to_object(sub_re), _to_object(sub_im)
-                    vre, vim = _to_object(vre), _to_object(vim)
-                    prow_re, prow_im = _to_object(prow_re), _to_object(prow_im)
-                    pre, pim = wre[r, c], wim[r, c]
-                new_re = pre * sub_re - pim * sub_im - (np.outer(vre, prow_re) - np.outer(vim, prow_im))
-                new_im = pre * sub_im + pim * sub_re - (np.outer(vre, prow_im) + np.outer(vim, prow_re))
-                g = np.gcd(
-                    np.gcd.reduce(np.abs(new_re), axis=1),
-                    np.gcd.reduce(np.abs(new_im), axis=1),
-                )
+                block = tuple(part[np.concatenate(([r], touched))] for part in w)
+                col = tuple(part[:, c] for part in block)
+                bound = (_peak_of(x[:1] for x in col) * _peak_of(x[1:] for x in block)
+                         + _peak_of(x[1:] for x in col) * _peak_of(x[:1] for x in block))
+                new, _ = _bilinear(_eliminated, col, block, bound)
+                g = functools.reduce(np.gcd, (np.gcd.reduce(np.abs(x), axis=1) for x in new))
                 g[g == 0] = 1
-                new_re //= g[:, None]
-                new_im //= g[:, None]
-                wre[touched] = new_re
-                wim[touched] = new_im
+                if any(x.dtype is _OBJECT for x in new):
+                    w = [_to_object(part) for part in w]
+                for part, x in zip(w, new):
+                    part[touched] = x // g[:, None]
             pivots.append(c)
             r += 1
-        # Divide pivot row i by its pivot p_i = row * conj(p_i) / |p_i|^2,
-        # over the shared denominator D = lcm |p_i|^2.
+        # Divide pivot row i by its pivot p_i: times conj(p_i) f_i over the
+        # shared denominator D = lcm |p_i|^2, with f_i = D / |p_i|^2.
         k = len(pivots)
-        piv_re = [int(wre[i, c]) for i, c in enumerate(pivots)]
-        piv_im = [int(wim[i, c]) for i, c in enumerate(pivots)]
-        norms = [a * a + b * b for a, b in zip(piv_re, piv_im)]
+        piv = [[int(part[i, c]) for part in w] for i, c in enumerate(pivots)]
+        norms = [sum(v * v for v in p) for p in piv]
         den = math.lcm(*norms)
         f = [den // q for q in norms]
-        # The pivot is in its row, so row i's products are at most 2 peak^2 f_i.
-        peak = np.maximum(
-            np.abs(wre[:k]).max(axis=1, initial=0), np.abs(wim[:k]).max(axis=1, initial=0)
-        )
-        bound = max((2 * int(p) ** 2 * g for p, g in zip(peak, f)), default=0)
-        wre, wim = _common(bound, wre, wim)
-        cre = np.array([a * g for a, g in zip(piv_re, f)], dtype=wre.dtype).reshape(k, 1)
-        cim = np.array([-b * g for b, g in zip(piv_im, f)], dtype=wre.dtype).reshape(k, 1)
-        re, im = np.zeros_like(wre), np.zeros_like(wim)
-        re[:k] = cre * wre[:k] - cim * wim[:k]
-        im[:k] = cre * wim[:k] + cim * wre[:k]
-        return ExactMatrix(re, im, den), tuple(pivots)
+        factor = tuple(_int_array([sign * p[j] * g for p, g in zip(piv, f)], (k, 1))
+                       for j, sign in enumerate((1, -1)[:len(w)]))
+        # The pivot is in its row, so row i's products are at most peak_i^2 f_i.
+        peak = functools.reduce(np.maximum, (np.abs(part[:k]).max(axis=1, initial=0) for part in w))
+        bound = max((int(p) ** 2 * g for p, g in zip(peak, f)), default=0)
+        rows, _ = _bilinear(np.multiply, factor, tuple(part[:k] for part in w), bound)
+        return ExactMatrix(*(np.concatenate([x, np.zeros((m - k, n), x.dtype)]) for x in rows),
+                           den=den), tuple(pivots)
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -936,14 +914,9 @@ class ExactMatrix:
         if not free:
             return ExactMatrix.zeros(n, 0)
         # Column k is e_free[k] minus, at each pivot, row i's entry in free[k].
-        shape = (n, len(free))
-        kre, kim, rre, rim = _common(
-            R._den, np.zeros(shape, np.int64), np.zeros(shape, np.int64), R._re, R._im
-        )
-        kre[free, range(len(free))] = R._den
-        kre[list(pivots)] = -rre[: len(pivots)][:, free]
-        kim[list(pivots)] = -rim[: len(pivots)][:, free]
-        return ExactMatrix(kre, kim, R._den)
+        cols = range(len(free))
+        at_pivots = R.submatrix(range(len(pivots)), free).scattered(pivots, cols, (n, len(free)))
+        return ExactMatrix.identity(n).take_cols(free) - at_pivots
 
     def solve(self, rhs: "ExactMatrix") -> "ExactMatrix":
         """Solve self @ X = rhs, free variables set to zero.
@@ -957,10 +930,7 @@ class ExactMatrix:
         R, pivots = aug.rref()
         if any(p >= n for p in pivots):
             raise SingularGram("inconsistent linear system")
-        xre, xim = np.zeros((n, k), R._re.dtype), np.zeros((n, k), R._im.dtype)
-        xre[list(pivots)] = R._re[: len(pivots), n:]
-        xim[list(pivots)] = R._im[: len(pivots), n:]
-        return ExactMatrix(xre, xim, R._den)
+        return R.submatrix(range(len(pivots)), range(n, n + k)).scattered(pivots, range(k), (n, k))
 
     def inverse(self) -> "ExactMatrix":
         if self.nrows != self.ncols:
@@ -973,16 +943,18 @@ class ExactMatrix:
 
 def entrywise(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     """a times b entry by entry, numpy broadcasting every axis, the matrix
-    axes included. One elementwise product of the numerator arrays: each
-    entry is at most max|a|*max|b| in magnitude (twice that for two complex
-    operands), which is also the stored peak."""
-    peak = a._peak_abs() * b._peak_abs()
-    den = a._den * b._den
-    if a._real and b._real:
-        are, bre = _common(peak, a._re, b._re)
-        return ExactMatrix(are * bre, None, den, _peak=peak)
-    are, aim, bre, bim = _common(2 * peak, a._re, a._im, b._re, b._im)
-    return ExactMatrix(are * bre - aim * bim, are * bim + aim * bre, den, _peak=2 * peak)
+    axes included. One elementwise product of the numerator arrays, under
+    the bound max|a|*max|b|, which is also the stored peak."""
+    parts, peak = _bilinear(np.multiply, a._parts(), b._parts(), a._peak_abs() * b._peak_abs())
+    return ExactMatrix(*parts, den=a._den * b._den, _peak=peak)
+
+
+def _eliminated(col, block):
+    """One elimination step of rref: p R - v (x) P, for the pivot row
+    P = block[0] and the rows R = block[1:] it clears, whose entries in the
+    pivot column are col = [p; v]. Bilinear in (col, block), each value at
+    most max|p|*max|R| + max|v|*max|P|."""
+    return col[0] * block[1:] - np.outer(col[1:], block[0])
 
 
 def diagonal_commutator(x: ExactMatrix, left: ExactMatrix | None,
@@ -1069,22 +1041,9 @@ def kron_sum_entries(lefts, rights, rows, cols) -> ExactMatrix:
             total += x[t][i[:, None], j] * y[..., t, k[:, None], l]
         return total
 
-    real_left, real_right = lefts._real, rights._real
-    bound = r * lefts._peak_abs() * rights._peak_abs()
-    if not (real_left or real_right):
-        bound *= 2
-    are, aim, bre, bim = _common(bound, lefts._re, lefts._im, rights._re, rights._im)
-    den = lefts._den * rights._den
-    if real_left and real_right:
-        return ExactMatrix(summed(are, bre), None, den, _peak=bound)
-    if real_left:
-        re, im = summed(are, bre), summed(are, bim)
-    elif real_right:
-        re, im = summed(are, bre), summed(aim, bre)
-    else:
-        re = summed(are, bre) - summed(aim, bim)
-        im = summed(are, bim) + summed(aim, bre)
-    return ExactMatrix(re, im, den, _peak=bound)
+    parts, peak = _bilinear(summed, lefts._parts(), rights._parts(),
+                            r * lefts._peak_abs() * rights._peak_abs())
+    return ExactMatrix(*parts, den=lefts._den * rights._den, _peak=peak)
 
 
 def times_kron_identity(mat: ExactMatrix, x: ExactMatrix, s: int, left: bool) -> ExactMatrix:
@@ -1124,8 +1083,7 @@ def kron_identity_entries(x, s: int, left: bool, rows, cols):
         out[..., hit_rows, hit_cols] = part[at]
         return out
 
-    return ExactMatrix(gathered(x._re), None if x._real else gathered(x._im), x._den,
-                       _peak=x._peak)
+    return ExactMatrix(*map(gathered, x._parts()), den=x._den, _peak=x._peak)
 
 
 def gram_adjoint(t: ExactMatrix, gram_dom: ExactMatrix, gram_cod: ExactMatrix) -> ExactMatrix:

@@ -187,6 +187,22 @@ def test_only_the_constructor_decides_how_a_real_matrix_is_stored():
     assert not stray, "realness decided outside the constructor: " + ", ".join(stray)
 
 
+def test_only_the_arithmetic_helpers_promote_to_big_integers():
+    # int64-to-bigint promotion is decided in one place per kind of work:
+    # bilinear kernels, sums, rescaling, normalisation and concatenation;
+    # a kernel that called _common itself would state the rule again
+    owners = {"_bilinear", "_sum", "_concatenated", "ExactMatrix._scaled_to",
+              "ExactMatrix._normalize"}
+    stray = []
+    for path, tree in _parsed("src"):
+        for scope, call in _scoped_calls(tree):
+            func = call.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == "_common" and scope not in owners:
+                stray.append(f"{path.name}:{call.lineno} {scope}")
+    assert not stray, "promotion decided outside the helpers: " + ", ".join(stray)
+
+
 def _tracer_module():
     """bench/tracer.py, loaded without running the benchmark."""
     path = ROOT / "bench" / "tracer.py"

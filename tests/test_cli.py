@@ -1,9 +1,11 @@
 import copy
 import json
+import sys
 from collections import Counter
 from importlib import resources
 
 import jsonschema
+import numpy as np
 import pytest
 
 from quadmod import cli, fock, linalg, relations, serialize
@@ -602,18 +604,54 @@ def test_one_full_run_adjoints_each_operator_once(monkeypatch, capsys, argv):
     ("--builtin", "perm:3,(0 1 2),(0 2 1)"),
 ])
 def test_real_products_skip_the_complex_kernel(monkeypatch, capsys, argv):
-    # one flag per complex product: are both imaginary parts zero?
+    # one flag per operand handed to the complex arithmetic as two parts:
+    # is its imaginary part zero?
     real = []
-    cmul = linalg._cmul
+    bilinear = linalg._bilinear
 
-    def counted(are, aim, bre, bim, *peaks):
-        real.append(not aim.any() and not bim.any())
-        return cmul(are, aim, bre, bim, *peaks)
+    def counted(f, a, b, bound):
+        real.extend(not x[1].any() for x in (a, b) if len(x) == 2)
+        return bilinear(f, a, b, bound)
 
-    monkeypatch.setattr(linalg, "_cmul", counted)
+    monkeypatch.setattr(linalg, "_bilinear", counted)
     code, _, _ = run_cli(capsys, "full", *argv)
     assert code == 0
     assert real and not any(real)
+
+
+def _has_complex_matrix(frame) -> bool:
+    """Whether a local of frame is, or lists, a complex ExactMatrix."""
+    return any(isinstance(m, ExactMatrix) and not m.is_real()
+               for value in frame.f_locals.values()
+               for m in (value if isinstance(value, (list, tuple)) else (value,)))
+
+
+@pytest.mark.parametrize("argv", [
+    ("--builtin", "mn:2,2", "--depth", "3"),
+    ("--builtin", "perm:3,(0 1 2),(0 2 1)"),
+])
+def test_real_operands_hand_the_constructor_no_imaginary_part(monkeypatch, capsys, argv):
+    # an all-zero imaginary part comes only from a reader of outside data or
+    # from arithmetic on a complex operand; every other caller builds a real
+    # result from its operands' parts, so the constructor never scans it
+    readers = {"from_entries", "from_flat_entries"}
+    stray = []
+    init = ExactMatrix.__init__
+
+    def watched(self, re, im=None, *args, **kwargs):
+        if im is not None and not np.asarray(im).any():
+            caller = sys._getframe(1)
+            # a comprehension's frame: look at the function it runs in
+            while caller.f_code.co_name.startswith("<"):
+                caller = caller.f_back
+            if caller.f_code.co_name not in readers and not _has_complex_matrix(caller):
+                stray.append(f"{caller.f_code.co_filename}:{caller.f_lineno}")
+        init(self, re, im, *args, **kwargs)
+
+    monkeypatch.setattr(ExactMatrix, "__init__", watched)
+    code, _, _ = run_cli(capsys, "full", *argv)
+    assert code == 0
+    assert not stray, "zero imaginary parts handed in at " + ", ".join(sorted(set(stray)))
 
 
 @pytest.mark.parametrize("argv", [

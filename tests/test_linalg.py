@@ -476,22 +476,30 @@ def _real_matrix(arr):
 
 
 def _gate_path(call):
-    """call() and the path of its one product: "float" when no nonzero bound
-    reaches the int64/object promotion rule, else the dtype that rule chose
-    (stacking passes the bound 0 and is not counted)."""
-    chosen = []
-    common = linalg._common
+    """call() and the path of its first part product, read from the
+    operands the kernel's integer map receives: "object" or "int64" by their
+    dtype, and "float" when int64 operands are converted to float64."""
+    paths = []
 
-    def spy(bound, *arrays):
-        out = common(bound, *arrays)
-        if bound:
-            chosen.append("object" if out[0].dtype == object else "int64")
-        return out
+    class Watched(np.ndarray):
+        def astype(self, dtype, *args, **kwargs):
+            if np.dtype(dtype) == np.float64:
+                paths[-1] = "float"
+            return super().astype(dtype, *args, **kwargs)
+
+    bilinear = linalg._bilinear
+
+    def spy(f, a, b, bound):
+        def watched(x, y):
+            paths.append("object" if x.dtype == object else "int64")
+            return np.asarray(f(x.view(Watched), y.view(Watched)))
+
+        return bilinear(watched, a, b, bound)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(linalg, "_common", spy)
+        mp.setattr(linalg, "_bilinear", spy)
         got = call()
-    return got, chosen[0] if chosen else "float"
+    return got, paths[0] if paths else None
 
 
 def _real_product(a, b):
@@ -561,40 +569,70 @@ def test_real_matmul_just_above_the_float_gate_takes_int64():
 
 
 @st.composite
-def real_pair_near_int64_bound(draw, op):
-    """Two real integer matrices whose largest entry product (kron) or
-    largest sum of magnitudes (+) is 2^62, just above it, or at least 2^63,
-    where int64 would wrap."""
+def real_pair_near_int64_bound(draw, op, real=(True, True)):
+    """Two integer matrices, (re, im) each, real or complex as real says,
+    whose largest sum of magnitudes (+) or largest entry product (kron,
+    entrywise), doubled for two complex operands, is 2^62, just above it,
+    or at least 2^63, where int64 would wrap. One complex operand takes the
+    per-term bound 2^62 and two take 2^61 and 2^61 + 1, on either side of
+    the doubled bound. Also, for kron and entrywise, the path the int64
+    gate should choose."""
     m, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
-    p, q = (m, n) if op == "add" else (draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    p, q = (m, n) if op != "kron" else (draw(st.integers(1, 3)), draw(st.integers(1, 3)))
     if op == "add":
         tops = [(2**61, 2**61), (2**61 + 1, 2**61), (2**62, 2**62)]
-    else:
+    elif all(real):
         tops = [(2**31, 2**31), (2**31 + 1, 2**31), (2**33, 2**31)]
+    elif any(real):
+        tops = [(2**31, 2**31)]
+    else:
+        tops = [(2**61, 1), (2**61 + 1, 1)]
     top_a, top_b = draw(st.sampled_from(tops))
     aligned = draw(st.booleans())
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
 
-    def part(shape, top):
-        arr = rng.integers(top // 2 if aligned else -top, top, shape, endpoint=True)
-        arr.flat[0] = top
-        return arr
+    def operand(shape, top, is_real):
+        re, im = (rng.integers(top // 2 if aligned else -top, top, shape, endpoint=True)
+                  for _ in range(2))
+        re.flat[0] = im.flat[0] = top  # pin the maxima; a complex part is nonzero
+        return re, np.zeros(shape, np.int64) if is_real else im
 
-    return part((m, n), top_a), part((p, q), top_b)
+    bound = top_a * top_b * (1 if any(real) else 2)
+    path = "int64" if bound <= 2**62 else "object"
+    return operand((m, n), top_a, real[0]), operand((p, q), top_b, real[1]), path
 
 
-@settings(max_examples=80, deadline=None)
-@given(real_pair_near_int64_bound("kron"))
-def test_real_kron_matches_object_reference(ops):
-    a, b = ops
-    ref = np.kron(a.astype(object), b.astype(object))
-    assert _real_matrix(a).kron(_real_matrix(b)) == _real_matrix(ref)
+def _object_entrywise(are, aim, bre, bim):
+    are, aim, bre, bim = (x.astype(object) for x in (are, aim, bre, bim))
+    return are * bre - aim * bim, are * bim + aim * bre
+
+
+@pytest.mark.parametrize("real", [(True, True), (True, False), (False, True), (False, False)],
+                         ids=["real", "real-complex", "complex-real", "complex"])
+@pytest.mark.parametrize("op", ["kron", "entrywise"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_real_kron_matches_object_reference(op, real, data):
+    # each operand real or complex: the int64 gate doubles for two complex
+    # operands only, and every path matches the object reference
+    (ar, ai), (br, bi), want_path = data.draw(real_pair_near_int64_bound(op, real))
+    a = ExactMatrix(ar, None if real[0] else ai)
+    b = ExactMatrix(br, None if real[1] else bi)
+    if op == "kron":
+        got, path = _gate_path(lambda: a.kron(b))
+        ref = _object_kron(ar, ai, br, bi)
+    else:
+        got, path = _gate_path(lambda: linalg.entrywise(a, b))
+        ref = _object_entrywise(ar, ai, br, bi)
+    assert got == ExactMatrix(*ref)
+    assert path == want_path
+    _assert_real_flag(got)
 
 
 @settings(max_examples=80, deadline=None)
 @given(real_pair_near_int64_bound("add"), st.integers(1, 3), st.integers(1, 3))
 def test_real_add_matches_object_reference(ops, da, db):
-    a, b = ops
+    (a, _), (b, _), _ = ops
     den = math.lcm(da, db)
     ref = a.astype(object) * (den // da) + b.astype(object) * (den // db)
     got = ExactMatrix(a, np.zeros_like(a), da) + ExactMatrix(b, np.zeros_like(b), db)
@@ -1016,12 +1054,15 @@ def _object_matrix(terms):
 @st.composite
 def gated_tops(draw, k):
     """Entry bounds (ta, tb) and a complex flag such that the product bound
-    k*ta*tb, doubled for complex entries, is 2^53, just above it, 2^62, just
-    above that, or 2^64, past the int64 range; k is a power of two. Neither
-    bound is a multiple of 3, the denominator entries may carry."""
+    k*ta*tb is 2^53 or just above it, the float gate of one part product,
+    or, doubled for complex entries, 2^62, just above that, or 2^64, past
+    the int64 range; k is a power of two. Neither bound is a multiple of 3,
+    the denominator entries may carry."""
     j = k.bit_length() - 1
     complex_entries = draw(st.booleans())
-    e = draw(st.sampled_from([53, 62, 64])) - j - (1 if complex_entries else 0)
+    # the float gate reads one part product, and only the int64 gates double
+    gate = draw(st.sampled_from([53, 62, 64]))
+    e = gate - j - (1 if complex_entries and gate > 53 else 0)
     pa = e // 2
     ta = 2**pa + draw(st.sampled_from([0, 3]))
     return ta, 2 ** (e - pa), complex_entries
@@ -1501,10 +1542,11 @@ def _stack_members(shape):
 def stack_gate_operands(draw):
     """Two stacks whose batch shapes broadcast (each axis full on one side
     and full or 1 on the other), real or complex, over a denominator of 1,
-    whose product bound inner*max|A|*max|B| is 2^53, just above it, 2^62 or
-    2^64, past the int64 range; the inner dimension is k, or 2k for a
-    product of two complex stacks. Sizes put the total work m*k*n*batch on
-    both sides of the float cutoff, some with every member below it."""
+    and the bound k*max|A|*max|B| of one part product, inner dimension k:
+    it is 2^53 or just above it, the float gate, or, doubled for two
+    complex stacks, 2^62, just above it, or 2^64, past the int64 range.
+    Sizes put the total work m*k*n*batch of one part product on both sides
+    of the float cutoff, some with every member below it."""
     ndim = draw(st.integers(0, 2))
     full = draw(st.lists(st.integers(1, 5), min_size=ndim, max_size=ndim))
     a_batch, b_batch = [], []
@@ -1515,8 +1557,9 @@ def stack_gate_operands(draw):
     k = 2 ** draw(st.integers(0, 4))
     m, n = (draw(st.sampled_from([1, 3, 8, 16])) for _ in range(2))
     complex_a, complex_b = draw(st.booleans()), draw(st.booleans())
-    inner = 2 * k if complex_a and complex_b else k
-    e = draw(st.sampled_from([53, 62, 64])) - (inner.bit_length() - 1)
+    gate = draw(st.sampled_from([53, 62, 64]))
+    doubled = gate > 53 and complex_a and complex_b
+    e = gate - (k.bit_length() - 1) - (1 if doubled else 0)
     p = e // 2
     atop = 2**p + draw(st.sampled_from([0, 1]))
     btop = 2 ** (e - p)
@@ -1532,7 +1575,7 @@ def stack_gate_operands(draw):
     are, aim = part(a_shape, atop, True), part(a_shape, atop, complex_a)
     bre, bim = part(b_shape, btop, True), part(b_shape, btop, complex_b)
     are.flat[0], bre.flat[0] = atop, btop  # pin the maxima, so the bound is as stated
-    return (are, aim), (bre, bim), inner * atop * btop
+    return (are, aim), (bre, bim), k * atop * btop
 
 
 @settings(max_examples=200, deadline=None)
@@ -1550,12 +1593,11 @@ def test_stack_products_match_the_member_loop_and_an_object_reference(case):
         assert member == a.take(shape, index) @ b.take(shape, index)
         _assert_real_flag(member)
     _assert_real_flag(got)
-    # the batch does not enter the bound, but the cutoff reads the total work
-    rows = 2 * are.shape[-2] if aim.any() else are.shape[-2]
-    cols = 2 * bre.shape[-1] if bim.any() and not aim.any() else bre.shape[-1]
-    inner = 2 * are.shape[-1] if aim.any() and bim.any() else are.shape[-1]
-    work = math.prod(shape) * rows * inner * cols
-    if bound > 2 ** 62:
+    # each part product is one matmul: the float gate and the cutoff read
+    # one part product's bound and total work, and only the int64 gate
+    # doubles for two complex stacks; the batch enters the work, not the bound
+    work = math.prod(shape) * are.shape[-2] * are.shape[-1] * bre.shape[-1]
+    if bound * (2 if aim.any() and bim.any() else 1) > 2 ** 62:
         assert path == "object"
     elif bound > linalg._FLOAT_EXACT or work < linalg._FLOAT_MIN_WORK:
         assert path == "int64"
