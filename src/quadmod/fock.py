@@ -37,8 +37,10 @@ its A-valued stack, on either kind of quotient): one Kronecker sum of the
 ambient size, from which reps are chosen as for any Gram. Each stack is
 then formed on reps x reps only, by linalg's kron_sum_entries, so a cut
 summand forms no coordinate larger than |reps|^2. The associativity
-check, which is defined on the whole triple ambient space, reads the same
-stacks on every index, where kron_sum_entries is kron_sum.
+check, which is defined on the whole triple ambient space, forms the pair
+stacks H (x) H on every index, once, and compares the two bracketings of
+each triple stack one row slab at a time, so no whole triple stack is
+ever held (see _associativity_check).
 
 Operators on the tower are block matrices over the summands
 (FockOperator), indexed by a batch shape: each block is one ExactMatrix
@@ -359,10 +361,14 @@ class _BalancedStack:
         return kron_sum(self.inner, self.stack.scalarized() @ self.left_ops)
 
     def restrict(self, idx) -> GramStack:
-        grams = self.stack.grams
-        # member (k, c) is W_k @ L_c
-        rights = grams.reshaped(grams.batch_shape, grams.batch_shape + (1,)) @ self.left_ops
+        rights = _times_each(self.stack.grams, self.left_ops)
         return GramStack(kron_sum_entries(self.inner, rights, idx, idx))
+
+
+def _times_each(stack: ExactMatrix, ops: ExactMatrix) -> ExactMatrix:
+    """Every member of a stack with one batch axis times every member of
+    ops, in one batched product: member (k, c) is stack[k] @ ops[c]."""
+    return stack.reshaped(stack.batch_shape, stack.batch_shape + (1,)) @ ops
 
 
 def relative_tensor(h: QuadSpace, tensor_type: int, w: QuadSpace) -> tuple[QuadSpace, ExactMatrix]:
@@ -432,8 +438,9 @@ class FockOperator:
     A block may have size-1 batch axes where the operator has more: such a
     block is the same for every index along them, and numpy broadcasting
     spreads it without copying. Blocks that vanish for every member are
-    dropped. window restricts an operator to a source-level window (see
-    the module docstring on pruning).
+    dropped; window and reshape, which only select or re-view blocks,
+    keep them unscanned. window restricts an operator to a source-level
+    window (see the module docstring on pruning).
     """
 
     __slots__ = ("space", "shape", "blocks")
@@ -442,6 +449,15 @@ class FockOperator:
         self.space = space
         self.shape = tuple(shape)
         self.blocks = {k: v for k, v in blocks.items() if not v.is_zero()}
+
+    @classmethod
+    def _of_nonzero(cls, space: "FockSpace", shape, blocks: dict) -> "FockOperator":
+        """An operator from blocks already known to be nonzero, such as a
+        selection or a re-view of another operator's blocks: none is
+        scanned again."""
+        op = cls.__new__(cls)
+        op.space, op.shape, op.blocks = space, tuple(shape), blocks
+        return op
 
     def _with(self, other, blocks_of):
         """blocks_of applied to the blocks of both operators, over the
@@ -478,8 +494,8 @@ class FockOperator:
     def reshape(self, shape) -> "FockOperator":
         """The same members, in the same C order, over the batch shape shape."""
         shape = np.empty(self.shape, np.int8).reshape(shape).shape
-        return FockOperator(self.space, shape,
-                            {k: v.reshaped(self.shape, shape) for k, v in self.blocks.items()})
+        return FockOperator._of_nonzero(self.space, shape, {
+            k: v.reshaped(self.shape, shape) for k, v in self.blocks.items()})
 
     def adjoint(self) -> "FockOperator":
         """The adjoint for the tower's scalar inner products: block (d, s)
@@ -513,8 +529,8 @@ class FockOperator:
 
     def window(self, lo: int, hi: int) -> "FockOperator":
         """The blocks whose source level lies in [lo, hi]."""
-        return FockOperator(self.space, self.shape,
-                            {k: v for k, v in self.blocks.items() if lo <= k[1][0] <= hi})
+        return FockOperator._of_nonzero(self.space, self.shape, {
+            k: v for k, v in self.blocks.items() if lo <= k[1][0] <= hi})
 
     def block(self, dest, src) -> ExactMatrix:
         """Block (dest, src) of every member, over the full batch shape;
@@ -857,7 +873,9 @@ def build_fock(spec: QuadModuleSpec, depth: int) -> FockSpace:
     LambdaNotFaithful (from the index-map derivation) when level 0 cannot
     carry a definite inner product, and TowerDefect when a new summand fails
     its balancing or index-map route check or, from depth 3, the two
-    bracketings of a triple tensor disagree.
+    bracketings of a triple tensor disagree somewhere on the whole triple
+    ambient space, which _associativity_check reads one row slab at a
+    time.
     """
     if depth < 2:
         raise DepthTooSmall("the tower needs depth at least 2")
@@ -983,30 +1001,55 @@ def build_fock(spec: QuadModuleSpec, depth: int) -> FockSpace:
     return FockSpace(spec, depth, summands, lam1, lam2, checks)
 
 
+def _row_blocks(stack: ExactMatrix, size: int) -> list:
+    """For a stack with one batch axis over c: per a, the rows
+    a size .. a size + size - 1 of every member, as one view whose entry
+    (x, c) is entry x, read row-major, of that block of member c. It is
+    the transposed left factor that kron_sum multiplies for those rows."""
+    blocks = stack.regrouped((stack.batch_shape[0], -1, size * stack.ncols), (1, 2, 0))
+    return [blocks.take(blocks.batch_shape, a) for a in range(blocks.batch_shape[0])]
+
+
 def _associativity_check(h: QuadSpace):
     """Compare the two bracketings of every type-(i, j) triple tensor of the
-    module with itself, on the full (unquotiented) triple ambient space:
-    every Gram stack is a _BalancedStack read on every index. Returns the
-    first type (i, j) whose bracketings disagree, or None."""
-    grams = (h.gram_A, h.gram_B1, h.gram_B2)
+    module with itself, on the full (unquotiented) triple ambient space,
+    one row slab at a time. Returns the first type (i, j) whose bracketings
+    disagree, or None.
 
-    def tensor(inner, stacks, left_ops):
-        held = [_BalancedStack(inner, stack, left_ops) for stack in stacks]
-        return [stack.restrict(np.arange(stack.dim)) for stack in held]
-
-    pair_dim = h.dim * h.dim
+    The pair stacks P^f = H (x)_f H of every Gram type, and B_f acting on
+    the pair as L^f (x) I_h, are formed once. For each Gram type W of the
+    third factor, rows (a, ., .) of coordinate k of the right bracketing
+    H (x)_i (H (x)_j H) are sum_t G^i_t[a, .] (x) (P^j_k @ (L^i_t (x) I_h))
+    and those of the left bracketing (H (x)_i H) (x)_j H are
+    sum_s P^i_s[(a, .), .] (x) (W_k @ L^j_s), P^i_s being the B_j-valued
+    pair Gram. Each is the product a^T b that kron_sum forms, with b, the
+    right factors flattened, formed once per type and Gram type and a^T a
+    view of the left factor's rows (_row_blocks). kron_sum would regroup
+    the two products into rows and columns; instead both are read in the
+    index order (k, a', b, c, b', c') of row (a, b, c) and column
+    (a', b', c'), and compared once. So the whole triple stack, h^6
+    entries per coordinate, is never held; a slab has h^5."""
+    n = h.dim
+    grams = [stack.grams for stack in (h.gram_A, h.gram_B1, h.gram_B2)]
+    inner, left = {1: grams[1], 2: grams[2]}, {1: h.left_B1, 2: h.left_B2}
+    pairs = {f: [kron_sum(inner[f], _times_each(w, left[f])) for w in grams] for f in (1, 2)}
+    pair_left = {f: kron_identity_entries(x, n, True, range(n * n), range(n * n))
+                 for f, x in left.items()}
     for i in (1, 2):
+        rows_i = _row_blocks(inner[i], 1)
         for j in (1, 2):
-            inner_i, left_i = (h.gram_B1, h.left_B1) if i == 1 else (h.gram_B2, h.left_B2)
-            inner_j, left_j = (h.gram_B1, h.left_B1) if j == 1 else (h.gram_B2, h.left_B2)
-
-            # right bracketing: H (x)_i (H (x)_j H), where B_i acts on the
-            # pair as x (x) I_h
-            pair_left_i = kron_identity_entries(left_i, h.dim, True, range(pair_dim), range(pair_dim))
-            right = tensor(inner_i, tensor(inner_j, grams, left_j), pair_left_i)
-
-            # left bracketing: (H (x)_i H) (x)_j H
-            up = tensor(inner_i, grams, left_i)
-            if right != tensor(up[j], grams, left_j):
-                return i, j
+            pair_rows = _row_blocks(pairs[i][j], n)
+            for g, w in enumerate(grams):
+                coords = w.batch_shape
+                slab = coords + (n,) * 5
+                # the right factors of both sides, flattened: (k, t, n^4) and (k, s, n^2)
+                rights = _times_each(pairs[j][g], pair_left[i]).regrouped(
+                    coords + (-1, n ** 4), (0, 1, 2))
+                thirds = _times_each(w, left[j]).regrouped(coords + (-1, n * n), (0, 1, 2))
+                # slabs (k, a', (b, c), (b', c')) and (k, (b, a', b'), (c, c')), both
+                # read as (k, a', b, c, b', c')
+                if any((rows_i[a] @ rights).regrouped(slab, range(6))
+                       != (pair_rows[a] @ thirds).regrouped(slab, (0, 2, 1, 4, 3, 5))
+                       for a in range(n)):
+                    return i, j
     return None

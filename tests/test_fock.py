@@ -1,13 +1,14 @@
 import json
 import re
+import tracemalloc
 from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
 from quadmod import cli, fock
-from quadmod.fock import (DepthTooSmall, FockOperator, FockSpace, TooLarge, TowerDefect,
-                          build_fock)
+from quadmod.fock import (DepthTooSmall, FockOperator, FockSpace, QuadSpace, TooLarge,
+                          TowerDefect, build_fock)
 from quadmod.linalg import ExactMatrix, GramStack
 from quadmod.quadmodule import build_example_MN, build_example_alpha_beta
 from quadmod.scalars import GaussianRational
@@ -98,19 +99,25 @@ def test_an_index_route_mismatch_fails_its_check(monkeypatch, capsys):
     assert report["sections"][1]["checks"][-1]["witness"] == failed.witness
 
 
-def test_a_bracketing_disagreement_fails_its_check(monkeypatch, capsys):
-    # one unit more at entry (0, 0) of every x (x) I_h read on every index
-    # in order, which only the associativity check reads: its two
-    # bracketings of a triple tensor then disagree
+def perturb_pair_actions(monkeypatch, entry):
+    """One unit more at entry (entry, entry) of every x (x) I_h read on
+    every index in order, which only the associativity check reads: its
+    two bracketings of a triple tensor then disagree. entry -1 is the last
+    diagonal entry."""
     gather = fock.kron_identity_entries
 
     def perturbed(x, s, left, rows, cols):
         got = gather(x, s, left, rows, cols)
         if isinstance(rows, range) and isinstance(cols, range):
-            got = got + ExactMatrix.identity(1).scattered([0], [0], got.shape)
+            at = [entry % got.nrows]
+            got = got + ExactMatrix.identity(1).scattered(at, at, got.shape)
         return got
 
     monkeypatch.setattr(fock, "kron_identity_entries", perturbed)
+
+
+def test_a_bracketing_disagreement_fails_its_check(monkeypatch, capsys):
+    perturb_pair_actions(monkeypatch, 0)
     with pytest.raises(TowerDefect) as err:
         build_fock(build_example_MN(2, 2), 3)
     failed = err.value.checks[-1]
@@ -127,6 +134,55 @@ def test_a_bracketing_disagreement_fails_its_check(monkeypatch, capsys):
     assert tower["title"] == "tower construction"
     assert [c["id"] for c in tower["checks"]] == [c.check_id for c in err.value.checks]
     assert tower["checks"][-1]["witness"] == failed.witness
+
+
+def test_a_disagreement_at_the_last_pair_entry_fails_the_check(monkeypatch):
+    perturb_pair_actions(monkeypatch, -1)
+    h = build_fock(build_example_MN(2, 2), 2).summand((1, ()))
+    assert fock._associativity_check(h) == (1, 1)
+
+
+def test_a_disagreement_in_the_last_row_slab_fails_the_check(monkeypatch):
+    # keep only the last row of the module's B1-valued Gram: every row
+    # (a, ., .) of a type (1, j) triple stack then vanishes in both
+    # bracketings but for a = h - 1, which alone the perturbation reaches,
+    # so a check that skips the last first-factor index passes
+    h = build_fock(build_example_MN(2, 2), 2).summand((1, ()))
+    last_row = ExactMatrix.diagonal([0] * (h.dim - 1) + [1])
+    fields = {slot: getattr(h, slot) for slot in QuadSpace.__slots__}
+    cut = QuadSpace(**fields | {"gram_B1": GramStack(last_row @ h.gram_B1.grams)})
+    assert fock._associativity_check(cut) is None
+    perturb_pair_actions(monkeypatch, -1)
+    assert fock._associativity_check(cut) == (1, 1)
+
+
+def test_the_associativity_check_holds_no_triple_stack():
+    # the whole triple stacks of the perm:6 module take about 15 MB; one
+    # row slab of them, h^5 of h^6 entries per coordinate, far less
+    cycles = cli.parse_cycles(6, "(0 1 2 3 4 5)"), cli.parse_cycles(6, "(0 2 4)(1 3 5)")
+    h = build_fock(build_example_alpha_beta(6, *cycles), 2).summand((1, ()))
+    tracemalloc.start()
+    try:
+        assert fock._associativity_check(h) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
+
+
+def test_window_and_reshape_scan_no_block_again(monkeypatch):
+    # both only select or re-view blocks already known to be nonzero
+    space = bipartite_space(depth=3)
+    op = space.creations(1, ExactMatrix.identity(space.spec.dim), (0, space.depth))
+    scans = []
+    is_zero = ExactMatrix.is_zero
+    monkeypatch.setattr(ExactMatrix, "is_zero", lambda m: scans.append(m) or is_zero(m))
+    inside, rows = op.window(1, 2), op.reshape((2, -1))
+    assert not scans
+    monkeypatch.undo()
+    assert inside.blocks == {k: v for k, v in op.blocks.items() if 1 <= k[1][0] <= 2}
+    assert rows.shape == (2, op.shape[0] // 2)
+    assert rows[1, 0] == op[op.shape[0] // 2]
 
 
 def test_summand_keys_are_words():

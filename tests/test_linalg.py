@@ -1520,7 +1520,7 @@ def test_tensor_stacks_match_the_per_coordinate_loop(spec):
     ]:
         want = _loop_tensor_stacks(inner, stacks, ops)
         # the stacks held as factors: the scalar Gram, and the entries on
-        # every coordinate, as the associativity check reads them, and on
+        # every coordinate, where kron_sum_entries is kron_sum, and on
         # sorted subsets of them
         left_ops = ExactMatrix.stack(ops, (len(ops),))
         held = [fock._BalancedStack(inner, stack, left_ops) for stack in stacks if stack]
