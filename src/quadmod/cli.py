@@ -103,12 +103,15 @@ def parse_cycles(d: int, token: str) -> list:
             raise CLIError(f"non-integer entry in cycle ({group})")
         if len(points) < 2:
             raise CLIError(f"cycle ({group}) needs at least two points")
-        for p in points:
+        for i, p in enumerate(points):
             if not 0 <= p < d:
                 raise CLIError(f"cycle point {p} is out of range for d={d}")
+            if p in points[:i]:
+                shown = " ".join(map(str, points))
+                raise CLIError(f"point {p} appears twice in cycle ({shown})")
             if p in seen:
                 raise CLIError(f"point {p} appears in two cycles")
-            seen.add(p)
+        seen.update(points)
         for pos, image in zip(points, points[1:] + points[:1]):
             perm[pos] = image
     return perm

@@ -35,9 +35,23 @@ big integers. A product's f is the integer matmul under k*max|A|*max|B|:
 one integer product for real operands, two with one real factor, four for
 two complex ones. The float gate reads that bound undoubled, as each part
 product is its own exact float64 product, back in int64 before two are
-added. Each matrix stores a bound on max|numerator|, filled by one scan on
-first use and carried through negation, conjugation, transposition,
-scaling and kron, so no bound is scanned twice.
+added.
+
+Each matrix carries its peak, a bound on max|numerator|, and every result
+takes the one its kernel knows: a product, kron or entrywise product the
+bound _bilinear returns, a sum the sum of its operands' peaks rescaled to
+the common denominator, a selection or a move its source's, and a
+concatenation the largest of its inputs', rescaled alike. Only a matrix
+built from bare arrays is scanned for it, on first use. A kernel reads
+the bound that picks its path from its operands' peaks (_gate_bound), and
+only when that bound lies above the gate it faces (2^53 for a float
+product, 2^62 for int64) is each operand whose peak is only a bound
+scanned, once, and the path picked from exact peaks. So every path is the
+one exact peaks pick, and a matrix is scanned only where a carried bound
+crosses a gate. A matrix records that its peak is exact: moves that keep
+every entry (negation, conjugation, transposition, reshaping, a diagonal)
+keep that mark, and moves that drop entries (selections, take,
+square_blocks) leave the peak a bound.
 
 An ExactMatrix may carry leading batch axes: its numerator arrays then
 have more than two axes, the last two holding one member, and shape, nrows
@@ -256,45 +270,77 @@ def _bilinear(f, a, b, bound: int):
     return tuple(f(x, y) for x in parts[:len(a)] for y in parts[len(a):]), bound
 
 
+def _int64_gate(a, b) -> int:
+    """The int64 gate of a bilinear kernel's per-value bound on a and b:
+    2^62, halved for two complex operands, whose result parts add two such
+    values (see _bilinear)."""
+    return _INT64_SAFE >> (not (a._real or b._real))
+
+
+def _gate_bound(bound, gate, a, b=None) -> int:
+    """bound(pa, pb) for the peaks pa, pb of the operands a and b, or
+    bound(pa) when there is no b: the value a kernel compares with gate to
+    pick its path. It is read from the carried peaks; when it lies above
+    gate and some of them are only bounds, each such operand is scanned,
+    once, and bound is read again from exact peaks, so the path is the one
+    exact peaks pick. An operand with an object part takes big integers
+    whatever the bound, so then no operand is scanned."""
+    value = bound(a._peak_abs()) if b is None else bound(a._peak_abs(), b._peak_abs())
+    if value <= gate:
+        return value
+    mats = (a,) if b is None else (a, b)
+    if all(m._exact for m in mats) or any(p.dtype is _OBJECT for m in mats for p in m._parts()):
+        return value
+    return bound(*(m._exact_peak() for m in mats))
+
+
 def _product(a, b):
-    """Parts of a @ b, over the denominator a._den * b._den; batch axes
-    broadcast. Each part product is one float64, int64 or big-integer
+    """(parts, peak) of a @ b, over the denominator a._den * b._den; batch
+    axes broadcast. Each part product is one float64, int64 or big-integer
     matmul (see the module docstring)."""
-    k = a._re.shape[-1]
-    bound = k * a._peak_abs() * b._peak_abs()
+    (m, k), n = a._re.shape[-2:], b._re.shape[-1]
+    work = m * k * n
+    if a._re.ndim > 2 or b._re.ndim > 2:
+        work *= math.prod(np.broadcast_shapes(a._re.shape[:-2], b._re.shape[:-2]))
+    # a product large enough for BLAS faces the float gate, any other the
+    # int64 one
+    large = work >= _FLOAT_MIN_WORK
+    gate = _FLOAT_EXACT if large else _int64_gate(a, b)
+    bound = _gate_bound(lambda p, q: k * p * q, gate, a, b)
+    use_float = large and bound <= _FLOAT_EXACT
 
     def matmul(x, y):
         # _common leaves both operands int64 or both object
-        if x.dtype is not _OBJECT and bound <= _FLOAT_EXACT:
-            work = x.shape[-2] * k * y.shape[-1]
-            if x.ndim > 2 or y.ndim > 2:
-                work *= math.prod(np.broadcast_shapes(x.shape[:-2], y.shape[:-2]))
-            if work >= _FLOAT_MIN_WORK:
-                return (x.astype(np.float64) @ y.astype(np.float64)).astype(np.int64)
+        if use_float and x.dtype is not _OBJECT:
+            return (x.astype(np.float64) @ y.astype(np.float64)).astype(np.int64)
         return x @ y
 
-    return _bilinear(matmul, a._parts(), b._parts(), bound)[0]
+    return _bilinear(matmul, a._parts(), b._parts(), bound)
 
 
 def _concatenated(mats, join) -> "ExactMatrix":
     """The matrices mats rescaled to their lcm denominator and promoted
     together, join applied to the list of their real parts and, unless
-    every matrix is real, to that of their imaginary parts."""
+    every matrix is real, to that of their imaginary parts. The result's
+    peak is the largest of theirs, rescaled, when every one is known."""
     den = math.lcm(*(m._den for m in mats))
     n = 1 if all(m._real for m in mats) else 2
     arrays = _common(0, *(x for m in mats for x in m._scaled_to(den)[:n]))
-    return ExactMatrix(*(join(arrays[j::n]) for j in range(n)), den=den)
+    peaks = [m._peak for m in mats]
+    peak = None if None in peaks else max(p * (den // m._den) for p, m in zip(peaks, mats))
+    return ExactMatrix(*(join(arrays[j::n]) for j in range(n)), den=den, _peak=peak)
 
 
 def _sum(a, b, op):
     """(re, im, den, bound) of op(a, b), op being np.add or np.subtract,
     im None for two real operands; batch axes broadcast. bound, which
-    bounds each part of the result, is read from the operands' peaks,
-    rescaled to the common denominator."""
+    bounds each part of the result, is the sum of the operands' peaks,
+    rescaled to the common denominator (see _gate_bound)."""
     den = a._den * b._den // math.gcd(a._den, b._den)
     are, aim = a._scaled_to(den)
     bre, bim = b._scaled_to(den)
-    bound = a._peak_abs() * (den // a._den) + b._peak_abs() * (den // b._den)
+    fa, fb = den // a._den, den // b._den
+    bound = _gate_bound(lambda p, q: p * fa + q * fb, _INT64_SAFE, a, b)
     if a._real and b._real:
         are, bre = _common(bound, are, bre)
         return op(are, bre), None, den, bound
@@ -336,15 +382,16 @@ class ExactMatrix:
     constructor sets it: im None means the caller knows the matrix is real,
     and any other imaginary part is scanned once. A real matrix's imaginary
     part is the shared read-only view of _zero. _peak bounds max |numerator|
-    over both parts: filled by a scan on first use by _peak_abs, and
-    carried over, as an exact value or an upper bound, by the operations
-    that know it. Stored arrays are never written in place, so it stays
-    true for the object's lifetime."""
+    over both parts, and _exact says it is that maximum. Each operation
+    hands its result the bound it knows (see the module docstring); a
+    matrix given none is scanned on first use, and one whose bound crosses
+    a gate is scanned for its exact peak, each once. Stored arrays are
+    never written in place, so both stay true for the object's lifetime."""
 
-    __slots__ = ("_re", "_im", "_den", "_real", "_peak")
+    __slots__ = ("_re", "_im", "_den", "_real", "_peak", "_exact")
 
     def __init__(self, re, im=None, den: int = 1, _normalize: bool = True,
-                 _peak: int | None = None):
+                 _peak: int | None = None, _exact: bool = False):
         re = _stored(re)
         im = None if im is None else _stored(im)
         if re.ndim < 2 or (im is not None and im.shape != re.shape):
@@ -361,6 +408,7 @@ class ExactMatrix:
         self._im = _zero(re.shape) if im is None else im
         self._den = int(den)
         self._peak = _peak
+        self._exact = _exact
         if _normalize:
             self._normalize()
 
@@ -383,10 +431,15 @@ class ExactMatrix:
             self._im = _demote(parts[1])
 
     def _peak_abs(self) -> int:
-        """A bound on max |numerator| over both parts, scanned once."""
-        if self._peak is None:
-            peak = _max_abs(self._re)
-            self._peak = peak if self._real else max(peak, _max_abs(self._im))
+        """The carried bound on max |numerator| over both parts, scanned
+        when none is known. Only _gate_bound reads it."""
+        return self._exact_peak() if self._peak is None else self._peak
+
+    def _exact_peak(self) -> int:
+        """max |numerator| over both parts, scanned once."""
+        if not self._exact:
+            self._peak = _peak_of(self._parts())
+            self._exact = True
         return self._peak
 
     def _parts(self) -> tuple:
@@ -401,7 +454,7 @@ class ExactMatrix:
             return self._re, self._im
         # f itself must fit too: an int64 array times a bigint raises even
         # when the array is zero.
-        bound = f * max(self._peak_abs(), 1)
+        bound = _gate_bound(lambda p: f * max(p, 1), _INT64_SAFE, self)
         parts = tuple(part * f for part in _common(bound, *self._parts()))
         return parts if len(parts) == 2 else (parts[0], self._im)
 
@@ -409,12 +462,14 @@ class ExactMatrix:
         if self._re.ndim != 2:
             raise ValueError(f"{what} takes a single matrix, not one with batch axes")
 
-    def _moved(self, move) -> "ExactMatrix":
+    def _moved(self, move, keeps_every_entry: bool = True) -> "ExactMatrix":
         """move applied to both numerator arrays, for a move that only
         places entries: the denominator and peak are kept, the result is
-        not normalised again, and a real matrix stays real unscanned."""
+        not normalised again, and a real matrix stays real unscanned. An
+        exact peak stays exact only when the move keeps every entry; one
+        that drops entries leaves it a bound."""
         return ExactMatrix(*map(move, self._parts()), den=self._den, _normalize=False,
-                           _peak=self._peak)
+                           _peak=self._peak, _exact=self._exact and keeps_every_entry)
 
     # -- construction ---------------------------------------------------
 
@@ -484,11 +539,12 @@ class ExactMatrix:
     def zeros(cls, *shape) -> "ExactMatrix":
         """Zero matrices: shape is the batch shape followed by the matrix
         shape."""
-        return cls(_zero(shape), None, 1, _normalize=False, _peak=0)
+        return cls(_zero(shape), None, 1, _normalize=False, _peak=0, _exact=True)
 
     @classmethod
     def identity(cls, n: int) -> "ExactMatrix":
-        return cls(np.eye(n, dtype=np.int64), None, 1, _normalize=False, _peak=min(n, 1))
+        return cls(np.eye(n, dtype=np.int64), None, 1, _normalize=False, _peak=min(n, 1),
+                   _exact=True)
 
     @classmethod
     def diagonal(cls, values) -> "ExactMatrix":
@@ -626,8 +682,8 @@ class ExactMatrix:
             return NotImplemented
         if self.shape != other.shape:
             raise ValueError("shape mismatch")
-        re, im, den, _ = _sum(self, other, op)
-        return ExactMatrix(re, im, den)
+        re, im, den, bound = _sum(self, other, op)
+        return ExactMatrix(re, im, den, _peak=bound)
 
     def __neg__(self):
         return self._moved(np.negative)
@@ -639,7 +695,8 @@ class ExactMatrix:
             return NotImplemented
         if self.ncols != other.nrows:
             raise ValueError("inner dimension mismatch")
-        return ExactMatrix(*_product(self, other), den=self._den * other._den)
+        parts, peak = _product(self, other)
+        return ExactMatrix(*parts, den=self._den * other._den, _peak=peak)
 
     def scale(self, c) -> "ExactMatrix":
         """Every entry times the scalar c: an entrywise product with c as a
@@ -649,7 +706,7 @@ class ExactMatrix:
         q = math.lcm(c.re.denominator, c.im.denominator)
         parts = [int(c.re * q)] + ([int(c.im * q)] if c.im else [])
         factor = ExactMatrix(*(_int_array([v], (1, 1)) for v in parts), den=q,
-                             _normalize=False, _peak=max(map(abs, parts)))
+                             _normalize=False, _peak=max(map(abs, parts)), _exact=True)
         return entrywise(factor, self)
 
     def scaled(self, coeffs: "ExactMatrix") -> "ExactMatrix":
@@ -671,7 +728,8 @@ class ExactMatrix:
     def conj(self) -> "ExactMatrix":
         if self._real:
             return self
-        return ExactMatrix(self._re, -self._im, self._den, _normalize=False, _peak=self._peak)
+        return ExactMatrix(self._re, -self._im, self._den, _normalize=False, _peak=self._peak,
+                           _exact=self._exact)
 
     @property
     def T(self) -> "ExactMatrix":
@@ -698,7 +756,7 @@ class ExactMatrix:
             part = part[..., rows, :] if isinstance(rows, slice) else part.take(rows, axis=-2)
             return part[..., cols] if isinstance(cols, slice) else part.take(cols, axis=-1)
 
-        return ExactMatrix(*map(selected, self._parts()), den=self._den)
+        return ExactMatrix(*map(selected, self._parts()), den=self._den, _peak=self._peak)
 
     def take_rows(self, idx) -> "ExactMatrix":
         return self._selected(_indices(idx), slice(None))
@@ -716,7 +774,7 @@ class ExactMatrix:
         denominator)."""
         full = tuple(shape) + self.shape
         # a part of a complex matrix may be real, which the constructor finds
-        return self._moved(lambda a: _broadcast(a, full)[index])
+        return self._moved(lambda a: _broadcast(a, full)[index], False)
 
     def reshaped(self, shape, new_shape) -> "ExactMatrix":
         """The members broadcast to the batch shape shape, the batch axes
@@ -759,7 +817,7 @@ class ExactMatrix:
         blocks, at = [], 0
         for n in dims:
             shape = self.batch_shape + (n, n)
-            blocks.append(self._moved(lambda a: a[..., 0, at:at + n * n].reshape(shape)))
+            blocks.append(self._moved(lambda a: a[..., 0, at:at + n * n].reshape(shape), False))
             at += n * n
         return blocks
 
@@ -836,8 +894,8 @@ class ExactMatrix:
         def outer(a, b):
             return (a[:, None, :, None] * b[None, :, None, :]).reshape(m * p, n * q)
 
-        parts, peak = _bilinear(outer, self._parts(), other._parts(),
-                                self._peak_abs() * other._peak_abs())
+        bound = _gate_bound(lambda p, q: p * q, _int64_gate(self, other), self, other)
+        parts, peak = _bilinear(outer, self._parts(), other._parts(), bound)
         return ExactMatrix(*parts, den=self._den * other._den, _peak=peak)
 
     # -- elimination -----------------------------------------------------
@@ -945,7 +1003,8 @@ def entrywise(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     """a times b entry by entry, numpy broadcasting every axis, the matrix
     axes included. One elementwise product of the numerator arrays, under
     the bound max|a|*max|b|, which is also the stored peak."""
-    parts, peak = _bilinear(np.multiply, a._parts(), b._parts(), a._peak_abs() * b._peak_abs())
+    bound = _gate_bound(lambda p, q: p * q, _int64_gate(a, b), a, b)
+    parts, peak = _bilinear(np.multiply, a._parts(), b._parts(), bound)
     return ExactMatrix(*parts, den=a._den * b._den, _peak=peak)
 
 
@@ -1041,8 +1100,8 @@ def kron_sum_entries(lefts, rights, rows, cols) -> ExactMatrix:
             total += x[t][i[:, None], j] * y[..., t, k[:, None], l]
         return total
 
-    parts, peak = _bilinear(summed, lefts._parts(), rights._parts(),
-                            r * lefts._peak_abs() * rights._peak_abs())
+    bound = _gate_bound(lambda p, q: r * p * q, _int64_gate(lefts, rights), lefts, rights)
+    parts, peak = _bilinear(summed, lefts._parts(), rights._parts(), bound)
     return ExactMatrix(*parts, den=lefts._den * rights._den, _peak=peak)
 
 
@@ -1243,13 +1302,14 @@ class GramStack:
         if x.shape != y.shape or x.nrows != self.dim:
             raise ValueError("column_pairs takes two equal-shape matrices of the form's dimension")
         n = self.dim
-        ones = ExactMatrix(np.ones((1, n), np.int64), None, _normalize=False, _peak=1)
+        ones = ExactMatrix(np.ones((1, n), np.int64), None, _normalize=False, _peak=min(n, 1),
+                           _exact=True)
         return (ones @ entrywise(x.conj(), self.grams @ y)).flattened()
 
     def scalarized(self) -> ExactMatrix:
         """The scalar Gram obtained by the coordinate-sum trace."""
         ones = ExactMatrix(np.ones((self.num_coords, 1), np.int64), None, _normalize=False,
-                           _peak=1)
+                           _peak=1, _exact=True)
         return self.grams.combine(ones).take((1,), 0)
 
     def restrict(self, idx) -> "GramStack":

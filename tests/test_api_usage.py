@@ -149,7 +149,7 @@ def test_every_default_is_overridden_somewhere():
 def test_numerator_arrays_stay_private_to_linalg():
     # an array reaches an ExactMatrix only through its constructor, which
     # is what keeps the _real flag true to the imaginary part
-    private = {"_re", "_im", "_den", "_real"}
+    private = {"_re", "_im", "_den", "_real", "_peak", "_exact"}
     reads = [
         f"{path.name}:{node.lineno} .{node.attr}"
         for path, tree in _parsed("src")
@@ -201,6 +201,36 @@ def test_only_the_arithmetic_helpers_promote_to_big_integers():
             if name == "_common" and scope not in owners:
                 stray.append(f"{path.name}:{call.lineno} {scope}")
     assert not stray, "promotion decided outside the helpers: " + ", ".join(stray)
+
+
+def _scoped_names(node, scope=()):
+    """(qualified name of the enclosing definition, name, line) for every
+    name loaded or attribute read under node, calls and references alike."""
+    for child in ast.iter_child_nodes(node):
+        inner = scope + (child.name,) if isinstance(child, _DEFINITION) else scope
+        if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
+            yield ".".join(inner), child.id, child.lineno
+        elif isinstance(child, ast.Attribute):
+            yield ".".join(inner), child.attr, child.lineno
+        yield from _scoped_names(child, inner)
+
+
+def test_only_the_exact_scan_and_the_gate_helper_read_peaks():
+    # a matrix is scanned where a carried bound crosses a gate and nowhere
+    # else: only the exact scan, _demote and rref's _peak_of scan numerators,
+    # and only _gate_bound turns carried peaks into a bound a kernel gates on
+    readers = {
+        "_max_abs": {"ExactMatrix._exact_peak", "_demote", "_peak_of"},
+        "_peak_abs": {"_gate_bound"},
+        "_exact_peak": {"_gate_bound", "ExactMatrix._peak_abs"},
+    }
+    stray = [
+        f"{path.name}:{line} {scope} reads {name}"
+        for path, tree in _parsed("src")
+        for scope, name, line in _scoped_names(tree)
+        if name in readers and scope not in readers[name]
+    ]
+    assert not stray, "peaks read outside the scan and the gate helper: " + ", ".join(stray)
 
 
 def _tracer_module():

@@ -190,6 +190,12 @@ def test_unusable_inputs_exit_with_two(capsys):
         assert err.startswith("error:"), argv
 
 
+def test_a_point_repeated_within_one_cycle_is_named_as_such(capsys):
+    code, out, err = run_cli(capsys, "full", "--builtin", "perm:3,(0 0 1),(0 1)")
+    assert (code, out) == (2, "")
+    assert err.splitlines() == ["error: point 0 appears twice in cycle (0 0 1)"]
+
+
 def test_an_unwritable_output_is_a_usage_error(tmp_path, capsys):
     target = tmp_path / "missing" / "report.json"
     code, out, err = run_cli(capsys, "full", "--builtin", "perm:3,(0 1 2),(0 1)",
@@ -287,6 +293,8 @@ def test_cycle_parsing():
         parse_cycles(2, "(0 5)")
     with pytest.raises(CLIError, match="two cycles"):
         parse_cycles(3, "(0 1)(1 2)")
+    with pytest.raises(CLIError, match="twice"):
+        parse_cycles(3, "(0 1 0)")
     with pytest.raises(CLIError, match="at least two"):
         parse_cycles(3, "(0)")
     with pytest.raises(CLIError, match="bad permutation"):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadmod import fock, linalg
+from quadmod import cli, fock, linalg
 from quadmod.fock import build_fock
 from quadmod.linalg import (
     ExactMatrix,
@@ -1147,8 +1147,9 @@ def test_kron_sum_entries_match_the_formed_sum_and_an_object_reference(case, dat
     _assert_real_flag(got)
     if rows != list(range(m * p)) or cols != list(range(n * q)):
         # a sum of r products, each at most max|A|*max|B|, twice that for
-        # two complex factors: int64 up to 2^62, big integers past it
-        bound = len(a) * sa._peak_abs() * sb._peak_abs()
+        # two complex factors: int64 up to 2^62, big integers past it, read
+        # from the stacks' exact peaks, not from the bounds they carry
+        bound = len(a) * _max_entry(sa) * _max_entry(sb)
         if not (sa.is_real() or sb.is_real()):
             bound *= 2
         assert path == ("int64" if bound <= 2**62 else "object")
@@ -1767,3 +1768,126 @@ def test_single_matrix_operations_refuse_batch_axes():
                  lambda: batch[0, 0]):
         with pytest.raises(ValueError, match="batch axes"):
             call()
+
+
+# -- carried bounds: every result carries one, gates read exact peaks -------
+
+
+def _holds_objects(x):
+    return any(part.dtype == object for part in x._parts())
+
+
+def _exact_path(a, b):
+    """The path of a @ b when its gates read the exactly scanned peaks of
+    a and b (see _gate_path): big integers for an object operand or past
+    2^62, doubled for two complex operands; float64 at most 2^53 for work
+    past the cutoff; int64 otherwise."""
+    bound = a.ncols * _max_entry(a) * _max_entry(b)
+    doubled = bound * (1 if a.is_real() or b.is_real() else 2)
+    if _holds_objects(a) or _holds_objects(b) or doubled > 2**62:
+        return "object"
+    batch = np.broadcast_shapes(a.batch_shape, b.batch_shape)
+    work = math.prod(batch) * a.nrows * a.ncols * b.ncols
+    if work >= linalg._FLOAT_MIN_WORK and bound <= linalg._FLOAT_EXACT:
+        return "float"
+    return "int64"
+
+
+def _assert_carried(x):
+    """x's carried peak bounds max |numerator|, and one marked exact is it."""
+    peak = _max_entry(x)
+    assert x._peak is None or x._peak >= peak
+    if x._exact:
+        assert x._peak == peak
+
+
+@st.composite
+def gated_chains(draw):
+    """Three n x n matrices, some batched, and a chain of products, sums,
+    selections, stacks and moves over them and their results. The matrices
+    are real or complex, over a denominator of 1 or 3, and each has a peak
+    that is unknown, exact or only a bound. Their entries reach 2^e, give
+    or take a factor 2 and a unit, where n * 4^e is 2^53, 2^61 or 2^62: the
+    float gate (n = 16 does enough work for it) and the int64 gate of a
+    product, undoubled and doubled; one in six matrices holds big integers."""
+    n = draw(st.sampled_from([2, 4, 16]))
+    e = (draw(st.sampled_from([53, 61, 62])) - n.bit_length() + 1) // 2
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def part(top, shape):
+        if top < 2**62:
+            arr = rng.integers(-top, top, shape, endpoint=True)
+        else:
+            arr = rng.integers(-(2**30), 2**30, shape).astype(object) * (top >> 30)
+        arr.flat[rng.integers(arr.size)] = top  # pin the maximum
+        return arr
+
+    def matrix():
+        shape = draw(st.sampled_from([(n, n), (n, n), (2, n, n)]))
+        if draw(st.integers(0, 5)):
+            top = 2 ** (e + draw(st.sampled_from([-1, 0, 0, 1]))) + draw(st.sampled_from([-1, 0, 1]))
+        else:
+            top = 2**63
+        im = part(top, shape) if draw(st.booleans()) else None
+        # no peak yet, the exact one, or a bound above it, as a result of
+        # some earlier kernel would carry
+        peak = draw(st.sampled_from([None, top, 2 * top, 3 * top]))
+        return ExactMatrix(part(top, shape), im, draw(st.sampled_from([1, 3])), _peak=peak,
+                           _exact=peak == top)
+
+    ops = st.tuples(st.sampled_from(["@", "@", "@", "+", "-", "select", "stack", "join", "move"]),
+                    st.integers(0, 20), st.integers(0, 20),
+                    st.lists(st.integers(0, 2 * n - 1), min_size=2 * n, max_size=2 * n))
+    return n, [matrix() for _ in range(3)], draw(st.lists(ops, min_size=1, max_size=6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(gated_chains())
+def test_carried_bounds_hold_and_products_take_the_exact_peak_path(case):
+    n, pool, chain = case
+    for op, i, j, idx in chain:
+        x, y = pool[i % len(pool)], pool[j % len(pool)]
+        rows, cols = [v % n for v in idx[:n]], [v % n for v in idx[n:]]
+        single = not x.batch_shape and not y.batch_shape
+        if op == "@":
+            want = _exact_path(x, y)
+            got, path = _gate_path(lambda: x @ y)
+            assert path == want
+            assert got == _object_matmul(x, y)
+        elif op in "+-":
+            got = x + y if op == "+" else x - y
+        elif op == "select":
+            got = x.submatrix(rows, cols)
+        elif op == "stack" and single:
+            got = ExactMatrix.stack([x, y], (2,))
+        elif op == "stack":
+            got = x.take(x.batch_shape, (0,) * len(x.batch_shape))
+        elif op == "join" and single:
+            joined = ExactMatrix.vstack([x, y]) if i % 2 else ExactMatrix.hstack([x, y])
+            got = joined.take_rows(idx[:n]) if i % 2 else joined.take_cols(idx[n:])
+        else:
+            got = (x.T, -x, x.conj(), x.H)[i % 4]
+        if op in "@+-":
+            # a product or sum carries the bound its gate read
+            assert got._peak is not None
+        _assert_carried(got)
+        _assert_real_flag(got)
+        pool.append(got)
+    for x in pool:
+        _assert_carried(x)
+
+
+def test_a_full_tower_run_scans_few_matrices(monkeypatch, capsys):
+    # carried bounds decide every gate they can, so an exact scan happens
+    # only where a bound crosses one, on a matrix not scanned before
+    scans = []
+    max_abs = linalg._max_abs
+
+    def counted(arr):
+        scans.append(arr.shape)
+        return max_abs(arr)
+
+    monkeypatch.setattr(linalg, "_max_abs", counted)
+    assert cli.main(["full", "--builtin", "mn:2,2", "--depth", "4", "--format", "json"]) == 0
+    capsys.readouterr()
+    assert len(scans) <= 600

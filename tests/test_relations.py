@@ -1,6 +1,7 @@
 import functools
 import itertools
 import operator
+from fractions import Fraction
 
 import pytest
 from test_cli import rotated_bipartite
@@ -12,6 +13,7 @@ from quadmod.fock import FockOperator, FockSpace, build_fock
 from quadmod.linalg import ExactMatrix
 from quadmod.quadmodule import build_example_MN, build_example_alpha_beta
 from quadmod.relations import (
+    GeneratorFamily,
     full_identity_suite,
     make_generators,
     represent_module_maps,
@@ -390,6 +392,58 @@ PERTURBED_FAILURES = {
         "algebra-reconstruction-zw": "nonzero block level 3 word 22 <- level 3 word 22",
         "algebra-reconstruction-wz": "nonzero block level 3 word 22 <- level 3 word 22",
     },
+    # the census found no module that fails creation-linear-*,
+    # cross-family-orthogonal-*, range-sum-* or range-sum-total; each of
+    # the three perturbations below makes some of them fail
+    ("mn:2,2", "real_creations"): {
+        "annihilation-formula-1": "vector 4: nonzero block level 0 <- level 1",
+        "creation-linear-1": "pair (0, 1): nonzero block level 1 <- level 0",
+        "creation-lift-intertwine-1":
+            "complex combination, vector 2, side element 0: "
+            "nonzero block level 1 <- level 0",
+        "annihilation-formula-2": "vector 4: nonzero block level 0 <- level 1",
+        "creation-linear-2": "pair (0, 1): nonzero block level 1 <- level 0",
+        "creation-lift-intertwine-2":
+            "complex combination, vector 2, side element 1: "
+            "nonzero block level 1 <- level 0",
+    },
+    ("mn:2,2", "leaky_creations"): {
+        "annihilation-formula-2": "vector 0: nonzero block level 1 <- level 2 word 1",
+        "creation-lift-intertwine-2":
+            "left generator, vector 0, side element 0: "
+            "nonzero block level 2 word 1 <- level 1",
+        "compressed-left-action-2":
+            "left generator, vectors (0, 0): "
+            "nonzero block level 1 <- level 1",
+        "cross-family-orthogonal-1": "vectors (0, 0): nonzero block level 1 <- level 1",
+        "cross-family-orthogonal-2": "vectors (0, 0): nonzero block level 1 <- level 1",
+        "range-sum-2": "nonzero block level 2 word 1 <- level 2 word 1",
+        "range-sum-total": "nonzero block level 2 word 1 <- level 2 word 1",
+        "creation-expansion-2": "vector 0: nonzero block level 2 word 1 <- level 1",
+        "defining-relation-1": "nonzero block level 2 word 1 <- level 2 word 1",
+        "defining-relation-2": "pair (0, 0): nonzero block level 1 <- level 1",
+        "defining-relation-4": "pair (0, 0): nonzero block level 1 <- level 1",
+        "defining-relation-8":
+            "element 0, generator 0: "
+            "nonzero block level 2 word 1 <- level 1",
+        "scalar-compression-2": "vectors (0, 0): nonzero block level 1 <- level 1",
+        "algebra-reconstruction-z": "nonzero block level 2 word 1 <- level 2 word 1",
+        "algebra-reconstruction-w": "nonzero block level 2 word 1 <- level 2 word 1",
+        "algebra-reconstruction-zstar": "nonzero block level 2 word 1 <- level 2 word 1",
+        "algebra-reconstruction-wstar": "nonzero block level 2 word 1 <- level 2 word 1",
+        "algebra-reconstruction-zw": "nonzero block level 2 word 1 <- level 2 word 1",
+        "algebra-reconstruction-wz": "nonzero block level 2 word 1 <- level 2 word 1",
+        "product-reconstruction": "nonzero block level 2 word 1 <- level 2 word 1",
+        "module-map-compression":
+            "class 0, generators (0, 0): "
+            "nonzero block level 1 <- level 1",
+    },
+    ("mn:2,2", "short_range_sums"): {
+        "range-sum-1": "nonzero block level 2 word 1 <- level 2 word 1",
+        "range-sum-2": "nonzero block level 2 word 2 <- level 2 word 2",
+        "range-sum-total": "nonzero block level 2 word 1 <- level 2 word 1",
+        "defining-relation-1": "nonzero block level 2 word 1 <- level 2 word 1",
+    },
     ("perm:3", "lift"): {
         "creation-lift-intertwine-2":
             "left generator, vector 0, side element 2: "
@@ -446,6 +500,45 @@ def _extra_lift_block(monkeypatch):
     monkeypatch.setattr(FockSpace, "lifts", perturbed)
 
 
+def _real_creations(monkeypatch):
+    """Every creation drops the imaginary part of its module vectors."""
+    creations = FockSpace.creations
+
+    def perturbed(self, family, xs, window):
+        return creations(self, family, (xs + xs.conj()).scale(Fraction(1, 2)), window)
+
+    monkeypatch.setattr(FockSpace, "creations", perturbed)
+
+
+def _leaky_creations(monkeypatch):
+    """Every second-family creation from level 1 also adds the first
+    family's creation of the same vector, into the first family's range."""
+    creations = FockSpace.creations
+
+    def perturbed(self, family, xs, window):
+        own = creations(self, family, xs, window)
+        lo, hi = window
+        if family == 1 or not lo <= 1 <= hi:
+            return own
+        return own + creations(self, 1, xs, (1, 1))
+
+    monkeypatch.setattr(FockSpace, "creations", perturbed)
+
+
+def _short_range_sums(monkeypatch):
+    """Each family's range sum misses its summand of level 2, the word of
+    that family alone."""
+    range_sum = GeneratorFamily.range_sum
+
+    def perturbed(self, family):
+        full = range_sum(self, family)
+        key = (2, (family,))
+        return FockOperator(self.space, full.shape,
+                            {k: v for k, v in full.blocks.items() if k != (key, key)})
+
+    monkeypatch.setattr(GeneratorFamily, "range_sum", perturbed)
+
+
 @pytest.mark.parametrize("module, perturbation", list(PERTURBED_FAILURES))
 def test_perturbed_towers_keep_their_witnesses(monkeypatch, module, perturbation):
     # each failing family names the member and block that checking its
@@ -457,6 +550,12 @@ def test_perturbed_towers_keep_their_witnesses(monkeypatch, module, perturbation
     space = build_fock(spec, 3)
     if perturbation == "lift":
         _extra_lift_block(monkeypatch)
+    elif perturbation == "real_creations":
+        _real_creations(monkeypatch)
+    elif perturbation == "leaky_creations":
+        _leaky_creations(monkeypatch)
+    elif perturbation == "short_range_sums":
+        _short_range_sums(monkeypatch)
     elif perturbation == "left_B1":
         summand = space.summand((2, (1,)))
         # member 0 doubled, the others kept
