@@ -10,8 +10,7 @@ picks one of three arithmetic paths:
 * Python big integers (numpy object dtype) otherwise, so results are always
   exact;
 * for matrix products of int64 operands, one float64 GEMM when every partial
-  sum is provably at most 2^53 and the product is large enough for BLAS to
-  beat numpy's int64 loop. A dot product of k integer terms, each at most
+  sum is provably at most 2^53. A dot product of k integer terms, each at most
   a*b in magnitude, has every partial sum at most k*a*b in magnitude,
   whatever order the terms are added in and whether or not they are fused
   multiply-adds. Every integer of magnitude at most 2^53 is a float64, so
@@ -44,8 +43,8 @@ the common denominator, a selection or a move its source's, and a
 concatenation the largest of its inputs', rescaled alike. Only a matrix
 built from bare arrays is scanned for it, on first use. A kernel reads
 the bound that picks its path from its operands' peaks (_gate_bound), and
-only when that bound lies above the gate it faces (2^53 for a float
-product, 2^62 for int64) is each operand whose peak is only a bound
+only when that bound lies above the gate it faces (2^53 for a product,
+2^62 for every other kernel) is each operand whose peak is only a bound
 scanned, once, and the path picked from exact peaks. So every path is the
 one exact peaks pick, and a matrix is scanned only where a carried bound
 crosses a gate. A matrix records that its peak is exact: moves that keep
@@ -61,8 +60,7 @@ difference of batched matrices is one operation on whole arrays, and a
 single matrix is the case without batch axes. Each entry of each member of
 a product is still one dot product of k terms, so the bound
 k*max|A|*max|B|, read over the whole arrays, decides the path exactly as
-for one product, whatever the batch size; only the float cutoff reads the
-total work m*k*n times the number of members. A linear combination
+for one product, whatever the batch size. A linear combination
 sum_k c_k M_k of the members along one batch axis (combine) is one such
 product too: the members' numerators, read row-major, are the rows of one
 r x (m n) integer matrix F over one denominator, and the coefficients'
@@ -152,12 +150,6 @@ _INT64_SAFE = 1 << 62
 # to 2^53 in magnitude is exactly representable.
 _FLOAT_EXACT = 1 << 53
 
-# Smallest m*k*n sent to the float64 product. Below it the stacking copies
-# can cost more than numpy's int64 matmul loop saves: on a 2-CPU x86-64 host
-# with OpenBLAS 0.3.31 the float path won on every shape measured from 2048
-# up, and lost on some between 1000 and 2048 (6x36x6, 1x36x36).
-_FLOAT_MIN_WORK = 2048
-
 
 class NotHermitian(ValueError):
     """Raised when an operation requires a Hermitian matrix."""
@@ -188,9 +180,16 @@ _OBJECT = np.dtype(object)
 
 
 def _demote(arr):
-    """Drop an object array back to int64 when its values fit."""
-    if arr.dtype is _OBJECT and _max_abs(arr) <= _INT64_SAFE:
-        return arr.astype(np.int64)
+    """Drop an object array back to int64 when its values are at most
+    _INT64_SAFE in magnitude. The conversion stops at the first value past
+    int64; int64's abs wraps at -2^63, so its extremes are read instead."""
+    if arr.dtype is _OBJECT:
+        try:
+            small = arr.astype(np.int64)
+        except OverflowError:
+            return arr
+        if not small.size or -_INT64_SAFE <= small.min() and small.max() <= _INT64_SAFE:
+            return small
     return arr
 
 
@@ -294,28 +293,23 @@ def _gate_bound(bound, gate, a, b=None) -> int:
     return bound(*(m._exact_peak() for m in mats))
 
 
+def _float_matmul(x, y):
+    """x @ y in one float64 GEMM, exact when every partial sum is at most
+    2^53 (see the module docstring); object operands stay object."""
+    if x.dtype is _OBJECT:
+        return x @ y
+    return (x.astype(np.float64) @ y.astype(np.float64)).astype(np.int64)
+
+
 def _product(a, b):
     """(parts, peak) of a @ b, over the denominator a._den * b._den; batch
-    axes broadcast. Each part product is one float64, int64 or big-integer
-    matmul (see the module docstring)."""
-    (m, k), n = a._re.shape[-2:], b._re.shape[-1]
-    work = m * k * n
-    if a._re.ndim > 2 or b._re.ndim > 2:
-        work *= math.prod(np.broadcast_shapes(a._re.shape[:-2], b._re.shape[:-2]))
-    # a product large enough for BLAS faces the float gate, any other the
-    # int64 one
-    large = work >= _FLOAT_MIN_WORK
-    gate = _FLOAT_EXACT if large else _int64_gate(a, b)
-    bound = _gate_bound(lambda p, q: k * p * q, gate, a, b)
-    use_float = large and bound <= _FLOAT_EXACT
-
-    def matmul(x, y):
-        # _common leaves both operands int64 or both object
-        if use_float and x.dtype is not _OBJECT:
-            return (x.astype(np.float64) @ y.astype(np.float64)).astype(np.int64)
-        return x @ y
-
-    return _bilinear(matmul, a._parts(), b._parts(), bound)
+    axes broadcast. The bound k*max|A|*max|B| alone picks each part
+    product's path: one float64 GEMM at most 2^53, otherwise an int64 or
+    big-integer matmul (see the module docstring)."""
+    k = a._re.shape[-1]
+    bound = _gate_bound(lambda p, q: k * p * q, _FLOAT_EXACT, a, b)
+    return _bilinear(_float_matmul if bound <= _FLOAT_EXACT else np.matmul,
+                     a._parts(), b._parts(), bound)
 
 
 def _concatenated(mats, join) -> "ExactMatrix":

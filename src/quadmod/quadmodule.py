@@ -204,6 +204,14 @@ class QuadModuleSpec:
         return {name: ExactMatrix.stack(getattr(self, name), (len(getattr(self, name)),))
                 for name in names}
 
+    @cached_property
+    def _family_compressions(self) -> dict:
+        """_compressions of the first family ("u") under the side-1 form and
+        of the second ("v") under the side-2 form, of the other side's left
+        action: read by the finite type checks and the index maps."""
+        return {"u": _compressions(ExactMatrix.hstack(self.basis_U), self.inner_B1, self.left_B2),
+                "v": _compressions(ExactMatrix.hstack(self.basis_V), self.inner_B2, self.left_B1)}
+
     # -- axiom validation --------------------------------------------------
 
     def validate_axioms(self) -> list[CheckResult]:
@@ -422,14 +430,13 @@ class QuadModuleSpec:
         )
 
         traces = {}
-        for label, family, form, ops, embed, other, statement in [
-            ("u", family_u, self.inner_B1, self.left_B2, self.left_embed_1, "side-2",
+        for label, k, d, embed, other, statement in [
+            ("u", family_u.ncols, len(self.left_B2), self.left_embed_1, "side-2",
              "compressions of the side-2 left action by the first family land in the embedded base algebra"),
-            ("v", family_v, self.inner_B2, self.left_B1, self.left_embed_2, "side-1",
+            ("v", family_v.ncols, len(self.left_B1), self.left_embed_2, "side-1",
              "compressions of the side-1 left action by the second family land in the embedded base algebra"),
         ]:
-            values, traces[label] = _compressions(family, form, ops)
-            k, d = family.ncols, len(ops)
+            values, traces[label] = self._family_compressions[label]
             # the columns (i, c, j) of the values in the order (i, j, c)
             order = [(i * d + c) * k + j for i in range(k) for j in range(k) for c in range(d)]
             bad = embed.first_outside_range(values.take_cols(order))
@@ -480,11 +487,9 @@ class QuadModuleSpec:
 
     def _derived_index_maps(self) -> "LambdaMaps":
         lams = {}
-        for side, family, form, ops, embed in [
-            ("side-1", self.basis_V, self.inner_B2, self.left_B1, self.left_embed_2),
-            ("side-2", self.basis_U, self.inner_B1, self.left_B2, self.left_embed_1),
-        ]:
-            _, totals = _compressions(ExactMatrix.hstack(family), form, ops)
+        for side, label, embed in [("side-1", "v", self.left_embed_2),
+                                   ("side-2", "u", self.left_embed_1)]:
+            _, totals = self._family_compressions[label]
             bad = embed.first_outside_range(totals)
             if bad is not None:
                 raise LambdaNotFaithful(

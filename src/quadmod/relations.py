@@ -22,9 +22,9 @@ those of its rightmost factor, so no block inside the window changes (see
 the fock module on window pruning).
 
 The side action phi is linear, so every operator rebuilt from a generating
-family S_1, ..., S_n is a combination of one basis family built once per
-family, with phi(e_c) the action of side basis element c and <.|.>_c
-coordinate c of the side inner product:
+family S_1, ..., S_n is a combination of one basis family, with phi(e_c)
+the action of side basis element c and <.|.>_c coordinate c of the side
+inner product:
 
 * the creation of x is sum_{i,c} <m_i|x>_c S_i phi(e_c), a combination of
   the expansion basis S_i phi(e_c);
@@ -58,9 +58,9 @@ _I = GaussianRational(0, 1)
 class GeneratorFamily:
     """Creation operators attached to the two generating families, each
     family one FockOperator over its generators, with everything derived
-    from them: their adjoints and range projections, the basis families
-    that expansions and represented module maps combine (see the module
-    docstring), the left-action operator model and its lifts to the tower.
+    from them: their adjoints and range projections, the expansion basis
+    that expansions combine (see the module docstring), the left-action
+    operator model and its lifts to the tower.
 
     Derived operators are built on first use, so a module whose left
     actions are not diagonal raises NotDiagonalModel only where a stage
@@ -117,14 +117,6 @@ class GeneratorFamily:
         element c. Every expansion is a combination of them."""
         return {fam: (self.family(fam).reshape((-1, 1)) @ self.side_bases[fam].reshape((1, -1)))
                 .reshape((-1,)) for fam in (1, 2)}
-
-    @cached_property
-    def representation_bases(self) -> dict:
-        """Per family, the members (j, c, i), j slowest, S_j phi(e_c) S_i* on
-        the whole tower: the expansion basis times each adjoint. Every
-        represented module map is a combination of them."""
-        return {fam: (basis.reshape((-1, 1)) @ self.adjoints[fam].reshape((1, -1))).reshape((-1,))
-                for fam, basis in self.expansion_bases.items()}
 
     def expansions(self, family: int, xs: ExactMatrix, window) -> FockOperator:
         """The creation operators of the module vectors in the columns of xs
@@ -476,7 +468,8 @@ def represent_module_maps(gens: GeneratorFamily, ambients: list) -> FockOperator
     against the two generating families, one member per map: the
     sum over both families of sum_{i,j} S_j phi(<m_j|L m_i>) S_i*, the
     combination of the representation basis with coefficient (j, c, i) the
-    coordinate c of <m_j|L m_i>."""
+    coordinate c of <m_j|L m_i>. The basis, S_j phi(e_c) S_i* with j
+    slowest, is built per call, not held for the whole run."""
     r = len(ambients)
     terms = []
     for family in (1, 2):
@@ -486,7 +479,9 @@ def represent_module_maps(gens: GeneratorFamily, ambients: list) -> FockOperator
         mapped = ExactMatrix.hstack([L_amb @ members for L_amb in ambients])
         # column (j, l, i) of the pairs holds <m_j|L_l m_i>; row (j, c, i) of coeffs
         coeffs = regroup(stack.pairs(members, mapped), (nc, n, r, n), (1, 0, 3, 2), n * nc * n, r)
-        terms.append(gens.representation_bases[family].combine(coeffs))
+        basis = (gens.expansion_bases[family].reshape((-1, 1))
+                 @ gens.adjoints[family].reshape((1, -1))).reshape((-1,))
+        terms.append(basis.combine(coeffs))
     return terms[0] + terms[1]
 
 
@@ -605,8 +600,9 @@ def verify_module_map_representation(gens: GeneratorFamily) -> list:
         )]
     reports = []
     ambients = [_to_ambient(space, E) for E in model.idempotents]
-    represented = represent_module_maps(gens, ambients)
     ncl = len(ambients)
+    represented = represent_module_maps(gens, ambients + [ambients[0] @ ambients[-1]])
+    represented_product, represented = represented[ncl], represented[:ncl]
     # per family, coordinate c of <m_i|L m_j> for every class L and pair
     # (i, j) of members, as row c with columns (class, i, j)
     values = {}
@@ -633,8 +629,7 @@ def verify_module_map_representation(gens: GeneratorFamily) -> list:
     reports.append(window_report(
         "module-map-multiplicative",
         "representation turns operator products into operator products",
-        represent_module_maps(gens, [ambients[0] @ ambients[-1]])
-        - represented[0] @ represented[-1],
+        represented_product - represented[0] @ represented[-1],
         2, K,
     ))
 

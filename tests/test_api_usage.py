@@ -217,10 +217,11 @@ def _scoped_names(node, scope=()):
 
 def test_only_the_exact_scan_and_the_gate_helper_read_peaks():
     # a matrix is scanned where a carried bound crosses a gate and nowhere
-    # else: only the exact scan, _demote and rref's _peak_of scan numerators,
-    # and only _gate_bound turns carried peaks into a bound a kernel gates on
+    # else: only the exact scan and rref's _peak_of scan numerators for a
+    # peak, and only _gate_bound turns carried peaks into a bound a kernel
+    # gates on
     readers = {
-        "_max_abs": {"ExactMatrix._exact_peak", "_demote", "_peak_of"},
+        "_max_abs": {"ExactMatrix._exact_peak", "_peak_of"},
         "_peak_abs": {"_gate_bound"},
         "_exact_peak": {"_gate_bound", "ExactMatrix._peak_abs"},
     }

@@ -326,7 +326,7 @@ def _object_product(are, aim, bre, bim):
 @st.composite
 def gated_operands(draw):
     """Integer operands whose product bound 2*k*max|A|*max|B| is 2^53, just
-    above it, or 2^56, with shapes on both sides of the float size cutoff."""
+    above it, or 2^56, over shapes from a single entry to 24 x 32 x 24."""
     j = draw(st.integers(0, 5))
     k = 2**j
     m = draw(st.integers(1, 24))
@@ -361,7 +361,6 @@ def test_matmul_worst_case_partial_sums_stay_exact():
     # every product is (2^24 - 1)(2^24 + 1) = 2^48 - 1 and all 2k = 32 terms
     # add up with the same sign: the largest sum the float gate admits
     m, k, n = 16, 16, 16
-    assert m * k * n >= linalg._FLOAT_MIN_WORK
     a, b = 2**24 - 1, 2**24 + 1
     assert 2 * k * a * b <= linalg._FLOAT_EXACT
     are = np.full((m, k), a)
@@ -511,8 +510,7 @@ def _real_product(a, b):
 @st.composite
 def real_gated_operands(draw):
     """Real integer operands whose product bound k*max|A|*max|B| is 2^53,
-    just above it, or 2^56, with m*k*n on both sides of the float size
-    cutoff."""
+    just above it, or 2^56, over shapes from a single entry to 24 x 128 x 24."""
     j = draw(st.integers(0, 7))
     k = 2**j
     m = draw(st.integers(1, 24))
@@ -537,16 +535,15 @@ def test_real_matmul_matches_object_reference_at_the_float_gate(ops):
     a, b = ops
     got, path = _real_product(a, b)
     assert got == _real_matrix(a.astype(object) @ b.astype(object))
-    m, k = a.shape
-    bound = k * int(np.abs(a).max()) * int(np.abs(b).max())
-    small = m * k * b.shape[1] < linalg._FLOAT_MIN_WORK
-    assert path == ("int64" if small or bound > linalg._FLOAT_EXACT else "float")
+    # the bound alone picks the path, whatever the shape
+    bound = a.shape[1] * int(np.abs(a).max()) * int(np.abs(b).max())
+    assert path == ("int64" if bound > linalg._FLOAT_EXACT else "float")
 
 
 def test_real_matmul_worst_case_at_the_float_gate_stays_exact():
     # k = 2048 products of 2^42 * 1 with one sign per row: every partial sum
     # reaches 2^53, the largest the float gate admits
-    k = linalg._FLOAT_MIN_WORK
+    k = 2048
     a = np.full((2, k), 2**42)
     a[1] *= -1
     b = np.ones((k, 1), np.int64)
@@ -559,7 +556,7 @@ def test_real_matmul_worst_case_at_the_float_gate_stays_exact():
 def test_real_matmul_just_above_the_float_gate_takes_int64():
     # the bound is 2^53 + 2^11 and the row sums to the odd 2^53 + 2047,
     # which no float64 holds
-    k = linalg._FLOAT_MIN_WORK
+    k = 2048
     a = np.full((1, k), 2**42 + 1)
     a[0, -1] = 2**42
     b = np.ones((k, 1), np.int64)
@@ -774,7 +771,7 @@ def gated_combinations(draw):
     p = (gate - j) // 2
     ftop = 2 ** (gate - j - p)
     ctop = 2**p + draw(st.sampled_from([0, 1]))
-    # sizes on both sides of the float cutoff r*L*columns >= 2048
+    # sizes from a single entry up
     size = st.sampled_from([1, 3, 8, 24])
     shapes = draw(st.lists(st.tuples(size, size), min_size=1, max_size=3))
     s = draw(st.integers(1, 3))
@@ -1094,7 +1091,7 @@ def kron_sum_cases(draw):
     gates of gated_tops, with mixed denominators."""
     r = 2 ** draw(st.integers(0, 3))
     ta, tb, complex_entries = draw(gated_tops(r))
-    # sizes on both sides of the float cutoff m*n*r*p*q >= 2048
+    # factors from a single entry up
     dims = st.sampled_from([1, 3, 8])
     (m, n), (p, q) = (draw(st.tuples(dims, dims)) for _ in range(2))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -1199,7 +1196,7 @@ def kron_identity_cases(draw):
     left = draw(st.booleans())
     h = 2 ** draw(st.integers(0, 4))
     ta, tb, complex_entries = draw(gated_tops(h))
-    # sizes on both sides of the float cutoff r*s*h*q >= 2048
+    # sizes from a single row and column up
     r, q = (draw(st.sampled_from([1, 3, 16, 40])) for _ in range(2))
     s = draw(st.integers(1, 3))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -1546,8 +1543,7 @@ def stack_gate_operands(draw):
     and the bound k*max|A|*max|B| of one part product, inner dimension k:
     it is 2^53 or just above it, the float gate, or, doubled for two
     complex stacks, 2^62, just above it, or 2^64, past the int64 range.
-    Sizes put the total work m*k*n*batch of one part product on both sides
-    of the float cutoff, some with every member below it."""
+    Sizes run from single-entry members to large batches."""
     ndim = draw(st.integers(0, 2))
     full = draw(st.lists(st.integers(1, 5), min_size=ndim, max_size=ndim))
     a_batch, b_batch = [], []
@@ -1594,27 +1590,15 @@ def test_stack_products_match_the_member_loop_and_an_object_reference(case):
         assert member == a.take(shape, index) @ b.take(shape, index)
         _assert_real_flag(member)
     _assert_real_flag(got)
-    # each part product is one matmul: the float gate and the cutoff read
-    # one part product's bound and total work, and only the int64 gate
-    # doubles for two complex stacks; the batch enters the work, not the bound
-    work = math.prod(shape) * are.shape[-2] * are.shape[-1] * bre.shape[-1]
+    # each part product is one matmul: the float gate reads one part
+    # product's bound, only the int64 gate doubles for two complex stacks,
+    # and the batch enters neither
     if bound * (2 if aim.any() and bim.any() else 1) > 2 ** 62:
         assert path == "object"
-    elif bound > linalg._FLOAT_EXACT or work < linalg._FLOAT_MIN_WORK:
+    elif bound > linalg._FLOAT_EXACT:
         assert path == "int64"
     else:
         assert path == "float"
-
-
-def test_stack_float_cutoff_reads_the_total_work():
-    # every member is 4x8 @ 8x8, 256 below the cutoff; nine of them reach it
-    rng = np.random.default_rng(5)
-    a = ExactMatrix(rng.integers(-9, 9, (9, 1, 4, 8)), np.zeros((9, 1, 4, 8), np.int64), 1)
-    b = ExactMatrix(rng.integers(-9, 9, (8, 8)), np.zeros((8, 8), np.int64))
-    got, path = _gate_path(lambda: a @ b)
-    assert 4 * 8 * 8 < linalg._FLOAT_MIN_WORK <= 9 * 4 * 8 * 8
-    assert path == "float"
-    assert got.take((9, 1), (4, 0)) == a.take((9, 1), (4, 0)) @ b
 
 
 gaussian = st.builds(
@@ -1710,6 +1694,15 @@ def test_member_scalars_stay_exact_past_int64():
     for index in _stack_members((2, 2)):
         assert got.take((2, 2), index) == a.take((2,), index[1:]).scale(scalars[index])
     assert got.take((2, 2), (1, 1)).is_zero()
+    # a result drops back only when every value is at most 2^62: one in
+    # (2^62, 2^63), which int64 holds, and one past 2^63, which it does
+    # not, both stay big integers
+    for value, dtype in [(2**62, np.int64), (-(2**62), np.int64), (2**62 + 1, object),
+                         (-(2**63), object), (2**63 + 1, object)]:
+        x = ExactMatrix.stack([ExactMatrix.from_rows([[3 * value, 3]])], (1,))
+        got = x.scaled(ExactMatrix.from_rows([[F(1, 3)]]))
+        assert got._re.dtype == dtype
+        assert got.take((1, 1), (0, 0)) == ExactMatrix.from_rows([[value, 1]])
 
 
 def test_stacks_with_empty_or_no_batch_axes():
@@ -1780,15 +1773,13 @@ def _holds_objects(x):
 def _exact_path(a, b):
     """The path of a @ b when its gates read the exactly scanned peaks of
     a and b (see _gate_path): big integers for an object operand or past
-    2^62, doubled for two complex operands; float64 at most 2^53 for work
-    past the cutoff; int64 otherwise."""
+    2^62, doubled for two complex operands; float64 at most 2^53; int64
+    otherwise."""
     bound = a.ncols * _max_entry(a) * _max_entry(b)
     doubled = bound * (1 if a.is_real() or b.is_real() else 2)
     if _holds_objects(a) or _holds_objects(b) or doubled > 2**62:
         return "object"
-    batch = np.broadcast_shapes(a.batch_shape, b.batch_shape)
-    work = math.prod(batch) * a.nrows * a.ncols * b.ncols
-    if work >= linalg._FLOAT_MIN_WORK and bound <= linalg._FLOAT_EXACT:
+    if bound <= linalg._FLOAT_EXACT:
         return "float"
     return "int64"
 

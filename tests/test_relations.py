@@ -300,10 +300,11 @@ def test_combinations_of_the_basis_families_match_the_per_generator_formulas(mod
 
 
 def test_cached_basis_families_leave_no_products(monkeypatch, bipartite):
-    # once the basis families exist, an expansion or a represented module
-    # map is a combination of them: no block product at all
+    # once the expansion basis exists, an expansion is a combination of it:
+    # no block product at all; a represented module map builds its basis,
+    # one block product per family, and combines it for every map at once
     gens = make_generators(bipartite)
-    gens.representation_bases
+    gens.expansion_bases
     products = []
 
     def counted(a, b, _call=fock._product_blocks):
@@ -315,8 +316,11 @@ def test_cached_basis_families_leave_no_products(monkeypatch, bipartite):
     xs, maps = _rebuilt_cases(spec)
     for family in (1, 2):
         gens.expansions(family, xs, (0, bipartite.depth - 1))
-    represent_module_maps(gens, maps)
     assert products == []
+    for count in (1, len(maps)):
+        products.clear()
+        represent_module_maps(gens, maps[:count])
+        assert len(products) == 2
     # the spy sees the products a family expression makes
     gens.S @ gens.T
     assert products
