@@ -1601,6 +1601,26 @@ def test_stack_products_match_the_member_loop_and_an_object_reference(case):
         assert path == "float"
 
 
+def test_small_products_and_stacks_take_float_below_the_gate():
+    # the bound alone picks the path: a single entry, a 4x8 @ 8x8 member and
+    # a stack of nine of them all take float64, however little the work
+    rng = np.random.default_rng(5)
+    are, bre = rng.integers(-9, 9, (9, 1, 4, 8)), rng.integers(-9, 9, (8, 8))
+    zeros_a, zeros_b = np.zeros_like(are), np.zeros_like(bre)
+    a, b = ExactMatrix(are, zeros_a, 1), ExactMatrix(bre, zeros_b)
+    want, _ = _object_product(are, zeros_a, bre, zeros_b)
+    one = ExactMatrix.from_rows([[3]])
+    got, path = _gate_path(lambda: one @ one)
+    assert path == "float" and got == ExactMatrix.from_rows([[9]])
+    for index in [(0, 0), (4, 0), (8, 0)]:
+        got, path = _gate_path(lambda: a.take((9, 1), index) @ b)
+        assert path == "float" and got == ExactMatrix(want[index], np.zeros((4, 8), np.int64))
+    got, path = _gate_path(lambda: a @ b)
+    assert path == "float"
+    for index in _stack_members((9, 1)):
+        assert got.take((9, 1), index) == ExactMatrix(want[index], np.zeros((4, 8), np.int64))
+
+
 gaussian = st.builds(
     lambda a, b, c, d: GR(F(a, b), F(c, d)),
     st.integers(-9, 9), st.integers(1, 6), st.integers(-9, 9), st.integers(1, 6))

@@ -174,3 +174,20 @@ def test_validation_makes_as_many_products_on_a_larger_module(monkeypatch, small
         validating.pop()
         assert all(c["passed"] for c in section["checks"])
     assert products[0] == products[1] > 0
+
+
+def test_validation_computes_each_familys_compressions_once(monkeypatch):
+    # the finite type checks and the index maps read the same compressions
+    # of the two generating families, so validation forms each one once
+    calls = []
+    compressions = quadmodule._compressions
+
+    def counted(family, form, ops):
+        calls.append(form)
+        return compressions(family, form, ops)
+
+    monkeypatch.setattr(quadmodule, "_compressions", counted)
+    spec = build_example_MN(2, 3)
+    section = validate_section(spec)
+    assert all(c["passed"] for c in section["checks"])
+    assert calls == [spec.inner_B1, spec.inner_B2]
