@@ -73,7 +73,7 @@ def build_ck_generators(gens: GeneratorFamily) -> CKBundle:
     ncl = lifts.shape[0]
     module = (1, ())
     h = gens.space.summand(module)
-    classes = ExactMatrix.stack(model.idempotents, (ncl, 1))
+    classes = model.idempotents.reshaped((ncl,), (ncl, 1))
     states, ops, adjoints = [], {}, {}
     for family in (1, 2):
         members = gens.family(family)

@@ -50,18 +50,21 @@ per-entry bound of linalg whatever the number of members. A single
 operator has the batch shape (), and indexing op[i] reads member i.
 creations, left_actions, right_actions and lifts build whole batches: the
 creations of every column of a matrix of module vectors, the side actions
-of every column of a coefficient matrix, or the lifts of a list of module
-operators, in one product per block; creation and lift are their
-one-member cases. An operator whose blocks are all diagonal, such as the
-lifts of a diagonal model, can also be read as a FockDiagonal, which
-multiplies by it and takes commutators with it without a matrix product.
+of every column of a coefficient matrix, or the lifts of every member of a
+batch of module operators, in one product per block; creation and lift
+are their one-member cases. An operator whose blocks are all diagonal,
+such as the lifts of a diagonal model, can also be read as a FockDiagonal,
+which multiplies by it and takes commutators with it without a matrix
+product.
 
 Window pruning: an identity is checked on the blocks whose source level
 lies in a window [lo, hi]. The source summands of a product are those of
 its rightmost factor, and those of a sum are those of its terms, so
-restricting every rightmost factor, and every batched creation or action,
-to source levels in [lo, hi] leaves each block inside the window unchanged
-and drops only blocks the check ignores.
+restricting every rightmost factor, and every batched action, to source
+levels in [lo, hi] leaves each block inside the window unchanged and drops
+only blocks the check ignores. Creations are built whole: no creation has
+a block from the top level K, so every window [0, hi] with hi >= K - 1
+keeps all of their blocks.
 """
 
 from __future__ import annotations
@@ -82,6 +85,7 @@ from .linalg import (
     kron_identity_entries,
     kron_sum,
     kron_sum_entries,
+    regroup,
     times_kron_identity,
 )
 from .quadmodule import QuadModuleSpec
@@ -329,7 +333,8 @@ class QuadSpace:
 
     def ambient(self, L: ExactMatrix) -> ExactMatrix:
         """include @ L @ express: an operator on the quotient as the ambient
-        operator that vanishes on the null space."""
+        operator that vanishes on the null space, for every member of a
+        batched L at once."""
         n = self.ambient_dim
         if self.express is None:
             return L.scattered(self.reps, self.reps, (n, n))
@@ -696,12 +701,11 @@ class FockSpace:
         member of creations on the whole tower."""
         if xi.shape != (self.spec.dim, 1):
             raise ValueError("module vector shape mismatch")
-        return self.creations(family, xi, (0, self.depth))[0]
+        return self.creations(family, xi)[0]
 
-    def creations(self, family: int, xs: ExactMatrix, window) -> FockOperator:
+    def creations(self, family: int, xs: ExactMatrix) -> FockOperator:
         """The creation operators of the module vectors in the columns of xs,
-        one member per column, with the blocks whose source level
-        lies in window = (lo, hi) only.
+        one member per column.
 
         family 1 prepends through the first balanced tensor, family 2
         through the second. The vectors are given in ambient module
@@ -718,19 +722,16 @@ class FockSpace:
             raise ValueError("family must be 1 or 2")
         if xs.nrows != self.spec.dim:
             raise ValueError("module vector shape mismatch")
-        lo, hi = window
         h = self.summands[(1, ())]
         c = xs.ncols
-        blocks = {}
-        if lo <= 0 <= hi:
-            width = self.summands[(0, ())].dim
-            coeff = times_kron_identity(self._coefficient_stack(family), xs, width, False)
-            # column (t, j) of coeff is column t of member j's block
-            blocks[((1, ()), (0, ()))] = coeff.regrouped((h.dim, width, c), (2, 0, 1))
+        width = self.summands[(0, ())].dim
+        coeff = times_kron_identity(self._coefficient_stack(family), xs, width, False)
+        # column (t, j) of coeff is column t of member j's block
+        blocks = {((1, ()), (0, ())): coeff.regrouped((h.dim, width, c), (2, 0, 1))}
         xs_q = h.coordinates(xs)
         for key in self.keys:
             n, word = key
-            if n == 0 or n == self.depth or not lo <= n <= hi:
+            if n == 0 or n == self.depth:
                 continue
             dest = (n + 1, (family,) + word)
             dsp = self.summands[dest]
@@ -747,15 +748,17 @@ class FockSpace:
         if family not in self._coefficient_stacks:
             h = self.summands[(1, ())]
             spec = self.spec
-            d1, d2 = spec.algebra_B1.dim, spec.algebra_B2.dim
+            n, d1, d2 = spec.dim, spec.algebra_B1.dim, spec.algebra_B2.dim
             if self.summands[(0, ())].dim != d1 + d2:
                 raise AssertionError("internal error: coefficient level was cut")
-            zero = ExactMatrix.zeros(spec.dim, spec.dim)
-            if family == 1:
-                rights = list(spec.right_B1) + [zero] * d2
-            else:
-                rights = [zero] * d1 + list(spec.right_B2)
-            self._coefficient_stacks[family] = h.coordinates(ExactMatrix.hstack(rights))
+            rights = spec.stacks["right_B1" if family == 1 else "right_B2"]
+            d = rights.batch_shape[0]
+            # the family's right actions side by side, placed among the columns
+            # of every coefficient basis element
+            own = h.coordinates(regroup(rights.flattened(), (d, n, n), (1, 0, 2), n, d * n))
+            start = 0 if family == 1 else d1 * n
+            self._coefficient_stacks[family] = own.scattered(
+                range(h.dim), range(start, start + d * n), (h.dim, (d1 + d2) * n))
         return self._coefficient_stacks[family]
 
     def _side_family(self, ops: str) -> ExactMatrix:
@@ -805,38 +808,35 @@ class FockSpace:
 
     def lift(self, L: ExactMatrix) -> FockOperator:
         """The one member of lifts."""
-        return self.lifts([L])[0]
+        return self.lifts(L.reshaped((), (1,)))[0]
 
-    def lifts(self, ops) -> FockOperator:
-        """The extensions of the module operators ops, given in quotient
-        coordinates of the module summand, to the tower, one member per
-        operator: each acts on the leftmost tensor factor and is zero on the
-        coefficient level. On level n >= 2 the block of L is the quotient
-        express @ (L (x) I) @ include of the summand, and L must preserve
-        the summand's null space (see QuadSpace.descend). On a coordinate
-        quotient the blocks and null parts of all members are gathered at
-        once from the stacked operators, and an eliminated quotient forms
-        them in one batched product."""
+    def lifts(self, ops: ExactMatrix) -> FockOperator:
+        """The extensions of the module operators ops, one batch along one
+        axis given in quotient coordinates of the module summand, to the
+        tower, one member per operator: each acts on the leftmost tensor
+        factor and is zero on the coefficient level. On level n >= 2 the
+        block of L is the quotient express @ (L (x) I) @ include of the
+        summand, and L must preserve the summand's null space (see
+        QuadSpace.descend). On a coordinate quotient the blocks and null
+        parts of all members are gathered at once from the batch, and an
+        eliminated quotient forms them in one batched product."""
         h = self.summands[(1, ())]
-        ops = list(ops)
-        if any(L.shape != (h.dim, h.dim) for L in ops):
-            raise ValueError("operator must act on the module summand")
-        r = len(ops)
-        stacked = ExactMatrix.stack(ops, (r,))
-        blocks = {((1, ()), (1, ())): stacked}
+        if len(ops.batch_shape) != 1 or ops.shape != (h.dim, h.dim):
+            raise ValueError("operators must act on the module summand, along one batch axis")
+        blocks = {((1, ()), (1, ())): ops}
         for key in self.keys:
             n, word = key
             if n < 2:
                 continue
             tail = self.summands[(n - 1, word[1:])]
-            block, null_part = self.summands[key].descend(stacked, tail.dim)
+            block, null_part = self.summands[key].descend(ops, tail.dim)
             if not null_part.is_zero():
                 raise ValueError(
                     "operator does not descend to the tensor quotient; "
                     "it is not adjointable on the module"
                 )
             blocks[(key, key)] = block
-        return FockOperator(self, (r,), blocks)
+        return FockOperator(self, ops.batch_shape, blocks)
 
 
 _BALANCED = "balanced-tensor defects vanish in every summand"
@@ -891,37 +891,19 @@ def build_fock(spec: QuadModuleSpec, depth: int) -> FockSpace:
     d1 = spec.algebra_B1.dim
     d2 = spec.algebra_B2.dim
 
-    def batch(ops):
-        return ExactMatrix.stack(ops, (len(ops),))
-
     # level 0: the two side algebras in a column, inner product through the
-    # index maps
-    gram0 = []
-    for a in range(dA):
-        diag = [lam1[a, c] for c in range(d1)] + [lam2[a, c] for c in range(d2)]
-        gram0.append(ExactMatrix.diagonal(diag))
-    left0_B1 = batch([
-        ExactMatrix.block_diag(
-            [spec.algebra_B1.mult_matrix(spec.algebra_B1.basis_element(c)), ExactMatrix.zeros(d2, d2)]
-        )
-        for c in range(d1)
-    ])
-    left0_B2 = batch([
-        ExactMatrix.block_diag(
-            [ExactMatrix.zeros(d1, d1), spec.algebra_B2.mult_matrix(spec.algebra_B2.basis_element(c))]
-        )
-        for c in range(d2)
-    ])
-    right0_A = batch([
-        ExactMatrix.block_diag(
-            [
-                spec.algebra_B1.mult_matrix(spec.right_embed_1(spec.algebra_A.basis_element(a))),
-                spec.algebra_B2.mult_matrix(spec.right_embed_2(spec.algebra_A.basis_element(a))),
-            ]
-        )
-        for a in range(dA)
-    ])
-    level0 = QuadSpace.from_ambient(GramStack(gram0), None, None, left0_B1, left0_B2, right0_A)
+    # index maps. Every operator there is diagonal, multiplication in
+    # C^d1 + C^d2, so each family is one batch of columns made diagonal.
+    width = d1 + d2
+    # coordinate Gram a: row a of both index maps
+    gram0 = ExactMatrix.hstack([lam1, lam2]).regrouped((dA, width, 1), (0, 1, 2)).to_diagonal()
+    # side basis element c: the unit of its coordinate
+    units = ExactMatrix.identity(width).regrouped((width, width, 1), (1, 0, 2)).to_diagonal()
+    # base basis element a: its images under both right embeddings
+    right0_A = (ExactMatrix.vstack([spec.right_embed_1.matrix, spec.right_embed_2.matrix])
+                .regrouped((width, dA, 1), (1, 0, 2)).to_diagonal())
+    level0 = QuadSpace.from_ambient(GramStack(gram0), None, None, units.take((width,), slice(d1)),
+                                    units.take((width,), slice(d1, None)), right0_A)
     if level0.degenerate:
         raise AssertionError("internal error: faithful index maps left level 0 degenerate")
 
@@ -933,11 +915,11 @@ def build_fock(spec: QuadModuleSpec, depth: int) -> FockSpace:
         spec.inner_A,
         spec.inner_B1,
         spec.inner_B2,
-        batch(spec.left_B1),
-        batch(spec.left_B2),
-        batch(spec.right_A),
-        right_B1=batch(spec.right_B1),
-        right_B2=batch(spec.right_B2),
+        spec.stacks["left_B1"],
+        spec.stacks["left_B2"],
+        spec.stacks["right_A"],
+        right_B1=spec.stacks["right_B1"],
+        right_B2=spec.stacks["right_B2"],
     )
     summands[(1, ())] = h
     total += h.dim

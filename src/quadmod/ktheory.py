@@ -30,7 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ExactMatrix, times_kron_identity
+from .linalg import ExactMatrix
+from .quadmodule import acted_columns
 from .relations import GeneratorFamily, families_report
 
 
@@ -236,19 +237,6 @@ class FGAbelianGroup:
         return {"freeRank": self.free_rank, "factors": list(self.torsion)}
 
 
-def cokernel(rows: list) -> FGAbelianGroup:
-    """The quotient of the row space's ambient lattice by the column image."""
-    m = len(rows)
-    form = smith_normal_form(rows)
-    torsion = [d for d in form.diag if d > 1]
-    return FGAbelianGroup(m - form.rank, torsion)
-
-
-def kernel_rank(rows: list) -> int:
-    n = len(rows[0]) if rows else 0
-    return n - smith_normal_form(rows).rank
-
-
 @dataclass
 class KTheoryResult:
     k0: FGAbelianGroup
@@ -277,12 +265,12 @@ def class_patterns(gens: GeneratorFamily, family: int):
     model = gens.model
     members = gens.members(family)
     stack, side_ops = (spec.inner_B1, h.left_B1) if family == 1 else (spec.inner_B2, h.left_B2)
-    ng, ncl = members.ncols, len(model.idempotents)
-    # column (cl, g) of images is E_cl m_g
-    images = times_kron_identity(
-        ExactMatrix.hstack([h.ambient(e) for e in model.idempotents]), members, ncl, False)
+    ng, ncl = members.ncols, model.rank
+    # column (cl, g) of images is E_cl m_g, and of repeated m_g
+    images = acted_columns(h.ambient(model.idempotents), members)
+    repeated = members.take_cols(np.tile(np.arange(ng), ncl))
     # column (g, cl) of values is <m_g, E_cl m_g>
-    values = stack.column_pairs(ExactMatrix.hstack([members] * ncl), images).take_cols(
+    values = stack.column_pairs(repeated, images).take_cols(
         [cl * ng + g for g in range(ng) for cl in range(ncl)])
     inside, patterns = model.projection_patterns(side_ops.combine(values))
     if not inside.all():
@@ -353,14 +341,17 @@ def class_action_matrix(gens: GeneratorFamily) -> tuple:
 
 
 def k_groups_of_matrix(matrix: list) -> tuple:
-    """K-groups read off an integer class matrix: cokernel and kernel of
-    identity minus the matrix."""
+    """K-groups read off a square integer class matrix A from one Smith form
+    of I - A: K0 is its cokernel, and K1 its kernel, free of rank
+    r - rank, as is the cokernel's free part."""
     r = len(matrix)
     delta = [
         [(1 if i == j else 0) - matrix[i][j] for j in range(r)]
         for i in range(r)
     ]
-    return cokernel(delta), FGAbelianGroup(kernel_rank(delta), [])
+    form = smith_normal_form(delta)
+    free = r - form.rank
+    return FGAbelianGroup(free, [d for d in form.diag if d > 1]), FGAbelianGroup(free, [])
 
 
 def k_groups(gens: GeneratorFamily) -> KTheoryResult:

@@ -559,10 +559,18 @@ class ExactMatrix:
         return _concatenated(mats, lambda parts: np.stack(parts).reshape(full))
 
     def to_diagonal(self) -> "ExactMatrix":
-        """The square diagonal matrix whose diagonal is this column."""
+        """Every member, a column, as the square diagonal matrix whose
+        diagonal it is."""
         if self.ncols != 1:
             raise ValueError("only a column has a diagonal matrix")
-        return self._moved(np.diagflat)
+        at = np.arange(self.nrows)
+
+        def spread(part):
+            out = np.zeros(part.shape[:-1] + (at.size,), part.dtype)
+            out[..., at, at] = part[..., 0]
+            return out
+
+        return self._moved(spread)
 
     def is_diagonal(self) -> bool:
         """Whether every member is zero off its diagonal: each part has as
@@ -831,13 +839,14 @@ class ExactMatrix:
         return allowed.all(axis=(-2, -1)), np.diagonal(ones, axis1=-2, axis2=-1)
 
     def scattered(self, rows, cols, shape) -> "ExactMatrix":
-        """The matrix of the given shape whose entry (rows[i], cols[j]) is
-        this matrix's entry (i, j), and whose other entries are zero: the
-        inverse of submatrix(rows, cols) on those positions."""
-        at = np.ix_(_index_array(rows), _index_array(cols))
+        """Every member as the matrix of the given shape whose entry
+        (rows[i], cols[j]) is the member's entry (i, j), and whose other
+        entries are zero: the inverse of submatrix(rows, cols) on those
+        positions."""
+        at = (Ellipsis,) + np.ix_(_index_array(rows), _index_array(cols))
 
         def placed(part):
-            out = np.zeros(shape, part.dtype)
+            out = np.zeros(part.shape[:-2] + tuple(shape), part.dtype)
             out[at] = part
             return out
 
@@ -857,28 +866,6 @@ class ExactMatrix:
     @staticmethod
     def vstack(mats) -> "ExactMatrix":
         return ExactMatrix._joined(mats, np.vstack)
-
-    @staticmethod
-    def block_diag(mats) -> "ExactMatrix":
-        mats = list(mats)
-        m = sum(x.nrows for x in mats)
-        n = sum(x.ncols for x in mats)
-        out = ExactMatrix.zeros(m, n)
-        r = c = 0
-        for x in mats:
-            out = out.set_block(r, c, x)
-            r += x.nrows
-            c += x.ncols
-        return out
-
-    def set_block(self, i: int, j: int, block: "ExactMatrix") -> "ExactMatrix":
-        """Return a copy with the block written at row i, column j."""
-        def written(parts):
-            out = parts[0].copy()
-            out[i : i + block.nrows, j : j + block.ncols] = parts[1]
-            return out
-
-        return _concatenated([self, block], written)
 
     def kron(self, other: "ExactMatrix") -> "ExactMatrix":
         self._single("kron")

@@ -25,7 +25,8 @@ class DiagonalOperatorModel:
     classes lists the coordinates of each class, and class_of the class of
     each coordinate; the operator with coordinate column x is diagonal, with
     entry x[class_of[j]] at coordinate j. The generators are one batched
-    matrix with one batch axis over them."""
+    matrix with one batch axis over them, and so are the minimal
+    idempotents, one member per class in class order."""
 
     __slots__ = ("dim", "classes", "class_of", "idempotents")
 
@@ -49,11 +50,10 @@ class DiagonalOperatorModel:
         for c, cls in enumerate(self.classes):
             for j in cls:
                 self.class_of[j] = c
-        # row j of membership is the unit row of the class of j
+        # row j of membership is the unit row of the class of j, so its
+        # column c is the diagonal of idempotent c
         membership = ExactMatrix.identity(self.rank).take_rows(self.class_of)
-        self.idempotents = [
-            membership.take_cols([c]).to_diagonal() for c in range(self.rank)
-        ]
+        self.idempotents = membership.regrouped((dim, self.rank, 1), (1, 0, 2)).to_diagonal()
 
     @property
     def rank(self) -> int:

@@ -43,6 +43,7 @@ from .linalg import (
     ExactMatrix,
     GramStack,
     hermitian_psd_check,
+    regroup,
     times_kron_identity,
 )
 from .report import CheckResult
@@ -82,14 +83,21 @@ def _entries(x: ExactMatrix) -> ExactMatrix:
     return x.regrouped((m, n, 1, 1), (0, 1, 2, 3))
 
 
-def _compressions(family: ExactMatrix, form: GramStack, ops: list):
-    """For the columns f_i of family, a form and operators ops[c]: the
-    form's values <f_i | ops[c] f_j> as the columns (i, c, j) of one
-    matrix, and their traces sum_i <f_i | ops[c] f_i> as the columns c of
-    another. ops[c] f_j is one product for every (c, j), the values one
+def acted_columns(ops: ExactMatrix, vectors: ExactMatrix) -> ExactMatrix:
+    """ops[c] @ vectors for every member c of ops, one batched product, as
+    the columns (c, j) of one matrix."""
+    (d,), (n, k) = ops.batch_shape, vectors.shape
+    return regroup((ops @ vectors).flattened(), (d, n, k), (1, 0, 2), n, d * k)
+
+
+def _compressions(family: ExactMatrix, form: GramStack, ops: ExactMatrix):
+    """For the columns f_i of family, a form and the members ops[c] of a
+    batch: the form's values <f_i | ops[c] f_j> as the columns (i, c, j) of
+    one matrix, and their traces sum_i <f_i | ops[c] f_i> as the columns c
+    of another. ops[c] f_j is one product for every (c, j), the values one
     pairs call, and the traces one product with I (x) 1."""
-    k, d = family.ncols, len(ops)
-    values = form.pairs(family, times_kron_identity(ExactMatrix.hstack(ops), family, d, False))
+    k, d = family.ncols, ops.batch_shape[0]
+    values = form.pairs(family, acted_columns(ops, family))
     diagonal = values.take_cols([(i * d + c) * k + i for c in range(d) for i in range(k)])
     return values, times_kron_identity(diagonal, CommAlgebra(k).unit(), d, False)
 
@@ -147,12 +155,6 @@ class QuadModuleSpec:
         self.basis_V = list(basis_V)
         self.name = name
         self._check_shapes()
-        # right action of A, realized through the first side algebra; the
-        # agreement with the second route is a validated axiom
-        dA = self.algebra_A.dim
-        combos = ExactMatrix.stack(self.right_B1, (len(self.right_B1),)).combine(
-            self.right_embed_1.matrix)
-        self.right_A = [combos.take((dA,), a) for a in range(dA)]
         # the index maps, or their failure, once derive_lambda has run
         self._index_maps = None
 
@@ -197,27 +199,38 @@ class QuadModuleSpec:
                     raise ValueError(f"{label}: vector shape mismatch")
 
     @cached_property
-    def _stacks(self) -> dict:
-        """Each action list, right_A included, as one batched matrix over
-        its algebra basis."""
-        names = ("right_B1", "right_B2", "left_B1", "left_B2", "right_A")
-        return {name: ExactMatrix.stack(getattr(self, name), (len(getattr(self, name)),))
-                for name in names}
+    def stacks(self) -> dict:
+        """Each action list as one batched matrix over its algebra basis,
+        and right_A, the right action of A realized through the first side
+        algebra (the agreement with the second route is a validated
+        axiom)."""
+        names = ("right_B1", "right_B2", "left_B1", "left_B2")
+        stacks = {name: ExactMatrix.stack(getattr(self, name), (len(getattr(self, name)),))
+                  for name in names}
+        stacks["right_A"] = stacks["right_B1"].combine(self.right_embed_1.matrix)
+        return stacks
+
+    @cached_property
+    def families(self) -> dict:
+        """Each generating family as one matrix whose columns are its
+        vectors: basis_U under 1, basis_V under 2."""
+        return {1: ExactMatrix.hstack(self.basis_U), 2: ExactMatrix.hstack(self.basis_V)}
 
     @cached_property
     def _family_compressions(self) -> dict:
         """_compressions of the first family ("u") under the side-1 form and
         of the second ("v") under the side-2 form, of the other side's left
         action: read by the finite type checks and the index maps."""
-        return {"u": _compressions(ExactMatrix.hstack(self.basis_U), self.inner_B1, self.left_B2),
-                "v": _compressions(ExactMatrix.hstack(self.basis_V), self.inner_B2, self.left_B1)}
+        ops = self.stacks
+        return {"u": _compressions(self.families[1], self.inner_B1, ops["left_B2"]),
+                "v": _compressions(self.families[2], self.inner_B2, ops["left_B1"])}
 
     # -- axiom validation --------------------------------------------------
 
     def validate_axioms(self) -> list[CheckResult]:
         out = []
         dim = self.dim
-        ops = self._stacks
+        ops = self.stacks
         forms = [("a", self.inner_A), ("b1", self.inner_B1), ("b2", self.inner_B2)]
 
         def add(check_id, statement, passed, witness=""):
@@ -412,8 +425,7 @@ class QuadModuleSpec:
         """Check that basis_U and basis_V generate the two right module
         structures and satisfy the compression and trace conditions."""
         out = []
-        family_u = ExactMatrix.hstack(self.basis_U)
-        family_v = ExactMatrix.hstack(self.basis_V)
+        family_u, family_v = self.families[1], self.families[2]
 
         def add(check_id, statement, passed, witness=""):
             out.append(CheckResult(check_id, statement, bool(passed), witness))
@@ -421,12 +433,12 @@ class QuadModuleSpec:
         add(
             "finite-basis-reconstruction-u",
             "every vector is recovered from the first family and its side-1 inner products",
-            _reconstructs(self._stacks["right_B1"], family_u, self.inner_B1),
+            _reconstructs(self.stacks["right_B1"], family_u, self.inner_B1),
         )
         add(
             "finite-basis-reconstruction-v",
             "every vector is recovered from the second family and its side-2 inner products",
-            _reconstructs(self._stacks["right_B2"], family_v, self.inner_B2),
+            _reconstructs(self.stacks["right_B2"], family_v, self.inner_B2),
         )
 
         traces = {}
@@ -575,18 +587,17 @@ class QuadModuleSpec:
         family acted on by the side-2 algebra basis.
         """
         families, checks = {}, []
-        for label, ops, vectors in [("u", self.right_B1, self.basis_U),
-                                    ("v", self.right_B2, self.basis_V)]:
-            k, d = len(vectors), len(ops)
+        for label, name, family in [("u", "right_B1", 1), ("v", "right_B2", 2)]:
+            ops, vectors = self.stacks[name], self.families[family]
+            k, d = vectors.ncols, ops.batch_shape[0]
             # column (c, j) is ops[c] @ vectors[j]
-            acted = times_kron_identity(
-                ExactMatrix.hstack(ops), ExactMatrix.hstack(vectors), d, False)
+            acted = acted_columns(ops, vectors)
             families[label] = [acted.take_cols([c * k + j]) for j in range(k) for c in range(d)]
             checks.append(
                 CheckResult(
                     f"right-a-basis-{label}",
                     "the induced family generates H as a right module over the base algebra",
-                    _reconstructs(self._stacks["right_A"], acted, self.inner_A),
+                    _reconstructs(self.stacks["right_A"], acted, self.inner_A),
                 )
             )
         return families["u"], families["v"], checks

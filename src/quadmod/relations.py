@@ -16,10 +16,10 @@ fixed operators (basis creations and annihilations, side and right
 actions, generators) are gathered into families once, with size-1 axes
 where a member does not depend on them, and the members that vary are
 built with the batched creations and left_actions. Each member keeps its
-own formula. Only the rightmost factors, and the batched operators, are
-restricted to the declared window: the source summands of a product are
-those of its rightmost factor, so no block inside the window changes (see
-the fock module on window pruning).
+own formula. Only the rightmost factors, and the batched side actions,
+are restricted to the declared window: the source summands of a product
+are those of its rightmost factor, so no block inside the window changes
+(see the fock module on window pruning).
 
 The side action phi is linear, so every operator rebuilt from a generating
 family S_1, ..., S_n is a combination of one basis family, with phi(e_c)
@@ -48,6 +48,7 @@ from functools import cached_property
 from .fock import FockDiagonal, FockOperator, FockSpace
 from .linalg import ExactMatrix, gram_adjoint, kron_sum_entries, regroup
 from .opalgebra import DiagonalOperatorModel, NotDiagonalModel
+from .quadmodule import acted_columns
 from .report import CheckResult, IdentityReport
 from .scalars import GaussianRational
 
@@ -77,8 +78,7 @@ class GeneratorFamily:
 
     def members(self, family: int) -> ExactMatrix:
         """The generating module vectors of one family, as columns."""
-        spec = self.space.spec
-        return ExactMatrix.hstack(spec.basis_U if family == 1 else spec.basis_V)
+        return self.space.spec.families[family]
 
     @cached_property
     def adjoints(self) -> dict:
@@ -166,13 +166,8 @@ class GeneratorFamily:
 
 
 def make_generators(space: FockSpace) -> GeneratorFamily:
-    spec = space.spec
-    K = space.depth
-    return GeneratorFamily(
-        space,
-        space.creations(1, ExactMatrix.hstack(spec.basis_U), (0, K)),
-        space.creations(2, ExactMatrix.hstack(spec.basis_V), (0, K)),
-    )
+    families = space.spec.families
+    return GeneratorFamily(space, space.creations(1, families[1]), space.creations(2, families[2]))
 
 
 def _key_name(key) -> str:
@@ -220,12 +215,13 @@ def _annihilation_expected(space: FockSpace, family: int, xs: ExactMatrix) -> Fo
     d1 = spec.algebra_B1.dim
     d2 = spec.algebra_B2.dim
     gram = h.gram_B1 if family == 1 else h.gram_B2
-    # row j of rows[t] is x_j^H coords[t], row t of member j's base block
-    xs_adj = h.coordinates(xs).H
-    rows = [xs_adj @ g for g in gram.coords]
-    zero = ExactMatrix.zeros(c, h.dim)
-    sides = rows + [zero] * d2 if family == 1 else [zero] * d1 + rows
-    base = ExactMatrix.vstack(sides).regrouped((d1 + d2, c, h.dim), (1, 0, 2))
+    nc = gram.num_coords
+    # row j of member t of rows is x_j^H grams[t], row t of member j's base
+    # block among the rows of the family's side
+    rows = h.coordinates(xs).H @ gram.grams
+    start = 0 if family == 1 else d1
+    base = rows.regrouped((nc, c, h.dim), (1, 0, 2)).scattered(
+        range(start, start + nc), range(h.dim), (d1 + d2, h.dim))
     blocks = {((0, ()), (1, ())): base}
     for key in space.keys:
         n, word = key
@@ -253,15 +249,12 @@ def _word_start_projection(space: FockSpace, family: int) -> FockOperator:
 
 
 def _lift_samples(space: FockSpace):
+    """The names of the sample module operators the lift identities are
+    checked on, and the operators as one batch."""
     h = space.summand((1, ()))
     first = h.left_B1.take(h.left_B1.batch_shape, 0)
     mixed = first + h.left_B2.take(h.left_B2.batch_shape, -1).scale(_I)
-    return [("left generator", first), ("complex combination", mixed)]
-
-
-def _to_ambient(space: FockSpace, L: ExactMatrix) -> ExactMatrix:
-    h = space.summand((1, ()))
-    return h.ambient(L)
+    return ["left generator", "complex combination"], ExactMatrix.stack([first, mixed], (2,))
 
 
 def verify_creation_relations(gens: GeneratorFamily) -> list:
@@ -281,15 +274,17 @@ def verify_creation_relations(gens: GeneratorFamily) -> list:
     vectors = ExactMatrix.hstack([eye, extra])
     created, annihilated, lowered = {}, {}, {}
     for fam in (1, 2):
-        created_ext = space.creations(fam, vectors, (0, K))
+        created_ext = space.creations(fam, vectors)
         lowered[fam] = created_ext.adjoint()
         created[fam] = created_ext[:d]
         annihilated[fam] = lowered[fam][:d]
     right = space.right_actions(ExactMatrix.identity(spec.algebra_A.dim), (0, K))
-    samples = _lift_samples(space)
-    ns = len(samples)
-    lifted = space.lifts(L for _, L in samples)
-    ambients = [_to_ambient(space, L) for _, L in samples]
+    names, samples = _lift_samples(space)
+    ns = len(names)
+    lifted = space.lifts(samples)
+    ambients = space.summand((1, ())).ambient(samples)
+    # column (s, q) is L_s e_q
+    columns = regroup(ambients.flattened(), (ns, d, d), (1, 0, 2), d, ns * d)
     # the vectors e_p + i e_q, p < q, and (1 + i) e_0 of the linearity check
     pairs = [(p, q) for p in range(d) for q in range(p + 1, d)]
     combos = ExactMatrix.hstack(
@@ -322,27 +317,28 @@ def verify_creation_relations(gens: GeneratorFamily) -> list:
         reports.append(families_report(
             f"creation-linear-{fam_name}",
             "creation is complex linear in the module vector",
-            [(space.creations(family, combos, (0, K - 1)) - s_fam.combine(combos),
+            [(space.creations(family, combos) - s_fam.combine(combos),
               lambda j: f"pair {pairs[j]}" if j < len(pairs) else "complex rescaling")], 0, K - 1,
         ))
 
-        # the vector of member (sample, p, c) is rops[c] @ L_amb @ e_p
-        rops = spec.right_B1 if family == 1 else spec.right_B2
-        by_sample = ExactMatrix.hstack([rop @ L_amb for L_amb in ambients for rop in rops])
-        transformed = by_sample.take_cols(
-            [(s * nc + c) * d + p for s in range(ns) for p in range(d) for c in range(nc)])
+        # column (c, s, p) of the acted columns, rops[c] @ L_s @ e_p, is the
+        # vector of member (s, p, c)
+        rops = spec.stacks["right_B1" if family == 1 else "right_B2"]
+        transformed = regroup(acted_columns(rops, columns), (d, nc, ns * d), (0, 2, 1), d,
+                              ns * d * nc)
         side = gens.side_bases[family].window(0, K - 1)
         reports.append(families_report(
             f"creation-lift-intertwine-{fam_name}",
             "creation by a transformed and side-scaled vector factors through "
             "the lifted operator and the side action",
-            [(space.creations(family, transformed, (0, K - 1)).reshape((ns, d, nc))
+            [(space.creations(family, transformed).reshape((ns, d, nc))
               - lifted.reshape((ns, 1, 1)) @ s_fam.reshape((1, d, 1)) @ side.reshape((1, 1, nc)),
-              lambda s, p, c: f"{samples[s][0]}, vector {p}, side element {c}")], 0, K - 1,
+              lambda s, p, c: f"{names[s]}, vector {p}, side element {c}")], 0, K - 1,
         ))
 
         inner = gens.inner(family)
-        values = ExactMatrix.hstack([inner.pairs(eye, L_amb) for L_amb in ambients])
+        # column (p, s, q) of the pairs holds <e_p|L_s e_q>; column (s, p, q) of values
+        values = regroup(inner.pairs(eye, columns), (nc, d, ns, d), (0, 2, 1, 3), nc, ns * d * d)
         reports.append(families_report(
             f"compressed-left-action-{fam_name}",
             "compressing a lifted operator between two creations recovers its "
@@ -350,7 +346,7 @@ def verify_creation_relations(gens: GeneratorFamily) -> list:
             [(a_fam.reshape((1, d, 1)) @ lifted.reshape((ns, 1, 1))
               @ s_fam.window(0, K - 1).reshape((1, 1, d))
               - space.left_actions(family, values, (0, K - 1)).reshape((ns, d, d)),
-              lambda s, p, q: f"{samples[s][0]}, vectors ({p}, {q})")], 0, K - 1,
+              lambda s, p, q: f"{names[s]}, vectors ({p}, {q})")], 0, K - 1,
         ))
 
     reports.append(families_report(
@@ -448,11 +444,11 @@ def verify_defining_relations(gens: GeneratorFamily) -> list:
     }
     acts = gens.side_bases
     for number, (side, family) in ((5, (1, 1)), (6, (1, 2)), (7, (2, 1)), (8, (2, 2))):
-        amb_ops = spec.left_B1 if side == 1 else spec.left_B2
-        nc = len(amb_ops)
+        amb_ops = spec.stacks["left_B1" if side == 1 else "left_B2"]
+        nc = amb_ops.batch_shape[0]
         members = gens.members(family)
         n = members.ncols
-        shifted = ExactMatrix.hstack([op @ members for op in amb_ops])
+        shifted = acted_columns(amb_ops, members)
         reports.append(families_report(
             f"defining-relation-{number}",
             statements[(side, family)],
@@ -463,20 +459,21 @@ def verify_defining_relations(gens: GeneratorFamily) -> list:
     return reports
 
 
-def represent_module_maps(gens: GeneratorFamily, ambients: list) -> FockOperator:
-    """The tower operators assembled from module maps' matrix coefficients
-    against the two generating families, one member per map: the
-    sum over both families of sum_{i,j} S_j phi(<m_j|L m_i>) S_i*, the
-    combination of the representation basis with coefficient (j, c, i) the
-    coordinate c of <m_j|L m_i>. The basis, S_j phi(e_c) S_i* with j
-    slowest, is built per call, not held for the whole run."""
-    r = len(ambients)
+def represent_module_maps(gens: GeneratorFamily, maps: ExactMatrix) -> FockOperator:
+    """The tower operators assembled from the matrix coefficients of module
+    maps, one batch along one axis in ambient module coordinates, against
+    the two generating families, one member per map: the sum over both
+    families of sum_{i,j} S_j phi(<m_j|L m_i>) S_i*, the combination of the
+    representation basis with coefficient (j, c, i) the coordinate c of
+    <m_j|L m_i>. The basis, S_j phi(e_c) S_i* with j slowest, is built per
+    call, not held for the whole run."""
+    r = maps.batch_shape[0]
     terms = []
     for family in (1, 2):
         members = gens.members(family)
         stack = gens.inner(family)
         n, nc = members.ncols, stack.num_coords
-        mapped = ExactMatrix.hstack([L_amb @ members for L_amb in ambients])
+        mapped = acted_columns(maps, members)
         # column (j, l, i) of the pairs holds <m_j|L_l m_i>; row (j, c, i) of coeffs
         coeffs = regroup(stack.pairs(members, mapped), (nc, n, r, n), (1, 0, 3, 2), n * nc * n, r)
         basis = (gens.expansion_bases[family].reshape((-1, 1))
@@ -534,8 +531,8 @@ def verify_reconstruction_identities(gens: GeneratorFamily) -> list:
 
     z = _complex_sample(spec.algebra_B1.dim)
     w = _complex_sample(spec.algebra_B2.dim)
-    phi1z = ExactMatrix.stack(spec.left_B1, (len(spec.left_B1),)).combine(z).take((1,), 0)
-    phi2w = ExactMatrix.stack(spec.left_B2, (len(spec.left_B2),)).combine(w).take((1,), 0)
+    phi1z = spec.stacks["left_B1"].combine(z).take((1,), 0)
+    phi2w = spec.stacks["left_B2"].combine(w).take((1,), 0)
     gram_a = spec.inner_A.scalarized()
     # both adjoints from one inverse of the scalar Gram
     adjoints = gram_adjoint(ExactMatrix.stack([phi1z, phi2w], (2,)), gram_a, gram_a)
@@ -565,7 +562,8 @@ def verify_reconstruction_identities(gens: GeneratorFamily) -> list:
          "the reversed product of the side actions is rebuilt from its coefficients",
          phi2w @ phi1z, action(2, w, 0) @ action(1, z)),
     ]
-    represented = represent_module_maps(gens, [amb for _, _, amb, _ in cases])
+    represented = represent_module_maps(
+        gens, ExactMatrix.stack([amb for _, _, amb, _ in cases], (len(cases),)))
     rebuilt = {}
     for k, (check_id, statement, _, expected) in enumerate(cases):
         rebuilt[check_id] = represented[k]
@@ -599,9 +597,13 @@ def verify_module_map_representation(gens: GeneratorFamily) -> list:
             str(exc),
         )]
     reports = []
-    ambients = [_to_ambient(space, E) for E in model.idempotents]
-    ncl = len(ambients)
-    represented = represent_module_maps(gens, ambients + [ambients[0] @ ambients[-1]])
+    ambients = space.summand((1, ())).ambient(model.idempotents)
+    ncl = model.rank
+    d = spec.dim
+    # the class maps, then the product of the first and the last
+    product = ambients.take((ncl,), [0]) @ ambients.take((ncl,), [-1])
+    maps = ExactMatrix.vstack([ambients.flattened(), product.flattened()])
+    represented = represent_module_maps(gens, maps.regrouped((ncl + 1, d, d), (0, 1, 2)))
     represented_product, represented = represented[ncl], represented[:ncl]
     # per family, coordinate c of <m_i|L m_j> for every class L and pair
     # (i, j) of members, as row c with columns (class, i, j)
@@ -609,8 +611,10 @@ def verify_module_map_representation(gens: GeneratorFamily) -> list:
     for family in (1, 2):
         members = gens.members(family)
         stack = gens.inner(family)
-        values[family] = ExactMatrix.hstack([stack.pairs(members, L_amb @ members)
-                                             for L_amb in ambients])
+        n, nc = members.ncols, stack.num_coords
+        # column (i, l, j) of the pairs holds <m_i|L_l m_j>
+        pairs = stack.pairs(members, acted_columns(ambients, members))
+        values[family] = regroup(pairs, (nc, n, ncl, n), (0, 2, 1, 3), nc, ncl * n * n)
     n = gens.S.shape[0]
 
     # The represented operator doubles on the module level, where both

@@ -287,3 +287,27 @@ def test_the_benchmark_tracer_sees_every_exact_product(monkeypatch, capsys):
     prefixes = {span[0]: span[1] for span in tracer.spans}
     assert innermost
     assert {prefixes.get(i) for i in innermost} == {"linalg.__matmul__"}
+
+
+def test_only_lists_from_outside_the_package_are_stacked():
+    # a family is made as one batch where it is made; ExactMatrix.stack
+    # takes in the lists a caller hands the package (the spec's action
+    # lists, coordinate Grams, Kronecker factors) and joins expressions that
+    # are distinct by construction into one family, and nothing else is
+    # taken apart into a list only to be stacked again
+    allowed = {
+        "QuadModuleSpec.stacks",
+        "GramStack.__init__",
+        "_terms",
+        "_lift_samples",
+        "verify_reconstruction_identities",
+    }
+    stray = []
+    for path, tree in _parsed("src"):
+        for scope, call in _scoped_calls(tree):
+            func = call.func
+            if (isinstance(func, ast.Attribute) and func.attr == "stack"
+                    and isinstance(func.value, ast.Name) and func.value.id == "ExactMatrix"
+                    and scope not in allowed):
+                stray.append(f"{path.name}:{call.lineno} {scope}")
+    assert not stray, "families restacked from lists: " + ", ".join(stray)

@@ -394,12 +394,14 @@ def _perturbed(module, perturbation):
         # diagonal actions
         summand = space.summand((3, (1, 1)) if perturbation.endswith("1") else (3, (2, 2)))
         n = summand.dim
-        shear = ExactMatrix.identity(n).set_block(0, n - 1, ExactMatrix.identity(1))
+        shear = ExactMatrix.identity(n) + ExactMatrix.identity(1).scattered([0], [n - 1], (n, n))
         summand.gram_scalar = summand.gram_scalar @ shear
     gens = make_generators(space)
     if perturbation == "model":
-        idempotents = gens.model.idempotents
-        idempotents[-1] = ExactMatrix.zeros(*idempotents[-1].shape)
+        # the last class's idempotent zeroed, the others kept
+        ncl = gens.model.rank
+        gens.model.idempotents = gens.model.idempotents.combine(
+            ExactMatrix.diagonal([1] * (ncl - 1) + [0]))
     bundle = build_ck_generators(gens)
     first = bundle.states[0]
     if perturbation == "support":

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from quadmod import cli, fock, linalg, relations, serialize
-from quadmod.algebras import CommAlgebra
 from quadmod.cli import CLIError, main, parse_cycles
 from quadmod.fock import FockOperator, FockSpace, QuadSpace
 from quadmod.linalg import ExactMatrix, GramStack
@@ -69,8 +68,7 @@ def rotated_bipartite():
     actions are not diagonal in its basis."""
     spec = build_example_MN(2, 2)
     c, s = GaussianRational("3/5"), GaussianRational(0, "4/5")
-    u = ExactMatrix.block_diag(
-        [ExactMatrix.from_rows([[c, s], [s, c]]), ExactMatrix.identity(2)])
+    u = ExactMatrix.from_rows([[c, s, 0, 0], [s, c, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
 
     def op(m):
         return u @ m @ u.H
@@ -359,12 +357,13 @@ def test_one_full_run_builds_the_operator_model_once(monkeypatch, capsys):
     assert built == [4]
 
 
-# Linear combinations and diagonals that are one array operation each.
+# Linear combinations and diagonals that are one array operation each, and
+# the tower build, whose coefficient level is diagonal families made whole.
 ARRAY_ONLY = [
     (FockSpace, "left_actions"),
     (GramStack, "transform"),
     (DiagonalOperatorModel, "projection_patterns"),
-    (CommAlgebra, "mult_matrix"),
+    (cli, "build_fock"),
     (serialize, "matrix_from_json"),
 ]
 

@@ -173,7 +173,7 @@ def test_the_associativity_check_holds_no_triple_stack():
 def test_window_and_reshape_scan_no_block_again(monkeypatch):
     # both only select or re-view blocks already known to be nonzero
     space = bipartite_space(depth=3)
-    op = space.creations(1, ExactMatrix.identity(space.spec.dim), (0, space.depth))
+    op = space.creations(1, ExactMatrix.identity(space.spec.dim))
     scans = []
     is_zero = ExactMatrix.is_zero
     monkeypatch.setattr(ExactMatrix, "is_zero", lambda m: scans.append(m) or is_zero(m))
@@ -276,8 +276,7 @@ def test_completeness_defect_sits_below_level_two():
 def test_lift_rejects_non_descending_operators():
     space = twisted_space()
     h = space.summand((1, ()))
-    raiser = ExactMatrix.zeros(h.dim, h.dim).set_block(
-        0, 1, ExactMatrix.from_rows([[1]]))
+    raiser = ExactMatrix.identity(1).scattered([0], [1], (h.dim, h.dim))
     with pytest.raises(ValueError, match="descend"):
         space.lift(raiser)
     with pytest.raises(ValueError):
@@ -309,7 +308,7 @@ def test_lifts_gather_all_members_at_once_on_a_coordinate_quotient(monkeypatch):
         return _call(*args)
 
     monkeypatch.setattr(fock, "kron_identity_entries", counted)
-    lifted = space.lifts(ops)
+    lifted = space.lifts(ExactMatrix.stack(ops, (len(ops),)))
     upper = [k for k in space.keys if k[0] >= 2]
     assert all(space.summand(k).express is None for k in upper)
     assert len(gathers) == len(upper)

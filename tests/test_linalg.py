@@ -165,19 +165,6 @@ def test_kron_mixed_product():
     assert a.kron(b) @ c.kron(d) == (a @ c).kron(b @ d)
 
 
-def test_stacking_and_blocks():
-    a = ExactMatrix.identity(2)
-    b = ExactMatrix.from_rows([[F(1, 2)]])
-    d = ExactMatrix.block_diag([a, b])
-    assert d.shape == (3, 3)
-    assert d[2, 2] == GR(F(1, 2))
-    assert d.take_rows([2]).take_cols([2]) == b
-    h = ExactMatrix.hstack([a, a])
-    assert h.shape == (2, 4)
-    v = ExactMatrix.vstack([a, a])
-    assert v.shape == (4, 2)
-
-
 def test_gram_adjoint_frozen_example():
     # one-step shift on a 2-dim space where the second basis vector has
     # squared length 2: the adjoint picks up the 1/2 weight
@@ -296,12 +283,11 @@ TINY = Fraction(1, 2**63 + 1)
     [
         (lambda t: ExactMatrix.zeros(1, 1) + t, (0, 0), TINY),
         (lambda t: ExactMatrix.zeros(1, 1).scale(Fraction(2**64)), (0, 0), 0),
-        (lambda t: ExactMatrix.zeros(2, 2).set_block(1, 1, t), (1, 1), TINY),
         (lambda t: ExactMatrix.hstack([ExactMatrix.zeros(1, 1), t]), (0, 1), TINY),
         # a zero matrix over a bigint denominator reduces to denominator 1
         (lambda t: ExactMatrix.zeros(1, 1).scale(Fraction(1, 2**64)), (0, 0), 0),
     ],
-    ids=["add", "scale", "set_block", "hstack", "normalize"],
+    ids=["add", "scale", "hstack", "normalize"],
 )
 def test_bigint_factors_promote_instead_of_overflowing(build, entry, value):
     assert build(ExactMatrix.diagonal([TINY]))[entry] == GR(value)
@@ -661,7 +647,7 @@ def test_every_operation_knows_when_its_result_is_real(pair):
     a, b = pair
     n = a.nrows
     results = [
-        -a, a.conj(), a.T, a.H, a.take_rows([0]), a.set_block(0, 0, b.take_rows([0])),
+        -a, a.conj(), a.T, a.H, a.take_rows([0]),
         ExactMatrix.hstack([a, b]), a.rref()[0], a.kron(b), a.scale(GR(0, 1)),
         a.scale(F(-1, 3)), a - a.conj(), a + a.conj(), a @ b, a - b,
     ]
@@ -680,7 +666,8 @@ def test_every_operation_knows_when_its_result_is_real(pair):
         ExactMatrix.stack([col_a.to_diagonal(), col_b.to_diagonal()], (2,)).diagonal_columns(),
         *row.square_blocks([n, n]),
         a.scattered(range(n), range(1, n + 1), (n + 1, n + 1)),
-        col_a.to_diagonal(), a.scaled(b), ab.scaled(ExactMatrix.hstack([col_b, col_a])),
+        ab.scattered(range(n), range(1, n + 1), (n + 1, n + 1)),
+        col_a.to_diagonal(), ab.take_cols([0]).to_diagonal(), a.scaled(b), ab.scaled(ExactMatrix.hstack([col_b, col_a])),
         ab.combine(ExactMatrix.vstack([b.take_rows([0]), a.take_rows([0])])),
         linalg.entrywise(a, b), linalg.entrywise(ab, col_b),
         linalg.diagonal_commutator(ab, col_a, col_b),
@@ -1453,7 +1440,7 @@ def test_stack_diagonals_selections_and_zero_one_members():
     columns = stack.diagonal_columns()
     assert columns.take((2,), 0) == ExactMatrix.column([F(1, 2), 0, GR(0, 3)])
     assert columns.take((2,), 1) == ExactMatrix.column([1, 2**70, -4])
-    off = b.set_block(0, 2, ExactMatrix.identity(1))
+    off = b + ExactMatrix.identity(1).scattered([0], [2], (3, 3))
     for stack in (ExactMatrix.stack([a, off], (2,)), ExactMatrix.stack([off.H], (1,))):
         with pytest.raises(ValueError, match="off its diagonal"):
             stack.diagonal_columns()
@@ -1467,7 +1454,7 @@ def test_stack_diagonals_selections_and_zero_one_members():
     # 0/1 diagonals, read from numerators over a shared denominator of 2
     ones = [ExactMatrix.diagonal(d) for d in ([1, 0, 1], [F(1, 2), 0, 1], [GR(1, 1), 0, 0],
                                               [1, 1, 1], [0, 0, 0])]
-    ones.append(ones[0] + ExactMatrix.zeros(3, 3).set_block(1, 0, ExactMatrix.identity(1)))
+    ones.append(ones[0] + ExactMatrix.identity(1).scattered([1], [0], (3, 3)))
     flags, diagonal = ExactMatrix.stack(ones, (6,)).zero_one_diagonals()
     assert flags.tolist() == [True, False, False, True, True, False]
     assert diagonal[[0, 3, 4]].tolist() == [[True, False, True], [True] * 3, [False] * 3]
@@ -1495,6 +1482,14 @@ def test_diagonal_inverse_scatter_and_nonzero_rows():
     assert placed.take_rows([1, 2, 4]).is_zero()
     assert placed.take_cols([0, 2, 3, 5]).is_zero()
     _assert_real_flag(placed)
+    # batched columns become batched diagonals, and batched members are
+    # placed member by member
+    y = x.T @ x
+    pair = ExactMatrix.stack([x, y], (2,))
+    for i, m in enumerate([x, y]):
+        assert pair.scattered(rows, cols, (5, 6)).take((2,), i) == m.scattered(rows, cols, (5, 6))
+        assert (pair.take_cols([1]).to_diagonal().take((2,), i)
+                == m.take_cols([1]).to_diagonal())
     assert ExactMatrix.column([0, GR(0, 1), 0, F(1, 3)]).nonzero_rows() == [1, 3]
     assert ExactMatrix.zeros(3, 2).nonzero_rows() == []
 

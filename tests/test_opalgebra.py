@@ -21,8 +21,7 @@ def test_classes_group_coordinates_with_equal_spectra():
     model = model_of(diag(1, 0, 1, 0), diag(0, 2, 0, 2))
     assert model.rank == 2
     assert model.classes == [[0, 2], [1, 3]]
-    assert model.idempotents[0] == diag(1, 0, 1, 0)
-    assert model.idempotents[1] == diag(0, 1, 0, 1)
+    assert model.idempotents == ExactMatrix.stack([diag(1, 0, 1, 0), diag(0, 1, 0, 1)], (2,))
 
 
 def test_singleton_classes_when_spectra_separate_points():
@@ -47,7 +46,7 @@ def test_operators_outside_the_model_are_rejected():
     # breaks the tie between coordinates 0 and 2
     assert patterns_of(model, diag(1, 0, 0, 0), diag(1, 0, 1, 0)) == [None, [1, 0]]
     # non-diagonal operators are never in a diagonal model
-    off = ExactMatrix.zeros(4, 4).set_block(0, 1, ExactMatrix.from_rows([[1]]))
+    off = ExactMatrix.identity(1).scattered([0], [1], (4, 4))
     assert patterns_of(model, off, diag(1, 1, 1, 1) + off) == [None, None]
 
 
@@ -89,5 +88,5 @@ def test_left_action_model_of_the_bipartite_module():
     # coordinates into four separate classes
     assert model.rank == 4
     assert model.classes == [[0], [1], [2], [3]]
-    for e in model.idempotents:
-        assert e @ e == e
+    e = model.idempotents
+    assert e @ e == e

@@ -137,7 +137,7 @@ def test_represented_module_map_doubles_on_the_module_level(bipartite):
     h = space.summand((1, ()))
     L_module = h.left_B1.take((2,), 0)
     L_amb = h.ambient(L_module)
-    represented = represent_module_maps(gens, [L_amb])[0]
+    represented = represent_module_maps(gens, L_amb.reshaped((), (1,)))[0]
     key = (1, ())
     assert represented.block(key, key) == L_module.scale(2)
     diff = represented - space.lift(L_module)
@@ -214,7 +214,7 @@ def test_lift_projection_is_the_lift_of_the_model_projection(tower, request):
     model = gens.model
     for pattern in itertools.product((0, 1), repeat=model.rank):
         column = ExactMatrix.column(list(pattern))
-        projection = ExactMatrix.stack(model.idempotents, (model.rank,)).combine(column)
+        projection = model.idempotents.combine(column)
         expected = space.lift(projection.take((1,), 0))
         assert gens.lifts.combine(column)[0] == expected, pattern
 
@@ -240,15 +240,15 @@ def reference_expansions(gens, family, xs, window):
         for i in range(members.ncols))
 
 
-def reference_module_maps(gens, ambients):
+def reference_module_maps(gens, maps):
     # per family, the generators rebuilt from the mapped members, each times
     # its adjoint, summed over the generators
-    r = len(ambients)
+    r = maps.batch_shape[0]
     terms = []
     for family in (1, 2):
         members = gens.members(family)
         n = members.ncols
-        mapped = ExactMatrix.hstack([L_amb @ members for L_amb in ambients])
+        mapped = ExactMatrix.hstack([maps.take((r,), l) @ members for l in range(r)])
         rebuilt = reference_expansions(gens, family, mapped, (0, gens.space.depth)).reshape((r, n))
         terms.append((rebuilt @ gens.adjoints[family].reshape((1, n))).reshape((r * n,)).sums(n))
     return _total(terms)
@@ -274,14 +274,14 @@ REBUILT_TOWERS = {
 
 
 def _rebuilt_cases(spec):
-    """Module vectors, with a complex one, and ambient module maps, with a
-    complex one and a product, to rebuild."""
+    """Module vectors, with a complex one, and a batch of ambient module
+    maps, with a complex one and a product, to rebuild."""
     d = spec.dim
     eye = ExactMatrix.identity(d)
     i = GaussianRational(0, 1)
     extra = eye.take_cols([0]) + eye.take_cols([d - 1]).scale(i)
     maps = [spec.left_B1[0], spec.left_B2[-1].scale(i), spec.left_B1[0] @ spec.left_B2[-1]]
-    return ExactMatrix.hstack([eye, extra]), maps
+    return ExactMatrix.hstack([eye, extra]), ExactMatrix.stack(maps, (len(maps),))
 
 
 @pytest.mark.parametrize("module", list(REBUILT_TOWERS))
@@ -317,9 +317,9 @@ def test_cached_basis_families_leave_no_products(monkeypatch, bipartite):
     for family in (1, 2):
         gens.expansions(family, xs, (0, bipartite.depth - 1))
     assert products == []
-    for count in (1, len(maps)):
+    for count in (1, maps.batch_shape[0]):
         products.clear()
-        represent_module_maps(gens, maps[:count])
+        represent_module_maps(gens, maps.take(maps.batch_shape, slice(count)))
         assert len(products) == 2
     # the spy sees the products a family expression makes
     gens.S @ gens.T
@@ -508,8 +508,8 @@ def _real_creations(monkeypatch):
     """Every creation drops the imaginary part of its module vectors."""
     creations = FockSpace.creations
 
-    def perturbed(self, family, xs, window):
-        return creations(self, family, (xs + xs.conj()).scale(Fraction(1, 2)), window)
+    def perturbed(self, family, xs):
+        return creations(self, family, (xs + xs.conj()).scale(Fraction(1, 2)))
 
     monkeypatch.setattr(FockSpace, "creations", perturbed)
 
@@ -519,12 +519,11 @@ def _leaky_creations(monkeypatch):
     family's creation of the same vector, into the first family's range."""
     creations = FockSpace.creations
 
-    def perturbed(self, family, xs, window):
-        own = creations(self, family, xs, window)
-        lo, hi = window
-        if family == 1 or not lo <= 1 <= hi:
+    def perturbed(self, family, xs):
+        own = creations(self, family, xs)
+        if family == 1:
             return own
-        return own + creations(self, 1, xs, (1, 1))
+        return own + creations(self, 1, xs).window(1, 1)
 
     monkeypatch.setattr(FockSpace, "creations", perturbed)
 

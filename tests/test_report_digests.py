@@ -1,14 +1,21 @@
 """Reports are deterministic, so a change that keeps the program's
 behaviour keeps every report byte for byte. These digests pin the text and
-JSON reports of a few builtin commands, one of them failing. A change that
-alters a report on purpose records its new digest here and says which
-report changed and why."""
+JSON reports of a few builtin commands, one of them failing, and of two
+modules read from a file: mn:2,2 rescaled by rational weights, whose tower
+runs on fractions past int64 (the big-integer path), and mn:2,2 conjugated
+by a rational unitary, whose tower quotients are found by elimination and
+whose model checks fail. A change that alters a report on purpose records
+its new digest here and says which report changed and why."""
 
 import hashlib
 
 import pytest
+from test_cli import rotated_bipartite
+from test_metamorphic import WEIGHTS, rescaled
 
+from quadmod import serialize
 from quadmod.cli import main
+from quadmod.quadmodule import build_example_MN
 
 DIGESTS = [
     (("full", "--builtin", "mn:2,2", "--depth", "3"), 0, {
@@ -35,5 +42,29 @@ DIGESTS = [
 @pytest.mark.parametrize("argv, code, digests", DIGESTS, ids=[" ".join(a) for a, _, _ in DIGESTS])
 def test_reports_keep_their_pinned_digests(capsys, argv, code, digests, fmt):
     assert main([*argv, "--format", fmt]) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digests[fmt]
+
+
+INPUT_DIGESTS = [
+    ("weighted mn:2,2", lambda: rescaled(build_example_MN(2, 2), WEIGHTS), 0, {
+        "text": "73fe32ff6e5b0542e9424c86b38b0da78d3e4c047c8d7aa6d6cae873004085ac",
+        "json": "35c323ebdfdd64e55d019ea712dee64112b25e64a72fadded980d572ea24d6cc",
+    }),
+    ("rotated mn:2,2", rotated_bipartite, 1, {
+        "text": "8d79e8ed4584fbaac33e41b7216c1875f5926e1e65fcb9503a7f732c5549c29d",
+        "json": "5165cb2bf417e514242889e57c5779d84cf2d3537b1064ef3722c34dbe969c73",
+    }),
+]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("name, build, code, digests", INPUT_DIGESTS,
+                         ids=[name for name, _, _, _ in INPUT_DIGESTS])
+def test_input_reports_keep_their_pinned_digests(tmp_path, capsys, name, build, code, digests,
+                                                 fmt):
+    path = tmp_path / "module.json"
+    serialize.save(build(), path)
+    assert main(["full", "--input", str(path), "--depth", "3", "--format", fmt]) == code
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digests[fmt]
