@@ -90,16 +90,12 @@ def acted_columns(ops: ExactMatrix, vectors: ExactMatrix) -> ExactMatrix:
     return regroup((ops @ vectors).flattened(), (d, n, k), (1, 0, 2), n, d * k)
 
 
-def _compressions(family: ExactMatrix, form: GramStack, ops: ExactMatrix):
+def compressions(family: ExactMatrix, form: GramStack, ops: ExactMatrix) -> ExactMatrix:
     """For the columns f_i of family, a form and the members ops[c] of a
     batch: the form's values <f_i | ops[c] f_j> as the columns (i, c, j) of
-    one matrix, and their traces sum_i <f_i | ops[c] f_i> as the columns c
-    of another. ops[c] f_j is one product for every (c, j), the values one
-    pairs call, and the traces one product with I (x) 1."""
-    k, d = family.ncols, ops.batch_shape[0]
-    values = form.pairs(family, acted_columns(ops, family))
-    diagonal = values.take_cols([(i * d + c) * k + i for c in range(d) for i in range(k)])
-    return values, times_kron_identity(diagonal, CommAlgebra(k).unit(), d, False)
+    one matrix. ops[c] f_j is one product for every (c, j), and the values
+    one pairs call."""
+    return form.pairs(family, acted_columns(ops, family))
 
 
 def _reconstructs(acts: ExactMatrix, family: ExactMatrix, form: GramStack) -> bool:
@@ -218,12 +214,20 @@ class QuadModuleSpec:
 
     @cached_property
     def _family_compressions(self) -> dict:
-        """_compressions of the first family ("u") under the side-1 form and
-        of the second ("v") under the side-2 form, of the other side's left
-        action: read by the finite type checks and the index maps."""
-        ops = self.stacks
-        return {"u": _compressions(self.families[1], self.inner_B1, ops["left_B2"]),
-                "v": _compressions(self.families[2], self.inner_B2, ops["left_B1"])}
+        """The compressions of the first family ("u") under the side-1 form
+        and of the second ("v") under the side-2 form, of the other side's
+        left action, each with its traces sum_i <f_i | ops[c] f_i> as the
+        columns c of a second matrix (one product with I (x) 1): read by the
+        finite type checks and the index maps."""
+        out = {}
+        for label, family, form, name in (("u", 1, self.inner_B1, "left_B2"),
+                                          ("v", 2, self.inner_B2, "left_B1")):
+            ops, members = self.stacks[name], self.families[family]
+            k, d = members.ncols, ops.batch_shape[0]
+            values = compressions(members, form, ops)
+            diagonal = values.take_cols([(i * d + c) * k + i for c in range(d) for i in range(k)])
+            out[label] = values, times_kron_identity(diagonal, CommAlgebra(k).unit(), d, False)
+        return out
 
     # -- axiom validation --------------------------------------------------
 
@@ -553,7 +557,8 @@ class QuadModuleSpec:
 
     def verify_strongly_finite_type(self, basis_1=None, basis_2=None) -> list[CheckResult]:
         """Check that the side algebras are generated over the embedded base
-        algebra by the given families (standard algebra bases by default).
+        algebra by the given families, each one matrix whose columns are its
+        elements (standard algebra bases by default).
 
         With K = embed @ lam, the sum over the family's elements e of
         diag(e) K diag(e)^H has entry (p, q) equal to K[p, q] times
@@ -567,7 +572,7 @@ class QuadModuleSpec:
             ("b2", self.algebra_B2, basis_2, self.right_embed_2, maps.lam2,
              "the second side algebra is recovered from its family via the index map"),
         ]:
-            basis = ExactMatrix.identity(alg.dim) if family is None else ExactMatrix.hstack(family)
+            basis = ExactMatrix.identity(alg.dim) if family is None else family
             recon = _entries(embed.matrix @ lam).scaled(basis @ basis.H)
             out.append(CheckResult(
                 f"strong-basis-{label}",
@@ -582,17 +587,14 @@ class QuadModuleSpec:
         """Build the two induced generating families of H as a right
         A-module and verify their reconstruction identities.
 
-        Returns (family_u, family_v, checks): family_u collects the first
+        Returns (family_u, family_v, checks): family_u holds the first
         family acted on by the side-1 algebra basis, family_v the second
-        family acted on by the side-2 algebra basis.
+        family acted on by the side-2 algebra basis, each as the columns
+        (c, j) of one matrix, column (c, j) being ops[c] @ vectors[j].
         """
         families, checks = {}, []
         for label, name, family in [("u", "right_B1", 1), ("v", "right_B2", 2)]:
-            ops, vectors = self.stacks[name], self.families[family]
-            k, d = vectors.ncols, ops.batch_shape[0]
-            # column (c, j) is ops[c] @ vectors[j]
-            acted = acted_columns(ops, vectors)
-            families[label] = [acted.take_cols([c * k + j]) for j in range(k) for c in range(d)]
+            families[label] = acted = acted_columns(self.stacks[name], self.families[family])
             checks.append(
                 CheckResult(
                     f"right-a-basis-{label}",

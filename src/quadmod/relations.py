@@ -30,7 +30,9 @@ inner product:
   the expansion basis S_i phi(e_c);
 * a module map L is represented by sum_{i,j,c} <m_j|L m_i>_c
   S_j phi(e_c) S_i*, a combination of the representation basis
-  S_j phi(e_c) S_i*;
+  S_j phi(e_c) S_i*. The coefficients are quadmodule.compressions of the
+  family's members by the maps, and the suite represents all its module
+  maps in one call, whose coefficients the checks that read them reuse;
 * the scalar compression sum_i S_i* phi'(<e_p|e_q>') S_i, phi' being the
   other side's action, is the combination of the members S_i* phi'(e_c) S_i
   with the coordinates of <e_p|e_q>'.
@@ -48,7 +50,7 @@ from functools import cached_property
 from .fock import FockDiagonal, FockOperator, FockSpace
 from .linalg import ExactMatrix, gram_adjoint, kron_sum_entries, regroup
 from .opalgebra import DiagonalOperatorModel, NotDiagonalModel
-from .quadmodule import acted_columns
+from .quadmodule import acted_columns, compressions
 from .report import CheckResult, IdentityReport
 from .scalars import GaussianRational
 
@@ -264,14 +266,10 @@ def verify_creation_relations(gens: GeneratorFamily) -> list:
     K = space.depth
     d = spec.dim
     eye = ExactMatrix.identity(d)
-    if d >= 2:
-        extra = eye.take_cols([0]) + eye.take_cols([1]).scale(_I)
-    else:
-        extra = eye.take_cols([0]).scale(GaussianRational(1, 1))
     # Every identity below reuses these families: the creations and
     # annihilations of the basis vectors (and of one extra vector), the
     # right actions of the base algebra basis and the two lifted samples.
-    vectors = ExactMatrix.hstack([eye, extra])
+    vectors = ExactMatrix.hstack([eye, _complex_sample(d)])
     created, annihilated, lowered = {}, {}, {}
     for fam in (1, 2):
         created_ext = space.creations(fam, vectors)
@@ -459,27 +457,30 @@ def verify_defining_relations(gens: GeneratorFamily) -> list:
     return reports
 
 
-def represent_module_maps(gens: GeneratorFamily, maps: ExactMatrix) -> FockOperator:
+def represent_module_maps(gens: GeneratorFamily, maps: ExactMatrix):
     """The tower operators assembled from the matrix coefficients of module
     maps, one batch along one axis in ambient module coordinates, against
     the two generating families, one member per map: the sum over both
     families of sum_{i,j} S_j phi(<m_j|L m_i>) S_i*, the combination of the
     representation basis with coefficient (j, c, i) the coordinate c of
-    <m_j|L m_i>. The basis, S_j phi(e_c) S_i* with j slowest, is built per
-    call, not held for the whole run."""
+    <m_j|L m_i>. Returns the operators and, per family, the coefficients
+    it combined, column l holding those of map l in rows (j, c, i). The
+    basis, S_j phi(e_c) S_i* with j slowest, is built per family inside the
+    call and is not bound, so one family's basis is freed before the next
+    one's is built."""
     r = maps.batch_shape[0]
-    terms = []
+    terms, coeffs = [], {}
     for family in (1, 2):
         members = gens.members(family)
         stack = gens.inner(family)
         n, nc = members.ncols, stack.num_coords
-        mapped = acted_columns(maps, members)
-        # column (j, l, i) of the pairs holds <m_j|L_l m_i>; row (j, c, i) of coeffs
-        coeffs = regroup(stack.pairs(members, mapped), (nc, n, r, n), (1, 0, 3, 2), n * nc * n, r)
-        basis = (gens.expansion_bases[family].reshape((-1, 1))
-                 @ gens.adjoints[family].reshape((1, -1))).reshape((-1,))
-        terms.append(basis.combine(coeffs))
-    return terms[0] + terms[1]
+        # column (j, l, i) of the compressions holds <m_j|L_l m_i>
+        coeffs[family] = regroup(compressions(members, stack, maps), (nc, n, r, n), (1, 0, 3, 2),
+                                 n * nc * n, r)
+        terms.append((gens.expansion_bases[family].reshape((-1, 1))
+                      @ gens.adjoints[family].reshape((1, -1))).reshape((-1,))
+                     .combine(coeffs[family]))
+    return terms[0] + terms[1], coeffs
 
 
 def scalar_compressions(gens: GeneratorFamily, family: int) -> FockOperator:
@@ -509,24 +510,37 @@ def _complex_sample(dim: int) -> ExactMatrix:
     return ExactMatrix.column(values)
 
 
-def verify_reconstruction_identities(gens: GeneratorFamily) -> list:
-    """Rebuilding side actions and their products from the generators."""
+def verify_module_map_identities(gens: GeneratorFamily) -> list:
+    """Rebuilding side actions, their products and the left-action operator
+    model from matrix coefficients, every module map rebuilt by one
+    represent_module_maps call."""
     space = gens.space
     spec = space.spec
     K = space.depth
     d = spec.dim
     eye = ExactMatrix.identity(d)
+    try:
+        model, refused = gens.model, None
+    except NotDiagonalModel as exc:
+        model, refused = None, CheckResult(
+            "module-map-model",
+            "the two left actions are simultaneously diagonal in the module basis",
+            False,
+            str(exc),
+        )
     reports = []
 
     for family, fam_name, which in ((1, "1", "first"), (2, "2", "second")):
         embed = spec.left_embed_1 if family == 1 else spec.left_embed_2
-        rhs = space.left_actions(family, embed(spec.inner_A.pairs(eye, eye)), (0, K - 1))
+        # the right side is not bound, so it is not held while the maps
+        # below are represented
         reports.append(families_report(
             f"scalar-compression-{fam_name}",
             "averaging the other side's inner-product action over the "
             f"{which} family recovers the embedded base inner product",
-            [((scalar_compressions(gens, family) - rhs).reshape((d, d)),
-              lambda p, q: f"vectors ({p}, {q})")], 0, K - 1,
+            [((scalar_compressions(gens, family)
+               - space.left_actions(family, embed(spec.inner_A.pairs(eye, eye)), (0, K - 1)))
+              .reshape((d, d)), lambda p, q: f"vectors ({p}, {q})")], 0, K - 1,
         ))
 
     z = _complex_sample(spec.algebra_B1.dim)
@@ -542,33 +556,44 @@ def verify_reconstruction_identities(gens: GeneratorFamily) -> list:
         case below is declared on [2, K], and a left factor keeps the rest."""
         return space.left_actions(side, b, (lo, K))[0]
 
+    # each case's expected operator is built when its report is made, so
+    # none is held while the maps are represented
     cases = [
         ("algebra-reconstruction-z",
          "the first side action is rebuilt from its matrix coefficients",
-         phi1z, action(1, z)),
+         phi1z, lambda: action(1, z)),
         ("algebra-reconstruction-w",
          "the second side action is rebuilt from its matrix coefficients",
-         phi2w, action(2, w)),
+         phi2w, lambda: action(2, w)),
         ("algebra-reconstruction-zstar",
          "the adjoint of the first side action is rebuilt as the conjugate action",
-         adjoints.take((2,), 0), action(1, z.conj())),
+         adjoints.take((2,), 0), lambda: action(1, z.conj())),
         ("algebra-reconstruction-wstar",
          "the adjoint of the second side action is rebuilt as the conjugate action",
-         adjoints.take((2,), 1), action(2, w.conj())),
+         adjoints.take((2,), 1), lambda: action(2, w.conj())),
         ("algebra-reconstruction-zw",
          "the product of the two side actions is rebuilt from its coefficients",
-         phi1z @ phi2w, action(1, z, 0) @ action(2, w)),
+         phi1z @ phi2w, lambda: action(1, z, 0) @ action(2, w)),
         ("algebra-reconstruction-wz",
          "the reversed product of the side actions is rebuilt from its coefficients",
-         phi2w @ phi1z, action(2, w, 0) @ action(1, z)),
+         phi2w @ phi1z, lambda: action(2, w, 0) @ action(1, z)),
     ]
-    represented = represent_module_maps(
-        gens, ExactMatrix.stack([amb for _, _, amb, _ in cases], (len(cases),)))
+    # the maps of the cases, then, with a model, the class maps and the
+    # product of the first and the last
+    first = len(cases)
+    maps = ExactMatrix.stack([amb for _, _, amb, _ in cases], (first,))
+    if model is not None:
+        ambients = space.summand((1, ())).ambient(model.idempotents)
+        ncl = model.rank
+        product = ambients.take((ncl,), [0]) @ ambients.take((ncl,), [-1])
+        rows = ExactMatrix.vstack([maps.flattened(), ambients.flattened(), product.flattened()])
+        maps = rows.regrouped((first + ncl + 1, d, d), (0, 1, 2))
+    represented, coeffs = represent_module_maps(gens, maps)
     rebuilt = {}
     for k, (check_id, statement, _, expected) in enumerate(cases):
         rebuilt[check_id] = represented[k]
         reports.append(window_report(
-            check_id, statement, rebuilt[check_id] - expected, 2, K,
+            check_id, statement, rebuilt[check_id] - expected(), 2, K,
         ))
 
     reports.append(window_report(
@@ -579,43 +604,15 @@ def verify_reconstruction_identities(gens: GeneratorFamily) -> list:
         - rebuilt["algebra-reconstruction-z"] @ rebuilt["algebra-reconstruction-w"],
         2, K,
     ))
-    return reports
+    if model is None:
+        return reports + [refused]
 
-
-def verify_module_map_representation(gens: GeneratorFamily) -> list:
-    """The coefficient representation of the left-action operator model."""
-    space = gens.space
-    spec = space.spec
-    K = space.depth
-    try:
-        model = gens.model
-    except NotDiagonalModel as exc:
-        return [CheckResult(
-            "module-map-model",
-            "the two left actions are simultaneously diagonal in the module basis",
-            False,
-            str(exc),
-        )]
-    reports = []
-    ambients = space.summand((1, ())).ambient(model.idempotents)
-    ncl = model.rank
-    d = spec.dim
-    # the class maps, then the product of the first and the last
-    product = ambients.take((ncl,), [0]) @ ambients.take((ncl,), [-1])
-    maps = ExactMatrix.vstack([ambients.flattened(), product.flattened()])
-    represented = represent_module_maps(gens, maps.regrouped((ncl + 1, d, d), (0, 1, 2)))
-    represented_product, represented = represented[ncl], represented[:ncl]
-    # per family, coordinate c of <m_i|L m_j> for every class L and pair
-    # (i, j) of members, as row c with columns (class, i, j)
-    values = {}
-    for family in (1, 2):
-        members = gens.members(family)
-        stack = gens.inner(family)
-        n, nc = members.ncols, stack.num_coords
-        # column (i, l, j) of the pairs holds <m_i|L_l m_j>
-        pairs = stack.pairs(members, acted_columns(ambients, members))
-        values[family] = regroup(pairs, (nc, n, ncl, n), (0, 2, 1, 3), nc, ncl * n * n)
-    n = gens.S.shape[0]
+    classes = range(first, first + ncl)
+    represented_product, represented = represented[classes.stop], represented[first:classes.stop]
+    n, nc = gens.S.shape[0], gens.inner(1).num_coords
+    # coordinate c of <m_i|L m_j> for every class L and pair (i, j) of
+    # first-family members, as row c with columns (class, i, j)
+    values = regroup(coeffs[1].take_cols(classes), (n, nc, n, ncl), (1, 3, 0, 2), nc, ncl * n * n)
 
     # The represented operator doubles on the module level, where both
     # generating families rebuild it at once, so compression is declared
@@ -626,7 +623,7 @@ def verify_module_map_representation(gens: GeneratorFamily) -> list:
         "returns its matrix coefficient",
         [(gens.adjoints[1].reshape((1, n, 1)) @ represented.reshape((ncl, 1, 1))
           @ gens.S.window(1, K - 1).reshape((1, 1, n))
-          - space.left_actions(1, values[1], (1, K - 1)).reshape((ncl, n, n)),
+          - space.left_actions(1, values, (1, K - 1)).reshape((ncl, n, n)),
           lambda cl, a, b: f"class {cl}, generators ({a}, {b})")], 1, K - 1,
     ))
 
@@ -637,13 +634,8 @@ def verify_module_map_representation(gens: GeneratorFamily) -> list:
         2, K,
     ))
 
-    # row cl of the coefficient matrix holds every coefficient of class cl,
-    # coordinate by coordinate
-    coeff = ExactMatrix.hstack(
-        regroup(vals, (vals.nrows, ncl, vals.ncols // ncl), (1, 0, 2), ncl,
-                vals.nrows * vals.ncols // ncl)
-        for vals in values.values())
-    rank = coeff.rank()
+    # column l of the coefficients holds every coefficient of class l
+    rank = ExactMatrix.vstack(coeffs.values()).take_cols(classes).rank()
     reports.append(CheckResult(
         "module-map-injective",
         "distinct model operators have distinct coefficient families",
@@ -658,6 +650,5 @@ def full_identity_suite(gens: GeneratorFamily) -> list:
     reports = []
     reports.extend(verify_creation_relations(gens))
     reports.extend(verify_defining_relations(gens))
-    reports.extend(verify_reconstruction_identities(gens))
-    reports.extend(verify_module_map_representation(gens))
+    reports.extend(verify_module_map_identities(gens))
     return reports

@@ -160,14 +160,26 @@ def test_numerator_arrays_stay_private_to_linalg():
     assert not reads, "ExactMatrix internals read outside linalg: " + ", ".join(reads)
 
 
-def _scoped_calls(node, scope=()):
-    """(qualified name of the enclosing definition, call) for every call
-    under node; a lambda belongs to the definition it sits in."""
+def _scoped_nodes(node, scope=()):
+    """(qualified name of the enclosing definition, node) for every node
+    under node, a definition counting as its own scope; a lambda belongs to
+    the definition it sits in."""
     for child in ast.iter_child_nodes(node):
         inner = scope + (child.name,) if isinstance(child, _DEFINITION) else scope
-        if isinstance(child, ast.Call):
-            yield ".".join(inner), child
-        yield from _scoped_calls(child, inner)
+        yield ".".join(inner), child
+        yield from _scoped_nodes(child, inner)
+
+
+def _scoped_calls(node):
+    """(qualified name of the enclosing definition, call) for every call
+    under node."""
+    return ((scope, child) for scope, child in _scoped_nodes(node) if isinstance(child, ast.Call))
+
+
+def _calls(node, name: str) -> bool:
+    """Whether node calls a function or method of the given name."""
+    func = getattr(node, "func", None) if isinstance(node, ast.Call) else None
+    return name in (getattr(func, "id", None), getattr(func, "attr", None))
 
 
 def test_only_the_constructor_decides_how_a_real_matrix_is_stored():
@@ -300,7 +312,7 @@ def test_only_lists_from_outside_the_package_are_stacked():
         "GramStack.__init__",
         "_terms",
         "_lift_samples",
-        "verify_reconstruction_identities",
+        "verify_module_map_identities",
     }
     stray = []
     for path, tree in _parsed("src"):
@@ -311,3 +323,24 @@ def test_only_lists_from_outside_the_package_are_stacked():
                     and scope not in allowed):
                 stray.append(f"{path.name}:{call.lineno} {scope}")
     assert not stray, "families restacked from lists: " + ", ".join(stray)
+
+
+def test_only_compressions_pairs_acted_columns():
+    # the coefficient table <f_i | ops[c] f_j> is formed in one function: no
+    # other hands acted_columns(...) to .pairs(...), directly or through a
+    # name it binds to one
+    stray = []
+    for path, tree in _parsed("src"):
+        nodes = list(_scoped_nodes(tree))
+        acted = {(scope, target.id) for scope, node in nodes
+                 if isinstance(node, ast.Assign) and _calls(node.value, "acted_columns")
+                 for target in node.targets if isinstance(target, ast.Name)}
+        for scope, node in nodes:
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "pairs"
+                    and (path.name, scope) != ("quadmodule.py", "compressions")
+                    and any(_calls(arg, "acted_columns")
+                            or (isinstance(arg, ast.Name) and (scope, arg.id) in acted)
+                            for arg in node.args)):
+                stray.append(f"{path.name}:{node.lineno} {scope}")
+    assert not stray, "acted columns paired outside compressions: " + ", ".join(stray)

@@ -52,7 +52,7 @@ def test_bipartite_2x3_finite_type_and_index_maps():
     assert failing_ids(spec.verify_strongly_finite_type()) == []
 
     family_u, family_v, checks = spec.derive_right_A_basis()
-    assert len(family_u) == 6 and len(family_v) == 6
+    assert family_u.shape == (6, 6) and family_v.shape == (6, 6)
     assert failing_ids(checks) == []
 
 
@@ -82,7 +82,7 @@ def test_twisted_functions_commuting_cycles():
 
     assert failing_ids(spec.verify_strongly_finite_type()) == []
     family_u, family_v, checks = spec.derive_right_A_basis()
-    assert len(family_u) == 3 and len(family_v) == 3
+    assert family_u.shape == (3, 3) and family_v.shape == (3, 3)
     assert failing_ids(checks) == []
 
 
@@ -106,10 +106,10 @@ def test_noncommuting_twists_fail_the_named_axioms():
 
 def test_truncated_strong_family_fails():
     spec = build_example_MN(2, 2)
-    short = [spec.algebra_B1.basis_element(0)]
+    short = spec.algebra_B1.basis_element(0)
     results = spec.verify_strongly_finite_type(basis_1=short)
     assert failing_ids(results) == ["strong-basis-b1"]
-    short = [spec.algebra_B2.basis_element(0)]
+    short = spec.algebra_B2.basis_element(0)
     results = spec.verify_strongly_finite_type(basis_2=short)
     assert failing_ids(results) == ["strong-basis-b2"]
 
@@ -180,13 +180,13 @@ def test_validation_computes_each_familys_compressions_once(monkeypatch):
     # the finite type checks and the index maps read the same compressions
     # of the two generating families, so validation forms each one once
     calls = []
-    compressions = quadmodule._compressions
+    compressions = quadmodule.compressions
 
     def counted(family, form, ops):
         calls.append(form)
         return compressions(family, form, ops)
 
-    monkeypatch.setattr(quadmodule, "_compressions", counted)
+    monkeypatch.setattr(quadmodule, "compressions", counted)
     spec = build_example_MN(2, 3)
     section = validate_section(spec)
     assert all(c["passed"] for c in section["checks"])

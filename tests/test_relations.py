@@ -8,7 +8,7 @@ from test_cli import rotated_bipartite
 from test_fock import degree_zero_part
 from test_ktheory import _same_blocks
 
-from quadmod import fock
+from quadmod import fock, relations
 from quadmod.fock import FockOperator, FockSpace, build_fock
 from quadmod.linalg import ExactMatrix
 from quadmod.quadmodule import build_example_MN, build_example_alpha_beta
@@ -137,7 +137,8 @@ def test_represented_module_map_doubles_on_the_module_level(bipartite):
     h = space.summand((1, ()))
     L_module = h.left_B1.take((2,), 0)
     L_amb = h.ambient(L_module)
-    represented = represent_module_maps(gens, L_amb.reshaped((), (1,)))[0]
+    represented, _ = represent_module_maps(gens, L_amb.reshaped((), (1,)))
+    represented = represented[0]
     key = (1, ())
     assert represented.block(key, key) == L_module.scale(2)
     diff = represented - space.lift(L_module)
@@ -296,7 +297,7 @@ def test_combinations_of_the_basis_families_match_the_per_generator_formulas(mod
                          reference_expansions(gens, family, xs, window))
         _same_blocks(scalar_compressions(gens, family).reshape((-1,)),
                      reference_scalar_compressions(gens, family))
-    _same_blocks(represent_module_maps(gens, maps), reference_module_maps(gens, maps))
+    _same_blocks(represent_module_maps(gens, maps)[0], reference_module_maps(gens, maps))
 
 
 def test_cached_basis_families_leave_no_products(monkeypatch, bipartite):
@@ -324,6 +325,28 @@ def test_cached_basis_families_leave_no_products(monkeypatch, bipartite):
     # the spy sees the products a family expression makes
     gens.S @ gens.T
     assert products
+
+
+@pytest.mark.parametrize("module, maps, failed", [
+    ("mn:2,2", 6 + 4 + 1, []),
+    ("rotated_bipartite", 6, ["module-map-model"]),
+])
+def test_the_suite_represents_its_module_maps_in_one_call(monkeypatch, module, maps, failed):
+    # the six reconstruction maps and, where the left actions have a
+    # diagonal model, its class maps and their product are rebuilt by one
+    # call, whose coefficients the class checks read; without a model the
+    # call takes the six maps and the suite still names the missing model
+    calls = []
+    represent = relations.represent_module_maps
+
+    def counted(gens, batch):
+        calls.append(batch.batch_shape)
+        return represent(gens, batch)
+
+    monkeypatch.setattr(relations, "represent_module_maps", counted)
+    reports = full_identity_suite(make_generators(build_fock(REBUILT_TOWERS[module](), 3)))
+    assert calls == [(maps,)]
+    assert [r.check_id for r in reports if not r.passed] == failed
 
 
 # -- witnesses under perturbed towers --------------------------------------
