@@ -26,15 +26,6 @@ class CommAlgebra:
     def unit(self) -> ExactMatrix:
         return ExactMatrix(np.ones((self.dim, 1), np.int64))
 
-    def basis_element(self, c: int) -> ExactMatrix:
-        return ExactMatrix.identity(self.dim).take_cols([c])
-
-    def mult_matrix(self, x: ExactMatrix) -> ExactMatrix:
-        """Multiplication by x as a diagonal matrix."""
-        if x.shape != (self.dim, 1):
-            raise ValueError("element shape mismatch")
-        return x.to_diagonal()
-
     def __eq__(self, other):
         return isinstance(other, CommAlgebra) and other.dim == self.dim
 

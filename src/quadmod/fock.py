@@ -751,7 +751,7 @@ class FockSpace:
             n, d1, d2 = spec.dim, spec.algebra_B1.dim, spec.algebra_B2.dim
             if self.summands[(0, ())].dim != d1 + d2:
                 raise AssertionError("internal error: coefficient level was cut")
-            rights = spec.stacks["right_B1" if family == 1 else "right_B2"]
+            rights = spec.right_B1 if family == 1 else spec.right_B2
             d = rights.batch_shape[0]
             # the family's right actions side by side, placed among the columns
             # of every coefficient basis element
@@ -915,11 +915,11 @@ def build_fock(spec: QuadModuleSpec, depth: int) -> FockSpace:
         spec.inner_A,
         spec.inner_B1,
         spec.inner_B2,
-        spec.stacks["left_B1"],
-        spec.stacks["left_B2"],
-        spec.stacks["right_A"],
-        right_B1=spec.stacks["right_B1"],
-        right_B2=spec.stacks["right_B2"],
+        spec.left_B1,
+        spec.left_B2,
+        spec.right_A,
+        right_B1=spec.right_B1,
+        right_B2=spec.right_B2,
     )
     summands[(1, ())] = h
     total += h.dim

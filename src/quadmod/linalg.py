@@ -498,36 +498,28 @@ class ExactMatrix:
         return cls(_int_array(re, (m, n)), _int_array(im, (m, n)), den)
 
     @classmethod
-    def from_flat_entries(cls, flat, shape) -> list:
-        """One matrix per member of the batch shape shape[:-2], from the
+    def from_flat_entries(cls, flat, shape) -> "ExactMatrix":
+        """The matrix of the given shape, batch axes first, from the
         integers flat holds: each entry's reNum, reDen, imNum, imDen in
-        turn, row-major over shape. Each member is rescaled to the lcm of
-        its own denominators and reduced, as from_entries builds it, but
-        every member is read at once: the integers become one int64 array
-        (object when one does not fit), a member's lcm is its denominator
-        when all of them agree and the lcm of its distinct ones otherwise,
-        computed on Python ints, and the rescaled numerators are int64 only
-        when max|numerator| * lcm stays at most 2^62. Denominators must be
-        nonzero."""
+        turn, row-major over shape. Every numerator is rescaled to the lcm
+        of all the denominators and the result is reduced once, as
+        from_entries builds a matrix, but the integers are read at once:
+        they become one int64 array (object when one does not fit), the lcm
+        is taken of their distinct denominators as Python ints, and the
+        rescaled numerators are int64 only when max|numerator| * lcm stays
+        at most 2^62. Denominators must be nonzero."""
         try:
             ints = np.array(flat, dtype=np.int64)
         except OverflowError:
             ints = np.array(flat, dtype=object)
-        batch, (m, n) = tuple(shape[:-2]), shape[-2:]
-        # per member, its 2 m n numerators and denominators, real and
-        # imaginary parts alternating
-        pairs = ints.reshape(math.prod(batch), 2 * m * n, 2)
-        nums, dens = pairs[..., 0], pairs[..., 1]
-        agree = (dens == dens[:, :1]).all(axis=1)
-        lcms = [abs(int(row[0])) if same else math.lcm(*set(row.tolist()))
-                for row, same in zip(dens, agree)]
-        peak = max(int(nums.max()), -int(nums.min()))
-        if max(peak, 1) * max(lcms) > _INT64_SAFE:
+        nums, dens = ints[0::2], ints[1::2]
+        den = math.lcm(*set(dens.tolist()))
+        if max(int(nums.max()), -int(nums.min()), 1) * den > _INT64_SAFE:
             nums, dens = _to_object(nums), _to_object(dens)
-        lcm = np.array(lcms, dtype=nums.dtype)[:, None]
-        re = (nums[:, 0::2] * (lcm // dens[:, 0::2])).reshape(batch + (m, n))
-        im = (nums[:, 1::2] * (lcm // dens[:, 1::2])).reshape(batch + (m, n))
-        return [cls(re[i], im[i], den) for i, den in zip(np.ndindex(batch), lcms)]
+        # real and imaginary parts alternate
+        re = nums[0::2] * (den // dens[0::2])
+        im = nums[1::2] * (den // dens[1::2])
+        return cls(re.reshape(shape), im.reshape(shape), den)
 
     @classmethod
     def zeros(cls, *shape) -> "ExactMatrix":
@@ -539,10 +531,6 @@ class ExactMatrix:
     def identity(cls, n: int) -> "ExactMatrix":
         return cls(np.eye(n, dtype=np.int64), None, 1, _normalize=False, _peak=min(n, 1),
                    _exact=True)
-
-    @classmethod
-    def diagonal(cls, values) -> "ExactMatrix":
-        return cls.column(values).to_diagonal()
 
     @classmethod
     def column(cls, values) -> "ExactMatrix":
@@ -617,6 +605,14 @@ class ExactMatrix:
             Fraction(int(self._re[i, j]), self._den),
             Fraction(int(self._im[i, j]), self._den),
         )
+
+    def __iter__(self):
+        """The members along the first batch axis, each read as take reads
+        it. There is no __len__, so a batch is true as every object is."""
+        shape = self.batch_shape
+        if not shape:
+            raise TypeError("only a batched matrix iterates, over its first batch axis")
+        return (self.take(shape, i) for i in range(shape[0]))
 
     def is_zero(self) -> bool:
         return self._real and not self._re.any()
@@ -1025,10 +1021,11 @@ def regroup(x: ExactMatrix, shape, axes, rows: int, cols: int) -> ExactMatrix:
                     .reshape(batch + (rows, cols)))
 
 
-def _terms(mats) -> ExactMatrix:
-    """The factors of a Kronecker sum as one batched matrix whose last batch
-    axis runs over the terms: a list of equal-shape matrices is stacked, and
-    a batched matrix is taken as it is."""
+def as_batch(mats) -> ExactMatrix:
+    """Equal-shape matrices as one batched matrix whose last batch axis
+    runs over them: a list (or any iterable) of matrices is stacked, and a
+    batched matrix is taken as it is. The one place a list the package is
+    handed becomes a batch."""
     if isinstance(mats, ExactMatrix):
         return mats
     mats = list(mats)
@@ -1038,7 +1035,7 @@ def _terms(mats) -> ExactMatrix:
 def _kron_terms(lefts, rights):
     """(lefts, rights, r) for sum_k lefts[k] (x) rights[k]: lefts with the
     one batch axis of the r terms, rights with it last."""
-    lefts, rights = _terms(lefts), _terms(rights)
+    lefts, rights = as_batch(lefts), as_batch(rights)
     if len(lefts.batch_shape) != 1:
         raise ValueError("left factors take one batch axis, over the terms")
     r = lefts.batch_shape[0]
@@ -1231,13 +1228,7 @@ class GramStack:
     __slots__ = ("grams",)
 
     def __init__(self, coords):
-        if not isinstance(coords, ExactMatrix):
-            coords = list(coords)
-            if not coords:
-                raise ValueError("need at least one coordinate matrix")
-            if any(g.shape != coords[0].shape for g in coords):
-                raise ValueError("coordinate Gram matrices must be square and equal-size")
-            coords = ExactMatrix.stack(coords, (len(coords),))
+        coords = as_batch(coords)
         if len(coords.batch_shape) != 1 or coords.nrows != coords.ncols:
             raise ValueError("coordinate Gram matrices must be square and equal-size")
         if not coords.batch_shape[0]:
@@ -1255,7 +1246,7 @@ class GramStack:
     @property
     def coords(self) -> list:
         """The coordinate Grams, one matrix each."""
-        return [self.grams.take((self.num_coords,), c) for c in range(self.num_coords)]
+        return list(self.grams)
 
     def pairs(self, x: ExactMatrix, y: ExactMatrix) -> ExactMatrix:
         """The algebra elements <x_i|y_j> for every column x_i of x and y_j

@@ -19,7 +19,7 @@ on; each check is reported individually with an exact witness on failure.
 
 Every check that quantifies over a grid of members, (c, c2), (a, c),
 (c, x) or (i, j, c), is one batched expression over the whole grid. The
-operator lists and coordinate Grams are held as ExactMatrix values with
+action families and coordinate Grams are held as ExactMatrix values with
 batch axes, laid out along the grid's axes, and the two sides of the axiom
 are a few exact products, member-wise scalings or combinations of whole
 batches (see the linalg module), never one product per member. Their
@@ -42,6 +42,7 @@ from .algebras import AlgebraHom, CommAlgebra
 from .linalg import (
     ExactMatrix,
     GramStack,
+    as_batch,
     hermitian_psd_check,
     regroup,
     times_kron_identity,
@@ -109,16 +110,31 @@ def _reconstructs(acts: ExactMatrix, family: ExactMatrix, form: GramStack) -> bo
 
 
 class QuadModuleSpec:
+    """A module specification, each family held once, as one batch.
+
+    The constructor takes each action family (right_B1, right_B2, left_B1,
+    left_B2, one operator per basis element of its algebra) and each
+    generating family (basis_U, basis_V, one column vector per generator)
+    as a list of matrices or as one batched matrix, and the inner products
+    as GramStacks. It stores each family as one batched ExactMatrix, stacked
+    by as_batch when it came as a list: the action families of shape
+    (d, dim, dim) over their algebra's basis, the generating families of
+    shape (k, dim, 1). Iterating a family yields its members.
+
+    Every stage reads the batches: the action families directly, right_A
+    (one combine of right_B1) and families (each generating family as one
+    dim x k matrix of columns, one regroup of its batch)."""
+
     def __init__(
         self,
         algebra_A: CommAlgebra,
         algebra_B1: CommAlgebra,
         algebra_B2: CommAlgebra,
         dim: int,
-        right_B1: list[ExactMatrix],
-        right_B2: list[ExactMatrix],
-        left_B1: list[ExactMatrix],
-        left_B2: list[ExactMatrix],
+        right_B1: ExactMatrix | list[ExactMatrix],
+        right_B2: ExactMatrix | list[ExactMatrix],
+        left_B1: ExactMatrix | list[ExactMatrix],
+        left_B2: ExactMatrix | list[ExactMatrix],
         inner_A: GramStack,
         inner_B1: GramStack,
         inner_B2: GramStack,
@@ -126,8 +142,8 @@ class QuadModuleSpec:
         left_embed_2: AlgebraHom,
         right_embed_1: AlgebraHom,
         right_embed_2: AlgebraHom,
-        basis_U: list[ExactMatrix],
-        basis_V: list[ExactMatrix],
+        basis_U: ExactMatrix | list[ExactMatrix],
+        basis_V: ExactMatrix | list[ExactMatrix],
         name: str = "",
     ):
         if dim < 1:
@@ -136,10 +152,10 @@ class QuadModuleSpec:
         self.algebra_B1 = algebra_B1
         self.algebra_B2 = algebra_B2
         self.dim = dim
-        self.right_B1 = list(right_B1)
-        self.right_B2 = list(right_B2)
-        self.left_B1 = list(left_B1)
-        self.left_B2 = list(left_B2)
+        self.right_B1 = as_batch(right_B1)
+        self.right_B2 = as_batch(right_B2)
+        self.left_B1 = as_batch(left_B1)
+        self.left_B2 = as_batch(left_B2)
         self.inner_A = inner_A
         self.inner_B1 = inner_B1
         self.inner_B2 = inner_B2
@@ -147,26 +163,23 @@ class QuadModuleSpec:
         self.left_embed_2 = left_embed_2
         self.right_embed_1 = right_embed_1
         self.right_embed_2 = right_embed_2
-        self.basis_U = list(basis_U)
-        self.basis_V = list(basis_V)
+        self.basis_U = as_batch(basis_U)
+        self.basis_V = as_batch(basis_V)
         self.name = name
         self._check_shapes()
         # the index maps, or their failure, once derive_lambda has run
         self._index_maps = None
 
     def _check_shapes(self):
-        pairs = [
+        n = self.dim
+        for ops, count, label in [
             (self.right_B1, self.algebra_B1.dim, "right_B1"),
             (self.right_B2, self.algebra_B2.dim, "right_B2"),
             (self.left_B1, self.algebra_B1.dim, "left_B1"),
             (self.left_B2, self.algebra_B2.dim, "left_B2"),
-        ]
-        for ops, count, label in pairs:
-            if len(ops) != count:
-                raise ValueError(f"{label}: expected {count} operators")
-            for op in ops:
-                if op.shape != (self.dim, self.dim):
-                    raise ValueError(f"{label}: operator shape mismatch")
+        ]:
+            if ops.batch_shape != (count,) or ops.shape != (n, n):
+                raise ValueError(f"{label}: expected {count} operators of shape {n} x {n}")
         stacks = [
             (self.inner_A, self.algebra_A.dim, "inner_A"),
             (self.inner_B1, self.algebra_B1.dim, "inner_B1"),
@@ -188,29 +201,22 @@ class QuadModuleSpec:
             if hom.source.dim != self.algebra_A.dim or hom.target.dim != self.algebra_B2.dim:
                 raise ValueError(f"{label}: wrong algebras")
         for fam, label in [(self.basis_U, "basis_U"), (self.basis_V, "basis_V")]:
-            if not fam:
-                raise ValueError(f"{label}: must be nonempty")
-            for v in fam:
-                if v.shape != (self.dim, 1):
-                    raise ValueError(f"{label}: vector shape mismatch")
+            if len(fam.batch_shape) != 1 or not fam.batch_shape[0] or fam.shape != (n, 1):
+                raise ValueError(f"{label}: expected a nonempty family of vectors of length {n}")
 
     @cached_property
-    def stacks(self) -> dict:
-        """Each action list as one batched matrix over its algebra basis,
-        and right_A, the right action of A realized through the first side
-        algebra (the agreement with the second route is a validated
-        axiom)."""
-        names = ("right_B1", "right_B2", "left_B1", "left_B2")
-        stacks = {name: ExactMatrix.stack(getattr(self, name), (len(getattr(self, name)),))
-                  for name in names}
-        stacks["right_A"] = stacks["right_B1"].combine(self.right_embed_1.matrix)
-        return stacks
+    def right_A(self) -> ExactMatrix:
+        """The right action of A realized through the first side algebra,
+        one batch over A's basis (the agreement with the second route is a
+        validated axiom)."""
+        return self.right_B1.combine(self.right_embed_1.matrix)
 
     @cached_property
     def families(self) -> dict:
         """Each generating family as one matrix whose columns are its
         vectors: basis_U under 1, basis_V under 2."""
-        return {1: ExactMatrix.hstack(self.basis_U), 2: ExactMatrix.hstack(self.basis_V)}
+        return {label: fam.regrouped((fam.batch_shape[0], self.dim), (1, 0))
+                for label, fam in ((1, self.basis_U), (2, self.basis_V))}
 
     @cached_property
     def _family_compressions(self) -> dict:
@@ -220,9 +226,9 @@ class QuadModuleSpec:
         columns c of a second matrix (one product with I (x) 1): read by the
         finite type checks and the index maps."""
         out = {}
-        for label, family, form, name in (("u", 1, self.inner_B1, "left_B2"),
-                                          ("v", 2, self.inner_B2, "left_B1")):
-            ops, members = self.stacks[name], self.families[family]
+        for label, family, form, ops in (("u", 1, self.inner_B1, self.left_B2),
+                                         ("v", 2, self.inner_B2, self.left_B1)):
+            members = self.families[family]
             k, d = members.ncols, ops.batch_shape[0]
             values = compressions(members, form, ops)
             diagonal = values.take_cols([(i * d + c) * k + i for c in range(d) for i in range(k)])
@@ -234,7 +240,6 @@ class QuadModuleSpec:
     def validate_axioms(self) -> list[CheckResult]:
         out = []
         dim = self.dim
-        ops = self.stacks
         forms = [("a", self.inner_A), ("b1", self.inner_B1), ("b2", self.inner_B2)]
 
         def add(check_id, statement, passed, witness=""):
@@ -248,13 +253,13 @@ class QuadModuleSpec:
 
         # each action is a unital representation of its (commutative) algebra
         families = [
-            ("right-b1", "right_B1", self.algebra_B1),
-            ("right-b2", "right_B2", self.algebra_B2),
-            ("left-b1", "left_B1", self.algebra_B1),
-            ("left-b2", "left_B2", self.algebra_B2),
+            ("right-b1", self.right_B1, self.algebra_B1),
+            ("right-b2", self.right_B2, self.algebra_B2),
+            ("left-b1", self.left_B1, self.algebra_B1),
+            ("left-b2", self.left_B2, self.algebra_B2),
         ]
-        for label, name, alg in families:
-            rows, cols = _grid(ops[name], ops[name])
+        for label, ops, alg in families:
+            rows, cols = _grid(ops, ops)
             add_grid(
                 f"action-rep-{label}",
                 "the action respects products of algebra elements",
@@ -264,18 +269,18 @@ class QuadModuleSpec:
             add(
                 f"action-unital-{label}",
                 "the algebra unit acts as the identity operator",
-                (ops[name].combine(alg.unit()) - ExactMatrix.identity(dim)).is_zero(),
+                (ops.combine(alg.unit()) - ExactMatrix.identity(dim)).is_zero(),
             )
 
         # left and right actions commute, in all four combinations
         combos = [
-            ("left-b1-right-b1", "left_B1", "right_B1"),
-            ("left-b1-right-b2", "left_B1", "right_B2"),
-            ("left-b2-right-b1", "left_B2", "right_B1"),
-            ("left-b2-right-b2", "left_B2", "right_B2"),
+            ("left-b1-right-b1", self.left_B1, self.right_B1),
+            ("left-b1-right-b2", self.left_B1, self.right_B2),
+            ("left-b2-right-b1", self.left_B2, self.right_B1),
+            ("left-b2-right-b2", self.left_B2, self.right_B2),
         ]
         for label, left, right in combos:
-            lefts, rights = _grid(ops[left], ops[right])
+            lefts, rights = _grid(left, right)
             add_grid(
                 f"action-commute-{label}",
                 "left and right actions commute",
@@ -287,18 +292,18 @@ class QuadModuleSpec:
         add_grid(
             "right-action-compatible",
             "the right A-action through either side algebra is the same",
-            ops["right_A"] - ops["right_B2"].combine(self.right_embed_2.matrix),
+            self.right_A - self.right_B2.combine(self.right_embed_2.matrix),
             "base algebra basis {}",
         )
 
         # twisted right-action compatibility: acting by b, then by a in A,
         # equals acting by b times the embedded image of a; on the grid
         # (a, c), b_c times the image of a is embed[c, a] b_c
-        for label, name, embed in [
-            ("1", "right_B1", self.right_embed_1),
-            ("2", "right_B2", self.right_embed_2),
+        for label, ops, embed in [
+            ("1", self.right_B1, self.right_embed_1),
+            ("2", self.right_B2, self.right_embed_2),
         ]:
-            base, side = _grid(ops["right_A"], ops[name])
+            base, side = _grid(self.right_A, ops)
             add_grid(
                 f"right-action-twist-{label}",
                 "right action twisted by the embedded base algebra matches acting in two steps",
@@ -307,11 +312,11 @@ class QuadModuleSpec:
             )
 
         # the two left embeddings induce the same left A-action
-        left_A = ops["left_B1"].combine(self.left_embed_1.matrix)
+        left_A = self.left_B1.combine(self.left_embed_1.matrix)
         add_grid(
             "left-action-compatible",
             "the left A-action through either side algebra is the same",
-            left_A - ops["left_B2"].combine(self.left_embed_2.matrix),
+            left_A - self.left_B2.combine(self.left_embed_2.matrix),
             "base algebra basis {}",
         )
 
@@ -341,12 +346,12 @@ class QuadModuleSpec:
             )
 
         # right linearity over the respective coefficient algebra
-        for label, form, name in [
-            ("b1", self.inner_B1, "right_B1"),
-            ("b2", self.inner_B2, "right_B2"),
-            ("a", self.inner_A, "right_A"),
+        for label, form, ops in [
+            ("b1", self.inner_B1, self.right_B1),
+            ("b2", self.inner_B2, self.right_B2),
+            ("a", self.inner_A, self.right_A),
         ]:
-            coords, acts = _grid(form.grams, ops[name])
+            coords, acts = _grid(form.grams, ops)
             add_grid(
                 f"inner-right-linear-{label}",
                 "the inner product is linear over the right action of its own algebra",
@@ -360,7 +365,7 @@ class QuadModuleSpec:
             ("1", self.inner_B1, self.right_embed_1),
             ("2", self.inner_B2, self.right_embed_2),
         ]:
-            base, coords = _grid(ops["right_A"], form.grams)
+            base, coords = _grid(self.right_A, form.grams)
             add_grid(
                 f"inner-right-twist-{label}",
                 "moving a base algebra element inside the inner product picks up its embedded image",
@@ -370,9 +375,9 @@ class QuadModuleSpec:
 
         # left actions are adjointable for all three inner products, with
         # the conjugated element as the common adjoint
-        for side, name in [("1", "left_B1"), ("2", "left_B2")]:
+        for side, ops in [("1", self.left_B1), ("2", self.left_B2)]:
             for label, form in forms:
-                acts, coords = _grid(ops[name], form.grams)
+                acts, coords = _grid(ops, form.grams)
                 add_grid(
                     f"left-adjointable-{side}-{label}",
                     "the left action is adjointable with the conjugate element as adjoint",
@@ -382,11 +387,12 @@ class QuadModuleSpec:
 
         # faithfulness of the left actions, including the induced A-action:
         # the flattened operators are linearly independent
-        for label, name, alg in [("b1", "left_B1", self.algebra_B1), ("b2", "left_B2", self.algebra_B2)]:
+        for label, ops, alg in [("b1", self.left_B1, self.algebra_B1),
+                                ("b2", self.left_B2, self.algebra_B2)]:
             add(
                 f"left-faithful-{label}",
                 "the left action has trivial kernel",
-                ops[name].flattened().rank() == alg.dim,
+                ops.flattened().rank() == alg.dim,
             )
         add(
             "left-faithful-a",
@@ -437,19 +443,19 @@ class QuadModuleSpec:
         add(
             "finite-basis-reconstruction-u",
             "every vector is recovered from the first family and its side-1 inner products",
-            _reconstructs(self.stacks["right_B1"], family_u, self.inner_B1),
+            _reconstructs(self.right_B1, family_u, self.inner_B1),
         )
         add(
             "finite-basis-reconstruction-v",
             "every vector is recovered from the second family and its side-2 inner products",
-            _reconstructs(self.stacks["right_B2"], family_v, self.inner_B2),
+            _reconstructs(self.right_B2, family_v, self.inner_B2),
         )
 
         traces = {}
         for label, k, d, embed, other, statement in [
-            ("u", family_u.ncols, len(self.left_B2), self.left_embed_1, "side-2",
+            ("u", family_u.ncols, self.algebra_B2.dim, self.left_embed_1, "side-2",
              "compressions of the side-2 left action by the first family land in the embedded base algebra"),
-            ("v", family_v.ncols, len(self.left_B1), self.left_embed_2, "side-1",
+            ("v", family_v.ncols, self.algebra_B1.dim, self.left_embed_2, "side-1",
              "compressions of the side-1 left action by the second family land in the embedded base algebra"),
         ]:
             values, traces[label] = self._family_compressions[label]
@@ -593,13 +599,13 @@ class QuadModuleSpec:
         (c, j) of one matrix, column (c, j) being ops[c] @ vectors[j].
         """
         families, checks = {}, []
-        for label, name, family in [("u", "right_B1", 1), ("v", "right_B2", 2)]:
-            families[label] = acted = acted_columns(self.stacks[name], self.families[family])
+        for label, ops, family in [("u", self.right_B1, 1), ("v", self.right_B2, 2)]:
+            families[label] = acted = acted_columns(ops, self.families[family])
             checks.append(
                 CheckResult(
                     f"right-a-basis-{label}",
                     "the induced family generates H as a right module over the base algebra",
-                    _reconstructs(self.stacks["right_A"], acted, self.inner_A),
+                    _reconstructs(self.right_A, acted, self.inner_A),
                 )
             )
         return families["u"], families["v"], checks
@@ -629,29 +635,20 @@ def build_example_MN(M: int, N: int) -> QuadModuleSpec:
     B2 = CommAlgebra(M)
     dim = M * N
 
-    def diag(pred):
-        return ExactMatrix.diagonal([1 if pred(i, k) else 0 for i in range(M) for k in range(N)])
+    # u_i = e_i (x) 1 and v_k = 1 (x) e_k, the columns of I_M (x) 1 and
+    # 1 (x) I_N; B1 acts by multiplication with the v_k, B2 with the u_i
+    basis_U = _columns(ExactMatrix.identity(M).kron(B1.unit()))
+    basis_V = _columns(B2.unit().kron(ExactMatrix.identity(N)))
+    right_B1 = left_B1 = basis_V.to_diagonal()
+    right_B2 = left_B2 = basis_U.to_diagonal()
 
-    right_B1 = [diag(lambda i, k, c=c: k == c) for c in range(N)]
-    right_B2 = [diag(lambda i, k, c=c: i == c) for c in range(M)]
-    left_B1 = [diag(lambda i, k, c=c: k == c) for c in range(N)]
-    left_B2 = [diag(lambda i, k, c=c: i == c) for c in range(M)]
-
-    inner_A = GramStack([ExactMatrix.identity(dim)])
+    # the identity, as a batch of one
+    inner_A = GramStack(ExactMatrix.identity(dim).reshaped((), (1,)))
     inner_B1 = GramStack(right_B1)
     inner_B2 = GramStack(right_B2)
 
     embed1 = AlgebraHom.scalar_embedding(B1)
     embed2 = AlgebraHom.scalar_embedding(B2)
-
-    basis_U = [
-        ExactMatrix.from_rows([[1 if i == i0 else 0] for i in range(M) for _ in range(N)])
-        for i0 in range(M)
-    ]
-    basis_V = [
-        ExactMatrix.from_rows([[1 if k == k0 else 0] for _ in range(M) for k in range(N)])
-        for k0 in range(N)
-    ]
 
     return QuadModuleSpec(
         algebra_A=A,
@@ -691,22 +688,20 @@ def build_example_alpha_beta(d: int, sigma, tau) -> QuadModuleSpec:
     except ValueError as exc:
         raise InvalidParameter(str(exc)) from exc
 
-    def mult_of(hom_matrix, c):
-        col = hom_matrix @ alg.basis_element(c)
-        return alg.mult_matrix(col)
+    # element c acts by multiplication with column c of its twist matrix
+    def acting(twist):
+        return _columns(twist).to_diagonal()
 
-    right_B1 = [mult_of(alpha.matrix, c) for c in range(d)]
-    right_B2 = [mult_of(beta.matrix, c) for c in range(d)]
-    left_B1 = [mult_of(beta.matrix @ alpha.matrix, c) for c in range(d)]
-    left_B2 = [mult_of(alpha.matrix @ beta.matrix, c) for c in range(d)]
+    right_B1 = acting(alpha.matrix)
+    right_B2 = acting(beta.matrix)
+    left_B1 = acting(beta.matrix @ alpha.matrix)
+    left_B2 = acting(alpha.matrix @ beta.matrix)
 
-    inner_A = GramStack(
-        [ExactMatrix.diagonal([1 if i == j else 0 for i in range(d)]) for j in range(d)]
-    )
+    inner_A = GramStack(acting(ExactMatrix.identity(d)))
     inner_B1 = inner_A.transform(alpha.inverse().matrix)
     inner_B2 = inner_A.transform(beta.inverse().matrix)
 
-    ones = ExactMatrix.from_rows([[1]] * d)
+    ones = _columns(alg.unit())
 
     return QuadModuleSpec(
         algebra_A=alg,
@@ -724,7 +719,7 @@ def build_example_alpha_beta(d: int, sigma, tau) -> QuadModuleSpec:
         left_embed_2=AlgebraHom.identity(alg),
         right_embed_1=alpha.inverse(),
         right_embed_2=beta.inverse(),
-        basis_U=[ones],
-        basis_V=[ones],
+        basis_U=ones,
+        basis_V=ones,
         name=f"twisted-functions-{d}",
     )

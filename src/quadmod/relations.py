@@ -321,7 +321,7 @@ def verify_creation_relations(gens: GeneratorFamily) -> list:
 
         # column (c, s, p) of the acted columns, rops[c] @ L_s @ e_p, is the
         # vector of member (s, p, c)
-        rops = spec.stacks["right_B1" if family == 1 else "right_B2"]
+        rops = spec.right_B1 if family == 1 else spec.right_B2
         transformed = regroup(acted_columns(rops, columns), (d, nc, ns * d), (0, 2, 1), d,
                               ns * d * nc)
         side = gens.side_bases[family].window(0, K - 1)
@@ -442,7 +442,7 @@ def verify_defining_relations(gens: GeneratorFamily) -> list:
     }
     acts = gens.side_bases
     for number, (side, family) in ((5, (1, 1)), (6, (1, 2)), (7, (2, 1)), (8, (2, 2))):
-        amb_ops = spec.stacks["left_B1" if side == 1 else "left_B2"]
+        amb_ops = spec.left_B1 if side == 1 else spec.left_B2
         nc = amb_ops.batch_shape[0]
         members = gens.members(family)
         n = members.ncols
@@ -545,8 +545,8 @@ def verify_module_map_identities(gens: GeneratorFamily) -> list:
 
     z = _complex_sample(spec.algebra_B1.dim)
     w = _complex_sample(spec.algebra_B2.dim)
-    phi1z = spec.stacks["left_B1"].combine(z).take((1,), 0)
-    phi2w = spec.stacks["left_B2"].combine(w).take((1,), 0)
+    phi1z = spec.left_B1.combine(z).take((1,), 0)
+    phi2w = spec.left_B2.combine(w).take((1,), 0)
     gram_a = spec.inner_A.scalarized()
     # both adjoints from one inverse of the scalar Gram
     adjoints = gram_adjoint(ExactMatrix.stack([phi1z, phi2w], (2,)), gram_a, gram_a)

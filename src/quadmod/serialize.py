@@ -10,14 +10,18 @@ is read in bulk. Its nesting is checked one level at a time over the whole
 field: every item of a level must be a list of the expected length, and
 every entry a list or tuple of four. Then all its scalars at once: each
 must be an int but not a bool (JSON true and false load as bools), and no
-denominator may be zero. The field's integers then become its matrices in
-one step (ExactMatrix.from_flat_entries), each over the lcm of its own
-denominators and reduced, as from_entries would build it. When a bulk check
-fails, the field is walked again entry by entry in stored order only to
-raise the message of its first defect, so a file with several defects is
-rejected for the same one, with the same message, as an entry-by-entry
-reader would give. A file that is not UTF-8 text, is not JSON or nests too
-deeply to parse is rejected with a SpecFormatError as well.
+denominator may be zero. The field's integers then become one batch in one
+step (ExactMatrix.from_flat_entries): a list of matrices or vectors is one
+batched matrix, its members along the first axis, over the one lcm of all
+the field's denominators, reduced once as from_entries reduces a matrix,
+and the spec stores that batch as it is. The writer reads each entry back
+as its reduced fraction, so the shared denominator never shows in a file.
+When a bulk check fails, the field is walked again entry by entry in
+stored order only to raise the message of its first defect, so a file
+with several defects is rejected for the same one, with the same message,
+as an entry-by-entry reader would give. A file that is not UTF-8 text, is
+not JSON or nests too deeply to parse is rejected with a SpecFormatError
+as well.
 """
 
 from __future__ import annotations
@@ -128,11 +132,11 @@ def matrix_to_json(m: ExactMatrix) -> list:
 
 def matrix_from_json(data, nrows: int, ncols: int, where: str) -> ExactMatrix:
     flat, shape = _read(data, (nrows, ncols), lambda: _walk_matrix(data, nrows, ncols, where))
-    return ExactMatrix.from_flat_entries(flat, shape)[0]
+    return ExactMatrix.from_flat_entries(flat, shape)
 
 
-def matrices_from_json(data, count: int, nrows: int, ncols: int, where: str) -> list:
-    """A list of count matrices, read in bulk."""
+def matrices_from_json(data, count: int, nrows: int, ncols: int, where: str) -> ExactMatrix:
+    """A list of count matrices, read in bulk as one batch of them."""
     def walk():
         if not isinstance(data, list) or len(data) != count:
             raise SpecFormatError(f"{where}: expected {count} matrices")
@@ -147,8 +151,8 @@ def vector_to_json(v: ExactMatrix) -> list:
     return [scalar_to_entry(v[i, 0]) for i in range(v.nrows)]
 
 
-def vectors_from_json(data, dim: int, where: str) -> list:
-    """A nonempty list of vectors, read in bulk, each as a column."""
+def vectors_from_json(data, dim: int, where: str) -> ExactMatrix:
+    """A nonempty list of vectors, read in bulk as one batch of columns."""
     def walk():
         if not isinstance(data, list) or not data:
             raise SpecFormatError(f"{where}: expected a nonempty list of vectors")

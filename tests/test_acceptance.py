@@ -26,6 +26,7 @@ from quadmod.ktheory import (
     k_groups_of_matrix,
     smith_normal_form,
 )
+from quadmod.linalg import ExactMatrix
 from quadmod.quadmodule import build_example_MN, build_example_alpha_beta
 from quadmod.relations import full_identity_suite, make_generators
 from quadmod.scalars import GaussianRational
@@ -161,10 +162,9 @@ def test_remixed_generators_are_refused_not_misread():
     # green, yet no diagonal class action exists; the computation must
     # refuse rather than return a wrong matrix
     spec = build_example_MN(2, 2)
-    u0, u1 = spec.basis_U
     c = GaussianRational("3/5")
     s = GaussianRational(0, "4/5")
-    spec.basis_U = [u0.scale(c) + u1.scale(s), u0.scale(s) + u1.scale(c)]
+    spec.basis_U = spec.basis_U.combine(ExactMatrix.from_rows([[c, s], [s, c]]))
     assert_all_pass(spec.validate_axioms())
     assert_all_pass(spec.verify_finite_type())
     space = build_fock(spec, 3)

@@ -9,8 +9,9 @@ def test_pointwise_algebra_basics():
     alg = CommAlgebra(3)
     x = ExactMatrix.column([1, GaussianRational(0, 2), -3])
     y = ExactMatrix.column([2, 1, 1])
-    assert alg.mult_matrix(x) @ y == ExactMatrix.column([2, GaussianRational(0, 2), -3])
-    assert alg.mult_matrix(alg.unit()) == ExactMatrix.identity(3)
+    # multiplication by x is the diagonal matrix of x
+    assert x.to_diagonal() @ y == ExactMatrix.column([2, GaussianRational(0, 2), -3])
+    assert alg.unit().to_diagonal() == ExactMatrix.identity(3)
 
 
 def test_permutation_hom_matrix_is_frozen_convention():

@@ -303,14 +303,12 @@ def test_the_benchmark_tracer_sees_every_exact_product(monkeypatch, capsys):
 
 def test_only_lists_from_outside_the_package_are_stacked():
     # a family is made as one batch where it is made; ExactMatrix.stack
-    # takes in the lists a caller hands the package (the spec's action
-    # lists, coordinate Grams, Kronecker factors) and joins expressions that
-    # are distinct by construction into one family, and nothing else is
-    # taken apart into a list only to be stacked again
+    # takes in, through as_batch alone, the lists a caller hands the package
+    # (a spec's families, coordinate Grams, Kronecker factors) and joins
+    # expressions that are distinct by construction into one family, and
+    # nothing else is taken apart into a list only to be stacked again
     allowed = {
-        "QuadModuleSpec.stacks",
-        "GramStack.__init__",
-        "_terms",
+        "as_batch",
         "_lift_samples",
         "verify_module_map_identities",
     }

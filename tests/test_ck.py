@@ -92,7 +92,8 @@ def test_coarse_models_break_the_state_structure():
     # projection supports
     space = build_fock(build_example_MN(2, 2), 2)
     gens = make_generators(space)
-    coarse = DiagonalOperatorModel(ExactMatrix.stack([ExactMatrix.diagonal([1, 0, 0, 0])], (1,)))
+    coarse = DiagonalOperatorModel(
+        ExactMatrix.stack([ExactMatrix.column([1, 0, 0, 0]).to_diagonal()], (1,)))
     assert coarse.classes == [[0], [1, 2, 3]]
     gens.model = coarse
     with pytest.raises(CKStructureError, match="support"):
@@ -378,7 +379,8 @@ def _perturbed(module, perturbation):
         summand = space.summand((2, (1,)))
         # member 0 doubled, the others kept
         d = summand.left_B1.batch_shape[0]
-        summand.left_B1 = summand.left_B1.combine(ExactMatrix.diagonal([2] + [1] * (d - 1)))
+        weights = ExactMatrix.column([2] + [1] * (d - 1)).to_diagonal()
+        summand.left_B1 = summand.left_B1.combine(weights)
     elif perturbation == "left_B2":
         summand = space.summand(space.keys[-1])
         # the identity added to the last member
@@ -401,7 +403,7 @@ def _perturbed(module, perturbation):
         # the last class's idempotent zeroed, the others kept
         ncl = gens.model.rank
         gens.model.idempotents = gens.model.idempotents.combine(
-            ExactMatrix.diagonal([1] * (ncl - 1) + [0]))
+            ExactMatrix.column([1] * (ncl - 1) + [0]).to_diagonal())
     bundle = build_ck_generators(gens)
     first = bundle.states[0]
     if perturbation == "support":

@@ -148,7 +148,7 @@ def test_a_disagreement_in_the_last_row_slab_fails_the_check(monkeypatch):
     # bracketings but for a = h - 1, which alone the perturbation reaches,
     # so a check that skips the last first-factor index passes
     h = build_fock(build_example_MN(2, 2), 2).summand((1, ()))
-    last_row = ExactMatrix.diagonal([0] * (h.dim - 1) + [1])
+    last_row = ExactMatrix.column([0] * (h.dim - 1) + [1]).to_diagonal()
     fields = {slot: getattr(h, slot) for slot in QuadSpace.__slots__}
     cut = QuadSpace(**fields | {"gram_B1": GramStack(last_row @ h.gram_B1.grams)})
     assert fock._associativity_check(cut) is None
@@ -221,16 +221,16 @@ def test_creation_shapes_are_validated():
 
 def test_adjoint_is_an_involution():
     space = bipartite_space()
-    s = space.creation(1, space.spec.basis_U[0])
+    s = space.creation(1, space.spec.families[1].take_cols([0]))
     assert s.adjoint().adjoint() == s
-    t = space.creation(2, space.spec.basis_V[1])
+    t = space.creation(2, space.spec.families[2].take_cols([1]))
     combined = s @ t.adjoint() + scaled(t, I)
     assert combined.adjoint().adjoint() == combined
 
 
 def test_creation_raises_degree_by_one():
     space = bipartite_space()
-    s = space.creation(1, space.spec.basis_U[0])
+    s = space.creation(1, space.spec.families[1].take_cols([0]))
     assert all(dest[0] == src[0] + 1 for dest, src in s.blocks)
     assert degree_zero_part(s).is_zero()
     assert degree_zero_part(s @ s.adjoint()) == s @ s.adjoint()
@@ -240,9 +240,9 @@ def test_gauge_unitary_scales_creation_by_i():
     for space in (bipartite_space(), twisted_space()):
         u = gauge_unitary(space)
         assert u @ u.adjoint() == space.identity()
-        s = space.creation(1, space.spec.basis_U[0])
+        s = space.creation(1, space.spec.families[1].take_cols([0]))
         assert u @ s @ u.adjoint() == scaled(s, I)
-        t = space.creation(2, space.spec.basis_V[0])
+        t = space.creation(2, space.spec.families[2].take_cols([0]))
         assert u @ t @ u.adjoint() == scaled(t, I)
 
 
@@ -250,8 +250,8 @@ def test_cross_family_product_leaves_level_zero_remnant():
     # S* T vanishes wherever the source has passed through a genuine
     # balanced tensor; at the bottom the two embeddings overlap
     space = bipartite_space()
-    s = space.creation(1, space.spec.basis_U[0])
-    t = space.creation(2, space.spec.basis_V[0])
+    s = space.creation(1, space.spec.families[1].take_cols([0]))
+    t = space.creation(2, space.spec.families[2].take_cols([0]))
     product = s.adjoint() @ t
     assert product.window(1, space.depth).is_zero()
     _, (_, src) = product.first_failure(0, space.depth)
@@ -286,7 +286,7 @@ def test_lift_rejects_non_descending_operators():
 def test_lift_of_left_action_matches_tower_action():
     space = bipartite_space()
     h = space.summand((1, ()))
-    b = space.spec.algebra_B1.basis_element(0)
+    b = ExactMatrix.identity(space.spec.algebra_B1.dim).take_cols([0])
     lifted = space.lift(h.left_B1.take((2,), 0))
     tower = space.left_actions(1, b, (0, space.depth))[0]
     diff = lifted - tower
@@ -318,7 +318,7 @@ def test_lifts_gather_all_members_at_once_on_a_coordinate_quotient(monkeypatch):
 
 def test_apply_moves_vectors_up_one_level():
     space = bipartite_space()
-    s = space.creation(1, space.spec.basis_U[0])
+    s = space.creation(1, space.spec.families[1].take_cols([0]))
     # every block of a creation maps a level-n summand into level n + 1,
     # and its adjoint maps back down
     assert s.blocks
@@ -339,7 +339,7 @@ def test_level_projections_resolve_identity():
 
 
 def _diagonal_stack(*diagonals):
-    return GramStack(ExactMatrix.diagonal(d) for d in diagonals)
+    return GramStack(ExactMatrix.column(d).to_diagonal() for d in diagonals)
 
 
 # ambient dim 6, read as 3 x 2 for x (x) I_2 and as 3 copies of 2 for
@@ -419,13 +419,13 @@ def test_coordinate_quotient_matches_elimination(monkeypatch, build, stack, dim)
 
 
 # the null space of FIRST is spanned by the coordinates (1, u) of C^2 (x) C^3
-FIRST = ExactMatrix.diagonal([1, 1, 1, 0, 0, 0])
+FIRST = ExactMatrix.column([1, 1, 1, 0, 0, 0]).to_diagonal()
 
 
 @pytest.mark.parametrize("gram, ops, sizes, label", [
     # coordinate quotient: diagonal Gram, the null vector e_1 is sent to e_0
-    (ExactMatrix.diagonal([1, 0]), (_batch(ExactMatrix.from_rows([[0, 1], [0, 0]])), None, None),
-     {}, "left_B1[0]"),
+    (ExactMatrix.column([1, 0]).to_diagonal(),
+     (_batch(ExactMatrix.from_rows([[0, 1], [0, 0]])), None, None), {}, "left_B1[0]"),
     # coordinate quotient: y (x) I_3 sends the null vector e_(1, 0) outside
     # the null space when y[0, 1] is nonzero
     (FIRST, (None, _batch(Y.H), None), {"tail": 3}, "left_B2[0]"),

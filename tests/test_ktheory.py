@@ -237,10 +237,9 @@ def test_remixed_basis_violates_the_class_assumptions():
     # mixing the first generating family through a unitary keeps the module
     # finite type but the ranges stop commuting with the diagonal model
     spec = build_example_MN(2, 2)
-    u0, u1 = spec.basis_U
     c = GaussianRational("3/5")
     s = GaussianRational(0, "4/5")
-    spec.basis_U = [u0.scale(c) + u1.scale(s), u0.scale(s) + u1.scale(c)]
+    spec.basis_U = spec.basis_U.combine(ExactMatrix.from_rows([[c, s], [s, c]]))
     assert [r.check_id for r in spec.verify_finite_type() if not r.passed] == []
     space = build_fock(spec, 3)
     with pytest.raises(AssumptionsViolated, match="range-commute"):

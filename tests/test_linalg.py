@@ -169,7 +169,7 @@ def test_gram_adjoint_frozen_example():
     # one-step shift on a 2-dim space where the second basis vector has
     # squared length 2: the adjoint picks up the 1/2 weight
     t = ExactMatrix.from_rows([[0, 1], [0, 0]])
-    g = ExactMatrix.diagonal([1, 2])
+    g = ExactMatrix.column([1, 2]).to_diagonal()
     adj = gram_adjoint(t, g, g)
     assert adj == ExactMatrix.from_rows([[0, 0], [F(1, 2), 0]])
 
@@ -177,7 +177,7 @@ def test_gram_adjoint_frozen_example():
 def test_gram_adjoint_defining_property():
     rng = random.Random(3)
     g_dom = ExactMatrix.from_rows([[2, GR(0, 1)], [GR(0, -1), 3]])
-    g_cod = ExactMatrix.diagonal([1, F(1, 2), 4])
+    g_cod = ExactMatrix.column([1, F(1, 2), 4]).to_diagonal()
     for _ in range(10):
         t = ExactMatrix.from_rows(
             [[GR(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(2)]
@@ -254,7 +254,7 @@ def test_psd_check_random_diagonal_congruence():
         diag = [rng.choice([0, 1, 2, 3]) for _ in range(n)]
         if trial % 2:
             diag[rng.randrange(n)] = -rng.randint(1, 3)
-        d = ExactMatrix.diagonal(diag)
+        d = ExactMatrix.column(diag).to_diagonal()
         u = ExactMatrix.from_rows(
             [[GR(rng.randint(-2, 2), rng.randint(-1, 1)) for _ in range(n)]
              for _ in range(n)]
@@ -290,7 +290,7 @@ TINY = Fraction(1, 2**63 + 1)
     ids=["add", "scale", "hstack", "normalize"],
 )
 def test_bigint_factors_promote_instead_of_overflowing(build, entry, value):
-    assert build(ExactMatrix.diagonal([TINY]))[entry] == GR(value)
+    assert build(ExactMatrix.column([TINY]).to_diagonal())[entry] == GR(value)
 
 
 def test_rref_with_bigint_real_and_int64_imaginary_parts():
@@ -449,8 +449,8 @@ def test_inverse_matches_fraction_reference(case):
 def test_inverse_with_pivot_norm_lcm_above_int64():
     p1, p2 = GR(2**31 + 11, 2**31 - 1), GR(2**31 - 19, 2**30 + 3)
     assert math.lcm(int(p1.abs2()), int(p2.abs2())) > 2**62
-    inv = ExactMatrix.diagonal([p1, p2]).inverse()
-    assert inv == ExactMatrix.diagonal([GR(1) / p1, GR(1) / p2])
+    inv = ExactMatrix.column([p1, p2]).to_diagonal().inverse()
+    assert inv == ExactMatrix.column([GR(1) / p1, GR(1) / p2]).to_diagonal()
 
 
 # -- real operands take the real path ------------------------------------
@@ -893,7 +893,7 @@ def test_side_actions_match_the_per_summand_loop(space):
 def test_diagonal_helpers():
     col = ExactMatrix.column([F(1, 2), GR(0, 3), 0])
     d = col.to_diagonal()
-    assert d == ExactMatrix.diagonal([F(1, 2), GR(0, 3), 0])
+    assert d == ExactMatrix.column([F(1, 2), GR(0, 3), 0]).to_diagonal()
     assert d.is_diagonal() and d.diagonal_columns() == col
     assert not ExactMatrix.from_rows([[1, GR(0, 1)], [0, 1]]).is_diagonal()
     assert ExactMatrix.from_rows([[1, 0], [0, 2]]).diagonal_columns() == ExactMatrix.column([1, 2])
@@ -1410,7 +1410,7 @@ def test_diagonal_kernels_match_the_object_reference(name, diagonals):
         _assert_real_flag(got)
         assert got._peak_abs() >= _max_entry(got)
         for i, (p, q, y) in enumerate(zip(lefts, rights, members)):
-            P, Q = ExactMatrix.diagonal(p), ExactMatrix.diagonal(q)
+            P, Q = ExactMatrix.column(p).to_diagonal(), ExactMatrix.column(q).to_diagonal()
             want = formula(_Reference(P), _Reference(Q), _Reference(y)).matrix
             member = got.take((2,), i)
             assert member == want
@@ -1434,8 +1434,8 @@ class _Reference:
 
 
 def test_stack_diagonals_selections_and_zero_one_members():
-    a = ExactMatrix.diagonal([F(1, 2), 0, GR(0, 3)])
-    b = ExactMatrix.diagonal([1, 2**70, -4])
+    a = ExactMatrix.column([F(1, 2), 0, GR(0, 3)]).to_diagonal()
+    b = ExactMatrix.column([1, 2**70, -4]).to_diagonal()
     stack = ExactMatrix.stack([a, b], (2,))
     columns = stack.diagonal_columns()
     assert columns.take((2,), 0) == ExactMatrix.column([F(1, 2), 0, GR(0, 3)])
@@ -1452,8 +1452,8 @@ def test_stack_diagonals_selections_and_zero_one_members():
         assert full.take_rows([1]).take((2,), i) == m.take_rows([1])
         assert full.submatrix([], [0]).take((2,), i) == ExactMatrix.zeros(0, 1)
     # 0/1 diagonals, read from numerators over a shared denominator of 2
-    ones = [ExactMatrix.diagonal(d) for d in ([1, 0, 1], [F(1, 2), 0, 1], [GR(1, 1), 0, 0],
-                                              [1, 1, 1], [0, 0, 0])]
+    ones = [ExactMatrix.column(d).to_diagonal()
+            for d in ([1, 0, 1], [F(1, 2), 0, 1], [GR(1, 1), 0, 0], [1, 1, 1], [0, 0, 0])]
     ones.append(ones[0] + ExactMatrix.identity(1).scattered([1], [0], (3, 3)))
     flags, diagonal = ExactMatrix.stack(ones, (6,)).zero_one_diagonals()
     assert flags.tolist() == [True, False, False, True, True, False]
@@ -1464,7 +1464,7 @@ def test_stack_diagonals_selections_and_zero_one_members():
 
 
 def test_diagonal_inverse_scatter_and_nonzero_rows():
-    d = ExactMatrix.diagonal([F(2, 3), -5, GR(1, 2), 2**70])
+    d = ExactMatrix.column([F(2, 3), -5, GR(1, 2), 2**70]).to_diagonal()
     inverse = d.diagonal_columns().reciprocals().to_diagonal()
     assert inverse == d.inverse()
     assert inverse @ d == ExactMatrix.identity(4)

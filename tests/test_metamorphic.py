@@ -67,7 +67,8 @@ def rescaled(spec: QuadModuleSpec, weights: list) -> QuadModuleSpec:
     basis: with D = diag(w), coordinates become D^-1 x, operators
     D^-1 L D and each coordinate Gram D^H G D."""
     w = [weights[i % len(weights)] for i in range(spec.dim)]
-    d, d_inv = ExactMatrix.diagonal(w), ExactMatrix.diagonal([1 / x for x in w])
+    d = ExactMatrix.column(w).to_diagonal()
+    d_inv = ExactMatrix.column([1 / x for x in w]).to_diagonal()
 
     def op(m):
         return d_inv @ m @ d

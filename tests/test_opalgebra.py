@@ -9,7 +9,7 @@ from quadmod.scalars import GaussianRational
 
 
 def diag(*values):
-    return ExactMatrix.diagonal(list(values))
+    return ExactMatrix.column(list(values)).to_diagonal()
 
 
 def model_of(*generators):

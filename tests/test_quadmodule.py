@@ -106,17 +106,17 @@ def test_noncommuting_twists_fail_the_named_axioms():
 
 def test_truncated_strong_family_fails():
     spec = build_example_MN(2, 2)
-    short = spec.algebra_B1.basis_element(0)
+    short = ExactMatrix.identity(spec.algebra_B1.dim).take_cols([0])
     results = spec.verify_strongly_finite_type(basis_1=short)
     assert failing_ids(results) == ["strong-basis-b1"]
-    short = spec.algebra_B2.basis_element(0)
+    short = ExactMatrix.identity(spec.algebra_B2.dim).take_cols([0])
     results = spec.verify_strongly_finite_type(basis_2=short)
     assert failing_ids(results) == ["strong-basis-b2"]
 
 
 def test_lambda_not_faithful_when_family_degenerates():
     spec = build_example_MN(2, 2)
-    spec.basis_V = [ExactMatrix.zeros(4, 1)]
+    spec.basis_V = ExactMatrix.zeros(1, 4, 1)
     with pytest.raises(LambdaNotFaithful):
         spec.derive_lambda()
 
@@ -125,7 +125,7 @@ def test_lambda_preimage_failure_is_detected():
     # a single indicator vector compresses to something outside the
     # embedded scalars
     spec = build_example_MN(2, 2)
-    spec.basis_V = [ExactMatrix.column([1, 0, 0, 0])]
+    spec.basis_V = ExactMatrix.stack([ExactMatrix.column([1, 0, 0, 0])], (1,))
     with pytest.raises(LambdaNotFaithful, match="outside"):
         spec.derive_lambda()
 

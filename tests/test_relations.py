@@ -281,7 +281,9 @@ def _rebuilt_cases(spec):
     eye = ExactMatrix.identity(d)
     i = GaussianRational(0, 1)
     extra = eye.take_cols([0]) + eye.take_cols([d - 1]).scale(i)
-    maps = [spec.left_B1[0], spec.left_B2[-1].scale(i), spec.left_B1[0] @ spec.left_B2[-1]]
+    first = spec.left_B1.take(spec.left_B1.batch_shape, 0)
+    last = spec.left_B2.take(spec.left_B2.batch_shape, -1)
+    maps = [first, last.scale(i), first @ last]
     return ExactMatrix.hstack([eye, extra]), ExactMatrix.stack(maps, (len(maps),))
 
 
@@ -586,7 +588,8 @@ def test_perturbed_towers_keep_their_witnesses(monkeypatch, module, perturbation
         summand = space.summand((2, (1,)))
         # member 0 doubled, the others kept
         d = summand.left_B1.batch_shape[0]
-        summand.left_B1 = summand.left_B1.combine(ExactMatrix.diagonal([2] + [1] * (d - 1)))
+        weights = ExactMatrix.column([2] + [1] * (d - 1)).to_diagonal()
+        summand.left_B1 = summand.left_B1.combine(weights)
     else:
         summand = space.summand(space.keys[-1])
         # the identity added to the last member

@@ -1,15 +1,21 @@
 import json
+import math
+import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadmod import serialize
-from quadmod.linalg import ExactMatrix
-from quadmod.quadmodule import build_example_MN, build_example_alpha_beta
+from quadmod import cli, linalg, serialize
+from quadmod.linalg import ExactMatrix, GramStack
+from quadmod.quadmodule import QuadModuleSpec, build_example_MN, build_example_alpha_beta
 from quadmod.scalars import GaussianRational
 from quadmod.serialize import SpecFormatError
+
+from test_cli import rotated_bipartite
+from test_metamorphic import WEIGHTS, rescaled
 
 
 def failing_ids(results):
@@ -149,7 +155,7 @@ def test_loader_matches_from_rows(rows):
     assert got == ExactMatrix.from_rows([[scalar(e) for e in row] for row in rows])
     column = [row[0] for row in rows]
     assert serialize.vectors_from_json([column], len(column), "here") == \
-        [ExactMatrix.column([scalar(e) for e in column])]
+        ExactMatrix.stack([ExactMatrix.column([scalar(e) for e in column])], (1,))
 
 
 @pytest.mark.parametrize("entry, message", [
@@ -218,15 +224,18 @@ def stored_form(m):
 @settings(max_examples=150, deadline=None)
 @given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3), st.data())
 def test_bulk_reader_matches_the_per_entry_reference(count, nrows, ncols, data):
+    # a field is one batch over the lcm of all its denominators: the stack
+    # of the members the per-entry reference builds
     stored = data.draw(stored_matrices(count, nrows, ncols))
-    want = [stored_form(reference_matrix(rows)) for rows in stored]
+    want = [reference_matrix(rows) for rows in stored]
     got = serialize.matrices_from_json(stored, count, nrows, ncols, "here")
-    assert [stored_form(m) for m in got] == want
-    assert stored_form(serialize.matrix_from_json(stored[0], nrows, ncols, "here")) == want[0]
+    assert stored_form(got) == stored_form(ExactMatrix.stack(want, (count,)))
+    got = serialize.matrix_from_json(stored[0], nrows, ncols, "here")
+    assert stored_form(got) == stored_form(want[0])
     columns = [[row[0] for row in rows] for rows in stored]
-    assert [stored_form(v) for v in serialize.vectors_from_json(columns, nrows, "here")] == \
-        [stored_form(reference_matrix([[e] for e in column])) for column in columns]
-
+    want = [reference_matrix([[e] for e in column]) for column in columns]
+    got = serialize.vectors_from_json(columns, nrows, "here")
+    assert stored_form(got) == stored_form(ExactMatrix.stack(want, (count,)))
 
 
 @pytest.mark.parametrize("rows", [
@@ -241,7 +250,67 @@ def test_bulk_reader_matches_the_per_entry_reference(count, nrows, ncols, data):
 ])
 def test_bulk_reader_matches_the_reference_at_the_int64_edges(rows):
     got = serialize.matrices_from_json([rows, rows], 2, len(rows), len(rows[0]), "here")
-    assert [stored_form(m) for m in got] == [stored_form(reference_matrix(rows))] * 2
+    assert stored_form(got) == stored_form(ExactMatrix.stack([reference_matrix(rows)] * 2, (2,)))
+
+
+@pytest.mark.parametrize("members", [
+    # each member's denominator fits in int64, the field's lcm does not
+    [[[(1, 2**61 - 1, 0, 1)]], [[(1, 2**61 + 1, 0, 1)]]],
+    [[[(2, 3**39, 0, 1)]], [[(0, 1, 1, 5**27)]], [[(1, 1, 0, 1)]]],
+    # one member reduces to a small value, the other stays past 2^62
+    [[[(2**63, 2**63, 0, 1)]], [[(2**62 + 1, 1, 0, 1)]]],
+])
+def test_members_over_different_wide_denominators_share_one_batch(members):
+    got = serialize.matrices_from_json(members, len(members), 1, 1, "here")
+    want = ExactMatrix.stack([reference_matrix(rows) for rows in members], (len(members),))
+    assert stored_form(got) == stored_form(want)
+
+
+def _member_denominators(field) -> set:
+    """The lcm of each stored member's entry denominators."""
+    return {math.lcm(*np.array(m, dtype=object).reshape(-1, 4)[:, 1::2].ravel()) for m in field}
+
+
+@pytest.mark.parametrize("make", [
+    lambda: rescaled(build_example_MN(2, 2), WEIGHTS),
+    rotated_bipartite,
+], ids=["weighted-mn:2,2", "rotated_bipartite"])
+def test_one_denominator_per_field_writes_back_every_entry(make):
+    # some field's members have different denominators; loaded, each field
+    # is one batch over their lcm, and the writer still writes each entry's
+    # reduced fraction
+    text = serialize.dumps(make())
+    data = json.loads(text)
+    fields = serialize._MATRIX_LIST_FIELDS + serialize._STACK_FIELDS + serialize._VECTOR_FIELDS
+    assert any(len(_member_denominators(data[f])) > 1 for f in fields)
+    assert serialize.dumps(serialize.loads(text)) == text
+
+
+def test_loading_and_validating_restack_no_family(monkeypatch, tmp_path):
+    # the loader hands each field to the spec as the batch it read, and the
+    # spec's stages read it as it is: neither the loader nor a QuadModuleSpec
+    # method asks for a concatenation. The one that asks is the first caller
+    # above the functions that only pass a list on to it.
+    path = tmp_path / "spec.json"
+    serialize.save(build_example_MN(2, 2), path)
+    concatenated, callers = linalg._concatenated, []
+    passing = ("_joined", "hstack", "vstack", "stack", "as_batch")
+
+    def spied(mats, join):
+        frame = sys._getframe(1)
+        while (frame.f_code.co_name in passing
+               or isinstance(frame.f_locals.get("self"), GramStack)):
+            frame = frame.f_back
+        if (frame.f_globals["__name__"] == "quadmod.serialize"
+                or isinstance(frame.f_locals.get("self"), QuadModuleSpec)):
+            callers.append(f"{frame.f_code.co_name}:{frame.f_lineno}")
+        return concatenated(mats, join)
+
+    monkeypatch.setattr(linalg, "_concatenated", spied)
+    section = cli.validate_section(serialize.load(path))
+    assert all(check["passed"] for check in section["checks"])
+    assert callers == []
+
 
 def test_well_formed_files_load_without_the_per_entry_walk(monkeypatch, tmp_path):
     calls = []
