@@ -105,18 +105,14 @@ class AlgebraHom:
         positions = list(positions)
         if len(positions) != target.dim:
             raise ValueError("need one source position per target coordinate")
-        rows = []
-        for r in range(target.dim):
-            p = positions[r]
-            if not 0 <= p < source.dim:
-                raise ValueError("position out of range")
-            rows.append([1 if c == p else 0 for c in range(source.dim)])
-        return cls(source, target, ExactMatrix.from_rows(rows))
+        if not all(0 <= p < source.dim for p in positions):
+            raise ValueError("position out of range")
+        return cls(source, target, ExactMatrix.identity(source.dim).take_rows(positions))
 
     @classmethod
     def scalar_embedding(cls, target: CommAlgebra) -> "AlgebraHom":
         """The unique unital hom from C."""
-        return cls(CommAlgebra(1), target, ExactMatrix.from_rows([[1]] * target.dim))
+        return cls(CommAlgebra(1), target, target.unit())
 
     @classmethod
     def permutation(cls, alg: CommAlgebra, perm) -> "AlgebraHom":

@@ -678,23 +678,13 @@ class FockSpace:
 
     # -- basic operators -------------------------------------------------
 
-    def zero(self) -> FockOperator:
-        return FockOperator(self, (), {})
+    def projection(self, keys) -> FockOperator:
+        """The identity on the summands keys and zero on the others."""
+        return FockOperator(
+            self, (), {(k, k): ExactMatrix.identity(self.summands[k].dim) for k in keys})
 
     def identity(self) -> FockOperator:
-        return FockOperator(
-            self, (), {(k, k): ExactMatrix.identity(sp.dim) for k, sp in self.summands.items()}
-        )
-
-    def level_projection(self, n: int) -> FockOperator:
-        return FockOperator(
-            self,
-            (),
-            {
-                (k, k): ExactMatrix.identity(self.summands[k].dim)
-                for k in self.keys_at_level(n)
-            },
-        )
+        return self.projection(self.keys)
 
     def creation(self, family: int, xi: ExactMatrix) -> FockOperator:
         """The degree-raising operator attached to a module vector: the one

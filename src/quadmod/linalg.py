@@ -37,10 +37,10 @@ product is its own exact float64 product, back in int64 before two are
 added.
 
 Each matrix carries its peak, a bound on max|numerator|, and every result
-takes the one its kernel knows: a product, kron or entrywise product the
-bound _bilinear returns, a sum the sum of its operands' peaks rescaled to
-the common denominator, a selection or a move its source's, and a
-concatenation the largest of its inputs', rescaled alike. Only a matrix
+takes the one its kernel knows: a product (a kron is one) or an entrywise
+product the bound _bilinear returns, a sum the sum of its operands' peaks
+rescaled to the common denominator, a selection or a move its source's,
+and a concatenation the largest of its inputs', rescaled alike. Only a matrix
 built from bare arrays is scanned for it, on first use. A kernel reads
 the bound that picks its path from its operands' peaks (_gate_bound), and
 only when that bound lies above the gate it faces (2^53 for a product,
@@ -521,6 +521,22 @@ class ExactMatrix:
         im = nums[1::2] * (den // dens[1::2])
         return cls(re.reshape(shape), im.reshape(shape), den)
 
+    def to_entries(self):
+        """Every entry as its reduced fraction, the inverse of
+        from_flat_entries: an integer array of the numerator arrays' shape
+        with one more axis of four, each entry's reNum, reDen, imNum, imDen,
+        every denominator positive and prime to its numerator (a zero is
+        0 over 1). Each part is reduced by one np.gcd with the shared
+        denominator, on its stored array, or on an object array when the
+        denominator lies above _INT64_SAFE."""
+        den, out = self._den, []
+        for part in (self._re, self._im):
+            if den > _INT64_SAFE:
+                part = _to_object(part)
+            g = np.gcd(part, den)
+            out += [part // g, den // g]
+        return np.stack(out, axis=-1)
+
     @classmethod
     def zeros(cls, *shape) -> "ExactMatrix":
         """Zero matrices: shape is the batch shape followed by the matrix
@@ -864,16 +880,10 @@ class ExactMatrix:
         return ExactMatrix._joined(mats, np.vstack)
 
     def kron(self, other: "ExactMatrix") -> "ExactMatrix":
+        """The Kronecker product, kron_sum of the one pair of factors."""
         self._single("kron")
         other._single("kron")
-        (m, n), (p, q) = self.shape, other.shape
-
-        def outer(a, b):
-            return (a[:, None, :, None] * b[None, :, None, :]).reshape(m * p, n * q)
-
-        bound = _gate_bound(lambda p, q: p * q, _int64_gate(self, other), self, other)
-        parts, peak = _bilinear(outer, self._parts(), other._parts(), bound)
-        return ExactMatrix(*parts, den=self._den * other._den, _peak=peak)
+        return kron_sum(self.reshaped((), (1,)), other.reshaped((), (1,)))
 
     # -- elimination -----------------------------------------------------
 

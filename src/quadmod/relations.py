@@ -1,12 +1,12 @@
 """Operator identities for the creation families on the truncated tower.
 
-Every verifier returns IdentityReport records. An identity is declared on
-a source-level window [lo, hi]: the difference of its two sides must
-vanish on every block whose source summand sits at a level inside the
-window. Outside the window the truncation itself breaks the identity
-(the top level has nowhere to create into, and the coefficient level is
-not part of the module), so the window is part of the statement rather
-than a tolerance.
+Every verifier returns CheckResult records, an identity's with its
+window. An identity is declared on a source-level window [lo, hi]: the
+difference of its two sides must vanish on every block whose source
+summand sits at a level inside the window. Outside the window the
+truncation itself breaks the identity (the top level has nowhere to
+create into, and the coefficient level is not part of the module), so
+the window is part of the statement rather than a tolerance.
 
 All comparisons are exact. Identities that quantify over module vectors
 or algebra elements are checked on coordinate basis vectors, which
@@ -51,7 +51,7 @@ from .fock import FockDiagonal, FockOperator, FockSpace
 from .linalg import ExactMatrix, gram_adjoint, kron_sum_entries, regroup
 from .opalgebra import DiagonalOperatorModel, NotDiagonalModel
 from .quadmodule import acted_columns, compressions
-from .report import CheckResult, IdentityReport
+from .report import CheckResult
 from .scalars import GaussianRational
 
 _I = GaussianRational(0, 1)
@@ -183,15 +183,16 @@ def _block_witness(dest, src) -> str:
     return f"nonzero block {_key_name(dest)} <- {_key_name(src)}"
 
 
-def window_report(check_id, statement, diff, lo, hi) -> IdentityReport:
-    """Report whether a difference operator vanishes on the source window."""
-    bad = sorted(k for k in diff.blocks if lo <= k[1][0] <= hi)
-    if bad:
-        return IdentityReport(check_id, statement, (lo, hi), False, _block_witness(*bad[0]))
-    return IdentityReport(check_id, statement, (lo, hi), True)
+def window_report(check_id, statement, diff, lo, hi) -> CheckResult:
+    """Report whether a difference operator, one member, vanishes on the
+    source window; a failure names its first bad block."""
+    failure = diff.first_failure(lo, hi)
+    if failure is not None:
+        return CheckResult(check_id, statement, False, _block_witness(*failure[1]), (lo, hi))
+    return CheckResult(check_id, statement, True, window=(lo, hi))
 
 
-def families_report(check_id, statement, parts, lo, hi) -> IdentityReport:
+def families_report(check_id, statement, parts, lo, hi) -> CheckResult:
     """Report whether every member of the families of difference operators
     in parts vanishes on the source window. parts yields (family, label)
     pairs in member order: one pair, or one per operator set when the
@@ -204,8 +205,8 @@ def families_report(check_id, statement, parts, lo, hi) -> IdentityReport:
         if failure is not None:
             index, block = failure
             witness = f"{label(*index)}: {_block_witness(*block)}"
-            return IdentityReport(check_id, statement, (lo, hi), False, witness)
-    return IdentityReport(check_id, statement, (lo, hi), True)
+            return CheckResult(check_id, statement, False, witness, (lo, hi))
+    return CheckResult(check_id, statement, True, window=(lo, hi))
 
 
 def _annihilation_expected(space: FockSpace, family: int, xs: ExactMatrix) -> FockOperator:
@@ -239,15 +240,6 @@ def _annihilation_expected(space: FockSpace, family: int, xs: ExactMatrix) -> Fo
         summed = kron_sum_entries(rows, ops, range(c * tail.dim), src.reps)
         blocks[(key, src_key)] = summed.regrouped((c, tail.dim, src.dim), (0, 1, 2))
     return FockOperator(space, (c,), blocks)
-
-
-def _word_start_projection(space: FockSpace, family: int) -> FockOperator:
-    blocks = {}
-    for key in space.keys:
-        n, word = key
-        if n >= 2 and word[0] == family:
-            blocks[(key, key)] = ExactMatrix.identity(space.summand(key).dim)
-    return FockOperator(space, (), blocks)
 
 
 def _lift_samples(space: FockSpace):
@@ -362,20 +354,23 @@ def verify_creation_relations(gens: GeneratorFamily) -> list:
 
     sum_s = gens.range_sum(1)
     sum_t = gens.range_sum(2)
-    p0 = space.level_projection(0)
-    p1 = space.level_projection(1)
+    p0 = space.projection(space.keys_at_level(0))
+    p1 = space.projection(space.keys_at_level(1))
+    # the summands of level 2 and above whose word starts with each family
+    starts = {fam: space.projection(k for k in space.keys if k[0] >= 2 and k[1][0] == fam)
+              for fam in (1, 2)}
 
     reports.append(window_report(
         "range-sum-1",
         "the first family's range sum projects onto the module level and the "
         "summands created through the first tensor",
-        sum_s - (p1 + _word_start_projection(space, 1)), 0, K,
+        sum_s - (p1 + starts[1]), 0, K,
     ))
     reports.append(window_report(
         "range-sum-2",
         "the second family's range sum projects onto the module level and the "
         "summands created through the second tensor",
-        sum_t - (p1 + _word_start_projection(space, 2)), 0, K,
+        sum_t - (p1 + starts[2]), 0, K,
     ))
     reports.append(window_report(
         "range-sum-total",

@@ -1,8 +1,11 @@
 """Gaussian rational scalars.
 
 A GaussianRational is a complex number whose real and imaginary parts are
-``fractions.Fraction``. All arithmetic in the package bottoms out here, so
-every computed quantity is exact.
+``fractions.Fraction``. ExactMatrix computes on integer arrays over a
+shared denominator, so matrix arithmetic never passes through this type.
+It is still used where a single entry crosses the matrix boundary: an
+entry read (ExactMatrix.__getitem__), the entries given to from_rows, the
+factor of scale, and the witness vector of the positive-semidefinite test.
 """
 
 from __future__ import annotations
@@ -27,9 +30,6 @@ class GaussianRational:
         if isinstance(value, _COERCIBLE):
             return cls(value)
         raise TypeError(f"cannot coerce {type(value).__name__} to GaussianRational")
-
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
 
     def abs2(self) -> Fraction:
         """Squared modulus, as an exact Fraction."""

@@ -14,8 +14,9 @@ denominator may be zero. The field's integers then become one batch in one
 step (ExactMatrix.from_flat_entries): a list of matrices or vectors is one
 batched matrix, its members along the first axis, over the one lcm of all
 the field's denominators, reduced once as from_entries reduces a matrix,
-and the spec stores that batch as it is. The writer reads each entry back
-as its reduced fraction, so the shared denominator never shows in a file.
+and the spec stores that batch as it is. The writer writes each field
+from that batch in one step (ExactMatrix.to_entries), every entry as its
+reduced fraction, so the shared denominator never shows in a file.
 When a bulk check fails, the field is walked again entry by entry in
 stored order only to raise the message of its first defect, so a file
 with several defects is rejected for the same one, with the same message,
@@ -32,7 +33,6 @@ from itertools import chain
 from .algebras import AlgebraHom, CommAlgebra
 from .linalg import ExactMatrix, GramStack
 from .quadmodule import QuadModuleSpec
-from .scalars import GaussianRational
 
 FORMAT_TAG = "quadmod-spec-v1"
 
@@ -44,15 +44,6 @@ _VECTOR_FIELDS = ("basis_U", "basis_V")
 
 class SpecFormatError(ValueError):
     """The JSON document does not describe a well-formed specification."""
-
-
-def scalar_to_entry(value: GaussianRational) -> list[int]:
-    return [
-        value.re.numerator,
-        value.re.denominator,
-        value.im.numerator,
-        value.im.denominator,
-    ]
 
 
 def _checked_entry(entry):
@@ -124,12 +115,6 @@ def _walk_matrix(data, nrows: int, ncols: int, where: str):
             _checked_entry(entry)
 
 
-def matrix_to_json(m: ExactMatrix) -> list:
-    return [
-        [scalar_to_entry(m[i, j]) for j in range(m.ncols)] for i in range(m.nrows)
-    ]
-
-
 def matrix_from_json(data, nrows: int, ncols: int, where: str) -> ExactMatrix:
     flat, shape = _read(data, (nrows, ncols), lambda: _walk_matrix(data, nrows, ncols, where))
     return ExactMatrix.from_flat_entries(flat, shape)
@@ -145,10 +130,6 @@ def matrices_from_json(data, count: int, nrows: int, ncols: int, where: str) -> 
 
     flat, shape = _read(data, (count, nrows, ncols), walk)
     return ExactMatrix.from_flat_entries(flat, shape)
-
-
-def vector_to_json(v: ExactMatrix) -> list:
-    return [scalar_to_entry(v[i, 0]) for i in range(v.nrows)]
 
 
 def vectors_from_json(data, dim: int, where: str) -> ExactMatrix:
@@ -177,14 +158,16 @@ def spec_to_dict(spec: QuadModuleSpec) -> dict:
             "H": spec.dim,
         },
     }
+    # each field is written from the one batch the spec holds
     for field in _MATRIX_LIST_FIELDS:
-        out[field] = [matrix_to_json(m) for m in getattr(spec, field)]
+        out[field] = getattr(spec, field).to_entries().tolist()
     for field in _STACK_FIELDS:
-        out[field] = [matrix_to_json(g) for g in getattr(spec, field).coords]
+        out[field] = getattr(spec, field).grams.to_entries().tolist()
     for field in _HOM_FIELDS:
-        out[field] = matrix_to_json(getattr(spec, field).matrix)
+        out[field] = getattr(spec, field).matrix.to_entries().tolist()
     for field in _VECTOR_FIELDS:
-        out[field] = [vector_to_json(v) for v in getattr(spec, field)]
+        # a batch of columns, each written as a flat list
+        out[field] = getattr(spec, field).to_entries()[..., 0, :].tolist()
     return out
 
 

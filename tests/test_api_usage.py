@@ -24,14 +24,15 @@ def _parsed(top: str):
         yield path, ast.parse(path.read_text(encoding="utf-8"))
 
 
-def _references(tree):
+def _references(tree, strings: bool):
     """(name, line, module_local) for every use of a name in one file.
 
     A bare name only refers to a definition of the same module (other
-    modules reach it through an import); attribute names, imported names
-    and the words of string literals (the benchmark wraps functions named
-    in strings) may refer to any definition. Docstrings are prose, not
-    references."""
+    modules reach it through an import); attribute names and imported
+    names may refer to any definition. So may the words of string literals
+    when strings is true: the benchmark wraps functions named in strings,
+    while a string in the package is a message, and a word of it ("the
+    zero vector") names nothing. Docstrings are prose, not references."""
     docstrings = {
         id(node.body[0].value)
         for node in ast.walk(tree)
@@ -48,7 +49,7 @@ def _references(tree):
         elif isinstance(node, ast.ImportFrom):
             for alias in node.names:
                 yield alias.name, node.lineno, False
-        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+        elif (strings and isinstance(node, ast.Constant) and isinstance(node.value, str)
               and id(node) not in docstrings):
             for word in re.findall(r"\w+", node.value):
                 yield word, node.lineno, False
@@ -58,7 +59,7 @@ def test_every_defined_name_is_referenced():
     uses = {}
     for top in USERS:
         for path, tree in _parsed(top):
-            for name, line, local in _references(tree):
+            for name, line, local in _references(tree, top == "bench"):
                 uses.setdefault(name, []).append((path, line, local))
     unused = []
     for home, tree in _parsed("src"):

@@ -260,7 +260,7 @@ def test_cross_family_product_leaves_level_zero_remnant():
 
 def test_completeness_defect_sits_below_level_two():
     space = bipartite_space()
-    total = space.zero()
+    total = FockOperator(space, (), {})
     for xi in space.spec.basis_U:
         s = space.creation(1, xi)
         total = total + s @ s.adjoint()
@@ -329,9 +329,9 @@ def test_apply_moves_vectors_up_one_level():
 
 def test_level_projections_resolve_identity():
     space = twisted_space()
-    total = space.zero()
+    total = FockOperator(space, (), {})
     for n in range(space.depth + 1):
-        total = total + space.level_projection(n)
+        total = total + space.projection(space.keys_at_level(n))
     assert total == space.identity()
 
 

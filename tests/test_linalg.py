@@ -38,7 +38,6 @@ def test_scalar_arithmetic():
     assert a + b == GR(F(5, 2), F(-1, 4))
     assert a * b == GR(F(7, 4), 1)
     assert (a / b) * b == a
-    assert a.conjugate().im == F(-3, 4)
     assert GR(0, 1) ** 2 == GR(-1)
     assert GR(0, 1) ** 4 == GR(1)
     assert b.abs2() == 5

@@ -58,7 +58,7 @@ def test_save_and_load(tmp_path):
 
 def test_scalars_survive_with_full_precision():
     third = GaussianRational(0, 1) * GaussianRational("1/3")
-    entry = serialize.scalar_to_entry(third)
+    entry = ExactMatrix.column([third]).to_entries()[0, 0].tolist()
     assert entry == [0, 1, 1, 3]
     assert serialize.matrix_from_json([[entry]], 1, 1, "here")[0, 0] == third
 
@@ -129,7 +129,7 @@ def test_loaded_json_matches_indented_layout():
 
 def test_matrix_round_trip_helpers():
     m = ExactMatrix.from_rows([[1, GaussianRational(0, 1)], [GaussianRational("1/2"), 3]])
-    data = serialize.matrix_to_json(m)
+    data = m.to_entries().tolist()
     assert serialize.matrix_from_json(data, 2, 2, "here") == m
     with pytest.raises(SpecFormatError, match="here"):
         serialize.matrix_from_json(data, 3, 2, "here")
@@ -271,10 +271,14 @@ def _member_denominators(field) -> set:
     return {math.lcm(*np.array(m, dtype=object).reshape(-1, 4)[:, 1::2].ravel()) for m in field}
 
 
-@pytest.mark.parametrize("make", [
+# modules whose fields hold members over different denominators
+OVER_SEVERAL_DENOMINATORS = pytest.mark.parametrize("make", [
     lambda: rescaled(build_example_MN(2, 2), WEIGHTS),
     rotated_bipartite,
 ], ids=["weighted-mn:2,2", "rotated_bipartite"])
+
+
+@OVER_SEVERAL_DENOMINATORS
 def test_one_denominator_per_field_writes_back_every_entry(make):
     # some field's members have different denominators; loaded, each field
     # is one batch over their lcm, and the writer still writes each entry's
@@ -284,6 +288,47 @@ def test_one_denominator_per_field_writes_back_every_entry(make):
     fields = serialize._MATRIX_LIST_FIELDS + serialize._STACK_FIELDS + serialize._VECTOR_FIELDS
     assert any(len(_member_denominators(data[f])) > 1 for f in fields)
     assert serialize.dumps(serialize.loads(text)) == text
+
+
+@OVER_SEVERAL_DENOMINATORS
+def test_the_writer_reads_no_entry_one_by_one(monkeypatch, make):
+    # each field is written from its batch at once: no entry is read as a
+    # GaussianRational
+    spec = make()
+    reads = []
+    getitem = ExactMatrix.__getitem__
+
+    def counted(self, key):
+        reads.append(key)
+        return getitem(self, key)
+
+    monkeypatch.setattr(ExactMatrix, "__getitem__", counted)
+    serialize.dumps(spec)
+    assert reads == []
+
+
+def reduced(entry):
+    """A stored entry as its reduced fractions, as a writer stores it."""
+    re, im = Fraction(entry[0], entry[1]), Fraction(entry[2], entry[3])
+    return [re.numerator, re.denominator, im.numerator, im.denominator]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3), st.data())
+def test_bulk_writer_inverts_the_bulk_reader(count, nrows, ncols, data):
+    # every entry comes back as its reduced fraction, on int64 and object
+    # arrays and over denominators past int64, and reads back to the batch
+    stored = data.draw(stored_matrices(count, nrows, ncols))
+    got = serialize.matrices_from_json(stored, count, nrows, ncols, "here")
+    entries = got.to_entries()
+    assert entries.tolist() == [[[reduced(e) for e in row] for row in rows] for rows in stored]
+    assert ExactMatrix.from_flat_entries(entries.ravel().tolist(), (count, nrows, ncols)) == got
+
+
+def test_bulk_writer_reduces_int64_numerators_over_a_denominator_past_int64():
+    m = serialize.matrix_from_json([[(1, 2**61 - 1, 0, 1), (2, 2**61 + 1, 0, 1)]], 1, 2, "here")
+    assert m._re.dtype == np.int64 and m._den > 2**63
+    assert m.to_entries().tolist() == [[[1, 2**61 - 1, 0, 1], [2, 2**61 + 1, 0, 1]]]
 
 
 def test_loading_and_validating_restack_no_family(monkeypatch, tmp_path):

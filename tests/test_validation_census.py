@@ -27,7 +27,7 @@ BASES = {
 
 
 def _copied(base, field, index):
-    return serialize.matrix_to_json(getattr(BASES[base](), field).coords[index])
+    return getattr(BASES[base](), field).grams.to_entries()[index].tolist()
 
 
 ROWS = [
